@@ -5,6 +5,7 @@ optimization without an uncertainty model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,10 +41,12 @@ class SpeedAdjustParams:
     timeout: float | None = None
 
     def __post_init__(self):
-        if not 0 < self.d_stop < self.d_slow:
-            raise ContractViolation("need 0 < d_stop < d_slow")
-        if self.control_rate <= 0:
-            raise ContractViolation("control_rate must be positive")
+        if not 0 < self.d_stop < self.d_slow < math.inf:
+            raise ContractViolation("need 0 < d_stop < d_slow < inf")
+        if not (math.isfinite(self.control_rate) and self.control_rate > 0):
+            raise ContractViolation("control_rate must be finite and positive")
+        if self.timeout is not None and not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ContractViolation("timeout must be None or finite and positive")
 
 
 @dataclass

@@ -192,6 +192,9 @@ def _cmd_solve(args) -> int:
                 "scenario": f"{sc.family}/{sc.seed}",
                 "iterations": result.iterations,
                 "converged": result.converged,
+                "stop_reason": result.stop_reason,
+                "value_evals": result.value_evals,
+                "grad_evals": result.grad_evals,
                 "initial_cost": result.initial_report.total,
                 "final_cost": result.final_report.total,
                 "wall_time": result.wall_time,

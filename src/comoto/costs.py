@@ -19,6 +19,7 @@ checkable against central finite differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,8 +59,8 @@ class CostWeights:
 
     def __post_init__(self):
         vals = self.as_dict()
-        if any(v < 0 for v in vals.values()):
-            raise ContractViolation("cost weights must be non-negative")
+        if not all(math.isfinite(v) and v >= 0 for v in vals.values()):
+            raise ContractViolation(f"cost weights must be finite and non-negative, got {vals}")
         if all(v == 0 for v in vals.values()):
             raise ContractViolation("at least one cost weight must be positive")
 
@@ -394,14 +395,46 @@ def evaluate_objective(
     ``extra_cost(q, points, jacs, with_grad) -> (value, grad)`` lets a
     caller add one baseline-specific term (entering with weight 1).
     Returns ``(total, grad, per_cost, diagnostics)``.
+
+    A gradient call reports every term in ``per_cost``: a term whose
+    inputs the context lacks reads 0.0.  A value-only call
+    (``with_grad=False``, as in line-search trials) computes only the
+    positively weighted terms, so its ``per_cost`` holds exactly those
+    plus ``extra``; the total is the same, since an unweighted term adds
+    0.0 to it.
     """
     weights = w.as_dict()
-    need_fk = (
-        ctx.prediction is not None
-        or ctx.nominal is not None
-        or weights["legibility"] > 0
-        or extra_cost is not None
-    )
+    has_inputs = {
+        "distance": ctx.prediction is not None,
+        "visibility": ctx.prediction is not None
+        and ctx._sigma_head is not None
+        and ctx.object_pos is not None,
+        "nominal": ctx.nominal is not None,
+    }
+    for name, ok in has_inputs.items():
+        _require(ok or weights[name] == 0, f"{name} weight set but the context lacks its inputs")
+    if has_inputs["distance"]:
+        _require(
+            ctx.prediction.horizon == q.shape[0],
+            "prediction horizon must equal the trajectory waypoint count",
+        )
+    if has_inputs["nominal"]:
+        _require(
+            ctx.nominal.n_waypoints == q.shape[0],
+            "nominal and trajectory must share waypoint count",
+        )
+
+    if with_grad:
+        # Every term the context supports, so reports carry the full
+        # breakdown; legibility needs only the end effector, so it comes
+        # free with any FK pass.
+        has_fk = any(has_inputs.values()) or weights["legibility"] > 0 or extra_cost is not None
+        computed = {**has_inputs, "legibility": has_fk, "smoothness": True}
+    else:
+        # An unweighted term adds exactly 0.0 to the total.
+        computed = {name: weights[name] > 0 for name in COST_NAMES}
+    need_fk = extra_cost is not None or any(computed[name] for name in COST_NAMES[:4])
+
     points = jacs = eef = eef_jac = None
     if need_fk:
         if with_grad:
@@ -415,82 +448,46 @@ def evaluate_objective(
     grads: dict[str, Array] = {}
     diagnostics: dict = {}
 
-    if ctx.prediction is not None:
-        _require(
-            ctx.prediction.horizon == q.shape[0],
-            "prediction horizon must equal the trajectory waypoint count",
+    if computed["distance"]:
+        per_cost["distance"], grads["distance"] = _distance_term(
+            points,
+            jacs if weights["distance"] > 0 else None,
+            ctx._means,
+            ctx._inv_covs,
+            ctx.eps_m,
         )
-        val, grad = _distance_term(
-            points, jacs if weights["distance"] > 0 else None, ctx._means, ctx._inv_covs, ctx.eps_m
-        )
-        per_cost["distance"] = val
-        if grad is not None:
-            grads["distance"] = grad
-    else:
-        _require(weights["distance"] == 0, "distance weight set but context has no prediction")
-        per_cost["distance"] = 0.0
-
-    if ctx.prediction is not None and ctx._sigma_head is not None and ctx.object_pos is not None:
-        val, grad, flagged = _visibility_term(
+    if computed["visibility"]:
+        per_cost["visibility"], grads["visibility"], flagged = _visibility_term(
             eef,
             eef_jac if weights["visibility"] > 0 else None,
             ctx.prediction.means["head"],
             ctx._sigma_head,
             ctx.object_pos,
         )
-        per_cost["visibility"] = val
         if flagged:
             diagnostics["visibility_degenerate_steps"] = flagged
-        if grad is not None:
-            grads["visibility"] = grad
-    else:
-        _require(
-            weights["visibility"] == 0,
-            "visibility weight set but context lacks a head prediction or object_pos",
-        )
-        per_cost["visibility"] = 0.0
-
-    if need_fk:
-        val, grad = _legibility_term(
+    if computed["legibility"]:
+        per_cost["legibility"], grads["legibility"] = _legibility_term(
             eef,
             eef_jac if weights["legibility"] > 0 else None,
             ctx.goal_point,
             ctx.time_weights(q.shape[0]),
         )
-        per_cost["legibility"] = val
-        if grad is not None:
-            grads["legibility"] = grad
-    else:
-        _require(weights["legibility"] == 0, "legibility weight set but FK was not computed")
-        per_cost["legibility"] = 0.0
-
-    if ctx.nominal is not None:
-        _require(
-            ctx.nominal.n_waypoints == q.shape[0],
-            "nominal and trajectory must share waypoint count",
-        )
-        val, grad = _nominal_term(
+    if computed["nominal"]:
+        per_cost["nominal"], grads["nominal"] = _nominal_term(
             eef, eef_jac if weights["nominal"] > 0 else None, ctx._nominal_eef
         )
-        per_cost["nominal"] = val
-        if grad is not None:
-            grads["nominal"] = grad
-    else:
-        _require(weights["nominal"] == 0, "nominal weight set but context has no nominal")
-        per_cost["nominal"] = 0.0
+    if computed["smoothness"]:
+        per_cost["smoothness"], grads["smoothness"] = _smoothness_term(q, dt, with_grad)
 
-    val, grad = _smoothness_term(q, dt, with_grad)
-    per_cost["smoothness"] = val
-    if grad is not None:
-        grads["smoothness"] = grad
-
-    total = sum(weights[name] * per_cost[name] for name in COST_NAMES)
+    total = sum(weights[name] * per_cost[name] for name in COST_NAMES if name in per_cost)
     grad_total = None
     if with_grad:
+        per_cost = {name: per_cost.get(name, 0.0) for name in COST_NAMES}
         grad_total = np.zeros_like(q)
-        for name, g in grads.items():
+        for name in COST_NAMES:
             if weights[name] > 0:
-                grad_total += weights[name] * g
+                grad_total += weights[name] * grads[name]
 
     if extra_cost is not None:
         val, grad = extra_cost(q, points, jacs, with_grad)

@@ -117,19 +117,6 @@ class JointTrajectory:
         return JointTrajectory(self.waypoints.copy(), self.dt, self.t0)
 
 
-def _dh_transform(a: float, alpha: float, d: float, theta: float) -> Array:
-    ct, st = math.cos(theta), math.sin(theta)
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    return np.array(
-        [
-            [ct, -st * ca, st * sa, a * ct],
-            [st, ct * ca, -ct * sa, a * st],
-            [0.0, sa, ca, d],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
-
-
 def _check_config(chain: ChainSpec, q: Array) -> Array:
     q = np.asarray(q, dtype=float)
     if q.shape != (chain.n_joints,):
@@ -147,17 +134,8 @@ def frame_origins_and_axes(chain: ChainSpec, q: Array) -> tuple[Array, Array]:
     world z-axis of the frame each joint rotates about.
     """
     q = _check_config(chain, q)
-    n = chain.n_joints
-    points = np.empty((n + 1, 3))
-    axes = np.empty((n, 3))
-    T = chain.base_pose
-    points[0] = T[:3, 3]
-    for i in range(n):
-        a, alpha, d, off = chain.dh[i]
-        axes[i] = T[:3, 2]
-        T = T @ _dh_transform(a, alpha, d, q[i] + off)
-        points[i + 1] = T[:3, 3]
-    return points, axes
+    points, axes = _batch_frames(chain, q[None, :])
+    return points[0], axes[0]
 
 
 def fk_points(chain: ChainSpec, q: Array) -> Array:
@@ -177,19 +155,11 @@ def fk_eef(chain: ChainSpec, q: Array) -> Array:
 
 def position_jacobian(chain: ChainSpec, q: Array, point_index: int) -> Array:
     """(3, n) Jacobian of the selected robot point w.r.t. joint angles."""
-    points, axes = frame_origins_and_axes(chain, q)
     if not 0 <= point_index < chain.n_points:
         raise ContractViolation(
             f"point_index {point_index} out of range for {chain.n_points} robot points"
         )
-    return _jacobian_from_frames(points, axes, point_index, chain.n_joints)
-
-
-def _jacobian_from_frames(points: Array, axes: Array, point_index: int, n: int) -> Array:
-    J = np.zeros((3, n))
-    for j in range(min(point_index, n)):
-        J[:, j] = np.cross(axes[j], points[point_index] - points[j])
-    return J
+    return all_point_jacobians(chain, q)[1][point_index]
 
 
 def all_point_jacobians(chain: ChainSpec, q: Array) -> tuple[Array, Array]:
@@ -199,19 +169,22 @@ def all_point_jacobians(chain: ChainSpec, q: Array) -> tuple[Array, Array]:
     Jacobian at each waypoint.
     """
     points, axes = frame_origins_and_axes(chain, q)
-    n = chain.n_joints
-    jacs = np.zeros((n + 1, 3, n))
-    for k in range(1, n + 1):
-        m = min(k, n)
-        # column j of point k: z_j x (p_k - o_j) for j < k
-        jacs[k, :, :m] = np.cross(axes[:m], points[k] - points[:m]).T
-    return points, jacs
+    # Contiguous: matmul rounds differently on the transposed view, and the
+    # IK's matmuls on these Jacobians fix the scenarios' goal configurations.
+    return points, np.ascontiguousarray(_point_jacobians(points[None], axes[None])[0])
+
+
+#: Configurations per FK block.  Bounds the (block, n+1, 4, 4) transform
+#: stack that long execution traces would otherwise allocate in one piece.
+FK_BLOCK = 256
 
 
 def _batch_frames(chain: ChainSpec, Q: Array) -> tuple[Array, Array]:
     """Vectorized FK over a (N, n) batch of configurations.
 
     Returns ``(points, axes)`` with shapes (N, n+1, 3) and (N, n, 3).
+    Every DH transform of a block is built at once, then the chain is
+    multiplied out joint by joint.
     """
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[1] != chain.n_joints:
@@ -219,32 +192,54 @@ def _batch_frames(chain: ChainSpec, Q: Array) -> tuple[Array, Array]:
             f"batch has shape {Q.shape}, chain expects (N, {chain.n_joints})"
         )
     N, n = Q.shape
+    a, d, off = chain.dh[:, 0], chain.dh[:, 2], chain.dh[:, 3]
+    ca = np.array([math.cos(alpha) for alpha in chain.dh[:, 1]])
+    sa = np.array([math.sin(alpha) for alpha in chain.dh[:, 1]])
     points = np.empty((N, n + 1, 3))
     axes = np.empty((N, n, 3))
-    T = np.broadcast_to(chain.base_pose, (N, 4, 4)).copy()
-    points[:, 0] = T[:, :3, 3]
-    for i in range(n):
-        a, alpha, d, off = chain.dh[i]
-        axes[:, i] = T[:, :3, 2]
-        theta = Q[:, i] + off
+    for start in range(0, N, FK_BLOCK):
+        stop = min(start + FK_BLOCK, N)
+        theta = Q[start:stop] + off
         ct, st = np.cos(theta), np.sin(theta)
-        ca, sa = math.cos(alpha), math.sin(alpha)
-        A = np.zeros((N, 4, 4))
-        A[:, 0, 0] = ct
-        A[:, 0, 1] = -st * ca
-        A[:, 0, 2] = st * sa
-        A[:, 0, 3] = a * ct
-        A[:, 1, 0] = st
-        A[:, 1, 1] = ct * ca
-        A[:, 1, 2] = -ct * sa
-        A[:, 1, 3] = a * st
-        A[:, 2, 1] = sa
-        A[:, 2, 2] = ca
-        A[:, 2, 3] = d
-        A[:, 3, 3] = 1.0
-        T = T @ A
-        points[:, i + 1] = T[:, :3, 3]
+        A = np.zeros((stop - start, n, 4, 4))
+        A[:, :, 0, 0] = ct
+        A[:, :, 0, 1] = -st * ca
+        A[:, :, 0, 2] = st * sa
+        A[:, :, 0, 3] = a * ct
+        A[:, :, 1, 0] = st
+        A[:, :, 1, 1] = ct * ca
+        A[:, :, 1, 2] = -ct * sa
+        A[:, :, 1, 3] = a * st
+        A[:, :, 2, 1] = sa
+        A[:, :, 2, 2] = ca
+        A[:, :, 2, 3] = d
+        A[:, :, 3, 3] = 1.0
+        T = np.empty((stop - start, n + 1, 4, 4))
+        T[:, 0] = chain.base_pose
+        for i in range(n):
+            np.matmul(T[:, i], A[:, i], out=T[:, i + 1])
+        points[start:stop] = T[:, :, :3, 3]
+        axes[start:stop] = T[:, :n, :3, 2]
     return points, axes
+
+
+def _point_jacobians(points: Array, axes: Array) -> Array:
+    """(N, n+1, 3, n) point Jacobians from batched frame origins and axes.
+
+    Column j of point k is ``z_j x (p_k - o_j)`` for j < k and zero
+    otherwise.
+    """
+    n = axes.shape[1]
+    lever = points[:, :, None, :] - points[:, None, :n, :]  # (N, n+1, n, 3)
+    zx, zy, zz = (axes[:, None, :, c] for c in range(3))
+    lx, ly, lz = (lever[..., c] for c in range(3))
+    cross = np.empty(lever.shape)
+    cross[..., 0] = zy * lz - zz * ly
+    cross[..., 1] = zz * lx - zx * lz
+    cross[..., 2] = zx * ly - zy * lx
+    mask = np.arange(n)[None, :] < np.arange(n + 1)[:, None]
+    cross *= mask[None, :, :, None]
+    return np.swapaxes(cross, 2, 3)
 
 
 def fk_points_batch(chain: ChainSpec, Q: Array) -> Array:
@@ -255,13 +250,7 @@ def fk_points_batch(chain: ChainSpec, Q: Array) -> Array:
 def all_point_jacobians_batch(chain: ChainSpec, Q: Array) -> tuple[Array, Array]:
     """Batched FK points and Jacobians: (N, n+1, 3) and (N, n+1, 3, n)."""
     points, axes = _batch_frames(chain, Q)
-    n = chain.n_joints
-    # lever[k, j] = p_k - o_j; column j of point k is z_j x lever for j < k
-    lever = points[:, :, None, :] - points[:, None, :n, :]
-    cross = np.cross(axes[:, None, :, :], lever)
-    mask = np.arange(n)[None, :] < np.arange(n + 1)[:, None]
-    cross *= mask[None, :, :, None]
-    return points, np.swapaxes(cross, 2, 3)
+    return points, _point_jacobians(points, axes)
 
 
 def eef_path(chain: ChainSpec, traj: JointTrajectory) -> Array:
@@ -286,14 +275,14 @@ def solve_position_ik(
     q = _check_config(chain, q0).copy()
     best_q, best_err = q.copy(), np.inf
     for _ in range(iters):
-        points, axes = frame_origins_and_axes(chain, q)
+        points, jacs = all_point_jacobians(chain, q)
         err = target - points[-1]
         err_norm = float(np.linalg.norm(err))
         if err_norm < best_err:
             best_err, best_q = err_norm, q.copy()
         if err_norm < tol:
             break
-        J = _jacobian_from_frames(points, axes, chain.n_points - 1, chain.n_joints)
+        J = jacs[-1]
         JJt = J @ J.T + (damping**2) * np.eye(3)
         q = chain.clamp(q + J.T @ np.linalg.solve(JJt, err))
     return best_q

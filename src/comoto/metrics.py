@@ -85,10 +85,12 @@ def metric_separation(
     if times.shape[0] == 0:
         raise ContractViolation("empty trajectory")
     robot = fk_points_batch(chain, configs)  # (T,P,3)
-    human = _human_positions(human_truth, times)
-    stacked = np.stack(list(human.values()), axis=1)  # (T,J,3)
-    diff = robot[:, None, :, :] - stacked[:, :, None, :]
-    min_dist = np.sqrt(np.min(np.sum(diff**2, axis=3), axis=(1, 2)))
+    # Running minimum over human joints keeps memory at O(T*P), not O(T*J*P).
+    min_sq = np.full(robot.shape[:2], np.inf)
+    for track in _human_positions(human_truth, times).values():  # (T,3)
+        diff = robot - track[:, None, :]
+        np.minimum(min_sq, np.sum(diff**2, axis=2), out=min_sq)
+    min_dist = np.sqrt(np.min(min_sq, axis=1))
     return float(100.0 * np.count_nonzero(min_dist > threshold) / times.shape[0])
 
 

@@ -10,6 +10,7 @@ enforced by clamping after each trial step.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -45,19 +46,33 @@ class OptimizerOptions:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ContractViolation("max_iters must be at least 1")
-        if self.grad_tol <= 0:
-            raise ContractViolation("grad_tol must be positive")
-        if not (0 < self.step_shrink < 1 < self.step_grow):
-            raise ContractViolation("need 0 < step_shrink < 1 < step_grow")
+        for name in ("grad_tol", "step_init", "min_step"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ContractViolation(f"{name} must be finite and positive, got {value!r}")
+        if not (0 < self.step_shrink < 1 < self.step_grow < math.inf):
+            raise ContractViolation("need 0 < step_shrink < 1 < step_grow < inf")
+        if not 0 < self.armijo_c < 1:
+            raise ContractViolation(f"need 0 < armijo_c < 1, got {self.armijo_c!r}")
 
 
 @dataclass
 class OptResult:
-    """Outcome of one solve."""
+    """Outcome of one solve.
+
+    ``stop_reason`` is ``"grad_tol"`` (converged), ``"max_iters"`` (the
+    iteration cap) or ``"line_search"`` (no step down to ``min_step``
+    satisfied the Armijo condition).  ``value_evals`` and ``grad_evals``
+    count the objective evaluations without and with the gradient,
+    including those of the finite-difference check.
+    """
 
     trajectory: JointTrajectory
     iterations: int
     converged: bool
+    stop_reason: str
+    value_evals: int
+    grad_evals: int
     initial_report: CostReport
     final_report: CostReport
     wall_time: float
@@ -77,7 +92,7 @@ def straightline_joint_init(start: Array, goal: Array, N: int, dt: float, t0: fl
     return JointTrajectory(waypoints, dt, t0)
 
 
-def _fd_gradient(q: Array, dt: float, ctx: CostContext, w: CostWeights, extra_cost, h: float = 1e-6) -> Array:
+def _fd_gradient(q: Array, value, h: float = 1e-6) -> Array:
     grad = np.zeros((q.shape[0] - 2) * q.shape[1])
     flat_index = 0
     for t in range(1, q.shape[0] - 1):
@@ -85,8 +100,7 @@ def _fd_gradient(q: Array, dt: float, ctx: CostContext, w: CostWeights, extra_co
             for sign in (+1.0, -1.0):
                 qp = q.copy()
                 qp[t, j] += sign * h
-                val, _, _, _ = evaluate_objective(qp, dt, ctx, w, with_grad=False, extra_cost=extra_cost)
-                grad[flat_index] += sign * val
+                grad[flat_index] += sign * value(qp)
             grad[flat_index] /= 2.0 * h
             flat_index += 1
     return grad
@@ -130,14 +144,20 @@ def optimize(
     lo = ctx.chain.joint_limits[:, 0]
     hi = ctx.chain.joint_limits[:, 1]
 
-    total, grad, per_cost, diag = evaluate_objective(q, dt, ctx, w, True, extra_cost)
+    evals = {False: 0, True: 0}
+
+    def evaluate(q_eval: Array, with_grad: bool):
+        evals[with_grad] += 1
+        return evaluate_objective(q_eval, dt, ctx, w, with_grad, extra_cost)
+
+    total, grad, per_cost, diag = evaluate(q, True)
     if not np.isfinite(total):
         raise ContractViolation("objective is non-finite at the initial trajectory")
     initial_report = _report(total, grad, per_cost, diag, w)
 
     if opts.fd_check:
         analytic = grad[1:-1].ravel()
-        numeric = _fd_gradient(q, dt, ctx, w, extra_cost)
+        numeric = _fd_gradient(q, lambda qp: evaluate(qp, False)[0])
         scale = max(float(np.max(np.abs(numeric))), 1e-8)
         rel = float(np.max(np.abs(analytic - numeric))) / scale
         if rel > 1e-4:
@@ -147,6 +167,7 @@ def optimize(
 
     step = opts.step_init
     converged = False
+    stop_reason = "max_iters"
     iterations = 0
     trace = []
     for iteration in range(opts.max_iters):
@@ -160,27 +181,33 @@ def optimize(
             q_new = q.copy()
             q_new[1:-1] = np.clip(q[1:-1] - step * g, lo, hi)
             delta = q_new[1:-1] - q[1:-1]
-            trial, _, _, _ = evaluate_objective(q_new, dt, ctx, w, False, extra_cost)
+            trial, _, _, _ = evaluate(q_new, False)
             if trial <= total + opts.armijo_c * float(np.sum(g * delta)):
                 accepted = True
                 break
             step *= opts.step_shrink
         if not accepted:
-            break  # line search exhausted: keep the best-so-far iterate
+            stop_reason = "line_search"  # keep the best-so-far iterate
+            break
         q = q_new
-        total, grad, per_cost, diag = evaluate_objective(q, dt, ctx, w, True, extra_cost)
+        total, grad, per_cost, diag = evaluate(q, True)
         if opts.verbose:
             trace.append({"iteration": iterations, "total": total, "step": step, **per_cost})
         step *= opts.step_grow
 
     if not converged and float(np.max(np.abs(grad[1:-1]))) < opts.grad_tol:
         converged = True
+    if converged:
+        stop_reason = "grad_tol"
     final_report = _report(total, grad, per_cost, diag, w)
     trajectory = JointTrajectory(q, dt, init.t0)
     return OptResult(
         trajectory=trajectory,
         iterations=iterations,
         converged=converged,
+        stop_reason=stop_reason,
+        value_evals=evals[False],
+        grad_evals=evals[True],
         initial_report=initial_report,
         final_report=final_report,
         wall_time=time.perf_counter() - t_start,

@@ -4,6 +4,8 @@ optimization baselines."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,24 @@ def test_speed_adjust_params_validation():
         SpeedAdjustParams(d_stop=0.0, d_slow=0.2)
     with pytest.raises(ContractViolation):
         SpeedAdjustParams(control_rate=0.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("d_slow", math.inf),
+        ("d_stop", math.nan),
+        ("control_rate", math.inf),  # a zero control tick: the executor would never advance
+        ("control_rate", math.nan),
+        ("timeout", -1.0),
+        ("timeout", 0.0),
+        ("timeout", math.inf),
+        ("timeout", math.nan),
+    ],
+)
+def test_speed_adjust_params_reject_non_finite_and_out_of_range(field, value):
+    with pytest.raises(ContractViolation):
+        SpeedAdjustParams(**{field: value})
 
 
 def test_execution_trace_validation_and_interpolation():

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import planar_chain
 
+from comoto.baselines import TAU_N_RATIO, TAU_S_RATIO, obstacle_penalty
 from comoto.costs import (
     COST_NAMES,
     CostContext,
@@ -234,6 +235,54 @@ def test_total_is_weighted_sum_of_terms(arm):
         assert set(COST_NAMES) <= set(per_cost)
 
 
+def method_weightings(arm, traj, ctx):
+    """(ctx, weights, extra_cost) weighted like the Legible, Dist+Vis, CoMOTO and nominal solves."""
+    obstacle = fk_points_batch(arm, traj.waypoints)[traj.n_waypoints // 2, -1]
+    nominal_ctx = CostContext(chain=arm, goal_config=ctx.goal_config)
+    return {
+        "legible": (
+            ctx,
+            CostWeights(alpha_legibility=250.0, alpha_smooth=TAU_S_RATIO * 250.0),
+            None,
+        ),
+        "distvis": (
+            ctx,
+            CostWeights(alpha_dist=0.05, alpha_vis=0.2, alpha_nominal=TAU_N_RATIO * 0.2),
+            None,
+        ),
+        "comoto": (ctx, COMBINED_WEIGHTS, None),
+        "nominal": (
+            nominal_ctx,
+            CostWeights(alpha_smooth=1e-3),
+            obstacle_penalty([(obstacle, 0.1)], 200.0),
+        ),
+    }
+
+
+def test_value_only_total_bit_identical_to_gradient_total(arm):
+    for seed in range(4):
+        traj, ctx = build_problem(arm, seed=seed, n_waypoints=12)
+        for name, (c, w, extra) in method_weightings(arm, traj, ctx).items():
+            q, dt = traj.waypoints, traj.dt
+            total, _, full, _ = evaluate_objective(q, dt, c, w, True, extra)
+            value, grad, per_cost, _ = evaluate_objective(q, dt, c, w, False, extra)
+            assert np.float64(value).tobytes() == np.float64(total).tobytes(), name
+            assert grad is None
+            assert all(per_cost[term] == full[term] for term in per_cost), name
+            if extra is not None:
+                assert full["extra"] > 0, "the obstacle must touch the path"
+
+
+def test_value_only_reports_exactly_the_weighted_terms(arm):
+    traj, ctx = build_problem(arm, seed=1, n_waypoints=8)
+    for name, (c, w, extra) in method_weightings(arm, traj, ctx).items():
+        _, _, per_cost, _ = evaluate_objective(traj.waypoints, traj.dt, c, w, False, extra)
+        want = [term for term, weight in w.as_dict().items() if weight > 0]
+        assert list(per_cost) == want + (["extra"] if extra is not None else []), name
+        _, _, full, _ = evaluate_objective(traj.waypoints, traj.dt, c, w, True, extra)
+        assert list(full)[: len(COST_NAMES)] == list(COST_NAMES), name
+
+
 def test_extra_cost_enters_with_weight_one(arm):
     traj, ctx = build_problem(arm, seed=3, n_waypoints=5)
 
@@ -282,6 +331,15 @@ def test_cost_weights_validation():
         CostWeights()
     w = CostWeights(alpha_smooth=2.0)
     assert w.as_dict()["smoothness"] == 2.0
+
+
+@pytest.mark.parametrize(
+    "field", ["alpha_dist", "alpha_vis", "alpha_legibility", "alpha_nominal", "alpha_smooth"]
+)
+def test_cost_weights_reject_non_finite(field):
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ContractViolation):
+            CostWeights(**{"alpha_smooth": 1.0, field: bad})
 
 
 def test_context_validation(arm, planar2):

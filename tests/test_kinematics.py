@@ -16,6 +16,7 @@ from conftest import planar_chain
 
 from comoto.errors import ContractViolation
 from comoto.kinematics import (
+    FK_BLOCK,
     ChainSpec,
     JointTrajectory,
     all_point_jacobians,
@@ -31,6 +32,7 @@ from comoto.kinematics import (
     position_jacobian,
     save_trajectory,
     solve_position_ik,
+    _batch_frames,
 )
 
 
@@ -131,6 +133,58 @@ def test_batch_fk_matches_single(arm):
         assert np.max(np.abs(jacs[k] - single)) <= 1e-12
     path = eef_path(arm, JointTrajectory(Q, dt=0.1))
     assert np.array_equal(path, batch[:, -1])
+
+
+def loop_frames(chain: ChainSpec, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frame origins and joint axes from one 4x4 DH transform per joint.
+
+    The same arithmetic as the vectorised FK, one configuration and one
+    joint at a time, so the two must agree bit for bit.
+    """
+    ct, st = np.cos(q + chain.dh[:, 3]), np.sin(q + chain.dh[:, 3])
+    T = chain.base_pose
+    points, axes = [T[:3, 3]], []
+    for i, (a, alpha, d, _) in enumerate(chain.dh):
+        ca, sa = math.cos(alpha), math.sin(alpha)
+        axes.append(T[:3, 2])
+        A = np.array(
+            [
+                [ct[i], -st[i] * ca, st[i] * sa, a * ct[i]],
+                [st[i], ct[i] * ca, -ct[i] * sa, a * st[i]],
+                [0.0, sa, ca, d],
+                [0.0, 0.0, 0.0, 1.0],
+            ]
+        )
+        T = T @ A
+        points.append(T[:3, 3])
+    return np.asarray(points), np.asarray(axes)
+
+
+def random_dh_chain(rng: np.random.Generator, n: int) -> ChainSpec:
+    lengths = rng.uniform(-0.5, 0.5, (n, 2))
+    angles = rng.uniform(-np.pi, np.pi, (n, 2))
+    dh = np.column_stack([lengths[:, 0], angles[:, 0], lengths[:, 1], angles[:, 1]])
+    rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    base = np.eye(4)
+    base[:3, :3] = rot
+    base[:3, 3] = rng.standard_normal(3)
+    return ChainSpec(dh=dh, base_pose=base, joint_limits=np.array([[-np.pi, np.pi]] * n))
+
+
+@pytest.mark.parametrize("N", [1, FK_BLOCK - 1, FK_BLOCK, FK_BLOCK + 1, 3000])
+def test_batch_frames_bit_identical_to_per_joint_loop(arm, N):
+    rng = np.random.default_rng(N)
+    for chain in (arm, random_dh_chain(rng, 5)):
+        Q = rng.uniform(-np.pi, np.pi, (N, chain.n_joints))
+        points, axes = _batch_frames(chain, Q)
+        assert points.shape == (N, chain.n_points, 3) and axes.shape == (N, chain.n_joints, 3)
+        for k in range(N):
+            want_points, want_axes = loop_frames(chain, Q[k])
+            assert np.array_equal(points[k], want_points)
+            assert np.array_equal(axes[k], want_axes)
+        single_points, single_axes = frame_origins_and_axes(chain, Q[0])
+        assert np.array_equal(single_points, points[0])
+        assert np.array_equal(single_axes, axes[0])
 
 
 def test_axes_are_world_z_of_parent_frames(planar2):

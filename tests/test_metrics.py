@@ -10,7 +10,7 @@ import pytest
 from comoto.baselines import ExecutionTrace
 from comoto.errors import ContractViolation
 from comoto.human_motion import HumanTrajectory
-from comoto.kinematics import JointTrajectory
+from comoto.kinematics import JointTrajectory, fk_points_batch
 from comoto.metrics import (
     GoalSet,
     MetricReport,
@@ -41,6 +41,26 @@ def test_separation_fractions_exact(planar2):
     assert metric_separation(planar2, far4, human, threshold=0.20) == 100.0
     assert metric_separation(planar2, near4, human, threshold=0.20) == 0.0
     assert metric_separation(planar2, half, human, threshold=0.20) == 50.0
+
+
+def test_separation_matches_all_pairs_reference(arm):
+    rng = np.random.default_rng(4)
+    n_steps, rate = 700, 100.0
+    configs = 0.4 * rng.standard_normal((n_steps, arm.n_joints)).cumsum(axis=0) / np.sqrt(n_steps)
+    traj = JointTrajectory(configs, dt=1.0 / rate)
+    tracks = {
+        f"joint{j}": np.array([0.5, 0.0, 0.4]) + 0.3 * rng.standard_normal(3)
+        + 0.02 * rng.standard_normal((n_steps, 3)).cumsum(axis=0)
+        for j in range(5)
+    }
+    human = HumanTrajectory(tracks, rate)
+    robot = fk_points_batch(arm, configs)
+    stacked = np.stack(list(human.positions_at(traj.times).values()), axis=1)  # (T,J,3)
+    diff = robot[:, None, :, :] - stacked[:, :, None, :]
+    min_dist = np.sqrt(np.min(np.sum(diff**2, axis=3), axis=(1, 2)))
+    for threshold in np.quantile(min_dist, [0.1, 0.5, 0.9]):
+        want = 100.0 * np.count_nonzero(min_dist > threshold) / n_steps
+        assert metric_separation(arm, traj, human, threshold) == want
 
 
 def test_visibility_fov_boundary(planar2):

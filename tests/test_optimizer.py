@@ -3,12 +3,15 @@ convergence bookkeeping, and the built-in gradient self-check."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from test_costs import COMBINED_WEIGHTS, build_problem
 
-from comoto.costs import CostContext, CostWeights
+from comoto import optimizer as optimizer_module
+from comoto.costs import CostContext, CostWeights, evaluate_objective
 from comoto.errors import ContractViolation, GradientCheckError
 from comoto.kinematics import JointTrajectory
 from comoto.optimizer import OptimizerOptions, optimize, straightline_joint_init
@@ -160,3 +163,74 @@ def test_options_validation():
         OptimizerOptions(step_shrink=1.5)
     with pytest.raises(ContractViolation):
         OptimizerOptions(step_grow=0.9)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("grad_tol", math.nan),
+        ("grad_tol", math.inf),
+        ("step_init", -1.0),
+        ("step_init", math.nan),
+        ("min_step", 0.0),
+        ("min_step", math.nan),
+        ("step_shrink", math.nan),
+        ("step_grow", math.inf),
+        ("armijo_c", math.nan),
+        ("armijo_c", 0.0),
+        ("armijo_c", 1.0),
+    ],
+)
+def test_options_reject_non_finite_and_out_of_range(field, value):
+    with pytest.raises(ContractViolation):
+        OptimizerOptions(**{field: value})
+
+
+def counted_optimize(monkeypatch, *args, **kwargs):
+    """Run ``optimize`` and count its objective evaluations from outside."""
+    calls = {False: 0, True: 0}
+
+    def counting(q, dt, ctx, w, with_grad=True, extra_cost=None):
+        calls[with_grad] += 1
+        return evaluate_objective(q, dt, ctx, w, with_grad, extra_cost)
+
+    monkeypatch.setattr(optimizer_module, "evaluate_objective", counting)
+    result = optimize(*args, **kwargs)
+    assert (result.value_evals, result.grad_evals) == (calls[False], calls[True])
+    return result
+
+
+def test_stop_reason_and_evaluation_counts(arm, monkeypatch):
+    traj, ctx = build_problem(arm, seed=4, n_waypoints=6)
+    init = JointTrajectory(traj.waypoints.copy(), traj.dt)
+
+    capped = counted_optimize(
+        monkeypatch, ctx, COMBINED_WEIGHTS, init, OptimizerOptions(max_iters=5, grad_tol=1e-10)
+    )
+    assert (capped.stop_reason, capped.converged, capped.iterations) == ("max_iters", False, 5)
+    assert capped.grad_evals == 6 and capped.value_evals >= 5
+
+    checked = counted_optimize(
+        monkeypatch,
+        ctx,
+        COMBINED_WEIGHTS,
+        init,
+        OptimizerOptions(max_iters=2, grad_tol=1e-10, fd_check=True),
+    )
+    n_free = (init.n_waypoints - 2) * init.n_joints
+    assert checked.value_evals >= 2 * n_free + 2
+
+    loose = counted_optimize(
+        monkeypatch, ctx, COMBINED_WEIGHTS, init, OptimizerOptions(grad_tol=1e6)
+    )
+    assert (loose.stop_reason, loose.converged, loose.iterations) == ("grad_tol", True, 0)
+    assert (loose.value_evals, loose.grad_evals) == (0, 1)
+
+    def uphill(q, points, jacs, with_grad):  # gradient points uphill: no step is accepted
+        value = float(np.sum(q**2))
+        return value, (-2.0 * q if with_grad else None)
+
+    opts = OptimizerOptions(max_iters=50, grad_tol=1e-10, min_step=1e-4)
+    stuck = counted_optimize(monkeypatch, ctx, CostWeights(alpha_smooth=1e-6), init, opts, uphill)
+    assert (stuck.stop_reason, stuck.converged, stuck.iterations) == ("line_search", False, 1)
+    assert stuck.grad_evals == 1 and stuck.value_evals > 1
