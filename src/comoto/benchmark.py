@@ -10,6 +10,7 @@ per family and metric in bold).
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from importlib import resources
@@ -103,6 +104,14 @@ class RunConfig:
         for fam in self.families:
             if fam not in FAMILIES:
                 raise ContractViolation(f"unknown family {fam!r}")
+        # Checked at load: nothing downstream checks the metric values, and
+        # eps_m and sigma_floor reach CostContext only once a run has started.
+        for name in ("separation_threshold", "eps_m", "sigma_floor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ContractViolation(f"{name} must be finite and positive, got {value!r}")
+        if not 0 < self.fov_deg <= 360:
+            raise ContractViolation(f"fov_deg must be in (0, 360], got {self.fov_deg!r}")
 
 
 def default_config_dict() -> dict:

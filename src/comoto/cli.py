@@ -180,8 +180,8 @@ def _cmd_solve(args) -> int:
     )
     result = optimize(bundle.ctx, cfg.comoto_weights, bundle.nominal, opts)
     if args.verbose:
-        for line in result.trace:
-            print(line, file=sys.stderr)
+        for entry in result.trace:
+            print(json.dumps(entry), file=sys.stderr)
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{sc.family}_{sc.seed}_comoto.csv"

@@ -29,14 +29,23 @@ from .human_motion import PredictedHumanTrajectory
 from .kinematics import (
     ChainSpec,
     JointTrajectory,
-    all_point_jacobians_batch,
+    _batch_frames,
+    _point_jacobians,
     fk_eef,
     fk_points_batch,
 )
 
 Array = np.ndarray
 
-COST_NAMES = ("distance", "visibility", "legibility", "nominal", "smoothness")
+#: Each term, in reporting order, and the ``CostWeights`` field that weights it.
+_ALPHA = {
+    "distance": "alpha_dist",
+    "visibility": "alpha_vis",
+    "legibility": "alpha_legibility",
+    "nominal": "alpha_nominal",
+    "smoothness": "alpha_smooth",
+}
+COST_NAMES = tuple(_ALPHA)
 
 #: Mahalanobis-squared clamp: bounds the distance cost as separation -> 0.
 EPS_M = 1e-4
@@ -65,13 +74,7 @@ class CostWeights:
             raise ContractViolation("at least one cost weight must be positive")
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "distance": self.alpha_dist,
-            "visibility": self.alpha_vis,
-            "legibility": self.alpha_legibility,
-            "nominal": self.alpha_nominal,
-            "smoothness": self.alpha_smooth,
-        }
+        return {name: getattr(self, alpha) for name, alpha in _ALPHA.items()}
 
 
 @dataclass
@@ -99,8 +102,10 @@ class CostContext:
             raise ContractViolation("goal_config dimension does not match the chain")
         if self.object_pos is not None:
             self.object_pos = np.asarray(self.object_pos, dtype=float).reshape(3)
-        if self.eps_m <= 0 or self.sigma_floor <= 0:
-            raise ContractViolation("eps_m and sigma_floor must be positive")
+        for name in ("eps_m", "sigma_floor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ContractViolation(f"{name} must be finite and positive, got {value!r}")
         if self.prediction is not None and self.nominal is not None:
             if self.prediction.horizon != self.nominal.n_waypoints:
                 raise ContractViolation(
@@ -209,33 +214,32 @@ def goal_probability(
 
 # ---------------------------------------------------------------------------
 # Term evaluators over precomputed forward kinematics
+#
+# Each returns ``(value, pullback)``.  The pullback keeps the value
+# pass's intermediates and maps the point Jacobians (distance) or the
+# end-effector Jacobians (the eef terms) to the term's gradient over all
+# waypoints; the smoothness pullback takes no argument.
 # ---------------------------------------------------------------------------
 
 
-def _distance_term(
-    points: Array, jacs: Array | None, means: Array, inv_covs: Array, eps_m: float
-) -> tuple[float, Array | None]:
+def _distance_term(points: Array, means: Array, inv_covs: Array, eps_m: float):
     # points (N,P,3); means (J,N,3); inv_covs (J,N,3,3)
     d = means[:, :, None, :] - points[None, :, :, :]  # (J,N,P,3)
     sd = np.einsum("jtab,jtpb->jtpa", inv_covs, d)
     m = np.einsum("jtpa,jtpa->jtp", d, sd)
     clamped = m < eps_m
     value = float(np.sum(1.0 / np.maximum(m, eps_m)))
-    if jacs is None:
-        return value, None
-    coeff = np.where(clamped, 0.0, 2.0 / np.maximum(m, eps_m) ** 2)
-    dval_dp = np.einsum("jtp,jtpa->tpa", coeff, sd)
-    grad = np.einsum("tpan,tpa->tn", jacs, dval_dp)
-    return value, grad
+
+    def pullback(jacs: Array) -> Array:
+        coeff = np.where(clamped, 0.0, 2.0 / np.maximum(m, eps_m) ** 2)
+        dval_dp = np.einsum("jtp,jtpa->tpa", coeff, sd)
+        return np.einsum("tpan,tpa->tn", jacs, dval_dp)
+
+    return value, pullback
 
 
-def _visibility_term(
-    eef: Array,
-    eef_jac: Array | None,
-    head_means: Array,
-    sigma_head: Array,
-    object_pos: Array,
-) -> tuple[float, Array | None, list[int]]:
+def _visibility_term(eef: Array, head_means: Array, sigma_head: Array, object_pos: Array):
+    """Returns ``(value, pullback, flagged)``; ``flagged`` lists degenerate steps."""
     u = object_pos[None, :] - head_means  # gaze ray per step
     w = eef - head_means
     nu = np.linalg.norm(u, axis=1)
@@ -247,22 +251,21 @@ def _visibility_term(
     c = np.clip(np.einsum("ta,ta->t", u, w) / (safe_nu * safe_nw), -1.0, 1.0)
     theta = np.where(ok, np.arccos(c), 0.0)
     value = float(np.sum(theta / sigma_head))
-    if eef_jac is None:
-        return value, None, flagged
-    sin2 = 1.0 - c**2
-    diffbl = ok & (sin2 > _TINY)
-    safe_sin = np.sqrt(np.where(diffbl, sin2, 1.0))
-    u_hat = u / safe_nu[:, None]
-    w_hat = w / safe_nw[:, None]
-    dtheta_dw = -(u_hat - c[:, None] * w_hat) / (safe_nw * safe_sin)[:, None]
-    dtheta_dw = np.where(diffbl[:, None], dtheta_dw, 0.0)
-    grad = np.einsum("tan,ta->tn", eef_jac, dtheta_dw / sigma_head[:, None])
-    return value, grad, flagged
+
+    def pullback(eef_jac: Array) -> Array:
+        sin2 = 1.0 - c**2
+        diffbl = ok & (sin2 > _TINY)
+        safe_sin = np.sqrt(np.where(diffbl, sin2, 1.0))
+        u_hat = u / safe_nu[:, None]
+        w_hat = w / safe_nw[:, None]
+        dtheta_dw = -(u_hat - c[:, None] * w_hat) / (safe_nw * safe_sin)[:, None]
+        dtheta_dw = np.where(diffbl[:, None], dtheta_dw, 0.0)
+        return np.einsum("tan,ta->tn", eef_jac, dtheta_dw / sigma_head[:, None])
+
+    return value, pullback, flagged
 
 
-def _legibility_term(
-    eef: Array, eef_jac: Array | None, goal: Array, f: Array
-) -> tuple[float, Array | None]:
+def _legibility_term(eef: Array, goal: Array, f: Array):
     N = eef.shape[0]
     W = float(f.sum())
     if W <= 0:
@@ -275,48 +278,50 @@ def _legibility_term(
     L_full = r[0]
     P = np.exp(L_full - s - r)  # <= 1 by the triangle inequality
     value = -float(np.sum(f * P) / W)
-    if eef_jac is None:
-        return value, None
-    wp = f * P
-    A = np.cumsum(wp[::-1])[::-1]  # A[n] = sum_{k>=n} f_k P_k
-    B = A - wp
-    u_hat = np.where(seg_len[:, None] > _TINY, seg / np.maximum(seg_len, _TINY)[:, None], 0.0)
-    g_hat = np.where(r[:, None] > _TINY, to_goal / np.maximum(r, _TINY)[:, None], 0.0)
-    dv = np.zeros((N, 3))
-    dv[1:] -= A[1:, None] * u_hat  # path-length sensitivity of the arriving segment
-    dv[:-1] += B[:-1, None] * u_hat  # and of the departing segment
-    dv -= wp[:, None] * g_hat  # remaining-straight-line sensitivity
-    if L_full > _TINY:
-        dv[0] += A[0] * to_goal[0] / L_full  # the optimal-cost normalizer moves with e_0
-    dv /= W
-    grad = np.einsum("tan,ta->tn", eef_jac, -dv)
-    return value, grad
+
+    def pullback(eef_jac: Array) -> Array:
+        wp = f * P
+        A = np.cumsum(wp[::-1])[::-1]  # A[n] = sum_{k>=n} f_k P_k
+        B = A - wp
+        u_hat = np.where(seg_len[:, None] > _TINY, seg / np.maximum(seg_len, _TINY)[:, None], 0.0)
+        g_hat = np.where(r[:, None] > _TINY, to_goal / np.maximum(r, _TINY)[:, None], 0.0)
+        dv = np.zeros((N, 3))
+        dv[1:] -= A[1:, None] * u_hat  # path-length sensitivity of the arriving segment
+        dv[:-1] += B[:-1, None] * u_hat  # and of the departing segment
+        dv -= wp[:, None] * g_hat  # remaining-straight-line sensitivity
+        if L_full > _TINY:
+            dv[0] += A[0] * to_goal[0] / L_full  # the optimal-cost normalizer moves with e_0
+        dv /= W
+        return np.einsum("tan,ta->tn", eef_jac, -dv)
+
+    return value, pullback
 
 
-def _nominal_term(
-    eef: Array, eef_jac: Array | None, nominal_eef: Array
-) -> tuple[float, Array | None]:
+def _nominal_term(eef: Array, nominal_eef: Array):
     diff = eef - nominal_eef
     dist = np.linalg.norm(diff, axis=1)
     value = float(dist.sum())
-    if eef_jac is None:
-        return value, None
-    direction = np.where(dist[:, None] > _TINY, diff / np.maximum(dist, _TINY)[:, None], 0.0)
-    grad = np.einsum("tan,ta->tn", eef_jac, direction)
-    return value, grad
+
+    def pullback(eef_jac: Array) -> Array:
+        direction = np.where(dist[:, None] > _TINY, diff / np.maximum(dist, _TINY)[:, None], 0.0)
+        return np.einsum("tan,ta->tn", eef_jac, direction)
+
+    return value, pullback
 
 
-def _smoothness_term(q: Array, dt: float, with_grad: bool) -> tuple[float, Array | None]:
+def _smoothness_term(q: Array, dt: float):
     acc = (q[2:] - 2.0 * q[1:-1] + q[:-2]) / dt**2
     value = float(np.sum(acc**2))
-    if not with_grad:
-        return value, None
-    grad = np.zeros_like(q)
-    a2 = 2.0 * acc / dt**2
-    grad[:-2] += a2
-    grad[1:-1] -= 2.0 * a2
-    grad[2:] += a2
-    return value, grad
+
+    def pullback() -> Array:
+        grad = np.zeros_like(q)
+        a2 = 2.0 * acc / dt**2
+        grad[:-2] += a2
+        grad[1:-1] -= 2.0 * a2
+        grad[2:] += a2
+        return grad
+
+    return value, pullback
 
 
 # ---------------------------------------------------------------------------
@@ -329,57 +334,197 @@ def _require(condition: bool, message: str) -> None:
         raise ContractViolation(message)
 
 
+def _single_term(name: str, traj: JointTrajectory, ctx: CostContext) -> float:
+    """One term's unweighted value: an objective pass that weights it alone."""
+    w = CostWeights(**{_ALPHA[name]: 1.0})
+    return ObjectivePass(traj.waypoints, traj.dt, ctx, w).per_cost[name]
+
+
 def cost_distance(traj: JointTrajectory, ctx: CostContext) -> float:
     """Inverse Mahalanobis-squared proximity, summed over steps/joints/points."""
-    _require(ctx.prediction is not None, "distance cost needs a prediction in the context")
-    _require(
-        ctx.prediction.horizon == traj.n_waypoints,
-        "prediction horizon must equal the trajectory waypoint count",
-    )
-    points = fk_points_batch(ctx.chain, traj.waypoints)
-    value, _ = _distance_term(points, None, ctx._means, ctx._inv_covs, ctx.eps_m)
-    return value
+    return _single_term("distance", traj, ctx)
 
 
 def cost_visibility(traj: JointTrajectory, ctx: CostContext) -> float:
     """Gaze-to-eef angle over head-position spread, summed over steps."""
-    _require(ctx.prediction is not None, "visibility cost needs a prediction in the context")
-    _require(ctx._sigma_head is not None, "visibility cost needs a head track in the prediction")
-    _require(ctx.object_pos is not None, "visibility cost needs object_pos in the context")
-    _require(
-        ctx.prediction.horizon == traj.n_waypoints,
-        "prediction horizon must equal the trajectory waypoint count",
-    )
-    eef = fk_points_batch(ctx.chain, traj.waypoints)[:, -1]
-    value, _, _ = _visibility_term(
-        eef, None, ctx.prediction.means["head"], ctx._sigma_head, ctx.object_pos
-    )
-    return value
+    return _single_term("visibility", traj, ctx)
 
 
 def cost_legibility(traj: JointTrajectory, ctx: CostContext) -> float:
     """Negative time-weighted goal probability of the eef path (in [-1, 0))."""
-    eef = fk_points_batch(ctx.chain, traj.waypoints)[:, -1]
-    value, _ = _legibility_term(eef, None, ctx.goal_point, ctx.time_weights(traj.n_waypoints))
-    return value
+    return _single_term("legibility", traj, ctx)
 
 
 def cost_nominal(traj: JointTrajectory, ctx: CostContext) -> float:
     """Unsquared Cartesian eef deviation from the nominal trajectory, meters."""
-    _require(ctx.nominal is not None, "nominal cost needs a nominal trajectory in the context")
-    _require(
-        ctx.nominal.n_waypoints == traj.n_waypoints and ctx.nominal.dt == traj.dt,
-        "nominal and trajectory must share waypoint count and dt",
-    )
-    eef = fk_points_batch(ctx.chain, traj.waypoints)[:, -1]
-    value, _ = _nominal_term(eef, None, ctx._nominal_eef)
-    return value
+    _require(ctx.nominal is None or ctx.nominal.dt == traj.dt, "nominal and trajectory dt differ")
+    return _single_term("nominal", traj, ctx)
 
 
 def cost_smoothness(traj: JointTrajectory) -> float:
     """Sum of squared joint accelerations (second differences over dt^2)."""
-    value, _ = _smoothness_term(traj.waypoints, traj.dt, with_grad=False)
+    value, _ = _smoothness_term(traj.waypoints, traj.dt)
     return value
+
+
+def _supported_terms(ctx: CostContext, weights: dict, extra_cost, n_waypoints: int) -> dict:
+    """Which terms the context can evaluate; fails if a weighted one lacks its inputs."""
+    has_inputs = {
+        "distance": ctx.prediction is not None,
+        "visibility": ctx.prediction is not None
+        and ctx._sigma_head is not None
+        and ctx.object_pos is not None,
+        "nominal": ctx.nominal is not None,
+    }
+    for name, ok in has_inputs.items():
+        _require(ok or weights[name] == 0, f"{name} weight set but the context lacks its inputs")
+    if has_inputs["distance"]:
+        _require(
+            ctx.prediction.horizon == n_waypoints,
+            "prediction horizon must equal the trajectory waypoint count",
+        )
+    if has_inputs["nominal"]:
+        _require(
+            ctx.nominal.n_waypoints == n_waypoints,
+            "nominal and trajectory must share waypoint count",
+        )
+    # Legibility needs only the end effector, so it comes free with any FK pass.
+    has_fk = any(has_inputs.values()) or weights["legibility"] > 0 or extra_cost is not None
+    return {**has_inputs, "legibility": has_fk, "smoothness": True}
+
+
+class ObjectivePass:
+    """The weighted objective at one set of waypoints, kept for its gradient.
+
+    Construction runs forward kinematics once (when any term needs it)
+    and computes the positively weighted terms, or with ``report=True``
+    every term the context supports.  ``gradient()`` then builds the
+    point Jacobians from the stored frames and adds the weighted terms'
+    pullbacks in ``COST_NAMES`` order, then the ``extra_cost`` gradient;
+    it computes once and returns the same array on later calls.
+    ``report()`` adds the terms not yet computed, from the same frames.
+
+    ``extra_cost(q, points, jacs, with_grad) -> (value, grad)`` adds one
+    baseline-specific term with weight 1; it is called without
+    Jacobians for the value and again with them for the gradient.
+    An unweighted term adds exactly 0.0 to ``total``, so a value pass
+    and a report pass at the same waypoints agree bit for bit.  The pass
+    keeps a reference to ``q``: do not modify it while the pass is used.
+    """
+
+    def __init__(
+        self,
+        q: Array,
+        dt: float,
+        ctx: CostContext,
+        w: CostWeights,
+        extra_cost=None,
+        report: bool = False,
+    ):
+        self.q, self.dt, self.ctx, self.extra_cost = q, dt, ctx, extra_cost
+        self.weights = w.as_dict()
+        self._supported = _supported_terms(ctx, self.weights, extra_cost, q.shape[0])
+        self._report = report
+        self._frames = None
+        self._values: dict[str, float] = {}
+        self._pullbacks: dict = {}
+        self._grad = None
+        self.diagnostics: dict = {}
+        wanted = self._supported if report else {n: v > 0 for n, v in self.weights.items()}
+        self._add_terms([name for name in COST_NAMES if wanted[name]])
+        values = self._values
+        self.total = sum(self.weights[name] * values[name] for name in COST_NAMES if name in values)
+        self.extra = None
+        if extra_cost is not None:
+            self.extra, _ = extra_cost(q, self._fk()[0], None, False)
+            self.total += self.extra
+        if not np.isfinite(self.total):
+            raise ContractViolation("objective evaluated to a non-finite value")
+
+    def _fk(self) -> tuple[Array, Array]:
+        if self._frames is None:
+            self._frames = _batch_frames(self.ctx.chain, self.q)
+        return self._frames
+
+    def _add_terms(self, names) -> None:
+        ctx = self.ctx
+        names = [name for name in names if name not in self._values]
+        if any(name != "smoothness" for name in names):
+            points = self._fk()[0]
+            eef = points[:, -1]
+        for name in names:
+            if name == "distance":
+                value, pullback = _distance_term(points, ctx._means, ctx._inv_covs, ctx.eps_m)
+            elif name == "visibility":
+                value, pullback, flagged = _visibility_term(
+                    eef, ctx.prediction.means["head"], ctx._sigma_head, ctx.object_pos
+                )
+                if flagged:
+                    self.diagnostics["visibility_degenerate_steps"] = flagged
+            elif name == "legibility":
+                value, pullback = _legibility_term(
+                    eef, ctx.goal_point, ctx.time_weights(self.q.shape[0])
+                )
+            elif name == "nominal":
+                value, pullback = _nominal_term(eef, ctx._nominal_eef)
+            else:
+                value, pullback = _smoothness_term(self.q, self.dt)
+            self._values[name] = value
+            self._pullbacks[name] = pullback
+
+    @property
+    def per_cost(self) -> dict[str, float]:
+        """Computed terms in ``COST_NAMES`` order, then ``extra``.
+
+        A report pass lists all five terms, 0.0 for those whose inputs
+        the context lacks.
+        """
+        if self._report:
+            out = {name: self._values.get(name, 0.0) for name in COST_NAMES}
+        else:
+            out = dict(self._values)
+        if self.extra_cost is not None:
+            out["extra"] = self.extra
+        return out
+
+    def gradient(self) -> Array:
+        """Gradient of ``total`` over all waypoints."""
+        if self._grad is None:
+            weighted = [name for name in COST_NAMES if self.weights[name] > 0]
+            points = jacs = eef_jac = None
+            if self.extra_cost is not None or any(name != "smoothness" for name in weighted):
+                points, axes = self._fk()
+                jacs = _point_jacobians(points, axes)
+                eef_jac = jacs[:, -1]
+            grad = np.zeros_like(self.q)
+            for name in weighted:
+                pullback = self._pullbacks[name]
+                if name == "smoothness":
+                    term = pullback()
+                else:
+                    term = pullback(jacs if name == "distance" else eef_jac)
+                grad += self.weights[name] * term
+            if self.extra_cost is not None:
+                _, extra_grad = self.extra_cost(self.q, points, jacs, True)
+                if extra_grad is not None:
+                    grad += extra_grad
+            self._grad = grad
+        return self._grad
+
+    def report(self) -> CostReport:
+        """Every supported term, the total and the interior-waypoint gradient."""
+        self._add_terms([name for name in COST_NAMES if self._supported[name]])
+        self._report = True
+        weights = dict(self.weights)
+        if self.extra_cost is not None:
+            weights["extra"] = 1.0
+        return CostReport(
+            total=self.total,
+            per_cost=self.per_cost,
+            gradient=self.gradient()[1:-1].ravel().copy(),
+            weights=weights,
+            diagnostics=dict(self.diagnostics),
+        )
 
 
 def evaluate_objective(
@@ -392,127 +537,19 @@ def evaluate_objective(
 ) -> tuple[float, Array | None, dict[str, float], dict]:
     """Weighted objective over raw waypoints; gradient spans all waypoints.
 
-    ``extra_cost(q, points, jacs, with_grad) -> (value, grad)`` lets a
-    caller add one baseline-specific term (entering with weight 1).
-    Returns ``(total, grad, per_cost, diagnostics)``.
-
-    A gradient call reports every term in ``per_cost``: a term whose
-    inputs the context lacks reads 0.0.  A value-only call
-    (``with_grad=False``, as in line-search trials) computes only the
-    positively weighted terms, so its ``per_cost`` holds exactly those
-    plus ``extra``; the total is the same, since an unweighted term adds
-    0.0 to it.
+    One ``ObjectivePass`` as a tuple ``(total, grad, per_cost,
+    diagnostics)``.  A gradient call is a report pass: ``per_cost``
+    holds every term, 0.0 for one whose inputs the context lacks.  A
+    value-only call (``with_grad=False``) computes only the positively
+    weighted terms, so its ``per_cost`` holds exactly those plus
+    ``extra``; its total is the same bit for bit.  The optimizer uses
+    ``ObjectivePass`` directly, so that an accepted line-search trial
+    yields its own gradient without a second FK pass.
     """
-    weights = w.as_dict()
-    has_inputs = {
-        "distance": ctx.prediction is not None,
-        "visibility": ctx.prediction is not None
-        and ctx._sigma_head is not None
-        and ctx.object_pos is not None,
-        "nominal": ctx.nominal is not None,
-    }
-    for name, ok in has_inputs.items():
-        _require(ok or weights[name] == 0, f"{name} weight set but the context lacks its inputs")
-    if has_inputs["distance"]:
-        _require(
-            ctx.prediction.horizon == q.shape[0],
-            "prediction horizon must equal the trajectory waypoint count",
-        )
-    if has_inputs["nominal"]:
-        _require(
-            ctx.nominal.n_waypoints == q.shape[0],
-            "nominal and trajectory must share waypoint count",
-        )
-
-    if with_grad:
-        # Every term the context supports, so reports carry the full
-        # breakdown; legibility needs only the end effector, so it comes
-        # free with any FK pass.
-        has_fk = any(has_inputs.values()) or weights["legibility"] > 0 or extra_cost is not None
-        computed = {**has_inputs, "legibility": has_fk, "smoothness": True}
-    else:
-        # An unweighted term adds exactly 0.0 to the total.
-        computed = {name: weights[name] > 0 for name in COST_NAMES}
-    need_fk = extra_cost is not None or any(computed[name] for name in COST_NAMES[:4])
-
-    points = jacs = eef = eef_jac = None
-    if need_fk:
-        if with_grad:
-            points, jacs = all_point_jacobians_batch(ctx.chain, q)
-            eef, eef_jac = points[:, -1], jacs[:, -1]
-        else:
-            points = fk_points_batch(ctx.chain, q)
-            eef = points[:, -1]
-
-    per_cost: dict[str, float] = {}
-    grads: dict[str, Array] = {}
-    diagnostics: dict = {}
-
-    if computed["distance"]:
-        per_cost["distance"], grads["distance"] = _distance_term(
-            points,
-            jacs if weights["distance"] > 0 else None,
-            ctx._means,
-            ctx._inv_covs,
-            ctx.eps_m,
-        )
-    if computed["visibility"]:
-        per_cost["visibility"], grads["visibility"], flagged = _visibility_term(
-            eef,
-            eef_jac if weights["visibility"] > 0 else None,
-            ctx.prediction.means["head"],
-            ctx._sigma_head,
-            ctx.object_pos,
-        )
-        if flagged:
-            diagnostics["visibility_degenerate_steps"] = flagged
-    if computed["legibility"]:
-        per_cost["legibility"], grads["legibility"] = _legibility_term(
-            eef,
-            eef_jac if weights["legibility"] > 0 else None,
-            ctx.goal_point,
-            ctx.time_weights(q.shape[0]),
-        )
-    if computed["nominal"]:
-        per_cost["nominal"], grads["nominal"] = _nominal_term(
-            eef, eef_jac if weights["nominal"] > 0 else None, ctx._nominal_eef
-        )
-    if computed["smoothness"]:
-        per_cost["smoothness"], grads["smoothness"] = _smoothness_term(q, dt, with_grad)
-
-    total = sum(weights[name] * per_cost[name] for name in COST_NAMES if name in per_cost)
-    grad_total = None
-    if with_grad:
-        per_cost = {name: per_cost.get(name, 0.0) for name in COST_NAMES}
-        grad_total = np.zeros_like(q)
-        for name in COST_NAMES:
-            if weights[name] > 0:
-                grad_total += weights[name] * grads[name]
-
-    if extra_cost is not None:
-        val, grad = extra_cost(q, points, jacs, with_grad)
-        per_cost["extra"] = val
-        total += val
-        if with_grad and grad is not None:
-            grad_total += grad
-
-    if not np.isfinite(total):
-        raise ContractViolation("objective evaluated to a non-finite value")
-    return total, grad_total, per_cost, diagnostics
+    p = ObjectivePass(q, dt, ctx, w, extra_cost, report=with_grad)
+    return p.total, (p.gradient() if with_grad else None), p.per_cost, p.diagnostics
 
 
 def objective(traj: JointTrajectory, ctx: CostContext, w: CostWeights) -> CostReport:
     """Weighted total, per-cost breakdown, and interior-waypoint gradient."""
-    total, grad, per_cost, diagnostics = evaluate_objective(
-        traj.waypoints, traj.dt, ctx, w, with_grad=True
-    )
-    weights = w.as_dict()
-    if "extra" in per_cost:
-        weights["extra"] = 1.0
-    return CostReport(
-        total=total,
-        per_cost=per_cost,
-        gradient=grad[1:-1].ravel().copy(),
-        weights=weights,
-        diagnostics=diagnostics,
-    )
+    return ObjectivePass(traj.waypoints, traj.dt, ctx, w, report=True).report()

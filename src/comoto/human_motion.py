@@ -178,6 +178,14 @@ class PredictorOptions:
     kappa: float = 0.08
     sigma_floor: float = 0.01
 
+    def __post_init__(self):
+        for name in ("sigma0", "kappa", "sigma_floor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ContractViolation(f"{name} must be finite and non-negative, got {value!r}")
+        if self.sigma_floor == 0:
+            raise ContractViolation("sigma_floor must be positive")
+
 
 def _smooth_noise(rng: np.random.Generator, n: int, rate: float, scale: float) -> Array:
     """Seeded per-axis noise: white noise smoothed by a 0.2 s moving average.

@@ -70,10 +70,6 @@ def _times_and_configs(planned) -> tuple[Array, Array]:
     raise ContractViolation(f"cannot evaluate object of type {type(planned).__name__}")
 
 
-def _human_positions(human: HumanTrajectory, times: Array) -> dict[str, Array]:
-    return human.positions_at(times)
-
-
 def metric_separation(
     chain: ChainSpec,
     planned,
@@ -82,16 +78,9 @@ def metric_separation(
 ) -> float:
     """Percent of steps whose minimum human-robot distance exceeds the threshold."""
     times, configs = _times_and_configs(planned)
-    if times.shape[0] == 0:
-        raise ContractViolation("empty trajectory")
+    _require_steps(times)
     robot = fk_points_batch(chain, configs)  # (T,P,3)
-    # Running minimum over human joints keeps memory at O(T*P), not O(T*J*P).
-    min_sq = np.full(robot.shape[:2], np.inf)
-    for track in _human_positions(human_truth, times).values():  # (T,3)
-        diff = robot - track[:, None, :]
-        np.minimum(min_sq, np.sum(diff**2, axis=2), out=min_sq)
-    min_dist = np.sqrt(np.min(min_sq, axis=1))
-    return float(100.0 * np.count_nonzero(min_dist > threshold) / times.shape[0])
+    return _separation_pct(robot, human_truth.positions_at(times), threshold)
 
 
 def metric_visibility(
@@ -109,22 +98,10 @@ def metric_visibility(
     visible.
     """
     times, configs = _times_and_configs(planned)
-    if "head" not in human_truth.samples:
-        raise ContractViolation("ground truth has no head track")
+    _require_head(human_truth)
     eef = fk_points_batch(chain, configs)[:, -1]
-    head = _human_positions(human_truth, times)["head"]
-    target = np.asarray(target, dtype=float).reshape(3)
-    gaze = target[None, :] - head
-    to_eef = eef - head
-    n_gaze = np.linalg.norm(gaze, axis=1)
-    n_eef = np.linalg.norm(to_eef, axis=1)
-    ok = (n_gaze > 1e-9) & (n_eef > 1e-9)
-    if not np.all(ok):
-        warnings.warn("degenerate gaze or eef-at-head steps counted as not visible")
-    cosang = np.einsum("ta,ta->t", gaze, to_eef) / np.maximum(n_gaze * n_eef, 1e-300)
-    angle = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
-    visible = ok & (angle <= fov_deg / 2.0)
-    return float(100.0 * np.count_nonzero(visible) / times.shape[0])
+    head = human_truth.positions_at(times)["head"]
+    return _visibility_pct(eef, head, target, fov_deg)
 
 
 def metric_legibility(chain: ChainSpec, planned, goals: GoalSet) -> float:
@@ -136,7 +113,54 @@ def metric_legibility(chain: ChainSpec, planned, goals: GoalSet) -> float:
     ``(p - 1/K) * K / (K - 1)`` and scaled to percent.
     """
     _, configs = _times_and_configs(planned)
-    eef = fk_points_batch(chain, configs)[:, -1]
+    return _legibility_score(fk_points_batch(chain, configs)[:, -1], goals)
+
+
+def metric_nominal_dev(chain: ChainSpec, traj: JointTrajectory, nominal: JointTrajectory) -> float:
+    """Sum of squared end-effector distances to the nominal, meters^2."""
+    return _nominal_dev(chain, fk_points_batch(chain, traj.waypoints)[:, -1], nominal)
+
+
+# The metrics over precomputed robot points, so that evaluate_run needs
+# one FK pass and one human interpolation for all of them.
+
+
+def _require_steps(times: Array) -> None:
+    if times.shape[0] == 0:
+        raise ContractViolation("empty trajectory")
+
+
+def _require_head(human_truth: HumanTrajectory) -> None:
+    if "head" not in human_truth.samples:
+        raise ContractViolation("ground truth has no head track")
+
+
+def _separation_pct(robot: Array, human: dict[str, Array], threshold: float) -> float:
+    # Running minimum over human joints keeps memory at O(T*P), not O(T*J*P).
+    min_sq = np.full(robot.shape[:2], np.inf)
+    for track in human.values():  # (T,3)
+        diff = robot - track[:, None, :]
+        np.minimum(min_sq, np.sum(diff**2, axis=2), out=min_sq)
+    min_dist = np.sqrt(np.min(min_sq, axis=1))
+    return float(100.0 * np.count_nonzero(min_dist > threshold) / robot.shape[0])
+
+
+def _visibility_pct(eef: Array, head: Array, target: Array, fov_deg: float) -> float:
+    target = np.asarray(target, dtype=float).reshape(3)
+    gaze = target[None, :] - head
+    to_eef = eef - head
+    n_gaze = np.linalg.norm(gaze, axis=1)
+    n_eef = np.linalg.norm(to_eef, axis=1)
+    ok = (n_gaze > 1e-9) & (n_eef > 1e-9)
+    if not np.all(ok):
+        warnings.warn("degenerate gaze or eef-at-head steps counted as not visible")
+    cosang = np.einsum("ta,ta->t", gaze, to_eef) / np.maximum(n_gaze * n_eef, 1e-300)
+    angle = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
+    visible = ok & (angle <= fov_deg / 2.0)
+    return float(100.0 * np.count_nonzero(visible) / eef.shape[0])
+
+
+def _legibility_score(eef: Array, goals: GoalSet) -> float:
     T = eef.shape[0]
     seg_len = np.linalg.norm(np.diff(eef, axis=0), axis=1)
     s = np.concatenate([[0.0], np.cumsum(seg_len)])
@@ -153,11 +177,9 @@ def metric_legibility(chain: ChainSpec, planned, goals: GoalSet) -> float:
     return float(100.0 * (weighted - 1.0 / K) * K / (K - 1.0))
 
 
-def metric_nominal_dev(chain: ChainSpec, traj: JointTrajectory, nominal: JointTrajectory) -> float:
-    """Sum of squared end-effector distances to the nominal, meters^2."""
-    if traj.n_waypoints != nominal.n_waypoints:
+def _nominal_dev(chain: ChainSpec, eef: Array, nominal: JointTrajectory) -> float:
+    if eef.shape[0] != nominal.n_waypoints:
         raise ContractViolation("trajectory and nominal must have equal waypoint counts")
-    eef = fk_points_batch(chain, traj.waypoints)[:, -1]
     eef_nom = fk_points_batch(chain, nominal.waypoints)[:, -1]
     return float(np.sum(np.linalg.norm(eef - eef_nom, axis=1) ** 2))
 
@@ -182,16 +204,27 @@ def evaluate_run(
     threshold: float = SEPARATION_THRESHOLD,
     fov_deg: float = FOV_DEG,
 ) -> MetricReport:
-    """All four metrics for one planned trajectory or executed trace."""
-    dst = metric_separation(chain, planned, human_truth, threshold)
-    vis = metric_visibility(chain, planned, human_truth, gaze_target, fov_deg)
-    leg = metric_legibility(chain, planned, goals)
+    """All four metrics for one planned trajectory or executed trace.
+
+    Equal bit for bit to the four ``metric_*`` functions, from one FK
+    pass over the evaluated configurations and one interpolation of the
+    human tracks.
+    """
+    times, configs = _times_and_configs(planned)
+    _require_steps(times)
+    robot = fk_points_batch(chain, configs)
+    _require_head(human_truth)
+    human = human_truth.positions_at(times)
+    eef = robot[:, -1]
+    dst = _separation_pct(robot, human, threshold)
+    vis = _visibility_pct(eef, human["head"], gaze_target, fov_deg)
+    leg = _legibility_score(eef, goals)
     if isinstance(planned, ExecutionTrace):
         aligned = trace_at_nominal_times(planned, nominal)
         nom = metric_nominal_dev(chain, aligned, nominal)
         completed = planned.completed
     else:
-        nom = metric_nominal_dev(chain, planned, nominal)
+        nom = _nominal_dev(chain, eef, nominal)
         completed = True
     return MetricReport(dst_pct=dst, vis_pct=vis, legibility=leg, nom_dev=nom, completed=completed)
 

@@ -6,6 +6,13 @@ trajectory's endpoints are bit-identical to the inputs.  Steps use
 backtracking line search (Armijo condition) with a persistent step size
 that shrinks on rejection and grows on acceptance; joint limits are
 enforced by clamping after each trial step.
+
+Each iterate is evaluated once.  A line-search trial is an
+``ObjectivePass`` over the positively weighted terms; the accepted
+trial's ``gradient()`` reuses its forward kinematics and term
+intermediates, so no iterate is evaluated twice.  The unweighted terms
+enter the reports only: at the initial point and once at the final
+iterate.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import CostContext, CostReport, CostWeights, evaluate_objective
+from .costs import CostContext, CostReport, CostWeights, ObjectivePass
 from .errors import ContractViolation, GradientCheckError
 from .kinematics import JointTrajectory
 
@@ -62,9 +69,13 @@ class OptResult:
 
     ``stop_reason`` is ``"grad_tol"`` (converged), ``"max_iters"`` (the
     iteration cap) or ``"line_search"`` (no step down to ``min_step``
-    satisfied the Armijo condition).  ``value_evals`` and ``grad_evals``
-    count the objective evaluations without and with the gradient,
-    including those of the finite-difference check.
+    satisfied the Armijo condition).  ``value_evals`` counts the value
+    passes (line-search trials and the finite-difference check);
+    ``grad_evals`` counts the gradients, one at the initial point and one
+    per accepted iterate.  With
+    ``OptimizerOptions.verbose``, ``trace`` holds one dict per accepted
+    iterate: ``iteration``, ``total``, ``step``, and the positively
+    weighted terms plus ``extra`` (when an extra cost is set).
     """
 
     trajectory: JointTrajectory
@@ -106,19 +117,6 @@ def _fd_gradient(q: Array, value, h: float = 1e-6) -> Array:
     return grad
 
 
-def _report(total, grad, per_cost, diagnostics, w) -> CostReport:
-    weights = w.as_dict()
-    if "extra" in per_cost:
-        weights["extra"] = 1.0
-    return CostReport(
-        total=total,
-        per_cost=dict(per_cost),
-        gradient=None if grad is None else grad[1:-1].ravel().copy(),
-        weights=weights,
-        diagnostics=diagnostics,
-    )
-
-
 def optimize(
     ctx: CostContext,
     w: CostWeights,
@@ -144,20 +142,23 @@ def optimize(
     lo = ctx.chain.joint_limits[:, 0]
     hi = ctx.chain.joint_limits[:, 1]
 
-    evals = {False: 0, True: 0}
+    evals = {"value": 0, "grad": 0}
 
-    def evaluate(q_eval: Array, with_grad: bool):
-        evals[with_grad] += 1
-        return evaluate_objective(q_eval, dt, ctx, w, with_grad, extra_cost)
+    def value_pass(q_eval: Array) -> ObjectivePass:
+        evals["value"] += 1
+        return ObjectivePass(q_eval, dt, ctx, w, extra_cost)
 
-    total, grad, per_cost, diag = evaluate(q, True)
-    if not np.isfinite(total):
-        raise ContractViolation("objective is non-finite at the initial trajectory")
-    initial_report = _report(total, grad, per_cost, diag, w)
+    def gradient(p: ObjectivePass) -> Array:
+        evals["grad"] += 1
+        return p.gradient()
+
+    current = ObjectivePass(q, dt, ctx, w, extra_cost, report=True)
+    total, grad = current.total, gradient(current)
+    initial_report = current.report()
 
     if opts.fd_check:
         analytic = grad[1:-1].ravel()
-        numeric = _fd_gradient(q, lambda qp: evaluate(qp, False)[0])
+        numeric = _fd_gradient(q, lambda qp: value_pass(qp).total)
         scale = max(float(np.max(np.abs(numeric))), 1e-8)
         rel = float(np.max(np.abs(analytic - numeric))) / scale
         if rel > 1e-4:
@@ -181,33 +182,34 @@ def optimize(
             q_new = q.copy()
             q_new[1:-1] = np.clip(q[1:-1] - step * g, lo, hi)
             delta = q_new[1:-1] - q[1:-1]
-            trial, _, _, _ = evaluate(q_new, False)
-            if trial <= total + opts.armijo_c * float(np.sum(g * delta)):
+            trial = value_pass(q_new)
+            if trial.total <= total + opts.armijo_c * float(np.sum(g * delta)):
                 accepted = True
                 break
             step *= opts.step_shrink
         if not accepted:
             stop_reason = "line_search"  # keep the best-so-far iterate
             break
-        q = q_new
-        total, grad, per_cost, diag = evaluate(q, True)
+        q, current = q_new, trial
+        total, grad = current.total, gradient(current)
         if opts.verbose:
-            trace.append({"iteration": iterations, "total": total, "step": step, **per_cost})
+            entry = {"iteration": iterations, "total": total, "step": step}
+            trace.append({**entry, **current.per_cost})
         step *= opts.step_grow
 
     if not converged and float(np.max(np.abs(grad[1:-1]))) < opts.grad_tol:
         converged = True
     if converged:
         stop_reason = "grad_tol"
-    final_report = _report(total, grad, per_cost, diag, w)
+    final_report = current.report()
     trajectory = JointTrajectory(q, dt, init.t0)
     return OptResult(
         trajectory=trajectory,
         iterations=iterations,
         converged=converged,
         stop_reason=stop_reason,
-        value_evals=evals[False],
-        grad_evals=evals[True],
+        value_evals=evals["value"],
+        grad_evals=evals["grad"],
         initial_report=initial_report,
         final_report=final_report,
         wall_time=time.perf_counter() - t_start,

@@ -69,6 +69,26 @@ def test_config_overrides_apply():
     assert cfg.comoto_weights == RunConfig().comoto_weights
 
 
+@pytest.mark.parametrize(
+    "section, key, text",
+    [
+        ("metrics", "fov_deg", "-5"),
+        ("metrics", "fov_deg", "400"),
+        ("metrics", "separation_threshold", ".nan"),
+        ("costs", "eps_m", ".inf"),
+        ("costs", "sigma_floor", "0"),
+        ("prediction", "sigma0", "-1"),
+    ],
+)
+def test_bad_config_values_rejected(tmp_path, section, key, text):
+    # Each of these used to load and run to a silent result (vis_pct 0,
+    # dst_pct 0, a zero distance cost, a sign-flipped sigma0).
+    path = tmp_path / "bad.yaml"
+    path.write_text(f"{section}:\n  {key}: {text}\n")
+    with pytest.raises(ContractViolation):
+        load_config(path)
+
+
 def test_unknown_config_keys_rejected():
     with pytest.raises(ContractViolation):
         config_from_dict({"optimzer": {"max_iters": 10}})

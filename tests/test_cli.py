@@ -136,6 +136,26 @@ def test_solve_writes_trajectory(tmp_path, tiny_config_path, scenario_path, caps
     assert np.array_equal(traj.waypoints[-1], sc.robot_goal)
 
 
+def test_solve_verbose_prints_one_json_object_per_iteration(
+    tmp_path, tiny_config_path, scenario_path, capsys
+):
+    out = tmp_path / "solve"
+    code = main(
+        ["solve", "--scenario", str(scenario_path), "--config", str(tiny_config_path),
+         "--out", str(out), "--verbose"]
+    )
+    assert code == 0
+    captured = capsys.readouterr()
+    summary = json.loads(captured.out)
+    entries = [json.loads(line) for line in captured.err.splitlines()]
+    assert len(entries) == summary["iterations"] > 0
+    assert [e["iteration"] for e in entries] == list(range(1, len(entries) + 1))
+    # the CoMOTO weighting sets all five terms; no extra cost
+    names = ("distance", "visibility", "legibility", "nominal", "smoothness")
+    assert all(set(e) == {"iteration", "total", "step", *names} for e in entries)
+    assert entries[-1]["total"] == summary["final_cost"]
+
+
 def test_missing_files_exit_one(tmp_path, capsys):
     assert main(["eval", "--scenario", str(tmp_path / "nope.yaml"), "--trajectory", "x.csv"]) == 1
     assert main(["run", "--config", str(tmp_path / "nope.yaml")]) == 1

@@ -15,6 +15,7 @@ from comoto.costs import (
     COST_NAMES,
     CostContext,
     CostWeights,
+    ObjectivePass,
     cost_distance,
     cost_legibility,
     cost_nominal,
@@ -25,12 +26,20 @@ from comoto.costs import (
     goal_probability,
     mahalanobis_proximity,
     path_length,
+    _distance_term,
     _legibility_term,
+    _nominal_term,
     _smoothness_term,
+    _visibility_term,
 )
 from comoto.errors import ContractViolation
 from comoto.human_motion import PredictedHumanTrajectory
-from comoto.kinematics import JointTrajectory, default_chain, fk_points_batch
+from comoto.kinematics import (
+    JointTrajectory,
+    all_point_jacobians_batch,
+    default_chain,
+    fk_points_batch,
+)
 from comoto.optimizer import straightline_joint_init
 
 HUMAN_JOINTS = ("right_shoulder", "right_elbow", "right_wrist", "right_palm", "head")
@@ -128,7 +137,7 @@ def test_path_length_planar(planar2):
 
 def test_legibility_straight_path_is_minus_one():
     eef = np.linspace([0.0, 0, 0], [1.0, 0, 0], 6)
-    value, _ = _legibility_term(eef, None, np.array([1.0, 0, 0]), np.arange(6, 0, -1.0))
+    value, _ = _legibility_term(eef, np.array([1.0, 0, 0]), np.arange(6, 0, -1.0))
     assert value == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -151,9 +160,9 @@ def test_legibility_detour_costs_more(planar2):
 
 def test_smoothness_hand_values():
     q = np.array([[0.0], [0.0], [1.0]])
-    value, _ = _smoothness_term(q, 1.0, with_grad=False)
+    value, _ = _smoothness_term(q, 1.0)
     assert value == pytest.approx(1.0, abs=1e-15)
-    value, _ = _smoothness_term(q, 2.0, with_grad=False)
+    value, _ = _smoothness_term(q, 2.0)
     assert value == pytest.approx(1.0 / 16.0, abs=1e-15)
     traj = JointTrajectory(q, dt=1.0)
     assert cost_smoothness(traj) == pytest.approx(1.0, abs=1e-15)
@@ -283,6 +292,53 @@ def test_value_only_reports_exactly_the_weighted_terms(arm):
         assert list(full)[: len(COST_NAMES)] == list(COST_NAMES), name
 
 
+def reference_gradient(q, dt, ctx, w, extra=None):
+    """The gradient assembled term by term from freshly computed Jacobians:
+    weighted terms in ``COST_NAMES`` order, then the extra cost."""
+    weights = w.as_dict()
+    points, jacs = all_point_jacobians_batch(ctx.chain, q)
+    eef, eef_jac = points[:, -1], jacs[:, -1]
+    pullbacks = {
+        "distance": lambda: _distance_term(points, ctx._means, ctx._inv_covs, ctx.eps_m)[1](jacs),
+        "visibility": lambda: _visibility_term(
+            eef, ctx.prediction.means["head"], ctx._sigma_head, ctx.object_pos
+        )[1](eef_jac),
+        "legibility": lambda: _legibility_term(eef, ctx.goal_point, ctx.time_weights(len(q)))[1](
+            eef_jac
+        ),
+        "nominal": lambda: _nominal_term(eef, ctx._nominal_eef)[1](eef_jac),
+        "smoothness": lambda: _smoothness_term(q, dt)[1](),
+    }
+    grad = np.zeros_like(q)
+    for name in COST_NAMES:
+        if weights[name] > 0:
+            grad += weights[name] * pullbacks[name]()
+    if extra is not None:
+        grad += extra(q, points, jacs, True)[1]
+    return grad
+
+
+def test_trial_gradient_and_report_bit_identical_to_gradient_call(arm):
+    # An accepted line-search trial yields the next gradient and, at the
+    # end, the report; both must equal a fresh gradient call bit for bit.
+    for seed in range(3):
+        traj, ctx = build_problem(arm, seed=seed, n_waypoints=12)
+        for name, (c, w, extra) in method_weightings(arm, traj, ctx).items():
+            q, dt = traj.waypoints, traj.dt
+            total, grad, full, diag = evaluate_objective(q, dt, c, w, True, extra)
+            trial = ObjectivePass(q, dt, c, w, extra)
+            assert np.array_equal(trial.gradient(), grad), name
+            assert np.array_equal(grad, reference_gradient(q, dt, c, w, extra)), name
+            assert trial.gradient() is trial.gradient(), name
+            report = trial.report()
+            assert np.float64(report.total).tobytes() == np.float64(total).tobytes(), name
+            assert list(report.per_cost.items()) == list(full.items()), name
+            assert np.array_equal(report.gradient, grad[1:-1].ravel()), name
+            assert report.diagnostics == diag, name
+            want = {**w.as_dict(), **({"extra": 1.0} if extra is not None else {})}
+            assert report.weights == want, name
+
+
 def test_extra_cost_enters_with_weight_one(arm):
     traj, ctx = build_problem(arm, seed=3, n_waypoints=5)
 
@@ -347,6 +403,10 @@ def test_context_validation(arm, planar2):
         CostContext(chain=arm, goal_config=np.zeros(3))
     with pytest.raises(ContractViolation):
         CostContext(chain=planar2, goal_config=np.zeros(2), eps_m=0.0)
+    for field in ("eps_m", "sigma_floor"):
+        for bad in (math.nan, math.inf, -1.0):
+            with pytest.raises(ContractViolation):
+                CostContext(chain=planar2, goal_config=np.zeros(2), **{field: bad})
     rng = np.random.default_rng(1)
     pred = make_prediction(rng, 6, 0.1)
     nominal = straightline_joint_init(np.zeros(2), np.ones(2), 5, 0.1)

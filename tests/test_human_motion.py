@@ -176,6 +176,22 @@ def test_predict_goal_blend_hits_goal():
     assert np.allclose(pred.times, observed.duration + 0.1 * np.arange(15), atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("sigma0", -1.0),
+        ("sigma0", float("nan")),
+        ("kappa", -0.1),
+        ("kappa", float("inf")),
+        ("sigma_floor", 0.0),
+        ("sigma_floor", float("nan")),
+    ],
+)
+def test_predictor_options_reject_bad_values(field, value):
+    with pytest.raises(ContractViolation):
+        PredictorOptions(**{field: value})
+
+
 def test_predict_validation():
     observed = constant_velocity_truth([0.1, 0.0, 0.0])
     with pytest.raises(ContractViolation):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from comoto.baselines import ExecutionTrace
+from comoto.benchmark import RunConfig, prepare_scenario, run_method
 from comoto.errors import ContractViolation
 from comoto.human_motion import HumanTrajectory
 from comoto.kinematics import JointTrajectory, fk_points_batch
@@ -22,6 +23,7 @@ from comoto.metrics import (
     metric_visibility,
     trace_at_nominal_times,
 )
+from comoto.scenarios import make_scenario
 
 # planar two-link configurations with hand-known robot points
 Q_NEAR = [0.0, 0.0]  # points (0,0,0), (1,0,0), (2,0,0)
@@ -171,6 +173,34 @@ def test_evaluate_run_handles_trajectories_and_traces(planar2):
     assert not executed.completed
     assert executed.nom_dev == pytest.approx(planned.nom_dev, abs=1e-12)
     assert executed.dst_pct == planned.dst_pct
+
+
+def test_evaluate_run_equals_the_four_metrics_bit_for_bit(arm):
+    # evaluate_run shares one FK pass between the metrics; each public
+    # metric_* runs its own.
+    cfg = RunConfig()
+    sc = make_scenario("reaching_near", 2, arm)
+    bundle = prepare_scenario(sc, cfg)
+    nominal = bundle.nominal
+    bent = nominal.copy()
+    rng = np.random.default_rng(0)
+    bent.waypoints[1:-1] += 0.05 * rng.standard_normal(bent.waypoints[1:-1].shape)
+    trace, _ = run_method("Speed-Adj", bundle, cfg)
+    assert isinstance(trace, ExecutionTrace)
+    for planned in (nominal, bent, trace):
+        report = evaluate_run(
+            arm, planned, bundle.truth, nominal, bundle.goals, gaze_target=sc.human_object
+        )
+        aligned = trace_at_nominal_times(planned, nominal) if planned is trace else planned
+        want = (
+            metric_separation(arm, planned, bundle.truth),
+            metric_visibility(arm, planned, bundle.truth, sc.human_object),
+            metric_legibility(arm, planned, bundle.goals),
+            metric_nominal_dev(arm, aligned, nominal),
+        )
+        got = (report.dst_pct, report.vis_pct, report.legibility, report.nom_dev)
+        assert [np.float64(v).tobytes() for v in got] == [np.float64(v).tobytes() for v in want]
+    assert 0.0 < report.nom_dev
 
 
 def test_unknown_planned_type_rejected(planar2):

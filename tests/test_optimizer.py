@@ -8,10 +8,10 @@ import math
 import numpy as np
 import pytest
 
-from test_costs import COMBINED_WEIGHTS, build_problem
+from test_costs import COMBINED_WEIGHTS, build_problem, method_weightings
 
 from comoto import optimizer as optimizer_module
-from comoto.costs import CostContext, CostWeights, evaluate_objective
+from comoto.costs import CostContext, CostWeights, ObjectivePass, evaluate_objective
 from comoto.errors import ContractViolation, GradientCheckError
 from comoto.kinematics import JointTrajectory
 from comoto.optimizer import OptimizerOptions, optimize, straightline_joint_init
@@ -187,16 +187,25 @@ def test_options_reject_non_finite_and_out_of_range(field, value):
 
 
 def counted_optimize(monkeypatch, *args, **kwargs):
-    """Run ``optimize`` and count its objective evaluations from outside."""
-    calls = {False: 0, True: 0}
+    """Run ``optimize`` and count its value passes and gradients from outside.
 
-    def counting(q, dt, ctx, w, with_grad=True, extra_cost=None):
-        calls[with_grad] += 1
-        return evaluate_objective(q, dt, ctx, w, with_grad, extra_cost)
+    A report pass (the initial point) is not a value evaluation; a
+    gradient counts once however often it is read.
+    """
+    calls = {"value": 0, "grad": 0}
 
-    monkeypatch.setattr(optimizer_module, "evaluate_objective", counting)
+    class CountingPass(ObjectivePass):
+        def __init__(self, *pass_args, report=False, **pass_kwargs):
+            super().__init__(*pass_args, report=report, **pass_kwargs)
+            calls["value"] += not report
+
+        def gradient(self):
+            calls["grad"] += self._grad is None
+            return super().gradient()
+
+    monkeypatch.setattr(optimizer_module, "ObjectivePass", CountingPass)
     result = optimize(*args, **kwargs)
-    assert (result.value_evals, result.grad_evals) == (calls[False], calls[True])
+    assert (result.value_evals, result.grad_evals) == (calls["value"], calls["grad"])
     return result
 
 
@@ -234,3 +243,59 @@ def test_stop_reason_and_evaluation_counts(arm, monkeypatch):
     stuck = counted_optimize(monkeypatch, ctx, CostWeights(alpha_smooth=1e-6), init, opts, uphill)
     assert (stuck.stop_reason, stuck.converged, stuck.iterations) == ("line_search", False, 1)
     assert stuck.grad_evals == 1 and stuck.value_evals > 1
+
+
+def reference_optimize(ctx, w, init, opts, extra_cost=None):
+    """The descent loop with every accepted iterate re-evaluated from scratch.
+
+    Returns (waypoints, iterations, stop_reason, initial, final), where
+    initial and final are ``evaluate_objective`` gradient calls.
+    """
+    q, dt = init.waypoints.copy(), init.dt
+    lo, hi = ctx.chain.joint_limits[:, 0], ctx.chain.joint_limits[:, 1]
+    initial = current = evaluate_objective(q, dt, ctx, w, True, extra_cost)
+    step, iterations, stop_reason = opts.step_init, 0, "max_iters"
+    for iteration in range(opts.max_iters):
+        total, grad = current[0], current[1]
+        g = grad[1:-1]
+        if float(np.max(np.abs(g))) < opts.grad_tol:
+            break
+        iterations = iteration + 1
+        while step >= opts.min_step:
+            q_new = q.copy()
+            q_new[1:-1] = np.clip(q[1:-1] - step * g, lo, hi)
+            trial = evaluate_objective(q_new, dt, ctx, w, False, extra_cost)[0]
+            if trial <= total + opts.armijo_c * float(np.sum(g * (q_new[1:-1] - q[1:-1]))):
+                break
+            step *= opts.step_shrink
+        else:
+            stop_reason = "line_search"
+            break
+        q = q_new
+        current = evaluate_objective(q, dt, ctx, w, True, extra_cost)
+        step *= opts.step_grow
+    if float(np.max(np.abs(current[1][1:-1]))) < opts.grad_tol:
+        stop_reason = "grad_tol"
+    return q, iterations, stop_reason, initial, current
+
+
+def assert_report_equals(report, evaluation, name):
+    total, grad, per_cost, diagnostics = evaluation
+    assert np.float64(report.total).tobytes() == np.float64(total).tobytes(), name
+    assert list(report.per_cost.items()) == list(per_cost.items()), name
+    assert np.array_equal(report.gradient, grad[1:-1].ravel()), name
+    assert report.diagnostics == diagnostics, name
+
+
+@pytest.mark.parametrize("max_iters, grad_tol", [(25, 1e-10), (400, 0.5)])
+def test_optimize_matches_loop_that_recomputes_every_iterate(arm, max_iters, grad_tol):
+    traj, ctx = build_problem(arm, seed=7, n_waypoints=10)
+    opts = OptimizerOptions(max_iters=max_iters, grad_tol=grad_tol, step_init=0.02)
+    for name, (c, w, extra) in method_weightings(arm, traj, ctx).items():
+        init = JointTrajectory(traj.waypoints.copy(), traj.dt)
+        result = optimize(c, w, init, opts, extra_cost=extra)
+        q, iterations, stop_reason, initial, final = reference_optimize(c, w, init, opts, extra)
+        assert np.array_equal(result.trajectory.waypoints, q), name
+        assert (result.iterations, result.stop_reason) == (iterations, stop_reason), name
+        assert_report_equals(result.initial_report, initial, name)
+        assert_report_equals(result.final_report, final, name)
