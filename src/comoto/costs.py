@@ -334,31 +334,49 @@ def _require(condition: bool, message: str) -> None:
         raise ContractViolation(message)
 
 
-def _single_term(name: str, traj: JointTrajectory, ctx: CostContext) -> float:
-    """One term's unweighted value: an objective pass that weights it alone."""
-    w = CostWeights(**{_ALPHA[name]: 1.0})
-    return ObjectivePass(traj.waypoints, traj.dt, ctx, w).per_cost[name]
+def _eef(traj: JointTrajectory, ctx: CostContext) -> Array:
+    return fk_points_batch(ctx.chain, traj.waypoints)[:, -1]
+
+
+def _require_horizon(traj: JointTrajectory, ctx: CostContext) -> None:
+    _require(
+        ctx.prediction.horizon == traj.n_waypoints,
+        "prediction horizon must equal the trajectory waypoint count",
+    )
 
 
 def cost_distance(traj: JointTrajectory, ctx: CostContext) -> float:
     """Inverse Mahalanobis-squared proximity, summed over steps/joints/points."""
-    return _single_term("distance", traj, ctx)
+    _require(ctx.prediction is not None, "distance cost needs a prediction in the context")
+    _require_horizon(traj, ctx)
+    points = fk_points_batch(ctx.chain, traj.waypoints)
+    return _distance_term(points, ctx._means, ctx._inv_covs, ctx.eps_m)[0]
 
 
 def cost_visibility(traj: JointTrajectory, ctx: CostContext) -> float:
     """Gaze-to-eef angle over head-position spread, summed over steps."""
-    return _single_term("visibility", traj, ctx)
+    _require(ctx.prediction is not None, "visibility cost needs a prediction in the context")
+    _require(ctx._sigma_head is not None, "visibility cost needs a head track in the prediction")
+    _require(ctx.object_pos is not None, "visibility cost needs object_pos in the context")
+    _require_horizon(traj, ctx)
+    head = ctx.prediction.means["head"]
+    return _visibility_term(_eef(traj, ctx), head, ctx._sigma_head, ctx.object_pos)[0]
 
 
 def cost_legibility(traj: JointTrajectory, ctx: CostContext) -> float:
     """Negative time-weighted goal probability of the eef path (in [-1, 0))."""
-    return _single_term("legibility", traj, ctx)
+    f = ctx.time_weights(traj.n_waypoints)
+    return _legibility_term(_eef(traj, ctx), ctx.goal_point, f)[0]
 
 
 def cost_nominal(traj: JointTrajectory, ctx: CostContext) -> float:
     """Unsquared Cartesian eef deviation from the nominal trajectory, meters."""
-    _require(ctx.nominal is None or ctx.nominal.dt == traj.dt, "nominal and trajectory dt differ")
-    return _single_term("nominal", traj, ctx)
+    _require(ctx.nominal is not None, "nominal cost needs a nominal trajectory in the context")
+    _require(
+        ctx.nominal.n_waypoints == traj.n_waypoints and ctx.nominal.dt == traj.dt,
+        "nominal and trajectory must share waypoint count and dt",
+    )
+    return _nominal_term(_eef(traj, ctx), ctx._nominal_eef)[0]
 
 
 def cost_smoothness(traj: JointTrajectory) -> float:
@@ -397,18 +415,18 @@ class ObjectivePass:
     """The weighted objective at one set of waypoints, kept for its gradient.
 
     Construction runs forward kinematics once (when any term needs it)
-    and computes the positively weighted terms, or with ``report=True``
-    every term the context supports.  ``gradient()`` then builds the
-    point Jacobians from the stored frames and adds the weighted terms'
-    pullbacks in ``COST_NAMES`` order, then the ``extra_cost`` gradient;
-    it computes once and returns the same array on later calls.
-    ``report()`` adds the terms not yet computed, from the same frames.
+    and computes the positively weighted terms.  ``gradient()`` then
+    builds the point Jacobians from the stored frames and adds the
+    weighted terms' pullbacks in ``COST_NAMES`` order, then the
+    ``extra_cost`` gradient; it computes once and returns the same array
+    on later calls.  ``report()`` adds every other term the context
+    supports, from the same frames, and returns the full breakdown.
 
     ``extra_cost(q, points, jacs, with_grad) -> (value, grad)`` adds one
     baseline-specific term with weight 1; it is called without
     Jacobians for the value and again with them for the gradient.
-    An unweighted term adds exactly 0.0 to ``total``, so a value pass
-    and a report pass at the same waypoints agree bit for bit.  The pass
+    ``total`` sums the weighted terms only; an unweighted term would add
+    exactly 0.0 to it, so the report's total is the same.  The pass
     keeps a reference to ``q``: do not modify it while the pass is used.
     """
 
@@ -419,21 +437,17 @@ class ObjectivePass:
         ctx: CostContext,
         w: CostWeights,
         extra_cost=None,
-        report: bool = False,
     ):
         self.q, self.dt, self.ctx, self.extra_cost = q, dt, ctx, extra_cost
         self.weights = w.as_dict()
         self._supported = _supported_terms(ctx, self.weights, extra_cost, q.shape[0])
-        self._report = report
         self._frames = None
         self._values: dict[str, float] = {}
         self._pullbacks: dict = {}
         self._grad = None
         self.diagnostics: dict = {}
-        wanted = self._supported if report else {n: v > 0 for n, v in self.weights.items()}
-        self._add_terms([name for name in COST_NAMES if wanted[name]])
-        values = self._values
-        self.total = sum(self.weights[name] * values[name] for name in COST_NAMES if name in values)
+        self._add_terms([name for name in COST_NAMES if self.weights[name] > 0])
+        self.total = sum(self.weights[name] * value for name, value in self._values.items())
         self.extra = None
         if extra_cost is not None:
             self.extra, _ = extra_cost(q, self._fk()[0], None, False)
@@ -474,15 +488,8 @@ class ObjectivePass:
 
     @property
     def per_cost(self) -> dict[str, float]:
-        """Computed terms in ``COST_NAMES`` order, then ``extra``.
-
-        A report pass lists all five terms, 0.0 for those whose inputs
-        the context lacks.
-        """
-        if self._report:
-            out = {name: self._values.get(name, 0.0) for name in COST_NAMES}
-        else:
-            out = dict(self._values)
+        """The weighted terms in ``COST_NAMES`` order, then ``extra``."""
+        out = {name: self._values[name] for name in COST_NAMES if self.weights[name] > 0}
         if self.extra_cost is not None:
             out["extra"] = self.extra
         return out
@@ -512,15 +519,20 @@ class ObjectivePass:
         return self._grad
 
     def report(self) -> CostReport:
-        """Every supported term, the total and the interior-waypoint gradient."""
+        """Every term, the total and the interior-waypoint gradient.
+
+        ``per_cost`` lists all five terms, 0.0 for one whose inputs the
+        context lacks, then ``extra``.
+        """
         self._add_terms([name for name in COST_NAMES if self._supported[name]])
-        self._report = True
+        per_cost = {name: self._values.get(name, 0.0) for name in COST_NAMES}
         weights = dict(self.weights)
         if self.extra_cost is not None:
+            per_cost["extra"] = self.extra
             weights["extra"] = 1.0
         return CostReport(
             total=self.total,
-            per_cost=self.per_cost,
+            per_cost=per_cost,
             gradient=self.gradient()[1:-1].ravel().copy(),
             weights=weights,
             diagnostics=dict(self.diagnostics),
@@ -538,18 +550,21 @@ def evaluate_objective(
     """Weighted objective over raw waypoints; gradient spans all waypoints.
 
     One ``ObjectivePass`` as a tuple ``(total, grad, per_cost,
-    diagnostics)``.  A gradient call is a report pass: ``per_cost``
-    holds every term, 0.0 for one whose inputs the context lacks.  A
-    value-only call (``with_grad=False``) computes only the positively
-    weighted terms, so its ``per_cost`` holds exactly those plus
-    ``extra``; its total is the same bit for bit.  The optimizer uses
+    diagnostics)``.  A gradient call takes ``per_cost`` from the pass's
+    ``report()``: every term, 0.0 for one whose inputs the context
+    lacks.  A value-only call (``with_grad=False``) computes only the
+    positively weighted terms, so its ``per_cost`` holds exactly those
+    plus ``extra``; its total is the same bit for bit.  The optimizer uses
     ``ObjectivePass`` directly, so that an accepted line-search trial
     yields its own gradient without a second FK pass.
     """
-    p = ObjectivePass(q, dt, ctx, w, extra_cost, report=with_grad)
-    return p.total, (p.gradient() if with_grad else None), p.per_cost, p.diagnostics
+    p = ObjectivePass(q, dt, ctx, w, extra_cost)
+    if not with_grad:
+        return p.total, None, p.per_cost, p.diagnostics
+    r = p.report()
+    return r.total, p.gradient(), r.per_cost, r.diagnostics
 
 
 def objective(traj: JointTrajectory, ctx: CostContext, w: CostWeights) -> CostReport:
     """Weighted total, per-cost breakdown, and interior-waypoint gradient."""
-    return ObjectivePass(traj.waypoints, traj.dt, ctx, w, report=True).report()
+    return ObjectivePass(traj.waypoints, traj.dt, ctx, w).report()

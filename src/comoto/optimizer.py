@@ -152,9 +152,9 @@ def optimize(
         evals["grad"] += 1
         return p.gradient()
 
-    current = ObjectivePass(q, dt, ctx, w, extra_cost, report=True)
-    total, grad = current.total, gradient(current)
+    current = ObjectivePass(q, dt, ctx, w, extra_cost)
     initial_report = current.report()
+    total, grad = current.total, gradient(current)
 
     if opts.fd_check:
         analytic = grad[1:-1].ravel()

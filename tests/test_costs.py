@@ -445,3 +445,20 @@ def test_weight_without_inputs_rejected(planar2):
         cost_visibility(traj, ctx)
     with pytest.raises(ContractViolation):
         cost_nominal(traj, ctx)
+
+
+def test_each_public_cost_checks_only_its_own_inputs(arm):
+    # Legibility needs only the chain, the goal and the time weights: a
+    # trajectory off the prediction and nominal grids is still scored.
+    traj, ctx = build_problem(arm, seed=5, n_waypoints=8)
+    longer = JointTrajectory(np.vstack([traj.waypoints, traj.waypoints[-1:]]), traj.dt)
+    bare = CostContext(chain=arm, goal_config=ctx.goal_config)
+    assert cost_legibility(longer, ctx) == cost_legibility(longer, bare)
+    for cost in (cost_distance, cost_visibility, cost_nominal):
+        with pytest.raises(ContractViolation):
+            cost(longer, ctx)
+    per_cost = evaluate_objective(traj.waypoints, traj.dt, ctx, CostWeights(alpha_smooth=1.0))[2]
+    assert cost_distance(traj, ctx) == per_cost["distance"]
+    assert cost_visibility(traj, ctx) == per_cost["visibility"]
+    assert cost_legibility(traj, ctx) == per_cost["legibility"]
+    assert cost_nominal(traj, ctx) == per_cost["nominal"]

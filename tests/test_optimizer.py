@@ -189,15 +189,15 @@ def test_options_reject_non_finite_and_out_of_range(field, value):
 def counted_optimize(monkeypatch, *args, **kwargs):
     """Run ``optimize`` and count its value passes and gradients from outside.
 
-    A report pass (the initial point) is not a value evaluation; a
-    gradient counts once however often it is read.
+    Every pass but the first (the initial point) is a value evaluation;
+    a gradient counts once however often it is read.
     """
-    calls = {"value": 0, "grad": 0}
+    calls = {"value": -1, "grad": 0}
 
     class CountingPass(ObjectivePass):
-        def __init__(self, *pass_args, report=False, **pass_kwargs):
-            super().__init__(*pass_args, report=report, **pass_kwargs)
-            calls["value"] += not report
+        def __init__(self, *pass_args, **pass_kwargs):
+            super().__init__(*pass_args, **pass_kwargs)
+            calls["value"] += 1
 
         def gradient(self):
             calls["grad"] += self._grad is None
