@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -29,7 +29,7 @@ from .baselines import (
 from .costs import CostContext, CostWeights
 from .errors import ContractViolation
 from .human_motion import PredictorOptions, extrapolate_skeleton, generate_reach, predict
-from .metrics import GoalSet, MetricReport, evaluate_run
+from .metrics import METRIC_NAMES, GoalSet, MetricReport, aggregate, evaluate_run
 from .optimizer import OptimizerOptions, optimize
 from .scenarios import FAMILIES, Scenario, generate_scenarios
 
@@ -67,36 +67,40 @@ RUNS_COLUMNS = (
 _FLOAT_COLUMNS = {"dst_pct", "vis_pct", "legibility", "nom_dev", "wall_time"}
 _BOOL_COLUMNS = {"completed", "converged", "failed"}
 
-METRIC_NAMES = ("dst_pct", "vis_pct", "legibility", "nom_dev")
 _LOWER_IS_BETTER = {"nom_dev"}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved benchmark configuration."""
+    """Fully resolved benchmark configuration; build it with ``load_config``.
 
-    families: tuple = FAMILIES
-    seeds: tuple = (1, 2, 3, 4, 5)
-    comoto_weights: CostWeights = CostWeights(
-        alpha_dist=2.0, alpha_vis=0.02, alpha_legibility=200.0, alpha_nominal=0.3, alpha_smooth=0.02
-    )
-    legible_alpha: float = 250.0
-    distvis_alpha_dist: float = 0.05
-    distvis_alpha_vis: float = 0.2
-    distvis_tau_n: float = 0.5
-    nominal_smooth_weight: float = 1e-3
-    nominal_obstacle_weight: float = 200.0
-    nominal_margin: float = 0.05
-    optimizer: OptimizerOptions = OptimizerOptions(max_iters=1200, grad_tol=5.0, step_init=0.02)
-    d_stop: float = 0.06
-    d_slow: float = 0.10
-    control_rate: float = 100.0
-    timeout_factor: float = 3.0
-    separation_threshold: float = 0.20
-    fov_deg: float = 160.0
-    eps_m: float = 1e-4
-    sigma_floor: float = 0.01
-    prediction: PredictorOptions = PredictorOptions()
+    The packaged ``default_config.yaml`` holds every default.  Leaves keep
+    their names as fields, except ``weights.<method>.<key>``, which
+    becomes ``<method>_<key>``; the ``optimizer``, ``prediction`` and
+    ``weights.comoto`` sections become ``OptimizerOptions``,
+    ``PredictorOptions`` and ``comoto_weights``.
+    """
+
+    families: tuple
+    seeds: tuple
+    comoto_weights: CostWeights
+    legible_alpha: float
+    distvis_alpha_dist: float
+    distvis_alpha_vis: float
+    distvis_tau_n: float
+    nominal_smooth_weight: float
+    nominal_obstacle_weight: float
+    nominal_margin: float
+    optimizer: OptimizerOptions
+    d_stop: float
+    d_slow: float
+    control_rate: float
+    timeout_factor: float
+    separation_threshold: float
+    fov_deg: float
+    eps_m: float
+    sigma_floor: float
+    prediction: PredictorOptions
 
     def __post_init__(self):
         if len(self.seeds) == 0 or len(set(self.seeds)) != len(self.seeds):
@@ -104,81 +108,86 @@ class RunConfig:
         for fam in self.families:
             if fam not in FAMILIES:
                 raise ContractViolation(f"unknown family {fam!r}")
-        # Checked at load: nothing downstream checks the metric values, and
-        # eps_m and sigma_floor reach CostContext only once a run has started.
-        for name in ("separation_threshold", "eps_m", "sigma_floor"):
+        # Checked at load: a bad value would otherwise surface only once a
+        # run has started, or turn every row of one method into a failed row.
+        for name in _POSITIVE_FIELDS:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ContractViolation(f"{name} must be finite and positive, got {value!r}")
+        for name in _NON_NEGATIVE_FIELDS:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ContractViolation(f"{name} must be finite and non-negative, got {value!r}")
+        if not self.d_stop < self.d_slow:
+            raise ContractViolation(f"need d_stop < d_slow, got {self.d_stop!r} and {self.d_slow!r}")
         if not 0 < self.fov_deg <= 360:
             raise ContractViolation(f"fov_deg must be in (0, 360], got {self.fov_deg!r}")
 
 
+# Zero legible_alpha or nominal_smooth_weight would leave their method no cost term.
+_POSITIVE_FIELDS = (
+    "legible_alpha", "nominal_smooth_weight", "d_stop", "d_slow", "control_rate", "timeout_factor",
+    "separation_threshold", "eps_m", "sigma_floor",
+)
+_NON_NEGATIVE_FIELDS = (
+    "distvis_alpha_dist", "distvis_alpha_vis", "distvis_tau_n", "nominal_obstacle_weight",
+    "nominal_margin",
+)
+
+
 def default_config_dict() -> dict:
     text = resources.files("comoto.data").joinpath("default_config.yaml").read_text()
-    return yaml.safe_load(text)
+    # libyaml's parser, where installed, skips the schema comments 8x faster.
+    return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
-def _merge(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = value
-    return out
+def _resolve(default, override, path: tuple = ()):
+    """``override`` merged into ``default``, each leaf read as its default's type."""
+    where = ".".join(map(str, path))
+    if isinstance(default, dict):
+        if not isinstance(override, dict):
+            raise ContractViolation(f"config {where or 'file'} must be a mapping, got {override!r}")
+        for key in override:
+            if key not in default:
+                # A misspelled key would otherwise fall back to the default silently.
+                raise ContractViolation(f"unknown config key {'.'.join(map(str, (*path, key)))!r}")
+        return {
+            key: _resolve(value, override.get(key, value), (*path, key))
+            for key, value in default.items()
+        }
+    if isinstance(default, list):
+        if not isinstance(override, list):
+            raise ContractViolation(f"config key {where!r} must be a list, got {override!r}")
+        return tuple(_resolve(default[0], item, path) for item in override)
+    try:
+        # float() also reads the strings PyYAML leaves unparsed, such as 1e-4.
+        value = float(override) if isinstance(default, (int, float)) else str(override)
+    except (TypeError, ValueError):
+        raise ContractViolation(f"config key {where!r} must be a number, got {override!r}") from None
+    if isinstance(default, int):
+        if not value.is_integer():
+            raise ContractViolation(f"config key {where!r} must be an integer, got {override!r}")
+        value = int(value)
+    return value
 
 
-def _check_keys(default: dict, override: dict, path: str = "") -> None:
-    # A misspelled key would otherwise fall back to the default silently.
-    for key, value in override.items():
-        where = f"{path}.{key}" if path else str(key)
-        if key not in default:
-            raise ContractViolation(f"unknown config key {where!r}")
-        if isinstance(value, dict) and isinstance(default[key], dict):
-            _check_keys(default[key], value, where)
-
-
-def config_from_dict(data: dict) -> RunConfig:
-    defaults = default_config_dict()
-    _check_keys(defaults, data or {})
-    data = _merge(defaults, data or {})
-    bench = data["benchmark"]
-    weights = data["weights"]
-    opt = data["optimizer"]
-    speed = data["speed_adjust"]
-    met = data["metrics"]
-    costs = data["costs"]
-    pred = data["prediction"]
+def config_from_dict(data: dict | None) -> RunConfig:
+    """The packaged defaults with ``data`` (a ``--config`` file's contents) merged in."""
+    c = _resolve(default_config_dict(), {} if data is None else data)
+    weights = c["weights"]
     return RunConfig(
-        families=tuple(bench["families"]),
-        seeds=tuple(int(s) for s in bench["seeds"]),
+        **c["benchmark"],
         comoto_weights=CostWeights(**weights["comoto"]),
-        legible_alpha=float(weights["legible"]["alpha"]),
-        distvis_alpha_dist=float(weights["distvis"]["alpha_dist"]),
-        distvis_alpha_vis=float(weights["distvis"]["alpha_vis"]),
-        distvis_tau_n=float(weights["distvis"]["tau_n"]),
-        nominal_smooth_weight=float(weights["nominal"]["smooth_weight"]),
-        nominal_obstacle_weight=float(weights["nominal"]["obstacle_weight"]),
-        nominal_margin=float(weights["nominal"]["margin"]),
-        optimizer=OptimizerOptions(
-            max_iters=int(opt["max_iters"]),
-            grad_tol=float(opt["grad_tol"]),
-            step_init=float(opt["step_init"]),
-        ),
-        d_stop=float(speed["d_stop"]),
-        d_slow=float(speed["d_slow"]),
-        control_rate=float(speed["control_rate"]),
-        timeout_factor=float(speed["timeout_factor"]),
-        separation_threshold=float(met["separation_threshold"]),
-        fov_deg=float(met["fov_deg"]),
-        eps_m=float(costs["eps_m"]),
-        sigma_floor=float(costs["sigma_floor"]),
-        prediction=PredictorOptions(
-            sigma0=float(pred["sigma0"]),
-            kappa=float(pred["kappa"]),
-            sigma_floor=float(pred["sigma_floor"]),
-        ),
+        **{
+            f"{method}_{key}": value
+            for method in ("legible", "distvis", "nominal")
+            for key, value in weights[method].items()
+        },
+        optimizer=OptimizerOptions(**c["optimizer"]),
+        **c["speed_adjust"],
+        **c["metrics"],
+        **c["costs"],
+        prediction=PredictorOptions(**c["prediction"]),
     )
 
 
@@ -186,7 +195,7 @@ def load_config(path: str | Path | None = None) -> RunConfig:
     """Default configuration, optionally overridden by a YAML file."""
     if path is None:
         return config_from_dict({})
-    return config_from_dict(yaml.safe_load(Path(path).read_text()) or {})
+    return config_from_dict(yaml.safe_load(Path(path).read_text()))
 
 
 @dataclass
@@ -374,25 +383,21 @@ def read_rows(path: str | Path) -> list[dict]:
 
 def aggregate_rows(rows: list[dict]) -> dict:
     """(family, method) -> metric -> (mean, sample SD), skipping failed rows."""
-    out: dict = {}
+    groups: dict = {}
     for row in rows:
-        if row.get("failed"):
-            continue
-        fam, method = row["scenario_family"], row["method"]
-        out.setdefault(fam, {}).setdefault(method, []).append(row)
-    agg: dict = {}
-    for fam, methods in out.items():
-        agg[fam] = {}
-        for method, mrows in methods.items():
-            stats = {}
-            for name in METRIC_NAMES:
-                vals = np.asarray([r[name] for r in mrows], dtype=float)
-                sd = 0.0 if vals.size == 1 else float(np.std(vals, ddof=1))
-                stats[name] = (float(np.mean(vals)), sd)
-            stats["n"] = len(mrows)
-            stats["completed_all"] = all(r["completed"] for r in mrows)
-            agg[fam][method] = stats
-    return agg
+        if not row.get("failed"):
+            groups.setdefault(row["scenario_family"], {}).setdefault(row["method"], []).append(row)
+    return {
+        fam: {
+            method: {
+                **aggregate([MetricReport(**{name: r[name] for name in METRIC_NAMES}) for r in mrows]),
+                "n": len(mrows),
+                "completed_all": all(r["completed"] for r in mrows),
+            }
+            for method, mrows in methods.items()
+        }
+        for fam, methods in groups.items()
+    }
 
 
 _METRIC_HEADERS = (
@@ -448,26 +453,6 @@ def render_markdown(rows: list[dict]) -> str:
             lines.append(f"| {m} | " + " | ".join(cells) + " |")
         lines.append("")
     return "\n".join(lines)
-
-
-def emit_report(rows: list[dict], fmt: str, path: str | Path) -> Path:
-    """Write rows in the requested format; returns the output path."""
-    if len(rows) == 0:
-        raise ContractViolation("no rows to report")
-    path = Path(path)
-    try:
-        if fmt == "csv":
-            columns = [c for c in RESULT_COLUMNS if c in rows[0]]
-            path.write_text(_rows_to_csv(rows, columns))
-        elif fmt == "json":
-            path.write_text(json.dumps(rows, indent=2, default=str) + "\n")
-        elif fmt == "markdown":
-            path.write_text(render_markdown(rows))
-        else:
-            raise ContractViolation(f"unknown report format {fmt!r}")
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc
-    return path
 
 
 def write_benchmark_outputs(rows: list[dict], out_dir: str | Path, formats=("csv", "json", "markdown")) -> dict:

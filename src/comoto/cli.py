@@ -15,13 +15,14 @@ environment variable, then ``./comoto_out``.  Exit codes: 0 on success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import time
 from pathlib import Path
 
-from .baselines import load_trace, nominal_trajectory
+from .baselines import load_trace
 from .benchmark import (
     METHODS,
     load_config,
@@ -32,7 +33,7 @@ from .benchmark import (
 from .errors import ContractViolation
 from .kinematics import load_trajectory, save_trajectory
 from .metrics import evaluate_run
-from .optimizer import OptimizerOptions, optimize
+from .optimizer import optimize
 from .scenarios import FAMILIES, generate_scenarios, load_scenario, save_scenario
 
 ENV_OUT_DIR = "COMOTO_OUT_DIR"
@@ -63,7 +64,7 @@ def build_parser() -> _Parser:
 
     gen = sub.add_parser("gen", help="write scenario files")
     gen.add_argument("--family", choices=FAMILIES, required=True)
-    gen.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
+    gen.add_argument("--seeds", type=int, nargs="+", default=None, help="default: the config's seeds")
     gen.add_argument("--out", default=None)
     gen.add_argument("--verbose", action="store_true")
 
@@ -99,7 +100,8 @@ def build_parser() -> _Parser:
 def _cmd_gen(args) -> int:
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
-    for sc in generate_scenarios(args.family, args.seeds):
+    seeds = load_config().seeds if args.seeds is None else args.seeds
+    for sc in generate_scenarios(args.family, seeds):
         path = out / f"{sc.family}_{sc.seed}.yaml"
         save_scenario(sc, path)
         print(path)
@@ -109,9 +111,9 @@ def _cmd_gen(args) -> int:
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.family is not None:
-        cfg = type(cfg)(**{**cfg.__dict__, "families": (args.family,)})
+        cfg = dataclasses.replace(cfg, families=(args.family,))
     if args.seeds is not None:
-        cfg = type(cfg)(**{**cfg.__dict__, "seeds": tuple(args.seeds)})
+        cfg = dataclasses.replace(cfg, seeds=tuple(args.seeds))
     out = _out_dir(args)
     if args.verbose:
         print(
@@ -172,12 +174,7 @@ def _cmd_solve(args) -> int:
     cfg = load_config(args.config)
     sc = load_scenario(args.scenario)
     bundle = prepare_scenario(sc, cfg)
-    opts = OptimizerOptions(
-        max_iters=cfg.optimizer.max_iters,
-        grad_tol=cfg.optimizer.grad_tol,
-        step_init=cfg.optimizer.step_init,
-        verbose=args.verbose,
-    )
+    opts = dataclasses.replace(cfg.optimizer, verbose=args.verbose)
     result = optimize(bundle.ctx, cfg.comoto_weights, bundle.nominal, opts)
     if args.verbose:
         for entry in result.trace:

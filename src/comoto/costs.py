@@ -193,12 +193,6 @@ def gaze_angle(object_pos: Array, head: Array, eef: Array) -> float:
     return float(np.arccos(c))
 
 
-def path_length(traj: JointTrajectory, chain: ChainSpec) -> float:
-    """Cartesian end-effector path length, meters."""
-    eef = fk_points_batch(chain, traj.waypoints)[:, -1]
-    return float(np.linalg.norm(np.diff(eef, axis=0), axis=1).sum())
-
-
 def goal_probability(
     traj_prefix_length: float, remaining_straightline: float, full_straightline: float
 ) -> float:

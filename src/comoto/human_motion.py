@@ -10,7 +10,7 @@ with isotropic covariance that grows with the prediction horizon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -341,31 +341,6 @@ def extrapolate_skeleton(
         means[name] = shoulder_mean + np.asarray(offsets[name], dtype=float)
         covs[name] = shoulder_cov.copy()
     return PredictedHumanTrajectory(means=means, covariances=covs, step=arm_pred.step, t0=arm_pred.t0)
-
-
-def resample_prediction(pred: PredictedHumanTrajectory, times: Array) -> PredictedHumanTrajectory:
-    """Linear interpolation of means and covariances onto new (uniform) times.
-
-    Times outside the prediction window hold the boundary values.
-    Convex interpolation preserves positive definiteness.
-    """
-    times = np.asarray(times, dtype=float)
-    if times.size < 1:
-        raise ContractViolation("need at least one resample time")
-    step = float(times[1] - times[0]) if times.size > 1 else pred.step
-    grid = pred.times
-    means, covs = {}, {}
-    for name in pred.joints:
-        m, c = pred.means[name], pred.covariances[name]
-        means[name] = np.stack([np.interp(times, grid, m[:, k]) for k in range(3)], axis=1)
-        covs[name] = np.stack(
-            [
-                np.stack([np.interp(times, grid, c[:, i, j]) for j in range(3)], axis=1)
-                for i in range(3)
-            ],
-            axis=1,
-        )
-    return PredictedHumanTrajectory(means=means, covariances=covs, step=step, t0=float(times[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ plus the end-effector frame origin (``n_links + 1`` points in total).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -251,11 +251,6 @@ def all_point_jacobians_batch(chain: ChainSpec, Q: Array) -> tuple[Array, Array]
     """Batched FK points and Jacobians: (N, n+1, 3) and (N, n+1, 3, n)."""
     points, axes = _batch_frames(chain, Q)
     return points, _point_jacobians(points, axes)
-
-
-def eef_path(chain: ChainSpec, traj: JointTrajectory) -> Array:
-    """(N, 3) end-effector positions along a trajectory."""
-    return fk_points_batch(chain, traj.waypoints)[:, -1]
 
 
 def solve_position_ik(

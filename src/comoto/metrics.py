@@ -24,6 +24,7 @@ Array = np.ndarray
 
 SEPARATION_THRESHOLD = 0.20  # meters
 FOV_DEG = 160.0
+METRIC_NAMES = ("dst_pct", "vis_pct", "legibility", "nom_dev")
 
 
 @dataclass(frozen=True)
@@ -234,7 +235,7 @@ def aggregate(reports: list[MetricReport]) -> dict[str, tuple[float, float]]:
     if len(reports) == 0:
         raise ContractViolation("need at least one report to aggregate")
     out = {}
-    for name in ("dst_pct", "vis_pct", "legibility", "nom_dev"):
+    for name in METRIC_NAMES:
         vals = np.asarray([getattr(r, name) for r in reports], dtype=float)
         sd = 0.0 if vals.size == 1 else float(np.std(vals, ddof=1))
         out[name] = (float(np.mean(vals)), sd)

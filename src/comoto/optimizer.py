@@ -35,8 +35,7 @@ class OptimizerOptions:
     """Descent-loop knobs.
 
     ``fd_check`` verifies the analytic gradient against central finite
-    differences at the initial point before optimizing.  ``seed`` is
-    recorded for reproducibility; the solver itself is deterministic.
+    differences at the initial point before optimizing.
     """
 
     max_iters: int = 500
@@ -47,7 +46,6 @@ class OptimizerOptions:
     armijo_c: float = 1e-4
     min_step: float = 1e-14
     fd_check: bool = False
-    seed: int = 0
     verbose: bool = False
 
     def __post_init__(self):

@@ -10,7 +10,7 @@ determines the scenario.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +56,12 @@ class Scenario:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ContractViolation(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        n = self.chain.n_joints
+        shapes = {"robot_start": (n,), "robot_goal": (n,), "robot_object": (3,), "human_object": (3,)}
+        for name, shape in shapes.items():
+            got = np.shape(getattr(self, name))
+            if got != shape:
+                raise ContractViolation(f"{name} must have shape {shape}, got {got}")
         gap = float(np.linalg.norm(np.asarray(self.human_object) - np.asarray(self.robot_object)))
         if self.family == "reaching_far" and gap < FAR_GAP_MIN:
             raise ContractViolation(f"reaching_far needs an object gap >= {FAR_GAP_MIN}, got {gap:.3f}")
@@ -233,34 +239,45 @@ def scenario_to_dict(sc: Scenario) -> dict:
 
 
 def scenario_from_dict(data: dict, chain: ChainSpec | None = None) -> Scenario:
-    if chain is None:
-        chain = load_chain(data.get("chain", "iiwa7"))
-    script = data["script"]
-    return Scenario(
-        family=data["family"],
-        seed=int(data["seed"]),
-        chain=chain,
-        robot_start=np.asarray(data["robot_start"], dtype=float),
-        robot_goal=np.asarray(data["robot_goal"], dtype=float),
-        robot_object=np.asarray(data["robot_object"], dtype=float),
-        human_object=np.asarray(data["human_object"], dtype=float),
-        human_script=ReachScript(
-            arm_start={k: np.asarray(v, dtype=float) for k, v in script["arm_start"].items()},
-            arm_goal={k: np.asarray(v, dtype=float) for k, v in script["arm_goal"].items()},
-            move_duration=float(script["move_duration"]),
-            total_duration=float(script["total_duration"]),
-            noise_scale=float(script["noise_scale"]),
-            seed=int(script["seed"]),
-        ),
-        obstacles=tuple(
-            (np.asarray(o["center"], dtype=float), float(o["radius"]))
-            for o in data.get("obstacles", [])
-        ),
-        observation=float(data.get("observation", 1.0)),
-        horizon=float(data.get("horizon", 2.0)),
-        n_waypoints=int(data.get("n_waypoints", 20)),
-        human_rate=float(data.get("human_rate", 100.0)),
-    )
+    """Scenario from a ``scenario_to_dict`` mapping; missing timing keys take the field defaults."""
+    if not isinstance(data, dict):
+        raise ContractViolation(f"a scenario must be a mapping, got {type(data).__name__}")
+    try:
+        if chain is None:
+            chain = load_chain(data.get("chain", "iiwa7"))
+        script = data["script"]
+        default = {f.name: f.default for f in fields(Scenario)}
+        return Scenario(
+            family=data["family"],
+            seed=int(data["seed"]),
+            chain=chain,
+            robot_start=np.asarray(data["robot_start"], dtype=float),
+            robot_goal=np.asarray(data["robot_goal"], dtype=float),
+            robot_object=np.asarray(data["robot_object"], dtype=float),
+            human_object=np.asarray(data["human_object"], dtype=float),
+            human_script=ReachScript(
+                arm_start={k: np.asarray(v, dtype=float) for k, v in script["arm_start"].items()},
+                arm_goal={k: np.asarray(v, dtype=float) for k, v in script["arm_goal"].items()},
+                move_duration=float(script["move_duration"]),
+                total_duration=float(script["total_duration"]),
+                noise_scale=float(script["noise_scale"]),
+                seed=int(script["seed"]),
+            ),
+            obstacles=tuple(
+                (np.asarray(o["center"], dtype=float), float(o["radius"]))
+                for o in data.get("obstacles", [])
+            ),
+            observation=float(data.get("observation", default["observation"])),
+            horizon=float(data.get("horizon", default["horizon"])),
+            n_waypoints=int(data.get("n_waypoints", default["n_waypoints"])),
+            human_rate=float(data.get("human_rate", default["human_rate"])),
+        )
+    except ContractViolation:
+        raise
+    except KeyError as exc:
+        raise ContractViolation(f"scenario is missing key {exc.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ContractViolation(f"malformed scenario: {type(exc).__name__}: {exc}") from None
 
 
 def save_scenario(sc: Scenario, path: str | Path) -> None:

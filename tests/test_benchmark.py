@@ -3,6 +3,7 @@ and report emission."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -18,7 +19,6 @@ from comoto.benchmark import (
     aggregate_rows,
     config_from_dict,
     default_config_dict,
-    emit_report,
     load_config,
     prepare_scenario,
     read_rows,
@@ -55,9 +55,33 @@ def toy_rows():
     ]
 
 
-def test_default_config_matches_packaged_yaml():
-    assert config_from_dict({}) == RunConfig()
-    assert load_config() == RunConfig()
+def config_leaves(tree, path=()):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from config_leaves(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+def changed_leaf(value):
+    """A different valid value: lists reversed, numbers scaled by 1.25 (integers + 1)."""
+    if isinstance(value, list):
+        return value[::-1]
+    return value + 1 if isinstance(value, int) else value * 1.25
+
+
+CONFIG_LEAVES = list(config_leaves(default_config_dict()))
+
+
+@pytest.mark.parametrize(
+    "path, value", CONFIG_LEAVES, ids=[".".join(path) for path, _ in CONFIG_LEAVES]
+)
+def test_every_config_leaf_is_wired(path, value):
+    # Each packaged key must reach RunConfig: none may be read nowhere.
+    override = changed_leaf(value)
+    for key in reversed(path):
+        override = {key: override}
+    assert config_from_dict(override) != load_config()
 
 
 def test_config_overrides_apply():
@@ -65,8 +89,17 @@ def test_config_overrides_apply():
     assert cfg.optimizer.grad_tol == 1.0
     assert cfg.legible_alpha == 9.0
     # untouched keys keep their packaged defaults
-    assert cfg.optimizer.max_iters == RunConfig().optimizer.max_iters
-    assert cfg.comoto_weights == RunConfig().comoto_weights
+    assert cfg.optimizer.max_iters == load_config().optimizer.max_iters
+    assert cfg.comoto_weights == load_config().comoto_weights
+
+
+def test_numeric_keys_accept_what_float_accepts(tmp_path):
+    # PyYAML reads 1e-4 (no decimal point) as a string.
+    path = tmp_path / "sci.yaml"
+    path.write_text("weights:\n  comoto: {alpha_dist: 1e-4}\noptimizer: {max_iters: 1e3}\n")
+    cfg = load_config(path)
+    assert cfg.comoto_weights.alpha_dist == 1e-4
+    assert cfg.optimizer.max_iters == 1000 and isinstance(cfg.optimizer.max_iters, int)
 
 
 @pytest.mark.parametrize(
@@ -78,15 +111,29 @@ def test_config_overrides_apply():
         ("costs", "eps_m", ".inf"),
         ("costs", "sigma_floor", "0"),
         ("prediction", "sigma0", "-1"),
+        ("weights", "legible", "{alpha: -1}"),
+        ("weights", "legible", "{alpha: .inf}"),
+        ("weights", "distvis", "{alpha_vis: -0.2}"),
+        ("weights", "distvis", "{tau_n: .nan}"),
+        ("weights", "nominal", "{margin: -0.05}"),
+        ("weights", "nominal", "{obstacle_weight: .inf}"),
+        ("weights", "comoto", "{alpha_dist: abc}"),
+        ("speed_adjust", "d_stop", "0.10"),
+        ("speed_adjust", "d_slow", "0.05"),
+        ("optimizer", "max_iters", "2.5"),
+        ("benchmark", "families", "stationary"),
+        ("benchmark", "seeds", "3"),
     ],
 )
 def test_bad_config_values_rejected(tmp_path, section, key, text):
     # Each of these used to load and run to a silent result (vis_pct 0,
-    # dst_pct 0, a zero distance cost, a sign-flipped sigma0).
+    # dst_pct 0, a zero distance cost, a sign-flipped sigma0, every
+    # Legible row failed, max_iters truncated to 2, family 's').
     path = tmp_path / "bad.yaml"
     path.write_text(f"{section}:\n  {key}: {text}\n")
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ContractViolation) as excinfo:
         load_config(path)
+    assert key in str(excinfo.value)
 
 
 def test_unknown_config_keys_rejected():
@@ -105,7 +152,7 @@ def test_config_file_round_trip(tmp_path):
     path.write_text(yaml.safe_dump({"speed_adjust": {"d_slow": 0.42}}))
     cfg = load_config(path)
     assert cfg.d_slow == 0.42
-    assert cfg.d_stop == RunConfig().d_stop
+    assert cfg.d_stop == load_config().d_stop
 
 
 def test_default_config_dict_is_complete():
@@ -116,12 +163,15 @@ def test_default_config_dict_is_complete():
 
 
 def test_run_config_validation():
+    with pytest.raises(TypeError):
+        RunConfig()  # no field defaults: the packaged YAML holds them
+    cfg = load_config()
     with pytest.raises(ContractViolation):
-        RunConfig(seeds=(1, 1))
+        dataclasses.replace(cfg, seeds=(1, 1))
     with pytest.raises(ContractViolation):
-        RunConfig(seeds=())
+        dataclasses.replace(cfg, seeds=())
     with pytest.raises(ContractViolation):
-        RunConfig(families=("no_such_family",))
+        dataclasses.replace(cfg, families=("no_such_family",))
 
 
 def test_prepare_scenario_shares_consistent_inputs(arm):
@@ -211,19 +261,6 @@ def test_markdown_marks_best_and_nominal_na():
     assert lines["CoMOTO"].count("**") == 2 * 4
     assert "**1.00 ± 0.71**" in lines["CoMOTO"]
     assert "**" not in lines["Nominal"]
-
-
-def test_emit_report_formats_and_errors(tmp_path):
-    rows = toy_rows()
-    assert emit_report(rows, "csv", tmp_path / "r.csv").exists()
-    assert emit_report(rows, "markdown", tmp_path / "r.md").exists()
-    json_path = emit_report(rows, "json", tmp_path / "r.json")
-    parsed = json.loads(json_path.read_text())
-    assert len(parsed) == len(rows)
-    with pytest.raises(ContractViolation):
-        emit_report([], "csv", tmp_path / "empty.csv")
-    with pytest.raises(ContractViolation):
-        emit_report(rows, "parquet", tmp_path / "r.parquet")
 
 
 def test_write_benchmark_outputs_artifacts(tmp_path):

@@ -12,6 +12,7 @@ import pytest
 import yaml
 
 from comoto.baselines import ExecutionTrace, save_trace
+from comoto.benchmark import load_config
 from comoto.cli import main
 from comoto.kinematics import load_trajectory, save_trajectory
 from comoto.optimizer import straightline_joint_init
@@ -47,6 +48,14 @@ def test_gen_writes_scenarios(tmp_path, capsys):
         assert (out / f"reaching_far_{seed}.yaml").exists()
     sc = load_scenario(out / "reaching_far_1.yaml")
     assert sc.family == "reaching_far"
+
+
+def test_gen_default_seeds_come_from_the_config(tmp_path, capsys):
+    out = tmp_path / "scen"
+    assert main(["gen", "--family", "stationary", "--out", str(out)]) == 0
+    capsys.readouterr()
+    written = sorted(p.name for p in out.iterdir())
+    assert written == sorted(f"stationary_{s}.yaml" for s in load_config().seeds)
 
 
 def test_out_dir_env_fallback(tmp_path, monkeypatch, capsys):
@@ -162,14 +171,33 @@ def test_missing_files_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_malformed_scenario_exits_two(tmp_path, capsys):
+def test_bad_config_value_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
-    bad.write_text("family: stationary\n")
+    bad.write_text("weights:\n  legible: {alpha: -1}\n")
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+    assert "legible_alpha" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, corrupt",
+    [
+        ("eval", lambda data: {k: v for k, v in data.items() if k != "script"}),
+        ("solve", lambda data: {**data, "robot_goal": [0.0, 0.0]}),  # a 7-joint arm
+        ("eval", lambda data: "just a string"),
+        ("solve", lambda data: {"family": "stationary"}),
+    ],
+    ids=["no-script", "short-goal", "string", "family-only"],
+)
+def test_malformed_scenario_exits_one(tmp_path, scenario_path, capsys, command, corrupt):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(corrupt(yaml.safe_load(scenario_path.read_text()))))
     traj_path = tmp_path / "t.csv"
     save_trajectory(straightline_joint_init(np.zeros(7), np.zeros(7), 3, 0.1), traj_path)
-    code = main(["eval", "--scenario", str(bad), "--trajectory", str(traj_path)])
-    assert code == 2
-    assert "runtime error" in capsys.readouterr().err
+    extra = ["--trajectory", str(traj_path)] if command == "eval" else ["--out", str(tmp_path)]
+    assert main([command, "--scenario", str(bad), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "runtime error" not in err
 
 
 def test_usage_errors_exit_one(capsys):

@@ -25,7 +25,6 @@ from comoto.costs import (
     gaze_angle,
     goal_probability,
     mahalanobis_proximity,
-    path_length,
     _distance_term,
     _legibility_term,
     _nominal_term,
@@ -127,12 +126,6 @@ def test_goal_probability_values():
     assert goal_probability(1.5, 0.7, 1.0) < goal_probability(1.0, 0.7, 1.0)
     with pytest.raises(ContractViolation):
         goal_probability(-0.1, 0.7, 1.0)
-
-
-def test_path_length_planar(planar2):
-    traj = JointTrajectory(np.array([[0.0, 0.0], [np.pi / 2, 0.0], [np.pi, 0.0]]), dt=1.0)
-    # eef moves (2,0) -> (0,2) -> (-2,0): two chords of length 2 sqrt(2)
-    assert path_length(traj, planar2) == pytest.approx(4.0 * math.sqrt(2.0), abs=1e-12)
 
 
 def test_legibility_straight_path_is_minus_one():

@@ -21,7 +21,6 @@ from comoto.human_motion import (
     load_skeleton_offsets,
     minimum_jerk_fraction,
     predict,
-    resample_prediction,
     save_human_trajectory,
 )
 
@@ -250,23 +249,6 @@ def test_extrapolate_skeleton_offsets():
                 step=0.1,
             )
         )
-
-
-def test_resample_prediction_interpolates():
-    observed = constant_velocity_truth([0.1, 0.0, 0.0])
-    pred = predict(observed, horizon=5, step=0.2)
-    same = resample_prediction(pred, pred.times)
-    for name in pred.joints:
-        assert np.allclose(same.means[name], pred.means[name], atol=1e-12)
-        assert np.allclose(same.covariances[name], pred.covariances[name], atol=1e-12)
-    mids = pred.times[:-1] + 0.1
-    half = resample_prediction(pred, mids)
-    for name in pred.joints:
-        want = 0.5 * (pred.means[name][:-1] + pred.means[name][1:])
-        assert np.allclose(half.means[name], want, atol=1e-12)
-    outside = resample_prediction(pred, pred.times[-1] + np.array([1.0, 2.0]))
-    for name in pred.joints:
-        assert np.allclose(outside.means[name], pred.means[name][-1], atol=1e-12)
 
 
 def test_skeleton_offsets_cover_extrapolated_joints():

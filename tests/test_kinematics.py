@@ -23,7 +23,6 @@ from comoto.kinematics import (
     all_point_jacobians_batch,
     chain_from_dict,
     default_chain,
-    eef_path,
     fk_eef,
     fk_points,
     fk_points_batch,
@@ -131,8 +130,6 @@ def test_batch_fk_matches_single(arm):
     for k in range(9):
         _, single = all_point_jacobians(arm, Q[k])
         assert np.max(np.abs(jacs[k] - single)) <= 1e-12
-    path = eef_path(arm, JointTrajectory(Q, dt=0.1))
-    assert np.array_equal(path, batch[:, -1])
 
 
 def loop_frames(chain: ChainSpec, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

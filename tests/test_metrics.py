@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from comoto.baselines import ExecutionTrace
-from comoto.benchmark import RunConfig, prepare_scenario, run_method
+from comoto.benchmark import load_config, prepare_scenario, run_method
 from comoto.errors import ContractViolation
 from comoto.human_motion import HumanTrajectory
 from comoto.kinematics import JointTrajectory, fk_points_batch
@@ -178,7 +178,7 @@ def test_evaluate_run_handles_trajectories_and_traces(planar2):
 def test_evaluate_run_equals_the_four_metrics_bit_for_bit(arm):
     # evaluate_run shares one FK pass between the metrics; each public
     # metric_* runs its own.
-    cfg = RunConfig()
+    cfg = load_config()
     sc = make_scenario("reaching_near", 2, arm)
     bundle = prepare_scenario(sc, cfg)
     nominal = bundle.nominal

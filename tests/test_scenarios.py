@@ -3,6 +3,8 @@ contracts, and file round-trips."""
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,16 @@ def test_family_contract_validation(arm):
     data["human_object"] = data["robot_object"]  # gap collapses to the grasp offset
     with pytest.raises(ContractViolation):
         scenario_from_dict(data, arm)
+
+
+def test_missing_optional_scenario_keys_take_the_field_defaults(arm):
+    data = scenario_to_dict(make_scenario("stationary", 1, arm))
+    for key in ("observation", "horizon", "n_waypoints", "human_rate"):
+        del data[key]
+    sc = scenario_from_dict(data, arm)
+    for field in fields(Scenario):
+        if field.name in ("observation", "horizon", "n_waypoints", "human_rate"):
+            assert getattr(sc, field.name) == field.default
 
 
 def test_scenario_yaml_round_trip(tmp_path, arm):
