@@ -48,10 +48,8 @@ from .human_motion import (
     ReachScript,
     extrapolate_skeleton,
     generate_reach,
-    load_human_trajectory,
     minimum_jerk_fraction,
     predict,
-    save_human_trajectory,
 )
 from .kinematics import (
     ChainSpec,
@@ -124,7 +122,6 @@ __all__ = [
     "legible_optimize",
     "load_chain",
     "load_config",
-    "load_human_trajectory",
     "load_scenario",
     "load_trace",
     "load_trajectory",
@@ -142,7 +139,6 @@ __all__ = [
     "position_jacobian",
     "predict",
     "run_benchmark",
-    "save_human_trajectory",
     "save_scenario",
     "save_trace",
     "save_trajectory",

@@ -6,13 +6,14 @@ optimization without an uncertainty model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .costs import CostContext, CostWeights
 from .errors import ContractViolation
+from .fileio import float_rows
 from .human_motion import HumanTrajectory
 from .kinematics import ChainSpec, JointTrajectory, fk_points
 from .optimizer import OptimizerOptions, OptResult, optimize, straightline_joint_init
@@ -268,16 +269,7 @@ def distvis_optimize(
         raise ContractViolation("distance+visibility baseline needs a prediction")
     if tau_n is None:
         tau_n = TAU_N_RATIO * max(alpha_dist, alpha_vis)
-    flat_ctx = CostContext(
-        chain=ctx.chain,
-        goal_config=ctx.goal_config,
-        prediction=ctx.prediction.with_isotropic_covariance(),
-        nominal=ctx.nominal,
-        object_pos=ctx.object_pos,
-        legibility_weights=ctx.legibility_weights,
-        eps_m=ctx.eps_m,
-        sigma_floor=ctx.sigma_floor,
-    )
+    flat_ctx = replace(ctx, prediction=ctx.prediction.with_isotropic_covariance())
     w = CostWeights(alpha_dist=alpha_dist, alpha_vis=alpha_vis, alpha_nominal=tau_n)
     return optimize(flat_ctx, w, init, opts)
 
@@ -304,8 +296,7 @@ def load_trace(path: str | Path) -> ExecutionTrace:
     if not lines or not lines[0].startswith("# completed="):
         raise ContractViolation(f"{path}: missing '# completed=' header")
     completed = lines[0].split("=", 1)[1] == "True"
-    rows = [[float(v) for v in ln.split(",")] for ln in lines[2:] if ln.strip()]
-    data = np.asarray(rows)
+    data = float_rows(path, lines, header=1)
     return ExecutionTrace(
         timestamps=data[:, 0],
         configs=data[:, 1:-2],

@@ -12,12 +12,11 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .baselines import (
     SpeedAdjustParams,
@@ -28,6 +27,7 @@ from .baselines import (
 )
 from .costs import CostContext, CostWeights
 from .errors import ContractViolation
+from .fileio import read_yaml
 from .human_motion import PredictorOptions, extrapolate_skeleton, generate_reach, predict
 from .metrics import METRIC_NAMES, GoalSet, MetricReport, aggregate, evaluate_run
 from .optimizer import OptimizerOptions, optimize
@@ -37,37 +37,19 @@ Array = np.ndarray
 
 METHODS = ("Nominal", "Speed-Adj", "Legible", "Dist+Vis", "CoMOTO")
 
+#: Which scenario and method a row reports; its other columns are one
+#: ``MetricReport``'s fields, then the run's status or timing.
+_ROW_KEY = ("scenario_family", "seed", "method")
+_REPORT_FIELDS = tuple(f.name for f in fields(MetricReport))
+
 #: Deterministic output: everything except wall time.
-RESULT_COLUMNS = (
-    "scenario_family",
-    "seed",
-    "method",
-    "dst_pct",
-    "vis_pct",
-    "legibility",
-    "nom_dev",
-    "completed",
-    "converged",
-    "failed",
-)
+RESULT_COLUMNS = (*_ROW_KEY, *_REPORT_FIELDS, "converged", "failed")
 
 #: Per-run record including timing.
-RUNS_COLUMNS = (
-    "scenario_family",
-    "seed",
-    "method",
-    "dst_pct",
-    "vis_pct",
-    "legibility",
-    "nom_dev",
-    "completed",
-    "wall_time",
-)
+RUNS_COLUMNS = (*_ROW_KEY, *_REPORT_FIELDS, "wall_time")
 
-_FLOAT_COLUMNS = {"dst_pct", "vis_pct", "legibility", "nom_dev", "wall_time"}
-_BOOL_COLUMNS = {"completed", "converged", "failed"}
-
-_LOWER_IS_BETTER = {"nom_dev"}
+#: What a run that raised reports.
+_FAILED_REPORT = MetricReport(**dict.fromkeys(METRIC_NAMES, float("nan")), completed=False)
 
 
 @dataclass(frozen=True)
@@ -136,9 +118,7 @@ _NON_NEGATIVE_FIELDS = (
 
 
 def default_config_dict() -> dict:
-    text = resources.files("comoto.data").joinpath("default_config.yaml").read_text()
-    # libyaml's parser, where installed, skips the schema comments 8x faster.
-    return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    return read_yaml(resources.files("comoto.data").joinpath("default_config.yaml"))
 
 
 def _resolve(default, override, path: tuple = ()):
@@ -195,7 +175,7 @@ def load_config(path: str | Path | None = None) -> RunConfig:
     """Default configuration, optionally overridden by a YAML file."""
     if path is None:
         return config_from_dict({})
-    return config_from_dict(yaml.safe_load(Path(path).read_text()))
+    return config_from_dict(read_yaml(Path(path)))
 
 
 @dataclass
@@ -279,22 +259,6 @@ def run_method(name: str, bundle: ScenarioBundle, cfg: RunConfig):
     raise ContractViolation(f"unknown method {name!r}")
 
 
-def _failed_row(family: str, seed: int, method: str) -> dict:
-    return {
-        "scenario_family": family,
-        "seed": seed,
-        "method": method,
-        "dst_pct": float("nan"),
-        "vis_pct": float("nan"),
-        "legibility": float("nan"),
-        "nom_dev": float("nan"),
-        "completed": False,
-        "converged": False,
-        "failed": True,
-        "wall_time": 0.0,
-    }
-
-
 def run_benchmark(cfg: RunConfig, chain=None) -> list[dict]:
     """All (family, seed, method) rows, deterministically ordered."""
     rows = []
@@ -315,23 +279,20 @@ def run_benchmark(cfg: RunConfig, chain=None) -> list[dict]:
                         threshold=cfg.separation_threshold,
                         fov_deg=cfg.fov_deg,
                     )
-                    rows.append(
-                        {
-                            "scenario_family": family,
-                            "seed": sc.seed,
-                            "method": method,
-                            "dst_pct": report.dst_pct,
-                            "vis_pct": report.vis_pct,
-                            "legibility": report.legibility,
-                            "nom_dev": report.nom_dev,
-                            "completed": report.completed,
-                            "converged": converged,
-                            "failed": False,
-                            "wall_time": time.perf_counter() - start,
-                        }
-                    )
+                    failed, wall_time = False, time.perf_counter() - start
                 except Exception:
-                    rows.append(_failed_row(family, sc.seed, method))
+                    report, converged, failed, wall_time = _FAILED_REPORT, False, True, 0.0
+                rows.append(
+                    {
+                        "scenario_family": family,
+                        "seed": sc.seed,
+                        "method": method,
+                        **asdict(report),
+                        "converged": converged,
+                        "failed": failed,
+                        "wall_time": wall_time,
+                    }
+                )
     order = {m: i for i, m in enumerate(METHODS)}
     fam_order = {f: i for i, f in enumerate(cfg.families)}
     rows.sort(key=lambda r: (fam_order[r["scenario_family"]], r["seed"], order[r["method"]]))
@@ -358,29 +319,6 @@ def _rows_to_csv(rows: list[dict], columns) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_rows(path: str | Path) -> list[dict]:
-    """Parse a benchmark CSV back into typed rows."""
-    lines = Path(path).read_text().splitlines()
-    columns = lines[0].split(",")
-    rows = []
-    for ln in lines[1:]:
-        if not ln.strip():
-            continue
-        values = ln.split(",")
-        row = {}
-        for col, raw in zip(columns, values):
-            if col in _FLOAT_COLUMNS:
-                row[col] = float(raw)
-            elif col in _BOOL_COLUMNS:
-                row[col] = raw == "true"
-            elif col == "seed":
-                row[col] = int(raw)
-            else:
-                row[col] = raw
-        rows.append(row)
-    return rows
-
-
 def aggregate_rows(rows: list[dict]) -> dict:
     """(family, method) -> metric -> (mean, sample SD), skipping failed rows."""
     groups: dict = {}
@@ -400,18 +338,14 @@ def aggregate_rows(rows: list[dict]) -> dict:
     }
 
 
-_METRIC_HEADERS = (
-    ("dst_pct", "Dst. (%)"),
-    ("vis_pct", "Vis. (%)"),
-    ("legibility", "Leg."),
-    ("nom_dev", "Nom. (m²)"),
-)
-
-
-def _fmt_stat(name: str, stat) -> str:
-    mean, sd = stat
-    digits = 2 if name == "nom_dev" else 1
-    return f"{mean:.{digits}f} ± {sd:.{digits}f}"
+#: How table.md shows each metric: its header, its decimals, how the best
+#: mean is picked, and the method shown as n/a (the metric's reference).
+_TABLE = {
+    "dst_pct": ("Dst. (%)", 1, max, None),
+    "vis_pct": ("Vis. (%)", 1, max, None),
+    "legibility": ("Leg.", 1, max, None),
+    "nom_dev": ("Nom. (m²)", 2, min, "Nominal"),
+}
 
 
 def render_markdown(rows: list[dict]) -> str:
@@ -427,26 +361,24 @@ def render_markdown(rows: list[dict]) -> str:
         methods = [m for m in METHODS if m in agg.get(fam, {})]
         lines.append(f"## {fam}")
         lines.append("")
-        lines.append("| Method | " + " | ".join(h for _, h in _METRIC_HEADERS) + " |")
-        lines.append("|" + "---|" * (len(_METRIC_HEADERS) + 1))
+        lines.append("| Method | " + " | ".join(_TABLE[name][0] for name in METRIC_NAMES) + " |")
+        lines.append("|" + "---|" * (len(METRIC_NAMES) + 1))
         best: dict[str, str] = {}
-        for name, _ in _METRIC_HEADERS:
-            candidates = {
-                m: agg[fam][m][name][0]
-                for m in methods
-                if not (name == "nom_dev" and m == "Nominal")
-            }
+        for name in METRIC_NAMES:
+            _, _, pick, reference = _TABLE[name]
+            candidates = {m: agg[fam][m][name][0] for m in methods if m != reference}
             candidates = {m: v for m, v in candidates.items() if np.isfinite(v)}
             if candidates:
-                pick = min if name in _LOWER_IS_BETTER else max
                 best[name] = pick(candidates, key=candidates.get)
         for m in methods:
             cells = []
-            for name, _ in _METRIC_HEADERS:
-                if name == "nom_dev" and m == "Nominal":
+            for name in METRIC_NAMES:
+                _, digits, _, reference = _TABLE[name]
+                if m == reference:
                     cells.append("n/a")
                     continue
-                cell = _fmt_stat(name, agg[fam][m][name])
+                mean, sd = agg[fam][m][name]
+                cell = f"{mean:.{digits}f} ± {sd:.{digits}f}"
                 if best.get(name) == m:
                     cell = f"**{cell}**"
                 cells.append(cell)
@@ -460,13 +392,11 @@ def write_benchmark_outputs(rows: list[dict], out_dir: str | Path, formats=("csv
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {}
-    result_rows = [{c: r[c] for c in RESULT_COLUMNS} for r in rows]
-    runs_rows = [{c: r[c] for c in RUNS_COLUMNS} for r in rows]
     if "csv" in formats:
         paths["results"] = out_dir / "results.csv"
-        paths["results"].write_text(_rows_to_csv(result_rows, RESULT_COLUMNS))
+        paths["results"].write_text(_rows_to_csv(rows, RESULT_COLUMNS))
         paths["runs"] = out_dir / "runs.csv"
-        paths["runs"].write_text(_rows_to_csv(runs_rows, RUNS_COLUMNS))
+        paths["runs"].write_text(_rows_to_csv(rows, RUNS_COLUMNS))
     if "json" in formats:
         agg = aggregate_rows(rows)
         paths["aggregate"] = out_dir / "aggregate.json"

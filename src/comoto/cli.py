@@ -66,7 +66,6 @@ def build_parser() -> _Parser:
     gen.add_argument("--family", choices=FAMILIES, required=True)
     gen.add_argument("--seeds", type=int, nargs="+", default=None, help="default: the config's seeds")
     gen.add_argument("--out", default=None)
-    gen.add_argument("--verbose", action="store_true")
 
     run = sub.add_parser("run", help="run the full benchmark")
     run.add_argument("--config", default=None)
@@ -86,7 +85,6 @@ def build_parser() -> _Parser:
     ev.add_argument("--trajectory", default=None, help="joint-trajectory CSV")
     ev.add_argument("--trace", default=None, help="execution-trace CSV")
     ev.add_argument("--config", default=None)
-    ev.add_argument("--verbose", action="store_true")
 
     solve = sub.add_parser("solve", help="single CoMOTO solve for one scenario")
     solve.add_argument("--scenario", required=True, help="scenario YAML written by gen")
@@ -155,18 +153,7 @@ def _cmd_eval(args) -> int:
         threshold=cfg.separation_threshold,
         fov_deg=cfg.fov_deg,
     )
-    print(
-        json.dumps(
-            {
-                "dst_pct": report.dst_pct,
-                "vis_pct": report.vis_pct,
-                "legibility": report.legibility,
-                "nom_dev": report.nom_dev,
-                "completed": report.completed,
-            },
-            indent=2,
-        )
-    )
+    print(json.dumps(dataclasses.asdict(report), indent=2))
     return 0
 
 

@@ -124,7 +124,6 @@ class CostContext:
         )
         if self.prediction is not None:
             names = list(self.prediction.joints)
-            self._joint_names = names
             self._means = np.stack([self.prediction.means[j] for j in names])
             covs = np.stack([self.prediction.covariances[j] for j in names])
             try:
@@ -138,7 +137,6 @@ class CostContext:
             else:
                 self._sigma_head = None
         else:
-            self._joint_names = None
             self._means = None
             self._inv_covs = None
             self._sigma_head = None

@@ -15,9 +15,9 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .errors import ContractViolation
+from .fileio import read_yaml
 
 Array = np.ndarray
 
@@ -344,44 +344,18 @@ def extrapolate_skeleton(
 
 
 # ---------------------------------------------------------------------------
-# Config and trajectory files
+# Config files
 # ---------------------------------------------------------------------------
 
 
 def load_skeleton_offsets(source: str | Path | None = None) -> dict[str, Array]:
     """Joint-name -> 3D offset map; packaged defaults when no path given."""
     if source is None:
-        text = resources.files("comoto.data").joinpath("skeleton_offsets.yaml").read_text()
+        raw = read_yaml(resources.files("comoto.data").joinpath("skeleton_offsets.yaml"))
     else:
-        text = Path(source).read_text()
-    raw = yaml.safe_load(text)
+        raw = read_yaml(Path(source))
     offsets = {name: np.asarray(vec, dtype=float) for name, vec in raw.items()}
     missing = set(EXTRAPOLATED_JOINTS) - set(offsets)
     if missing:
         raise ContractViolation(f"offset config missing joints: {sorted(missing)}")
     return offsets
-
-
-def save_human_trajectory(traj: HumanTrajectory, path: str | Path) -> None:
-    """Write tracks as CSV: ``sample,joint,x,y,z`` after a ``# rate=`` header."""
-    lines = [f"# rate={traj.rate!r}", f"# joints={','.join(traj.joints)}", "sample,joint,x,y,z"]
-    for name in traj.joints:
-        track = traj.samples[name]
-        for k in range(track.shape[0]):
-            x, y, z = (float(v) for v in track[k])
-            lines.append(f"{k},{name},{x!r},{y!r},{z!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_human_trajectory(path: str | Path) -> HumanTrajectory:
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith("# rate="):
-        raise ContractViolation(f"{path}: missing '# rate=' header")
-    rate = float(lines[0].split("=", 1)[1])
-    tracks: dict[str, list] = {}
-    for ln in lines:
-        if not ln.strip() or ln.startswith("#") or ln.startswith("sample,"):
-            continue
-        _, name, x, y, z = ln.split(",")
-        tracks.setdefault(name, []).append([float(x), float(y), float(z)])
-    return HumanTrajectory({k: np.asarray(v) for k, v in tracks.items()}, rate)

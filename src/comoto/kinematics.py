@@ -19,9 +19,9 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .errors import ContractViolation
+from .fileio import float_rows, read_yaml
 
 Array = np.ndarray
 
@@ -319,14 +319,11 @@ def chain_from_dict(cfg: dict) -> ChainSpec:
 def load_chain(source: str | Path) -> ChainSpec:
     """Load a chain config. ``source`` is a YAML path or a packaged name."""
     path = Path(source)
-    if path.suffix in (".yaml", ".yml") and path.exists():
-        text = path.read_text()
-    else:
-        res = resources.files("comoto.data").joinpath(f"{source}.yaml")
-        if not res.is_file():
+    if not (path.suffix in (".yaml", ".yml") and path.exists()):
+        path = resources.files("comoto.data").joinpath(f"{source}.yaml")
+        if not path.is_file():
             raise ContractViolation(f"unknown chain config: {source!r}")
-        text = res.read_text()
-    return chain_from_dict(yaml.safe_load(text))
+    return chain_from_dict(read_yaml(path))
 
 
 def default_chain() -> ChainSpec:
@@ -344,8 +341,7 @@ def save_trajectory(traj: JointTrajectory, path: str | Path) -> None:
 
 
 def load_trajectory(path: str | Path) -> JointTrajectory:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    rows = float_rows(path, Path(path).read_text().splitlines(), header=0)
     if rows.shape[0] < 3:
         raise ContractViolation(f"trajectory file {path} has fewer than 3 waypoints")
     times, waypoints = rows[:, 0], rows[:, 1:]

@@ -11,7 +11,7 @@ grid; executed traces on their realized control ticks.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,7 +24,6 @@ Array = np.ndarray
 
 SEPARATION_THRESHOLD = 0.20  # meters
 FOV_DEG = 160.0
-METRIC_NAMES = ("dst_pct", "vis_pct", "legibility", "nom_dev")
 
 
 @dataclass(frozen=True)
@@ -54,13 +53,21 @@ class GoalSet:
 
 @dataclass
 class MetricReport:
-    """One run's metric values."""
+    """One run's metric values.
+
+    The fields are the metric columns of the benchmark's ``results.csv``
+    and ``runs.csv`` and the keys ``comoto eval`` prints, in this order.
+    """
 
     dst_pct: float
     vis_pct: float
     legibility: float
     nom_dev: float
     completed: bool = True
+
+
+#: The averaged metrics: every field but the ``completed`` status.
+METRIC_NAMES = tuple(f.name for f in fields(MetricReport) if f.name != "completed")
 
 
 def _times_and_configs(planned) -> tuple[Array, Array]:

@@ -165,16 +165,17 @@ def optimize(
             )
 
     step = opts.step_init
-    converged = False
     stop_reason = "max_iters"
     iterations = 0
     trace = []
-    for iteration in range(opts.max_iters):
+    while True:
         g = grad[1:-1]
         if float(np.max(np.abs(g))) < opts.grad_tol:
-            converged = True
+            stop_reason = "grad_tol"
             break
-        iterations = iteration + 1
+        if iterations == opts.max_iters:
+            break
+        iterations += 1
         accepted = False
         while step >= opts.min_step:
             q_new = q.copy()
@@ -195,16 +196,12 @@ def optimize(
             trace.append({**entry, **current.per_cost})
         step *= opts.step_grow
 
-    if not converged and float(np.max(np.abs(grad[1:-1]))) < opts.grad_tol:
-        converged = True
-    if converged:
-        stop_reason = "grad_tol"
     final_report = current.report()
     trajectory = JointTrajectory(q, dt, init.t0)
     return OptResult(
         trajectory=trajectory,
         iterations=iterations,
-        converged=converged,
+        converged=stop_reason == "grad_tol",
         stop_reason=stop_reason,
         value_evals=evals["value"],
         grad_evals=evals["grad"],

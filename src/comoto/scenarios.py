@@ -17,6 +17,7 @@ import numpy as np
 import yaml
 
 from .errors import ContractViolation
+from .fileio import read_yaml
 from .human_motion import RIGHT_ARM_JOINTS, ReachScript
 from .kinematics import ChainSpec, default_chain, fk_eef, load_chain, solve_position_ik
 
@@ -285,4 +286,4 @@ def save_scenario(sc: Scenario, path: str | Path) -> None:
 
 
 def load_scenario(path: str | Path, chain: ChainSpec | None = None) -> Scenario:
-    return scenario_from_dict(yaml.safe_load(Path(path).read_text()), chain)
+    return scenario_from_dict(read_yaml(Path(path)), chain)

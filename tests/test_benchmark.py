@@ -21,13 +21,13 @@ from comoto.benchmark import (
     default_config_dict,
     load_config,
     prepare_scenario,
-    read_rows,
     render_markdown,
     run_benchmark,
     run_method,
     write_benchmark_outputs,
 )
 from comoto.errors import ContractViolation
+from comoto.metrics import METRIC_NAMES
 from comoto.scenarios import make_scenario
 
 TINY_OVERRIDES = {
@@ -221,22 +221,29 @@ def test_failed_method_is_isolated(arm, monkeypatch):
     failed = {r["method"]: r["failed"] for r in rows}
     assert failed == {m: m == "CoMOTO" for m in METHODS}
     broken = next(r for r in rows if r["method"] == "CoMOTO")
-    assert math.isnan(broken["dst_pct"])
-    assert not broken["completed"]
+    assert all(list(r) == [*RESULT_COLUMNS, "wall_time"] for r in rows)
+    assert all(math.isnan(broken[name]) for name in METRIC_NAMES)
+    assert (broken["completed"], broken["converged"], broken["wall_time"]) == (False, False, 0.0)
 
 
-def test_csv_round_trip_types(tmp_path):
+def test_csv_round_trip_types():
     rows = toy_rows()
-    path = tmp_path / "results.csv"
-    path.write_text(_rows_to_csv(rows, RESULT_COLUMNS))
-    back = read_rows(path)
-    assert len(back) == len(rows)
-    for a, b in zip(back, rows):
-        for col in RESULT_COLUMNS:
-            assert a[col] == b[col]
-        assert isinstance(a["seed"], int)
-        assert isinstance(a["dst_pct"], float)
-        assert isinstance(a["completed"], bool)
+    rows[0] = {**rows[0], "dst_pct": 100 / 3, "legibility": 0.1 + 0.2, "nom_dev": 1e-17}
+    lines = _rows_to_csv(rows, RESULT_COLUMNS).splitlines()
+    header = "scenario_family,seed,method,dst_pct,vis_pct,legibility,nom_dev,completed,converged,failed"
+    assert lines[0] == header
+    assert len(lines) == len(rows) + 1
+    for line, row in zip(lines[1:], rows):
+        cells = line.split(",")
+        assert len(cells) == len(RESULT_COLUMNS)
+        for col, cell in zip(RESULT_COLUMNS, cells):
+            value = row[col]
+            if isinstance(value, bool):
+                assert cell == ("true" if value else "false")
+            elif isinstance(value, float):
+                assert float(cell) == value  # repr() round-trips every float exactly
+            else:
+                assert cell == str(value)
 
 
 def test_aggregate_rows_stats():
@@ -268,9 +275,7 @@ def test_write_benchmark_outputs_artifacts(tmp_path):
     assert set(paths) == {"results", "runs", "aggregate", "table"}
     for p in paths.values():
         assert p.exists()
-    results = read_rows(paths["results"])
-    assert "wall_time" not in results[0]
-    runs = read_rows(paths["runs"])
-    assert "wall_time" in runs[0]
+    assert "wall_time" not in paths["results"].read_text().splitlines()[0].split(",")
+    assert "wall_time" in paths["runs"].read_text().splitlines()[0].split(",")
     agg = json.loads(paths["aggregate"].read_text())
     assert "stationary" in agg

@@ -179,30 +179,73 @@ def test_bad_config_value_exits_one(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize(
-    "command, corrupt",
-    [
-        ("eval", lambda data: {k: v for k, v in data.items() if k != "script"}),
-        ("solve", lambda data: {**data, "robot_goal": [0.0, 0.0]}),  # a 7-joint arm
-        ("eval", lambda data: "just a string"),
-        ("solve", lambda data: {"family": "stationary"}),
-    ],
-    ids=["no-script", "short-goal", "string", "family-only"],
-)
-def test_malformed_scenario_exits_one(tmp_path, scenario_path, capsys, command, corrupt):
+def test_invalid_yaml_config_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
-    bad.write_text(yaml.safe_dump(corrupt(yaml.safe_load(scenario_path.read_text()))))
+    bad.write_text("optimizer: {max_iters: [1\n")
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad} is not valid YAML")
+    assert not (tmp_path / "out").exists()
+
+
+def _edited(change):
+    return lambda text: yaml.safe_dump(change(yaml.safe_load(text)))
+
+
+@pytest.mark.parametrize(
+    "command, corrupt, expected",
+    [
+        ("eval", _edited(lambda data: {k: v for k, v in data.items() if k != "script"}), "'script'"),
+        ("solve", _edited(lambda data: {**data, "robot_goal": [0.0, 0.0]}), "robot_goal"),  # a 7-joint arm
+        ("eval", _edited(lambda data: "just a string"), "mapping"),
+        ("solve", _edited(lambda data: {"family": "stationary"}), "'script'"),
+        ("eval", lambda text: text + "obstacles: [{center: [1\n", "bad.yaml is not valid YAML"),
+    ],
+    ids=["no-script", "short-goal", "string", "family-only", "invalid-yaml"],
+)
+def test_malformed_scenario_exits_one(tmp_path, scenario_path, capsys, command, corrupt, expected):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(corrupt(scenario_path.read_text()))
     traj_path = tmp_path / "t.csv"
     save_trajectory(straightline_joint_init(np.zeros(7), np.zeros(7), 3, 0.1), traj_path)
     extra = ["--trajectory", str(traj_path)] if command == "eval" else ["--out", str(tmp_path)]
     assert main([command, "--scenario", str(bad), *extra]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "runtime error" not in err
+    assert expected in err
+
+
+def _not_a_number(line):
+    return "abc" + line[line.index(","):]
+
+
+@pytest.mark.parametrize(
+    "flag, edit",
+    [
+        ("--trajectory", _not_a_number),
+        ("--trajectory", lambda line: line.rsplit(",", 1)[0]),
+        ("--trace", _not_a_number),
+    ],
+    ids=["trajectory-non-numeric", "trajectory-short-row", "trace-non-numeric"],
+)
+def test_malformed_csv_exits_one(tmp_path, scenario_path, capsys, flag, edit):
+    sc = load_scenario(scenario_path)
+    traj = straightline_joint_init(sc.robot_start, sc.robot_goal, sc.n_waypoints, sc.dt, sc.robot_t0)
+    bad = tmp_path / "bad.csv"
+    if flag == "--trace":
+        save_trace(ExecutionTrace(timestamps=traj.times, configs=traj.waypoints, completed=True), bad)
+    else:
+        save_trajectory(traj, bad)
+    lines = bad.read_text().splitlines()
+    lines[2] = edit(lines[2])  # the first data row of a trace, the second of a trajectory
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["eval", "--scenario", str(scenario_path), flag, str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}, line 3:")
 
 
 def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["gen", "--family", "unknown"]) == 1
+    assert main(["gen", "--family", "stationary", "--verbose"]) == 1
     assert main(["run", "--format", "xml"]) == 1
     capsys.readouterr()
 

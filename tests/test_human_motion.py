@@ -17,11 +17,9 @@ from comoto.human_motion import (
     ReachScript,
     extrapolate_skeleton,
     generate_reach,
-    load_human_trajectory,
     load_skeleton_offsets,
     minimum_jerk_fraction,
     predict,
-    save_human_trajectory,
 )
 
 
@@ -256,14 +254,3 @@ def test_skeleton_offsets_cover_extrapolated_joints():
     for name in EXTRAPOLATED_JOINTS:
         assert name in offsets
         assert offsets[name].shape == (3,)
-
-
-def test_human_trajectory_csv_round_trip(tmp_path):
-    truth = generate_reach(make_script([0.1, 0.2, -0.05], noise_scale=0.005, seed=2), rate=50.0)
-    path = tmp_path / "truth.csv"
-    save_human_trajectory(truth, path)
-    back = load_human_trajectory(path)
-    assert back.rate == truth.rate
-    assert back.joints == truth.joints
-    for name in truth.joints:
-        assert np.array_equal(back.samples[name], truth.samples[name])

@@ -8,9 +8,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from comoto.benchmark import load_config
 from comoto.errors import ContractViolation
-from comoto.human_motion import RIGHT_ARM_JOINTS, generate_reach
-from comoto.kinematics import fk_eef
+from comoto.human_motion import RIGHT_ARM_JOINTS, generate_reach, load_skeleton_offsets
+from comoto.kinematics import fk_eef, load_chain
 from comoto.scenarios import (
     FAMILIES,
     FAR_GAP_MIN,
@@ -145,3 +146,11 @@ def test_scenario_uses_default_chain_when_unspecified():
     sc = make_scenario("stationary", 1)
     assert isinstance(sc, Scenario)
     assert sc.chain.n_joints == 7
+
+
+@pytest.mark.parametrize("load", [load_scenario, load_chain, load_skeleton_offsets, load_config])
+def test_invalid_yaml_raises_contract_violation_naming_the_file(tmp_path, load):
+    path = tmp_path / "broken.yaml"
+    path.write_text("optimizer: {max_iters: [1\n")
+    with pytest.raises(ContractViolation, match="broken.yaml is not valid YAML"):
+        load(path)
