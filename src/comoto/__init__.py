@@ -12,10 +12,8 @@ from .baselines import (
     SpeedAdjustParams,
     distvis_optimize,
     legible_optimize,
-    load_trace,
     min_separation,
     nominal_trajectory,
-    save_trace,
     speed_adjusted_execute,
 )
 from .benchmark import (
@@ -123,7 +121,6 @@ __all__ = [
     "load_chain",
     "load_config",
     "load_scenario",
-    "load_trace",
     "load_trajectory",
     "mahalanobis_proximity",
     "make_scenario",
@@ -140,7 +137,6 @@ __all__ = [
     "predict",
     "run_benchmark",
     "save_scenario",
-    "save_trace",
     "save_trajectory",
     "solve_position_ik",
     "speed_adjusted_execute",

@@ -6,14 +6,12 @@ optimization without an uncertainty model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .costs import CostContext, CostWeights
 from .errors import ContractViolation
-from .fileio import float_rows
 from .human_motion import HumanTrajectory
 from .kinematics import ChainSpec, JointTrajectory, fk_points
 from .optimizer import OptimizerOptions, OptResult, optimize, straightline_joint_init
@@ -23,31 +21,33 @@ Array = np.ndarray
 #: Ratio of the smoothness regularizer to the legibility weight.
 TAU_S_RATIO = 1e-3
 
-#: Ratio of the nominal-anchor regularizer to the distance/visibility scale.
-TAU_N_RATIO = 1e-2
-
-OBSTACLE_MARGIN = 0.05
+#: The nominal solve's settings.  All 15 paper-grid nominal solves stop
+#: at this iteration cap, short of ``grad_tol``.
+NOMINAL_OPTIONS = OptimizerOptions(max_iters=300, grad_tol=1e-3, step_init=0.05)
 
 
 @dataclass(frozen=True)
 class SpeedAdjustParams:
-    """Reactive execution knobs: stop/slow separations and control rate.
+    """Reactive execution settings: the ``speed_adjust`` section of the run config.
 
-    ``timeout`` of None means 3x the nominal duration.
+    Stop/slow separations (m), control rate (Hz), and the timeout as a
+    multiple of the nominal duration.
     """
 
-    d_stop: float = 0.06
-    d_slow: float = 0.20
-    control_rate: float = 100.0
-    timeout: float | None = None
+    d_stop: float
+    d_slow: float
+    control_rate: float
+    timeout_factor: float
 
     def __post_init__(self):
         if not 0 < self.d_stop < self.d_slow < math.inf:
-            raise ContractViolation("need 0 < d_stop < d_slow < inf")
-        if not (math.isfinite(self.control_rate) and self.control_rate > 0):
-            raise ContractViolation("control_rate must be finite and positive")
-        if self.timeout is not None and not (math.isfinite(self.timeout) and self.timeout > 0):
-            raise ContractViolation("timeout must be None or finite and positive")
+            raise ContractViolation(
+                f"need 0 < d_stop < d_slow < inf, got {self.d_stop!r} and {self.d_slow!r}"
+            )
+        for name in ("control_rate", "timeout_factor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ContractViolation(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass
@@ -57,7 +57,6 @@ class ExecutionTrace:
     timestamps: Array
     configs: Array
     completed: bool
-    stop_events: list[tuple[float, float]] = field(default_factory=list)
     min_separation: Array | None = None
     speed_scale: Array | None = None
 
@@ -84,7 +83,7 @@ class ExecutionTrace:
         )
 
 
-def obstacle_penalty(obstacles, weight: float, margin: float = OBSTACLE_MARGIN):
+def obstacle_penalty(obstacles, weight: float, margin: float):
     """Hinge clearance penalty over robot points for sphere obstacles.
 
     Each sphere contributes ``weight * max(0, r + margin - dist)**2``
@@ -113,14 +112,13 @@ def nominal_trajectory(
     chain: ChainSpec,
     start: Array,
     goal: Array,
-    obstacles=(),
-    n_waypoints: int = 20,
-    dt: float = 2.0 / 19.0,
-    t0: float = 0.0,
-    smooth_weight: float = 1e-3,
-    obstacle_weight: float = 200.0,
-    margin: float = OBSTACLE_MARGIN,
-    opts: OptimizerOptions | None = None,
+    obstacles,
+    n_waypoints: int,
+    dt: float,
+    t0: float,
+    smooth_weight: float,
+    obstacle_weight: float,
+    margin: float,
 ) -> JointTrajectory:
     """Default trajectory with no human: smooth and obstacle-clearing.
 
@@ -132,9 +130,7 @@ def nominal_trajectory(
     ctx = CostContext(chain=chain, goal_config=np.asarray(goal, dtype=float))
     weights = CostWeights(alpha_smooth=smooth_weight)
     extra = obstacle_penalty(obstacles, obstacle_weight, margin)
-    if opts is None:
-        opts = OptimizerOptions(max_iters=300, grad_tol=1e-3, step_init=0.05)
-    return optimize(ctx, weights, init, opts, extra_cost=extra).trajectory
+    return optimize(ctx, weights, init, NOMINAL_OPTIONS, extra_cost=extra).trajectory
 
 
 def _human_tracks(human: HumanTrajectory) -> tuple[Array, float]:
@@ -166,7 +162,7 @@ def speed_adjusted_execute(
     chain: ChainSpec,
     nominal: JointTrajectory,
     human_truth: HumanTrajectory,
-    p: SpeedAdjustParams = SpeedAdjustParams(),
+    p: SpeedAdjustParams,
 ) -> ExecutionTrace:
     """Follow the nominal path, scaling progress by human separation.
 
@@ -174,12 +170,12 @@ def speed_adjusted_execute(
     lies on the nominal polyline.  Progress per control tick is scaled
     by ``s(d) = clamp((d - d_stop) / (d_slow - d_stop), 0, 1)`` with d
     the current minimum human-robot separation (ground truth; this is a
-    sensor-driven method).  Returns ``completed=False`` if the timeout
-    elapses before the path end; the human pose is held at its last
-    sample beyond the recorded horizon.
+    sensor-driven method).  Returns ``completed=False`` if
+    ``timeout_factor * nominal.duration`` elapses before the path end;
+    the human pose is held at its last sample beyond the recorded horizon.
     """
     D = nominal.duration
-    timeout = 3.0 * D if p.timeout is None else p.timeout
+    timeout = p.timeout_factor * D
     dtick = 1.0 / p.control_rate
     tracks, rate = _human_tracks(human_truth)
     waypoints = nominal.waypoints
@@ -218,33 +214,20 @@ def speed_adjusted_execute(
             u += advance
             t += dtick
 
-    speeds_arr = np.asarray(speeds)
-    stop_events = []
-    run_start = None
-    for k, s in enumerate(speeds_arr):
-        if s == 0.0 and run_start is None:
-            run_start = times[k]
-        elif s > 0.0 and run_start is not None:
-            stop_events.append((run_start, times[k] - run_start))
-            run_start = None
-    if run_start is not None:
-        stop_events.append((run_start, times[-1] - run_start))
-
     return ExecutionTrace(
         timestamps=np.asarray(times),
         configs=np.asarray(configs),
         completed=completed,
-        stop_events=stop_events,
         min_separation=np.asarray(seps),
-        speed_scale=speeds_arr,
+        speed_scale=np.asarray(speeds),
     )
 
 
 def legible_optimize(
     ctx: CostContext,
     init: JointTrajectory,
-    opts: OptimizerOptions = OptimizerOptions(),
-    alpha: float = 1.0,
+    opts: OptimizerOptions,
+    alpha: float,
 ) -> OptResult:
     """Optimize legibility alone (plus a small smoothness regularizer)."""
     w = CostWeights(alpha_legibility=alpha, alpha_smooth=TAU_S_RATIO * alpha)
@@ -254,53 +237,20 @@ def legible_optimize(
 def distvis_optimize(
     ctx: CostContext,
     init: JointTrajectory,
-    opts: OptimizerOptions = OptimizerOptions(),
-    alpha_dist: float = 1.0,
-    alpha_vis: float = 1.0,
-    tau_n: float | None = None,
+    opts: OptimizerOptions,
+    alpha_dist: float,
+    alpha_vis: float,
+    tau_n: float,
 ) -> OptResult:
     """Optimize separation and visibility with no uncertainty model.
 
     The prediction covariance is replaced by the identity (the source
-    method is deterministic); a small nominal-anchor weight keeps the
-    problem well-posed.
+    method is deterministic); a small nominal-anchor weight ``tau_n``
+    keeps the problem well-posed.
     """
     if ctx.prediction is None:
         raise ContractViolation("distance+visibility baseline needs a prediction")
-    if tau_n is None:
-        tau_n = TAU_N_RATIO * max(alpha_dist, alpha_vis)
     flat_ctx = replace(ctx, prediction=ctx.prediction.with_isotropic_covariance())
     w = CostWeights(alpha_dist=alpha_dist, alpha_vis=alpha_vis, alpha_nominal=tau_n)
     return optimize(flat_ctx, w, init, opts)
 
-
-def save_trace(trace: ExecutionTrace, path: str | Path) -> None:
-    """Write a trace as CSV: time, joints, min_separation, speed_scale."""
-    n = trace.configs.shape[1]
-    header = (
-        "time," + ",".join(f"q{j}" for j in range(n)) + ",min_separation,speed_scale"
-    )
-    lines = [f"# completed={trace.completed}", header]
-    sep = trace.min_separation if trace.min_separation is not None else np.full(len(trace.timestamps), np.nan)
-    spd = trace.speed_scale if trace.speed_scale is not None else np.full(len(trace.timestamps), np.nan)
-    for k in range(trace.timestamps.shape[0]):
-        row = [repr(float(trace.timestamps[k]))]
-        row += [repr(float(v)) for v in trace.configs[k]]
-        row += [repr(float(sep[k])), repr(float(spd[k]))]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_trace(path: str | Path) -> ExecutionTrace:
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith("# completed="):
-        raise ContractViolation(f"{path}: missing '# completed=' header")
-    completed = lines[0].split("=", 1)[1] == "True"
-    data = float_rows(path, lines, header=1)
-    return ExecutionTrace(
-        timestamps=data[:, 0],
-        configs=data[:, 1:-2],
-        completed=completed,
-        min_separation=data[:, -2],
-        speed_scale=data[:, -1],
-    )

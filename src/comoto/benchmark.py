@@ -58,9 +58,10 @@ class RunConfig:
 
     The packaged ``default_config.yaml`` holds every default.  Leaves keep
     their names as fields, except ``weights.<method>.<key>``, which
-    becomes ``<method>_<key>``; the ``optimizer``, ``prediction`` and
-    ``weights.comoto`` sections become ``OptimizerOptions``,
-    ``PredictorOptions`` and ``comoto_weights``.
+    becomes ``<method>_<key>``; the ``optimizer``, ``speed_adjust``,
+    ``prediction`` and ``weights.comoto`` sections become
+    ``OptimizerOptions``, ``SpeedAdjustParams``, ``PredictorOptions`` and
+    ``comoto_weights``.
     """
 
     families: tuple
@@ -74,10 +75,7 @@ class RunConfig:
     nominal_obstacle_weight: float
     nominal_margin: float
     optimizer: OptimizerOptions
-    d_stop: float
-    d_slow: float
-    control_rate: float
-    timeout_factor: float
+    speed_adjust: SpeedAdjustParams
     separation_threshold: float
     fov_deg: float
     eps_m: float
@@ -100,16 +98,13 @@ class RunConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ContractViolation(f"{name} must be finite and non-negative, got {value!r}")
-        if not self.d_stop < self.d_slow:
-            raise ContractViolation(f"need d_stop < d_slow, got {self.d_stop!r} and {self.d_slow!r}")
         if not 0 < self.fov_deg <= 360:
             raise ContractViolation(f"fov_deg must be in (0, 360], got {self.fov_deg!r}")
 
 
 # Zero legible_alpha or nominal_smooth_weight would leave their method no cost term.
 _POSITIVE_FIELDS = (
-    "legible_alpha", "nominal_smooth_weight", "d_stop", "d_slow", "control_rate", "timeout_factor",
-    "separation_threshold", "eps_m", "sigma_floor",
+    "legible_alpha", "nominal_smooth_weight", "separation_threshold", "eps_m", "sigma_floor",
 )
 _NON_NEGATIVE_FIELDS = (
     "distvis_alpha_dist", "distvis_alpha_vis", "distvis_tau_n", "nominal_obstacle_weight",
@@ -164,7 +159,7 @@ def config_from_dict(data: dict | None) -> RunConfig:
             for key, value in weights[method].items()
         },
         optimizer=OptimizerOptions(**c["optimizer"]),
-        **c["speed_adjust"],
+        speed_adjust=SpeedAdjustParams(**c["speed_adjust"]),
         **c["metrics"],
         **c["costs"],
         prediction=PredictorOptions(**c["prediction"]),
@@ -187,7 +182,6 @@ class ScenarioBundle:
     ctx: CostContext
     nominal: object
     goals: GoalSet
-    speed_params: SpeedAdjustParams
 
 
 def prepare_scenario(sc: Scenario, cfg: RunConfig) -> ScenarioBundle:
@@ -220,15 +214,7 @@ def prepare_scenario(sc: Scenario, cfg: RunConfig) -> ScenarioBundle:
         sigma_floor=cfg.sigma_floor,
     )
     goals = GoalSet(true_goal=sc.goal_point, distractors=(sc.human_object,))
-    speed_params = SpeedAdjustParams(
-        d_stop=cfg.d_stop,
-        d_slow=cfg.d_slow,
-        control_rate=cfg.control_rate,
-        timeout=cfg.timeout_factor * nominal.duration,
-    )
-    return ScenarioBundle(
-        scenario=sc, truth=truth, ctx=ctx, nominal=nominal, goals=goals, speed_params=speed_params
-    )
+    return ScenarioBundle(scenario=sc, truth=truth, ctx=ctx, nominal=nominal, goals=goals)
 
 
 def run_method(name: str, bundle: ScenarioBundle, cfg: RunConfig):
@@ -237,7 +223,7 @@ def run_method(name: str, bundle: ScenarioBundle, cfg: RunConfig):
         return bundle.nominal, True
     if name == "Speed-Adj":
         trace = speed_adjusted_execute(
-            bundle.scenario.chain, bundle.nominal, bundle.truth, bundle.speed_params
+            bundle.scenario.chain, bundle.nominal, bundle.truth, cfg.speed_adjust
         )
         return trace, True
     if name == "Legible":

@@ -4,7 +4,7 @@ Subcommands
 -----------
 gen    write scenario YAML files for a family and seed list
 run    full benchmark (all families, seeds, methods) with report emission
-eval   compute metrics for an existing trajectory or execution-trace file
+eval   compute metrics for an existing joint-trajectory file
 solve  single CoMOTO solve for one scenario, optionally with iteration trace
 
 Output directory precedence: ``--out`` flag, then the ``COMOTO_OUT_DIR``
@@ -22,7 +22,6 @@ import sys
 import time
 from pathlib import Path
 
-from .baselines import load_trace
 from .benchmark import (
     METHODS,
     load_config,
@@ -80,10 +79,9 @@ def build_parser() -> _Parser:
     )
     run.add_argument("--verbose", action="store_true")
 
-    ev = sub.add_parser("eval", help="metrics for an existing trajectory or trace")
+    ev = sub.add_parser("eval", help="metrics for an existing trajectory")
     ev.add_argument("--scenario", required=True, help="scenario YAML written by gen")
-    ev.add_argument("--trajectory", default=None, help="joint-trajectory CSV")
-    ev.add_argument("--trace", default=None, help="execution-trace CSV")
+    ev.add_argument("--trajectory", required=True, help="joint-trajectory CSV")
     ev.add_argument("--config", default=None)
 
     solve = sub.add_parser("solve", help="single CoMOTO solve for one scenario")
@@ -130,18 +128,10 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _planned_from_args(args):
-    if (args.trajectory is None) == (args.trace is None):
-        raise UsageError("eval requires exactly one of --trajectory or --trace")
-    if args.trajectory is not None:
-        return load_trajectory(args.trajectory)
-    return load_trace(args.trace)
-
-
 def _cmd_eval(args) -> int:
     cfg = load_config(args.config)
     sc = load_scenario(args.scenario)
-    planned = _planned_from_args(args)
+    planned = load_trajectory(args.trajectory)
     bundle = prepare_scenario(sc, cfg)
     report = evaluate_run(
         sc.chain,

@@ -26,13 +26,14 @@ def read_yaml(path):
         raise ContractViolation(f"{path} is not valid YAML: {exc}") from None
 
 
-def float_rows(path: str | Path, lines: list[str], header: int) -> np.ndarray:
-    """The non-blank lines after ``lines[header]`` as floats, one column per header field."""
-    if len(lines) <= header:
+def float_rows(path: str | Path) -> np.ndarray:
+    """A CSV file's non-blank lines after its header as floats, one column per header field."""
+    lines = Path(path).read_text().splitlines()
+    if not lines:
         raise ContractViolation(f"{path} has no header line")
-    width = len(lines[header].split(","))
+    width = len(lines[0].split(","))
     rows = []
-    for number, line in enumerate(lines[header + 1 :], start=header + 2):
+    for number, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         cells = line.split(",")

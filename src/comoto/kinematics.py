@@ -341,7 +341,7 @@ def save_trajectory(traj: JointTrajectory, path: str | Path) -> None:
 
 
 def load_trajectory(path: str | Path) -> JointTrajectory:
-    rows = float_rows(path, Path(path).read_text().splitlines(), header=0)
+    rows = float_rows(path)
     if rows.shape[0] < 3:
         raise ContractViolation(f"trajectory file {path} has fewer than 3 waypoints")
     times, waypoints = rows[:, 0], rows[:, 1:]

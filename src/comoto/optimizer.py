@@ -3,9 +3,10 @@
 The goal constraint is enforced by construction: the first and last
 waypoints are excluded from the decision variables, so the returned
 trajectory's endpoints are bit-identical to the inputs.  Steps use
-backtracking line search (Armijo condition) with a persistent step size
-that shrinks on rejection and grows on acceptance; joint limits are
-enforced by clamping after each trial step.
+backtracking line search (Armijo condition, ``ARMIJO_C``) with a
+persistent step size that shrinks by ``STEP_SHRINK`` on rejection, down
+to ``MIN_STEP``, and grows by ``STEP_GROW`` on acceptance; joint limits
+are enforced by clamping after each trial step.
 
 Each iterate is evaluated once.  A line-search trial is an
 ``ObjectivePass`` over the positively weighted terms; the accepted
@@ -29,36 +30,37 @@ from .kinematics import JointTrajectory
 
 Array = np.ndarray
 
+#: Line-search step factor after a rejected trial.
+STEP_SHRINK = 0.5
+#: Step factor after an accepted iterate.
+STEP_GROW = 1.4
+#: Sufficient-decrease fraction of the Armijo condition.
+ARMIJO_C = 1e-4
+#: The line search gives up below this step.
+MIN_STEP = 1e-14
+
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Descent-loop knobs.
+    """Descent-loop settings: the ``optimizer`` section of the run config.
 
     ``fd_check`` verifies the analytic gradient against central finite
     differences at the initial point before optimizing.
     """
 
-    max_iters: int = 500
-    grad_tol: float = 1e-4
-    step_init: float = 0.05
-    step_shrink: float = 0.5
-    step_grow: float = 1.4
-    armijo_c: float = 1e-4
-    min_step: float = 1e-14
+    max_iters: int
+    grad_tol: float
+    step_init: float
     fd_check: bool = False
     verbose: bool = False
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ContractViolation("max_iters must be at least 1")
-        for name in ("grad_tol", "step_init", "min_step"):
+        for name in ("grad_tol", "step_init"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ContractViolation(f"{name} must be finite and positive, got {value!r}")
-        if not (0 < self.step_shrink < 1 < self.step_grow < math.inf):
-            raise ContractViolation("need 0 < step_shrink < 1 < step_grow < inf")
-        if not 0 < self.armijo_c < 1:
-            raise ContractViolation(f"need 0 < armijo_c < 1, got {self.armijo_c!r}")
 
 
 @dataclass
@@ -66,7 +68,7 @@ class OptResult:
     """Outcome of one solve.
 
     ``stop_reason`` is ``"grad_tol"`` (converged), ``"max_iters"`` (the
-    iteration cap) or ``"line_search"`` (no step down to ``min_step``
+    iteration cap) or ``"line_search"`` (no step down to ``MIN_STEP``
     satisfied the Armijo condition).  ``value_evals`` counts the value
     passes (line-search trials and the finite-difference check);
     ``grad_evals`` counts the gradients, one at the initial point and one
@@ -119,7 +121,7 @@ def optimize(
     ctx: CostContext,
     w: CostWeights,
     init: JointTrajectory,
-    opts: OptimizerOptions = OptimizerOptions(),
+    opts: OptimizerOptions,
     extra_cost=None,
 ) -> OptResult:
     """Minimize the weighted objective over the interior waypoints.
@@ -177,15 +179,15 @@ def optimize(
             break
         iterations += 1
         accepted = False
-        while step >= opts.min_step:
+        while step >= MIN_STEP:
             q_new = q.copy()
             q_new[1:-1] = np.clip(q[1:-1] - step * g, lo, hi)
             delta = q_new[1:-1] - q[1:-1]
             trial = value_pass(q_new)
-            if trial.total <= total + opts.armijo_c * float(np.sum(g * delta)):
+            if trial.total <= total + ARMIJO_C * float(np.sum(g * delta)):
                 accepted = True
                 break
-            step *= opts.step_shrink
+            step *= STEP_SHRINK
         if not accepted:
             stop_reason = "line_search"  # keep the best-so-far iterate
             break
@@ -194,7 +196,7 @@ def optimize(
         if opts.verbose:
             entry = {"iteration": iterations, "total": total, "step": step}
             trace.append({**entry, **current.per_cost})
-        step *= opts.step_grow
+        step *= STEP_GROW
 
     final_report = current.report()
     trajectory = JointTrajectory(q, dt, init.t0)

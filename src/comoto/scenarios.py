@@ -286,4 +286,8 @@ def save_scenario(sc: Scenario, path: str | Path) -> None:
 
 
 def load_scenario(path: str | Path, chain: ChainSpec | None = None) -> Scenario:
-    return scenario_from_dict(read_yaml(Path(path)), chain)
+    data = read_yaml(Path(path))
+    try:
+        return scenario_from_dict(data, chain)
+    except ContractViolation as exc:
+        raise ContractViolation(f"{path}: {exc}") from None

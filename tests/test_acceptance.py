@@ -186,10 +186,10 @@ def test_criterion_6_speed_adjust_completion(benchmark_run, planned_capture):
         trace = outputs["Speed-Adj"]
         palm_final = bundle.truth.samples["right_palm"][-1]
         gap = float(np.linalg.norm(sc.goal_point - palm_final))
-        if family == "reaching_near" and gap <= cfg.d_stop:
+        if family == "reaching_near" and gap <= cfg.speed_adjust.d_stop:
             ok = ok and not trace.completed
             n_blocked += 1
-        if float(np.min(trace.min_separation)) >= cfg.d_slow:
+        if float(np.min(trace.min_separation)) >= cfg.speed_adjust.d_slow:
             ok = ok and trace.completed and bool(np.all(trace.speed_scale == 1.0))
             n_full_speed += 1
     ok = ok and n_blocked >= 1 and n_full_speed >= 1

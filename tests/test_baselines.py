@@ -4,6 +4,7 @@ optimization baselines."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,11 +17,9 @@ from comoto.baselines import (
     SpeedAdjustParams,
     distvis_optimize,
     legible_optimize,
-    load_trace,
     min_separation,
     nominal_trajectory,
     obstacle_penalty,
-    save_trace,
     speed_adjusted_execute,
 )
 from comoto.errors import ContractViolation
@@ -31,6 +30,8 @@ from comoto.kinematics import (
     fk_points_batch,
 )
 from comoto.optimizer import OptimizerOptions, straightline_joint_init
+
+SPEED = SpeedAdjustParams(d_stop=0.06, d_slow=0.20, control_rate=100.0, timeout_factor=3.0)
 
 
 def constant_human(position, duration=10.0, rate=100.0) -> HumanTrajectory:
@@ -46,7 +47,10 @@ def stationary_nominal(config, n=4, dt=0.1) -> JointTrajectory:
 def test_nominal_without_obstacles_is_straight_line(arm):
     start = np.array([0.0, 0.6, 0.0, -1.1, 0.0, 0.8, 0.0])
     goal = np.array([0.4, 0.8, -0.2, -0.8, 0.1, 1.0, 0.3])
-    nom = nominal_trajectory(arm, start, goal, obstacles=(), n_waypoints=12, dt=0.1)
+    nom = nominal_trajectory(
+        arm, start, goal, (), n_waypoints=12, dt=0.1, t0=0.0,
+        smooth_weight=1e-3, obstacle_weight=200.0, margin=0.05,
+    )
     line = straightline_joint_init(start, goal, 12, 0.1)
     assert np.array_equal(nom.waypoints, line.waypoints)
 
@@ -58,7 +62,8 @@ def test_nominal_clears_sphere_on_path(arm):
     center = fk_points_batch(arm, line.waypoints)[10, -1]  # on the straight path
     radius, margin = 0.06, 0.05
     nom = nominal_trajectory(
-        arm, start, goal, obstacles=((center, radius),), n_waypoints=20, dt=0.1, margin=margin
+        arm, start, goal, ((center, radius),), n_waypoints=20, dt=0.1, t0=0.0,
+        smooth_weight=1e-3, obstacle_weight=200.0, margin=margin,
     )
     dist = np.linalg.norm(fk_points_batch(arm, nom.waypoints) - center, axis=2)
     assert np.min(dist) >= radius + margin / 2.0
@@ -102,56 +107,53 @@ def test_min_separation_hand_value(planar2):
 
 def test_speed_adjust_full_speed_far_human(planar2):
     nominal = straightline_joint_init(np.array([0.0, 0.0]), np.array([0.4, 0.2]), 4, 0.1)
-    trace = speed_adjusted_execute(planar2, nominal, constant_human([1.0, 5.0, 0.0]))
+    trace = speed_adjusted_execute(planar2, nominal, constant_human([1.0, 5.0, 0.0]), SPEED)
     assert trace.completed
     assert np.all(trace.speed_scale == 1.0)
     assert trace.duration == pytest.approx(nominal.duration, abs=1e-9)
     assert np.array_equal(trace.configs[0], nominal.waypoints[0])
     assert np.allclose(trace.configs[-1], nominal.waypoints[-1], atol=1e-12)
     assert np.all(trace.min_separation >= 5.0 - 2.5)
-    assert trace.stop_events == []
 
 
 def test_speed_adjust_half_speed_doubles_duration(planar2):
     # hold the arm still so the separation stays exactly halfway between
     # d_stop and d_slow: progress scale is 0.5 the whole way
-    p = SpeedAdjustParams(d_stop=0.06, d_slow=0.20, control_rate=100.0)
     nominal = stationary_nominal([0.0, 0.0], n=4, dt=0.1)
-    trace = speed_adjusted_execute(planar2, nominal, constant_human([1.0, 0.13, 0.0]), p)
+    trace = speed_adjusted_execute(planar2, nominal, constant_human([1.0, 0.13, 0.0]), SPEED)
     assert trace.completed
     assert np.all(np.abs(trace.speed_scale - 0.5) <= 1e-12)
     assert trace.duration == pytest.approx(2.0 * nominal.duration, abs=1e-9)
 
 
 def test_speed_adjust_stops_and_times_out(planar2):
-    p = SpeedAdjustParams(d_stop=0.06, d_slow=0.20, control_rate=100.0)
     nominal = straightline_joint_init(np.array([0.0, 0.0]), np.array([0.4, 0.2]), 4, 0.1)
-    trace = speed_adjusted_execute(planar2, nominal, constant_human([1.0, 0.03, 0.0]), p)
+    trace = speed_adjusted_execute(planar2, nominal, constant_human([1.0, 0.03, 0.0]), SPEED)
     assert not trace.completed
+    # one stop from the first tick to the timeout
+    assert trace.timestamps[0] == nominal.t0
     assert np.all(trace.speed_scale == 0.0)
     assert np.all(trace.configs == trace.configs[0])
     assert trace.duration == pytest.approx(3.0 * nominal.duration, abs=1e-9)
-    assert len(trace.stop_events) == 1
-    t_start, t_len = trace.stop_events[0]
-    assert t_start == pytest.approx(nominal.t0, abs=1e-12)
-    assert t_len == pytest.approx(trace.duration, abs=1e-9)
 
 
 def test_speed_adjust_explicit_timeout(planar2):
-    p = SpeedAdjustParams(d_stop=0.06, d_slow=0.20, control_rate=100.0, timeout=0.25)
+    p = dataclasses.replace(SPEED, timeout_factor=0.5)
     nominal = straightline_joint_init(np.array([0.0, 0.0]), np.array([0.4, 0.2]), 4, 0.1)
     trace = speed_adjusted_execute(planar2, nominal, constant_human([1.0, 0.03, 0.0]), p)
     assert not trace.completed
-    assert trace.duration == pytest.approx(0.25, abs=1e-9)
+    assert trace.duration == pytest.approx(0.5 * nominal.duration, abs=1e-9)
 
 
 def test_speed_adjust_params_validation():
+    with pytest.raises(TypeError):
+        SpeedAdjustParams()  # no defaults: the run config's speed_adjust section sets them
     with pytest.raises(ContractViolation):
-        SpeedAdjustParams(d_stop=0.3, d_slow=0.2)
+        dataclasses.replace(SPEED, d_stop=0.3, d_slow=0.2)
     with pytest.raises(ContractViolation):
-        SpeedAdjustParams(d_stop=0.0, d_slow=0.2)
+        dataclasses.replace(SPEED, d_stop=0.0)
     with pytest.raises(ContractViolation):
-        SpeedAdjustParams(control_rate=0.0)
+        dataclasses.replace(SPEED, control_rate=0.0)
 
 
 @pytest.mark.parametrize(
@@ -161,15 +163,16 @@ def test_speed_adjust_params_validation():
         ("d_stop", math.nan),
         ("control_rate", math.inf),  # a zero control tick: the executor would never advance
         ("control_rate", math.nan),
-        ("timeout", -1.0),
-        ("timeout", 0.0),
-        ("timeout", math.inf),
-        ("timeout", math.nan),
+        ("timeout_factor", -1.0),
+        ("timeout_factor", 0.0),
+        ("timeout_factor", math.inf),
+        ("timeout_factor", math.nan),
     ],
 )
 def test_speed_adjust_params_reject_non_finite_and_out_of_range(field, value):
-    with pytest.raises(ContractViolation):
-        SpeedAdjustParams(**{field: value})
+    with pytest.raises(ContractViolation) as excinfo:
+        dataclasses.replace(SPEED, **{field: value})
+    assert field in str(excinfo.value)
 
 
 def test_execution_trace_validation_and_interpolation():
@@ -189,24 +192,6 @@ def test_execution_trace_validation_and_interpolation():
     assert np.allclose(held, [[0.0, 0.0], [2.0, 4.0]], atol=1e-12)
 
 
-def test_trace_csv_round_trip(tmp_path, planar2):
-    nominal = straightline_joint_init(np.array([0.0, 0.0]), np.array([0.4, 0.2]), 4, 0.1)
-    for human, name in ((constant_human([1.0, 5.0, 0.0]), "done"), (constant_human([1.0, 0.03, 0.0]), "stuck")):
-        trace = speed_adjusted_execute(planar2, nominal, human)
-        path = tmp_path / f"{name}.csv"
-        save_trace(trace, path)
-        back = load_trace(path)
-        assert back.completed == trace.completed
-        assert np.array_equal(back.timestamps, trace.timestamps)
-        assert np.array_equal(back.configs, trace.configs)
-        assert np.array_equal(back.min_separation, trace.min_separation)
-        assert np.array_equal(back.speed_scale, trace.speed_scale)
-    bad = tmp_path / "bad.csv"
-    bad.write_text("time,q0\n0.0,0.0\n")
-    with pytest.raises(ContractViolation):
-        load_trace(bad)
-
-
 def test_legible_optimize_improves_legibility(arm):
     traj, ctx = build_problem(arm, seed=31, n_waypoints=10)
     init = JointTrajectory(traj.waypoints.copy(), traj.dt)
@@ -224,7 +209,7 @@ def test_distvis_ignores_the_uncertainty_model(arm):
     traj, ctx = build_problem(arm, seed=32, n_waypoints=8)
     init = JointTrajectory(traj.waypoints.copy(), traj.dt)
     opts = OptimizerOptions(max_iters=60, grad_tol=1e-8, step_init=0.02)
-    a = distvis_optimize(ctx, init, opts, alpha_dist=0.05, alpha_vis=0.2)
+    a = distvis_optimize(ctx, init, opts, alpha_dist=0.05, alpha_vis=0.2, tau_n=0.002)
     from comoto.costs import CostContext
 
     scaled = CostContext(
@@ -235,7 +220,7 @@ def test_distvis_ignores_the_uncertainty_model(arm):
         object_pos=ctx.object_pos,
     )
     b = distvis_optimize(scaled, JointTrajectory(traj.waypoints.copy(), traj.dt), opts,
-                         alpha_dist=0.05, alpha_vis=0.2)
+                         alpha_dist=0.05, alpha_vis=0.2, tau_n=0.002)
     assert np.array_equal(a.trajectory.waypoints, b.trajectory.waypoints)
     assert a.final_report.total == b.final_report.total
 
@@ -245,5 +230,6 @@ def test_distvis_requires_prediction(arm):
 
     nominal = straightline_joint_init(np.zeros(7), np.ones(7) * 0.2, 5, 0.1)
     ctx = CostContext(chain=arm, goal_config=np.ones(7) * 0.2, nominal=nominal)
+    opts = OptimizerOptions(max_iters=10, grad_tol=1e-8, step_init=0.02)
     with pytest.raises(ContractViolation):
-        distvis_optimize(ctx, nominal)
+        distvis_optimize(ctx, nominal, opts, 0.05, 0.2, 0.5)

@@ -151,8 +151,8 @@ def test_config_file_round_trip(tmp_path):
     path = tmp_path / "override.yaml"
     path.write_text(yaml.safe_dump({"speed_adjust": {"d_slow": 0.42}}))
     cfg = load_config(path)
-    assert cfg.d_slow == 0.42
-    assert cfg.d_stop == load_config().d_stop
+    assert cfg.speed_adjust.d_slow == 0.42
+    assert cfg.speed_adjust.d_stop == load_config().speed_adjust.d_stop
 
 
 def test_default_config_dict_is_complete():
@@ -183,10 +183,12 @@ def test_prepare_scenario_shares_consistent_inputs(arm):
     assert bundle.ctx.prediction.horizon == sc.n_waypoints
     assert np.array_equal(bundle.goals.true_goal, sc.goal_point)
     assert np.array_equal(bundle.goals.distractors[0], sc.human_object)
-    assert bundle.speed_params.timeout == pytest.approx(
-        cfg.timeout_factor * bundle.nominal.duration
-    )
     assert bundle.truth.duration >= sc.observation + sc.horizon
+    # a robot that may never move runs until timeout_factor x the nominal duration
+    frozen = dataclasses.replace(cfg.speed_adjust, d_stop=5.0, d_slow=6.0)
+    trace, _ = run_method("Speed-Adj", bundle, dataclasses.replace(cfg, speed_adjust=frozen))
+    assert not trace.completed
+    assert trace.duration == pytest.approx(frozen.timeout_factor * bundle.nominal.duration)
 
 
 def test_tiny_benchmark_rows(arm):

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 import yaml
 
-from comoto.baselines import ExecutionTrace, save_trace
 from comoto.benchmark import load_config
 from comoto.cli import main
 from comoto.kinematics import load_trajectory, save_trajectory
@@ -105,28 +104,10 @@ def test_eval_trajectory(tmp_path, scenario_path, capsys):
     assert 0.0 <= report["dst_pct"] <= 100.0
 
 
-def test_eval_trace(tmp_path, scenario_path, capsys):
-    sc = load_scenario(scenario_path)
-    traj = straightline_joint_init(sc.robot_start, sc.robot_goal, sc.n_waypoints, sc.dt, sc.robot_t0)
-    trace = ExecutionTrace(timestamps=traj.times, configs=traj.waypoints, completed=False)
-    trace_path = tmp_path / "trace.csv"
-    save_trace(trace, trace_path)
-    code = main(["eval", "--scenario", str(scenario_path), "--trace", str(trace_path)])
-    assert code == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["completed"] is False
-
-
-def test_eval_requires_exactly_one_input(scenario_path, tmp_path, capsys):
+def test_eval_requires_exactly_one_input(scenario_path, capsys):
+    # --trajectory is required
     assert main(["eval", "--scenario", str(scenario_path)]) == 1
-    traj_path = tmp_path / "t.csv"
-    save_trajectory(straightline_joint_init(np.zeros(7), np.zeros(7), 3, 0.1), traj_path)
-    code = main(
-        ["eval", "--scenario", str(scenario_path), "--trajectory", str(traj_path),
-         "--trace", str(traj_path)]
-    )
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+    assert "--trajectory" in capsys.readouterr().err
 
 
 def test_solve_writes_trajectory(tmp_path, tiny_config_path, scenario_path, capsys):
@@ -211,6 +192,7 @@ def test_malformed_scenario_exits_one(tmp_path, scenario_path, capsys, command, 
     assert main([command, "--scenario", str(bad), *extra]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "runtime error" not in err
+    assert str(bad) in err
     assert expected in err
 
 
@@ -219,26 +201,19 @@ def _not_a_number(line):
 
 
 @pytest.mark.parametrize(
-    "flag, edit",
-    [
-        ("--trajectory", _not_a_number),
-        ("--trajectory", lambda line: line.rsplit(",", 1)[0]),
-        ("--trace", _not_a_number),
-    ],
-    ids=["trajectory-non-numeric", "trajectory-short-row", "trace-non-numeric"],
+    "edit",
+    [_not_a_number, lambda line: line.rsplit(",", 1)[0]],
+    ids=["trajectory-non-numeric", "trajectory-short-row"],
 )
-def test_malformed_csv_exits_one(tmp_path, scenario_path, capsys, flag, edit):
+def test_malformed_csv_exits_one(tmp_path, scenario_path, capsys, edit):
     sc = load_scenario(scenario_path)
     traj = straightline_joint_init(sc.robot_start, sc.robot_goal, sc.n_waypoints, sc.dt, sc.robot_t0)
     bad = tmp_path / "bad.csv"
-    if flag == "--trace":
-        save_trace(ExecutionTrace(timestamps=traj.times, configs=traj.waypoints, completed=True), bad)
-    else:
-        save_trajectory(traj, bad)
+    save_trajectory(traj, bad)
     lines = bad.read_text().splitlines()
-    lines[2] = edit(lines[2])  # the first data row of a trace, the second of a trajectory
+    lines[2] = edit(lines[2])  # the trajectory's second data row
     bad.write_text("\n".join(lines) + "\n")
-    assert main(["eval", "--scenario", str(scenario_path), flag, str(bad)]) == 1
+    assert main(["eval", "--scenario", str(scenario_path), "--trajectory", str(bad)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {bad}, line 3:")
 
 

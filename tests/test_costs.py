@@ -10,7 +10,7 @@ import pytest
 
 from conftest import planar_chain
 
-from comoto.baselines import TAU_N_RATIO, TAU_S_RATIO, obstacle_penalty
+from comoto.baselines import TAU_S_RATIO, obstacle_penalty
 from comoto.costs import (
     COST_NAMES,
     CostContext,
@@ -249,14 +249,14 @@ def method_weightings(arm, traj, ctx):
         ),
         "distvis": (
             ctx,
-            CostWeights(alpha_dist=0.05, alpha_vis=0.2, alpha_nominal=TAU_N_RATIO * 0.2),
+            CostWeights(alpha_dist=0.05, alpha_vis=0.2, alpha_nominal=0.5),
             None,
         ),
         "comoto": (ctx, COMBINED_WEIGHTS, None),
         "nominal": (
             nominal_ctx,
             CostWeights(alpha_smooth=1e-3),
-            obstacle_penalty([(obstacle, 0.1)], 200.0),
+            obstacle_penalty([(obstacle, 0.1)], 200.0, 0.05),
         ),
     }
 

@@ -3,6 +3,7 @@ convergence bookkeeping, and the built-in gradient self-check."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,9 @@ from comoto.costs import CostContext, CostWeights, ObjectivePass, evaluate_objec
 from comoto.errors import ContractViolation, GradientCheckError
 from comoto.kinematics import JointTrajectory
 from comoto.optimizer import OptimizerOptions, optimize, straightline_joint_init
+
+
+VALID_OPTIONS = OptimizerOptions(max_iters=500, grad_tol=1e-4, step_init=0.05)
 
 
 def perturbed_line(chain, start, goal, n, dt, seed, scale=0.3):
@@ -59,7 +63,8 @@ def test_zero_gradient_start_returns_immediately(arm):
     goal = start + 0.3
     nominal = straightline_joint_init(start, goal, 8, 0.1)
     ctx = CostContext(chain=arm, goal_config=goal, nominal=nominal)
-    result = optimize(ctx, CostWeights(alpha_nominal=1.0), nominal.copy(), OptimizerOptions())
+    opts = OptimizerOptions(max_iters=500, grad_tol=1e-4, step_init=0.05)
+    result = optimize(ctx, CostWeights(alpha_nominal=1.0), nominal.copy(), opts)
     assert result.converged
     assert result.iterations == 0
     assert np.array_equal(result.trajectory.waypoints, nominal.waypoints)
@@ -102,7 +107,7 @@ def test_init_must_end_at_goal(arm):
     bad = JointTrajectory(traj.waypoints.copy(), traj.dt)
     bad.waypoints[-1] += 1e-9
     with pytest.raises(ContractViolation):
-        optimize(ctx, COMBINED_WEIGHTS, bad)
+        optimize(ctx, COMBINED_WEIGHTS, bad, VALID_OPTIONS)
 
 
 def test_result_reports_and_gradient_shape(arm):
@@ -155,14 +160,12 @@ def test_joint_limits_respected(arm):
 
 
 def test_options_validation():
+    with pytest.raises(TypeError):
+        OptimizerOptions()  # no defaults: the run config's optimizer section sets them
     with pytest.raises(ContractViolation):
-        OptimizerOptions(max_iters=0)
+        dataclasses.replace(VALID_OPTIONS, max_iters=0)
     with pytest.raises(ContractViolation):
-        OptimizerOptions(grad_tol=0.0)
-    with pytest.raises(ContractViolation):
-        OptimizerOptions(step_shrink=1.5)
-    with pytest.raises(ContractViolation):
-        OptimizerOptions(step_grow=0.9)
+        dataclasses.replace(VALID_OPTIONS, grad_tol=0.0)
 
 
 @pytest.mark.parametrize(
@@ -172,18 +175,11 @@ def test_options_validation():
         ("grad_tol", math.inf),
         ("step_init", -1.0),
         ("step_init", math.nan),
-        ("min_step", 0.0),
-        ("min_step", math.nan),
-        ("step_shrink", math.nan),
-        ("step_grow", math.inf),
-        ("armijo_c", math.nan),
-        ("armijo_c", 0.0),
-        ("armijo_c", 1.0),
     ],
 )
 def test_options_reject_non_finite_and_out_of_range(field, value):
     with pytest.raises(ContractViolation):
-        OptimizerOptions(**{field: value})
+        dataclasses.replace(VALID_OPTIONS, **{field: value})
 
 
 def counted_optimize(monkeypatch, *args, **kwargs):
@@ -214,7 +210,7 @@ def test_stop_reason_and_evaluation_counts(arm, monkeypatch):
     init = JointTrajectory(traj.waypoints.copy(), traj.dt)
 
     capped = counted_optimize(
-        monkeypatch, ctx, COMBINED_WEIGHTS, init, OptimizerOptions(max_iters=5, grad_tol=1e-10)
+        monkeypatch, ctx, COMBINED_WEIGHTS, init, OptimizerOptions(max_iters=5, grad_tol=1e-10, step_init=0.05)
     )
     assert (capped.stop_reason, capped.converged, capped.iterations) == ("max_iters", False, 5)
     assert capped.grad_evals == 6 and capped.value_evals >= 5
@@ -224,13 +220,13 @@ def test_stop_reason_and_evaluation_counts(arm, monkeypatch):
         ctx,
         COMBINED_WEIGHTS,
         init,
-        OptimizerOptions(max_iters=2, grad_tol=1e-10, fd_check=True),
+        OptimizerOptions(max_iters=2, grad_tol=1e-10, step_init=0.05, fd_check=True),
     )
     n_free = (init.n_waypoints - 2) * init.n_joints
     assert checked.value_evals >= 2 * n_free + 2
 
     loose = counted_optimize(
-        monkeypatch, ctx, COMBINED_WEIGHTS, init, OptimizerOptions(grad_tol=1e6)
+        monkeypatch, ctx, COMBINED_WEIGHTS, init, dataclasses.replace(VALID_OPTIONS, grad_tol=1e6)
     )
     assert (loose.stop_reason, loose.converged, loose.iterations) == ("grad_tol", True, 0)
     assert (loose.value_evals, loose.grad_evals) == (0, 1)
@@ -239,7 +235,7 @@ def test_stop_reason_and_evaluation_counts(arm, monkeypatch):
         value = float(np.sum(q**2))
         return value, (-2.0 * q if with_grad else None)
 
-    opts = OptimizerOptions(max_iters=50, grad_tol=1e-10, min_step=1e-4)
+    opts = OptimizerOptions(max_iters=50, grad_tol=1e-10, step_init=0.05)
     stuck = counted_optimize(monkeypatch, ctx, CostWeights(alpha_smooth=1e-6), init, opts, uphill)
     assert (stuck.stop_reason, stuck.converged, stuck.iterations) == ("line_search", False, 1)
     assert stuck.grad_evals == 1 and stuck.value_evals > 1
@@ -261,19 +257,19 @@ def reference_optimize(ctx, w, init, opts, extra_cost=None):
         if float(np.max(np.abs(g))) < opts.grad_tol:
             break
         iterations = iteration + 1
-        while step >= opts.min_step:
+        while step >= optimizer_module.MIN_STEP:
             q_new = q.copy()
             q_new[1:-1] = np.clip(q[1:-1] - step * g, lo, hi)
             trial = evaluate_objective(q_new, dt, ctx, w, False, extra_cost)[0]
-            if trial <= total + opts.armijo_c * float(np.sum(g * (q_new[1:-1] - q[1:-1]))):
+            if trial <= total + optimizer_module.ARMIJO_C * float(np.sum(g * (q_new[1:-1] - q[1:-1]))):
                 break
-            step *= opts.step_shrink
+            step *= optimizer_module.STEP_SHRINK
         else:
             stop_reason = "line_search"
             break
         q = q_new
         current = evaluate_objective(q, dt, ctx, w, True, extra_cost)
-        step *= opts.step_grow
+        step *= optimizer_module.STEP_GROW
     if float(np.max(np.abs(current[1][1:-1]))) < opts.grad_tol:
         stop_reason = "grad_tol"
     return q, iterations, stop_reason, initial, current
