@@ -134,8 +134,16 @@ class PredictedHumanTrajectory:
             raise ContractViolation("step must be positive")
         for name, cov in self.covariances.items():
             cov = np.asarray(cov, dtype=float)
+            if not np.all(np.isfinite(cov)):
+                raise ContractViolation(f"covariance of {name} is not finite")
             if not np.allclose(cov, np.swapaxes(cov, -1, -2), atol=1e-12):
                 raise ContractViolation(f"covariance of {name} is not symmetric within 1e-12")
+            # An indefinite covariance gives negative Mahalanobis distances,
+            # which the distance cost's clamp would silently turn into 1/eps_m.
+            try:
+                np.linalg.cholesky(cov)  # one batched factorization over the horizon
+            except np.linalg.LinAlgError:
+                raise ContractViolation(f"covariance of {name} is not positive definite") from None
             self.covariances[name] = cov
         self.means = {k: np.asarray(v, dtype=float) for k, v in self.means.items()}
 

@@ -3,6 +3,7 @@ gradients against central finite differences."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -177,6 +178,47 @@ def test_cost_distance_matches_loop_oracle(arm):
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def einsum_distance_term(points, means, inv_covs, eps_m):
+    """The distance term with Sigma^-1 d as an einsum over the untransposed
+    inverse: the reference for the stacked-GEMM formulation."""
+    d = means[:, :, None, :] - points[None, :, :, :]
+    sd = np.einsum("jtab,jtpb->jtpa", inv_covs, d)
+    m = np.einsum("jtpa,jtpa->jtp", d, sd)
+    value = float(np.sum(1.0 / np.maximum(m, eps_m)))
+    coeff = np.where(m < eps_m, 0.0, 2.0 / np.maximum(m, eps_m) ** 2)
+    dval_dp = np.einsum("jtp,jtpa->tpa", coeff, sd)
+    return value, lambda jacs: np.einsum("tpan,tpa->tn", jacs, dval_dp)
+
+
+def test_distance_term_matches_einsum_reference(arm):
+    # Bit for bit on the isotropic covariances the pipeline builds
+    # (sigma^2(t) I from `predict`, I for Dist+Vis); to rounding on general
+    # SPD ones.  eps_m = 20 clamps part of the (joint, step, point) triples.
+    for seed in range(3):
+        traj, ctx = build_problem(arm, seed=seed, n_waypoints=12)
+        pred = ctx.prediction
+        points, jacs = all_point_jacobians_batch(arm, traj.waypoints)
+        sigma2 = np.maximum(0.02**2 + (0.08 * pred.times) ** 2, 0.01**2)
+        tube = PredictedHumanTrajectory(
+            means=pred.means,
+            covariances={name: sigma2[:, None, None] * np.eye(3) for name in pred.joints},
+            step=pred.step,
+        )
+        cases = [(tube, True), (pred.with_isotropic_covariance(), True), (pred, False)]
+        for (prediction, exact), eps_m in itertools.product(cases, (1e-4, 20.0)):
+            c = CostContext(arm, ctx.goal_config, prediction=prediction, eps_m=eps_m)
+            covs = np.stack([prediction.covariances[j] for j in prediction.joints])
+            inv_covs = np.linalg.inv(covs)
+            want, want_pullback = einsum_distance_term(points, c._means, inv_covs, eps_m)
+            got, pullback = _distance_term(points, c._means, c._inv_covs_t, eps_m)
+            if exact:
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                assert np.array_equal(pullback(jacs), want_pullback(jacs))
+            else:
+                assert got == pytest.approx(want, rel=1e-12)
+                assert rel_error(pullback(jacs), want_pullback(jacs)) <= 1e-12
+
+
 def test_cost_visibility_matches_loop_oracle(arm):
     traj, ctx = build_problem(arm, seed=22, n_waypoints=5)
     got = cost_visibility(traj, ctx)
@@ -292,7 +334,7 @@ def reference_gradient(q, dt, ctx, w, extra=None):
     points, jacs = all_point_jacobians_batch(ctx.chain, q)
     eef, eef_jac = points[:, -1], jacs[:, -1]
     pullbacks = {
-        "distance": lambda: _distance_term(points, ctx._means, ctx._inv_covs, ctx.eps_m)[1](jacs),
+        "distance": lambda: _distance_term(points, ctx._means, ctx._inv_covs_t, ctx.eps_m)[1](jacs),
         "visibility": lambda: _visibility_term(
             eef, ctx.prediction.means["head"], ctx._sigma_head, ctx.object_pos
         )[1](eef_jac),
@@ -405,7 +447,10 @@ def test_context_validation(arm, planar2):
     nominal = straightline_joint_init(np.zeros(2), np.ones(2), 5, 0.1)
     with pytest.raises(ContractViolation):
         CostContext(chain=planar2, goal_config=np.ones(2), prediction=pred, nominal=nominal)
-    singular = pred.with_isotropic_covariance(0.0)
+    with pytest.raises(ContractViolation, match="not positive definite"):
+        pred.with_isotropic_covariance(0.0)
+    singular = pred.with_isotropic_covariance()
+    singular.covariances["head"] = np.zeros((6, 3, 3))  # past the prediction's own check
     with pytest.raises(ContractViolation):
         CostContext(chain=planar2, goal_config=np.ones(2), prediction=singular)
     with pytest.raises(ContractViolation):

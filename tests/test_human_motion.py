@@ -216,6 +216,12 @@ def test_predicted_trajectory_validation():
         PredictedHumanTrajectory(means=means, covariances={"right_palm": skew}, step=0.1)
     with pytest.raises(ContractViolation):
         PredictedHumanTrajectory(means=means, covariances={"right_palm": eye}, step=0.0)
+    indefinite, infinite = eye * 0.01, eye.copy()
+    indefinite[2] = np.diag([0.01, 0.01, -0.01])
+    infinite[1, 0, 0] = np.inf
+    for bad, message in ((indefinite, "positive definite"), (infinite, "finite")):
+        with pytest.raises(ContractViolation, match=f"right_palm is not {message}"):
+            PredictedHumanTrajectory(means=means, covariances={"right_palm": bad}, step=0.1)
 
 
 def test_covariance_scaling_helpers():
@@ -227,6 +233,9 @@ def test_covariance_scaling_helpers():
         assert np.array_equal(doubled.means[name], pred.means[name])
         assert np.allclose(doubled.covariances[name], 2.0 * pred.covariances[name], atol=1e-15)
         assert np.allclose(flat.covariances[name], np.broadcast_to(np.eye(3), (6, 3, 3)), atol=1e-15)
+    for make_indefinite in (pred.scaled_covariance, pred.with_isotropic_covariance):
+        with pytest.raises(ContractViolation, match="not positive definite"):
+            make_indefinite(-1.0)
 
 
 def test_extrapolate_skeleton_offsets():
