@@ -83,8 +83,11 @@ class RunConfig:
     prediction: PredictorOptions
 
     def __post_init__(self):
-        if len(self.seeds) == 0 or len(set(self.seeds)) != len(self.seeds):
-            raise ContractViolation("seeds must be non-empty and distinct")
+        # An empty list gives no rows; a repeated entry duplicates its rows.
+        for name in ("families", "seeds"):
+            values = getattr(self, name)
+            if len(values) == 0 or len(set(values)) != len(values):
+                raise ContractViolation(f"{name} must be non-empty and distinct, got {values!r}")
         for fam in self.families:
             if fam not in FAMILIES:
                 raise ContractViolation(f"unknown family {fam!r}")
@@ -245,44 +248,63 @@ def run_method(name: str, bundle: ScenarioBundle, cfg: RunConfig):
     raise ContractViolation(f"unknown method {name!r}")
 
 
-def run_benchmark(cfg: RunConfig, chain=None) -> list[dict]:
-    """All (family, seed, method) rows, deterministically ordered."""
-    rows = []
+def evaluate_planned(bundle: ScenarioBundle, planned, cfg: RunConfig) -> MetricReport:
+    """The metrics of ``planned`` (a trajectory or an execution trace) in ``bundle``'s scene."""
+    sc = bundle.scenario
+    return evaluate_run(
+        sc.chain,
+        planned,
+        bundle.truth,
+        bundle.nominal,
+        bundle.goals,
+        gaze_target=sc.human_object,
+        threshold=cfg.separation_threshold,
+        fov_deg=cfg.fov_deg,
+    )
+
+
+def iter_runs(cfg: RunConfig):
+    """``(bundle, planned, row)`` per (family, seed, method), in run order.
+
+    ``planned`` is ``run_method``'s output, or ``None`` when planning or
+    evaluating raised; that row is then marked failed.
+    """
     for family in cfg.families:
-        for sc in generate_scenarios(family, cfg.seeds, chain):
+        for sc in generate_scenarios(family, cfg.seeds):
             bundle = prepare_scenario(sc, cfg)
             for method in METHODS:
                 start = time.perf_counter()
                 try:
                     planned, converged = run_method(method, bundle, cfg)
-                    report = evaluate_run(
-                        sc.chain,
-                        planned,
-                        bundle.truth,
-                        bundle.nominal,
-                        bundle.goals,
-                        gaze_target=sc.human_object,
-                        threshold=cfg.separation_threshold,
-                        fov_deg=cfg.fov_deg,
-                    )
+                    report = evaluate_planned(bundle, planned, cfg)
                     failed, wall_time = False, time.perf_counter() - start
                 except Exception:
-                    report, converged, failed, wall_time = _FAILED_REPORT, False, True, 0.0
-                rows.append(
-                    {
-                        "scenario_family": family,
-                        "seed": sc.seed,
-                        "method": method,
-                        **asdict(report),
-                        "converged": converged,
-                        "failed": failed,
-                        "wall_time": wall_time,
-                    }
-                )
+                    planned, report = None, _FAILED_REPORT
+                    converged, failed, wall_time = False, True, 0.0
+                row = {
+                    "scenario_family": family,
+                    "seed": sc.seed,
+                    "method": method,
+                    **asdict(report),
+                    "converged": converged,
+                    "failed": failed,
+                    "wall_time": wall_time,
+                }
+                yield bundle, planned, row
+
+
+def sort_rows(rows: list[dict], cfg: RunConfig) -> list[dict]:
+    """``rows`` by family (in ``cfg`` order), seed, then method (in ``METHODS`` order)."""
     order = {m: i for i, m in enumerate(METHODS)}
     fam_order = {f: i for i, f in enumerate(cfg.families)}
-    rows.sort(key=lambda r: (fam_order[r["scenario_family"]], r["seed"], order[r["method"]]))
-    return rows
+    return sorted(
+        rows, key=lambda r: (fam_order[r["scenario_family"]], r["seed"], order[r["method"]])
+    )
+
+
+def run_benchmark(cfg: RunConfig) -> list[dict]:
+    """All (family, seed, method) rows, deterministically ordered."""
+    return sort_rows([row for _, _, row in iter_runs(cfg)], cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from pathlib import Path
 
 from .benchmark import (
     METHODS,
+    evaluate_planned,
     load_config,
     prepare_scenario,
     run_benchmark,
@@ -31,7 +32,6 @@ from .benchmark import (
 )
 from .errors import ContractViolation
 from .kinematics import load_trajectory, save_trajectory
-from .metrics import evaluate_run
 from .optimizer import optimize
 from .scenarios import FAMILIES, generate_scenarios, load_scenario, save_scenario
 
@@ -132,17 +132,7 @@ def _cmd_eval(args) -> int:
     cfg = load_config(args.config)
     sc = load_scenario(args.scenario)
     planned = load_trajectory(args.trajectory)
-    bundle = prepare_scenario(sc, cfg)
-    report = evaluate_run(
-        sc.chain,
-        planned,
-        bundle.truth,
-        bundle.nominal,
-        bundle.goals,
-        gaze_target=sc.human_object,
-        threshold=cfg.separation_threshold,
-        fov_deg=cfg.fov_deg,
-    )
+    report = evaluate_planned(prepare_scenario(sc, cfg), planned, cfg)
     print(json.dumps(dataclasses.asdict(report), indent=2))
     return 0
 

@@ -126,14 +126,20 @@ class PredictedHumanTrajectory:
     def __post_init__(self):
         if set(self.means) != set(self.covariances):
             raise ContractViolation("means and covariances must cover the same joints")
-        horizons = {np.asarray(m).shape[0] for m in self.means.values()}
-        horizons |= {np.asarray(c).shape[0] for c in self.covariances.values()}
-        if len(horizons) != 1 or min(horizons) < 1:
-            raise ContractViolation("all joints must share one horizon of at least 1 step")
         if self.step <= 0:
             raise ContractViolation("step must be positive")
+        self.means = {k: np.asarray(v, dtype=float) for k, v in self.means.items()}
+        self.covariances = {k: np.asarray(v, dtype=float) for k, v in self.covariances.items()}
+        for name, mean in self.means.items():
+            cov = self.covariances[name]
+            if mean.ndim != 2 or mean.shape[1] != 3 or cov.shape != (len(mean), 3, 3):
+                raise ContractViolation(
+                    f"{name} needs (H, 3) means and (H, 3, 3) covariances, "
+                    f"got {mean.shape} and {cov.shape}"
+                )
+        if len({len(m) for m in self.means.values()}) != 1 or self.horizon < 1:
+            raise ContractViolation("all joints must share one horizon of at least 1 step")
         for name, cov in self.covariances.items():
-            cov = np.asarray(cov, dtype=float)
             if not np.all(np.isfinite(cov)):
                 raise ContractViolation(f"covariance of {name} is not finite")
             if not np.allclose(cov, np.swapaxes(cov, -1, -2), atol=1e-12):
@@ -144,8 +150,6 @@ class PredictedHumanTrajectory:
                 np.linalg.cholesky(cov)  # one batched factorization over the horizon
             except np.linalg.LinAlgError:
                 raise ContractViolation(f"covariance of {name} is not positive definite") from None
-            self.covariances[name] = cov
-        self.means = {k: np.asarray(v, dtype=float) for k, v in self.means.items()}
 
     @property
     def horizon(self) -> int:

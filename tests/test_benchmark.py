@@ -19,11 +19,13 @@ from comoto.benchmark import (
     aggregate_rows,
     config_from_dict,
     default_config_dict,
+    iter_runs,
     load_config,
     prepare_scenario,
     render_markdown,
     run_benchmark,
     run_method,
+    sort_rows,
     write_benchmark_outputs,
 )
 from comoto.errors import ContractViolation
@@ -122,13 +124,16 @@ def test_numeric_keys_accept_what_float_accepts(tmp_path):
         ("speed_adjust", "d_slow", "0.05"),
         ("optimizer", "max_iters", "2.5"),
         ("benchmark", "families", "stationary"),
+        ("benchmark", "families", "[]"),
+        ("benchmark", "families", "[stationary, stationary]"),
         ("benchmark", "seeds", "3"),
     ],
 )
 def test_bad_config_values_rejected(tmp_path, section, key, text):
     # Each of these used to load and run to a silent result (vis_pct 0,
     # dst_pct 0, a zero distance cost, a sign-flipped sigma0, every
-    # Legible row failed, max_iters truncated to 2, family 's').
+    # Legible row failed, max_iters truncated to 2, family 's', no rows,
+    # a family's rows twice).
     path = tmp_path / "bad.yaml"
     path.write_text(f"{section}:\n  {key}: {text}\n")
     with pytest.raises(ContractViolation) as excinfo:
@@ -218,6 +223,8 @@ def test_failed_method_is_isolated(arm, monkeypatch):
         return original(name, bundle, c)
 
     monkeypatch.setattr(benchmark, "run_method", flaky)
+    planned = {row["method"]: out for _, out, row in iter_runs(cfg)}
+    assert [m for m, out in planned.items() if out is None] == ["CoMOTO"]
     rows = run_benchmark(cfg)
     assert len(rows) == len(METHODS)
     failed = {r["method"]: r["failed"] for r in rows}
@@ -226,6 +233,32 @@ def test_failed_method_is_isolated(arm, monkeypatch):
     assert all(list(r) == [*RESULT_COLUMNS, "wall_time"] for r in rows)
     assert all(math.isnan(broken[name]) for name in METRIC_NAMES)
     assert (broken["completed"], broken["converged"], broken["wall_time"]) == (False, False, 0.0)
+
+
+def assert_same_bits(a, b):
+    assert type(a) is type(b)
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), field.name
+        else:
+            assert x == y, field.name
+
+
+def test_iter_runs_yields_run_benchmark_rows_and_each_plan(arm):
+    # Seeds out of order: iter_runs yields in run order, run_benchmark sorts.
+    cfg = dataclasses.replace(tiny_config(), seeds=(2, 1))
+    runs = list(iter_runs(cfg))
+    assert [(r["seed"], r["method"]) for _, _, r in runs] == [
+        (seed, m) for seed in (2, 1) for m in METHODS
+    ]
+    yielded = _rows_to_csv(sort_rows([row for _, _, row in runs], cfg), RESULT_COLUMNS)
+    assert yielded == _rows_to_csv(run_benchmark(cfg), RESULT_COLUMNS)
+    for bundle, planned, row in runs:
+        assert (bundle.scenario.seed, row["failed"]) == (row["seed"], False)
+        fresh, converged = run_method(row["method"], bundle, cfg)
+        assert converged == row["converged"]
+        assert_same_bits(planned, fresh)
 
 
 def test_csv_round_trip_types():

@@ -222,6 +222,12 @@ def test_predicted_trajectory_validation():
     for bad, message in ((indefinite, "positive definite"), (infinite, "finite")):
         with pytest.raises(ContractViolation, match=f"right_palm is not {message}"):
             PredictedHumanTrajectory(means=means, covariances={"right_palm": bad}, step=0.1)
+    flat_cov = {"right_palm": np.full((4, 3), 0.01)}
+    with pytest.raises(ContractViolation, match=r"right_palm needs \(H, 3\) means"):
+        PredictedHumanTrajectory(means=means, covariances=flat_cov, step=0.1)
+    planar_means = {"right_palm": np.zeros((4, 2))}
+    with pytest.raises(ContractViolation, match=r"right_palm needs \(H, 3\) means"):
+        PredictedHumanTrajectory(means=planar_means, covariances={"right_palm": eye}, step=0.1)
 
 
 def test_covariance_scaling_helpers():

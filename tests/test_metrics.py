@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from comoto.baselines import ExecutionTrace
-from comoto.benchmark import load_config, prepare_scenario, run_method
+from comoto.benchmark import evaluate_planned, load_config, prepare_scenario, run_method
 from comoto.errors import ContractViolation
 from comoto.human_motion import HumanTrajectory
 from comoto.kinematics import JointTrajectory, fk_points_batch
@@ -176,8 +176,8 @@ def test_evaluate_run_handles_trajectories_and_traces(planar2):
 
 
 def test_evaluate_run_equals_the_four_metrics_bit_for_bit(arm):
-    # evaluate_run shares one FK pass between the metrics; each public
-    # metric_* runs its own.
+    # evaluate_run (here through the benchmark's evaluate_planned) shares
+    # one FK pass between the metrics; each public metric_* runs its own.
     cfg = load_config()
     sc = make_scenario("reaching_near", 2, arm)
     bundle = prepare_scenario(sc, cfg)
@@ -188,13 +188,11 @@ def test_evaluate_run_equals_the_four_metrics_bit_for_bit(arm):
     trace, _ = run_method("Speed-Adj", bundle, cfg)
     assert isinstance(trace, ExecutionTrace)
     for planned in (nominal, bent, trace):
-        report = evaluate_run(
-            arm, planned, bundle.truth, nominal, bundle.goals, gaze_target=sc.human_object
-        )
+        report = evaluate_planned(bundle, planned, cfg)
         aligned = trace_at_nominal_times(planned, nominal) if planned is trace else planned
         want = (
-            metric_separation(arm, planned, bundle.truth),
-            metric_visibility(arm, planned, bundle.truth, sc.human_object),
+            metric_separation(arm, planned, bundle.truth, cfg.separation_threshold),
+            metric_visibility(arm, planned, bundle.truth, sc.human_object, cfg.fov_deg),
             metric_legibility(arm, planned, bundle.goals),
             metric_nominal_dev(arm, aligned, nominal),
         )
