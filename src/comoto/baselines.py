@@ -109,9 +109,8 @@ def obstacle_penalty(obstacles, weight: float, margin: float):
 
 
 def nominal_trajectory(
-    chain: ChainSpec,
+    ctx: CostContext,
     start: Array,
-    goal: Array,
     obstacles,
     n_waypoints: int,
     dt: float,
@@ -122,12 +121,13 @@ def nominal_trajectory(
 ) -> JointTrajectory:
     """Default trajectory with no human: smooth and obstacle-clearing.
 
-    With no obstacles this is exactly the joint-space straight line.
+    Runs from ``start`` to ``ctx.goal_config`` on ``ctx.chain``; the
+    context's prediction, nominal and object are not used.  With no
+    obstacles this is exactly the joint-space straight line.
     """
-    init = straightline_joint_init(start, goal, n_waypoints, dt, t0)
+    init = straightline_joint_init(start, ctx.goal_config, n_waypoints, dt, t0)
     if len(obstacles) == 0:
         return init
-    ctx = CostContext(chain=chain, goal_config=np.asarray(goal, dtype=float))
     weights = CostWeights(alpha_smooth=smooth_weight)
     extra = obstacle_penalty(obstacles, obstacle_weight, margin)
     return optimize(ctx, weights, init, NOMINAL_OPTIONS, extra_cost=extra).trajectory

@@ -9,10 +9,12 @@ per family and metric in bold).
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -45,8 +47,9 @@ _REPORT_FIELDS = tuple(f.name for f in fields(MetricReport))
 #: Deterministic output: everything except wall time.
 RESULT_COLUMNS = (*_ROW_KEY, *_REPORT_FIELDS, "converged", "failed")
 
-#: Per-run record including timing.
-RUNS_COLUMNS = (*_ROW_KEY, *_REPORT_FIELDS, "wall_time")
+#: Per-run record including timing and, on a failed row, the exception as
+#: ``"TypeName: message"`` (empty otherwise).
+RUNS_COLUMNS = (*_ROW_KEY, *_REPORT_FIELDS, "wall_time", "error")
 
 #: What a run that raised reports.
 _FAILED_REPORT = MetricReport(**dict.fromkeys(METRIC_NAMES, float("nan")), completed=False)
@@ -194,11 +197,12 @@ def prepare_scenario(sc: Scenario, cfg: RunConfig) -> ScenarioBundle:
     arm_pred = predict(
         observed, sc.n_waypoints, sc.dt, goal=sc.predictor_goal, options=cfg.prediction
     )
-    full_pred = extrapolate_skeleton(arm_pred)
+    base = CostContext(
+        chain=sc.chain, goal_config=sc.robot_goal, eps_m=cfg.eps_m, sigma_floor=cfg.sigma_floor
+    )
     nominal = nominal_trajectory(
-        sc.chain,
+        base,
         sc.robot_start,
-        sc.robot_goal,
         sc.obstacles,
         n_waypoints=sc.n_waypoints,
         dt=sc.dt,
@@ -207,14 +211,8 @@ def prepare_scenario(sc: Scenario, cfg: RunConfig) -> ScenarioBundle:
         obstacle_weight=cfg.nominal_obstacle_weight,
         margin=cfg.nominal_margin,
     )
-    ctx = CostContext(
-        chain=sc.chain,
-        goal_config=sc.robot_goal,
-        prediction=full_pred,
-        nominal=nominal,
-        object_pos=sc.human_object,
-        eps_m=cfg.eps_m,
-        sigma_floor=cfg.sigma_floor,
+    ctx = replace(
+        base, prediction=extrapolate_skeleton(arm_pred), nominal=nominal, object_pos=sc.human_object
     )
     goals = GoalSet(true_goal=sc.goal_point, distractors=(sc.human_object,))
     return ScenarioBundle(scenario=sc, truth=truth, ctx=ctx, nominal=nominal, goals=goals)
@@ -267,7 +265,8 @@ def iter_runs(cfg: RunConfig):
     """``(bundle, planned, row)`` per (family, seed, method), in run order.
 
     ``planned`` is ``run_method``'s output, or ``None`` when planning or
-    evaluating raised; that row is then marked failed.
+    evaluating raised; that row is then marked failed and its ``error``
+    names the exception.
     """
     for family in cfg.families:
         for sc in generate_scenarios(family, cfg.seeds):
@@ -277,10 +276,11 @@ def iter_runs(cfg: RunConfig):
                 try:
                     planned, converged = run_method(method, bundle, cfg)
                     report = evaluate_planned(bundle, planned, cfg)
-                    failed, wall_time = False, time.perf_counter() - start
-                except Exception:
+                    failed, wall_time, error = False, time.perf_counter() - start, ""
+                except Exception as exc:  # one failed row; the other runs go on
                     planned, report = None, _FAILED_REPORT
                     converged, failed, wall_time = False, True, 0.0
+                    error = f"{type(exc).__name__}: {exc}"
                 row = {
                     "scenario_family": family,
                     "seed": sc.seed,
@@ -289,6 +289,7 @@ def iter_runs(cfg: RunConfig):
                     "converged": converged,
                     "failed": failed,
                     "wall_time": wall_time,
+                    "error": error,
                 }
                 yield bundle, planned, row
 
@@ -321,10 +322,13 @@ def _format_cell(value) -> str:
 
 
 def _rows_to_csv(rows: list[dict], columns) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
+    # The writer quotes a cell holding a comma, quote or line break (an
+    # error message may), and leaves every other cell as it is.
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_format_cell(row[c]) for c in columns] for row in rows)
+    return out.getvalue()
 
 
 def aggregate_rows(rows: list[dict]) -> dict:

@@ -47,12 +47,6 @@ _ALPHA = {
 }
 COST_NAMES = tuple(_ALPHA)
 
-#: Mahalanobis-squared clamp: bounds the distance cost as separation -> 0.
-EPS_M = 1e-4
-
-#: Lower bound on the head-position spread used by the visibility cost.
-SIGMA_FLOOR = 0.01
-
 _TINY = 1e-12
 
 
@@ -84,17 +78,21 @@ class CostContext:
     The prediction must already live on the trajectory's waypoint grid
     (equal horizon).  ``object_pos`` is the point the human attends to
     (anchor of the gaze ray); ``goal_config`` is the configuration the
-    trajectory must end at.  Immutable after construction.
+    trajectory must end at.  ``eps_m`` and ``sigma_floor`` are the run
+    config's ``costs`` section: ``eps_m`` clamps the squared Mahalanobis
+    distance from below, so the distance cost stays bounded as the
+    separation goes to 0, and ``sigma_floor`` bounds the head-position
+    spread the visibility cost divides by.  Immutable after construction.
     """
 
     chain: ChainSpec
     goal_config: Array
+    eps_m: float
+    sigma_floor: float
     prediction: PredictedHumanTrajectory | None = None
     nominal: JointTrajectory | None = None
     object_pos: Array | None = None
     legibility_weights: Array | None = None
-    eps_m: float = EPS_M
-    sigma_floor: float = SIGMA_FLOOR
 
     def __post_init__(self):
         self.goal_config = np.asarray(self.goal_config, dtype=float)
@@ -175,7 +173,7 @@ class CostReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def mahalanobis_proximity(d: Array, cov: Array, eps_m: float = EPS_M) -> float:
+def mahalanobis_proximity(d: Array, cov: Array, eps_m: float) -> float:
     """One proximity term: 1 / max(d' cov^-1 d, eps_m)."""
     d = np.asarray(d, dtype=float)
     m = float(d @ np.linalg.solve(np.asarray(cov, dtype=float), d))
@@ -326,65 +324,9 @@ def _smoothness_term(q: Array, dt: float):
     return value, pullback
 
 
-# ---------------------------------------------------------------------------
-# Public per-cost entry points
-# ---------------------------------------------------------------------------
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ContractViolation(message)
-
-
-def _eef(traj: JointTrajectory, ctx: CostContext) -> Array:
-    return fk_points_batch(ctx.chain, traj.waypoints)[:, -1]
-
-
-def _require_horizon(traj: JointTrajectory, ctx: CostContext) -> None:
-    _require(
-        ctx.prediction.horizon == traj.n_waypoints,
-        "prediction horizon must equal the trajectory waypoint count",
-    )
-
-
-def cost_distance(traj: JointTrajectory, ctx: CostContext) -> float:
-    """Inverse Mahalanobis-squared proximity, summed over steps/joints/points."""
-    _require(ctx.prediction is not None, "distance cost needs a prediction in the context")
-    _require_horizon(traj, ctx)
-    points = fk_points_batch(ctx.chain, traj.waypoints)
-    return _distance_term(points, ctx._means, ctx._inv_covs_t, ctx.eps_m)[0]
-
-
-def cost_visibility(traj: JointTrajectory, ctx: CostContext) -> float:
-    """Gaze-to-eef angle over head-position spread, summed over steps."""
-    _require(ctx.prediction is not None, "visibility cost needs a prediction in the context")
-    _require(ctx._sigma_head is not None, "visibility cost needs a head track in the prediction")
-    _require(ctx.object_pos is not None, "visibility cost needs object_pos in the context")
-    _require_horizon(traj, ctx)
-    head = ctx.prediction.means["head"]
-    return _visibility_term(_eef(traj, ctx), head, ctx._sigma_head, ctx.object_pos)[0]
-
-
-def cost_legibility(traj: JointTrajectory, ctx: CostContext) -> float:
-    """Negative time-weighted goal probability of the eef path (in [-1, 0))."""
-    f = ctx.time_weights(traj.n_waypoints)
-    return _legibility_term(_eef(traj, ctx), ctx.goal_point, f)[0]
-
-
-def cost_nominal(traj: JointTrajectory, ctx: CostContext) -> float:
-    """Unsquared Cartesian eef deviation from the nominal trajectory, meters."""
-    _require(ctx.nominal is not None, "nominal cost needs a nominal trajectory in the context")
-    _require(
-        ctx.nominal.n_waypoints == traj.n_waypoints and ctx.nominal.dt == traj.dt,
-        "nominal and trajectory must share waypoint count and dt",
-    )
-    return _nominal_term(_eef(traj, ctx), ctx._nominal_eef)[0]
-
-
-def cost_smoothness(traj: JointTrajectory) -> float:
-    """Sum of squared joint accelerations (second differences over dt^2)."""
-    value, _ = _smoothness_term(traj.waypoints, traj.dt)
-    return value
 
 
 def _supported_terms(ctx: CostContext, weights: dict, extra_cost, n_waypoints: int) -> dict:

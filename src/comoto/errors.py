@@ -3,7 +3,3 @@
 
 class ContractViolation(ValueError):
     """An argument broke a documented precondition or invariant."""
-
-
-class GradientCheckError(RuntimeError):
-    """Analytic gradient disagreed with the finite-difference check."""

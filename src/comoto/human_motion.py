@@ -184,11 +184,14 @@ class PredictedHumanTrajectory:
 
 @dataclass(frozen=True)
 class PredictorOptions:
-    """Gaussian-tube parameters: sigma(t)^2 = sigma0^2 + (kappa t)^2, floored."""
+    """Gaussian-tube parameters: sigma(t)^2 = sigma0^2 + (kappa t)^2, floored.
 
-    sigma0: float = 0.02
-    kappa: float = 0.08
-    sigma_floor: float = 0.01
+    The ``prediction`` section of the run config.
+    """
+
+    sigma0: float
+    kappa: float
+    sigma_floor: float
 
     def __post_init__(self):
         for name in ("sigma0", "kappa", "sigma_floor"):
@@ -255,7 +258,8 @@ def predict(
     horizon: int,
     step: float,
     goal: Array | None = None,
-    options: PredictorOptions = PredictorOptions(),
+    *,
+    options: PredictorOptions,
 ) -> PredictedHumanTrajectory:
     """Predict the right-arm joints ``horizon`` steps past the observation.
 
@@ -334,23 +338,21 @@ def _estimate_arrival(palm: Array, vel: Array, goal: Array, horizon_span: float,
     return float(np.clip(dist / speed_toward, step, horizon_span))
 
 
-def extrapolate_skeleton(
-    arm_pred: PredictedHumanTrajectory, offsets: dict[str, Array] | None = None
-) -> PredictedHumanTrajectory:
+def extrapolate_skeleton(arm_pred: PredictedHumanTrajectory) -> PredictedHumanTrajectory:
     """Fill in the non-tracked joints from the right-shoulder prediction.
 
     Each extrapolated joint's mean is the right-shoulder mean plus its
-    fixed offset; its covariance is the right-shoulder covariance.
+    packaged fixed offset; its covariance is the right-shoulder covariance.
     """
     if "right_shoulder" not in arm_pred.means:
         raise ContractViolation("arm prediction is missing the right_shoulder track")
-    offsets = load_skeleton_offsets() if offsets is None else offsets
+    offsets = load_skeleton_offsets()
     means = {k: v.copy() for k, v in arm_pred.means.items()}
     covs = {k: v.copy() for k, v in arm_pred.covariances.items()}
     shoulder_mean = arm_pred.means["right_shoulder"]
     shoulder_cov = arm_pred.covariances["right_shoulder"]
     for name in EXTRAPOLATED_JOINTS:
-        means[name] = shoulder_mean + np.asarray(offsets[name], dtype=float)
+        means[name] = shoulder_mean + offsets[name]
         covs[name] = shoulder_cov.copy()
     return PredictedHumanTrajectory(means=means, covariances=covs, step=arm_pred.step, t0=arm_pred.t0)
 

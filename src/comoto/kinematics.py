@@ -153,15 +153,6 @@ def fk_eef(chain: ChainSpec, q: Array) -> Array:
     return fk_points(chain, q)[-1]
 
 
-def position_jacobian(chain: ChainSpec, q: Array, point_index: int) -> Array:
-    """(3, n) Jacobian of the selected robot point w.r.t. joint angles."""
-    if not 0 <= point_index < chain.n_points:
-        raise ContractViolation(
-            f"point_index {point_index} out of range for {chain.n_points} robot points"
-        )
-    return all_point_jacobians(chain, q)[1][point_index]
-
-
 def all_point_jacobians(chain: ChainSpec, q: Array) -> tuple[Array, Array]:
     """FK points plus the (n+1, 3, n) Jacobian stack, one FK pass.
 
@@ -253,14 +244,13 @@ def all_point_jacobians_batch(chain: ChainSpec, Q: Array) -> tuple[Array, Array]
     return points, _point_jacobians(points, axes)
 
 
-def solve_position_ik(
-    chain: ChainSpec,
-    target: Array,
-    q0: Array,
-    iters: int = 200,
-    damping: float = 0.05,
-    tol: float = 1e-6,
-) -> Array:
+#: The IK's iteration cap, damping factor and end-effector residual (m) at which it stops.
+IK_ITERS = 200
+IK_DAMPING = 0.05
+IK_TOL = 1e-6
+
+
+def solve_position_ik(chain: ChainSpec, target: Array, q0: Array) -> Array:
     """Damped least-squares position-only IK, for scenario authoring.
 
     Deterministic: fixed iteration count and no randomization.  Returns
@@ -269,16 +259,16 @@ def solve_position_ik(
     target = np.asarray(target, dtype=float)
     q = _check_config(chain, q0).copy()
     best_q, best_err = q.copy(), np.inf
-    for _ in range(iters):
+    for _ in range(IK_ITERS):
         points, jacs = all_point_jacobians(chain, q)
         err = target - points[-1]
         err_norm = float(np.linalg.norm(err))
         if err_norm < best_err:
             best_err, best_q = err_norm, q.copy()
-        if err_norm < tol:
+        if err_norm < IK_TOL:
             break
         J = jacs[-1]
-        JJt = J @ J.T + (damping**2) * np.eye(3)
+        JJt = J @ J.T + (IK_DAMPING**2) * np.eye(3)
         q = chain.clamp(q + J.T @ np.linalg.solve(JJt, err))
     return best_q
 

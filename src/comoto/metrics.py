@@ -22,9 +22,6 @@ from .kinematics import ChainSpec, JointTrajectory, fk_points_batch
 
 Array = np.ndarray
 
-SEPARATION_THRESHOLD = 0.20  # meters
-FOV_DEG = 160.0
-
 
 @dataclass(frozen=True)
 class GoalSet:
@@ -59,9 +56,22 @@ class MetricReport:
     and ``runs.csv`` and the keys ``comoto eval`` prints, in this order.
     """
 
+    #: Percent of steps whose minimum human-robot distance exceeds the
+    #: separation threshold.
     dst_pct: float
+    #: Percent of steps with the end effector inside the gaze-centered field
+    #: of view: the gaze ray runs from the head to the target object, and a
+    #: step counts when the head-to-eef direction is within half the field
+    #: of view of that ray.  Steps with a degenerate gaze count as not visible.
     vis_pct: float
+    #: Goal-inference score, 100 at certainty and 0 at chance level.  Per
+    #: step, the posterior over goals uses the exponentiated path-length
+    #: ratio per goal with straight-line optimal costs; the time-weighted
+    #: posterior of the true goal is mapped through ``(p - 1/K) * K / (K - 1)``
+    #: and scaled to percent.
     legibility: float
+    #: Sum of squared end-effector distances to the nominal, meters^2; an
+    #: executed trace is first sampled on the nominal's waypoint clock.
     nom_dev: float
     completed: bool = True
 
@@ -70,77 +80,8 @@ class MetricReport:
 METRIC_NAMES = tuple(f.name for f in fields(MetricReport) if f.name != "completed")
 
 
-def _times_and_configs(planned) -> tuple[Array, Array]:
-    if isinstance(planned, ExecutionTrace):
-        return planned.timestamps, planned.configs
-    if isinstance(planned, JointTrajectory):
-        return planned.times, planned.waypoints
-    raise ContractViolation(f"cannot evaluate object of type {type(planned).__name__}")
-
-
-def metric_separation(
-    chain: ChainSpec,
-    planned,
-    human_truth: HumanTrajectory,
-    threshold: float = SEPARATION_THRESHOLD,
-) -> float:
-    """Percent of steps whose minimum human-robot distance exceeds the threshold."""
-    times, configs = _times_and_configs(planned)
-    _require_steps(times)
-    robot = fk_points_batch(chain, configs)  # (T,P,3)
-    return _separation_pct(robot, human_truth.positions_at(times), threshold)
-
-
-def metric_visibility(
-    chain: ChainSpec,
-    planned,
-    human_truth: HumanTrajectory,
-    target: Array,
-    fov_deg: float = FOV_DEG,
-) -> float:
-    """Percent of steps with the end effector inside the gaze-centered FOV.
-
-    The gaze ray runs from the head to the target object; a step counts
-    as visible when the head-to-eef direction is within half the field
-    of view of that ray.  Steps with a degenerate gaze count as not
-    visible.
-    """
-    times, configs = _times_and_configs(planned)
-    _require_head(human_truth)
-    eef = fk_points_batch(chain, configs)[:, -1]
-    head = human_truth.positions_at(times)["head"]
-    return _visibility_pct(eef, head, target, fov_deg)
-
-
-def metric_legibility(chain: ChainSpec, planned, goals: GoalSet) -> float:
-    """Goal-inference score: 100 at certainty, 0 at chance level.
-
-    Per step, the posterior over goals uses the exponentiated
-    path-length ratio per goal with straight-line optimal costs; the
-    time-weighted posterior of the true goal is mapped through
-    ``(p - 1/K) * K / (K - 1)`` and scaled to percent.
-    """
-    _, configs = _times_and_configs(planned)
-    return _legibility_score(fk_points_batch(chain, configs)[:, -1], goals)
-
-
-def metric_nominal_dev(chain: ChainSpec, traj: JointTrajectory, nominal: JointTrajectory) -> float:
-    """Sum of squared end-effector distances to the nominal, meters^2."""
-    return _nominal_dev(chain, fk_points_batch(chain, traj.waypoints)[:, -1], nominal)
-
-
 # The metrics over precomputed robot points, so that evaluate_run needs
 # one FK pass and one human interpolation for all of them.
-
-
-def _require_steps(times: Array) -> None:
-    if times.shape[0] == 0:
-        raise ContractViolation("empty trajectory")
-
-
-def _require_head(human_truth: HumanTrajectory) -> None:
-    if "head" not in human_truth.samples:
-        raise ContractViolation("ground truth has no head track")
 
 
 def _separation_pct(robot: Array, human: dict[str, Array], threshold: float) -> float:
@@ -209,19 +150,27 @@ def evaluate_run(
     nominal: JointTrajectory,
     goals: GoalSet,
     gaze_target: Array,
-    threshold: float = SEPARATION_THRESHOLD,
-    fov_deg: float = FOV_DEG,
+    threshold: float,
+    fov_deg: float,
 ) -> MetricReport:
     """All four metrics for one planned trajectory or executed trace.
 
-    Equal bit for bit to the four ``metric_*`` functions, from one FK
-    pass over the evaluated configurations and one interpolation of the
-    human tracks.
+    One FK pass over the evaluated configurations and one interpolation
+    of the human tracks serve every metric; an executed trace adds one FK
+    pass over its samples on the nominal clock.  ``threshold`` (meters)
+    and ``fov_deg`` are the run config's ``metrics`` section.
     """
-    times, configs = _times_and_configs(planned)
-    _require_steps(times)
+    if isinstance(planned, ExecutionTrace):
+        times, configs = planned.timestamps, planned.configs
+    elif isinstance(planned, JointTrajectory):
+        times, configs = planned.times, planned.waypoints
+    else:
+        raise ContractViolation(f"cannot evaluate object of type {type(planned).__name__}")
+    if times.shape[0] == 0:
+        raise ContractViolation("empty trajectory")
+    if "head" not in human_truth.samples:
+        raise ContractViolation("ground truth has no head track")
     robot = fk_points_batch(chain, configs)
-    _require_head(human_truth)
     human = human_truth.positions_at(times)
     eef = robot[:, -1]
     dst = _separation_pct(robot, human, threshold)
@@ -229,7 +178,7 @@ def evaluate_run(
     leg = _legibility_score(eef, goals)
     if isinstance(planned, ExecutionTrace):
         aligned = trace_at_nominal_times(planned, nominal)
-        nom = metric_nominal_dev(chain, aligned, nominal)
+        nom = _nominal_dev(chain, fk_points_batch(chain, aligned.waypoints)[:, -1], nominal)
         completed = planned.completed
     else:
         nom = _nominal_dev(chain, eef, nominal)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costs import CostContext, CostReport, CostWeights, ObjectivePass
-from .errors import ContractViolation, GradientCheckError
+from .errors import ContractViolation
 from .kinematics import JointTrajectory
 
 Array = np.ndarray
@@ -42,16 +42,11 @@ MIN_STEP = 1e-14
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Descent-loop settings: the ``optimizer`` section of the run config.
-
-    ``fd_check`` verifies the analytic gradient against central finite
-    differences at the initial point before optimizing.
-    """
+    """Descent-loop settings: the ``optimizer`` section of the run config."""
 
     max_iters: int
     grad_tol: float
     step_init: float
-    fd_check: bool = False
     verbose: bool = False
 
     def __post_init__(self):
@@ -70,9 +65,8 @@ class OptResult:
     ``stop_reason`` is ``"grad_tol"`` (converged), ``"max_iters"`` (the
     iteration cap) or ``"line_search"`` (no step down to ``MIN_STEP``
     satisfied the Armijo condition).  ``value_evals`` counts the value
-    passes (line-search trials and the finite-difference check);
-    ``grad_evals`` counts the gradients, one at the initial point and one
-    per accepted iterate.  With
+    passes (the line-search trials); ``grad_evals`` counts the gradients,
+    one at the initial point and one per accepted iterate.  With
     ``OptimizerOptions.verbose``, ``trace`` holds one dict per accepted
     iterate: ``iteration``, ``total``, ``step``, and the positively
     weighted terms plus ``extra`` (when an extra cost is set).
@@ -103,20 +97,6 @@ def straightline_joint_init(start: Array, goal: Array, N: int, dt: float, t0: fl
     return JointTrajectory(waypoints, dt, t0)
 
 
-def _fd_gradient(q: Array, value, h: float = 1e-6) -> Array:
-    grad = np.zeros((q.shape[0] - 2) * q.shape[1])
-    flat_index = 0
-    for t in range(1, q.shape[0] - 1):
-        for j in range(q.shape[1]):
-            for sign in (+1.0, -1.0):
-                qp = q.copy()
-                qp[t, j] += sign * h
-                grad[flat_index] += sign * value(qp)
-            grad[flat_index] /= 2.0 * h
-            flat_index += 1
-    return grad
-
-
 def optimize(
     ctx: CostContext,
     w: CostWeights,
@@ -144,10 +124,6 @@ def optimize(
 
     evals = {"value": 0, "grad": 0}
 
-    def value_pass(q_eval: Array) -> ObjectivePass:
-        evals["value"] += 1
-        return ObjectivePass(q_eval, dt, ctx, w, extra_cost)
-
     def gradient(p: ObjectivePass) -> Array:
         evals["grad"] += 1
         return p.gradient()
@@ -155,16 +131,6 @@ def optimize(
     current = ObjectivePass(q, dt, ctx, w, extra_cost)
     initial_report = current.report()
     total, grad = current.total, gradient(current)
-
-    if opts.fd_check:
-        analytic = grad[1:-1].ravel()
-        numeric = _fd_gradient(q, lambda qp: value_pass(qp).total)
-        scale = max(float(np.max(np.abs(numeric))), 1e-8)
-        rel = float(np.max(np.abs(analytic - numeric))) / scale
-        if rel > 1e-4:
-            raise GradientCheckError(
-                f"analytic gradient disagrees with finite differences (rel error {rel:.2e})"
-            )
 
     step = opts.step_init
     stop_reason = "max_iters"
@@ -183,7 +149,8 @@ def optimize(
             q_new = q.copy()
             q_new[1:-1] = np.clip(q[1:-1] - step * g, lo, hi)
             delta = q_new[1:-1] - q[1:-1]
-            trial = value_pass(q_new)
+            evals["value"] += 1
+            trial = ObjectivePass(q_new, dt, ctx, w, extra_cost)
             if trial.total <= total + ARMIJO_C * float(np.sum(g * delta)):
                 accepted = True
                 break

@@ -1,11 +1,23 @@
-"""Shared fixtures: the packaged 7-DOF arm and a hand-checkable planar chain."""
+"""Shared fixtures: the packaged 7-DOF arm, a hand-checkable planar chain,
+and the packaged run config, which sets every value the library takes."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from comoto.benchmark import load_config
+from comoto.costs import CostContext
 from comoto.kinematics import ChainSpec, default_chain
+
+CFG = load_config()
+
+
+def cost_context(chain: ChainSpec, goal_config, **fields) -> CostContext:
+    """A ``CostContext`` with the packaged config's ``eps_m`` and ``sigma_floor``."""
+    return CostContext(
+        chain=chain, goal_config=goal_config, eps_m=CFG.eps_m, sigma_floor=CFG.sigma_floor, **fields
+    )
 
 
 def planar_chain(lengths=(1.0, 1.0), limit=2.0 * np.pi) -> ChainSpec:

@@ -5,6 +5,7 @@ Each test covers one release criterion and prints a single PASS/FAIL line
 so the full suite stays within a modest wall-clock budget.
 """
 
+import dataclasses
 import math
 import time
 
@@ -21,27 +22,13 @@ from comoto.benchmark import (
     run_benchmark,
     sort_rows,
 )
-from comoto.costs import (
-    CostContext,
-    CostWeights,
-    cost_distance,
-    cost_visibility,
-    evaluate_objective,
-    goal_probability,
-)
+from comoto.costs import CostWeights, evaluate_objective, goal_probability, objective
 from comoto.human_motion import HumanTrajectory
 from comoto.kinematics import JointTrajectory, fk_points_batch
-from comoto.metrics import (
-    GoalSet,
-    MetricReport,
-    aggregate,
-    metric_legibility,
-    metric_separation,
-    metric_visibility,
-)
+from comoto.metrics import GoalSet, MetricReport, aggregate, evaluate_run
 from comoto.optimizer import OptimizerOptions, optimize
 
-from conftest import planar_chain
+from conftest import CFG, cost_context, planar_chain
 from test_costs import (
     COMBINED_WEIGHTS,
     SINGLE_TERM_WEIGHTS,
@@ -118,7 +105,7 @@ def test_criterion_3_smoothness_recovers_linear(arm):
     init = line.copy()
     init[1:-1] += 0.3 * rng.standard_normal(init[1:-1].shape)
     traj = JointTrajectory(init, dt=0.2)
-    ctx = CostContext(chain=arm, goal_config=goal_q)
+    ctx = cost_context(arm, goal_q)
     weights = CostWeights(alpha_smooth=1.0)
     # The second-difference quadratic is ill conditioned: give descent room.
     options = OptimizerOptions(max_iters=30000, grad_tol=1e-10, step_init=0.05)
@@ -208,14 +195,7 @@ def test_criterion_7_covariance_monotonicity(planned_capture):
         sc, bundle, _ = planned_capture[("reaching_far", seed)]
         traj = bundle.nominal
         ctx = bundle.ctx
-        doubled = CostContext(
-            chain=ctx.chain,
-            goal_config=ctx.goal_config,
-            prediction=ctx.prediction.scaled_covariance(2.0),
-            nominal=ctx.nominal,
-            object_pos=ctx.object_pos,
-            legibility_weights=ctx.legibility_weights,
-        )
+        doubled = dataclasses.replace(ctx, prediction=ctx.prediction.scaled_covariance(2.0))
         # preconditions: far from the proximity clamp and the spread floor
         points = fk_points_batch(sc.chain, traj.waypoints)
         m_min = np.inf
@@ -227,8 +207,10 @@ def test_criterion_7_covariance_monotonicity(planned_capture):
         head_cov = ctx.prediction.covariances["head"]
         spread_min = float(np.min(np.sqrt(np.trace(head_cov, axis1=1, axis2=2) / 3.0)))
         ok = ok and m_min > 100.0 * ctx.eps_m and spread_min > ctx.sigma_floor
-        d0, d1 = cost_distance(traj, ctx), cost_distance(traj, doubled)
-        v0, v1 = cost_visibility(traj, ctx), cost_visibility(traj, doubled)
+        before = objective(traj, ctx, CFG.comoto_weights).per_cost
+        after = objective(traj, doubled, CFG.comoto_weights).per_cost
+        d0, d1 = before["distance"], after["distance"]
+        v0, v1 = before["visibility"], after["visibility"]
         ok = ok and d1 > d0 and v1 < v0
         moves.append((d1 - d0, v1 - v0))
     worst_d = min(m[0] for m in moves)
@@ -255,26 +237,36 @@ def test_criterion_9_metric_reference_values():
     chain = planar_chain((1.0, 1.0))
     q_near = [0.0, 0.0]  # eef (2,0,0)
     q_far = [np.pi, 0.0]  # eef (-2,0,0)
-    human = HumanTrajectory({"head": np.tile([2.15, 0.0, 0.0], (600, 1))}, 100.0)
-    sep_all = metric_separation(chain, JointTrajectory(np.tile(q_far, (4, 1)), 0.1), human)
-    sep_none = metric_separation(chain, JointTrajectory(np.tile(q_near, (4, 1)), 0.1), human)
-    half = JointTrajectory(np.array([q_near, q_near, q_far, q_far]), 0.1)
-    sep_half = metric_separation(chain, half, human)
+    # path along the perpendicular bisector of the two goals: chance level
+    goals = GoalSet(true_goal=np.array([1.0, 1.0, 0.0]), distractors=(np.array([1.0, -1.0, 0.0]),))
 
-    head_human = HumanTrajectory({"head": np.tile([0.0, 0.0, 0.0], (600, 1))}, 100.0)
+    def metrics(planned, head, target=(0.0, 1.0, 0.0)):
+        human = HumanTrajectory({"head": np.tile(head, (600, 1))}, 100.0)
+        return evaluate_run(
+            chain, planned, human, planned, goals, gaze_target=np.asarray(target),
+            threshold=CFG.separation_threshold, fov_deg=CFG.fov_deg,
+        )
+
+    # the head is 0.15 m from the near pose's eef, at least 2.15 m from the far pose
+    sep_all = metrics(JointTrajectory(np.tile(q_far, (4, 1)), 0.1), [2.15, 0.0, 0.0]).dst_pct
+    sep_none = metrics(JointTrajectory(np.tile(q_near, (4, 1)), 0.1), [2.15, 0.0, 0.0]).dst_pct
+    half = JointTrajectory(np.array([q_near, q_near, q_far, q_far]), 0.1)
+    sep_half = metrics(half, [2.15, 0.0, 0.0]).dst_pct
+
     near4 = JointTrajectory(np.tile(q_near, (4, 1)), 0.1)
 
     def target_at(deg):
         rad = math.radians(deg)
         return np.array([math.cos(rad), math.sin(rad), 0.0])
 
-    vis_in = metric_visibility(chain, near4, head_human, target_at(70.0), fov_deg=160.0)
-    vis_out = metric_visibility(chain, near4, head_human, target_at(90.0), fov_deg=160.0)
+    # the eef is at 0 degrees from the head: inside the field of view 10 degrees
+    # within its half-aperture, outside it 10 degrees beyond
+    half_fov = CFG.fov_deg / 2.0
+    vis_in = metrics(near4, [0.0, 0.0, 0.0], target_at(half_fov - 10.0)).vis_pct
+    vis_out = metrics(near4, [0.0, 0.0, 0.0], target_at(half_fov + 10.0)).vis_pct
 
-    # path along the perpendicular bisector of the two goals: chance level
-    goals = GoalSet(true_goal=np.array([1.0, 1.0, 0.0]), distractors=(np.array([1.0, -1.0, 0.0]),))
     bisector = JointTrajectory(np.tile(q_near, (5, 1)), 0.1)
-    leg_sym = metric_legibility(chain, bisector, goals)
+    leg_sym = metrics(bisector, [0.0, 3.0, 0.0]).legibility
 
     stats = aggregate(
         [
@@ -284,7 +276,8 @@ def test_criterion_9_metric_reference_values():
     )
     mean_sd = stats["dst_pct"]
     ok = (
-        sep_all == 100.0
+        0.15 < CFG.separation_threshold < 2.15
+        and sep_all == 100.0
         and sep_none == 0.0
         and sep_half == 50.0
         and vis_in == 100.0

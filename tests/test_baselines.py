@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import cost_context
 from test_costs import build_problem
 
 from comoto.baselines import (
@@ -48,7 +49,7 @@ def test_nominal_without_obstacles_is_straight_line(arm):
     start = np.array([0.0, 0.6, 0.0, -1.1, 0.0, 0.8, 0.0])
     goal = np.array([0.4, 0.8, -0.2, -0.8, 0.1, 1.0, 0.3])
     nom = nominal_trajectory(
-        arm, start, goal, (), n_waypoints=12, dt=0.1, t0=0.0,
+        cost_context(arm, goal), start, (), n_waypoints=12, dt=0.1, t0=0.0,
         smooth_weight=1e-3, obstacle_weight=200.0, margin=0.05,
     )
     line = straightline_joint_init(start, goal, 12, 0.1)
@@ -62,7 +63,7 @@ def test_nominal_clears_sphere_on_path(arm):
     center = fk_points_batch(arm, line.waypoints)[10, -1]  # on the straight path
     radius, margin = 0.06, 0.05
     nom = nominal_trajectory(
-        arm, start, goal, ((center, radius),), n_waypoints=20, dt=0.1, t0=0.0,
+        cost_context(arm, goal), start, ((center, radius),), n_waypoints=20, dt=0.1, t0=0.0,
         smooth_weight=1e-3, obstacle_weight=200.0, margin=margin,
     )
     dist = np.linalg.norm(fk_points_batch(arm, nom.waypoints) - center, axis=2)
@@ -210,15 +211,7 @@ def test_distvis_ignores_the_uncertainty_model(arm):
     init = JointTrajectory(traj.waypoints.copy(), traj.dt)
     opts = OptimizerOptions(max_iters=60, grad_tol=1e-8, step_init=0.02)
     a = distvis_optimize(ctx, init, opts, alpha_dist=0.05, alpha_vis=0.2, tau_n=0.002)
-    from comoto.costs import CostContext
-
-    scaled = CostContext(
-        chain=ctx.chain,
-        goal_config=ctx.goal_config,
-        prediction=ctx.prediction.scaled_covariance(7.0),
-        nominal=ctx.nominal,
-        object_pos=ctx.object_pos,
-    )
+    scaled = dataclasses.replace(ctx, prediction=ctx.prediction.scaled_covariance(7.0))
     b = distvis_optimize(scaled, JointTrajectory(traj.waypoints.copy(), traj.dt), opts,
                          alpha_dist=0.05, alpha_vis=0.2, tau_n=0.002)
     assert np.array_equal(a.trajectory.waypoints, b.trajectory.waypoints)
@@ -226,10 +219,8 @@ def test_distvis_ignores_the_uncertainty_model(arm):
 
 
 def test_distvis_requires_prediction(arm):
-    from comoto.costs import CostContext
-
     nominal = straightline_joint_init(np.zeros(7), np.ones(7) * 0.2, 5, 0.1)
-    ctx = CostContext(chain=arm, goal_config=np.ones(7) * 0.2, nominal=nominal)
+    ctx = cost_context(arm, np.ones(7) * 0.2, nominal=nominal)
     opts = OptimizerOptions(max_iters=10, grad_tol=1e-8, step_init=0.02)
     with pytest.raises(ContractViolation):
         distvis_optimize(ctx, nominal, opts, 0.05, 0.2, 0.5)

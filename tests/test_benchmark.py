@@ -3,7 +3,9 @@ and report emission."""
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 import math
 
@@ -14,6 +16,7 @@ import comoto.benchmark as benchmark
 from comoto.benchmark import (
     METHODS,
     RESULT_COLUMNS,
+    RUNS_COLUMNS,
     RunConfig,
     _rows_to_csv,
     aggregate_rows,
@@ -43,7 +46,7 @@ def tiny_config() -> RunConfig:
 
 
 def toy_rows():
-    base = {"completed": True, "converged": True, "failed": False, "wall_time": 0.1}
+    base = {"completed": True, "converged": True, "failed": False, "wall_time": 0.1, "error": ""}
     return [
         {"scenario_family": "stationary", "seed": 1, "method": "Nominal",
          "dst_pct": 100.0, "vis_pct": 40.0, "legibility": 1.0, "nom_dev": 0.0, **base},
@@ -213,7 +216,7 @@ def test_tiny_benchmark_rows(arm):
     assert nominal["converged"]
 
 
-def test_failed_method_is_isolated(arm, monkeypatch):
+def test_failed_method_is_isolated(arm, monkeypatch, tmp_path):
     cfg = tiny_config()
     original = run_method
 
@@ -230,9 +233,13 @@ def test_failed_method_is_isolated(arm, monkeypatch):
     failed = {r["method"]: r["failed"] for r in rows}
     assert failed == {m: m == "CoMOTO" for m in METHODS}
     broken = next(r for r in rows if r["method"] == "CoMOTO")
-    assert all(list(r) == [*RESULT_COLUMNS, "wall_time"] for r in rows)
+    assert all(list(r) == [*RESULT_COLUMNS, "wall_time", "error"] for r in rows)
     assert all(math.isnan(broken[name]) for name in METRIC_NAMES)
     assert (broken["completed"], broken["converged"], broken["wall_time"]) == (False, False, 0.0)
+    paths = write_benchmark_outputs(rows, tmp_path, formats=("csv",))
+    with open(paths["runs"], newline="") as f:
+        errors = {r["method"]: r["error"] for r in csv.DictReader(f)}
+    assert errors == {m: "RuntimeError: synthetic failure" if m == "CoMOTO" else "" for m in METHODS}
 
 
 def assert_same_bits(a, b):
@@ -279,6 +286,12 @@ def test_csv_round_trip_types():
                 assert float(cell) == value  # repr() round-trips every float exactly
             else:
                 assert cell == str(value)
+    # An error message holding a comma, a quote or a line break stays in its cell.
+    rows[1] = {**rows[1], "failed": True, "error": 'ValueError: bad "x", at\nline 2\r\nend'}
+    read = list(csv.reader(io.StringIO(_rows_to_csv(rows, RUNS_COLUMNS), newline="")))
+    assert read[0] == list(RUNS_COLUMNS)
+    assert all(len(cells) == len(RUNS_COLUMNS) for cells in read)
+    assert [cells[-1] for cells in read[1:]] == [row["error"] for row in rows]
 
 
 def test_aggregate_rows_stats():

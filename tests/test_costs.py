@@ -3,13 +3,16 @@ gradients against central finite differences."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import planar_chain
+from conftest import CFG, cost_context
 
 from comoto.baselines import TAU_S_RATIO, obstacle_penalty
 from comoto.costs import (
@@ -17,15 +20,11 @@ from comoto.costs import (
     CostContext,
     CostWeights,
     ObjectivePass,
-    cost_distance,
-    cost_legibility,
-    cost_nominal,
-    cost_smoothness,
-    cost_visibility,
     evaluate_objective,
     gaze_angle,
     goal_probability,
     mahalanobis_proximity,
+    objective,
     _distance_term,
     _legibility_term,
     _nominal_term,
@@ -35,9 +34,9 @@ from comoto.costs import (
 from comoto.errors import ContractViolation
 from comoto.human_motion import PredictedHumanTrajectory
 from comoto.kinematics import (
+    ChainSpec,
     JointTrajectory,
     all_point_jacobians_batch,
-    default_chain,
     fk_points_batch,
 )
 from comoto.optimizer import straightline_joint_init
@@ -72,9 +71,9 @@ def build_problem(chain, seed: int, n_waypoints: int):
     q = nominal.waypoints.copy()
     q[1:-1] += 0.04 * rng.standard_normal(q[1:-1].shape)
     traj = JointTrajectory(q, dt)
-    ctx = CostContext(
-        chain=chain,
-        goal_config=goal,
+    ctx = cost_context(
+        chain,
+        goal,
         prediction=make_prediction(rng, n_waypoints, dt),
         nominal=nominal,
         object_pos=np.array([0.65, 0.1, 0.2]) + 0.1 * rng.uniform(-1, 1, 3),
@@ -101,11 +100,29 @@ def rel_error(analytic, numeric):
     return float(np.max(np.abs(analytic - numeric))) / scale
 
 
+SINGLE_TERM_WEIGHTS = {
+    "distance": CostWeights(alpha_dist=1.0),
+    "visibility": CostWeights(alpha_vis=1.0),
+    "legibility": CostWeights(alpha_legibility=1.0),
+    "nominal": CostWeights(alpha_nominal=1.0),
+    "smoothness": CostWeights(alpha_smooth=1.0),
+}
+
+COMBINED_WEIGHTS = CostWeights(
+    alpha_dist=0.8, alpha_vis=0.5, alpha_legibility=1.2, alpha_nominal=0.7, alpha_smooth=0.3
+)
+
+
+def term(name, traj, ctx):
+    """One cost term at ``traj``, read from the objective's report."""
+    return objective(traj, ctx, SINGLE_TERM_WEIGHTS[name]).per_cost[name]
+
+
 def test_mahalanobis_proximity_hand_values():
-    assert mahalanobis_proximity([1.0, 0, 0], np.eye(3)) == pytest.approx(1.0, abs=1e-15)
-    assert mahalanobis_proximity([1.0, 0, 0], 4.0 * np.eye(3)) == pytest.approx(4.0, abs=1e-12)
+    assert mahalanobis_proximity([1.0, 0, 0], np.eye(3), CFG.eps_m) == pytest.approx(1.0, abs=1e-15)
+    assert mahalanobis_proximity([1.0, 0, 0], 4.0 * np.eye(3), CFG.eps_m) == pytest.approx(4.0, abs=1e-12)
     # contact is clamped, not infinite
-    assert mahalanobis_proximity([0.0, 0, 0], np.eye(3)) == pytest.approx(1e4, abs=1e-9)
+    assert mahalanobis_proximity([0.0, 0, 0], np.eye(3), CFG.eps_m) == 1.0 / CFG.eps_m
     assert mahalanobis_proximity([0.0, 0, 0], np.eye(3), eps_m=0.01) == pytest.approx(100.0)
 
 
@@ -138,8 +155,8 @@ def test_legibility_straight_path_is_minus_one():
 def test_legibility_at_goal_trajectory(planar2):
     goal = np.array([0.4, -0.2])
     traj = JointTrajectory(np.tile(goal, (5, 1)), dt=0.25)
-    ctx = CostContext(chain=planar2, goal_config=goal)
-    assert cost_legibility(traj, ctx) == pytest.approx(-1.0, abs=1e-12)
+    ctx = cost_context(planar2, goal)
+    assert term("legibility", traj, ctx) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_legibility_detour_costs_more(planar2):
@@ -147,27 +164,25 @@ def test_legibility_detour_costs_more(planar2):
     straight = straightline_joint_init(np.array([np.pi / 2, 0.0]), goal, 7, 0.1)
     bent = straight.copy()
     bent.waypoints[1:-1, 1] += 0.8
-    ctx = CostContext(chain=planar2, goal_config=goal)
-    assert cost_legibility(straight, ctx) < cost_legibility(bent, ctx)
-    assert -1.0 <= cost_legibility(straight, ctx) < 0.0
+    ctx = cost_context(planar2, goal)
+    assert term("legibility", straight, ctx) < term("legibility", bent, ctx)
+    assert -1.0 <= term("legibility", straight, ctx) < 0.0
 
 
-def test_smoothness_hand_values():
+def test_smoothness_hand_values(planar2):
     q = np.array([[0.0], [0.0], [1.0]])
     value, _ = _smoothness_term(q, 1.0)
     assert value == pytest.approx(1.0, abs=1e-15)
     value, _ = _smoothness_term(q, 2.0)
     assert value == pytest.approx(1.0 / 16.0, abs=1e-15)
-    traj = JointTrajectory(q, dt=1.0)
-    assert cost_smoothness(traj) == pytest.approx(1.0, abs=1e-15)
     # a uniformly sampled line has zero acceleration
     line = straightline_joint_init(np.zeros(2), np.ones(2), 9, 0.1)
-    assert cost_smoothness(line) == pytest.approx(0.0, abs=1e-18)
+    assert term("smoothness", line, cost_context(planar2, np.ones(2))) == pytest.approx(0.0, abs=1e-18)
 
 
 def test_cost_distance_matches_loop_oracle(arm):
     traj, ctx = build_problem(arm, seed=21, n_waypoints=4)
-    got = cost_distance(traj, ctx)
+    got = term("distance", traj, ctx)
     points = fk_points_batch(arm, traj.waypoints)
     want = 0.0
     for name in ctx.prediction.joints:
@@ -206,7 +221,7 @@ def test_distance_term_matches_einsum_reference(arm):
         )
         cases = [(tube, True), (pred.with_isotropic_covariance(), True), (pred, False)]
         for (prediction, exact), eps_m in itertools.product(cases, (1e-4, 20.0)):
-            c = CostContext(arm, ctx.goal_config, prediction=prediction, eps_m=eps_m)
+            c = dataclasses.replace(ctx, prediction=prediction, eps_m=eps_m)
             covs = np.stack([prediction.covariances[j] for j in prediction.joints])
             inv_covs = np.linalg.inv(covs)
             want, want_pullback = einsum_distance_term(points, c._means, inv_covs, eps_m)
@@ -221,7 +236,7 @@ def test_distance_term_matches_einsum_reference(arm):
 
 def test_cost_visibility_matches_loop_oracle(arm):
     traj, ctx = build_problem(arm, seed=22, n_waypoints=5)
-    got = cost_visibility(traj, ctx)
+    got = term("visibility", traj, ctx)
     eef = fk_points_batch(arm, traj.waypoints)[:, -1]
     want = 0.0
     for t in range(traj.n_waypoints):
@@ -234,26 +249,13 @@ def test_cost_visibility_matches_loop_oracle(arm):
 
 def test_cost_nominal_matches_loop_oracle(arm):
     traj, ctx = build_problem(arm, seed=23, n_waypoints=6)
-    got = cost_nominal(traj, ctx)
+    got = term("nominal", traj, ctx)
     eef = fk_points_batch(arm, traj.waypoints)[:, -1]
     eef_nom = fk_points_batch(arm, ctx.nominal.waypoints)[:, -1]
     want = float(np.sum(np.linalg.norm(eef - eef_nom, axis=1)))
     assert got == pytest.approx(want, rel=1e-12)
     same = JointTrajectory(ctx.nominal.waypoints.copy(), ctx.nominal.dt)
-    assert cost_nominal(same, ctx) == 0.0
-
-
-SINGLE_TERM_WEIGHTS = {
-    "distance": CostWeights(alpha_dist=1.0),
-    "visibility": CostWeights(alpha_vis=1.0),
-    "legibility": CostWeights(alpha_legibility=1.0),
-    "nominal": CostWeights(alpha_nominal=1.0),
-    "smoothness": CostWeights(alpha_smooth=1.0),
-}
-
-COMBINED_WEIGHTS = CostWeights(
-    alpha_dist=0.8, alpha_vis=0.5, alpha_legibility=1.2, alpha_nominal=0.7, alpha_smooth=0.3
-)
+    assert term("nominal", same, ctx) == 0.0
 
 
 def test_gradients_match_finite_differences(arm):
@@ -282,7 +284,7 @@ def test_total_is_weighted_sum_of_terms(arm):
 def method_weightings(arm, traj, ctx):
     """(ctx, weights, extra_cost) weighted like the Legible, Dist+Vis, CoMOTO and nominal solves."""
     obstacle = fk_points_batch(arm, traj.waypoints)[traj.n_waypoints // 2, -1]
-    nominal_ctx = CostContext(chain=arm, goal_config=ctx.goal_config)
+    nominal_ctx = cost_context(arm, ctx.goal_config)
     return {
         "legible": (
             ctx,
@@ -393,13 +395,7 @@ def test_extra_cost_enters_with_weight_one(arm):
 def test_covariance_doubling_moves_costs(arm):
     for seed in range(5):
         traj, ctx = build_problem(arm, seed=seed, n_waypoints=10)
-        doubled = CostContext(
-            chain=arm,
-            goal_config=ctx.goal_config,
-            prediction=ctx.prediction.scaled_covariance(2.0),
-            nominal=ctx.nominal,
-            object_pos=ctx.object_pos,
-        )
+        doubled = dataclasses.replace(ctx, prediction=ctx.prediction.scaled_covariance(2.0))
         # preconditions: far from the proximity clamp and the spread floor
         points = fk_points_batch(arm, traj.waypoints)
         m_min = np.inf
@@ -411,8 +407,10 @@ def test_covariance_doubling_moves_costs(arm):
         assert m_min > 100.0 * ctx.eps_m
         head_cov = ctx.prediction.covariances["head"]
         assert np.min(np.sqrt(np.trace(head_cov, axis1=1, axis2=2) / 3.0)) > ctx.sigma_floor
-        assert cost_distance(traj, doubled) > cost_distance(traj, ctx)
-        assert cost_visibility(traj, doubled) < cost_visibility(traj, ctx)
+        before = objective(traj, ctx, COMBINED_WEIGHTS).per_cost
+        after = objective(traj, doubled, COMBINED_WEIGHTS).per_cost
+        assert after["distance"] > before["distance"]
+        assert after["visibility"] < before["visibility"]
 
 
 def test_cost_weights_validation():
@@ -434,35 +432,34 @@ def test_cost_weights_reject_non_finite(field):
 
 
 def test_context_validation(arm, planar2):
+    with pytest.raises(TypeError):
+        CostContext(chain=planar2, goal_config=np.zeros(2))  # no defaults: the run config sets them
     with pytest.raises(ContractViolation):
-        CostContext(chain=arm, goal_config=np.zeros(3))
-    with pytest.raises(ContractViolation):
-        CostContext(chain=planar2, goal_config=np.zeros(2), eps_m=0.0)
+        cost_context(arm, np.zeros(3))
+    valid = cost_context(planar2, np.zeros(2))
     for field in ("eps_m", "sigma_floor"):
-        for bad in (math.nan, math.inf, -1.0):
+        for bad in (0.0, math.nan, math.inf, -1.0):
             with pytest.raises(ContractViolation):
-                CostContext(chain=planar2, goal_config=np.zeros(2), **{field: bad})
+                dataclasses.replace(valid, **{field: bad})
     rng = np.random.default_rng(1)
     pred = make_prediction(rng, 6, 0.1)
     nominal = straightline_joint_init(np.zeros(2), np.ones(2), 5, 0.1)
     with pytest.raises(ContractViolation):
-        CostContext(chain=planar2, goal_config=np.ones(2), prediction=pred, nominal=nominal)
+        cost_context(planar2, np.ones(2), prediction=pred, nominal=nominal)
     with pytest.raises(ContractViolation, match="not positive definite"):
         pred.with_isotropic_covariance(0.0)
     singular = pred.with_isotropic_covariance()
     singular.covariances["head"] = np.zeros((6, 3, 3))  # past the prediction's own check
     with pytest.raises(ContractViolation):
-        CostContext(chain=planar2, goal_config=np.ones(2), prediction=singular)
+        cost_context(planar2, np.ones(2), prediction=singular)
     with pytest.raises(ContractViolation):
-        CostContext(chain=planar2, goal_config=np.ones(2), legibility_weights=np.array([-1.0, 1.0]))
+        cost_context(planar2, np.ones(2), legibility_weights=np.array([-1.0, 1.0]))
 
 
 def test_time_weights_default_and_custom(planar2):
-    ctx = CostContext(chain=planar2, goal_config=np.zeros(2))
+    ctx = cost_context(planar2, np.zeros(2))
     assert np.array_equal(ctx.time_weights(4), [4.0, 3.0, 2.0, 1.0])
-    custom = CostContext(
-        chain=planar2, goal_config=np.zeros(2), legibility_weights=np.array([1.0, 2.0, 3.0])
-    )
+    custom = cost_context(planar2, np.zeros(2), legibility_weights=np.array([1.0, 2.0, 3.0]))
     assert np.array_equal(custom.time_weights(3), [1.0, 2.0, 3.0])
     with pytest.raises(ContractViolation):
         custom.time_weights(4)
@@ -470,33 +467,68 @@ def test_time_weights_default_and_custom(planar2):
 
 def test_weight_without_inputs_rejected(planar2):
     traj = straightline_joint_init(np.zeros(2), np.ones(2), 4, 0.1)
-    ctx = CostContext(chain=planar2, goal_config=np.ones(2))
+    ctx = cost_context(planar2, np.ones(2))
     with pytest.raises(ContractViolation):
         evaluate_objective(traj.waypoints, traj.dt, ctx, CostWeights(alpha_dist=1.0))
     with pytest.raises(ContractViolation):
         evaluate_objective(traj.waypoints, traj.dt, ctx, CostWeights(alpha_vis=1.0))
     with pytest.raises(ContractViolation):
         evaluate_objective(traj.waypoints, traj.dt, ctx, CostWeights(alpha_nominal=1.0))
-    with pytest.raises(ContractViolation):
-        cost_distance(traj, ctx)
-    with pytest.raises(ContractViolation):
-        cost_visibility(traj, ctx)
-    with pytest.raises(ContractViolation):
-        cost_nominal(traj, ctx)
 
 
-def test_each_public_cost_checks_only_its_own_inputs(arm):
-    # Legibility needs only the chain, the goal and the time weights: a
-    # trajectory off the prediction and nominal grids is still scored.
-    traj, ctx = build_problem(arm, seed=5, n_waypoints=8)
-    longer = JointTrajectory(np.vstack([traj.waypoints, traj.waypoints[-1:]]), traj.dt)
-    bare = CostContext(chain=arm, goal_config=ctx.goal_config)
-    assert cost_legibility(longer, ctx) == cost_legibility(longer, bare)
-    for cost in (cost_distance, cost_visibility, cost_nominal):
-        with pytest.raises(ContractViolation):
-            cost(longer, ctx)
-    per_cost = evaluate_objective(traj.waypoints, traj.dt, ctx, CostWeights(alpha_smooth=1.0))[2]
-    assert cost_distance(traj, ctx) == per_cost["distance"]
-    assert cost_visibility(traj, ctx) == per_cost["visibility"]
-    assert cost_legibility(traj, ctx) == per_cost["legibility"]
-    assert cost_nominal(traj, ctx) == per_cost["nominal"]
+@st.composite
+def random_problems(draw):
+    """A 2-7 joint DH chain, one problem on it, and valid random weights."""
+    n = draw(st.integers(2, 7))
+    row = st.tuples(
+        st.floats(0.05, 0.4),  # a, m
+        st.floats(-math.pi, math.pi),  # alpha
+        st.floats(-0.3, 0.4),  # d, m
+        st.floats(-math.pi, math.pi),  # theta offset
+    )
+    dh = np.array(draw(st.lists(row, min_size=n, max_size=n)))
+    chain = ChainSpec(dh=dh, base_pose=np.eye(4), joint_limits=np.tile([-math.pi, math.pi], (n, 1)))
+    traj, ctx = build_problem(chain, draw(st.integers(0, 2**16)), draw(st.integers(3, 8)))
+    alpha = st.one_of(st.just(0.0), st.floats(0.01, 2.0))
+    values = draw(st.lists(alpha, min_size=len(COST_NAMES), max_size=len(COST_NAMES)))
+    assume(any(v > 0 for v in values))
+    names = ("alpha_dist", "alpha_vis", "alpha_legibility", "alpha_nominal", "alpha_smooth")
+    return traj, ctx, CostWeights(**dict(zip(names, values)))
+
+
+def kink_distance(traj, ctx) -> float:
+    """How near the problem lies to a point where a term is not differentiable.
+
+    The kinks: the squared Mahalanobis distance at its clamp ``eps_m``; the
+    end effector on the head or on the gaze ray; a zero-length end-effector
+    segment; an end effector on the goal point (but the last, which sits on
+    it exactly) or on the nominal's (but the two endpoints).
+    """
+    points = fk_points_batch(ctx.chain, traj.waypoints)
+    eef = points[:, -1]
+    pred = ctx.prediction
+    d = np.stack([pred.means[j] for j in pred.joints])[:, :, None, :] - points[None]
+    inv = np.linalg.inv(np.stack([pred.covariances[j] for j in pred.joints]))
+    m = np.einsum("jtpa,jtab,jtpb->jtp", d, inv, d)
+    head = pred.means["head"]
+    to_eef = np.linalg.norm(eef - head, axis=1)
+    angles = [gaze_angle(ctx.object_pos, h, e) for h, e in zip(head, eef)]
+    eef_nominal = fk_points_batch(ctx.chain, ctx.nominal.waypoints)[:, -1]
+    return min(
+        float(np.min(m)) - ctx.eps_m,
+        float(np.min(to_eef)),
+        min(angles),
+        math.pi - max(angles),
+        float(np.min(np.linalg.norm(np.diff(eef, axis=0), axis=1))),
+        float(np.min(np.linalg.norm(eef[:-1] - ctx.goal_point, axis=1))),
+        float(np.min(np.linalg.norm(eef[1:-1] - eef_nominal[1:-1], axis=1))),
+    )
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(random_problems())
+def test_gradients_match_finite_differences_on_random_dh_chains(problem):
+    traj, ctx, w = problem
+    assume(kink_distance(traj, ctx) > 1e-3)
+    _, grad, _, _ = evaluate_objective(traj.waypoints, traj.dt, ctx, w)
+    assert rel_error(grad, fd_gradient(traj.waypoints, traj.dt, ctx, w)) <= 1e-4

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+
+from conftest import CFG
 
 from comoto.errors import ContractViolation
 from comoto.human_motion import (
@@ -137,7 +141,7 @@ def constant_velocity_truth(v, rate=100.0, duration=1.2):
 def test_predict_constant_velocity_mean():
     v = np.array([0.1, -0.05, 0.02])
     observed = constant_velocity_truth(v)
-    pred = predict(observed, horizon=12, step=0.1, goal=None)
+    pred = predict(observed, horizon=12, step=0.1, goal=None, options=CFG.prediction)
     for name in RIGHT_ARM_JOINTS:
         last = observed.samples[name][-1]
         for k in range(12):
@@ -163,7 +167,7 @@ def test_predict_goal_blend_hits_goal():
     v = np.array([0.05, 0.0, 0.0])
     observed = constant_velocity_truth(v)
     goal = observed.samples["right_palm"][-1] + np.array([0.3, 0.0, 0.0])
-    pred = predict(observed, horizon=15, step=0.1, goal=goal)
+    pred = predict(observed, horizon=15, step=0.1, goal=goal, options=CFG.prediction)
     # step 0 coincides with the end of observation
     for name in RIGHT_ARM_JOINTS:
         assert np.allclose(pred.means[name][0], observed.samples[name][-1], atol=1e-12)
@@ -186,23 +190,23 @@ def test_predict_goal_blend_hits_goal():
 )
 def test_predictor_options_reject_bad_values(field, value):
     with pytest.raises(ContractViolation):
-        PredictorOptions(**{field: value})
+        dataclasses.replace(CFG.prediction, **{field: value})
 
 
 def test_predict_validation():
     observed = constant_velocity_truth([0.1, 0.0, 0.0])
     with pytest.raises(ContractViolation):
-        predict(observed, horizon=0, step=0.1)
+        predict(observed, horizon=0, step=0.1, options=CFG.prediction)
     with pytest.raises(ContractViolation):
-        predict(observed, horizon=5, step=0.0)
+        predict(observed, horizon=5, step=0.0, options=CFG.prediction)
     short = constant_velocity_truth([0.1, 0.0, 0.0], duration=0.5 * OBSERVATION_WINDOW)
     with pytest.raises(ContractViolation):
-        predict(short, horizon=5, step=0.1)
+        predict(short, horizon=5, step=0.1, options=CFG.prediction)
     missing = HumanTrajectory(
         {"right_palm": observed.samples["right_palm"]}, rate=observed.rate
     )
     with pytest.raises(ContractViolation):
-        predict(missing, horizon=5, step=0.1)
+        predict(missing, horizon=5, step=0.1, options=CFG.prediction)
 
 
 def test_predicted_trajectory_validation():
@@ -232,7 +236,7 @@ def test_predicted_trajectory_validation():
 
 def test_covariance_scaling_helpers():
     observed = constant_velocity_truth([0.1, 0.0, 0.0])
-    pred = predict(observed, horizon=6, step=0.1)
+    pred = predict(observed, horizon=6, step=0.1, options=CFG.prediction)
     doubled = pred.scaled_covariance(2.0)
     flat = pred.with_isotropic_covariance()
     for name in pred.joints:
@@ -246,7 +250,7 @@ def test_covariance_scaling_helpers():
 
 def test_extrapolate_skeleton_offsets():
     observed = constant_velocity_truth([0.0, 0.1, 0.0])
-    pred = predict(observed, horizon=8, step=0.1)
+    pred = predict(observed, horizon=8, step=0.1, options=CFG.prediction)
     full = extrapolate_skeleton(pred)
     offsets = load_skeleton_offsets()
     for name in EXTRAPOLATED_JOINTS:

@@ -28,7 +28,6 @@ from comoto.kinematics import (
     fk_points_batch,
     frame_origins_and_axes,
     load_trajectory,
-    position_jacobian,
     save_trajectory,
     solve_position_ik,
     _batch_frames,
@@ -93,11 +92,11 @@ def test_fk_planar_hand_values(planar2):
 
 
 def test_jacobian_planar_hand_values(planar2):
-    J = position_jacobian(planar2, np.array([0.0, 0.0]), point_index=2)
-    assert np.allclose(J, [[0, 0], [2, 1], [0, 0]], atol=1e-15)
+    _, jacs = all_point_jacobians(planar2, np.array([0.0, 0.0]))
+    assert np.allclose(jacs[2], [[0, 0], [2, 1], [0, 0]], atol=1e-15)
     # the first frame origin does not move with any joint before it
-    J0 = position_jacobian(planar2, np.array([0.3, -0.2]), point_index=0)
-    assert np.array_equal(J0, np.zeros((3, 2)))
+    _, jacs = all_point_jacobians(planar2, np.array([0.3, -0.2]))
+    assert np.array_equal(jacs[0], np.zeros((3, 2)))
 
 
 def test_jacobians_match_finite_differences(arm):
@@ -115,7 +114,6 @@ def test_jacobians_match_finite_differences(arm):
                 qm[j] -= h
                 fd[:, j] = (fk_points(arm, qp)[k] - fk_points(arm, qm)[k]) / (2 * h)
             assert np.max(np.abs(jacs[k] - fd)) <= 1e-6
-            assert np.max(np.abs(position_jacobian(arm, q, k) - fd)) <= 1e-6
 
 
 def test_batch_fk_matches_single(arm):
@@ -213,8 +211,6 @@ def test_clamp_projects_onto_limits(planar2):
 def test_config_dimension_checked(planar2):
     with pytest.raises(ContractViolation):
         fk_points(planar2, np.zeros(3))
-    with pytest.raises(ContractViolation):
-        position_jacobian(planar2, np.zeros(2), point_index=3)
 
 
 def test_joint_trajectory_validation():

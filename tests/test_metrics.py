@@ -8,26 +8,18 @@ import numpy as np
 import pytest
 
 from comoto.baselines import ExecutionTrace
-from comoto.benchmark import evaluate_planned, load_config, prepare_scenario, run_method
 from comoto.errors import ContractViolation
 from comoto.human_motion import HumanTrajectory
 from comoto.kinematics import JointTrajectory, fk_points_batch
-from comoto.metrics import (
-    GoalSet,
-    MetricReport,
-    aggregate,
-    evaluate_run,
-    metric_legibility,
-    metric_nominal_dev,
-    metric_separation,
-    metric_visibility,
-    trace_at_nominal_times,
-)
-from comoto.scenarios import make_scenario
+from comoto.metrics import GoalSet, MetricReport, aggregate, evaluate_run, trace_at_nominal_times
+
+from conftest import CFG
 
 # planar two-link configurations with hand-known robot points
 Q_NEAR = [0.0, 0.0]  # points (0,0,0), (1,0,0), (2,0,0)
 Q_FAR = [np.pi, 0.0]  # points (0,0,0), (-1,0,0), (-2,0,0)
+
+GOALS = GoalSet(true_goal=np.array([2.0, 0.0, 0.0]), distractors=(np.array([0.5, 2.0, 0.0]),))
 
 
 def fixed_human(position, n=600, rate=100.0) -> HumanTrajectory:
@@ -35,14 +27,25 @@ def fixed_human(position, n=600, rate=100.0) -> HumanTrajectory:
     return HumanTrajectory({"head": track}, rate)
 
 
+def metrics(chain, planned, human, target=(0.5, 2.0, 0.0), goals=GOALS, nominal=None, **settings):
+    """``evaluate_run`` with the packaged config's threshold and field of view;
+    ``planned`` is its own nominal unless one is given."""
+    settings = {"threshold": CFG.separation_threshold, "fov_deg": CFG.fov_deg, **settings}
+    nominal = planned if nominal is None else nominal
+    return evaluate_run(
+        chain, planned, human, nominal, goals, gaze_target=np.asarray(target), **settings
+    )
+
+
 def test_separation_fractions_exact(planar2):
     human = fixed_human([2.15, 0.0, 0.0])  # 0.15 from the near pose, 2.15 from the far one
+    assert 0.15 < CFG.separation_threshold < 2.15
     near4 = JointTrajectory(np.tile(Q_NEAR, (4, 1)), dt=0.1)
     far4 = JointTrajectory(np.tile(Q_FAR, (4, 1)), dt=0.1)
     half = JointTrajectory(np.array([Q_NEAR, Q_NEAR, Q_FAR, Q_FAR]), dt=0.1)
-    assert metric_separation(planar2, far4, human, threshold=0.20) == 100.0
-    assert metric_separation(planar2, near4, human, threshold=0.20) == 0.0
-    assert metric_separation(planar2, half, human, threshold=0.20) == 50.0
+    assert metrics(planar2, far4, human).dst_pct == 100.0
+    assert metrics(planar2, near4, human).dst_pct == 0.0
+    assert metrics(planar2, half, human).dst_pct == 50.0
 
 
 def test_separation_matches_all_pairs_reference(arm):
@@ -51,9 +54,9 @@ def test_separation_matches_all_pairs_reference(arm):
     configs = 0.4 * rng.standard_normal((n_steps, arm.n_joints)).cumsum(axis=0) / np.sqrt(n_steps)
     traj = JointTrajectory(configs, dt=1.0 / rate)
     tracks = {
-        f"joint{j}": np.array([0.5, 0.0, 0.4]) + 0.3 * rng.standard_normal(3)
+        name: np.array([0.5, 0.0, 0.4]) + 0.3 * rng.standard_normal(3)
         + 0.02 * rng.standard_normal((n_steps, 3)).cumsum(axis=0)
-        for j in range(5)
+        for name in ("head", "joint1", "joint2", "joint3", "joint4")
     }
     human = HumanTrajectory(tracks, rate)
     robot = fk_points_batch(arm, configs)
@@ -62,7 +65,7 @@ def test_separation_matches_all_pairs_reference(arm):
     min_dist = np.sqrt(np.min(np.sum(diff**2, axis=3), axis=(1, 2)))
     for threshold in np.quantile(min_dist, [0.1, 0.5, 0.9]):
         want = 100.0 * np.count_nonzero(min_dist > threshold) / n_steps
-        assert metric_separation(arm, traj, human, threshold) == want
+        assert metrics(arm, traj, human, threshold=threshold).dst_pct == want
 
 
 def test_visibility_fov_boundary(planar2):
@@ -74,25 +77,25 @@ def test_visibility_fov_boundary(planar2):
         rad = np.radians(deg)
         return np.array([np.cos(rad), np.sin(rad), 0.0])
 
-    # half-aperture of a 160 degree field of view is 80 degrees
-    assert metric_visibility(planar2, traj, human, target_at(70.0), fov_deg=160.0) == 100.0
-    assert metric_visibility(planar2, traj, human, target_at(90.0), fov_deg=160.0) == 0.0
-    assert metric_visibility(planar2, traj, human, target_at(79.999), fov_deg=160.0) == 100.0
-    assert metric_visibility(planar2, traj, human, target_at(80.001), fov_deg=160.0) == 0.0
+    half = CFG.fov_deg / 2.0  # the field of view's half-aperture
+    assert metrics(planar2, traj, human, target_at(half - 10.0)).vis_pct == 100.0
+    assert metrics(planar2, traj, human, target_at(half + 10.0)).vis_pct == 0.0
+    assert metrics(planar2, traj, human, target_at(half - 0.001)).vis_pct == 100.0
+    assert metrics(planar2, traj, human, target_at(half + 0.001)).vis_pct == 0.0
 
 
 def test_visibility_counts_mixed_steps(planar2):
     human = fixed_human([0.0, 0.0, 0.0])
     # eef at (2,0,0) for two steps then (-2,0,0) for two: target along +x
     traj = JointTrajectory(np.array([Q_NEAR, Q_NEAR, Q_FAR, Q_FAR]), dt=0.1)
-    assert metric_visibility(planar2, traj, human, np.array([1.0, 0, 0]), fov_deg=160.0) == 50.0
+    assert metrics(planar2, traj, human, [1.0, 0, 0]).vis_pct == 50.0
 
 
 def test_legibility_chance_level_is_zero(planar2):
     # the whole path sits on the perpendicular bisector of the two goals
     traj = JointTrajectory(np.tile(Q_NEAR, (5, 1)), dt=0.1)
     goals = GoalSet(true_goal=np.array([1.0, 1.0, 0.0]), distractors=(np.array([1.0, -1.0, 0.0]),))
-    assert abs(metric_legibility(planar2, traj, goals)) <= 1e-12
+    assert abs(metrics(planar2, traj, fixed_human([0.0, 3.0, 0.0]), goals=goals).legibility) <= 1e-12
 
 
 def test_legibility_sign_tracks_the_pursued_goal(planar2):
@@ -103,21 +106,24 @@ def test_legibility_sign_tracks_the_pursued_goal(planar2):
     toward_distractor = JointTrajectory(
         np.stack([np.linspace(np.pi / 2, 0.0, 6), np.zeros(6)], axis=1), dt=0.1
     )
-    assert metric_legibility(planar2, toward_true, goals) > 0.0
-    assert metric_legibility(planar2, toward_distractor, goals) < 0.0
+    human = fixed_human([0.0, 3.0, 0.0])
+    toward_true = metrics(planar2, toward_true, human, goals=goals).legibility
+    assert metrics(planar2, toward_distractor, human, goals=goals).legibility < 0.0
     # score is bounded by construction
-    assert -100.0 <= metric_legibility(planar2, toward_true, goals) <= 100.0
+    assert 0.0 < toward_true <= 100.0
 
 
 def test_nominal_deviation_hand_value(planar2):
     nominal = JointTrajectory(np.tile(Q_NEAR, (4, 1)), dt=0.1)
     same = JointTrajectory(np.tile(Q_NEAR, (4, 1)), dt=0.1)
     rotated = JointTrajectory(np.tile([np.pi / 2, 0.0], (4, 1)), dt=0.1)
-    assert metric_nominal_dev(planar2, same, nominal) == 0.0
+    human = fixed_human([0.0, 3.0, 0.0])
+    assert metrics(planar2, same, human, nominal=nominal).nom_dev == 0.0
     # eef (2,0,0) vs (0,2,0): squared distance 8 at each of 4 steps
-    assert metric_nominal_dev(planar2, rotated, nominal) == pytest.approx(32.0, rel=1e-12)
+    assert metrics(planar2, rotated, human, nominal=nominal).nom_dev == pytest.approx(32.0, rel=1e-12)
+    longer = JointTrajectory(np.tile(Q_NEAR, (5, 1)), dt=0.1)
     with pytest.raises(ContractViolation):
-        metric_nominal_dev(planar2, JointTrajectory(np.tile(Q_NEAR, (5, 1)), dt=0.1), nominal)
+        metrics(planar2, longer, human, nominal=nominal)
 
 
 def test_aggregate_mean_and_sample_sd():
@@ -161,54 +167,27 @@ def test_trace_alignment_on_nominal_clock(planar2):
 def test_evaluate_run_handles_trajectories_and_traces(planar2):
     human = fixed_human([0.0, 3.0, 0.0])
     nominal = JointTrajectory(np.tile(Q_NEAR, (4, 1)), dt=0.1)
-    goals = GoalSet(true_goal=np.array([2.0, 0.0, 0.0]), distractors=(np.array([0.5, 2.0, 0.0]),))
-    target = np.array([0.5, 2.0, 0.0])
-    planned = evaluate_run(planar2, nominal, human, nominal, goals, gaze_target=target)
+    planned = metrics(planar2, nominal, human)
     assert planned.completed
     assert planned.nom_dev == 0.0
     trace = ExecutionTrace(
         timestamps=nominal.times, configs=nominal.waypoints, completed=False
     )
-    executed = evaluate_run(planar2, trace, human, nominal, goals, gaze_target=target)
+    executed = metrics(planar2, trace, human, nominal=nominal)
     assert not executed.completed
     assert executed.nom_dev == pytest.approx(planned.nom_dev, abs=1e-12)
     assert executed.dst_pct == planned.dst_pct
 
 
-def test_evaluate_run_equals_the_four_metrics_bit_for_bit(arm):
-    # evaluate_run (here through the benchmark's evaluate_planned) shares
-    # one FK pass between the metrics; each public metric_* runs its own.
-    cfg = load_config()
-    sc = make_scenario("reaching_near", 2, arm)
-    bundle = prepare_scenario(sc, cfg)
-    nominal = bundle.nominal
-    bent = nominal.copy()
-    rng = np.random.default_rng(0)
-    bent.waypoints[1:-1] += 0.05 * rng.standard_normal(bent.waypoints[1:-1].shape)
-    trace, _ = run_method("Speed-Adj", bundle, cfg)
-    assert isinstance(trace, ExecutionTrace)
-    for planned in (nominal, bent, trace):
-        report = evaluate_planned(bundle, planned, cfg)
-        aligned = trace_at_nominal_times(planned, nominal) if planned is trace else planned
-        want = (
-            metric_separation(arm, planned, bundle.truth, cfg.separation_threshold),
-            metric_visibility(arm, planned, bundle.truth, sc.human_object, cfg.fov_deg),
-            metric_legibility(arm, planned, bundle.goals),
-            metric_nominal_dev(arm, aligned, nominal),
-        )
-        got = (report.dst_pct, report.vis_pct, report.legibility, report.nom_dev)
-        assert [np.float64(v).tobytes() for v in got] == [np.float64(v).tobytes() for v in want]
-    assert 0.0 < report.nom_dev
-
-
 def test_unknown_planned_type_rejected(planar2):
     human = fixed_human([0.0, 3.0, 0.0])
+    nominal = JointTrajectory(np.tile(Q_NEAR, (4, 1)), dt=0.1)
     with pytest.raises(ContractViolation):
-        metric_separation(planar2, "not a trajectory", human)
+        metrics(planar2, "not a trajectory", human, nominal=nominal)
 
 
 def test_visibility_needs_head_track(planar2):
     traj = JointTrajectory(np.tile(Q_NEAR, (4, 1)), dt=0.1)
     headless = HumanTrajectory({"right_palm": np.zeros((10, 3))}, rate=100.0)
     with pytest.raises(ContractViolation):
-        metric_visibility(planar2, traj, headless, np.array([1.0, 0, 0]))
+        metrics(planar2, traj, headless)

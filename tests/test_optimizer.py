@@ -1,5 +1,5 @@
-"""Projected gradient descent: recovery oracles, endpoint handling,
-convergence bookkeeping, and the built-in gradient self-check."""
+"""Projected gradient descent: recovery oracles, endpoint handling and
+convergence bookkeeping."""
 
 from __future__ import annotations
 
@@ -9,11 +9,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import cost_context
 from test_costs import COMBINED_WEIGHTS, build_problem, method_weightings
 
 from comoto import optimizer as optimizer_module
-from comoto.costs import CostContext, CostWeights, ObjectivePass, evaluate_objective
-from comoto.errors import ContractViolation, GradientCheckError
+from comoto.costs import CostWeights, ObjectivePass, evaluate_objective
+from comoto.errors import ContractViolation
 from comoto.kinematics import JointTrajectory
 from comoto.optimizer import OptimizerOptions, optimize, straightline_joint_init
 
@@ -45,7 +46,7 @@ def test_smoothness_only_recovers_straight_line(arm):
     goal = np.array([0.5, 0.9, -0.3, -0.7, 0.2, 1.1, 0.4])
     n, dt = 10, 0.2
     init = perturbed_line(arm, start, goal, n, dt, seed=5)
-    ctx = CostContext(chain=arm, goal_config=goal)
+    ctx = cost_context(arm, goal)
     # the second-difference quadratic is ill-conditioned: give descent room
     opts = OptimizerOptions(max_iters=30000, grad_tol=1e-10, step_init=0.05)
     result = optimize(ctx, CostWeights(alpha_smooth=1.0), init, opts)
@@ -62,7 +63,7 @@ def test_zero_gradient_start_returns_immediately(arm):
     start = np.array([0.0, 0.6, 0.0, -1.1, 0.0, 0.8, 0.0])
     goal = start + 0.3
     nominal = straightline_joint_init(start, goal, 8, 0.1)
-    ctx = CostContext(chain=arm, goal_config=goal, nominal=nominal)
+    ctx = cost_context(arm, goal, nominal=nominal)
     opts = OptimizerOptions(max_iters=500, grad_tol=1e-4, step_init=0.05)
     result = optimize(ctx, CostWeights(alpha_nominal=1.0), nominal.copy(), opts)
     assert result.converged
@@ -127,26 +128,6 @@ def test_result_reports_and_gradient_shape(arm):
     }
     assert result.wall_time >= 0.0
     assert result.iterations <= opts.max_iters
-
-
-def test_fd_check_accepts_correct_gradient(arm):
-    traj, ctx = build_problem(arm, seed=4, n_waypoints=5)
-    init = JointTrajectory(traj.waypoints.copy(), traj.dt)
-    opts = OptimizerOptions(max_iters=3, grad_tol=1e-10, step_init=0.02, fd_check=True)
-    optimize(ctx, COMBINED_WEIGHTS, init, opts)
-
-
-def test_fd_check_catches_wrong_gradient(arm):
-    traj, ctx = build_problem(arm, seed=4, n_waypoints=5)
-    init = JointTrajectory(traj.waypoints.copy(), traj.dt)
-
-    def lying_extra(q, points, jacs, with_grad):
-        value = float(np.sum(q**2))
-        return value, (0.5 * q if with_grad else None)  # wrong on purpose
-
-    opts = OptimizerOptions(max_iters=3, grad_tol=1e-10, step_init=0.02, fd_check=True)
-    with pytest.raises(GradientCheckError):
-        optimize(ctx, COMBINED_WEIGHTS, init, opts, extra_cost=lying_extra)
 
 
 def test_joint_limits_respected(arm):
@@ -214,16 +195,6 @@ def test_stop_reason_and_evaluation_counts(arm, monkeypatch):
     )
     assert (capped.stop_reason, capped.converged, capped.iterations) == ("max_iters", False, 5)
     assert capped.grad_evals == 6 and capped.value_evals >= 5
-
-    checked = counted_optimize(
-        monkeypatch,
-        ctx,
-        COMBINED_WEIGHTS,
-        init,
-        OptimizerOptions(max_iters=2, grad_tol=1e-10, step_init=0.05, fd_check=True),
-    )
-    n_free = (init.n_waypoints - 2) * init.n_joints
-    assert checked.value_evals >= 2 * n_free + 2
 
     loose = counted_optimize(
         monkeypatch, ctx, COMBINED_WEIGHTS, init, dataclasses.replace(VALID_OPTIONS, grad_tol=1e6)
