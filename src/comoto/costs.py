@@ -50,6 +50,11 @@ COST_NAMES = tuple(_ALPHA)
 _TINY = 1e-12
 
 
+def _row_norms(x: Array) -> Array:
+    """``np.linalg.norm(x, axis=1)`` for real ``x``, bit for bit, in one call."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
+
+
 @dataclass(frozen=True)
 class CostWeights:
     """Non-negative weights for the five cost terms."""
@@ -120,6 +125,7 @@ class CostContext:
             if self.nominal is None
             else fk_points_batch(self.chain, self.nominal.waypoints)[:, -1]
         )
+        self._means = self._inv_covs_t = self._sigma_head = self._gaze = None
         if self.prediction is not None:
             names = list(self.prediction.joints)
             self._means = np.stack([self.prediction.means[j] for j in names])
@@ -134,12 +140,12 @@ class CostContext:
                 head_cov = self.prediction.covariances["head"]
                 spread = np.sqrt(np.trace(head_cov, axis1=1, axis2=2) / 3.0)
                 self._sigma_head = np.maximum(spread, self.sigma_floor)
-            else:
-                self._sigma_head = None
-        else:
-            self._means = None
-            self._inv_covs_t = None
-            self._sigma_head = None
+        if self._sigma_head is not None and self.object_pos is not None:
+            # The visibility term's gaze ray from the head to the object, per step.
+            self._head = self.prediction.means["head"]
+            self._gaze = self.object_pos - self._head
+            self._gaze_norm = nu = _row_norms(self._gaze)
+            self._gaze_unit = self._gaze / np.where(nu > 1e-9, nu, 1.0)[:, None]
 
     @property
     def goal_point(self) -> Array:
@@ -214,7 +220,7 @@ def goal_probability(
 # ---------------------------------------------------------------------------
 
 
-def _distance_term(points: Array, means: Array, inv_covs_t: Array, eps_m: float):
+def _distance_term(points: Array, ctx: CostContext):
     # points (N,P,3); means (J,N,3); inv_covs_t (J,N,3,3), each inverse transposed.
     # sd = Sigma^-1 d as one stacked GEMM of each (P,3) block of d by its
     # transposed inverse.  Every prediction the pipeline builds is isotropic
@@ -223,65 +229,59 @@ def _distance_term(points: Array, means: Array, inv_covs_t: Array, eps_m: float)
     # change a bit.  Repeating the means builds d faster than a broadcast
     # difference; d is rebuilt per call, since a copy on the context would
     # keep a (J,N,P,3) array alive for every planning problem.
-    P = points.shape[1]
-    d = np.repeat(means[:, :, None, :], P, axis=2) - points[None]  # (J,N,P,3)
-    sd = np.matmul(d, inv_covs_t)
+    eps_m = ctx.eps_m
+    d = np.repeat(ctx._means[:, :, None, :], points.shape[1], axis=2) - points[None]  # (J,N,P,3)
+    sd = np.matmul(d, ctx._inv_covs_t)
     m = np.einsum("jtpa,jtpa->jtp", d, sd)
-    clamped = m < eps_m
-    value = float(np.sum(1.0 / np.maximum(m, eps_m)))
+    m_clamped = np.maximum(m, eps_m)
+    value = float((1.0 / m_clamped).sum())
 
     def pullback(jacs: Array) -> Array:
-        coeff = np.where(clamped, 0.0, 2.0 / np.maximum(m, eps_m) ** 2)
+        coeff = np.where(m < eps_m, 0.0, 2.0 / m_clamped**2)
         dval_dp = np.einsum("jtp,jtpa->tpa", coeff, sd)
         return np.einsum("tpan,tpa->tn", jacs, dval_dp)
 
     return value, pullback
 
 
-def _visibility_term(eef: Array, head_means: Array, sigma_head: Array, object_pos: Array):
+def _visibility_term(eef: Array, ctx: CostContext):
     """Returns ``(value, pullback, flagged)``; ``flagged`` lists degenerate steps."""
-    u = object_pos[None, :] - head_means  # gaze ray per step
-    w = eef - head_means
-    nu = np.linalg.norm(u, axis=1)
-    nw = np.linalg.norm(w, axis=1)
+    u, nu, sigma_head = ctx._gaze, ctx._gaze_norm, ctx._sigma_head
+    w = eef - ctx._head
+    nw = _row_norms(w)
     ok = (nu > 1e-9) & (nw > 1e-9)
-    flagged = [int(t) for t in np.nonzero(~ok)[0]]
-    safe_nu = np.where(ok, nu, 1.0)
+    flagged = [] if ok.all() else [int(t) for t in np.nonzero(~ok)[0]]
     safe_nw = np.where(ok, nw, 1.0)
-    c = np.clip(np.einsum("ta,ta->t", u, w) / (safe_nu * safe_nw), -1.0, 1.0)
+    c = np.clip(np.einsum("ta,ta->t", u, w) / (np.where(ok, nu, 1.0) * safe_nw), -1.0, 1.0)
     theta = np.where(ok, np.arccos(c), 0.0)
-    value = float(np.sum(theta / sigma_head))
+    value = float((theta / sigma_head).sum())
 
     def pullback(eef_jac: Array) -> Array:
         sin2 = 1.0 - c**2
         diffbl = ok & (sin2 > _TINY)
         safe_sin = np.sqrt(np.where(diffbl, sin2, 1.0))
-        u_hat = u / safe_nu[:, None]
         w_hat = w / safe_nw[:, None]
-        dtheta_dw = -(u_hat - c[:, None] * w_hat) / (safe_nw * safe_sin)[:, None]
+        dtheta_dw = -(ctx._gaze_unit - c[:, None] * w_hat) / (safe_nw * safe_sin)[:, None]
         dtheta_dw = np.where(diffbl[:, None], dtheta_dw, 0.0)
         return np.einsum("tan,ta->tn", eef_jac, dtheta_dw / sigma_head[:, None])
 
     return value, pullback, flagged
 
 
-def _legibility_term(eef: Array, goal: Array, f: Array):
+def _legibility_term(eef: Array, goal: Array, f: Array, W: float):
+    # f: the per-step time weights; W: their sum, positive.
     N = eef.shape[0]
-    W = float(f.sum())
-    if W <= 0:
-        raise ContractViolation("legibility time weights sum to zero")
-    seg = np.diff(eef, axis=0)  # (N-1,3)
-    seg_len = np.linalg.norm(seg, axis=1)
-    s = np.concatenate([[0.0], np.cumsum(seg_len)])
-    to_goal = eef - goal[None, :]
-    r = np.linalg.norm(to_goal, axis=1)
+    seg = eef[1:] - eef[:-1]  # (N-1,3)
+    seg_len = _row_norms(seg)
+    s = np.concatenate([[0.0], seg_len.cumsum()])
+    to_goal = eef - goal
+    r = _row_norms(to_goal)
     L_full = r[0]
-    P = np.exp(L_full - s - r)  # <= 1 by the triangle inequality
-    value = -float(np.sum(f * P) / W)
+    wp = f * np.exp(L_full - s - r)  # f_k P_k, with P <= 1 by the triangle inequality
+    value = -float(wp.sum() / W)
 
     def pullback(eef_jac: Array) -> Array:
-        wp = f * P
-        A = np.cumsum(wp[::-1])[::-1]  # A[n] = sum_{k>=n} f_k P_k
+        A = wp[::-1].cumsum()[::-1]  # A[n] = sum_{k>=n} f_k P_k
         B = A - wp
         u_hat = np.where(seg_len[:, None] > _TINY, seg / np.maximum(seg_len, _TINY)[:, None], 0.0)
         g_hat = np.where(r[:, None] > _TINY, to_goal / np.maximum(r, _TINY)[:, None], 0.0)
@@ -299,7 +299,7 @@ def _legibility_term(eef: Array, goal: Array, f: Array):
 
 def _nominal_term(eef: Array, nominal_eef: Array):
     diff = eef - nominal_eef
-    dist = np.linalg.norm(diff, axis=1)
+    dist = _row_norms(diff)
     value = float(dist.sum())
 
     def pullback(eef_jac: Array) -> Array:
@@ -311,10 +311,10 @@ def _nominal_term(eef: Array, nominal_eef: Array):
 
 def _smoothness_term(q: Array, dt: float):
     acc = (q[2:] - 2.0 * q[1:-1] + q[:-2]) / dt**2
-    value = float(np.sum(acc**2))
+    value = float((acc**2).sum())
 
     def pullback() -> Array:
-        grad = np.zeros_like(q)
+        grad = np.zeros(q.shape)
         a2 = 2.0 * acc / dt**2
         grad[:-2] += a2
         grad[1:-1] -= 2.0 * a2
@@ -329,34 +329,48 @@ def _require(condition: bool, message: str) -> None:
         raise ContractViolation(message)
 
 
-def _supported_terms(ctx: CostContext, weights: dict, extra_cost, n_waypoints: int) -> dict:
-    """Which terms the context can evaluate; fails if a weighted one lacks its inputs."""
-    has_inputs = {
-        "distance": ctx.prediction is not None,
-        "visibility": ctx.prediction is not None
-        and ctx._sigma_head is not None
-        and ctx.object_pos is not None,
-        "nominal": ctx.nominal is not None,
-    }
-    for name, ok in has_inputs.items():
-        _require(ok or weights[name] == 0, f"{name} weight set but the context lacks its inputs")
-    if has_inputs["distance"]:
-        _require(
-            ctx.prediction.horizon == n_waypoints,
-            "prediction horizon must equal the trajectory waypoint count",
-        )
-    if has_inputs["nominal"]:
-        _require(
-            ctx.nominal.n_waypoints == n_waypoints,
-            "nominal and trajectory must share waypoint count",
-        )
-    # Legibility needs only the end effector, so it comes free with any FK pass.
-    has_fk = any(has_inputs.values()) or weights["legibility"] > 0 or extra_cost is not None
-    return {**has_inputs, "legibility": has_fk, "smoothness": True}
+class WeightedObjective:
+    """What every ``ObjectivePass`` of one planning problem shares.
+
+    Construction checks once that the context supplies each weighted
+    term's inputs for ``n_waypoints`` waypoints, and fixes the weights,
+    the terms a pass computes (``weighted``) or can report
+    (``supported``) and the legibility time weights.
+    """
+
+    def __init__(self, ctx: CostContext, w: CostWeights, dt: float, n_waypoints: int, extra_cost=None):
+        self.ctx, self.dt, self.extra_cost = ctx, dt, extra_cost
+        self.weights = weights = w.as_dict()
+        has_inputs = {
+            "distance": ctx.prediction is not None,
+            "visibility": ctx._gaze is not None,
+            "nominal": ctx.nominal is not None,
+        }
+        for name, ok in has_inputs.items():
+            _require(ok or weights[name] == 0, f"{name} weight set but the context lacks its inputs")
+        if has_inputs["distance"]:
+            _require(
+                ctx.prediction.horizon == n_waypoints,
+                "prediction horizon must equal the trajectory waypoint count",
+            )
+        if has_inputs["nominal"]:
+            _require(
+                ctx.nominal.n_waypoints == n_waypoints,
+                "nominal and trajectory must share waypoint count",
+            )
+        # Legibility needs only the end effector, so it comes free with any FK pass.
+        has_fk = any(has_inputs.values()) or weights["legibility"] > 0 or extra_cost is not None
+        has_inputs.update(legibility=has_fk, smoothness=True)
+        self.supported = [name for name in COST_NAMES if has_inputs[name]]
+        self.weighted = [name for name in COST_NAMES if weights[name] > 0]
+        if has_inputs["legibility"]:
+            self.time_weights = ctx.time_weights(n_waypoints)
+            self.time_weight_sum = float(self.time_weights.sum())
+            _require(self.time_weight_sum > 0, "legibility time weights sum to zero")
 
 
 class ObjectivePass:
-    """The weighted objective at one set of waypoints, kept for its gradient.
+    """The weighted objective of ``problem`` at waypoints ``q``, kept for its gradient.
 
     Construction runs forward kinematics once (when any term needs it)
     and computes the positively weighted terms.  ``gradient()`` then
@@ -374,89 +388,78 @@ class ObjectivePass:
     keeps a reference to ``q``: do not modify it while the pass is used.
     """
 
-    def __init__(
-        self,
-        q: Array,
-        dt: float,
-        ctx: CostContext,
-        w: CostWeights,
-        extra_cost=None,
-    ):
-        self.q, self.dt, self.ctx, self.extra_cost = q, dt, ctx, extra_cost
-        self.weights = w.as_dict()
-        self._supported = _supported_terms(ctx, self.weights, extra_cost, q.shape[0])
+    def __init__(self, q: Array, problem: WeightedObjective):
+        self.q, self.problem = q, problem
         self._frames = None
         self._values: dict[str, float] = {}
         self._pullbacks: dict = {}
         self._grad = None
         self.diagnostics: dict = {}
-        self._add_terms([name for name in COST_NAMES if self.weights[name] > 0])
-        self.total = sum(self.weights[name] * value for name, value in self._values.items())
+        self._add_terms(problem.weighted)
+        self.total = sum(problem.weights[name] * value for name, value in self._values.items())
         self.extra = None
-        if extra_cost is not None:
-            self.extra, _ = extra_cost(q, self._fk()[0], None, False)
+        if problem.extra_cost is not None:
+            self.extra, _ = problem.extra_cost(q, self._fk()[0], None, False)
             self.total += self.extra
-        if not np.isfinite(self.total):
+        if not math.isfinite(self.total):
             raise ContractViolation("objective evaluated to a non-finite value")
 
     def _fk(self) -> tuple[Array, Array]:
         if self._frames is None:
-            self._frames = _batch_frames(self.ctx.chain, self.q)
+            self._frames = _batch_frames(self.problem.ctx.chain, self.q)
         return self._frames
 
     def _add_terms(self, names) -> None:
-        ctx = self.ctx
+        problem, ctx = self.problem, self.problem.ctx
         names = [name for name in names if name not in self._values]
-        if any(name != "smoothness" for name in names):
+        if names and names != ["smoothness"]:
             points = self._fk()[0]
             eef = points[:, -1]
         for name in names:
             if name == "distance":
-                value, pullback = _distance_term(points, ctx._means, ctx._inv_covs_t, ctx.eps_m)
+                value, pullback = _distance_term(points, ctx)
             elif name == "visibility":
-                value, pullback, flagged = _visibility_term(
-                    eef, ctx.prediction.means["head"], ctx._sigma_head, ctx.object_pos
-                )
+                value, pullback, flagged = _visibility_term(eef, ctx)
                 if flagged:
                     self.diagnostics["visibility_degenerate_steps"] = flagged
             elif name == "legibility":
                 value, pullback = _legibility_term(
-                    eef, ctx.goal_point, ctx.time_weights(self.q.shape[0])
+                    eef, ctx.goal_point, problem.time_weights, problem.time_weight_sum
                 )
             elif name == "nominal":
                 value, pullback = _nominal_term(eef, ctx._nominal_eef)
             else:
-                value, pullback = _smoothness_term(self.q, self.dt)
+                value, pullback = _smoothness_term(self.q, problem.dt)
             self._values[name] = value
             self._pullbacks[name] = pullback
 
     @property
     def per_cost(self) -> dict[str, float]:
         """The weighted terms in ``COST_NAMES`` order, then ``extra``."""
-        out = {name: self._values[name] for name in COST_NAMES if self.weights[name] > 0}
-        if self.extra_cost is not None:
+        out = {name: self._values[name] for name in self.problem.weighted}
+        if self.problem.extra_cost is not None:
             out["extra"] = self.extra
         return out
 
     def gradient(self) -> Array:
         """Gradient of ``total`` over all waypoints."""
         if self._grad is None:
-            weighted = [name for name in COST_NAMES if self.weights[name] > 0]
+            problem = self.problem
             points = jacs = eef_jac = None
-            if self.extra_cost is not None or any(name != "smoothness" for name in weighted):
+            if problem.extra_cost is not None or problem.weighted != ["smoothness"]:
                 points, axes = self._fk()
                 jacs = _point_jacobians(points, axes)
                 eef_jac = jacs[:, -1]
-            grad = np.zeros_like(self.q)
-            for name in weighted:
+            grad = np.zeros(self.q.shape)
+            for name in problem.weighted:
                 pullback = self._pullbacks[name]
                 if name == "smoothness":
                     term = pullback()
                 else:
                     term = pullback(jacs if name == "distance" else eef_jac)
-                grad += self.weights[name] * term
-            if self.extra_cost is not None:
-                _, extra_grad = self.extra_cost(self.q, points, jacs, True)
+                grad += problem.weights[name] * term
+            if problem.extra_cost is not None:
+                _, extra_grad = problem.extra_cost(self.q, points, jacs, True)
                 if extra_grad is not None:
                     grad += extra_grad
             self._grad = grad
@@ -468,10 +471,10 @@ class ObjectivePass:
         ``per_cost`` lists all five terms, 0.0 for one whose inputs the
         context lacks, then ``extra``.
         """
-        self._add_terms([name for name in COST_NAMES if self._supported[name]])
+        self._add_terms(self.problem.supported)
         per_cost = {name: self._values.get(name, 0.0) for name in COST_NAMES}
-        weights = dict(self.weights)
-        if self.extra_cost is not None:
+        weights = dict(self.problem.weights)
+        if self.problem.extra_cost is not None:
             per_cost["extra"] = self.extra
             weights["extra"] = 1.0
         return CostReport(
@@ -498,11 +501,12 @@ def evaluate_objective(
     ``report()``: every term, 0.0 for one whose inputs the context
     lacks.  A value-only call (``with_grad=False``) computes only the
     positively weighted terms, so its ``per_cost`` holds exactly those
-    plus ``extra``; its total is the same bit for bit.  The optimizer uses
-    ``ObjectivePass`` directly, so that an accepted line-search trial
-    yields its own gradient without a second FK pass.
+    plus ``extra``; its total is the same bit for bit.  The optimizer
+    sets up one ``WeightedObjective`` per solve and builds its passes
+    directly, so that an accepted line-search trial yields its own
+    gradient without a second FK pass.
     """
-    p = ObjectivePass(q, dt, ctx, w, extra_cost)
+    p = ObjectivePass(q, WeightedObjective(ctx, w, dt, q.shape[0], extra_cost))
     if not with_grad:
         return p.total, None, p.per_cost, p.diagnostics
     r = p.report()
@@ -511,4 +515,5 @@ def evaluate_objective(
 
 def objective(traj: JointTrajectory, ctx: CostContext, w: CostWeights) -> CostReport:
     """Weighted total, per-cost breakdown, and interior-waypoint gradient."""
-    return ObjectivePass(traj.waypoints, traj.dt, ctx, w).report()
+    problem = WeightedObjective(ctx, w, traj.dt, traj.n_waypoints)
+    return ObjectivePass(traj.waypoints, problem).report()

@@ -9,6 +9,7 @@ with isotropic covariance that grows with the prediction horizon.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -139,6 +140,14 @@ class PredictedHumanTrajectory:
                 )
         if len({len(m) for m in self.means.values()}) != 1 or self.horizon < 1:
             raise ContractViolation("all joints must share one horizon of at least 1 step")
+        # Every joint in one stacked pass; on a failure, the loop below names the first bad one.
+        covs = np.stack(list(self.covariances.values()))  # (J, H, 3, 3)
+        if np.isfinite(covs).all() and np.allclose(covs, np.swapaxes(covs, -1, -2), atol=1e-12):
+            try:
+                np.linalg.cholesky(covs)
+                return
+            except np.linalg.LinAlgError:
+                pass
         for name, cov in self.covariances.items():
             if not np.all(np.isfinite(cov)):
                 raise ContractViolation(f"covariance of {name} is not finite")
@@ -363,13 +372,22 @@ def extrapolate_skeleton(arm_pred: PredictedHumanTrajectory) -> PredictedHumanTr
 
 
 def load_skeleton_offsets(source: str | Path | None = None) -> dict[str, Array]:
-    """Joint-name -> 3D offset map; packaged defaults when no path given."""
+    """Joint-name -> read-only 3D offset map; the packaged one, parsed once, by default."""
     if source is None:
-        raw = read_yaml(resources.files("comoto.data").joinpath("skeleton_offsets.yaml"))
-    else:
-        raw = read_yaml(Path(source))
-    offsets = {name: np.asarray(vec, dtype=float) for name, vec in raw.items()}
+        return dict(_packaged_skeleton_offsets())
+    return _read_skeleton_offsets(Path(source))
+
+
+@functools.cache
+def _packaged_skeleton_offsets() -> dict[str, Array]:
+    return _read_skeleton_offsets(resources.files("comoto.data").joinpath("skeleton_offsets.yaml"))
+
+
+def _read_skeleton_offsets(path) -> dict[str, Array]:
+    offsets = {name: np.asarray(vec, dtype=float) for name, vec in read_yaml(path).items()}
     missing = set(EXTRAPOLATED_JOINTS) - set(offsets)
     if missing:
         raise ContractViolation(f"offset config missing joints: {sorted(missing)}")
+    for vec in offsets.values():
+        vec.flags.writeable = False
     return offsets

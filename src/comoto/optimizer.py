@@ -8,12 +8,12 @@ persistent step size that shrinks by ``STEP_SHRINK`` on rejection, down
 to ``MIN_STEP``, and grows by ``STEP_GROW`` on acceptance; joint limits
 are enforced by clamping after each trial step.
 
-Each iterate is evaluated once.  A line-search trial is an
-``ObjectivePass`` over the positively weighted terms; the accepted
-trial's ``gradient()`` reuses its forward kinematics and term
-intermediates, so no iterate is evaluated twice.  The unweighted terms
-enter the reports only: at the initial point and once at the final
-iterate.
+Each iterate is evaluated once.  A solve sets up one
+``WeightedObjective``; each line-search trial is an ``ObjectivePass`` of
+it over the positively weighted terms, and the accepted trial's
+``gradient()`` reuses its forward kinematics and term intermediates, so
+no iterate is evaluated twice.  The unweighted terms enter the reports
+only: at the initial point and once at the final iterate.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import CostContext, CostReport, CostWeights, ObjectivePass
+from .costs import CostContext, CostReport, CostWeights, ObjectivePass, WeightedObjective
 from .errors import ContractViolation
 from .kinematics import JointTrajectory
 
@@ -128,7 +128,8 @@ def optimize(
         evals["grad"] += 1
         return p.gradient()
 
-    current = ObjectivePass(q, dt, ctx, w, extra_cost)
+    problem = WeightedObjective(ctx, w, dt, q.shape[0], extra_cost)
+    current = ObjectivePass(q, problem)
     initial_report = current.report()
     total, grad = current.total, gradient(current)
 
@@ -138,7 +139,7 @@ def optimize(
     trace = []
     while True:
         g = grad[1:-1]
-        if float(np.max(np.abs(g))) < opts.grad_tol:
+        if float(np.abs(g).max()) < opts.grad_tol:
             stop_reason = "grad_tol"
             break
         if iterations == opts.max_iters:
@@ -150,8 +151,8 @@ def optimize(
             q_new[1:-1] = np.clip(q[1:-1] - step * g, lo, hi)
             delta = q_new[1:-1] - q[1:-1]
             evals["value"] += 1
-            trial = ObjectivePass(q_new, dt, ctx, w, extra_cost)
-            if trial.total <= total + ARMIJO_C * float(np.sum(g * delta)):
+            trial = ObjectivePass(q_new, problem)
+            if trial.total <= total + ARMIJO_C * float((g * delta).sum()):
                 accepted = True
                 break
             step *= STEP_SHRINK

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import CFG
 
+from comoto import human_motion
 from comoto.errors import ContractViolation
 from comoto.human_motion import (
     EXTRAPOLATED_JOINTS,
@@ -234,6 +235,26 @@ def test_predicted_trajectory_validation():
         PredictedHumanTrajectory(means=planar_means, covariances={"right_palm": eye}, step=0.1)
 
 
+def test_predicted_trajectory_names_the_first_bad_joint():
+    # Each check runs over all joints at once; the message names the first
+    # joint, in the prediction's order, that fails any of them.
+    eye = np.broadcast_to(np.eye(3), (4, 3, 3)).copy()
+    skew, infinite, indefinite = eye.copy(), eye.copy(), eye.copy()
+    skew[1, 0, 2] = 0.5
+    infinite[2, 1, 1] = np.inf
+    indefinite[3] = np.diag([1.0, -1.0, 1.0])
+    cases = [
+        ({"a": eye, "b": skew, "c": infinite}, "b is not symmetric"),
+        ({"a": eye, "b": infinite, "c": skew}, "b is not finite"),
+        ({"a": indefinite, "b": infinite, "c": eye}, "a is not positive definite"),
+        ({"a": eye, "b": eye, "c": indefinite}, "c is not positive definite"),
+    ]
+    for covs, message in cases:
+        means = {name: np.zeros((4, 3)) for name in covs}
+        with pytest.raises(ContractViolation, match=message):
+            PredictedHumanTrajectory(means=means, covariances=covs, step=0.1)
+
+
 def test_covariance_scaling_helpers():
     observed = constant_velocity_truth([0.1, 0.0, 0.0])
     pred = predict(observed, horizon=6, step=0.1, options=CFG.prediction)
@@ -273,3 +294,19 @@ def test_skeleton_offsets_cover_extrapolated_joints():
     for name in EXTRAPOLATED_JOINTS:
         assert name in offsets
         assert offsets[name].shape == (3,)
+
+
+def test_packaged_skeleton_offsets_are_parsed_once_and_read_only(tmp_path, monkeypatch):
+    first = load_skeleton_offsets()
+    monkeypatch.setattr(human_motion, "read_yaml", lambda path: pytest.fail(f"re-read {path}"))
+    again = load_skeleton_offsets()
+    assert again is not first and list(again) == list(first)
+    for name, offset in first.items():
+        assert again[name] is offset
+        with pytest.raises(ValueError, match="read-only"):
+            offset[0] = 1.0
+    monkeypatch.undo()
+    path = tmp_path / "offsets.yaml"
+    path.write_text("".join(f"{name}: [0.0, 0.1, 0.2]\n" for name in EXTRAPOLATED_JOINTS))
+    from_file = load_skeleton_offsets(path)
+    assert all(np.array_equal(v, [0.0, 0.1, 0.2]) and not v.flags.writeable for v in from_file.values())
