@@ -83,31 +83,6 @@ class ExecutionTrace:
         )
 
 
-def obstacle_penalty(obstacles, weight: float, margin: float):
-    """Hinge clearance penalty over robot points for sphere obstacles.
-
-    Each sphere contributes ``weight * max(0, r + margin - dist)**2``
-    per robot point per waypoint.  Returns an extra-cost callback for
-    the optimizer.
-    """
-    centers = np.asarray([c for c, _ in obstacles], dtype=float).reshape(-1, 3)
-    radii = np.asarray([r for _, r in obstacles], dtype=float)
-
-    def extra(q, points, jacs, with_grad):
-        diff = points[:, :, None, :] - centers[None, None, :, :]  # (N,P,S,3)
-        dist = np.linalg.norm(diff, axis=3)
-        pen = np.maximum(0.0, (radii + margin)[None, None, :] - dist)
-        value = weight * float(np.sum(pen**2))
-        if not with_grad:
-            return value, None
-        coeff = np.where(pen > 0, -2.0 * weight * pen / np.maximum(dist, 1e-12), 0.0)
-        dval_dp = np.einsum("tps,tpsa->tpa", coeff, diff)
-        grad = np.einsum("tpan,tpa->tn", jacs, dval_dp)
-        return value, grad
-
-    return extra
-
-
 def nominal_trajectory(
     ctx: CostContext,
     start: Array,
@@ -122,15 +97,17 @@ def nominal_trajectory(
     """Default trajectory with no human: smooth and obstacle-clearing.
 
     Runs from ``start`` to ``ctx.goal_config`` on ``ctx.chain``; the
-    context's prediction, nominal and object are not used.  With no
-    obstacles this is exactly the joint-space straight line.
+    context's prediction, nominal and object are not used.  The obstacle
+    term keeps the robot points ``margin`` clear of each ``(center,
+    radius)`` sphere.  With no obstacles this is exactly the joint-space
+    straight line.
     """
     init = straightline_joint_init(start, ctx.goal_config, n_waypoints, dt, t0)
     if len(obstacles) == 0:
         return init
-    weights = CostWeights(alpha_smooth=smooth_weight)
-    extra = obstacle_penalty(obstacles, obstacle_weight, margin)
-    return optimize(ctx, weights, init, NOMINAL_OPTIONS, extra_cost=extra).trajectory
+    ctx = replace(ctx, obstacles=tuple((c, r + margin) for c, r in obstacles))
+    weights = CostWeights(alpha_smooth=smooth_weight, alpha_obstacle=obstacle_weight)
+    return optimize(ctx, weights, init, NOMINAL_OPTIONS).trajectory
 
 
 def _human_tracks(human: HumanTrajectory) -> tuple[Array, float]:

@@ -1,4 +1,4 @@
-"""The five trajectory costs, their weighted sum, and analytic gradients.
+"""The six trajectory costs, their weighted sum, and analytic gradients.
 
 Terms (all summed over waypoints):
 
@@ -12,6 +12,10 @@ Terms (all summed over waypoints):
 - ``nominal``: Cartesian end-effector deviation from the nominal
   trajectory (unsquared; the squared variant lives in metrics).
 - ``smoothness``: squared finite-difference acceleration in joint space.
+- ``obstacle``: squared hinge ``max(0, clearance - dist)**2`` between every
+  robot point and every sphere obstacle; the nominal plan's clearance,
+  a workspace potential pulled back through the point Jacobians as in
+  CHOMP (Ratliff et al., ICRA 2009).
 
 Every gradient is analytic, chained through the position Jacobians, and
 checkable against central finite differences.
@@ -44,6 +48,7 @@ _ALPHA = {
     "legibility": "alpha_legibility",
     "nominal": "alpha_nominal",
     "smoothness": "alpha_smooth",
+    "obstacle": "alpha_obstacle",
 }
 COST_NAMES = tuple(_ALPHA)
 
@@ -57,13 +62,14 @@ def _row_norms(x: Array) -> Array:
 
 @dataclass(frozen=True)
 class CostWeights:
-    """Non-negative weights for the five cost terms."""
+    """Non-negative weights for the six cost terms."""
 
     alpha_dist: float = 0.0
     alpha_vis: float = 0.0
     alpha_legibility: float = 0.0
     alpha_nominal: float = 0.0
     alpha_smooth: float = 0.0
+    alpha_obstacle: float = 0.0
 
     def __post_init__(self):
         vals = self.as_dict()
@@ -87,7 +93,9 @@ class CostContext:
     config's ``costs`` section: ``eps_m`` clamps the squared Mahalanobis
     distance from below, so the distance cost stays bounded as the
     separation goes to 0, and ``sigma_floor`` bounds the head-position
-    spread the visibility cost divides by.  Immutable after construction.
+    spread the visibility cost divides by.  ``obstacles`` holds
+    ``(center, clearance radius)`` pairs of spheres the robot points keep
+    out of.  Immutable after construction.
     """
 
     chain: ChainSpec
@@ -97,7 +105,7 @@ class CostContext:
     prediction: PredictedHumanTrajectory | None = None
     nominal: JointTrajectory | None = None
     object_pos: Array | None = None
-    legibility_weights: Array | None = None
+    obstacles: tuple = ()
 
     def __post_init__(self):
         self.goal_config = np.asarray(self.goal_config, dtype=float)
@@ -114,11 +122,8 @@ class CostContext:
                 raise ContractViolation(
                     "prediction horizon must equal the nominal waypoint count"
                 )
-        if self.legibility_weights is not None:
-            f = np.asarray(self.legibility_weights, dtype=float)
-            if np.any(f < 0) or f.sum() <= 0:
-                raise ContractViolation("legibility weights must be >= 0 with positive sum")
-            self.legibility_weights = f
+        self._centers = np.asarray([c for c, _ in self.obstacles], dtype=float).reshape(-1, 3)
+        self._clearance = np.asarray([r for _, r in self.obstacles], dtype=float)
         self._goal_point = fk_eef(self.chain, self.goal_config)
         self._nominal_eef = (
             None
@@ -153,12 +158,7 @@ class CostContext:
         return self._goal_point
 
     def time_weights(self, n_steps: int) -> Array:
-        """Per-step legibility weights f; defaults to N - k (front-loaded)."""
-        if self.legibility_weights is not None:
-            f = self.legibility_weights
-            if f.shape[0] != n_steps:
-                raise ContractViolation("legibility weight count must equal waypoint count")
-            return f
+        """Per-step legibility weights f = N - k (front-loaded)."""
         return np.arange(n_steps, 0, -1, dtype=float)
 
 
@@ -166,8 +166,7 @@ class CostContext:
 class CostReport:
     """Objective breakdown at one trajectory.
 
-    ``total`` equals the weight-scaled sum of ``per_cost`` entries (an
-    extra baseline-specific term, if any, enters with weight 1).
+    ``total`` equals the weight-scaled sum of ``per_cost`` entries.
     ``gradient`` covers the free decision variables: the interior
     waypoints, flattened row-major.
     """
@@ -324,6 +323,24 @@ def _smoothness_term(q: Array, dt: float):
     return value, pullback
 
 
+def _obstacle_term(points: Array, ctx: CostContext, weight: float):
+    # points (N,P,3); diff, dist and pen are (N,P,S[,3]) over the S spheres.
+    # The pullback comes weighted: the weight enters its coefficient ahead of
+    # the einsums, and every nominal plan, so every benchmark row, depends on
+    # that rounding.
+    diff = points[:, :, None, :] - ctx._centers
+    dist = np.linalg.norm(diff, axis=3)
+    pen = np.maximum(0.0, ctx._clearance - dist)
+    value = float((pen**2).sum())
+
+    def pullback(jacs: Array) -> Array:
+        coeff = np.where(pen > 0, -2.0 * weight * pen / np.maximum(dist, _TINY), 0.0)
+        dval_dp = np.einsum("tps,tpsa->tpa", coeff, diff)
+        return np.einsum("tpan,tpa->tn", jacs, dval_dp)
+
+    return value, pullback
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ContractViolation(message)
@@ -338,13 +355,14 @@ class WeightedObjective:
     (``supported``) and the legibility time weights.
     """
 
-    def __init__(self, ctx: CostContext, w: CostWeights, dt: float, n_waypoints: int, extra_cost=None):
-        self.ctx, self.dt, self.extra_cost = ctx, dt, extra_cost
+    def __init__(self, ctx: CostContext, w: CostWeights, dt: float, n_waypoints: int):
+        self.ctx, self.dt = ctx, dt
         self.weights = weights = w.as_dict()
         has_inputs = {
             "distance": ctx.prediction is not None,
             "visibility": ctx._gaze is not None,
             "nominal": ctx.nominal is not None,
+            "obstacle": len(ctx.obstacles) > 0,
         }
         for name, ok in has_inputs.items():
             _require(ok or weights[name] == 0, f"{name} weight set but the context lacks its inputs")
@@ -358,15 +376,12 @@ class WeightedObjective:
                 ctx.nominal.n_waypoints == n_waypoints,
                 "nominal and trajectory must share waypoint count",
             )
-        # Legibility needs only the end effector, so it comes free with any FK pass.
-        has_fk = any(has_inputs.values()) or weights["legibility"] > 0 or extra_cost is not None
-        has_inputs.update(legibility=has_fk, smoothness=True)
+        # Legibility needs only the chain and the goal, which every context has.
+        has_inputs.update(legibility=True, smoothness=True)
         self.supported = [name for name in COST_NAMES if has_inputs[name]]
         self.weighted = [name for name in COST_NAMES if weights[name] > 0]
-        if has_inputs["legibility"]:
-            self.time_weights = ctx.time_weights(n_waypoints)
-            self.time_weight_sum = float(self.time_weights.sum())
-            _require(self.time_weight_sum > 0, "legibility time weights sum to zero")
+        self.time_weights = ctx.time_weights(n_waypoints)
+        self.time_weight_sum = float(self.time_weights.sum())
 
 
 class ObjectivePass:
@@ -375,14 +390,11 @@ class ObjectivePass:
     Construction runs forward kinematics once (when any term needs it)
     and computes the positively weighted terms.  ``gradient()`` then
     builds the point Jacobians from the stored frames and adds the
-    weighted terms' pullbacks in ``COST_NAMES`` order, then the
-    ``extra_cost`` gradient; it computes once and returns the same array
-    on later calls.  ``report()`` adds every other term the context
-    supports, from the same frames, and returns the full breakdown.
+    weighted terms' pullbacks in ``COST_NAMES`` order; it computes once
+    and returns the same array on later calls.  ``report()`` adds every
+    other term the context supports, from the same frames, and returns
+    the full six-term breakdown.
 
-    ``extra_cost(q, points, jacs, with_grad) -> (value, grad)`` adds one
-    baseline-specific term with weight 1; it is called without
-    Jacobians for the value and again with them for the gradient.
     ``total`` sums the weighted terms only; an unweighted term would add
     exactly 0.0 to it, so the report's total is the same.  The pass
     keeps a reference to ``q``: do not modify it while the pass is used.
@@ -397,10 +409,6 @@ class ObjectivePass:
         self.diagnostics: dict = {}
         self._add_terms(problem.weighted)
         self.total = sum(problem.weights[name] * value for name, value in self._values.items())
-        self.extra = None
-        if problem.extra_cost is not None:
-            self.extra, _ = problem.extra_cost(q, self._fk()[0], None, False)
-            self.total += self.extra
         if not math.isfinite(self.total):
             raise ContractViolation("objective evaluated to a non-finite value")
 
@@ -428,6 +436,8 @@ class ObjectivePass:
                 )
             elif name == "nominal":
                 value, pullback = _nominal_term(eef, ctx._nominal_eef)
+            elif name == "obstacle":
+                value, pullback = _obstacle_term(points, ctx, problem.weights[name])
             else:
                 value, pullback = _smoothness_term(self.q, problem.dt)
             self._values[name] = value
@@ -435,18 +445,15 @@ class ObjectivePass:
 
     @property
     def per_cost(self) -> dict[str, float]:
-        """The weighted terms in ``COST_NAMES`` order, then ``extra``."""
-        out = {name: self._values[name] for name in self.problem.weighted}
-        if self.problem.extra_cost is not None:
-            out["extra"] = self.extra
-        return out
+        """The weighted terms in ``COST_NAMES`` order."""
+        return {name: self._values[name] for name in self.problem.weighted}
 
     def gradient(self) -> Array:
         """Gradient of ``total`` over all waypoints."""
         if self._grad is None:
             problem = self.problem
             points = jacs = eef_jac = None
-            if problem.extra_cost is not None or problem.weighted != ["smoothness"]:
+            if problem.weighted != ["smoothness"]:
                 points, axes = self._fk()
                 jacs = _point_jacobians(points, axes)
                 eef_jac = jacs[:, -1]
@@ -456,32 +463,24 @@ class ObjectivePass:
                 if name == "smoothness":
                     term = pullback()
                 else:
-                    term = pullback(jacs if name == "distance" else eef_jac)
-                grad += problem.weights[name] * term
-            if problem.extra_cost is not None:
-                _, extra_grad = problem.extra_cost(self.q, points, jacs, True)
-                if extra_grad is not None:
-                    grad += extra_grad
+                    term = pullback(jacs if name in ("distance", "obstacle") else eef_jac)
+                # The obstacle pullback carries its weight already.
+                grad += term if name == "obstacle" else problem.weights[name] * term
             self._grad = grad
         return self._grad
 
     def report(self) -> CostReport:
         """Every term, the total and the interior-waypoint gradient.
 
-        ``per_cost`` lists all five terms, 0.0 for one whose inputs the
-        context lacks, then ``extra``.
+        ``per_cost`` lists all six terms, 0.0 for one whose inputs the
+        context lacks.
         """
         self._add_terms(self.problem.supported)
-        per_cost = {name: self._values.get(name, 0.0) for name in COST_NAMES}
-        weights = dict(self.problem.weights)
-        if self.problem.extra_cost is not None:
-            per_cost["extra"] = self.extra
-            weights["extra"] = 1.0
         return CostReport(
             total=self.total,
-            per_cost=per_cost,
+            per_cost={name: self._values.get(name, 0.0) for name in COST_NAMES},
             gradient=self.gradient()[1:-1].ravel().copy(),
-            weights=weights,
+            weights=dict(self.problem.weights),
             diagnostics=dict(self.diagnostics),
         )
 
@@ -492,21 +491,26 @@ def evaluate_objective(
     ctx: CostContext,
     w: CostWeights,
     with_grad: bool = True,
-    extra_cost=None,
+    unused=None,
 ) -> tuple[float, Array | None, dict[str, float], dict]:
     """Weighted objective over raw waypoints; gradient spans all waypoints.
 
     One ``ObjectivePass`` as a tuple ``(total, grad, per_cost,
     diagnostics)``.  A gradient call takes ``per_cost`` from the pass's
-    ``report()``: every term, 0.0 for one whose inputs the context
+    ``report()``: all six terms, 0.0 for one whose inputs the context
     lacks.  A value-only call (``with_grad=False``) computes only the
-    positively weighted terms, so its ``per_cost`` holds exactly those
-    plus ``extra``; its total is the same bit for bit.  The optimizer
-    sets up one ``WeightedObjective`` per solve and builds its passes
-    directly, so that an accepted line-search trial yields its own
-    gradient without a second FK pass.
+    positively weighted terms, so its ``per_cost`` holds exactly those;
+    its total is the same bit for bit.  The optimizer sets up one
+    ``WeightedObjective`` per solve and builds its passes directly, so
+    that an accepted line-search trial yields its own gradient without a
+    second FK pass.
+
+    ``unused`` stays only for the solve checks in ``perfbench/checks.py``,
+    which pass a sixth positional argument; it must be ``None``.
     """
-    p = ObjectivePass(q, WeightedObjective(ctx, w, dt, q.shape[0], extra_cost))
+    if unused is not None:
+        raise ContractViolation("evaluate_objective's sixth argument must be None")
+    p = ObjectivePass(q, WeightedObjective(ctx, w, dt, q.shape[0]))
     if not with_grad:
         return p.total, None, p.per_cost, p.diagnostics
     r = p.report()

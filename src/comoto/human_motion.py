@@ -13,7 +13,6 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
@@ -371,19 +370,14 @@ def extrapolate_skeleton(arm_pred: PredictedHumanTrajectory) -> PredictedHumanTr
 # ---------------------------------------------------------------------------
 
 
-def load_skeleton_offsets(source: str | Path | None = None) -> dict[str, Array]:
-    """Joint-name -> read-only 3D offset map; the packaged one, parsed once, by default."""
-    if source is None:
-        return dict(_packaged_skeleton_offsets())
-    return _read_skeleton_offsets(Path(source))
+def load_skeleton_offsets() -> dict[str, Array]:
+    """Joint-name -> read-only 3D offset map from the packaged file, parsed once."""
+    return dict(_packaged_skeleton_offsets())
 
 
 @functools.cache
 def _packaged_skeleton_offsets() -> dict[str, Array]:
-    return _read_skeleton_offsets(resources.files("comoto.data").joinpath("skeleton_offsets.yaml"))
-
-
-def _read_skeleton_offsets(path) -> dict[str, Array]:
+    path = resources.files("comoto.data").joinpath("skeleton_offsets.yaml")
     offsets = {name: np.asarray(vec, dtype=float) for name, vec in read_yaml(path).items()}
     missing = set(EXTRAPOLATED_JOINTS) - set(offsets)
     if missing:

@@ -69,7 +69,7 @@ class OptResult:
     one at the initial point and one per accepted iterate.  With
     ``OptimizerOptions.verbose``, ``trace`` holds one dict per accepted
     iterate: ``iteration``, ``total``, ``step``, and the positively
-    weighted terms plus ``extra`` (when an extra cost is set).
+    weighted terms by name.
     """
 
     trajectory: JointTrajectory
@@ -102,7 +102,6 @@ def optimize(
     w: CostWeights,
     init: JointTrajectory,
     opts: OptimizerOptions,
-    extra_cost=None,
 ) -> OptResult:
     """Minimize the weighted objective over the interior waypoints.
 
@@ -128,7 +127,7 @@ def optimize(
         evals["grad"] += 1
         return p.gradient()
 
-    problem = WeightedObjective(ctx, w, dt, q.shape[0], extra_cost)
+    problem = WeightedObjective(ctx, w, dt, q.shape[0])
     current = ObjectivePass(q, problem)
     initial_report = current.report()
     total, grad = current.total, gradient(current)

@@ -63,6 +63,11 @@ class Scenario:
             got = np.shape(getattr(self, name))
             if got != shape:
                 raise ContractViolation(f"{name} must have shape {shape}, got {got}")
+        for center, radius in self.obstacles:
+            if np.shape(center) != (3,) or not np.all(np.isfinite(center)):
+                raise ContractViolation(f"obstacle center must be 3 finite coordinates, got {center!r}")
+            if not (np.isfinite(radius) and radius > 0):
+                raise ContractViolation(f"obstacle radius must be finite and positive, got {radius!r}")
         gap = float(np.linalg.norm(np.asarray(self.human_object) - np.asarray(self.robot_object)))
         if self.family == "reaching_far" and gap < FAR_GAP_MIN:
             raise ContractViolation(f"reaching_far needs an object gap >= {FAR_GAP_MIN}, got {gap:.3f}")

@@ -20,16 +20,12 @@ from comoto.baselines import (
     legible_optimize,
     min_separation,
     nominal_trajectory,
-    obstacle_penalty,
     speed_adjusted_execute,
 )
+from comoto.costs import CostWeights, _obstacle_term, evaluate_objective
 from comoto.errors import ContractViolation
 from comoto.human_motion import HumanTrajectory
-from comoto.kinematics import (
-    JointTrajectory,
-    all_point_jacobians_batch,
-    fk_points_batch,
-)
+from comoto.kinematics import JointTrajectory, fk_points_batch
 from comoto.optimizer import OptimizerOptions, straightline_joint_init
 
 SPEED = SpeedAdjustParams(d_stop=0.06, d_slow=0.20, control_rate=100.0, timeout_factor=3.0)
@@ -74,20 +70,23 @@ def test_nominal_clears_sphere_on_path(arm):
 
 def test_obstacle_penalty_hand_value(planar2):
     q = np.tile([0.0, 0.0], (3, 1))  # points (0,0,0), (1,0,0), (2,0,0) at each waypoint
-    points = fk_points_batch(planar2, q)
-    extra = obstacle_penalty(obstacles=(((1.0, 0.02, 0.0), 0.05),), weight=2.0, margin=0.05)
-    value, grad = extra(q, points, None, False)
+    # a sphere of radius 0.05 with a 0.05 margin: clearance radius 0.1
+    ctx = cost_context(planar2, q[-1], obstacles=(((1.0, 0.02, 0.0), 0.05 + 0.05),))
+    value, _ = _obstacle_term(fk_points_batch(planar2, q), ctx, 2.0)
     # only the middle point penetrates: hinge = 0.05 + 0.05 - 0.02 = 0.08
-    assert value == pytest.approx(3 * 2.0 * 0.08**2, rel=1e-12)
-    assert grad is None
+    assert value == pytest.approx(3 * 0.08**2, rel=1e-12)
+    total, _, per_cost, _ = evaluate_objective(q, 0.1, ctx, CostWeights(alpha_obstacle=2.0), False)
+    assert per_cost == {"obstacle": value}
+    assert total == 2.0 * value
 
 
 def test_obstacle_penalty_gradient_matches_fd(planar2):
     rng = np.random.default_rng(8)
     q = 0.3 * rng.standard_normal((4, 2))
-    extra = obstacle_penalty(obstacles=(((1.0, 0.3, 0.0), 0.6),), weight=3.0, margin=0.2)
-    points, jacs = all_point_jacobians_batch(planar2, q)
-    _, grad = extra(q, points, jacs, True)
+    ctx = cost_context(planar2, q[-1], obstacles=(((1.0, 0.3, 0.0), 0.6 + 0.2),))
+    w = CostWeights(alpha_obstacle=3.0)
+    total, grad, per_cost, _ = evaluate_objective(q, 0.1, ctx, w)
+    assert total == 3.0 * per_cost["obstacle"] and per_cost["obstacle"] > 0
     h = 1e-6
     fd = np.zeros_like(q)
     for t in range(q.shape[0]):
@@ -96,7 +95,7 @@ def test_obstacle_penalty_gradient_matches_fd(planar2):
             for sign in (1.0, -1.0):
                 qp = q.copy()
                 qp[t, j] += sign * h
-                vals.append(extra(qp, fk_points_batch(planar2, qp), None, False)[0])
+                vals.append(evaluate_objective(qp, 0.1, ctx, w, False)[0])
             fd[t, j] = (vals[0] - vals[1]) / (2 * h)
     assert np.max(np.abs(grad - fd)) <= 1e-6
 

@@ -140,7 +140,7 @@ def test_solve_verbose_prints_one_json_object_per_iteration(
     entries = [json.loads(line) for line in captured.err.splitlines()]
     assert len(entries) == summary["iterations"] > 0
     assert [e["iteration"] for e in entries] == list(range(1, len(entries) + 1))
-    # the CoMOTO weighting sets all five terms; no extra cost
+    # the CoMOTO weighting sets the five human-aware terms and no obstacle weight
     names = ("distance", "visibility", "legibility", "nominal", "smoothness")
     assert all(set(e) == {"iteration", "total", "step", *names} for e in entries)
     assert entries[-1]["total"] == summary["final_cost"]

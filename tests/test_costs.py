@@ -1,4 +1,4 @@
-"""The five cost terms: hand values, independent oracles, and analytic
+"""The six cost terms: hand values, independent oracles, and analytic
 gradients against central finite differences."""
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import CFG, cost_context
 
-from comoto.baselines import TAU_S_RATIO, obstacle_penalty
+from comoto.baselines import TAU_S_RATIO
 from comoto.costs import (
     COST_NAMES,
     CostContext,
@@ -29,6 +29,7 @@ from comoto.costs import (
     _distance_term,
     _legibility_term,
     _nominal_term,
+    _obstacle_term,
     _smoothness_term,
     _visibility_term,
 )
@@ -284,56 +285,49 @@ def test_total_is_weighted_sum_of_terms(arm):
 
 
 def method_weightings(arm, traj, ctx):
-    """(ctx, weights, extra_cost) weighted like the Legible, Dist+Vis, CoMOTO and nominal solves."""
+    """(ctx, weights) like the Legible, Dist+Vis, CoMOTO and nominal solves.
+
+    The nominal context holds one sphere (radius 0.1 plus the 0.05 margin)
+    centred on the path's middle end-effector point.
+    """
     obstacle = fk_points_batch(arm, traj.waypoints)[traj.n_waypoints // 2, -1]
-    nominal_ctx = cost_context(arm, ctx.goal_config)
+    nominal_ctx = cost_context(arm, ctx.goal_config, obstacles=((obstacle, 0.1 + 0.05),))
     return {
-        "legible": (
-            ctx,
-            CostWeights(alpha_legibility=250.0, alpha_smooth=TAU_S_RATIO * 250.0),
-            None,
-        ),
-        "distvis": (
-            ctx,
-            CostWeights(alpha_dist=0.05, alpha_vis=0.2, alpha_nominal=0.5),
-            None,
-        ),
-        "comoto": (ctx, COMBINED_WEIGHTS, None),
-        "nominal": (
-            nominal_ctx,
-            CostWeights(alpha_smooth=1e-3),
-            obstacle_penalty([(obstacle, 0.1)], 200.0, 0.05),
-        ),
+        "legible": (ctx, CostWeights(alpha_legibility=250.0, alpha_smooth=TAU_S_RATIO * 250.0)),
+        "distvis": (ctx, CostWeights(alpha_dist=0.05, alpha_vis=0.2, alpha_nominal=0.5)),
+        "comoto": (ctx, COMBINED_WEIGHTS),
+        "nominal": (nominal_ctx, CostWeights(alpha_smooth=1e-3, alpha_obstacle=200.0)),
     }
 
 
 def test_value_only_total_bit_identical_to_gradient_total(arm):
     for seed in range(4):
         traj, ctx = build_problem(arm, seed=seed, n_waypoints=12)
-        for name, (c, w, extra) in method_weightings(arm, traj, ctx).items():
+        for name, (c, w) in method_weightings(arm, traj, ctx).items():
             q, dt = traj.waypoints, traj.dt
-            total, _, full, _ = evaluate_objective(q, dt, c, w, True, extra)
-            value, grad, per_cost, _ = evaluate_objective(q, dt, c, w, False, extra)
+            total, _, full, _ = evaluate_objective(q, dt, c, w, True)
+            value, grad, per_cost, _ = evaluate_objective(q, dt, c, w, False)
             assert np.float64(value).tobytes() == np.float64(total).tobytes(), name
             assert grad is None
             assert all(per_cost[term] == full[term] for term in per_cost), name
-            if extra is not None:
-                assert full["extra"] > 0, "the obstacle must touch the path"
+            if name == "nominal":
+                assert full["obstacle"] > 0, "the obstacle must touch the path"
 
 
 def test_value_only_reports_exactly_the_weighted_terms(arm):
     traj, ctx = build_problem(arm, seed=1, n_waypoints=8)
-    for name, (c, w, extra) in method_weightings(arm, traj, ctx).items():
-        _, _, per_cost, _ = evaluate_objective(traj.waypoints, traj.dt, c, w, False, extra)
+    for name, (c, w) in method_weightings(arm, traj, ctx).items():
+        _, _, per_cost, _ = evaluate_objective(traj.waypoints, traj.dt, c, w, False)
         want = [term for term, weight in w.as_dict().items() if weight > 0]
-        assert list(per_cost) == want + (["extra"] if extra is not None else []), name
-        _, _, full, _ = evaluate_objective(traj.waypoints, traj.dt, c, w, True, extra)
-        assert list(full)[: len(COST_NAMES)] == list(COST_NAMES), name
+        assert list(per_cost) == want, name
+        _, _, full, _ = evaluate_objective(traj.waypoints, traj.dt, c, w, True)
+        assert list(full) == list(COST_NAMES), name
 
 
-def reference_gradient(q, dt, ctx, w, extra=None):
-    """The gradient assembled term by term from freshly computed Jacobians:
-    weighted terms in ``COST_NAMES`` order, then the extra cost."""
+def reference_gradient(q, dt, ctx, w):
+    """The gradient assembled term by term from freshly computed Jacobians,
+    weighted terms in ``COST_NAMES`` order; the obstacle pullback is
+    weighted inside its kernel."""
     weights = w.as_dict()
     points, jacs = all_point_jacobians_batch(ctx.chain, q)
     eef, eef_jac = points[:, -1], jacs[:, -1]
@@ -344,13 +338,12 @@ def reference_gradient(q, dt, ctx, w, extra=None):
         "legibility": lambda: _legibility_term(eef, ctx.goal_point, f, float(f.sum()))[1](eef_jac),
         "nominal": lambda: _nominal_term(eef, ctx._nominal_eef)[1](eef_jac),
         "smoothness": lambda: _smoothness_term(q, dt)[1](),
+        "obstacle": lambda: _obstacle_term(points, ctx, weights["obstacle"])[1](jacs),
     }
     grad = np.zeros_like(q)
     for name in COST_NAMES:
         if weights[name] > 0:
-            grad += weights[name] * pullbacks[name]()
-    if extra is not None:
-        grad += extra(q, points, jacs, True)[1]
+            grad += pullbacks[name]() if name == "obstacle" else weights[name] * pullbacks[name]()
     return grad
 
 
@@ -359,36 +352,19 @@ def test_trial_gradient_and_report_bit_identical_to_gradient_call(arm):
     # end, the report; both must equal a fresh gradient call bit for bit.
     for seed in range(3):
         traj, ctx = build_problem(arm, seed=seed, n_waypoints=12)
-        for name, (c, w, extra) in method_weightings(arm, traj, ctx).items():
+        for name, (c, w) in method_weightings(arm, traj, ctx).items():
             q, dt = traj.waypoints, traj.dt
-            total, grad, full, diag = evaluate_objective(q, dt, c, w, True, extra)
-            trial = ObjectivePass(q, WeightedObjective(c, w, dt, len(q), extra))
+            total, grad, full, diag = evaluate_objective(q, dt, c, w, True)
+            trial = ObjectivePass(q, WeightedObjective(c, w, dt, len(q)))
             assert np.array_equal(trial.gradient(), grad), name
-            assert np.array_equal(grad, reference_gradient(q, dt, c, w, extra)), name
+            assert np.array_equal(grad, reference_gradient(q, dt, c, w)), name
             assert trial.gradient() is trial.gradient(), name
             report = trial.report()
             assert np.float64(report.total).tobytes() == np.float64(total).tobytes(), name
             assert list(report.per_cost.items()) == list(full.items()), name
             assert np.array_equal(report.gradient, grad[1:-1].ravel()), name
             assert report.diagnostics == diag, name
-            want = {**w.as_dict(), **({"extra": 1.0} if extra is not None else {})}
-            assert report.weights == want, name
-
-
-def test_extra_cost_enters_with_weight_one(arm):
-    traj, ctx = build_problem(arm, seed=3, n_waypoints=5)
-
-    def extra(q, points, jacs, with_grad):
-        value = float(np.sum(q**2))
-        return value, (2.0 * q if with_grad else None)
-
-    base, base_grad, _, _ = evaluate_objective(traj.waypoints, traj.dt, ctx, COMBINED_WEIGHTS)
-    total, grad, per_cost, _ = evaluate_objective(
-        traj.waypoints, traj.dt, ctx, COMBINED_WEIGHTS, extra_cost=extra
-    )
-    assert per_cost["extra"] == pytest.approx(float(np.sum(traj.waypoints**2)), rel=1e-12)
-    assert abs(total - base - per_cost["extra"]) <= 1e-10
-    assert np.allclose(grad - base_grad, 2.0 * traj.waypoints, atol=1e-12)
+            assert report.weights == w.as_dict(), name
 
 
 def test_covariance_doubling_moves_costs(arm):
@@ -422,7 +398,8 @@ def test_cost_weights_validation():
 
 
 @pytest.mark.parametrize(
-    "field", ["alpha_dist", "alpha_vis", "alpha_legibility", "alpha_nominal", "alpha_smooth"]
+    "field",
+    ["alpha_dist", "alpha_vis", "alpha_legibility", "alpha_nominal", "alpha_smooth", "alpha_obstacle"],
 )
 def test_cost_weights_reject_non_finite(field):
     for bad in (math.nan, math.inf):
@@ -451,17 +428,11 @@ def test_context_validation(arm, planar2):
     singular.covariances["head"] = np.zeros((6, 3, 3))  # past the prediction's own check
     with pytest.raises(ContractViolation):
         cost_context(planar2, np.ones(2), prediction=singular)
-    with pytest.raises(ContractViolation):
-        cost_context(planar2, np.ones(2), legibility_weights=np.array([-1.0, 1.0]))
 
 
 def test_time_weights_default_and_custom(planar2):
     ctx = cost_context(planar2, np.zeros(2))
     assert np.array_equal(ctx.time_weights(4), [4.0, 3.0, 2.0, 1.0])
-    custom = cost_context(planar2, np.zeros(2), legibility_weights=np.array([1.0, 2.0, 3.0]))
-    assert np.array_equal(custom.time_weights(3), [1.0, 2.0, 3.0])
-    with pytest.raises(ContractViolation):
-        custom.time_weights(4)
 
 
 def test_weight_without_inputs_rejected(planar2):
@@ -475,9 +446,27 @@ def test_weight_without_inputs_rejected(planar2):
         evaluate_objective(traj.waypoints, traj.dt, ctx, CostWeights(alpha_nominal=1.0))
 
 
+def test_obstacle_weight_without_obstacles_rejected(planar2):
+    traj = straightline_joint_init(np.zeros(2), np.ones(2), 4, 0.1)
+    ctx = cost_context(planar2, np.ones(2))
+    w = CostWeights(alpha_smooth=1.0, alpha_obstacle=1.0)
+    with pytest.raises(ContractViolation, match="obstacle weight set but the context lacks its inputs"):
+        evaluate_objective(traj.waypoints, traj.dt, ctx, w)
+
+
+def test_sixth_argument_of_evaluate_objective_must_be_none(planar2):
+    traj = straightline_joint_init(np.zeros(2), np.ones(2), 4, 0.1)
+    ctx, w = cost_context(planar2, np.ones(2)), CostWeights(alpha_smooth=1.0)
+    value = evaluate_objective(traj.waypoints, traj.dt, ctx, w, False, None)[0]
+    assert value == evaluate_objective(traj.waypoints, traj.dt, ctx, w, False)[0]
+    with pytest.raises(ContractViolation, match="sixth argument"):
+        evaluate_objective(traj.waypoints, traj.dt, ctx, w, False, lambda *args: (0.0, None))
+
+
 @st.composite
 def random_problems(draw):
-    """A 2-7 joint DH chain, one problem on it, and valid random weights."""
+    """A 2-7 joint DH chain, one problem on it with a sphere obstacle near its
+    middle end-effector point, and valid random weights."""
     n = draw(st.integers(2, 7))
     row = st.tuples(
         st.floats(0.05, 0.4),  # a, m
@@ -488,10 +477,13 @@ def random_problems(draw):
     dh = np.array(draw(st.lists(row, min_size=n, max_size=n)))
     chain = ChainSpec(dh=dh, base_pose=np.eye(4), joint_limits=np.tile([-math.pi, math.pi], (n, 1)))
     traj, ctx = build_problem(chain, draw(st.integers(0, 2**16)), draw(st.integers(3, 8)))
+    eef = fk_points_batch(chain, traj.waypoints)[traj.n_waypoints // 2, -1]
+    offset = np.array(draw(st.lists(st.floats(-0.1, 0.1), min_size=3, max_size=3)))
+    ctx = dataclasses.replace(ctx, obstacles=((eef + offset, draw(st.floats(0.05, 0.3))),))
     alpha = st.one_of(st.just(0.0), st.floats(0.01, 2.0))
     values = draw(st.lists(alpha, min_size=len(COST_NAMES), max_size=len(COST_NAMES)))
     assume(any(v > 0 for v in values))
-    names = ("alpha_dist", "alpha_vis", "alpha_legibility", "alpha_nominal", "alpha_smooth")
+    names = [f.name for f in dataclasses.fields(CostWeights)]
     return traj, ctx, CostWeights(**dict(zip(names, values)))
 
 
@@ -501,7 +493,8 @@ def kink_distance(traj, ctx) -> float:
     The kinks: the squared Mahalanobis distance at its clamp ``eps_m``; the
     end effector on the head or on the gaze ray; a zero-length end-effector
     segment; an end effector on the goal point (but the last, which sits on
-    it exactly) or on the nominal's (but the two endpoints).
+    it exactly) or on the nominal's (but the two endpoints); a robot point on
+    an obstacle's centre or on its clearance sphere.
     """
     points = fk_points_batch(ctx.chain, traj.waypoints)
     eef = points[:, -1]
@@ -513,6 +506,7 @@ def kink_distance(traj, ctx) -> float:
     to_eef = np.linalg.norm(eef - head, axis=1)
     angles = [gaze_angle(ctx.object_pos, h, e) for h, e in zip(head, eef)]
     eef_nominal = fk_points_batch(ctx.chain, ctx.nominal.waypoints)[:, -1]
+    to_centers = np.linalg.norm(points[:, :, None, :] - ctx._centers, axis=3)
     return min(
         float(np.min(m)) - ctx.eps_m,
         float(np.min(to_eef)),
@@ -521,6 +515,8 @@ def kink_distance(traj, ctx) -> float:
         float(np.min(np.linalg.norm(np.diff(eef, axis=0), axis=1))),
         float(np.min(np.linalg.norm(eef[:-1] - ctx.goal_point, axis=1))),
         float(np.min(np.linalg.norm(eef[1:-1] - eef_nominal[1:-1], axis=1))),
+        float(np.min(to_centers)),
+        float(np.min(np.abs(to_centers - ctx._clearance))),
     )
 
 

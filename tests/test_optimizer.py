@@ -163,15 +163,23 @@ def test_options_reject_non_finite_and_out_of_range(field, value):
         dataclasses.replace(VALID_OPTIONS, **{field: value})
 
 
-def counted_optimize(monkeypatch, *args, **kwargs):
-    """Run ``optimize`` and count its value passes and gradients from outside.
+class UphillPass(ObjectivePass):
+    """A pass whose gradient points uphill, so no line-search step is accepted."""
+
+    def gradient(self):
+        return -super().gradient()
+
+
+def counted_optimize(monkeypatch, *args, pass_class=ObjectivePass):
+    """Run ``optimize`` with ``pass_class`` and count its value passes and
+    gradients from outside.
 
     Every pass but the first (the initial point) is a value evaluation;
     a gradient counts once however often it is read.
     """
     calls = {"value": -1, "grad": 0}
 
-    class CountingPass(ObjectivePass):
+    class CountingPass(pass_class):
         def __init__(self, *pass_args, **pass_kwargs):
             super().__init__(*pass_args, **pass_kwargs)
             calls["value"] += 1
@@ -181,7 +189,7 @@ def counted_optimize(monkeypatch, *args, **kwargs):
             return super().gradient()
 
     monkeypatch.setattr(optimizer_module, "ObjectivePass", CountingPass)
-    result = optimize(*args, **kwargs)
+    result = optimize(*args)
     assert (result.value_evals, result.grad_evals) == (calls["value"], calls["grad"])
     return result
 
@@ -202,17 +210,15 @@ def test_stop_reason_and_evaluation_counts(arm, monkeypatch):
     assert (loose.stop_reason, loose.converged, loose.iterations) == ("grad_tol", True, 0)
     assert (loose.value_evals, loose.grad_evals) == (0, 1)
 
-    def uphill(q, points, jacs, with_grad):  # gradient points uphill: no step is accepted
-        value = float(np.sum(q**2))
-        return value, (-2.0 * q if with_grad else None)
-
+    # A convex smoothness cost: every step along its negated gradient raises it.
     opts = OptimizerOptions(max_iters=50, grad_tol=1e-10, step_init=0.05)
-    stuck = counted_optimize(monkeypatch, ctx, CostWeights(alpha_smooth=1e-6), init, opts, uphill)
+    w = CostWeights(alpha_smooth=1.0)
+    stuck = counted_optimize(monkeypatch, ctx, w, init, opts, pass_class=UphillPass)
     assert (stuck.stop_reason, stuck.converged, stuck.iterations) == ("line_search", False, 1)
     assert stuck.grad_evals == 1 and stuck.value_evals > 1
 
 
-def reference_optimize(ctx, w, init, opts, extra_cost=None):
+def reference_optimize(ctx, w, init, opts):
     """The descent loop with every accepted iterate re-evaluated from scratch.
 
     Returns (waypoints, iterations, stop_reason, initial, final), where
@@ -220,7 +226,7 @@ def reference_optimize(ctx, w, init, opts, extra_cost=None):
     """
     q, dt = init.waypoints.copy(), init.dt
     lo, hi = ctx.chain.joint_limits[:, 0], ctx.chain.joint_limits[:, 1]
-    initial = current = evaluate_objective(q, dt, ctx, w, True, extra_cost)
+    initial = current = evaluate_objective(q, dt, ctx, w, True)
     step, iterations, stop_reason = opts.step_init, 0, "max_iters"
     for iteration in range(opts.max_iters):
         total, grad = current[0], current[1]
@@ -231,7 +237,7 @@ def reference_optimize(ctx, w, init, opts, extra_cost=None):
         while step >= optimizer_module.MIN_STEP:
             q_new = q.copy()
             q_new[1:-1] = np.clip(q[1:-1] - step * g, lo, hi)
-            trial = evaluate_objective(q_new, dt, ctx, w, False, extra_cost)[0]
+            trial = evaluate_objective(q_new, dt, ctx, w, False)[0]
             if trial <= total + optimizer_module.ARMIJO_C * float(np.sum(g * (q_new[1:-1] - q[1:-1]))):
                 break
             step *= optimizer_module.STEP_SHRINK
@@ -239,7 +245,7 @@ def reference_optimize(ctx, w, init, opts, extra_cost=None):
             stop_reason = "line_search"
             break
         q = q_new
-        current = evaluate_objective(q, dt, ctx, w, True, extra_cost)
+        current = evaluate_objective(q, dt, ctx, w, True)
         step *= optimizer_module.STEP_GROW
     if float(np.max(np.abs(current[1][1:-1]))) < opts.grad_tol:
         stop_reason = "grad_tol"
@@ -258,11 +264,21 @@ def assert_report_equals(report, evaluation, name):
 def test_optimize_matches_loop_that_recomputes_every_iterate(arm, max_iters, grad_tol):
     traj, ctx = build_problem(arm, seed=7, n_waypoints=10)
     opts = OptimizerOptions(max_iters=max_iters, grad_tol=grad_tol, step_init=0.02)
-    for name, (c, w, extra) in method_weightings(arm, traj, ctx).items():
+    for name, (c, w) in method_weightings(arm, traj, ctx).items():
         init = JointTrajectory(traj.waypoints.copy(), traj.dt)
-        result = optimize(c, w, init, opts, extra_cost=extra)
-        q, iterations, stop_reason, initial, final = reference_optimize(c, w, init, opts, extra)
+        result = optimize(c, w, init, opts)
+        q, iterations, stop_reason, initial, final = reference_optimize(c, w, init, opts)
         assert np.array_equal(result.trajectory.waypoints, q), name
         assert (result.iterations, result.stop_reason) == (iterations, stop_reason), name
         assert_report_equals(result.initial_report, initial, name)
         assert_report_equals(result.final_report, final, name)
+
+
+def test_nominal_solve_reports_its_obstacle_term_by_name(arm):
+    traj, ctx = build_problem(arm, seed=2, n_waypoints=10)
+    c, w = method_weightings(arm, traj, ctx)["nominal"]
+    opts = OptimizerOptions(max_iters=5, grad_tol=1e-10, step_init=0.05, verbose=True)
+    result = optimize(c, w, JointTrajectory(traj.waypoints.copy(), traj.dt), opts)
+    assert result.initial_report.per_cost["obstacle"] > 0 and result.trace
+    assert result.final_report.weights["obstacle"] == w.alpha_obstacle
+    assert all(set(e) == {"iteration", "total", "step", "smoothness", "obstacle"} for e in result.trace)

@@ -8,9 +8,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from comoto.benchmark import load_config
+from comoto.benchmark import load_config, prepare_scenario
 from comoto.errors import ContractViolation
-from comoto.human_motion import RIGHT_ARM_JOINTS, generate_reach, load_skeleton_offsets
+from comoto.human_motion import RIGHT_ARM_JOINTS, generate_reach
 from comoto.kinematics import fk_eef, load_chain
 from comoto.scenarios import (
     FAMILIES,
@@ -108,6 +108,19 @@ def test_family_contract_validation(arm):
         scenario_from_dict(data, arm)
 
 
+def test_malformed_obstacles_raise_contract_violation(arm):
+    data = scenario_to_dict(make_scenario("reaching_far", 1, arm))
+    center, radius = data["obstacles"][0]["center"], data["obstacles"][0]["radius"]
+    cases = [
+        ({"center": center[:2], "radius": radius}, "obstacle center must be 3 finite coordinates"),
+        ({"center": center, "radius": -0.1}, "obstacle radius must be finite and positive"),
+        ({"center": center, "radius": float("nan")}, "obstacle radius must be finite and positive"),
+    ]
+    for obstacle, message in cases:
+        with pytest.raises(ContractViolation, match=message):
+            prepare_scenario(scenario_from_dict({**data, "obstacles": [obstacle]}, arm), load_config())
+
+
 def test_missing_optional_scenario_keys_take_the_field_defaults(arm):
     data = scenario_to_dict(make_scenario("stationary", 1, arm))
     for key in ("observation", "horizon", "n_waypoints", "human_rate"):
@@ -148,7 +161,7 @@ def test_scenario_uses_default_chain_when_unspecified():
     assert sc.chain.n_joints == 7
 
 
-@pytest.mark.parametrize("load", [load_scenario, load_chain, load_skeleton_offsets, load_config])
+@pytest.mark.parametrize("load", [load_scenario, load_chain, load_config])
 def test_invalid_yaml_raises_contract_violation_naming_the_file(tmp_path, load):
     path = tmp_path / "broken.yaml"
     path.write_text("optimizer: {max_iters: [1\n")
