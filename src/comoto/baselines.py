@@ -132,7 +132,8 @@ def min_separation(chain: ChainSpec, q: Array, human_points: Array) -> float:
     """Smallest distance between any robot point and any human joint."""
     robot = fk_points(chain, q)
     diff = robot[None, :, :] - human_points[:, None, :]
-    return float(np.sqrt(np.min(np.sum(diff**2, axis=2))))
+    # np.sum and np.min without their Python wrappers: the same reductions, bit for bit.
+    return math.sqrt(np.add.reduce(diff * diff, axis=2).min())
 
 
 def speed_adjusted_execute(
@@ -167,17 +168,24 @@ def speed_adjusted_execute(
             return waypoints[i0 + 1]
         return (1.0 - frac) * waypoints[i0] + frac * waypoints[i0 + 1]
 
+    # Ticks fall at t0 + k * dtick until the timeout, k <= ceil(timeout * rate);
+    # one more absorbs the rounding of the accumulated clock.
+    capacity = math.ceil(timeout * p.control_rate) + 2
+    times, seps, speeds = np.empty(capacity), np.empty(capacity), np.empty(capacity)
+    configs = np.empty((capacity, waypoints.shape[1]))
+    d_stop, d_span = p.d_stop, p.d_slow - p.d_stop
     u, t = 0.0, nominal.t0
-    times, configs, seps, speeds = [], [], [], []
+    k = 0
     completed = False
     while True:
+        if k == capacity:
+            raise ContractViolation(f"Speed-Adj ran past its {capacity} preallocated ticks")
         qcur = config_at(u)
         d = min_separation(chain, qcur, _human_at(tracks, rate, t))
-        s = float(np.clip((d - p.d_stop) / (p.d_slow - p.d_stop), 0.0, 1.0))
-        times.append(t)
-        configs.append(qcur)
-        seps.append(d)
-        speeds.append(s)
+        s = min(max((d - d_stop) / d_span, 0.0), 1.0)
+        times[k], seps[k], speeds[k] = t, d, s
+        configs[k] = qcur
+        k += 1
         if u >= D:
             completed = True
             break
@@ -192,11 +200,11 @@ def speed_adjusted_execute(
             t += dtick
 
     return ExecutionTrace(
-        timestamps=np.asarray(times),
-        configs=np.asarray(configs),
+        timestamps=times[:k].copy(),
+        configs=configs[:k].copy(),
         completed=completed,
-        min_separation=np.asarray(seps),
-        speed_scale=np.asarray(speeds),
+        min_separation=seps[:k].copy(),
+        speed_scale=speeds[:k].copy(),
     )
 
 

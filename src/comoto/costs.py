@@ -23,6 +23,7 @@ checkable against central finite differences.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -122,26 +123,27 @@ class CostContext:
                 raise ContractViolation(
                     "prediction horizon must equal the nominal waypoint count"
                 )
-        self._centers = np.asarray([c for c, _ in self.obstacles], dtype=float).reshape(-1, 3)
-        self._clearance = np.asarray([r for _, r in self.obstacles], dtype=float)
+        centers = [np.asarray(c, dtype=float) for c, _ in self.obstacles]
+        clearance = np.asarray([r for _, r in self.obstacles], dtype=float)
+        for center, radius in zip(centers, clearance):
+            if center.shape != (3,) or not np.isfinite(center).all():
+                raise ContractViolation(f"obstacle center must be 3 finite coordinates, got {center}")
+            if not (math.isfinite(radius) and radius > 0):
+                raise ContractViolation(f"obstacle clearance must be finite and positive, got {radius}")
+        self._centers = np.reshape(centers, (-1, 3))
+        self._clearance = clearance
         self._goal_point = fk_eef(self.chain, self.goal_config)
+        # A copy, so that the context does not keep every FK point of the nominal.
         self._nominal_eef = (
             None
             if self.nominal is None
-            else fk_points_batch(self.chain, self.nominal.waypoints)[:, -1]
+            else fk_points_batch(self.chain, self.nominal.waypoints)[:, -1].copy()
         )
-        self._means = self._inv_covs_t = self._sigma_head = self._gaze = None
+        self._sigma_head = self._gaze = None
         if self.prediction is not None:
-            names = list(self.prediction.joints)
-            self._means = np.stack([self.prediction.means[j] for j in names])
-            covs = np.stack([self.prediction.covariances[j] for j in names])
-            try:
-                inv_covs = np.linalg.inv(covs)
-            except np.linalg.LinAlgError as exc:
-                raise ContractViolation(f"prediction covariance not invertible: {exc}")
-            # Transposed and C-contiguous, the layout `_distance_term`'s matmul takes.
-            self._inv_covs_t = np.ascontiguousarray(np.swapaxes(inv_covs, -1, -2))
-            if "head" in names:
+            # Checked here, kept by no context: each solve builds its own copy.
+            _distance_inputs(self.prediction)
+            if "head" in self.prediction.joints:
                 head_cov = self.prediction.covariances["head"]
                 spread = np.sqrt(np.trace(head_cov, axis1=1, axis2=2) / 3.0)
                 self._sigma_head = np.maximum(spread, self.sigma_floor)
@@ -219,7 +221,20 @@ def goal_probability(
 # ---------------------------------------------------------------------------
 
 
-def _distance_term(points: Array, ctx: CostContext):
+def _distance_inputs(prediction: PredictedHumanTrajectory) -> tuple[Array, Array]:
+    """The (J,N,3) stacked means and (J,N,3,3) transposed inverse covariances."""
+    names = list(prediction.joints)
+    means = np.stack([prediction.means[j] for j in names])
+    covs = np.stack([prediction.covariances[j] for j in names])
+    try:
+        inv_covs = np.linalg.inv(covs)
+    except np.linalg.LinAlgError as exc:
+        raise ContractViolation(f"prediction covariance not invertible: {exc}")
+    # Transposed and C-contiguous, the layout `_distance_term`'s matmul takes.
+    return means, np.ascontiguousarray(np.swapaxes(inv_covs, -1, -2))
+
+
+def _distance_term(points: Array, means: Array, inv_covs_t: Array, eps_m: float):
     # points (N,P,3); means (J,N,3); inv_covs_t (J,N,3,3), each inverse transposed.
     # sd = Sigma^-1 d as one stacked GEMM of each (P,3) block of d by its
     # transposed inverse.  Every prediction the pipeline builds is isotropic
@@ -228,9 +243,8 @@ def _distance_term(points: Array, ctx: CostContext):
     # change a bit.  Repeating the means builds d faster than a broadcast
     # difference; d is rebuilt per call, since a copy on the context would
     # keep a (J,N,P,3) array alive for every planning problem.
-    eps_m = ctx.eps_m
-    d = np.repeat(ctx._means[:, :, None, :], points.shape[1], axis=2) - points[None]  # (J,N,P,3)
-    sd = np.matmul(d, ctx._inv_covs_t)
+    d = np.repeat(means[:, :, None, :], points.shape[1], axis=2) - points[None]  # (J,N,P,3)
+    sd = np.matmul(d, inv_covs_t)
     m = np.einsum("jtpa,jtpa->jtp", d, sd)
     m_clamped = np.maximum(m, eps_m)
     value = float((1.0 / m_clamped).sum())
@@ -383,6 +397,15 @@ class WeightedObjective:
         self.time_weights = ctx.time_weights(n_waypoints)
         self.time_weight_sum = float(self.time_weights.sum())
 
+    @functools.cached_property
+    def distance_inputs(self) -> tuple[Array, Array]:
+        """The distance term's stacked means and transposed inverse covariances.
+
+        Built on the first distance pass of a solve and dropped with the
+        solve, so that no context keeps them.
+        """
+        return _distance_inputs(self.ctx.prediction)
+
 
 class ObjectivePass:
     """The weighted objective of ``problem`` at waypoints ``q``, kept for its gradient.
@@ -425,7 +448,7 @@ class ObjectivePass:
             eef = points[:, -1]
         for name in names:
             if name == "distance":
-                value, pullback = _distance_term(points, ctx)
+                value, pullback = _distance_term(points, *problem.distance_inputs, ctx.eps_m)
             elif name == "visibility":
                 value, pullback, flagged = _visibility_term(eef, ctx)
                 if flagged:

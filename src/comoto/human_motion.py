@@ -280,6 +280,7 @@ def predict(
 
     Step ``k`` of the output is ``k * step`` seconds past the last
     observed sample, so step 0 coincides with the end of observation.
+    The right-arm joints share one read-only covariance array.
     """
     if horizon < 1:
         raise ContractViolation("horizon must be at least 1 step")
@@ -325,13 +326,21 @@ def predict(
             means[name] = (1.0 - w)[:, None] * cv + w[:, None] * approach
 
     scale = np.maximum(options.sigma0**2 + (options.kappa * t_ahead) ** 2, options.sigma_floor**2)
-    cov = scale[:, None, None] * np.eye(3)
+    cov = _read_only(scale[:, None, None] * np.eye(3))
     return PredictedHumanTrajectory(
-        means=means,
-        covariances={name: cov.copy() for name in RIGHT_ARM_JOINTS},
+        means={name: _read_only(mean) for name, mean in means.items()},
+        covariances={name: cov for name in RIGHT_ARM_JOINTS},
         step=step,
         t0=observed.duration,
     )
+
+
+def _read_only(x: Array) -> Array:
+    """``x`` if it is read-only, else a read-only view: predictions share arrays, not copies."""
+    if x.flags.writeable:
+        x = x.view()
+        x.flags.writeable = False
+    return x
 
 
 def _estimate_arrival(palm: Array, vel: Array, goal: Array, horizon_span: float, step: float) -> float:
@@ -351,17 +360,18 @@ def extrapolate_skeleton(arm_pred: PredictedHumanTrajectory) -> PredictedHumanTr
 
     Each extrapolated joint's mean is the right-shoulder mean plus its
     packaged fixed offset; its covariance is the right-shoulder covariance.
+    The result shares the input's arrays, all read-only.
     """
     if "right_shoulder" not in arm_pred.means:
         raise ContractViolation("arm prediction is missing the right_shoulder track")
     offsets = load_skeleton_offsets()
-    means = {k: v.copy() for k, v in arm_pred.means.items()}
-    covs = {k: v.copy() for k, v in arm_pred.covariances.items()}
+    means = {k: _read_only(v) for k, v in arm_pred.means.items()}
+    covs = {k: _read_only(v) for k, v in arm_pred.covariances.items()}
     shoulder_mean = arm_pred.means["right_shoulder"]
     shoulder_cov = arm_pred.covariances["right_shoulder"]
     for name in EXTRAPOLATED_JOINTS:
-        means[name] = shoulder_mean + offsets[name]
-        covs[name] = shoulder_cov.copy()
+        means[name] = _read_only(shoulder_mean + offsets[name])
+        covs[name] = shoulder_cov
     return PredictedHumanTrajectory(means=means, covariances=covs, step=arm_pred.step, t0=arm_pred.t0)
 
 

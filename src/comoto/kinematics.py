@@ -63,6 +63,26 @@ class ChainSpec:
         object.__setattr__(self, "dh", dh)
         object.__setattr__(self, "base_pose", base)
         object.__setattr__(self, "joint_limits", lims)
+        # The FK constants of every DH transform.  Rows 0-1 of joint i are
+        # [[ct, -st ca, st sa, a ct], [st, ct ca, -ct sa, a st]]: each entry is
+        # one product of a trig factor, picked from [cos theta, sin theta] by
+        # _dh_trig_index, and its entry of _dh_factors.  Rows 2-3,
+        # [[0, sa, ca, d], [0, 0, 0, 1]], do not depend on theta.
+        n = dh.shape[0]
+        a, d = dh[:, 0], dh[:, 2]
+        ca = np.array([math.cos(alpha) for alpha in dh[:, 1]])
+        sa = np.array([math.sin(alpha) for alpha in dh[:, 1]])
+        one, zero = np.ones(n), np.zeros(n)
+        cos_i, sin_i = np.arange(n), n + np.arange(n)
+        tables = {
+            "_dh_trig_index": [[cos_i, sin_i, sin_i, cos_i], [sin_i, cos_i, cos_i, sin_i]],
+            "_dh_factors": [[one, -ca, sa, a], [one, ca, -sa, a]],
+            "_dh_fixed_rows": [[zero, sa, ca, d], [zero, zero, zero, one]],
+        }
+        for name, rows in tables.items():
+            table = np.ascontiguousarray(np.transpose(rows, (2, 0, 1)))  # (n, 2, 4)
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
     @property
     def n_joints(self) -> int:
@@ -170,12 +190,28 @@ def all_point_jacobians(chain: ChainSpec, q: Array) -> tuple[Array, Array]:
 FK_BLOCK = 256
 
 
+def _dh_transforms(chain: ChainSpec, theta: Array) -> Array:
+    """(B, n, 4, 4) DH transforms of a (B, n) block of joint angles plus offsets.
+
+    Each theta-dependent entry is one product of a trig factor and a
+    chain constant, so every entry, zero signs included, is the product
+    the per-joint formula gives.
+    """
+    trig = np.concatenate((np.cos(theta), np.sin(theta)), axis=1)  # (B, 2n)
+    A = np.empty(theta.shape + (4, 4))
+    # A contiguous product, then one copy: a ufunc writing straight into the
+    # strided rows is slower on full blocks.
+    A[:, :, :2] = trig[:, chain._dh_trig_index] * chain._dh_factors
+    A[:, :, 2:] = chain._dh_fixed_rows
+    return A
+
+
 def _batch_frames(chain: ChainSpec, Q: Array) -> tuple[Array, Array]:
     """Vectorized FK over a (N, n) batch of configurations.
 
     Returns ``(points, axes)`` with shapes (N, n+1, 3) and (N, n, 3).
-    Every DH transform of a block is built at once, then the chain is
-    multiplied out joint by joint.
+    Every DH transform of a block is built at once from the chain's
+    constants, then the chain is multiplied out joint by joint.
     """
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[1] != chain.n_joints:
@@ -183,34 +219,20 @@ def _batch_frames(chain: ChainSpec, Q: Array) -> tuple[Array, Array]:
             f"batch has shape {Q.shape}, chain expects (N, {chain.n_joints})"
         )
     N, n = Q.shape
-    a, d, off = chain.dh[:, 0], chain.dh[:, 2], chain.dh[:, 3]
-    ca = np.array([math.cos(alpha) for alpha in chain.dh[:, 1]])
-    sa = np.array([math.sin(alpha) for alpha in chain.dh[:, 1]])
+    off = chain.dh[:, 3]
     points = np.empty((N, n + 1, 3))
     axes = np.empty((N, n, 3))
     for start in range(0, N, FK_BLOCK):
         stop = min(start + FK_BLOCK, N)
-        theta = Q[start:stop] + off
-        ct, st = np.cos(theta), np.sin(theta)
-        A = np.zeros((stop - start, n, 4, 4))
-        A[:, :, 0, 0] = ct
-        A[:, :, 0, 1] = -st * ca
-        A[:, :, 0, 2] = st * sa
-        A[:, :, 0, 3] = a * ct
-        A[:, :, 1, 0] = st
-        A[:, :, 1, 1] = ct * ca
-        A[:, :, 1, 2] = -ct * sa
-        A[:, :, 1, 3] = a * st
-        A[:, :, 2, 1] = sa
-        A[:, :, 2, 2] = ca
-        A[:, :, 2, 3] = d
-        A[:, :, 3, 3] = 1.0
-        T = np.empty((stop - start, n + 1, 4, 4))
-        T[:, 0] = chain.base_pose
+        # Joint-major: each step of the product then takes a leading-axis
+        # index, cheaper than a [:, i] slice; every matmul is unchanged.
+        A = _dh_transforms(chain, Q[start:stop] + off).swapaxes(0, 1)
+        T = np.empty((n + 1, stop - start, 4, 4))
+        T[0] = chain.base_pose
         for i in range(n):
-            np.matmul(T[:, i], A[:, i], out=T[:, i + 1])
-        points[start:stop] = T[:, :, :3, 3]
-        axes[start:stop] = T[:, :n, :3, 2]
+            np.matmul(T[i], A[i], out=T[i + 1])
+        points[start:stop] = T[:, :, :3, 3].swapaxes(0, 1)
+        axes[start:stop] = T[:n, :, :3, 2].swapaxes(0, 1)
     return points, axes
 
 

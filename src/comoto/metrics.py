@@ -18,7 +18,7 @@ import numpy as np
 from .baselines import ExecutionTrace
 from .errors import ContractViolation
 from .human_motion import HumanTrajectory
-from .kinematics import ChainSpec, JointTrajectory, fk_points_batch
+from .kinematics import FK_BLOCK, ChainSpec, JointTrajectory, fk_points_batch
 
 Array = np.ndarray
 
@@ -84,14 +84,15 @@ METRIC_NAMES = tuple(f.name for f in fields(MetricReport) if f.name != "complete
 # one FK pass and one human interpolation for all of them.
 
 
-def _separation_pct(robot: Array, human: dict[str, Array], threshold: float) -> float:
+def _count_separated(robot: Array, human: dict[str, Array], threshold: float) -> int:
+    """Steps whose minimum robot-point to human-joint distance exceeds ``threshold``."""
     # Running minimum over human joints keeps memory at O(T*P), not O(T*J*P).
     min_sq = np.full(robot.shape[:2], np.inf)
     for track in human.values():  # (T,3)
         diff = robot - track[:, None, :]
         np.minimum(min_sq, np.sum(diff**2, axis=2), out=min_sq)
     min_dist = np.sqrt(np.min(min_sq, axis=1))
-    return float(100.0 * np.count_nonzero(min_dist > threshold) / robot.shape[0])
+    return int(np.count_nonzero(min_dist > threshold))
 
 
 def _visibility_pct(eef: Array, head: Array, target: Array, fov_deg: float) -> float:
@@ -156,8 +157,9 @@ def evaluate_run(
     """All four metrics for one planned trajectory or executed trace.
 
     One FK pass over the evaluated configurations and one interpolation
-    of the human tracks serve every metric; an executed trace adds one FK
-    pass over its samples on the nominal clock.  ``threshold`` (meters)
+    of the human tracks serve every metric, both in blocks of
+    ``FK_BLOCK`` steps; an executed trace adds one FK pass over its
+    samples on the nominal clock.  ``threshold`` (meters)
     and ``fov_deg`` are the run config's ``metrics`` section.
     """
     if isinstance(planned, ExecutionTrace):
@@ -170,11 +172,20 @@ def evaluate_run(
         raise ContractViolation("empty trajectory")
     if "head" not in human_truth.samples:
         raise ContractViolation("ground truth has no head track")
-    robot = fk_points_batch(chain, configs)
-    human = human_truth.positions_at(times)
-    eef = robot[:, -1]
-    dst = _separation_pct(robot, human, threshold)
-    vis = _visibility_pct(eef, human["head"], gaze_target, fov_deg)
+    # FK, the human interpolation and the separation count run FK_BLOCK steps
+    # at a time, so a long trace never holds every robot point and human track;
+    # the other metrics need only the end effector and the head.
+    T = times.shape[0]
+    eef, head = np.empty((T, 3)), np.empty((T, 3))
+    separated = 0
+    for start in range(0, T, FK_BLOCK):
+        block = slice(start, start + FK_BLOCK)
+        robot = fk_points_batch(chain, configs[block])
+        human = human_truth.positions_at(times[block])
+        separated += _count_separated(robot, human, threshold)
+        eef[block], head[block] = robot[:, -1], human["head"]
+    dst = 100.0 * separated / T
+    vis = _visibility_pct(eef, head, gaze_target, fov_deg)
     leg = _legibility_score(eef, goals)
     if isinstance(planned, ExecutionTrace):
         aligned = trace_at_nominal_times(planned, nominal)

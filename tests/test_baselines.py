@@ -10,23 +10,27 @@ import math
 import numpy as np
 import pytest
 
-from conftest import cost_context
+from conftest import CFG, cost_context
 from test_costs import build_problem
 
 from comoto.baselines import (
     ExecutionTrace,
     SpeedAdjustParams,
+    _human_at,
+    _human_tracks,
     distvis_optimize,
     legible_optimize,
     min_separation,
     nominal_trajectory,
     speed_adjusted_execute,
 )
+from comoto.benchmark import prepare_scenario
 from comoto.costs import CostWeights, _obstacle_term, evaluate_objective
 from comoto.errors import ContractViolation
 from comoto.human_motion import HumanTrajectory
 from comoto.kinematics import JointTrajectory, fk_points_batch
 from comoto.optimizer import OptimizerOptions, straightline_joint_init
+from comoto.scenarios import make_scenario
 
 SPEED = SpeedAdjustParams(d_stop=0.06, d_slow=0.20, control_rate=100.0, timeout_factor=3.0)
 
@@ -143,6 +147,77 @@ def test_speed_adjust_explicit_timeout(planar2):
     trace = speed_adjusted_execute(planar2, nominal, constant_human([1.0, 0.03, 0.0]), p)
     assert not trace.completed
     assert trace.duration == pytest.approx(0.5 * nominal.duration, abs=1e-9)
+
+
+def reference_speed_adjusted_execute(chain, nominal, human_truth, p):
+    """The per-tick loop as first written: four lists grown a tick at a time,
+    copied into arrays at the end, and the speed scale clamped by ``np.clip``."""
+    D = nominal.duration
+    timeout = p.timeout_factor * D
+    dtick = 1.0 / p.control_rate
+    tracks, rate = _human_tracks(human_truth)
+    waypoints = nominal.waypoints
+
+    def config_at(u):
+        k = u / nominal.dt
+        i0 = min(int(k), waypoints.shape[0] - 2)
+        frac = k - i0
+        if frac <= 0.0:
+            return waypoints[i0]
+        if frac >= 1.0:
+            return waypoints[i0 + 1]
+        return (1.0 - frac) * waypoints[i0] + frac * waypoints[i0 + 1]
+
+    u, t = 0.0, nominal.t0
+    times, configs, seps, speeds = [], [], [], []
+    completed = False
+    while True:
+        qcur = config_at(u)
+        d = min_separation(chain, qcur, _human_at(tracks, rate, t))
+        s = float(np.clip((d - p.d_stop) / (p.d_slow - p.d_stop), 0.0, 1.0))
+        times.append(t)
+        configs.append(qcur)
+        seps.append(d)
+        speeds.append(s)
+        if u >= D:
+            completed = True
+            break
+        if t - nominal.t0 >= timeout - 1e-12:
+            break
+        advance = s * dtick
+        if advance > 0 and u + advance >= D:
+            t += (D - u) / s
+            u = D
+        else:
+            u += advance
+            t += dtick
+    return ExecutionTrace(
+        np.asarray(times), np.asarray(configs), completed, np.asarray(seps), np.asarray(speeds)
+    )
+
+
+def assert_same_trace(got, want):
+    assert got.completed == want.completed
+    for name in ("timestamps", "configs", "min_separation", "speed_scale"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("seed, ticks, completed", [(1, 6001, False), (2, 2002, True)])
+def test_speed_adjust_matches_reference_loop_at_1khz(arm, seed, ticks, completed):
+    cfg = dataclasses.replace(CFG, speed_adjust=dataclasses.replace(CFG.speed_adjust, control_rate=1000.0))
+    bundle = prepare_scenario(make_scenario("reaching_near", seed, arm), cfg)
+    args = (arm, bundle.nominal, bundle.truth, cfg.speed_adjust)
+    trace = speed_adjusted_execute(*args)
+    assert (len(trace.timestamps), trace.completed) == (ticks, completed)
+    assert_same_trace(trace, reference_speed_adjusted_execute(*args))
+
+
+def test_speed_adjust_matches_reference_loop_at_half_speed(planar2):
+    # Slowed the whole way, so the run ends on a partial tick at s = 0.5.
+    nominal = stationary_nominal([0.0, 0.0], n=4, dt=0.1)
+    args = (planar2, nominal, constant_human([1.0, 0.13, 0.0]), SPEED)
+    assert_same_trace(speed_adjusted_execute(*args), reference_speed_adjusted_execute(*args))
 
 
 def test_speed_adjust_params_validation():

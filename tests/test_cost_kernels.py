@@ -17,6 +17,7 @@ from comoto.costs import (
     CostWeights,
     ObjectivePass,
     WeightedObjective,
+    _distance_inputs,
     _distance_term,
     _legibility_term,
     _visibility_term,
@@ -110,8 +111,9 @@ def assert_kernels_match(q, ctx, goal):
     points, jacs = all_point_jacobians_batch(ctx.chain, q)
     eef, eef_jac = points[:, -1], jacs[:, -1]
 
-    got, pullback = _distance_term(points, ctx)
-    want, want_pullback = reference_distance_term(points, ctx._means, ctx._inv_covs_t, ctx.eps_m)
+    means, inv_covs_t = _distance_inputs(ctx.prediction)
+    got, pullback = _distance_term(points, means, inv_covs_t, ctx.eps_m)
+    want, want_pullback = reference_distance_term(points, means, inv_covs_t, ctx.eps_m)
     assert same_bits(got, want)
     assert same_bits(pullback(jacs), want_pullback(jacs))
 
@@ -181,7 +183,8 @@ def test_kernels_equal_references_at_the_kinks(arm):
     # An eps_m that clamps part of the (joint, step, point) triples.
     clamped = dataclasses.replace(ctx, eps_m=20.0)
     points = all_point_jacobians_batch(arm, q)[0]
-    d = clamped._means[:, :, None, :] - points[None]
-    m = np.einsum("jtpa,jtpa->jtp", d, np.matmul(d, clamped._inv_covs_t))
+    means, inv_covs_t = _distance_inputs(clamped.prediction)
+    d = means[:, :, None, :] - points[None]
+    m = np.einsum("jtpa,jtpa->jtp", d, np.matmul(d, inv_covs_t))
     assert 0 < np.count_nonzero(m < 20.0) < m.size
     assert_kernels_match(q, clamped, ctx.goal_point)

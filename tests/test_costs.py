@@ -26,6 +26,7 @@ from comoto.costs import (
     goal_probability,
     mahalanobis_proximity,
     objective,
+    _distance_inputs,
     _distance_term,
     _legibility_term,
     _nominal_term,
@@ -227,8 +228,9 @@ def test_distance_term_matches_einsum_reference(arm):
             c = dataclasses.replace(ctx, prediction=prediction, eps_m=eps_m)
             covs = np.stack([prediction.covariances[j] for j in prediction.joints])
             inv_covs = np.linalg.inv(covs)
-            want, want_pullback = einsum_distance_term(points, c._means, inv_covs, eps_m)
-            got, pullback = _distance_term(points, c)
+            means, inv_covs_t = _distance_inputs(c.prediction)
+            want, want_pullback = einsum_distance_term(points, means, inv_covs, eps_m)
+            got, pullback = _distance_term(points, means, inv_covs_t, eps_m)
             if exact:
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
                 assert np.array_equal(pullback(jacs), want_pullback(jacs))
@@ -333,7 +335,9 @@ def reference_gradient(q, dt, ctx, w):
     eef, eef_jac = points[:, -1], jacs[:, -1]
     f = ctx.time_weights(len(q))
     pullbacks = {
-        "distance": lambda: _distance_term(points, ctx)[1](jacs),
+        "distance": lambda: _distance_term(
+            points, *_distance_inputs(ctx.prediction), ctx.eps_m
+        )[1](jacs),
         "visibility": lambda: _visibility_term(eef, ctx)[1](eef_jac),
         "legibility": lambda: _legibility_term(eef, ctx.goal_point, f, float(f.sum()))[1](eef_jac),
         "nominal": lambda: _nominal_term(eef, ctx._nominal_eef)[1](eef_jac),
@@ -452,6 +456,18 @@ def test_obstacle_weight_without_obstacles_rejected(planar2):
     w = CostWeights(alpha_smooth=1.0, alpha_obstacle=1.0)
     with pytest.raises(ContractViolation, match="obstacle weight set but the context lacks its inputs"):
         evaluate_objective(traj.waypoints, traj.dt, ctx, w)
+
+
+def test_context_rejects_malformed_obstacles(planar2):
+    with pytest.raises(ContractViolation, match="obstacle center"):
+        cost_context(planar2, np.zeros(2), obstacles=((np.array([0.5, 0.0]), 0.1),))
+    with pytest.raises(ContractViolation, match="obstacle clearance"):
+        cost_context(planar2, np.zeros(2), obstacles=((np.array([0.5, 0.0, 0.0]), -0.1),))
+    for center, radius in (([0.5, math.nan, 0.0], 0.1), ([0.5, 0.0, 0.0], math.inf)):
+        with pytest.raises(ContractViolation):
+            cost_context(planar2, np.zeros(2), obstacles=((np.array(center), radius),))
+    ctx = cost_context(planar2, np.zeros(2), obstacles=((np.array([0.5, 0.0, 0.0]), 0.1),))
+    assert ctx._centers.shape == (1, 3) and ctx._clearance.shape == (1,)
 
 
 def test_sixth_argument_of_evaluate_objective_must_be_none(planar2):

@@ -289,6 +289,19 @@ def test_extrapolate_skeleton_offsets():
         )
 
 
+def test_predictions_share_read_only_arrays():
+    observed = constant_velocity_truth([0.0, 0.1, 0.0])
+    pred = predict(observed, horizon=8, step=0.1, options=CFG.prediction)
+    full = extrapolate_skeleton(pred)
+    for p in (pred, full):
+        for arr in (*p.means.values(), *p.covariances.values()):
+            assert not arr.flags.writeable
+    assert all(full.means[name] is pred.means[name] for name in pred.joints)
+    assert all(cov is pred.covariances["right_shoulder"] for cov in full.covariances.values())
+    with pytest.raises(ValueError, match="read-only"):
+        full.covariances["head"][0, 0, 0] = 1.0
+
+
 def test_skeleton_offsets_cover_extrapolated_joints():
     offsets = load_skeleton_offsets()
     for name in EXTRAPOLATED_JOINTS:

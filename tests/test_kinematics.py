@@ -31,6 +31,7 @@ from comoto.kinematics import (
     save_trajectory,
     solve_position_ik,
     _batch_frames,
+    _dh_transforms,
 )
 
 
@@ -130,19 +131,13 @@ def test_batch_fk_matches_single(arm):
         assert np.max(np.abs(jacs[k] - single)) <= 1e-12
 
 
-def loop_frames(chain: ChainSpec, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Frame origins and joint axes from one 4x4 DH transform per joint.
-
-    The same arithmetic as the vectorised FK, one configuration and one
-    joint at a time, so the two must agree bit for bit.
-    """
+def loop_transforms(chain: ChainSpec, q: np.ndarray) -> np.ndarray:
+    """The (n, 4, 4) DH transforms of ``q``, one joint at a time."""
     ct, st = np.cos(q + chain.dh[:, 3]), np.sin(q + chain.dh[:, 3])
-    T = chain.base_pose
-    points, axes = [T[:3, 3]], []
+    transforms = []
     for i, (a, alpha, d, _) in enumerate(chain.dh):
         ca, sa = math.cos(alpha), math.sin(alpha)
-        axes.append(T[:3, 2])
-        A = np.array(
+        transforms.append(
             [
                 [ct[i], -st[i] * ca, st[i] * sa, a * ct[i]],
                 [st[i], ct[i] * ca, -ct[i] * sa, a * st[i]],
@@ -150,6 +145,19 @@ def loop_frames(chain: ChainSpec, q: np.ndarray) -> tuple[np.ndarray, np.ndarray
                 [0.0, 0.0, 0.0, 1.0],
             ]
         )
+    return np.array(transforms)
+
+
+def loop_frames(chain: ChainSpec, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frame origins and joint axes from one 4x4 DH transform per joint.
+
+    The same arithmetic as the vectorised FK, one configuration and one
+    joint at a time, so the two must agree bit for bit.
+    """
+    T = chain.base_pose
+    points, axes = [T[:3, 3]], []
+    for A in loop_transforms(chain, q):
+        axes.append(T[:3, 2])
         T = T @ A
         points.append(T[:3, 3])
     return np.asarray(points), np.asarray(axes)
@@ -166,20 +174,34 @@ def random_dh_chain(rng: np.random.Generator, n: int) -> ChainSpec:
     return ChainSpec(dh=dh, base_pose=base, joint_limits=np.array([[-np.pi, np.pi]] * n))
 
 
-@pytest.mark.parametrize("N", [1, FK_BLOCK - 1, FK_BLOCK, FK_BLOCK + 1, 3000])
+@pytest.mark.parametrize("N", [1, 3, FK_BLOCK - 1, FK_BLOCK, FK_BLOCK + 1, 3000])
 def test_batch_frames_bit_identical_to_per_joint_loop(arm, N):
+    # Bytes, not values, so that the sign of every exact zero is pinned too,
+    # in each DH transform as well as in the points and axes.
+    # Past the first row, every third configuration puts each joint at
+    # theta = 0 (sin theta exactly 0) and every third at theta = pi/2 in
+    # floating point; on the planar chain alpha = 0 adds exact zeros to
+    # every product with sin alpha.
     rng = np.random.default_rng(N)
-    for chain in (arm, random_dh_chain(rng, 5)):
+    for chain in (arm, random_dh_chain(rng, 5), planar_chain((1.0, 0.5, 0.25))):
+        offsets = chain.dh[:, 3]
         Q = rng.uniform(-np.pi, np.pi, (N, chain.n_joints))
+        Q[1::3] = -offsets
+        Q[2::3] = np.pi / 2 - offsets
+        if N > 1:
+            assert np.all(np.sin(Q[1] + offsets) == 0.0)
+        transforms = _dh_transforms(chain, Q + offsets)
         points, axes = _batch_frames(chain, Q)
         assert points.shape == (N, chain.n_points, 3) and axes.shape == (N, chain.n_joints, 3)
         for k in range(N):
+            assert transforms[k].tobytes() == loop_transforms(chain, Q[k]).tobytes()
             want_points, want_axes = loop_frames(chain, Q[k])
-            assert np.array_equal(points[k], want_points)
-            assert np.array_equal(axes[k], want_axes)
-        single_points, single_axes = frame_origins_and_axes(chain, Q[0])
-        assert np.array_equal(single_points, points[0])
-        assert np.array_equal(single_axes, axes[0])
+            assert points[k].tobytes() == want_points.tobytes()
+            assert axes[k].tobytes() == want_axes.tobytes()
+        for k in range(min(N, 3)):
+            single_points, single_axes = frame_origins_and_axes(chain, Q[k])
+            assert single_points.tobytes() == points[k].tobytes()
+            assert single_axes.tobytes() == axes[k].tobytes()
 
 
 def test_axes_are_world_z_of_parent_frames(planar2):

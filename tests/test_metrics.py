@@ -10,8 +10,17 @@ import pytest
 from comoto.baselines import ExecutionTrace
 from comoto.errors import ContractViolation
 from comoto.human_motion import HumanTrajectory
-from comoto.kinematics import JointTrajectory, fk_points_batch
-from comoto.metrics import GoalSet, MetricReport, aggregate, evaluate_run, trace_at_nominal_times
+from comoto.kinematics import FK_BLOCK, JointTrajectory, fk_points_batch
+from comoto.metrics import (
+    GoalSet,
+    MetricReport,
+    _legibility_score,
+    _nominal_dev,
+    _visibility_pct,
+    aggregate,
+    evaluate_run,
+    trace_at_nominal_times,
+)
 
 from conftest import CFG
 
@@ -66,6 +75,61 @@ def test_separation_matches_all_pairs_reference(arm):
     for threshold in np.quantile(min_dist, [0.1, 0.5, 0.9]):
         want = 100.0 * np.count_nonzero(min_dist > threshold) / n_steps
         assert metrics(arm, traj, human, threshold=threshold).dst_pct == want
+
+
+def whole_trace_evaluate_run(chain, planned, human_truth, nominal, goals, gaze_target, threshold, fov_deg):
+    """``evaluate_run`` as first written: FK and the human tracks over the
+    whole trace at once, the separation as a percentage of those steps."""
+    if isinstance(planned, ExecutionTrace):
+        times, configs = planned.timestamps, planned.configs
+    else:
+        times, configs = planned.times, planned.waypoints
+    robot = fk_points_batch(chain, configs)
+    human = human_truth.positions_at(times)
+    min_sq = np.full(robot.shape[:2], np.inf)
+    for track in human.values():
+        np.minimum(min_sq, np.sum((robot - track[:, None, :]) ** 2, axis=2), out=min_sq)
+    min_dist = np.sqrt(np.min(min_sq, axis=1))
+    dst = float(100.0 * np.count_nonzero(min_dist > threshold) / robot.shape[0])
+    eef = robot[:, -1]
+    vis = _visibility_pct(eef, human["head"], gaze_target, fov_deg)
+    leg = _legibility_score(eef, goals)
+    if isinstance(planned, ExecutionTrace):
+        aligned = trace_at_nominal_times(planned, nominal)
+        nom = _nominal_dev(chain, fk_points_batch(chain, aligned.waypoints)[:, -1], nominal)
+        completed = planned.completed
+    else:
+        nom = _nominal_dev(chain, eef, nominal)
+        completed = True
+    return MetricReport(dst_pct=dst, vis_pct=vis, legibility=leg, nom_dev=nom, completed=completed), min_dist
+
+
+def test_evaluate_run_in_blocks_matches_whole_trace(arm):
+    rng = np.random.default_rng(9)
+    n_steps, rate = 2 * FK_BLOCK + 37, 100.0
+    configs = 0.6 * rng.standard_normal((n_steps, arm.n_joints)).cumsum(axis=0) / np.sqrt(n_steps)
+    tracks = {
+        name: np.array([0.5, 0.0, 0.4]) + 0.3 * rng.standard_normal(3)
+        + 0.02 * rng.standard_normal((n_steps, 3)).cumsum(axis=0)
+        for name in ("head", "joint1", "joint2", "joint3")
+    }
+    human = HumanTrajectory(tracks, rate)
+    traj = JointTrajectory(configs, dt=1.0 / rate)
+    own_nominal = JointTrajectory(configs[::-1], dt=1.0 / rate)
+    nominal = JointTrajectory(configs[::40], dt=40.0 / rate)
+    trace = ExecutionTrace(traj.times + 0.25, configs, completed=False)
+    goals = GoalSet(true_goal=np.array([0.6, 0.2, 0.5]), distractors=(np.array([0.3, -0.5, 0.6]),))
+    target = np.array([0.4, 0.3, 0.9])
+    for planned, nom in ((traj, own_nominal), (trace, nominal)):
+        _, min_dist = whole_trace_evaluate_run(arm, planned, human, nom, goals, target, 0.0, 90.0)
+        threshold = float(np.median(min_dist))
+        args = (arm, planned, human, nom, goals, target, threshold, 90.0)
+        want, _ = whole_trace_evaluate_run(*args)
+        got = evaluate_run(*args)
+        assert 0.0 < got.dst_pct < 100.0 and 0.0 < got.vis_pct < 100.0
+        for name in ("dst_pct", "vis_pct", "legibility", "nom_dev"):
+            assert np.float64(getattr(got, name)).tobytes() == np.float64(getattr(want, name)).tobytes()
+        assert got.completed == want.completed
 
 
 def test_visibility_fov_boundary(planar2):
