@@ -13,7 +13,7 @@ import numpy as np
 from .costs import CostContext, CostWeights
 from .errors import ContractViolation
 from .human_motion import HumanTrajectory
-from .kinematics import ChainSpec, JointTrajectory, fk_points
+from .kinematics import ChainSpec, JointTrajectory, frame_origins_and_axes
 from .optimizer import OptimizerOptions, OptResult, optimize, straightline_joint_init
 
 Array = np.ndarray
@@ -130,7 +130,7 @@ def _human_at(tracks: Array, rate: float, t: float) -> Array:
 
 def min_separation(chain: ChainSpec, q: Array, human_points: Array) -> float:
     """Smallest distance between any robot point and any human joint."""
-    robot = fk_points(chain, q)
+    robot = frame_origins_and_axes(chain, q)[0]
     diff = robot[None, :, :] - human_points[:, None, :]
     # np.sum and np.min without their Python wrappers: the same reductions, bit for bit.
     return math.sqrt(np.add.reduce(diff * diff, axis=2).min())

@@ -159,10 +159,6 @@ class CostContext:
         """End-effector position of the goal configuration."""
         return self._goal_point
 
-    def time_weights(self, n_steps: int) -> Array:
-        """Per-step legibility weights f = N - k (front-loaded)."""
-        return np.arange(n_steps, 0, -1, dtype=float)
-
 
 @dataclass
 class CostReport:
@@ -178,24 +174,6 @@ class CostReport:
     gradient: Array | None
     weights: dict[str, float] = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
-
-
-def mahalanobis_proximity(d: Array, cov: Array, eps_m: float) -> float:
-    """One proximity term: 1 / max(d' cov^-1 d, eps_m)."""
-    d = np.asarray(d, dtype=float)
-    m = float(d @ np.linalg.solve(np.asarray(cov, dtype=float), d))
-    return 1.0 / max(m, eps_m)
-
-
-def gaze_angle(object_pos: Array, head: Array, eef: Array) -> float:
-    """Angle in [0, pi] at the head between the object and the end effector."""
-    u = np.asarray(object_pos, dtype=float) - head
-    w = np.asarray(eef, dtype=float) - head
-    nu, nw = np.linalg.norm(u), np.linalg.norm(w)
-    if nu < 1e-9 or nw < 1e-9:
-        raise ContractViolation("gaze angle undefined: object or eef coincides with the head")
-    c = np.clip(u @ w / (nu * nw), -1.0, 1.0)
-    return float(np.arccos(c))
 
 
 def goal_probability(
@@ -394,7 +372,8 @@ class WeightedObjective:
         has_inputs.update(legibility=True, smoothness=True)
         self.supported = [name for name in COST_NAMES if has_inputs[name]]
         self.weighted = [name for name in COST_NAMES if weights[name] > 0]
-        self.time_weights = ctx.time_weights(n_waypoints)
+        # Legibility's per-step weights f = N - k, front-loaded.
+        self.time_weights = np.arange(n_waypoints, 0, -1, dtype=float)
         self.time_weight_sum = float(self.time_weights.sum())
 
     @functools.cached_property

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -31,7 +31,6 @@ EXTRAPOLATED_JOINTS = (
     "left_wrist",
     "left_palm",
 )
-SKELETON_JOINTS = RIGHT_ARM_JOINTS + EXTRAPOLATED_JOINTS
 
 #: Observation protocol: the portion of the ground truth the predictor sees.
 OBSERVATION_WINDOW = 1.0  # seconds
@@ -104,6 +103,9 @@ class ReachScript:
     seed: int = 0
 
     def __post_init__(self):
+        values = (self.move_duration, self.total_duration, self.noise_scale)
+        if not all(math.isfinite(v) for v in values):
+            raise ContractViolation(f"script durations and noise_scale must be finite, got {values}")
         if self.move_duration > self.total_duration:
             raise ContractViolation("move_duration must not exceed total_duration")
         if self.noise_scale < 0:

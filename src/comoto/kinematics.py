@@ -88,10 +88,6 @@ class ChainSpec:
     def n_joints(self) -> int:
         return self.dh.shape[0]
 
-    @property
-    def n_points(self) -> int:
-        return self.dh.shape[0] + 1
-
     def clamp(self, q: Array) -> Array:
         """Project a configuration onto the joint limits."""
         return np.clip(q, self.joint_limits[:, 0], self.joint_limits[:, 1])
@@ -113,8 +109,10 @@ class JointTrajectory:
         wp = np.asarray(self.waypoints, dtype=float)
         if wp.ndim != 2 or wp.shape[0] < 3:
             raise ContractViolation("trajectory needs at least 3 waypoints of equal dimension")
-        if not self.dt > 0:
-            raise ContractViolation("dt must be positive")
+        if not (np.isfinite(wp).all() and math.isfinite(self.t0)):
+            raise ContractViolation("trajectory waypoints and t0 must be finite")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ContractViolation(f"dt must be finite and positive, got {self.dt!r}")
         self.waypoints = wp
 
     @property
@@ -158,31 +156,9 @@ def frame_origins_and_axes(chain: ChainSpec, q: Array) -> tuple[Array, Array]:
     return points[0], axes[0]
 
 
-def fk_points(chain: ChainSpec, q: Array) -> Array:
-    """3D world positions of all robot points for configuration ``q``.
-
-    Output is (n+1, 3): every joint frame origin plus the end-effector
-    origin, end-effector last.
-    """
-    points, _ = frame_origins_and_axes(chain, q)
-    return points
-
-
 def fk_eef(chain: ChainSpec, q: Array) -> Array:
-    """World position of the end-effector (last entry of ``fk_points``)."""
-    return fk_points(chain, q)[-1]
-
-
-def all_point_jacobians(chain: ChainSpec, q: Array) -> tuple[Array, Array]:
-    """FK points plus the (n+1, 3, n) Jacobian stack, one FK pass.
-
-    Used by the cost gradients, which need every robot point and its
-    Jacobian at each waypoint.
-    """
-    points, axes = frame_origins_and_axes(chain, q)
-    # Contiguous: matmul rounds differently on the transposed view, and the
-    # IK's matmuls on these Jacobians fix the scenarios' goal configurations.
-    return points, np.ascontiguousarray(_point_jacobians(points[None], axes[None])[0])
+    """World position of the end-effector (the last frame origin)."""
+    return frame_origins_and_axes(chain, q)[0][-1]
 
 
 #: Configurations per FK block.  Bounds the (block, n+1, 4, 4) transform
@@ -282,14 +258,16 @@ def solve_position_ik(chain: ChainSpec, target: Array, q0: Array) -> Array:
     q = _check_config(chain, q0).copy()
     best_q, best_err = q.copy(), np.inf
     for _ in range(IK_ITERS):
-        points, jacs = all_point_jacobians(chain, q)
+        points, axes = frame_origins_and_axes(chain, q)
         err = target - points[-1]
         err_norm = float(np.linalg.norm(err))
         if err_norm < best_err:
             best_err, best_q = err_norm, q.copy()
         if err_norm < IK_TOL:
             break
-        J = jacs[-1]
+        # Contiguous: matmul rounds differently on the transposed view, and
+        # these matmuls fix the scenarios' goal configurations.
+        J = np.ascontiguousarray(_point_jacobians(points[None], axes[None])[0, -1])
         JJt = J @ J.T + (IK_DAMPING**2) * np.eye(3)
         q = chain.clamp(q + J.T @ np.linalg.solve(JJt, err))
     return best_q
@@ -316,25 +294,19 @@ def _pose_from_xyz_rpy(xyz, rpy) -> Array:
 
 def chain_from_dict(cfg: dict) -> ChainSpec:
     base = cfg.get("base_pose", {})
-    if isinstance(base, dict):
-        pose = _pose_from_xyz_rpy(base.get("xyz", [0, 0, 0]), base.get("rpy", [0, 0, 0]))
-    else:
-        pose = np.asarray(base, dtype=float)
     return ChainSpec(
         dh=np.asarray(cfg["dh"], dtype=float),
-        base_pose=pose,
+        base_pose=_pose_from_xyz_rpy(base.get("xyz", [0, 0, 0]), base.get("rpy", [0, 0, 0])),
         joint_limits=np.asarray(cfg["joint_limits"], dtype=float),
         name=cfg.get("name", "chain"),
     )
 
 
-def load_chain(source: str | Path) -> ChainSpec:
-    """Load a chain config. ``source`` is a YAML path or a packaged name."""
-    path = Path(source)
-    if not (path.suffix in (".yaml", ".yml") and path.exists()):
-        path = resources.files("comoto.data").joinpath(f"{source}.yaml")
-        if not path.is_file():
-            raise ContractViolation(f"unknown chain config: {source!r}")
+def load_chain(name: str) -> ChainSpec:
+    """The packaged chain ``name`` (``comoto/data/<name>.yaml``)."""
+    path = resources.files("comoto.data").joinpath(f"{name}.yaml")
+    if not path.is_file():
+        raise ContractViolation(f"unknown chain config: {name!r}")
     return chain_from_dict(read_yaml(path))
 
 
@@ -360,4 +332,7 @@ def load_trajectory(path: str | Path) -> JointTrajectory:
     dt = float(times[1] - times[0])
     if not np.allclose(np.diff(times), dt, atol=1e-9):
         raise ContractViolation(f"trajectory file {path} is not uniformly timed")
-    return JointTrajectory(waypoints, dt=dt, t0=float(times[0]))
+    try:
+        return JointTrajectory(waypoints, dt=dt, t0=float(times[0]))
+    except ContractViolation as exc:
+        raise ContractViolation(f"trajectory file {path}: {exc}") from None

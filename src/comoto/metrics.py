@@ -134,16 +134,6 @@ def _nominal_dev(chain: ChainSpec, eef: Array, nominal: JointTrajectory) -> floa
     return float(np.sum(np.linalg.norm(eef - eef_nom, axis=1) ** 2))
 
 
-def trace_at_nominal_times(trace: ExecutionTrace, nominal: JointTrajectory) -> JointTrajectory:
-    """Sample an executed trace on the nominal waypoint clock.
-
-    Gives the time-aligned configuration sequence used to measure how
-    far a reactive execution lagged the plan; boundary values are held.
-    """
-    configs = trace.configs_at(nominal.times)
-    return JointTrajectory(configs, nominal.dt, nominal.t0)
-
-
 def evaluate_run(
     chain: ChainSpec,
     planned,
@@ -188,8 +178,8 @@ def evaluate_run(
     vis = _visibility_pct(eef, head, gaze_target, fov_deg)
     leg = _legibility_score(eef, goals)
     if isinstance(planned, ExecutionTrace):
-        aligned = trace_at_nominal_times(planned, nominal)
-        nom = _nominal_dev(chain, fk_points_batch(chain, aligned.waypoints)[:, -1], nominal)
+        aligned = planned.configs_at(nominal.times)  # the trace on the nominal clock
+        nom = _nominal_dev(chain, fk_points_batch(chain, aligned)[:, -1], nominal)
         completed = planned.completed
     else:
         nom = _nominal_dev(chain, eef, nominal)

@@ -10,7 +10,8 @@ determines the scenario.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -60,9 +61,17 @@ class Scenario:
         n = self.chain.n_joints
         shapes = {"robot_start": (n,), "robot_goal": (n,), "robot_object": (3,), "human_object": (3,)}
         for name, shape in shapes.items():
-            got = np.shape(getattr(self, name))
-            if got != shape:
-                raise ContractViolation(f"{name} must have shape {shape}, got {got}")
+            value = getattr(self, name)
+            if np.shape(value) != shape:
+                raise ContractViolation(f"{name} must have shape {shape}, got {np.shape(value)}")
+            if not np.isfinite(value).all():
+                raise ContractViolation(f"{name} must be finite, got {value}")
+        for name in ("observation", "horizon", "human_rate"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ContractViolation(f"{name} must be finite and positive, got {value!r}")
+        if self.n_waypoints < 3:
+            raise ContractViolation(f"n_waypoints must be at least 3, got {self.n_waypoints}")
         for center, radius in self.obstacles:
             if np.shape(center) != (3,) or not np.all(np.isfinite(center)):
                 raise ContractViolation(f"obstacle center must be 3 finite coordinates, got {center!r}")
@@ -205,10 +214,9 @@ def make_scenario(family: str, seed: int, chain: ChainSpec | None = None) -> Sce
     )
 
 
-def generate_scenarios(family: str, seeds, chain: ChainSpec | None = None) -> list[Scenario]:
-    """Deterministic scenario per seed for one family."""
-    if chain is None:
-        chain = default_chain()
+def generate_scenarios(family: str, seeds) -> list[Scenario]:
+    """Deterministic scenario per seed for one family, on the packaged arm."""
+    chain = default_chain()
     return [make_scenario(family, int(s), chain) for s in seeds]
 
 
@@ -244,13 +252,15 @@ def scenario_to_dict(sc: Scenario) -> dict:
     }
 
 
-def scenario_from_dict(data: dict, chain: ChainSpec | None = None) -> Scenario:
-    """Scenario from a ``scenario_to_dict`` mapping; missing timing keys take the field defaults."""
+def scenario_from_dict(data: dict) -> Scenario:
+    """Scenario from a ``scenario_to_dict`` mapping; missing timing keys take the field defaults.
+
+    The chain is the packaged one named by the ``chain`` key (default ``iiwa7``).
+    """
     if not isinstance(data, dict):
         raise ContractViolation(f"a scenario must be a mapping, got {type(data).__name__}")
     try:
-        if chain is None:
-            chain = load_chain(data.get("chain", "iiwa7"))
+        chain = load_chain(data.get("chain", "iiwa7"))
         script = data["script"]
         default = {f.name: f.default for f in fields(Scenario)}
         return Scenario(
@@ -290,9 +300,9 @@ def save_scenario(sc: Scenario, path: str | Path) -> None:
     Path(path).write_text(yaml.safe_dump(scenario_to_dict(sc), sort_keys=False))
 
 
-def load_scenario(path: str | Path, chain: ChainSpec | None = None) -> Scenario:
+def load_scenario(path: str | Path) -> Scenario:
     data = read_yaml(Path(path))
     try:
-        return scenario_from_dict(data, chain)
+        return scenario_from_dict(data)
     except ContractViolation as exc:
         raise ContractViolation(f"{path}: {exc}") from None

@@ -180,8 +180,14 @@ def _edited(change):
         ("eval", _edited(lambda data: "just a string"), "mapping"),
         ("solve", _edited(lambda data: {"family": "stationary"}), "'script'"),
         ("eval", lambda text: text + "obstacles: [{center: [1\n", "bad.yaml is not valid YAML"),
+        ("solve", _edited(lambda data: {**data, "observation": -1.0}), "observation must be finite"),
+        ("eval", _edited(lambda data: {**data, "human_object": [0.5, float("nan"), 0.1]}), "human_object"),
+        ("solve", _edited(lambda data: {**data, "human_rate": float("inf")}), "human_rate"),
     ],
-    ids=["no-script", "short-goal", "string", "family-only", "invalid-yaml"],
+    ids=[
+        "no-script", "short-goal", "string", "family-only", "invalid-yaml",
+        "negative-observation", "nan-human-object", "infinite-human-rate",
+    ],
 )
 def test_malformed_scenario_exits_one(tmp_path, scenario_path, capsys, command, corrupt, expected):
     bad = tmp_path / "bad.yaml"
@@ -215,6 +221,20 @@ def test_malformed_csv_exits_one(tmp_path, scenario_path, capsys, edit):
     bad.write_text("\n".join(lines) + "\n")
     assert main(["eval", "--scenario", str(scenario_path), "--trajectory", str(bad)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {bad}, line 3:")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_trajectory_exits_one(tmp_path, scenario_path, capsys, value):
+    sc = load_scenario(scenario_path)
+    traj = straightline_joint_init(sc.robot_start, sc.robot_goal, sc.n_waypoints, sc.dt, sc.robot_t0)
+    bad = tmp_path / "bad.csv"
+    save_trajectory(traj, bad)
+    lines = bad.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0] + "," + value  # the second waypoint's last joint
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["eval", "--scenario", str(scenario_path), "--trajectory", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: trajectory file {bad}:") and "must be finite" in err
 
 
 def test_usage_errors_exit_one(capsys):

@@ -130,7 +130,7 @@ def assert_kernels_match(q, ctx, goal):
     diagnostics = ObjectivePass(q, WeightedObjective(ctx, w, 0.1, len(q))).diagnostics
     assert diagnostics == ({"visibility_degenerate_steps": want_flagged} if want_flagged else {})
 
-    f = ctx.time_weights(len(q))
+    f = np.arange(len(q), 0, -1, dtype=float)
     got, pullback = _legibility_term(eef, goal, f, float(f.sum()))
     want, want_pullback = reference_legibility_term(eef, goal, f)
     assert same_bits(got, want)

@@ -22,9 +22,7 @@ from comoto.costs import (
     ObjectivePass,
     WeightedObjective,
     evaluate_objective,
-    gaze_angle,
     goal_probability,
-    mahalanobis_proximity,
     objective,
     _distance_inputs,
     _distance_term,
@@ -119,6 +117,25 @@ COMBINED_WEIGHTS = CostWeights(
 def term(name, traj, ctx):
     """One cost term at ``traj``, read from the objective's report."""
     return objective(traj, ctx, SINGLE_TERM_WEIGHTS[name]).per_cost[name]
+
+
+def mahalanobis_proximity(d, cov, eps_m: float) -> float:
+    """Oracle for one distance-term entry: 1 / max(d' cov^-1 d, eps_m)."""
+    d = np.asarray(d, dtype=float)
+    m = float(d @ np.linalg.solve(np.asarray(cov, dtype=float), d))
+    return 1.0 / max(m, eps_m)
+
+
+def gaze_angle(object_pos, head, eef) -> float:
+    """Oracle for one visibility-term angle: in [0, pi] at the head, between
+    the object and the end effector."""
+    u = np.asarray(object_pos, dtype=float) - head
+    w = np.asarray(eef, dtype=float) - head
+    nu, nw = np.linalg.norm(u), np.linalg.norm(w)
+    if nu < 1e-9 or nw < 1e-9:
+        raise ContractViolation("gaze angle undefined: object or eef coincides with the head")
+    c = np.clip(u @ w / (nu * nw), -1.0, 1.0)
+    return float(np.arccos(c))
 
 
 def test_mahalanobis_proximity_hand_values():
@@ -333,7 +350,7 @@ def reference_gradient(q, dt, ctx, w):
     weights = w.as_dict()
     points, jacs = all_point_jacobians_batch(ctx.chain, q)
     eef, eef_jac = points[:, -1], jacs[:, -1]
-    f = ctx.time_weights(len(q))
+    f = np.arange(len(q), 0, -1, dtype=float)
     pullbacks = {
         "distance": lambda: _distance_term(
             points, *_distance_inputs(ctx.prediction), ctx.eps_m
@@ -436,7 +453,9 @@ def test_context_validation(arm, planar2):
 
 def test_time_weights_default_and_custom(planar2):
     ctx = cost_context(planar2, np.zeros(2))
-    assert np.array_equal(ctx.time_weights(4), [4.0, 3.0, 2.0, 1.0])
+    problem = WeightedObjective(ctx, CostWeights(alpha_legibility=1.0), 0.1, 4)
+    assert np.array_equal(problem.time_weights, [4.0, 3.0, 2.0, 1.0])
+    assert problem.time_weight_sum == 10.0
 
 
 def test_weight_without_inputs_rejected(planar2):

@@ -19,12 +19,10 @@ from comoto.kinematics import (
     FK_BLOCK,
     ChainSpec,
     JointTrajectory,
-    all_point_jacobians,
     all_point_jacobians_batch,
     chain_from_dict,
     default_chain,
     fk_eef,
-    fk_points,
     fk_points_batch,
     frame_origins_and_axes,
     load_trajectory,
@@ -32,7 +30,19 @@ from comoto.kinematics import (
     solve_position_ik,
     _batch_frames,
     _dh_transforms,
+    _point_jacobians,
 )
+
+
+def robot_points(chain: ChainSpec, q: np.ndarray) -> np.ndarray:
+    """The (n+1, 3) robot points of one configuration."""
+    return frame_origins_and_axes(chain, q)[0]
+
+
+def point_jacobians(chain: ChainSpec, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One configuration's points and (n+1, 3, n) Jacobians, built as the IK builds them."""
+    points, axes = frame_origins_and_axes(chain, q)
+    return points, _point_jacobians(points[None], axes[None])[0]
 
 
 def oracle_fk(chain: ChainSpec, q: np.ndarray) -> np.ndarray:
@@ -76,27 +86,27 @@ def test_fk_matches_transform_oracle(arm):
     rng = np.random.default_rng(7)
     for _ in range(50):
         q = random_config(arm, rng)
-        got = fk_points(arm, q)
+        got = robot_points(arm, q)
         want = oracle_fk(arm, q)
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_fk_planar_hand_values(planar2):
-    p = fk_points(planar2, np.array([0.0, 0.0]))
+    p = robot_points(planar2, np.array([0.0, 0.0]))
     assert np.allclose(p, [[0, 0, 0], [1, 0, 0], [2, 0, 0]], atol=1e-15)
-    p = fk_points(planar2, np.array([np.pi / 2, 0.0]))
+    p = robot_points(planar2, np.array([np.pi / 2, 0.0]))
     assert np.allclose(p, [[0, 0, 0], [0, 1, 0], [0, 2, 0]], atol=1e-15)
     # elbow bends back to the world x direction
-    p = fk_points(planar2, np.array([np.pi / 2, -np.pi / 2]))
+    p = robot_points(planar2, np.array([np.pi / 2, -np.pi / 2]))
     assert np.allclose(p, [[0, 0, 0], [0, 1, 0], [1, 1, 0]], atol=1e-15)
     assert np.allclose(fk_eef(planar2, np.array([0.0, 0.0])), [2, 0, 0], atol=1e-15)
 
 
 def test_jacobian_planar_hand_values(planar2):
-    _, jacs = all_point_jacobians(planar2, np.array([0.0, 0.0]))
+    _, jacs = point_jacobians(planar2, np.array([0.0, 0.0]))
     assert np.allclose(jacs[2], [[0, 0], [2, 1], [0, 0]], atol=1e-15)
     # the first frame origin does not move with any joint before it
-    _, jacs = all_point_jacobians(planar2, np.array([0.3, -0.2]))
+    _, jacs = point_jacobians(planar2, np.array([0.3, -0.2]))
     assert np.array_equal(jacs[0], np.zeros((3, 2)))
 
 
@@ -105,15 +115,15 @@ def test_jacobians_match_finite_differences(arm):
     h = 1e-6
     for _ in range(20):
         q = random_config(arm, rng)
-        points, jacs = all_point_jacobians(arm, q)
-        assert np.array_equal(points, fk_points(arm, q))
-        for k in range(arm.n_points):
+        points, jacs = point_jacobians(arm, q)
+        assert np.array_equal(points, robot_points(arm, q))
+        for k in range(arm.n_joints + 1):
             fd = np.zeros((3, arm.n_joints))
             for j in range(arm.n_joints):
                 qp, qm = q.copy(), q.copy()
                 qp[j] += h
                 qm[j] -= h
-                fd[:, j] = (fk_points(arm, qp)[k] - fk_points(arm, qm)[k]) / (2 * h)
+                fd[:, j] = (robot_points(arm, qp)[k] - robot_points(arm, qm)[k]) / (2 * h)
             assert np.max(np.abs(jacs[k] - fd)) <= 1e-6
 
 
@@ -121,13 +131,13 @@ def test_batch_fk_matches_single(arm):
     rng = np.random.default_rng(3)
     Q = np.stack([random_config(arm, rng) for _ in range(9)])
     batch = fk_points_batch(arm, Q)
-    assert batch.shape == (9, arm.n_points, 3)
+    assert batch.shape == (9, arm.n_joints + 1, 3)
     for k in range(9):
-        assert np.max(np.abs(batch[k] - fk_points(arm, Q[k]))) <= 1e-12
+        assert np.max(np.abs(batch[k] - robot_points(arm, Q[k]))) <= 1e-12
     points, jacs = all_point_jacobians_batch(arm, Q)
     assert np.max(np.abs(points - batch)) == 0.0
     for k in range(9):
-        _, single = all_point_jacobians(arm, Q[k])
+        _, single = point_jacobians(arm, Q[k])
         assert np.max(np.abs(jacs[k] - single)) <= 1e-12
 
 
@@ -192,7 +202,7 @@ def test_batch_frames_bit_identical_to_per_joint_loop(arm, N):
             assert np.all(np.sin(Q[1] + offsets) == 0.0)
         transforms = _dh_transforms(chain, Q + offsets)
         points, axes = _batch_frames(chain, Q)
-        assert points.shape == (N, chain.n_points, 3) and axes.shape == (N, chain.n_joints, 3)
+        assert points.shape == (N, chain.n_joints + 1, 3) and axes.shape == (N, chain.n_joints, 3)
         for k in range(N):
             assert transforms[k].tobytes() == loop_transforms(chain, Q[k]).tobytes()
             want_points, want_axes = loop_frames(chain, Q[k])
@@ -232,7 +242,7 @@ def test_clamp_projects_onto_limits(planar2):
 
 def test_config_dimension_checked(planar2):
     with pytest.raises(ContractViolation):
-        fk_points(planar2, np.zeros(3))
+        robot_points(planar2, np.zeros(3))
 
 
 def test_joint_trajectory_validation():
@@ -240,6 +250,16 @@ def test_joint_trajectory_validation():
         JointTrajectory(np.zeros((2, 3)), dt=0.1)
     with pytest.raises(ContractViolation):
         JointTrajectory(np.zeros((4, 3)), dt=0.0)
+    bad = np.zeros((4, 3))
+    bad[2, 1] = np.nan
+    with pytest.raises(ContractViolation, match="finite"):
+        JointTrajectory(bad, dt=0.1)
+    bad[2, 1] = np.inf
+    with pytest.raises(ContractViolation, match="finite"):
+        JointTrajectory(bad, dt=0.1)
+    for dt, t0 in ((np.nan, 0.0), (np.inf, 0.0), (0.1, np.nan), (0.1, -np.inf)):
+        with pytest.raises(ContractViolation, match="finite"):
+            JointTrajectory(np.zeros((4, 3)), dt=dt, t0=t0)
     traj = JointTrajectory(np.zeros((4, 3)), dt=0.5, t0=1.0)
     assert traj.n_waypoints == 4
     assert traj.n_joints == 3
@@ -262,26 +282,24 @@ def test_ik_reaches_forward_kinematics_targets(arm):
         assert np.array_equal(q, solve_position_ik(arm, target, q_seed))
 
 
-def test_chain_from_dict_pose_forms():
+def test_chain_from_dict_xyz_rpy_base_pose():
     dh = [[0.1, 0.0, 0.2, 0.0], [0.3, np.pi / 2, 0.0, 0.1]]
     lims = [[-1, 1], [-2, 2]]
     yaw = np.pi / 2
-    via_rpy = chain_from_dict(
+    chain = chain_from_dict(
         {"dh": dh, "joint_limits": lims, "base_pose": {"xyz": [1, 2, 3], "rpy": [0, 0, yaw]}}
     )
     T = np.eye(4)
     T[:3, :3] = [[np.cos(yaw), -np.sin(yaw), 0], [np.sin(yaw), np.cos(yaw), 0], [0, 0, 1]]
     T[:3, 3] = [1, 2, 3]
-    via_matrix = chain_from_dict({"dh": dh, "joint_limits": lims, "base_pose": T.tolist()})
-    assert np.allclose(via_rpy.base_pose, via_matrix.base_pose, atol=1e-12)
+    assert np.allclose(chain.base_pose, T, atol=1e-12)
     q = np.array([0.2, -0.4])
-    assert np.allclose(fk_points(via_rpy, q), fk_points(via_matrix, q), atol=1e-12)
+    assert np.allclose(robot_points(chain, q), oracle_fk(chain, q), atol=1e-12)
 
 
 def test_default_chain_loads_seven_joints():
     chain = default_chain()
     assert chain.n_joints == 7
-    assert chain.n_points == 8
     assert np.all(chain.joint_limits[:, 0] < chain.joint_limits[:, 1])
 
 

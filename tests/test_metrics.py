@@ -19,7 +19,6 @@ from comoto.metrics import (
     _visibility_pct,
     aggregate,
     evaluate_run,
-    trace_at_nominal_times,
 )
 
 from conftest import CFG
@@ -95,8 +94,8 @@ def whole_trace_evaluate_run(chain, planned, human_truth, nominal, goals, gaze_t
     vis = _visibility_pct(eef, human["head"], gaze_target, fov_deg)
     leg = _legibility_score(eef, goals)
     if isinstance(planned, ExecutionTrace):
-        aligned = trace_at_nominal_times(planned, nominal)
-        nom = _nominal_dev(chain, fk_points_batch(chain, aligned.waypoints)[:, -1], nominal)
+        aligned = planned.configs_at(nominal.times)
+        nom = _nominal_dev(chain, fk_points_batch(chain, aligned)[:, -1], nominal)
         completed = planned.completed
     else:
         nom = _nominal_dev(chain, eef, nominal)
@@ -222,10 +221,8 @@ def test_trace_alignment_on_nominal_clock(planar2):
         configs=np.array([[0.0, 0.0], [0.4, 0.0]]),
         completed=True,
     )
-    aligned = trace_at_nominal_times(trace, nominal)
-    assert np.allclose(aligned.waypoints, [[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]], atol=1e-12)
-    assert aligned.dt == nominal.dt
-    assert aligned.t0 == nominal.t0
+    aligned = trace.configs_at(nominal.times)
+    assert np.allclose(aligned, [[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]], atol=1e-12)
 
 
 def test_evaluate_run_handles_trajectories_and_traces(planar2):

@@ -3,6 +3,7 @@ contracts, and file round-trips."""
 
 from __future__ import annotations
 
+import copy
 from dataclasses import fields
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from comoto.benchmark import load_config, prepare_scenario
 from comoto.errors import ContractViolation
 from comoto.human_motion import RIGHT_ARM_JOINTS, generate_reach
-from comoto.kinematics import fk_eef, load_chain
+from comoto.kinematics import fk_eef
 from comoto.scenarios import (
     FAMILIES,
     FAR_GAP_MIN,
@@ -93,7 +94,7 @@ def test_scenario_timing_properties(arm):
 
 
 def test_generate_scenarios_order_and_count(arm):
-    scs = generate_scenarios("reaching_near", SEEDS, arm)
+    scs = generate_scenarios("reaching_near", SEEDS)
     assert [sc.seed for sc in scs] == list(SEEDS)
     assert all(sc.family == "reaching_near" for sc in scs)
     with pytest.raises(ContractViolation):
@@ -105,7 +106,7 @@ def test_family_contract_validation(arm):
     data = scenario_to_dict(sc)
     data["human_object"] = data["robot_object"]  # gap collapses to the grasp offset
     with pytest.raises(ContractViolation):
-        scenario_from_dict(data, arm)
+        scenario_from_dict(data)
 
 
 def test_malformed_obstacles_raise_contract_violation(arm):
@@ -118,14 +119,57 @@ def test_malformed_obstacles_raise_contract_violation(arm):
     ]
     for obstacle, message in cases:
         with pytest.raises(ContractViolation, match=message):
-            prepare_scenario(scenario_from_dict({**data, "obstacles": [obstacle]}, arm), load_config())
+            prepare_scenario(scenario_from_dict({**data, "obstacles": [obstacle]}), load_config())
+
+
+def _with_value(data, path, value):
+    """A deep copy of ``data`` with the entry at the key ``path`` set to ``value``."""
+    data = copy.deepcopy(data)
+    *parents, key = path
+    target = data
+    for parent in parents:
+        target = target[parent]
+    target[key] = value
+    return data
+
+
+NAN, INF = float("nan"), float("inf")
+
+BAD_SCENARIO_VALUES = [
+    (("robot_start", 2), NAN, "robot_start must be finite"),
+    (("robot_goal", 0), INF, "robot_goal must be finite"),
+    (("robot_object", 1), NAN, "robot_object must be finite"),
+    (("human_object", 0), NAN, "human_object must be finite"),
+    (("observation",), -1.0, "observation must be finite and positive"),
+    (("observation",), NAN, "observation must be finite and positive"),
+    (("horizon",), 0.0, "horizon must be finite and positive"),
+    (("horizon",), INF, "horizon must be finite and positive"),
+    (("human_rate",), NAN, "human_rate must be finite and positive"),
+    (("human_rate",), INF, "human_rate must be finite and positive"),
+    (("human_rate",), -100.0, "human_rate must be finite and positive"),
+    (("n_waypoints",), 2, "n_waypoints must be at least 3"),
+    (("script", "move_duration"), NAN, "durations and noise_scale must be finite"),
+    (("script", "total_duration"), INF, "durations and noise_scale must be finite"),
+    (("script", "noise_scale"), NAN, "durations and noise_scale must be finite"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    BAD_SCENARIO_VALUES,
+    ids=[f"{'.'.join(map(str, path))}={value}" for path, value, _ in BAD_SCENARIO_VALUES],
+)
+def test_non_finite_or_out_of_range_scenario_values_rejected(path, value, message):
+    data = scenario_to_dict(make_scenario("reaching_far", 1))
+    with pytest.raises(ContractViolation, match=message):
+        scenario_from_dict(_with_value(data, path, value))
 
 
 def test_missing_optional_scenario_keys_take_the_field_defaults(arm):
     data = scenario_to_dict(make_scenario("stationary", 1, arm))
     for key in ("observation", "horizon", "n_waypoints", "human_rate"):
         del data[key]
-    sc = scenario_from_dict(data, arm)
+    sc = scenario_from_dict(data)
     for field in fields(Scenario):
         if field.name in ("observation", "horizon", "n_waypoints", "human_rate"):
             assert getattr(sc, field.name) == field.default
@@ -136,7 +180,7 @@ def test_scenario_yaml_round_trip(tmp_path, arm):
         sc = make_scenario(family, 4, arm)
         path = tmp_path / f"{family}.yaml"
         save_scenario(sc, path)
-        back = load_scenario(path, arm)
+        back = load_scenario(path)
         assert back.family == sc.family
         assert back.seed == sc.seed
         assert np.array_equal(back.robot_start, sc.robot_start)
@@ -161,7 +205,7 @@ def test_scenario_uses_default_chain_when_unspecified():
     assert sc.chain.n_joints == 7
 
 
-@pytest.mark.parametrize("load", [load_scenario, load_chain, load_config])
+@pytest.mark.parametrize("load", [load_scenario, load_config])
 def test_invalid_yaml_raises_contract_violation_naming_the_file(tmp_path, load):
     path = tmp_path / "broken.yaml"
     path.write_text("optimizer: {max_iters: [1\n")
