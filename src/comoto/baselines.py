@@ -13,7 +13,7 @@ import numpy as np
 from .costs import CostContext, CostWeights
 from .errors import ContractViolation
 from .human_motion import HumanTrajectory
-from .kinematics import ChainSpec, JointTrajectory, frame_origins_and_axes
+from .kinematics import ChainSpec, JointTrajectory, fk_points_batch, frame_origins_and_axes
 from .optimizer import OptimizerOptions, OptResult, optimize, straightline_joint_init
 
 Array = np.ndarray
@@ -111,21 +111,32 @@ def nominal_trajectory(
 
 
 def _human_tracks(human: HumanTrajectory) -> tuple[Array, float]:
-    tracks = np.stack([human.samples[name] for name in human.joints], axis=0)  # (J,T,3)
+    tracks = np.stack([human.samples[name] for name in human.joints], axis=1)  # (T,J,3)
     return tracks, human.rate
 
 
 def _human_at(tracks: Array, rate: float, t: float) -> Array:
     """(J, 3) joint positions at absolute time t, held at the boundaries."""
     idx = t * rate
-    last = tracks.shape[1] - 1
+    last = tracks.shape[0] - 1
     if idx <= 0:
-        return tracks[:, 0]
+        return tracks[0]
     if idx >= last:
-        return tracks[:, last]
+        return tracks[last]
     i0 = int(idx)
     frac = idx - i0
-    return (1.0 - frac) * tracks[:, i0] + frac * tracks[:, i0 + 1]
+    return (1.0 - frac) * tracks[i0] + frac * tracks[i0 + 1]
+
+
+def _humans_at(tracks: Array, rate: float, ts: Array) -> Array:
+    """(B, J, 3): ``_human_at`` at each of the times ``ts``, with the same arithmetic."""
+    idx = ts * rate
+    last = tracks.shape[0] - 1
+    i0 = np.clip(idx, 0, last - 1).astype(np.intp)
+    frac = (idx - i0)[:, None, None]
+    blend = (1.0 - frac) * tracks[i0] + frac * tracks[i0 + 1]
+    held = np.where((idx <= 0)[:, None, None], tracks[0], tracks[last])
+    return np.where(((idx <= 0) | (idx >= last))[:, None, None], held, blend)
 
 
 def min_separation(chain: ChainSpec, q: Array, human_points: Array) -> float:
@@ -134,6 +145,18 @@ def min_separation(chain: ChainSpec, q: Array, human_points: Array) -> float:
     diff = robot[None, :, :] - human_points[:, None, :]
     # np.sum and np.min without their Python wrappers: the same reductions, bit for bit.
     return math.sqrt(np.add.reduce(diff * diff, axis=2).min())
+
+
+def _min_separations(chain: ChainSpec, Q: Array, humans: Array) -> Array:
+    """``min_separation`` of each row of Q against each (J, 3) row of ``humans``."""
+    robot = fk_points_batch(chain, Q)
+    diff = robot[:, None, :, :] - humans[:, :, None, :]
+    return np.sqrt(np.add.reduce(diff * diff, axis=3).min(axis=(1, 2)))
+
+
+#: Ticks that Speed-Adj evaluates as one block while its speed scale holds
+#: at exactly 0 or 1.
+FAST_FORWARD_TICKS = 64
 
 
 def speed_adjusted_execute(
@@ -151,16 +174,29 @@ def speed_adjusted_execute(
     sensor-driven method).  Returns ``completed=False`` if
     ``timeout_factor * nominal.duration`` elapses before the path end;
     the human pose is held at its last sample beyond the recorded horizon.
+
+    While s is exactly 1 (far from the human) or 0 (stopped), the next
+    ticks' clock and path position are known before they are evaluated,
+    so up to ``FAST_FORWARD_TICKS`` of them are evaluated as one block
+    and kept up to the first tick whose scale changes, which times out,
+    or whose full advance would reach the path end; the tick-by-tick
+    step resumes from there.  The block gives every tick the bits the
+    tick-by-tick loop gives it: its clock and path position are the
+    same sequential adds (``np.add.accumulate``), each configuration
+    and human pose takes the same branch and blend, FK builds each row
+    of the batch as it builds a single configuration, and the minimum
+    distance is the same exact reduction.
     """
     D = nominal.duration
     timeout = p.timeout_factor * D
     dtick = 1.0 / p.control_rate
     tracks, rate = _human_tracks(human_truth)
     waypoints = nominal.waypoints
+    last_segment = waypoints.shape[0] - 2
 
     def config_at(u: float) -> Array:
         k = u / nominal.dt
-        i0 = min(int(k), waypoints.shape[0] - 2)
+        i0 = min(int(k), last_segment)
         frac = k - i0
         if frac <= 0.0:
             return waypoints[i0]
@@ -168,16 +204,23 @@ def speed_adjusted_execute(
             return waypoints[i0 + 1]
         return (1.0 - frac) * waypoints[i0] + frac * waypoints[i0 + 1]
 
+    def configs_at(us: Array) -> Array:
+        k = us / nominal.dt
+        i0 = np.minimum(k.astype(np.intp), last_segment)
+        frac = (k - i0)[:, None]
+        blend = (1.0 - frac) * waypoints[i0] + frac * waypoints[i0 + 1]
+        return np.where(frac <= 0.0, waypoints[i0], np.where(frac >= 1.0, waypoints[i0 + 1], blend))
+
     # Ticks fall at t0 + k * dtick until the timeout, k <= ceil(timeout * rate);
     # one more absorbs the rounding of the accumulated clock.
     capacity = math.ceil(timeout * p.control_rate) + 2
     times, seps, speeds = np.empty(capacity), np.empty(capacity), np.empty(capacity)
     configs = np.empty((capacity, waypoints.shape[1]))
     d_stop, d_span = p.d_stop, p.d_slow - p.d_stop
-    u, t = 0.0, nominal.t0
-    k = 0
-    completed = False
-    while True:
+    t0, deadline = nominal.t0, timeout - 1e-12
+
+    def tick(k: int, t: float, u: float) -> float:
+        """Evaluate and record tick k at clock t and path position u; returns its scale."""
         if k == capacity:
             raise ContractViolation(f"Speed-Adj ran past its {capacity} preallocated ticks")
         qcur = config_at(u)
@@ -185,19 +228,48 @@ def speed_adjusted_execute(
         s = min(max((d - d_stop) / d_span, 0.0), 1.0)
         times[k], seps[k], speeds[k] = t, d, s
         configs[k] = qcur
-        k += 1
+        return s
+
+    def fast_forward(k: int, t: float, u: float, s: float) -> tuple[int, float, float, float]:
+        """Evaluate ticks k.. as one block after a tick at scale s, and record
+        them up to the first whose scale changes, which times out, or whose
+        full advance would reach the path end.  Returns the next k and the
+        last recorded tick's clock, path position and scale."""
+        n = min(FAST_FORWARD_TICKS, capacity - k)
+        advance = s * dtick
+        ts = np.add.accumulate(np.r_[t, np.full(n, dtick)])[1:]
+        us = np.add.accumulate(np.r_[u, np.full(n, advance)])[1:]
+        qs = configs_at(us)
+        ds = _min_separations(chain, qs, _humans_at(tracks, rate, ts))
+        ss = np.minimum(np.maximum((ds - d_stop) / d_span, 0.0), 1.0)
+        ends = (ss != s) | (ts - t0 >= deadline) | (us + advance >= D)
+        m = int(ends.argmax()) + 1 if ends.any() else n
+        times[k:k + m], seps[k:k + m], speeds[k:k + m] = ts[:m], ds[:m], ss[:m]
+        configs[k:k + m] = qs[:m]
+        return k + m, float(ts[m - 1]), float(us[m - 1]), float(ss[m - 1])
+
+    u, t = 0.0, t0
+    s = tick(0, t, u)
+    k = 1
+    completed = False
+    while True:
         if u >= D:
             completed = True
             break
-        if t - nominal.t0 >= timeout - 1e-12:
+        if t - t0 >= deadline:
             break
         advance = s * dtick
         if advance > 0 and u + advance >= D:
             t += (D - u) / s  # partial tick: land exactly on the path end
             u = D
+        elif (s == 1.0 or s == 0.0) and k < capacity:  # at capacity, tick() raises
+            k, t, u, s = fast_forward(k, t, u, s)
+            continue
         else:
             u += advance
             t += dtick
+        s = tick(k, t, u)
+        k += 1
 
     return ExecutionTrace(
         timestamps=times[:k].copy(),

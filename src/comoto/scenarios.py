@@ -70,6 +70,11 @@ class Scenario:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ContractViolation(f"{name} must be finite and positive, got {value!r}")
+        end, track = self.observation + self.horizon, self.human_script.total_duration
+        if end > track:
+            raise ContractViolation(
+                f"observation + horizon ({end!r} s) outlasts the human script's total_duration ({track!r} s)"
+            )
         if self.n_waypoints < 3:
             raise ContractViolation(f"n_waypoints must be at least 3, got {self.n_waypoints}")
         for center, radius in self.obstacles:

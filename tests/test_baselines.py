@@ -13,6 +13,7 @@ import pytest
 from conftest import CFG, cost_context
 from test_costs import build_problem
 
+from comoto import baselines
 from comoto.baselines import (
     ExecutionTrace,
     SpeedAdjustParams,
@@ -111,10 +112,15 @@ def test_min_separation_hand_value(planar2):
 
 def test_speed_adjust_full_speed_far_human(planar2):
     nominal = straightline_joint_init(np.array([0.0, 0.0]), np.array([0.4, 0.2]), 4, 0.1)
-    trace = speed_adjusted_execute(planar2, nominal, constant_human([1.0, 5.0, 0.0]), SPEED)
+    args = (planar2, nominal, constant_human([1.0, 5.0, 0.0]), SPEED)
+    trace = speed_adjusted_execute(*args)
     assert trace.completed
     assert np.all(trace.speed_scale == 1.0)
     assert trace.duration == pytest.approx(nominal.duration, abs=1e-9)
+    # The last full advance is inside the first fast-forward block, and a
+    # partial tick follows it.
+    assert trace.timestamps[-1] - trace.timestamps[-2] < 1.0 / SPEED.control_rate
+    assert_same_trace(trace, reference_speed_adjusted_execute(*args))
     assert np.array_equal(trace.configs[0], nominal.waypoints[0])
     assert np.allclose(trace.configs[-1], nominal.waypoints[-1], atol=1e-12)
     assert np.all(trace.min_separation >= 5.0 - 2.5)
@@ -132,9 +138,12 @@ def test_speed_adjust_half_speed_doubles_duration(planar2):
 
 def test_speed_adjust_stops_and_times_out(planar2):
     nominal = straightline_joint_init(np.array([0.0, 0.0]), np.array([0.4, 0.2]), 4, 0.1)
-    trace = speed_adjusted_execute(planar2, nominal, constant_human([1.0, 0.03, 0.0]), SPEED)
+    args = (planar2, nominal, constant_human([1.0, 0.03, 0.0]), SPEED)
+    trace = speed_adjusted_execute(*args)
     assert not trace.completed
-    # one stop from the first tick to the timeout
+    # One stop from the first tick to the timeout tick (tick 90, inside the
+    # second fast-forward block).
+    assert_same_trace(trace, reference_speed_adjusted_execute(*args))
     assert trace.timestamps[0] == nominal.t0
     assert np.all(trace.speed_scale == 0.0)
     assert np.all(trace.configs == trace.configs[0])
@@ -144,9 +153,11 @@ def test_speed_adjust_stops_and_times_out(planar2):
 def test_speed_adjust_explicit_timeout(planar2):
     p = dataclasses.replace(SPEED, timeout_factor=0.5)
     nominal = straightline_joint_init(np.array([0.0, 0.0]), np.array([0.4, 0.2]), 4, 0.1)
-    trace = speed_adjusted_execute(planar2, nominal, constant_human([1.0, 0.03, 0.0]), p)
+    args = (planar2, nominal, constant_human([1.0, 0.03, 0.0]), p)
+    trace = speed_adjusted_execute(*args)
     assert not trace.completed
     assert trace.duration == pytest.approx(0.5 * nominal.duration, abs=1e-9)
+    assert_same_trace(trace, reference_speed_adjusted_execute(*args))
 
 
 def reference_speed_adjusted_execute(chain, nominal, human_truth, p):
@@ -218,6 +229,53 @@ def test_speed_adjust_matches_reference_loop_at_half_speed(planar2):
     nominal = stationary_nominal([0.0, 0.0], n=4, dt=0.1)
     args = (planar2, nominal, constant_human([1.0, 0.13, 0.0]), SPEED)
     assert_same_trace(speed_adjusted_execute(*args), reference_speed_adjusted_execute(*args))
+
+
+def approach_and_retreat_human() -> HumanTrajectory:
+    """A palm over the planar arm's middle joint that comes within d_stop and
+    leaves again: speed scale 1, a ramp down, 0, a ramp up, then 1 again."""
+    y = np.concatenate([
+        np.full(8, 0.5), np.linspace(0.5, 0.03, 6), np.full(6, 0.03), np.linspace(0.03, 0.5, 6), np.full(40, 0.5),
+    ])
+    return HumanTrajectory({"right_palm": np.stack([np.ones_like(y), y, np.zeros_like(y)], axis=1)}, 100.0)
+
+
+def plateau_runs(speed_scale):
+    """The trace's runs of speed scale: 1, 0 or a ramp value in between."""
+    kinds = ["one" if s == 1.0 else "zero" if s == 0.0 else "ramp" for s in speed_scale]
+    return [kind for i, kind in enumerate(kinds) if i == 0 or kinds[i - 1] != kind]
+
+
+def test_speed_adjust_keeps_zero_signs_at_exact_waypoint_ticks(planar2):
+    # At 128 Hz and dt = 0.125 s the ticks land exactly on waypoints, where a
+    # configuration is the waypoint itself: its -0.0 entries stay -0.0.
+    nominal = JointTrajectory(np.array([[0.3, 0.1], [-0.0, -0.0], [0.2, 0.1], [0.4, 0.2]]), 0.125)
+    args = (planar2, nominal, constant_human([1.0, 5.0, 0.0]), dataclasses.replace(SPEED, control_rate=128.0))
+    trace = speed_adjusted_execute(*args)
+    assert trace.completed and np.all(trace.speed_scale == 1.0)
+    assert np.signbit(trace.configs[16]).all()
+    assert_same_trace(trace, reference_speed_adjusted_execute(*args))
+
+
+@pytest.mark.parametrize("block", [1, 5, baselines.FAST_FORWARD_TICKS])
+def test_speed_adjust_matches_reference_loop_leaving_and_reentering_plateaus(planar2, monkeypatch, block):
+    monkeypatch.setattr(baselines, "FAST_FORWARD_TICKS", block)
+    nominal = straightline_joint_init(np.array([0.0, 0.0]), np.array([0.1, -0.05]), 4, 0.1)
+    args = (planar2, nominal, approach_and_retreat_human(), dataclasses.replace(SPEED, control_rate=1000.0))
+    trace = speed_adjusted_execute(*args)
+    assert trace.completed
+    assert plateau_runs(trace.speed_scale) == ["one", "ramp", "zero", "ramp", "one"]
+    assert_same_trace(trace, reference_speed_adjusted_execute(*args))
+
+
+def test_speed_adjust_matches_reference_loop_at_100hz(arm):
+    bundle = prepare_scenario(make_scenario("reaching_near", 1, arm), CFG)
+    args = (arm, bundle.nominal, bundle.truth, CFG.speed_adjust)
+    trace = speed_adjusted_execute(*args)
+    # It times out after leaving the s = 1 plateau for good.
+    assert (len(trace.timestamps), trace.completed) == (601, False)
+    assert plateau_runs(trace.speed_scale)[:2] == ["one", "ramp"]
+    assert_same_trace(trace, reference_speed_adjusted_execute(*args))
 
 
 def test_speed_adjust_params_validation():

@@ -183,10 +183,11 @@ def _edited(change):
         ("solve", _edited(lambda data: {**data, "observation": -1.0}), "observation must be finite"),
         ("eval", _edited(lambda data: {**data, "human_object": [0.5, float("nan"), 0.1]}), "human_object"),
         ("solve", _edited(lambda data: {**data, "human_rate": float("inf")}), "human_rate"),
+        ("solve", _edited(lambda data: {**data, "observation": 5.0}), "outlasts the human script"),
     ],
     ids=[
         "no-script", "short-goal", "string", "family-only", "invalid-yaml",
-        "negative-observation", "nan-human-object", "infinite-human-rate",
+        "negative-observation", "nan-human-object", "infinite-human-rate", "observation-outlasts-script",
     ],
 )
 def test_malformed_scenario_exits_one(tmp_path, scenario_path, capsys, command, corrupt, expected):

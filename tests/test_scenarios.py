@@ -144,6 +144,9 @@ BAD_SCENARIO_VALUES = [
     (("observation",), NAN, "observation must be finite and positive"),
     (("horizon",), 0.0, "horizon must be finite and positive"),
     (("horizon",), INF, "horizon must be finite and positive"),
+    (("observation",), 5.0, "outlasts the human script"),
+    (("horizon",), 2.5, "outlasts the human script"),
+    (("script", "total_duration"), 2.9, "outlasts the human script"),
     (("human_rate",), NAN, "human_rate must be finite and positive"),
     (("human_rate",), INF, "human_rate must be finite and positive"),
     (("human_rate",), -100.0, "human_rate must be finite and positive"),
