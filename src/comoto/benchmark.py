@@ -266,14 +266,20 @@ def iter_runs(cfg: RunConfig):
 
     ``planned`` is ``run_method``'s output, or ``None`` when planning or
     evaluating raised; that row is then marked failed and its ``error``
-    names the exception.
+    names the exception.  When preparing a scenario raises, ``bundle`` is
+    ``None`` too, and all of that scenario's rows fail with that error.
     """
     for family in cfg.families:
         for sc in generate_scenarios(family, cfg.seeds):
-            bundle = prepare_scenario(sc, cfg)
+            try:
+                bundle, prepare_error = prepare_scenario(sc, cfg), None
+            except Exception as exc:  # this scenario's rows fail; the others go on
+                bundle, prepare_error = None, exc
             for method in METHODS:
                 start = time.perf_counter()
                 try:
+                    if prepare_error is not None:
+                        raise prepare_error
                     planned, converged = run_method(method, bundle, cfg)
                     report = evaluate_planned(bundle, planned, cfg)
                     failed, wall_time, error = False, time.perf_counter() - start, ""

@@ -35,6 +35,7 @@ from .kinematics import (
     ChainSpec,
     JointTrajectory,
     _batch_frames,
+    _eef_jacobians,
     _point_jacobians,
     fk_eef,
     fk_points_batch,
@@ -52,6 +53,8 @@ _ALPHA = {
     "obstacle": "alpha_obstacle",
 }
 COST_NAMES = tuple(_ALPHA)
+#: The terms over every robot point; the others see the end effector alone.
+_POINT_TERMS = ("distance", "obstacle")
 
 _TINY = 1e-12
 
@@ -193,9 +196,10 @@ def goal_probability(
 # Term evaluators over precomputed forward kinematics
 #
 # Each returns ``(value, pullback)``.  The pullback keeps the value
-# pass's intermediates and maps the point Jacobians (distance) or the
-# end-effector Jacobians (the eef terms) to the term's gradient over all
-# waypoints; the smoothness pullback takes no argument.
+# pass's intermediates and maps the point Jacobians (the all-point terms,
+# distance and obstacle) or the end-effector Jacobians (the eef terms) to
+# the term's gradient over all waypoints; the smoothness pullback takes no
+# argument.
 # ---------------------------------------------------------------------------
 
 
@@ -344,7 +348,8 @@ class WeightedObjective:
     Construction checks once that the context supplies each weighted
     term's inputs for ``n_waypoints`` waypoints, and fixes the weights,
     the terms a pass computes (``weighted``) or can report
-    (``supported``) and the legibility time weights.
+    (``supported``), the weighted all-point terms (``point_terms``) and
+    the legibility time weights.
     """
 
     def __init__(self, ctx: CostContext, w: CostWeights, dt: float, n_waypoints: int):
@@ -372,6 +377,9 @@ class WeightedObjective:
         has_inputs.update(legibility=True, smoothness=True)
         self.supported = [name for name in COST_NAMES if has_inputs[name]]
         self.weighted = [name for name in COST_NAMES if weights[name] > 0]
+        # The weighted terms whose pullbacks take every point's Jacobian;
+        # with none, a gradient builds the end effector's alone.
+        self.point_terms = tuple(name for name in self.weighted if name in _POINT_TERMS)
         # Legibility's per-step weights f = N - k, front-loaded.
         self.time_weights = np.arange(n_waypoints, 0, -1, dtype=float)
         self.time_weight_sum = float(self.time_weights.sum())
@@ -391,11 +399,12 @@ class ObjectivePass:
 
     Construction runs forward kinematics once (when any term needs it)
     and computes the positively weighted terms.  ``gradient()`` then
-    builds the point Jacobians from the stored frames and adds the
-    weighted terms' pullbacks in ``COST_NAMES`` order; it computes once
-    and returns the same array on later calls.  ``report()`` adds every
-    other term the context supports, from the same frames, and returns
-    the full six-term breakdown.
+    builds, from the stored frames, every point's Jacobian when an
+    all-point term is weighted and the end effector's alone otherwise,
+    and adds the weighted terms' pullbacks in ``COST_NAMES`` order; it
+    computes once and returns the same array on later calls.
+    ``report()`` adds every other term the context supports, from the
+    same frames, and returns the full six-term breakdown.
 
     ``total`` sums the weighted terms only; an unweighted term would add
     exactly 0.0 to it, so the report's total is the same.  The pass
@@ -454,18 +463,19 @@ class ObjectivePass:
         """Gradient of ``total`` over all waypoints."""
         if self._grad is None:
             problem = self.problem
-            points = jacs = eef_jac = None
-            if problem.weighted != ["smoothness"]:
-                points, axes = self._fk()
-                jacs = _point_jacobians(points, axes)
+            jacs = eef_jac = None
+            if problem.point_terms:
+                jacs = _point_jacobians(*self._fk())
                 eef_jac = jacs[:, -1]
+            elif problem.weighted != ["smoothness"]:
+                eef_jac = _eef_jacobians(*self._fk())
             grad = np.zeros(self.q.shape)
             for name in problem.weighted:
                 pullback = self._pullbacks[name]
                 if name == "smoothness":
                     term = pullback()
                 else:
-                    term = pullback(jacs if name in ("distance", "obstacle") else eef_jac)
+                    term = pullback(jacs if name in problem.point_terms else eef_jac)
                 # The obstacle pullback carries its weight already.
                 grad += term if name == "obstacle" else problem.weights[name] * term
             self._grad = grad

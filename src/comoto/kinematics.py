@@ -212,6 +212,17 @@ def _batch_frames(chain: ChainSpec, Q: Array) -> tuple[Array, Array]:
     return points, axes
 
 
+def _axis_cross(axes: Array, lever: Array) -> Array:
+    """``axes x lever`` over the last axis, as a new array shaped like ``lever``."""
+    zx, zy, zz = (axes[..., c] for c in range(3))
+    lx, ly, lz = (lever[..., c] for c in range(3))
+    cross = np.empty(lever.shape)
+    cross[..., 0] = zy * lz - zz * ly
+    cross[..., 1] = zz * lx - zx * lz
+    cross[..., 2] = zx * ly - zy * lx
+    return cross
+
+
 def _point_jacobians(points: Array, axes: Array) -> Array:
     """(N, n+1, 3, n) point Jacobians from batched frame origins and axes.
 
@@ -220,15 +231,22 @@ def _point_jacobians(points: Array, axes: Array) -> Array:
     """
     n = axes.shape[1]
     lever = points[:, :, None, :] - points[:, None, :n, :]  # (N, n+1, n, 3)
-    zx, zy, zz = (axes[:, None, :, c] for c in range(3))
-    lx, ly, lz = (lever[..., c] for c in range(3))
-    cross = np.empty(lever.shape)
-    cross[..., 0] = zy * lz - zz * ly
-    cross[..., 1] = zz * lx - zx * lz
-    cross[..., 2] = zx * ly - zy * lx
+    cross = _axis_cross(axes[:, None], lever)
     mask = np.arange(n)[None, :] < np.arange(n + 1)[:, None]
     cross *= mask[None, :, :, None]
     return np.swapaxes(cross, 2, 3)
+
+
+def _eef_jacobians(points: Array, axes: Array) -> Array:
+    """(N, 3, n) end-effector Jacobians: ``_point_jacobians(points, axes)[:, -1]``.
+
+    The same products as the last point's row there, every column nonzero
+    so no mask.  ``cross`` is laid out (N, n, 3) and returned transposed,
+    as that row is: einsum over a contiguous (N, 3, n) copy sums in another
+    order and changes the rounding of the gradients.
+    """
+    cross = _axis_cross(axes, points[:, -1:] - points[:, :-1])  # (N, n, 3)
+    return np.swapaxes(cross, 1, 2)
 
 
 def fk_points_batch(chain: ChainSpec, Q: Array) -> Array:
@@ -267,7 +285,7 @@ def solve_position_ik(chain: ChainSpec, target: Array, q0: Array) -> Array:
             break
         # Contiguous: matmul rounds differently on the transposed view, and
         # these matmuls fix the scenarios' goal configurations.
-        J = np.ascontiguousarray(_point_jacobians(points[None], axes[None])[0, -1])
+        J = np.ascontiguousarray(_eef_jacobians(points[None], axes[None])[0])
         JJt = J @ J.T + (IK_DAMPING**2) * np.eye(3)
         q = chain.clamp(q + J.T @ np.linalg.solve(JJt, err))
     return best_q

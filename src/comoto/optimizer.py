@@ -147,7 +147,8 @@ def optimize(
         accepted = False
         while step >= MIN_STEP:
             q_new = q.copy()
-            q_new[1:-1] = np.clip(q[1:-1] - step * g, lo, hi)
+            # np.clip's elementwise operation without its Python wrapper.
+            q_new[1:-1] = np.minimum(np.maximum(q[1:-1] - step * g, lo), hi)
             delta = q_new[1:-1] - q[1:-1]
             evals["value"] += 1
             trial = ObjectivePass(q_new, problem)

@@ -242,6 +242,32 @@ def test_failed_method_is_isolated(arm, monkeypatch, tmp_path):
     assert errors == {m: "RuntimeError: synthetic failure" if m == "CoMOTO" else "" for m in METHODS}
 
 
+def test_failed_prepare_fails_its_scenario_rows_only(arm, monkeypatch):
+    # Seed 1's nominal solve raises; its five rows fail with that error and
+    # seed 2's rows are those of a run without seed 1.
+    cfg = dataclasses.replace(tiny_config(), seeds=(1, 2))
+    clean = run_benchmark(dataclasses.replace(cfg, seeds=(2,)))
+    broken_start = make_scenario("stationary", 1, arm).robot_start
+    original = benchmark.nominal_trajectory
+
+    def flaky(base, start, *args, **kwargs):
+        if np.array_equal(start, broken_start):
+            raise ContractViolation("synthetic prepare failure")
+        return original(base, start, *args, **kwargs)
+
+    monkeypatch.setattr(benchmark, "nominal_trajectory", flaky)
+    runs = list(iter_runs(cfg))
+    assert [(r["seed"], r["method"]) for _, _, r in runs] == [
+        (seed, m) for seed in (1, 2) for m in METHODS
+    ]
+    for bundle, planned, row in runs[: len(METHODS)]:
+        assert (bundle, planned, row["failed"], row["converged"]) == (None, None, True, False)
+        assert row["error"] == "ContractViolation: synthetic prepare failure"
+        assert all(math.isnan(row[name]) for name in METRIC_NAMES)
+    rows = sort_rows([row for _, _, row in runs], cfg)
+    assert _rows_to_csv(rows[len(METHODS):], RESULT_COLUMNS) == _rows_to_csv(clean, RESULT_COLUMNS)
+
+
 def assert_same_bits(a, b):
     assert type(a) is type(b)
     for field in dataclasses.fields(a):

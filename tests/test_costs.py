@@ -388,6 +388,24 @@ def test_trial_gradient_and_report_bit_identical_to_gradient_call(arm):
             assert report.weights == w.as_dict(), name
 
 
+def test_eef_only_gradient_bit_identical_to_all_point_slice(arm):
+    # Weighting no all-point term, a pass builds the end-effector Jacobians
+    # alone; its gradient must keep every byte of the one the pullbacks give
+    # from the last row of all the point Jacobians.
+    for seed in range(3):
+        traj, ctx = build_problem(arm, seed=seed, n_waypoints=20)
+        q, dt = traj.waypoints, traj.dt
+        for w in (
+            method_weightings(arm, traj, ctx)["legible"][1],
+            CostWeights(alpha_vis=0.2, alpha_nominal=0.5),
+            CostWeights(alpha_legibility=1.2, alpha_nominal=0.7, alpha_smooth=0.3),
+        ):
+            problem = WeightedObjective(ctx, w, dt, len(q))
+            assert problem.point_terms == ()
+            got = ObjectivePass(q, problem).gradient()
+            assert got.tobytes() == reference_gradient(q, dt, ctx, w).tobytes(), w
+
+
 def test_covariance_doubling_moves_costs(arm):
     for seed in range(5):
         traj, ctx = build_problem(arm, seed=seed, n_waypoints=10)

@@ -14,6 +14,7 @@ import pytest
 
 from conftest import planar_chain
 
+import comoto.kinematics as kinematics
 from comoto.errors import ContractViolation
 from comoto.kinematics import (
     FK_BLOCK,
@@ -30,6 +31,7 @@ from comoto.kinematics import (
     solve_position_ik,
     _batch_frames,
     _dh_transforms,
+    _eef_jacobians,
     _point_jacobians,
 )
 
@@ -40,7 +42,7 @@ def robot_points(chain: ChainSpec, q: np.ndarray) -> np.ndarray:
 
 
 def point_jacobians(chain: ChainSpec, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One configuration's points and (n+1, 3, n) Jacobians, built as the IK builds them."""
+    """One configuration's points and (n+1, 3, n) Jacobians."""
     points, axes = frame_origins_and_axes(chain, q)
     return points, _point_jacobians(points[None], axes[None])[0]
 
@@ -212,6 +214,39 @@ def test_batch_frames_bit_identical_to_per_joint_loop(arm, N):
             single_points, single_axes = frame_origins_and_axes(chain, Q[k])
             assert single_points.tobytes() == points[k].tobytes()
             assert single_axes.tobytes() == axes[k].tobytes()
+
+
+@pytest.mark.parametrize("N", [1, 20, FK_BLOCK + 1])
+def test_eef_jacobians_are_the_last_point_row_bit_for_bit(arm, N):
+    # Bytes and the (3, n) layout of each configuration's block: the layout
+    # fixes the summation order of the eef pullbacks' einsum, so the
+    # contraction must agree to the bit as well.
+    rng = np.random.default_rng(N)
+    for chain in (arm, random_dh_chain(rng, 5)):
+        Q = rng.uniform(-np.pi, np.pi, (N, chain.n_joints))
+        points, axes = _batch_frames(chain, Q)
+        got = _eef_jacobians(points, axes)
+        want = _point_jacobians(points, axes)[:, -1]
+        assert got.shape == want.shape == (N, 3, chain.n_joints)
+        assert got.strides[1:] == want.strides[1:]
+        assert got.tobytes() == want.tobytes()
+        v = rng.standard_normal((N, 3))
+        assert (
+            np.einsum("tan,ta->tn", got, v).tobytes()
+            == np.einsum("tan,ta->tn", want, v).tobytes()
+        )
+
+
+def test_ik_bit_identical_to_all_point_jacobian_slice(arm, monkeypatch):
+    rng = np.random.default_rng(23)
+    q_seed = np.array([0.0, 0.7, 0.0, -1.2, 0.0, 0.9, 0.0])
+    targets = [fk_eef(arm, arm.clamp(q_seed + 0.4 * rng.standard_normal(7))) for _ in range(4)]
+    got = [solve_position_ik(arm, target, q_seed) for target in targets]
+    monkeypatch.setattr(
+        kinematics, "_eef_jacobians", lambda points, axes: _point_jacobians(points, axes)[:, -1]
+    )
+    for target, q in zip(targets, got):
+        assert q.tobytes() == solve_position_ik(arm, target, q_seed).tobytes()
 
 
 def test_axes_are_world_z_of_parent_frames(planar2):

@@ -8,14 +8,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import cost_context
 from test_costs import COMBINED_WEIGHTS, build_problem, method_weightings
 
 from comoto import optimizer as optimizer_module
-from comoto.costs import CostWeights, ObjectivePass, evaluate_objective
+from comoto.baselines import TAU_S_RATIO
+from comoto.costs import COST_NAMES, CostWeights, ObjectivePass, evaluate_objective
 from comoto.errors import ContractViolation
-from comoto.kinematics import JointTrajectory
+from comoto.kinematics import JointTrajectory, fk_points_batch
 from comoto.optimizer import OptimizerOptions, optimize, straightline_joint_init
 
 
@@ -90,6 +93,39 @@ def test_descent_never_increases_total(arm):
     assert all(b <= a + 1e-12 for a, b in zip(totals, totals[1:]))
     assert result.final_report.total <= result.initial_report.total
     assert result.final_report.total == pytest.approx(totals[-1], rel=1e-12)
+
+
+_WEIGHT_FIELDS = dict(zip(COST_NAMES, (f.name for f in dataclasses.fields(CostWeights))))
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
+)
+@given(
+    weights=st.dictionaries(st.sampled_from(COST_NAMES), st.floats(0.01, 2.0), min_size=1),
+    seed=st.integers(0, 2**16),
+    scale=st.floats(0.0, 0.3),
+)
+@example(weights={"legibility": 250.0, "smoothness": TAU_S_RATIO * 250.0}, seed=0, scale=0.1)
+@example(weights={"visibility": 0.2, "nominal": 0.5}, seed=1, scale=0.3)
+def test_accepted_iterates_never_increase_total(arm, weights, seed, scale):
+    # Any subset of the six terms, those with no all-point term included,
+    # from a randomly perturbed start: every accepted iterate passed the
+    # Armijo test, so no traced total exceeds the one before it.
+    traj, ctx = build_problem(arm, seed=seed, n_waypoints=8)
+    obstacle = fk_points_batch(arm, traj.waypoints)[4, -1]
+    ctx = dataclasses.replace(ctx, obstacles=((obstacle, 0.15),))
+    init = perturbed_line(arm, traj.waypoints[0], ctx.goal_config, 8, traj.dt, seed, scale)
+    w = CostWeights(**{_WEIGHT_FIELDS[name]: value for name, value in weights.items()})
+    opts = OptimizerOptions(max_iters=25, grad_tol=1e-10, step_init=0.02, verbose=True)
+    result = optimize(ctx, w, init, opts)
+    totals = [result.initial_report.total] + [entry["total"] for entry in result.trace]
+    assert len(totals) == result.iterations + 1 - (result.stop_reason == "line_search")
+    assert all(b <= a for a, b in zip(totals, totals[1:])), totals
 
 
 def test_optimizer_is_deterministic(arm):
