@@ -13,7 +13,7 @@ import numpy as np
 from .costs import CostContext, CostWeights
 from .errors import ContractViolation
 from .human_motion import HumanTrajectory
-from .kinematics import ChainSpec, JointTrajectory, fk_points_batch, frame_origins_and_axes
+from .kinematics import ChainSpec, JointTrajectory, SingleFrames, fk_points_batch, frame_origins_and_axes
 from .optimizer import OptimizerOptions, OptResult, optimize, straightline_joint_init
 
 Array = np.ndarray
@@ -93,21 +93,24 @@ def nominal_trajectory(
     smooth_weight: float,
     obstacle_weight: float,
     margin: float,
-) -> JointTrajectory:
+) -> tuple[JointTrajectory, OptResult | None]:
     """Default trajectory with no human: smooth and obstacle-clearing.
 
     Runs from ``start`` to ``ctx.goal_config`` on ``ctx.chain``; the
     context's prediction, nominal and object are not used.  The obstacle
     term keeps the robot points ``margin`` clear of each ``(center,
-    radius)`` sphere.  With no obstacles this is exactly the joint-space
-    straight line.
+    radius)`` sphere.  Returns the trajectory and the solve that made
+    it, whose ``stop_reason`` says why it stopped.  With no obstacles
+    the trajectory is exactly the joint-space straight line, and there
+    is no solve (``None``).
     """
     init = straightline_joint_init(start, ctx.goal_config, n_waypoints, dt, t0)
     if len(obstacles) == 0:
-        return init
+        return init, None
     ctx = replace(ctx, obstacles=tuple((c, r + margin) for c, r in obstacles))
     weights = CostWeights(alpha_smooth=smooth_weight, alpha_obstacle=obstacle_weight)
-    return optimize(ctx, weights, init, NOMINAL_OPTIONS).trajectory
+    result = optimize(ctx, weights, init, NOMINAL_OPTIONS)
+    return result.trajectory, result
 
 
 def _human_tracks(human: HumanTrajectory) -> tuple[Array, float]:
@@ -139,19 +142,27 @@ def _humans_at(tracks: Array, rate: float, ts: Array) -> Array:
     return np.where(((idx <= 0) | (idx >= last))[:, None, None], held, blend)
 
 
+def _separation(robot: Array, human: Array) -> float:
+    """Smallest distance between the (P, 3) robot points and the (J, 3) human joints."""
+    # Component-major, (3, J, P): the squares of each pair's x, y and z are
+    # added in that order, as a reduction over a length-3 last axis adds them,
+    # and np.minimum.reduce picks the same minimum as .min().
+    diff = robot.T[:, None, :] - human.T[:, :, None]
+    sq = diff * diff
+    return math.sqrt(np.minimum.reduce(sq[0] + sq[1] + sq[2], axis=None))
+
+
 def min_separation(chain: ChainSpec, q: Array, human_points: Array) -> float:
     """Smallest distance between any robot point and any human joint."""
-    robot = frame_origins_and_axes(chain, q)[0]
-    diff = robot[None, :, :] - human_points[:, None, :]
-    # np.sum and np.min without their Python wrappers: the same reductions, bit for bit.
-    return math.sqrt(np.add.reduce(diff * diff, axis=2).min())
+    return _separation(frame_origins_and_axes(chain, q)[0], human_points)
 
 
 def _min_separations(chain: ChainSpec, Q: Array, humans: Array) -> Array:
     """``min_separation`` of each row of Q against each (J, 3) row of ``humans``."""
-    robot = fk_points_batch(chain, Q)
-    diff = robot[:, None, :, :] - humans[:, :, None, :]
-    return np.sqrt(np.add.reduce(diff * diff, axis=3).min(axis=(1, 2)))
+    robot = fk_points_batch(chain, Q).transpose(2, 0, 1)  # (3, B, P)
+    diff = robot[:, :, None, :] - humans.transpose(2, 0, 1)[:, :, :, None]  # (3, B, J, P)
+    sq = diff * diff
+    return np.sqrt(np.minimum.reduce(sq[0] + sq[1] + sq[2], axis=(1, 2)))
 
 
 #: Ticks that Speed-Adj evaluates as one block while its speed scale holds
@@ -175,6 +186,8 @@ def speed_adjusted_execute(
     ``timeout_factor * nominal.duration`` elapses before the path end;
     the human pose is held at its last sample beyond the recorded horizon.
 
+    A single tick runs one ``SingleFrames`` FK, built once per execution
+    and overwritten by each tick, and the separation of ``min_separation``.
     While s is exactly 1 (far from the human) or 0 (stopped), the next
     ticks' clock and path position are known before they are evaluated,
     so up to ``FAST_FORWARD_TICKS`` of them are evaluated as one block
@@ -183,9 +196,9 @@ def speed_adjusted_execute(
     step resumes from there.  The block gives every tick the bits the
     tick-by-tick loop gives it: its clock and path position are the
     same sequential adds (``np.add.accumulate``), each configuration
-    and human pose takes the same branch and blend, FK builds each row
-    of the batch as it builds a single configuration, and the minimum
-    distance is the same exact reduction.
+    and human pose takes the same branch and blend, batched FK builds
+    each row as ``SingleFrames`` builds a single configuration, and the
+    separations are the same component-major sums and exact minimum.
     """
     D = nominal.duration
     timeout = p.timeout_factor * D
@@ -218,13 +231,15 @@ def speed_adjusted_execute(
     configs = np.empty((capacity, waypoints.shape[1]))
     d_stop, d_span = p.d_stop, p.d_slow - p.d_stop
     t0, deadline = nominal.t0, timeout - 1e-12
+    frames = SingleFrames(chain)
+    steps = np.empty(FAST_FORWARD_TICKS + 1)  # a block's start, then its increments
 
     def tick(k: int, t: float, u: float) -> float:
         """Evaluate and record tick k at clock t and path position u; returns its scale."""
         if k == capacity:
             raise ContractViolation(f"Speed-Adj ran past its {capacity} preallocated ticks")
         qcur = config_at(u)
-        d = min_separation(chain, qcur, _human_at(tracks, rate, t))
+        d = _separation(frames(qcur)[0], _human_at(tracks, rate, t))
         s = min(max((d - d_stop) / d_span, 0.0), 1.0)
         times[k], seps[k], speeds[k] = t, d, s
         configs[k] = qcur
@@ -237,8 +252,11 @@ def speed_adjusted_execute(
         last recorded tick's clock, path position and scale."""
         n = min(FAST_FORWARD_TICKS, capacity - k)
         advance = s * dtick
-        ts = np.add.accumulate(np.r_[t, np.full(n, dtick)])[1:]
-        us = np.add.accumulate(np.r_[u, np.full(n, advance)])[1:]
+        block = steps[:n + 1]
+        block[0], block[1:] = t, dtick
+        ts = np.add.accumulate(block)[1:]
+        block[0], block[1:] = u, advance
+        us = np.add.accumulate(block)[1:]
         qs = configs_at(us)
         ds = _min_separations(chain, qs, _humans_at(tracks, rate, ts))
         ss = np.minimum(np.maximum((ds - d_stop) / d_span, 0.0), 1.0)

@@ -32,7 +32,7 @@ from .errors import ContractViolation
 from .fileio import read_yaml
 from .human_motion import PredictorOptions, extrapolate_skeleton, generate_reach, predict
 from .metrics import METRIC_NAMES, GoalSet, MetricReport, aggregate, evaluate_run
-from .optimizer import OptimizerOptions, optimize
+from .optimizer import OptimizerOptions, OptResult, optimize
 from .scenarios import FAMILIES, Scenario, generate_scenarios
 
 Array = np.ndarray
@@ -188,6 +188,8 @@ class ScenarioBundle:
     ctx: CostContext
     nominal: object
     goals: GoalSet
+    #: The solve that made ``nominal``; ``None`` when there are no obstacles.
+    nominal_solve: OptResult | None
 
 
 def prepare_scenario(sc: Scenario, cfg: RunConfig) -> ScenarioBundle:
@@ -200,7 +202,7 @@ def prepare_scenario(sc: Scenario, cfg: RunConfig) -> ScenarioBundle:
     base = CostContext(
         chain=sc.chain, goal_config=sc.robot_goal, eps_m=cfg.eps_m, sigma_floor=cfg.sigma_floor
     )
-    nominal = nominal_trajectory(
+    nominal, nominal_solve = nominal_trajectory(
         base,
         sc.robot_start,
         sc.obstacles,
@@ -215,7 +217,9 @@ def prepare_scenario(sc: Scenario, cfg: RunConfig) -> ScenarioBundle:
         base, prediction=extrapolate_skeleton(arm_pred), nominal=nominal, object_pos=sc.human_object
     )
     goals = GoalSet(true_goal=sc.goal_point, distractors=(sc.human_object,))
-    return ScenarioBundle(scenario=sc, truth=truth, ctx=ctx, nominal=nominal, goals=goals)
+    return ScenarioBundle(
+        scenario=sc, truth=truth, ctx=ctx, nominal=nominal, goals=goals, nominal_solve=nominal_solve
+    )
 
 
 def run_method(name: str, bundle: ScenarioBundle, cfg: RunConfig):

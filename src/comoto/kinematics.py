@@ -144,6 +144,38 @@ def _check_config(chain: ChainSpec, q: Array) -> Array:
     return q
 
 
+class SingleFrames:
+    """FK of one configuration at a time, into buffers kept between calls.
+
+    ``SingleFrames(chain)(q)`` returns what ``frame_origins_and_axes``
+    does, as views of this object's chain product that the next call
+    overwrites.  Every DH entry and matmul is the one ``_batch_frames``
+    computes for a row of its batch, so the bits are the same.  ``q`` is
+    not checked: it must be an (n,) float array.
+    """
+
+    def __init__(self, chain: ChainSpec):
+        n = chain.n_joints
+        self._offsets = chain.dh[:, 3]
+        self._trig_index = chain._dh_trig_index
+        self._factors = chain._dh_factors
+        A = np.empty((n, 4, 4))
+        A[:, 2:] = chain._dh_fixed_rows
+        T = np.empty((n + 1, 4, 4))
+        T[0] = chain.base_pose
+        self._rows01 = A[:, :2]
+        self._products = [(T[i], A[i], T[i + 1]) for i in range(n)]
+        self._frames = (T[:, :3, 3], T[:n, :3, 2])
+
+    def __call__(self, q: Array) -> tuple[Array, Array]:
+        theta = q + self._offsets
+        trig = np.concatenate((np.cos(theta), np.sin(theta)))
+        np.multiply(trig[self._trig_index], self._factors, out=self._rows01)
+        for parent, joint, child in self._products:
+            np.matmul(parent, joint, out=child)
+        return self._frames
+
+
 def frame_origins_and_axes(chain: ChainSpec, q: Array) -> tuple[Array, Array]:
     """World-frame origins of frames 0..n and the joint rotation axes.
 
@@ -151,14 +183,12 @@ def frame_origins_and_axes(chain: ChainSpec, q: Array) -> tuple[Array, Array]:
     origins with the end-effector last — and ``axes`` is (n, 3), the
     world z-axis of the frame each joint rotates about.
     """
-    q = _check_config(chain, q)
-    points, axes = _batch_frames(chain, q[None, :])
-    return points[0], axes[0]
+    return SingleFrames(chain)(_check_config(chain, q))
 
 
 def fk_eef(chain: ChainSpec, q: Array) -> Array:
-    """World position of the end-effector (the last frame origin)."""
-    return frame_origins_and_axes(chain, q)[0][-1]
+    """World position of the end-effector (the last frame origin), as a new array."""
+    return frame_origins_and_axes(chain, q)[0][-1].copy()
 
 
 #: Configurations per FK block.  Bounds the (block, n+1, 4, 4) transform

@@ -49,10 +49,11 @@ def stationary_nominal(config, n=4, dt=0.1) -> JointTrajectory:
 def test_nominal_without_obstacles_is_straight_line(arm):
     start = np.array([0.0, 0.6, 0.0, -1.1, 0.0, 0.8, 0.0])
     goal = np.array([0.4, 0.8, -0.2, -0.8, 0.1, 1.0, 0.3])
-    nom = nominal_trajectory(
+    nom, solve = nominal_trajectory(
         cost_context(arm, goal), start, (), n_waypoints=12, dt=0.1, t0=0.0,
         smooth_weight=1e-3, obstacle_weight=200.0, margin=0.05,
     )
+    assert solve is None
     line = straightline_joint_init(start, goal, 12, 0.1)
     assert np.array_equal(nom.waypoints, line.waypoints)
 
@@ -63,10 +64,11 @@ def test_nominal_clears_sphere_on_path(arm):
     line = straightline_joint_init(start, goal, 20, 0.1)
     center = fk_points_batch(arm, line.waypoints)[10, -1]  # on the straight path
     radius, margin = 0.06, 0.05
-    nom = nominal_trajectory(
+    nom, solve = nominal_trajectory(
         cost_context(arm, goal), start, ((center, radius),), n_waypoints=20, dt=0.1, t0=0.0,
         smooth_weight=1e-3, obstacle_weight=200.0, margin=margin,
     )
+    assert solve.trajectory is nom
     dist = np.linalg.norm(fk_points_batch(arm, nom.waypoints) - center, axis=2)
     assert np.min(dist) >= radius + margin / 2.0
     assert np.array_equal(nom.waypoints[0], start)
@@ -160,6 +162,28 @@ def test_speed_adjust_explicit_timeout(planar2):
     assert_same_trace(trace, reference_speed_adjusted_execute(*args))
 
 
+def reference_min_separation(chain, q, human_points):
+    """The separation formula of ``min_separation`` as first written: the
+    batched FK of one configuration, and squares summed over the last axis."""
+    robot = fk_points_batch(chain, q[None])[0]
+    diff = robot[None, :, :] - human_points[:, None, :]
+    return math.sqrt(np.add.reduce(diff * diff, axis=2).min())
+
+
+@pytest.mark.parametrize("B", [1, 5, 64])
+def test_separations_bit_identical_to_reference(arm, B):
+    rng = np.random.default_rng(B)
+    Q = rng.uniform(-2.0, 2.0, (B, arm.n_joints))
+    humans = rng.uniform(-1.0, 1.0, (B, 11, 3))
+    # One human joint exactly on a robot point: separation 0.0.
+    humans[0, 3] = fk_points_batch(arm, Q[:1])[0, 4]
+    want = np.array([reference_min_separation(arm, q, h) for q, h in zip(Q, humans)])
+    assert want[0] == 0.0
+    got = np.array([min_separation(arm, q, h) for q, h in zip(Q, humans)])
+    assert got.tobytes() == want.tobytes()
+    assert baselines._min_separations(arm, Q, humans).tobytes() == want.tobytes()
+
+
 def reference_speed_adjusted_execute(chain, nominal, human_truth, p):
     """The per-tick loop as first written: four lists grown a tick at a time,
     copied into arrays at the end, and the speed scale clamped by ``np.clip``."""
@@ -184,7 +208,7 @@ def reference_speed_adjusted_execute(chain, nominal, human_truth, p):
     completed = False
     while True:
         qcur = config_at(u)
-        d = min_separation(chain, qcur, _human_at(tracks, rate, t))
+        d = reference_min_separation(chain, qcur, _human_at(tracks, rate, t))
         s = float(np.clip((d - p.d_stop) / (p.d_slow - p.d_stop), 0.0, 1.0))
         times.append(t)
         configs.append(qcur)

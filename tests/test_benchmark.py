@@ -199,6 +199,16 @@ def test_prepare_scenario_shares_consistent_inputs(arm):
     assert trace.duration == pytest.approx(frozen.timeout_factor * bundle.nominal.duration)
 
 
+def test_prepare_scenario_keeps_the_nominal_solve(arm):
+    cfg = tiny_config()
+    sc = make_scenario("stationary", 1, arm)
+    bundle = prepare_scenario(sc, cfg)
+    assert bundle.nominal_solve.trajectory is bundle.nominal
+    assert bundle.nominal_solve.stop_reason in ("grad_tol", "max_iters", "line_search")
+    clear = prepare_scenario(dataclasses.replace(sc, obstacles=()), cfg)
+    assert clear.nominal_solve is None
+
+
 def test_tiny_benchmark_rows(arm):
     cfg = tiny_config()
     rows = run_benchmark(cfg)

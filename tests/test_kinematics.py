@@ -20,6 +20,7 @@ from comoto.kinematics import (
     FK_BLOCK,
     ChainSpec,
     JointTrajectory,
+    SingleFrames,
     all_point_jacobians_batch,
     chain_from_dict,
     default_chain,
@@ -210,10 +211,23 @@ def test_batch_frames_bit_identical_to_per_joint_loop(arm, N):
             want_points, want_axes = loop_frames(chain, Q[k])
             assert points[k].tobytes() == want_points.tobytes()
             assert axes[k].tobytes() == want_axes.tobytes()
+        # Rows 0-2 through the single-configuration FK (SingleFrames): a
+        # random row, then the theta = 0 and theta = pi/2 rows.
         for k in range(min(N, 3)):
             single_points, single_axes = frame_origins_and_axes(chain, Q[k])
             assert single_points.tobytes() == points[k].tobytes()
             assert single_axes.tobytes() == axes[k].tobytes()
+
+
+def test_single_frames_reused_returns_each_configurations_bits(arm):
+    rng = np.random.default_rng(31)
+    q1, q2 = (random_config(arm, rng) for _ in range(2))
+    frames = SingleFrames(arm)
+    first = [a.tobytes() for a in frames(q1)]
+    second = [a.tobytes() for a in frames(q2)]
+    again = [a.tobytes() for a in frames(q1)]
+    assert first == again != second
+    assert second == [a.tobytes() for a in frame_origins_and_axes(arm, q2)]
 
 
 @pytest.mark.parametrize("N", [1, 20, FK_BLOCK + 1])
