@@ -32,9 +32,9 @@ import numpy as np
 from .errors import ContractViolation
 from .human_motion import PredictedHumanTrajectory
 from .kinematics import (
+    BatchFrames,
     ChainSpec,
     JointTrajectory,
-    _batch_frames,
     _eef_jacobians,
     _point_jacobians,
     fk_eef,
@@ -53,15 +53,16 @@ _ALPHA = {
     "obstacle": "alpha_obstacle",
 }
 COST_NAMES = tuple(_ALPHA)
-#: The terms over every robot point; the others see the end effector alone.
+#: The terms over every robot point, and those over the end effector alone.
 _POINT_TERMS = ("distance", "obstacle")
+_EEF_TERMS = ("visibility", "legibility", "nominal")
 
 _TINY = 1e-12
 
 
 def _row_norms(x: Array) -> Array:
-    """``np.linalg.norm(x, axis=1)`` for real ``x``, bit for bit, in one call."""
-    return np.sqrt(np.add.reduce(x * x, axis=1))
+    """``np.linalg.norm(x, axis=-1)`` for real ``x``, bit for bit, without the wrapper."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -216,16 +217,23 @@ def _distance_inputs(prediction: PredictedHumanTrajectory) -> tuple[Array, Array
     return means, np.ascontiguousarray(np.swapaxes(inv_covs, -1, -2))
 
 
-def _distance_term(points: Array, means: Array, inv_covs_t: Array, eps_m: float):
-    # points (N,P,3); means (J,N,3); inv_covs_t (J,N,3,3), each inverse transposed.
-    # sd = Sigma^-1 d as one stacked GEMM of each (P,3) block of d by its
-    # transposed inverse.  Every prediction the pipeline builds is isotropic
-    # (sigma^2(t) I, or I for Dist+Vis), so the inverse is exactly diagonal,
-    # its off-diagonal products are exact zeros and no summation order can
-    # change a bit.  Repeating the means builds d faster than a broadcast
-    # difference; d is rebuilt per call, since a copy on the context would
-    # keep a (J,N,P,3) array alive for every planning problem.
-    d = np.repeat(means[:, :, None, :], points.shape[1], axis=2) - points[None]  # (J,N,P,3)
+def _repeat_means(means: Array, n_points: int) -> Array:
+    """(J,N,P,3): each of the (J,N,3) means once per robot point.
+
+    A difference with this contiguous array builds the distance term's
+    ``d`` faster than a broadcast one, with the same bits.
+    """
+    return np.repeat(means[:, :, None, :], n_points, axis=2)
+
+
+def _distance_term(points: Array, point_means: Array, inv_covs_t: Array, eps_m: float):
+    # points (N,P,3); point_means (J,N,P,3), from _repeat_means; inv_covs_t
+    # (J,N,3,3), each inverse transposed.  sd = Sigma^-1 d as one stacked GEMM
+    # of each (P,3) block of d by its transposed inverse.  Every prediction
+    # the pipeline builds is isotropic (sigma^2(t) I, or I for Dist+Vis), so
+    # the inverse is exactly diagonal, its off-diagonal products are exact
+    # zeros and no summation order can change a bit.
+    d = point_means - points[None]  # (J,N,P,3)
     sd = np.matmul(d, inv_covs_t)
     m = np.einsum("jtpa,jtpa->jtp", d, sd)
     m_clamped = np.maximum(m, eps_m)
@@ -247,7 +255,8 @@ def _visibility_term(eef: Array, ctx: CostContext):
     ok = (nu > 1e-9) & (nw > 1e-9)
     flagged = [] if ok.all() else [int(t) for t in np.nonzero(~ok)[0]]
     safe_nw = np.where(ok, nw, 1.0)
-    c = np.clip(np.einsum("ta,ta->t", u, w) / (np.where(ok, nu, 1.0) * safe_nw), -1.0, 1.0)
+    c = np.einsum("ta,ta->t", u, w) / (np.where(ok, nu, 1.0) * safe_nw)
+    c = np.minimum(np.maximum(c, -1.0), 1.0)  # np.clip's operation without its wrapper
     theta = np.where(ok, np.arccos(c), 0.0)
     value = float((theta / sigma_head).sum())
 
@@ -325,14 +334,27 @@ def _obstacle_term(points: Array, ctx: CostContext, weight: float):
     # the einsums, and every nominal plan, so every benchmark row, depends on
     # that rounding.
     diff = points[:, :, None, :] - ctx._centers
-    dist = np.linalg.norm(diff, axis=3)
+    dist = _row_norms(diff)
     pen = np.maximum(0.0, ctx._clearance - dist)
     value = float((pen**2).sum())
 
-    def pullback(jacs: Array) -> Array:
-        coeff = np.where(pen > 0, -2.0 * weight * pen / np.maximum(dist, _TINY), 0.0)
-        dval_dp = np.einsum("tps,tpsa->tpa", coeff, diff)
-        return np.einsum("tpan,tpa->tn", jacs, dval_dp)
+    def pullback(frames: tuple[Array, Array]) -> tuple[Array, Array]:
+        """``(rows, term)``: the waypoints where some point penetrates, and
+        their gradient rows, from the pass's FK ``(points, axes)``.
+
+        Every other row of the gradient would be a sum of products with a
+        zero coefficient, so ±0.0.  The gradient it is added to holds no
+        -0.0 (it starts from +0.0, and a sum is -0.0 only when both addends
+        are), so adding ±0.0 changes no bit.  Each kept row is computed as
+        in the dense einsums: the Jacobians of the kept rows have the same
+        per-row layout, and an einsum sums each row in the same order.
+        """
+        rows = np.flatnonzero((pen > 0).any(axis=(1, 2)))
+        sub_pen, sub_dist = pen[rows], dist[rows]
+        coeff = np.where(sub_pen > 0, -2.0 * weight * sub_pen / np.maximum(sub_dist, _TINY), 0.0)
+        dval_dp = np.einsum("tps,tpsa->tpa", coeff, diff[rows])
+        jacs = _point_jacobians(*(f[rows] for f in frames))
+        return rows, np.einsum("tpan,tpa->tn", jacs, dval_dp)
 
     return value, pullback
 
@@ -348,8 +370,10 @@ class WeightedObjective:
     Construction checks once that the context supplies each weighted
     term's inputs for ``n_waypoints`` waypoints, and fixes the weights,
     the terms a pass computes (``weighted``) or can report
-    (``supported``), the weighted all-point terms (``point_terms``) and
-    the legibility time weights.
+    (``supported``), the weighted all-point and end-effector terms
+    (``point_terms``, ``eef_terms``), the legibility time weights and the
+    FK buffers (``frames``) every pass runs its forward kinematics in, so
+    the passes of one problem must not run concurrently.
     """
 
     def __init__(self, ctx: CostContext, w: CostWeights, dt: float, n_waypoints: int):
@@ -377,21 +401,24 @@ class WeightedObjective:
         has_inputs.update(legibility=True, smoothness=True)
         self.supported = [name for name in COST_NAMES if has_inputs[name]]
         self.weighted = [name for name in COST_NAMES if weights[name] > 0]
-        # The weighted terms whose pullbacks take every point's Jacobian;
-        # with none, a gradient builds the end effector's alone.
+        # The weighted terms over every robot point, and over the end effector.
         self.point_terms = tuple(name for name in self.weighted if name in _POINT_TERMS)
+        self.eef_terms = tuple(name for name in self.weighted if name in _EEF_TERMS)
         # Legibility's per-step weights f = N - k, front-loaded.
         self.time_weights = np.arange(n_waypoints, 0, -1, dtype=float)
         self.time_weight_sum = float(self.time_weights.sum())
+        self.frames = BatchFrames(ctx.chain, n_waypoints)
 
     @functools.cached_property
     def distance_inputs(self) -> tuple[Array, Array]:
-        """The distance term's stacked means and transposed inverse covariances.
+        """The distance term's means, repeated per robot point, and
+        transposed inverse covariances.
 
         Built on the first distance pass of a solve and dropped with the
-        solve, so that no context keeps them.
+        solve, so that no context keeps the (J,N,P,3) means.
         """
-        return _distance_inputs(self.ctx.prediction)
+        means, inv_covs_t = _distance_inputs(self.ctx.prediction)
+        return _repeat_means(means, self.ctx.chain.n_joints + 1), inv_covs_t
 
 
 class ObjectivePass:
@@ -399,8 +426,9 @@ class ObjectivePass:
 
     Construction runs forward kinematics once (when any term needs it)
     and computes the positively weighted terms.  ``gradient()`` then
-    builds, from the stored frames, every point's Jacobian when an
-    all-point term is weighted and the end effector's alone otherwise,
+    builds, from the stored frames, every point's Jacobian when the
+    distance term is weighted and the end effector's alone otherwise
+    (the obstacle pullback builds the rows of the waypoints it touches),
     and adds the weighted terms' pullbacks in ``COST_NAMES`` order; it
     computes once and returns the same array on later calls.
     ``report()`` adds every other term the context supports, from the
@@ -425,7 +453,8 @@ class ObjectivePass:
 
     def _fk(self) -> tuple[Array, Array]:
         if self._frames is None:
-            self._frames = _batch_frames(self.problem.ctx.chain, self.q)
+            # Copies: the problem's FK buffers belong to the next pass.
+            self._frames = tuple(f.copy() for f in self.problem.frames(self.q))
         return self._frames
 
     def _add_terms(self, names) -> None:
@@ -464,20 +493,24 @@ class ObjectivePass:
         if self._grad is None:
             problem = self.problem
             jacs = eef_jac = None
-            if problem.point_terms:
+            if "distance" in problem.point_terms:
                 jacs = _point_jacobians(*self._fk())
                 eef_jac = jacs[:, -1]
-            elif problem.weighted != ["smoothness"]:
+            elif problem.eef_terms:
                 eef_jac = _eef_jacobians(*self._fk())
             grad = np.zeros(self.q.shape)
             for name in problem.weighted:
                 pullback = self._pullbacks[name]
+                if name == "obstacle":
+                    # Weighted already, and only the rows of penetrating waypoints.
+                    rows, term = pullback(self._fk())
+                    grad[rows] += term
+                    continue
                 if name == "smoothness":
                     term = pullback()
                 else:
-                    term = pullback(jacs if name in problem.point_terms else eef_jac)
-                # The obstacle pullback carries its weight already.
-                grad += term if name == "obstacle" else problem.weights[name] * term
+                    term = pullback(jacs if name == "distance" else eef_jac)
+                grad += problem.weights[name] * term
             self._grad = grad
         return self._grad
 

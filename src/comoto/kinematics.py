@@ -13,6 +13,7 @@ plus the end-effector frame origin (``n_links + 1`` points in total).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -196,20 +197,55 @@ def fk_eef(chain: ChainSpec, q: Array) -> Array:
 FK_BLOCK = 256
 
 
-def _dh_transforms(chain: ChainSpec, theta: Array) -> Array:
+def _dh_transforms(chain: ChainSpec, theta: Array, out: Array | None = None) -> Array:
     """(B, n, 4, 4) DH transforms of a (B, n) block of joint angles plus offsets.
 
     Each theta-dependent entry is one product of a trig factor and a
     chain constant, so every entry, zero signs included, is the product
-    the per-joint formula gives.
+    the per-joint formula gives.  An ``out`` buffer must already hold the
+    fixed rows 2-3; only rows 0-1 are written.
     """
     trig = np.concatenate((np.cos(theta), np.sin(theta)), axis=1)  # (B, 2n)
-    A = np.empty(theta.shape + (4, 4))
+    if out is None:
+        out = np.empty(theta.shape + (4, 4))
+        out[:, :, 2:] = chain._dh_fixed_rows
     # A contiguous product, then one copy: a ufunc writing straight into the
     # strided rows is slower on full blocks.
-    A[:, :, :2] = trig[:, chain._dh_trig_index] * chain._dh_factors
-    A[:, :, 2:] = chain._dh_fixed_rows
-    return A
+    out[:, :, :2] = trig[:, chain._dh_trig_index] * chain._dh_factors
+    return out
+
+
+class BatchFrames:
+    """FK of batches of ``n_configs`` configurations, into buffers kept between calls.
+
+    ``BatchFrames(chain, N)(Q)`` returns what ``_batch_frames(chain, Q)``
+    does for an (N, n) float array ``Q``, as views of this object's chain
+    product that the next call overwrites.  The DH stack keeps its fixed
+    rows and the product its base pose between calls; every entry and
+    matmul is the same, so the bits are too.  A solve builds one for its
+    waypoints, and ``_batch_frames`` one per block.
+    """
+
+    def __init__(self, chain: ChainSpec, n_configs: int):
+        n = chain.n_joints
+        self._chain, self._shape = chain, (n_configs, n)
+        self._dh = np.empty((n_configs, n, 4, 4))
+        self._dh[:, :, 2:] = chain._dh_fixed_rows
+        T = np.empty((n + 1, n_configs, 4, 4))
+        T[0] = chain.base_pose
+        # Joint-major: each step of the product takes a leading-axis index,
+        # cheaper than a [:, i] slice; every matmul is unchanged.
+        joints = self._dh.swapaxes(0, 1)
+        self._products = [(T[i], joints[i], T[i + 1]) for i in range(n)]
+        self._frames = (T[:, :, :3, 3].swapaxes(0, 1), T[:n, :, :3, 2].swapaxes(0, 1))
+
+    def __call__(self, Q: Array) -> tuple[Array, Array]:
+        if Q.shape != self._shape:
+            raise ContractViolation(f"batch has shape {Q.shape}, expected {self._shape}")
+        _dh_transforms(self._chain, Q + self._chain.dh[:, 3], out=self._dh)
+        for parent, joint, child in self._products:
+            np.matmul(parent, joint, out=child)
+        return self._frames
 
 
 def _batch_frames(chain: ChainSpec, Q: Array) -> tuple[Array, Array]:
@@ -225,58 +261,79 @@ def _batch_frames(chain: ChainSpec, Q: Array) -> tuple[Array, Array]:
             f"batch has shape {Q.shape}, chain expects (N, {chain.n_joints})"
         )
     N, n = Q.shape
-    off = chain.dh[:, 3]
     points = np.empty((N, n + 1, 3))
     axes = np.empty((N, n, 3))
     for start in range(0, N, FK_BLOCK):
         stop = min(start + FK_BLOCK, N)
-        # Joint-major: each step of the product then takes a leading-axis
-        # index, cheaper than a [:, i] slice; every matmul is unchanged.
-        A = _dh_transforms(chain, Q[start:stop] + off).swapaxes(0, 1)
-        T = np.empty((n + 1, stop - start, 4, 4))
-        T[0] = chain.base_pose
-        for i in range(n):
-            np.matmul(T[i], A[i], out=T[i + 1])
-        points[start:stop] = T[:, :, :3, 3].swapaxes(0, 1)
-        axes[start:stop] = T[:n, :, :3, 2].swapaxes(0, 1)
+        points[start:stop], axes[start:stop] = BatchFrames(chain, stop - start)(Q[start:stop])
     return points, axes
 
 
-def _axis_cross(axes: Array, lever: Array) -> Array:
-    """``axes x lever`` over the last axis, as a new array shaped like ``lever``."""
-    zx, zy, zz = (axes[..., c] for c in range(3))
-    lx, ly, lz = (lever[..., c] for c in range(3))
-    cross = np.empty(lever.shape)
-    cross[..., 0] = zy * lz - zz * ly
-    cross[..., 1] = zz * lx - zx * lz
-    cross[..., 2] = zx * ly - zy * lx
-    return cross
+#: ``z x l = z[1, 2, 0] * l[2, 0, 1] - z[2, 0, 1] * l[1, 2, 0]``, componentwise:
+#: the axis and lever components of both products, as six stacked rows.
+_AXIS_ROWS = [1, 2, 0, 2, 0, 1]
+_LEVER_ROWS = [2, 0, 1, 1, 2, 0]
+
+
+def _component_major(frames: Array) -> Array:
+    """A contiguous (3, m, N) copy of an (N, m, 3) batch of points or axes."""
+    return np.ascontiguousarray(frames.transpose(2, 1, 0))
+
+
+def _axis_cross(axes: Array, levers: Array) -> Array:
+    """``z_j x lever_j`` from (..., 6, n, N) lever rows and (3, n, N) axes.
+
+    Returns a (..., 3, n, N) view of ``levers``, which it overwrites.
+    Each component is the textbook difference ``zy * lz - zz * ly`` (and
+    its cyclic shifts), entry by entry.
+    """
+    levers *= axes[_AXIS_ROWS]
+    return np.subtract(levers[..., :3, :, :], levers[..., 3:, :, :], out=levers[..., :3, :, :])
+
+
+@functools.cache
+def _jacobian_mask(n: int) -> Array:
+    """(n+1, 1, n, 1): column j moves point k when j < k."""
+    mask = (np.arange(n) < np.arange(n + 1)[:, None])[:, None, :, None]
+    mask.flags.writeable = False
+    return mask
 
 
 def _point_jacobians(points: Array, axes: Array) -> Array:
     """(N, n+1, 3, n) point Jacobians from batched frame origins and axes.
 
     Column j of point k is ``z_j x (p_k - o_j)`` for j < k and zero
-    otherwise.
+    otherwise: every entry is the cross product times the mask, which
+    keeps zero signs.  The levers, products and mask run component-major
+    with the batch innermost, so each ufunc loops over N instead of a
+    length-3 axis.  The result is written once into an (N, n+1, n, 3)
+    buffer and returned as its transposed view; that layout fixes the
+    summation order of every einsum over the Jacobians, so the gradients'
+    rounding depends on it.
     """
-    n = axes.shape[1]
-    lever = points[:, :, None, :] - points[:, None, :n, :]  # (N, n+1, n, 3)
-    cross = _axis_cross(axes[:, None], lever)
-    mask = np.arange(n)[None, :] < np.arange(n + 1)[:, None]
-    cross *= mask[None, :, :, None]
-    return np.swapaxes(cross, 2, 3)
+    N, n = axes.shape[:2]
+    p = _component_major(points)  # (3, n+1, N)
+    levers = (p[:, :, None] - p[:, None, :n]).transpose(1, 0, 2, 3)[:, _LEVER_ROWS]
+    cross = _axis_cross(_component_major(axes), levers)  # (n+1, 3, n, N)
+    jacs = np.empty((N, n + 1, n, 3))
+    np.multiply(cross, _jacobian_mask(n), out=jacs.transpose(1, 3, 2, 0))
+    return np.swapaxes(jacs, 2, 3)
 
 
 def _eef_jacobians(points: Array, axes: Array) -> Array:
     """(N, 3, n) end-effector Jacobians: ``_point_jacobians(points, axes)[:, -1]``.
 
     The same products as the last point's row there, every column nonzero
-    so no mask.  ``cross`` is laid out (N, n, 3) and returned transposed,
-    as that row is: einsum over a contiguous (N, 3, n) copy sums in another
-    order and changes the rounding of the gradients.
+    so no mask.  They are written into an (N, n, 3) buffer and returned
+    transposed, as that row is: einsum over a contiguous (N, 3, n) copy
+    sums in another order and changes the rounding of the gradients.
     """
-    cross = _axis_cross(axes, points[:, -1:] - points[:, :-1])  # (N, n, 3)
-    return np.swapaxes(cross, 1, 2)
+    N, n = axes.shape[:2]
+    p = _component_major(points)
+    cross = _axis_cross(_component_major(axes), (p[:, -1:] - p[:, :n])[_LEVER_ROWS])
+    jac = np.empty((N, n, 3))
+    jac.transpose(2, 1, 0)[...] = cross  # (3, n, N)
+    return np.swapaxes(jac, 1, 2)
 
 
 def fk_points_batch(chain: ChainSpec, Q: Array) -> Array:

@@ -20,6 +20,7 @@ from comoto.costs import (
     _distance_inputs,
     _distance_term,
     _legibility_term,
+    _repeat_means,
     _visibility_term,
 )
 from comoto.human_motion import PredictedHumanTrajectory
@@ -112,7 +113,9 @@ def assert_kernels_match(q, ctx, goal):
     eef, eef_jac = points[:, -1], jacs[:, -1]
 
     means, inv_covs_t = _distance_inputs(ctx.prediction)
-    got, pullback = _distance_term(points, means, inv_covs_t, ctx.eps_m)
+    got, pullback = _distance_term(
+        points, _repeat_means(means, points.shape[1]), inv_covs_t, ctx.eps_m
+    )
     want, want_pullback = reference_distance_term(points, means, inv_covs_t, ctx.eps_m)
     assert same_bits(got, want)
     assert same_bits(pullback(jacs), want_pullback(jacs))

@@ -29,6 +29,7 @@ from comoto.costs import (
     _legibility_term,
     _nominal_term,
     _obstacle_term,
+    _repeat_means,
     _smoothness_term,
     _visibility_term,
 )
@@ -37,6 +38,7 @@ from comoto.human_motion import PredictedHumanTrajectory
 from comoto.kinematics import (
     ChainSpec,
     JointTrajectory,
+    _batch_frames,
     all_point_jacobians_batch,
     fk_points_batch,
 )
@@ -247,7 +249,9 @@ def test_distance_term_matches_einsum_reference(arm):
             inv_covs = np.linalg.inv(covs)
             means, inv_covs_t = _distance_inputs(c.prediction)
             want, want_pullback = einsum_distance_term(points, means, inv_covs, eps_m)
-            got, pullback = _distance_term(points, means, inv_covs_t, eps_m)
+            got, pullback = _distance_term(
+                points, _repeat_means(means, points.shape[1]), inv_covs_t, eps_m
+            )
             if exact:
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
                 assert np.array_equal(pullback(jacs), want_pullback(jacs))
@@ -348,18 +352,30 @@ def reference_gradient(q, dt, ctx, w):
     weighted terms in ``COST_NAMES`` order; the obstacle pullback is
     weighted inside its kernel."""
     weights = w.as_dict()
+    frames = _batch_frames(ctx.chain, q)
     points, jacs = all_point_jacobians_batch(ctx.chain, q)
     eef, eef_jac = points[:, -1], jacs[:, -1]
     f = np.arange(len(q), 0, -1, dtype=float)
+
+    def distance():
+        means, inv_covs_t = _distance_inputs(ctx.prediction)
+        point_means = _repeat_means(means, points.shape[1])
+        return _distance_term(points, point_means, inv_covs_t, ctx.eps_m)[1](jacs)
+
+    def obstacle():
+        # Its pullback returns the rows of the penetrating waypoints only.
+        rows, term = _obstacle_term(points, ctx, weights["obstacle"])[1](frames)
+        full = np.zeros_like(q)
+        full[rows] = term
+        return full
+
     pullbacks = {
-        "distance": lambda: _distance_term(
-            points, *_distance_inputs(ctx.prediction), ctx.eps_m
-        )[1](jacs),
+        "distance": distance,
         "visibility": lambda: _visibility_term(eef, ctx)[1](eef_jac),
         "legibility": lambda: _legibility_term(eef, ctx.goal_point, f, float(f.sum()))[1](eef_jac),
         "nominal": lambda: _nominal_term(eef, ctx._nominal_eef)[1](eef_jac),
         "smoothness": lambda: _smoothness_term(q, dt)[1](),
-        "obstacle": lambda: _obstacle_term(points, ctx, weights["obstacle"])[1](jacs),
+        "obstacle": obstacle,
     }
     grad = np.zeros_like(q)
     for name in COST_NAMES:
@@ -404,6 +420,72 @@ def test_eef_only_gradient_bit_identical_to_all_point_slice(arm):
             assert problem.point_terms == ()
             got = ObjectivePass(q, problem).gradient()
             assert got.tobytes() == reference_gradient(q, dt, ctx, w).tobytes(), w
+
+
+def dense_obstacle_term(q, ctx, weight):
+    """The obstacle value and weighted gradient as computed before the
+    pullback went row-sparse: every waypoint's point Jacobians through
+    both einsums."""
+    points, jacs = all_point_jacobians_batch(ctx.chain, q)
+    diff = points[:, :, None, :] - ctx._centers
+    dist = np.linalg.norm(diff, axis=3)
+    pen = np.maximum(0.0, ctx._clearance - dist)
+    coeff = np.where(pen > 0, -2.0 * weight * pen / np.maximum(dist, 1e-12), 0.0)
+    dval_dp = np.einsum("tps,tpsa->tpa", coeff, diff)
+    return float((pen**2).sum()), np.einsum("tpan,tpa->tn", jacs, dval_dp)
+
+
+def sphere_touching(points, row, point):
+    """A sphere 1.7 mm from ``points[row, point]`` that no other waypoint reaches:
+    its clearance is half the distance to the nearest point of any other."""
+    center = points[row, point] + 1e-3
+    others = np.delete(np.linalg.norm(points - center, axis=2), row, axis=0)
+    return center, 0.5 * float(others.min())
+
+
+@pytest.mark.parametrize(
+    "case", ["no_row", "one_row", "first_row", "last_row", "first_and_last", "every_row"]
+)
+def test_obstacle_gradient_row_sparse_bit_identical_to_dense(arm, case):
+    # The pullback builds Jacobians and runs its einsums only for waypoints
+    # where some point penetrates; its gradient must keep every byte of the
+    # dense pullback's, with 1-3 spheres, alone and after the other terms.
+    traj, ctx = build_problem(arm, seed=5, n_waypoints=12)
+    q, dt, N = traj.waypoints, traj.dt, traj.n_waypoints
+    points = fk_points_batch(arm, q)
+    far = (np.array([5.0, 5.0, 5.0]), 0.1)
+    spheres, want_rows = {
+        "no_row": ([far], []),
+        "one_row": ([sphere_touching(points, 6, -1), sphere_touching(points, 6, 4)], [6]),
+        "first_row": ([sphere_touching(points, 0, -1)], [0]),
+        "last_row": (
+            [far, sphere_touching(points, N - 1, -1), sphere_touching(points, N - 1, 5)],
+            [N - 1],
+        ),
+        "first_and_last": (
+            [sphere_touching(points, 0, -1), sphere_touching(points, N - 1, -1)],
+            [0, N - 1],
+        ),
+        # The base point sits in every waypoint and its Jacobian is all
+        # (signed) zeros; the second sphere covers the whole end-effector path.
+        "every_row": (
+            [(points[0, 0] + 0.01, 0.05), (points[:, -1].mean(axis=0), 2.0)],
+            list(range(N)),
+        ),
+    }[case]
+    c = dataclasses.replace(ctx, obstacles=tuple(spheres))
+    combined = {name: v for name, v in dataclasses.asdict(COMBINED_WEIGHTS).items() if v > 0}
+    for obstacle_weight, others in ((3.0, {}), (200.0, {"alpha_smooth": 1e-3}), (50.0, combined)):
+        w = CostWeights(**others, alpha_obstacle=obstacle_weight)
+        want_value, dense = dense_obstacle_term(q, c, obstacle_weight)
+        value, pullback = _obstacle_term(points, c, obstacle_weight)
+        rows, _ = pullback(_batch_frames(arm, q))
+        assert list(rows) == want_rows
+        assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+        want = reference_gradient(q, dt, c, CostWeights(**others)) if others else np.zeros_like(q)
+        want += dense
+        got = ObjectivePass(q, WeightedObjective(c, w, dt, N)).gradient()
+        assert got.tobytes() == want.tobytes(), (case, w)
 
 
 def test_covariance_doubling_moves_costs(arm):

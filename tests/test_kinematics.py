@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from conftest import planar_chain
 
@@ -18,6 +20,7 @@ import comoto.kinematics as kinematics
 from comoto.errors import ContractViolation
 from comoto.kinematics import (
     FK_BLOCK,
+    BatchFrames,
     ChainSpec,
     JointTrajectory,
     SingleFrames,
@@ -228,6 +231,84 @@ def test_single_frames_reused_returns_each_configurations_bits(arm):
     again = [a.tobytes() for a in frames(q1)]
     assert first == again != second
     assert second == [a.tobytes() for a in frame_origins_and_axes(arm, q2)]
+
+
+def test_batch_frames_reused_returns_each_batchs_bits(arm):
+    rng = np.random.default_rng(37)
+    Q1, Q2 = (rng.uniform(-np.pi, np.pi, (20, arm.n_joints)) for _ in range(2))
+    frames = BatchFrames(arm, 20)
+    first = [a.tobytes() for a in frames(Q1)]
+    second = [a.tobytes() for a in frames(Q2)]
+    again = [a.tobytes() for a in frames(Q1)]
+    assert first == again != second
+    assert second == [a.tobytes() for a in _batch_frames(arm, Q2)]
+    with pytest.raises(ContractViolation):
+        frames(Q1[:19])
+
+
+def reference_point_jacobians(points: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """The point Jacobians' earlier formulation: levers, cross products and
+    mask over the last axis of an (N, n+1, n, 3) array, returned transposed."""
+    n = axes.shape[1]
+    lever = points[:, :, None, :] - points[:, None, :n, :]
+    zx, zy, zz = (axes[:, None][..., c] for c in range(3))
+    lx, ly, lz = (lever[..., c] for c in range(3))
+    cross = np.empty(lever.shape)
+    cross[..., 0] = zy * lz - zz * ly
+    cross[..., 1] = zz * lx - zx * lz
+    cross[..., 2] = zx * ly - zy * lx
+    mask = np.arange(n)[None, :] < np.arange(n + 1)[:, None]
+    cross *= mask[None, :, :, None]
+    return np.swapaxes(cross, 2, 3)
+
+
+def assert_point_jacobians_match_reference(chain: ChainSpec, Q: np.ndarray, rng) -> np.ndarray:
+    """Bytes, shape and strides of ``_point_jacobians`` against the reference,
+    and the bytes of the distance pullback's contraction over each."""
+    points, axes = _batch_frames(chain, Q)
+    got, want = _point_jacobians(points, axes), reference_point_jacobians(points, axes)
+    assert got.shape == want.shape == (len(Q), chain.n_joints + 1, 3, chain.n_joints)
+    assert got.strides == want.strides
+    assert got.tobytes() == want.tobytes()
+    v = rng.standard_normal((len(Q), chain.n_joints + 1, 3))
+    contract = "tpan,tpa->tn"
+    assert np.einsum(contract, got, v).tobytes() == np.einsum(contract, want, v).tobytes()
+    return want
+
+
+def with_zero_and_right_angle_rows(chain: ChainSpec, Q: np.ndarray) -> np.ndarray:
+    """``Q`` with every third row past the first at theta = 0 and every third at pi/2."""
+    Q = Q.copy()
+    Q[1::3] = -chain.dh[:, 3]
+    Q[2::3] = np.pi / 2 - chain.dh[:, 3]
+    return Q
+
+
+@pytest.mark.parametrize("N", [1, 3, 20, FK_BLOCK + 1])
+def test_point_jacobians_bit_identical_to_last_axis_formula(arm, N):
+    # The masked entries are signed zeros (the product's sign times 0.0);
+    # the theta = 0 and pi/2 rows and the planar chain's alpha = 0 add exact
+    # zeros inside the products as well.
+    rng = np.random.default_rng(100 + N)
+    for chain in (arm, planar_chain((1.0, 0.5, 0.25))):
+        Q = with_zero_and_right_angle_rows(chain, rng.uniform(-np.pi, np.pi, (N, chain.n_joints)))
+        want = assert_point_jacobians_match_reference(chain, Q, rng)
+        assert np.any((want == 0.0) & np.signbit(want)) and np.any((want == 0.0) & ~np.signbit(want))
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
+)
+@given(n=st.integers(2, 7), N=st.integers(1, 24), seed=st.integers(0, 2**16))
+def test_point_jacobians_bit_identical_on_random_chains(n, N, seed):
+    rng = np.random.default_rng(seed)
+    chain = random_dh_chain(rng, n)
+    Q = with_zero_and_right_angle_rows(chain, rng.uniform(-np.pi, np.pi, (N, n)))
+    assert_point_jacobians_match_reference(chain, Q, rng)
 
 
 @pytest.mark.parametrize("N", [1, 20, FK_BLOCK + 1])

@@ -128,6 +128,43 @@ def test_accepted_iterates_never_increase_total(arm, weights, seed, scale):
     assert all(b <= a for a, b in zip(totals, totals[1:])), totals
 
 
+@settings(
+    max_examples=25,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
+)
+@given(
+    weights=st.dictionaries(st.sampled_from(COST_NAMES), st.floats(0.01, 200.0), min_size=1),
+    max_iters=st.integers(1, 20),
+    grad_tol=st.floats(1e-10, 10.0),
+    step_init=st.floats(1e-4, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_endpoints_bit_identical_for_any_weights_and_options(
+    arm, weights, max_iters, grad_tol, step_init, seed
+):
+    # Any positive subset of the six terms, the obstacle included, and any
+    # valid options: the start and goal come back with the inputs' bytes,
+    # zero signs too (the start holds a -0.0 joint, the goal a -0.0 that
+    # equals the context's +0.0 goal joint).
+    traj, ctx = build_problem(arm, seed=seed, n_waypoints=8)
+    goal = ctx.goal_config.copy()
+    goal[2] = 0.0
+    obstacle = fk_points_batch(arm, traj.waypoints)[4, -1]
+    ctx = dataclasses.replace(ctx, goal_config=goal, obstacles=((obstacle, 0.15),))
+    init = perturbed_line(arm, traj.waypoints[0], goal, 8, traj.dt, seed)
+    init.waypoints[0, 1] = -0.0
+    init.waypoints[-1, 2] = -0.0
+    start, end = init.waypoints[0].tobytes(), init.waypoints[-1].tobytes()
+    w = CostWeights(**{_WEIGHT_FIELDS[name]: value for name, value in weights.items()})
+    opts = OptimizerOptions(max_iters=max_iters, grad_tol=grad_tol, step_init=step_init)
+    result = optimize(ctx, w, init, opts)
+    assert result.trajectory.waypoints[0].tobytes() == start
+    assert result.trajectory.waypoints[-1].tobytes() == end
+
+
 def test_optimizer_is_deterministic(arm):
     traj, ctx = build_problem(arm, seed=13, n_waypoints=8)
     opts = OptimizerOptions(max_iters=60, grad_tol=1e-10, step_init=0.02)
