@@ -13,7 +13,7 @@ import numpy as np
 from .costs import CostContext, CostWeights
 from .errors import ContractViolation
 from .human_motion import HumanTrajectory
-from .kinematics import ChainSpec, JointTrajectory, SingleFrames, fk_points_batch, frame_origins_and_axes
+from .kinematics import ChainSpec, Frames, JointTrajectory, fk_points_batch
 from .optimizer import OptimizerOptions, OptResult, optimize, straightline_joint_init
 
 Array = np.ndarray
@@ -142,27 +142,19 @@ def _humans_at(tracks: Array, rate: float, ts: Array) -> Array:
     return np.where(((idx <= 0) | (idx >= last))[:, None, None], held, blend)
 
 
-def _separation(robot: Array, human: Array) -> float:
-    """Smallest distance between the (P, 3) robot points and the (J, 3) human joints."""
-    # Component-major, (3, J, P): the squares of each pair's x, y and z are
-    # added in that order, as a reduction over a length-3 last axis adds them,
-    # and np.minimum.reduce picks the same minimum as .min().
-    diff = robot.T[:, None, :] - human.T[:, :, None]
-    sq = diff * diff
-    return math.sqrt(np.minimum.reduce(sq[0] + sq[1] + sq[2], axis=None))
+def min_separations(robot: Array, humans: Array) -> Array:
+    """Smallest robot-point to human-joint distance per configuration.
 
-
-def min_separation(chain: ChainSpec, q: Array, human_points: Array) -> float:
-    """Smallest distance between any robot point and any human joint."""
-    return _separation(frame_origins_and_axes(chain, q)[0], human_points)
-
-
-def _min_separations(chain: ChainSpec, Q: Array, humans: Array) -> Array:
-    """``min_separation`` of each row of Q against each (J, 3) row of ``humans``."""
-    robot = fk_points_batch(chain, Q).transpose(2, 0, 1)  # (3, B, P)
-    diff = robot[:, :, None, :] - humans.transpose(2, 0, 1)[:, :, :, None]  # (3, B, J, P)
-    sq = diff * diff
-    return np.sqrt(np.minimum.reduce(sq[0] + sq[1] + sq[2], axis=(1, 2)))
+    ``robot`` is (..., P, 3) and ``humans`` (..., J, 3) over one leading
+    batch shape, the result's.  Component-major, each pair's x, y and z
+    squares are added in that order, as a sum over a length-3 last axis
+    adds them.
+    """
+    diff = robot.T[:, None] - humans.T[:, :, None]
+    diff *= diff  # in place: a block then holds one (3, J, P, B) buffer
+    total = np.add(diff[0], diff[1], out=diff[0])
+    total += diff[2]
+    return np.sqrt(np.minimum.reduce(total, axis=(0, 1)))
 
 
 #: Ticks that Speed-Adj evaluates as one block while its speed scale holds
@@ -186,8 +178,8 @@ def speed_adjusted_execute(
     ``timeout_factor * nominal.duration`` elapses before the path end;
     the human pose is held at its last sample beyond the recorded horizon.
 
-    A single tick runs one ``SingleFrames`` FK, built once per execution
-    and overwritten by each tick, and the separation of ``min_separation``.
+    A single tick runs one single-configuration ``Frames`` FK, built once
+    per execution and overwritten by each tick, and ``min_separations``.
     While s is exactly 1 (far from the human) or 0 (stopped), the next
     ticks' clock and path position are known before they are evaluated,
     so up to ``FAST_FORWARD_TICKS`` of them are evaluated as one block
@@ -197,8 +189,8 @@ def speed_adjusted_execute(
     tick-by-tick loop gives it: its clock and path position are the
     same sequential adds (``np.add.accumulate``), each configuration
     and human pose takes the same branch and blend, batched FK builds
-    each row as ``SingleFrames`` builds a single configuration, and the
-    separations are the same component-major sums and exact minimum.
+    each row as a single configuration's ``Frames`` does, and the
+    separations are ``min_separations`` over the block.
     """
     D = nominal.duration
     timeout = p.timeout_factor * D
@@ -231,7 +223,7 @@ def speed_adjusted_execute(
     configs = np.empty((capacity, waypoints.shape[1]))
     d_stop, d_span = p.d_stop, p.d_slow - p.d_stop
     t0, deadline = nominal.t0, timeout - 1e-12
-    frames = SingleFrames(chain)
+    frames = Frames(chain)
     steps = np.empty(FAST_FORWARD_TICKS + 1)  # a block's start, then its increments
 
     def tick(k: int, t: float, u: float) -> float:
@@ -239,7 +231,7 @@ def speed_adjusted_execute(
         if k == capacity:
             raise ContractViolation(f"Speed-Adj ran past its {capacity} preallocated ticks")
         qcur = config_at(u)
-        d = _separation(frames(qcur)[0], _human_at(tracks, rate, t))
+        d = float(min_separations(frames(qcur)[0], _human_at(tracks, rate, t)))
         s = min(max((d - d_stop) / d_span, 0.0), 1.0)
         times[k], seps[k], speeds[k] = t, d, s
         configs[k] = qcur
@@ -258,7 +250,7 @@ def speed_adjusted_execute(
         block[0], block[1:] = u, advance
         us = np.add.accumulate(block)[1:]
         qs = configs_at(us)
-        ds = _min_separations(chain, qs, _humans_at(tracks, rate, ts))
+        ds = min_separations(fk_points_batch(chain, qs), _humans_at(tracks, rate, ts))
         ss = np.minimum(np.maximum((ds - d_stop) / d_span, 0.0), 1.0)
         ends = (ss != s) | (ts - t0 >= deadline) | (us + advance >= D)
         m = int(ends.argmax()) + 1 if ends.any() else n

@@ -32,8 +32,8 @@ import numpy as np
 from .errors import ContractViolation
 from .human_motion import PredictedHumanTrajectory
 from .kinematics import (
-    BatchFrames,
     ChainSpec,
+    Frames,
     JointTrajectory,
     _eef_jacobians,
     _point_jacobians,
@@ -53,8 +53,7 @@ _ALPHA = {
     "obstacle": "alpha_obstacle",
 }
 COST_NAMES = tuple(_ALPHA)
-#: The terms over every robot point, and those over the end effector alone.
-_POINT_TERMS = ("distance", "obstacle")
+#: The terms over the end effector alone.
 _EEF_TERMS = ("visibility", "legibility", "nominal")
 
 _TINY = 1e-12
@@ -370,10 +369,10 @@ class WeightedObjective:
     Construction checks once that the context supplies each weighted
     term's inputs for ``n_waypoints`` waypoints, and fixes the weights,
     the terms a pass computes (``weighted``) or can report
-    (``supported``), the weighted all-point and end-effector terms
-    (``point_terms``, ``eef_terms``), the legibility time weights and the
-    FK buffers (``frames``) every pass runs its forward kinematics in, so
-    the passes of one problem must not run concurrently.
+    (``supported``), the weighted end-effector terms (``eef_terms``),
+    the legibility time weights and the FK buffers (``frames``) every
+    pass runs its forward kinematics in, so the passes of one problem
+    must not run concurrently.
     """
 
     def __init__(self, ctx: CostContext, w: CostWeights, dt: float, n_waypoints: int):
@@ -401,13 +400,11 @@ class WeightedObjective:
         has_inputs.update(legibility=True, smoothness=True)
         self.supported = [name for name in COST_NAMES if has_inputs[name]]
         self.weighted = [name for name in COST_NAMES if weights[name] > 0]
-        # The weighted terms over every robot point, and over the end effector.
-        self.point_terms = tuple(name for name in self.weighted if name in _POINT_TERMS)
         self.eef_terms = tuple(name for name in self.weighted if name in _EEF_TERMS)
         # Legibility's per-step weights f = N - k, front-loaded.
         self.time_weights = np.arange(n_waypoints, 0, -1, dtype=float)
         self.time_weight_sum = float(self.time_weights.sum())
-        self.frames = BatchFrames(ctx.chain, n_waypoints)
+        self.frames = Frames(ctx.chain, (n_waypoints,))
 
     @functools.cached_property
     def distance_inputs(self) -> tuple[Array, Array]:
@@ -493,7 +490,7 @@ class ObjectivePass:
         if self._grad is None:
             problem = self.problem
             jacs = eef_jac = None
-            if "distance" in problem.point_terms:
+            if "distance" in problem.weighted:
                 jacs = _point_jacobians(*self._fk())
                 eef_jac = jacs[:, -1]
             elif problem.eef_terms:

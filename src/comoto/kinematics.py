@@ -145,33 +145,44 @@ def _check_config(chain: ChainSpec, q: Array) -> Array:
     return q
 
 
-class SingleFrames:
-    """FK of one configuration at a time, into buffers kept between calls.
+class Frames:
+    """FK of one configuration, or a batch, into buffers kept between calls.
 
-    ``SingleFrames(chain)(q)`` returns what ``frame_origins_and_axes``
-    does, as views of this object's chain product that the next call
-    overwrites.  Every DH entry and matmul is the one ``_batch_frames``
-    computes for a row of its batch, so the bits are the same.  ``q`` is
-    not checked: it must be an (n,) float array.
+    ``Frames(chain)(q)`` maps an (n,) float array to the (n+1, 3) frame
+    origins, end effector last, and the (n, 3) joint axes;
+    ``Frames(chain, (N,))`` maps (N, n) to (N, n+1, 3) and (N, n, 3).
+    Both are views that the next call overwrites.  Each DH entry is one
+    product of a trig factor and a chain constant: the per-joint
+    formula's bits, zero signs included, in any batch.
     """
 
-    def __init__(self, chain: ChainSpec):
+    def __init__(self, chain: ChainSpec, batch: tuple = ()):
         n = chain.n_joints
-        self._offsets = chain.dh[:, 3]
-        self._trig_index = chain._dh_trig_index
-        self._factors = chain._dh_factors
-        A = np.empty((n, 4, 4))
-        A[:, 2:] = chain._dh_fixed_rows
-        T = np.empty((n + 1, 4, 4))
+        self._shape = (*batch, n)
+        self._offsets, self._factors = chain.dh[:, 3], chain._dh_factors
+        self._trig = np.empty((*batch, 2 * n))  # [cos theta, sin theta]
+        self._cos, self._sin = self._trig[..., :n], self._trig[..., n:]
+        self._trig_key = (slice(None),) * len(batch) + (chain._dh_trig_index,)
+        self._dh = np.empty((*batch, n, 4, 4))
+        self._dh[..., 2:, :] = chain._dh_fixed_rows
+        self._rows01 = self._dh[..., :2, :]
+        T = np.empty((n + 1, *batch, 4, 4))
         T[0] = chain.base_pose
-        self._rows01 = A[:, :2]
-        self._products = [(T[i], A[i], T[i + 1]) for i in range(n)]
-        self._frames = (T[:, :3, 3], T[:n, :3, 2])
+        # Joint-major: each step of the product takes a leading-axis index.
+        # Both swaps are identities for one configuration.
+        joints = self._dh.swapaxes(-3, 0)
+        self._products = [(T[i], joints[i], T[i + 1]) for i in range(n)]
+        self._frames = (T[..., :3, 3].swapaxes(0, -2), T[:n, ..., :3, 2].swapaxes(0, -2))
 
     def __call__(self, q: Array) -> tuple[Array, Array]:
+        if q.shape != self._shape:
+            raise ContractViolation(f"configurations have shape {q.shape}, expected {self._shape}")
         theta = q + self._offsets
-        trig = np.concatenate((np.cos(theta), np.sin(theta)))
-        np.multiply(trig[self._trig_index], self._factors, out=self._rows01)
+        np.cos(theta, out=self._cos)
+        np.sin(theta, out=self._sin)
+        # A contiguous product, then one copy: a ufunc writing straight into
+        # the strided rows is slower on full blocks.
+        self._rows01[...] = self._trig[self._trig_key] * self._factors
         for parent, joint, child in self._products:
             np.matmul(parent, joint, out=child)
         return self._frames
@@ -184,7 +195,7 @@ def frame_origins_and_axes(chain: ChainSpec, q: Array) -> tuple[Array, Array]:
     origins with the end-effector last — and ``axes`` is (n, 3), the
     world z-axis of the frame each joint rotates about.
     """
-    return SingleFrames(chain)(_check_config(chain, q))
+    return Frames(chain)(_check_config(chain, q))
 
 
 def fk_eef(chain: ChainSpec, q: Array) -> Array:
@@ -197,63 +208,11 @@ def fk_eef(chain: ChainSpec, q: Array) -> Array:
 FK_BLOCK = 256
 
 
-def _dh_transforms(chain: ChainSpec, theta: Array, out: Array | None = None) -> Array:
-    """(B, n, 4, 4) DH transforms of a (B, n) block of joint angles plus offsets.
-
-    Each theta-dependent entry is one product of a trig factor and a
-    chain constant, so every entry, zero signs included, is the product
-    the per-joint formula gives.  An ``out`` buffer must already hold the
-    fixed rows 2-3; only rows 0-1 are written.
-    """
-    trig = np.concatenate((np.cos(theta), np.sin(theta)), axis=1)  # (B, 2n)
-    if out is None:
-        out = np.empty(theta.shape + (4, 4))
-        out[:, :, 2:] = chain._dh_fixed_rows
-    # A contiguous product, then one copy: a ufunc writing straight into the
-    # strided rows is slower on full blocks.
-    out[:, :, :2] = trig[:, chain._dh_trig_index] * chain._dh_factors
-    return out
-
-
-class BatchFrames:
-    """FK of batches of ``n_configs`` configurations, into buffers kept between calls.
-
-    ``BatchFrames(chain, N)(Q)`` returns what ``_batch_frames(chain, Q)``
-    does for an (N, n) float array ``Q``, as views of this object's chain
-    product that the next call overwrites.  The DH stack keeps its fixed
-    rows and the product its base pose between calls; every entry and
-    matmul is the same, so the bits are too.  A solve builds one for its
-    waypoints, and ``_batch_frames`` one per block.
-    """
-
-    def __init__(self, chain: ChainSpec, n_configs: int):
-        n = chain.n_joints
-        self._chain, self._shape = chain, (n_configs, n)
-        self._dh = np.empty((n_configs, n, 4, 4))
-        self._dh[:, :, 2:] = chain._dh_fixed_rows
-        T = np.empty((n + 1, n_configs, 4, 4))
-        T[0] = chain.base_pose
-        # Joint-major: each step of the product takes a leading-axis index,
-        # cheaper than a [:, i] slice; every matmul is unchanged.
-        joints = self._dh.swapaxes(0, 1)
-        self._products = [(T[i], joints[i], T[i + 1]) for i in range(n)]
-        self._frames = (T[:, :, :3, 3].swapaxes(0, 1), T[:n, :, :3, 2].swapaxes(0, 1))
-
-    def __call__(self, Q: Array) -> tuple[Array, Array]:
-        if Q.shape != self._shape:
-            raise ContractViolation(f"batch has shape {Q.shape}, expected {self._shape}")
-        _dh_transforms(self._chain, Q + self._chain.dh[:, 3], out=self._dh)
-        for parent, joint, child in self._products:
-            np.matmul(parent, joint, out=child)
-        return self._frames
-
-
 def _batch_frames(chain: ChainSpec, Q: Array) -> tuple[Array, Array]:
     """Vectorized FK over a (N, n) batch of configurations.
 
     Returns ``(points, axes)`` with shapes (N, n+1, 3) and (N, n, 3).
-    Every DH transform of a block is built at once from the chain's
-    constants, then the chain is multiplied out joint by joint.
+    Each block of ``FK_BLOCK`` configurations runs one ``Frames``.
     """
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[1] != chain.n_joints:
@@ -265,7 +224,7 @@ def _batch_frames(chain: ChainSpec, Q: Array) -> tuple[Array, Array]:
     axes = np.empty((N, n, 3))
     for start in range(0, N, FK_BLOCK):
         stop = min(start + FK_BLOCK, N)
-        points[start:stop], axes[start:stop] = BatchFrames(chain, stop - start)(Q[start:stop])
+        points[start:stop], axes[start:stop] = Frames(chain, (stop - start,))(Q[start:stop])
     return points, axes
 
 
@@ -362,8 +321,9 @@ def solve_position_ik(chain: ChainSpec, target: Array, q0: Array) -> Array:
     target = np.asarray(target, dtype=float)
     q = _check_config(chain, q0).copy()
     best_q, best_err = q.copy(), np.inf
+    frames = Frames(chain)
     for _ in range(IK_ITERS):
-        points, axes = frame_origins_and_axes(chain, q)
+        points, axes = frames(q)
         err = target - points[-1]
         err_norm = float(np.linalg.norm(err))
         if err_norm < best_err:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .baselines import ExecutionTrace
+from .baselines import ExecutionTrace, min_separations
 from .errors import ContractViolation
 from .human_motion import HumanTrajectory
 from .kinematics import FK_BLOCK, ChainSpec, JointTrajectory, fk_points_batch
@@ -84,17 +84,6 @@ METRIC_NAMES = tuple(f.name for f in fields(MetricReport) if f.name != "complete
 # one FK pass and one human interpolation for all of them.
 
 
-def _count_separated(robot: Array, human: dict[str, Array], threshold: float) -> int:
-    """Steps whose minimum robot-point to human-joint distance exceeds ``threshold``."""
-    # Running minimum over human joints keeps memory at O(T*P), not O(T*J*P).
-    min_sq = np.full(robot.shape[:2], np.inf)
-    for track in human.values():  # (T,3)
-        diff = robot - track[:, None, :]
-        np.minimum(min_sq, np.sum(diff**2, axis=2), out=min_sq)
-    min_dist = np.sqrt(np.min(min_sq, axis=1))
-    return int(np.count_nonzero(min_dist > threshold))
-
-
 def _visibility_pct(eef: Array, head: Array, target: Array, fov_deg: float) -> float:
     target = np.asarray(target, dtype=float).reshape(3)
     gaze = target[None, :] - head
@@ -148,9 +137,10 @@ def evaluate_run(
 
     One FK pass over the evaluated configurations and one interpolation
     of the human tracks serve every metric, both in blocks of
-    ``FK_BLOCK`` steps; an executed trace adds one FK pass over its
-    samples on the nominal clock.  ``threshold`` (meters)
-    and ``fov_deg`` are the run config's ``metrics`` section.
+    ``FK_BLOCK`` steps, with one ``min_separations`` call a block; an
+    executed trace adds one FK pass over its samples on the nominal
+    clock.  ``threshold`` (meters) and ``fov_deg`` are the run config's
+    ``metrics`` section.
     """
     if isinstance(planned, ExecutionTrace):
         times, configs = planned.timestamps, planned.configs
@@ -172,7 +162,8 @@ def evaluate_run(
         block = slice(start, start + FK_BLOCK)
         robot = fk_points_batch(chain, configs[block])
         human = human_truth.positions_at(times[block])
-        separated += _count_separated(robot, human, threshold)
+        joints = np.stack(list(human.values()), axis=1)  # (block, J, 3)
+        separated += int(np.count_nonzero(min_separations(robot, joints) > threshold))
         eef[block], head[block] = robot[:, -1], human["head"]
     dst = 100.0 * separated / T
     vis = _visibility_pct(eef, head, gaze_target, fov_deg)

@@ -21,7 +21,7 @@ from comoto.baselines import (
     _human_tracks,
     distvis_optimize,
     legible_optimize,
-    min_separation,
+    min_separations,
     nominal_trajectory,
     speed_adjusted_execute,
 )
@@ -29,7 +29,7 @@ from comoto.benchmark import prepare_scenario
 from comoto.costs import CostWeights, _obstacle_term, evaluate_objective
 from comoto.errors import ContractViolation
 from comoto.human_motion import HumanTrajectory
-from comoto.kinematics import JointTrajectory, fk_points_batch
+from comoto.kinematics import JointTrajectory, fk_points_batch, frame_origins_and_axes
 from comoto.optimizer import OptimizerOptions, straightline_joint_init
 from comoto.scenarios import make_scenario
 
@@ -109,7 +109,8 @@ def test_obstacle_penalty_gradient_matches_fd(planar2):
 
 def test_min_separation_hand_value(planar2):
     human = np.array([[1.0, 0.5, 0.0], [5.0, 5.0, 5.0]])
-    assert min_separation(planar2, np.array([0.0, 0.0]), human) == pytest.approx(0.5, abs=1e-12)
+    robot = frame_origins_and_axes(planar2, np.array([0.0, 0.0]))[0]
+    assert min_separations(robot, human) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_speed_adjust_full_speed_far_human(planar2):
@@ -163,7 +164,7 @@ def test_speed_adjust_explicit_timeout(planar2):
 
 
 def reference_min_separation(chain, q, human_points):
-    """The separation formula of ``min_separation`` as first written: the
+    """The single-configuration separation as first written: the
     batched FK of one configuration, and squares summed over the last axis."""
     robot = fk_points_batch(chain, q[None])[0]
     diff = robot[None, :, :] - human_points[:, None, :]
@@ -179,9 +180,9 @@ def test_separations_bit_identical_to_reference(arm, B):
     humans[0, 3] = fk_points_batch(arm, Q[:1])[0, 4]
     want = np.array([reference_min_separation(arm, q, h) for q, h in zip(Q, humans)])
     assert want[0] == 0.0
-    got = np.array([min_separation(arm, q, h) for q, h in zip(Q, humans)])
-    assert got.tobytes() == want.tobytes()
-    assert baselines._min_separations(arm, Q, humans).tobytes() == want.tobytes()
+    single = [min_separations(frame_origins_and_axes(arm, q)[0], h) for q, h in zip(Q, humans)]
+    assert np.array(single).tobytes() == want.tobytes()
+    assert min_separations(fk_points_batch(arm, Q), humans).tobytes() == want.tobytes()
 
 
 def reference_speed_adjusted_execute(chain, nominal, human_truth, p):

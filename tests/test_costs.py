@@ -417,7 +417,7 @@ def test_eef_only_gradient_bit_identical_to_all_point_slice(arm):
             CostWeights(alpha_legibility=1.2, alpha_nominal=0.7, alpha_smooth=0.3),
         ):
             problem = WeightedObjective(ctx, w, dt, len(q))
-            assert problem.point_terms == ()
+            assert "distance" not in problem.weighted
             got = ObjectivePass(q, problem).gradient()
             assert got.tobytes() == reference_gradient(q, dt, ctx, w).tobytes(), w
 

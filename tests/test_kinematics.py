@@ -20,10 +20,9 @@ import comoto.kinematics as kinematics
 from comoto.errors import ContractViolation
 from comoto.kinematics import (
     FK_BLOCK,
-    BatchFrames,
     ChainSpec,
+    Frames,
     JointTrajectory,
-    SingleFrames,
     all_point_jacobians_batch,
     chain_from_dict,
     default_chain,
@@ -34,7 +33,6 @@ from comoto.kinematics import (
     save_trajectory,
     solve_position_ik,
     _batch_frames,
-    _dh_transforms,
     _eef_jacobians,
     _point_jacobians,
 )
@@ -206,18 +204,22 @@ def test_batch_frames_bit_identical_to_per_joint_loop(arm, N):
         Q[2::3] = np.pi / 2 - offsets
         if N > 1:
             assert np.all(np.sin(Q[1] + offsets) == 0.0)
-        transforms = _dh_transforms(chain, Q + offsets)
-        points, axes = _batch_frames(chain, Q)
+        frames = Frames(chain, (N,))
+        points, axes = frames(Q)
         assert points.shape == (N, chain.n_joints + 1, 3) and axes.shape == (N, chain.n_joints, 3)
         for k in range(N):
-            assert transforms[k].tobytes() == loop_transforms(chain, Q[k]).tobytes()
+            assert frames._dh[k].tobytes() == loop_transforms(chain, Q[k]).tobytes()
             want_points, want_axes = loop_frames(chain, Q[k])
             assert points[k].tobytes() == want_points.tobytes()
             assert axes[k].tobytes() == want_axes.tobytes()
-        # Rows 0-2 through the single-configuration FK (SingleFrames): a
-        # random row, then the theta = 0 and theta = pi/2 rows.
+        # _batch_frames runs one Frames per FK_BLOCK rows.
+        assert [a.tobytes() for a in _batch_frames(chain, Q)] == [points.tobytes(), axes.tobytes()]
+        # Rows 0-2 through one single-configuration Frames: a random row,
+        # then the theta = 0 and theta = pi/2 rows.
+        single = Frames(chain)
         for k in range(min(N, 3)):
-            single_points, single_axes = frame_origins_and_axes(chain, Q[k])
+            single_points, single_axes = single(Q[k])
+            assert single._dh.tobytes() == loop_transforms(chain, Q[k]).tobytes()
             assert single_points.tobytes() == points[k].tobytes()
             assert single_axes.tobytes() == axes[k].tobytes()
 
@@ -225,25 +227,29 @@ def test_batch_frames_bit_identical_to_per_joint_loop(arm, N):
 def test_single_frames_reused_returns_each_configurations_bits(arm):
     rng = np.random.default_rng(31)
     q1, q2 = (random_config(arm, rng) for _ in range(2))
-    frames = SingleFrames(arm)
+    frames = Frames(arm)
     first = [a.tobytes() for a in frames(q1)]
     second = [a.tobytes() for a in frames(q2)]
     again = [a.tobytes() for a in frames(q1)]
     assert first == again != second
     assert second == [a.tobytes() for a in frame_origins_and_axes(arm, q2)]
+    for wrong in (q1[:-1], q1[None]):
+        with pytest.raises(ContractViolation):
+            frames(wrong)
 
 
 def test_batch_frames_reused_returns_each_batchs_bits(arm):
     rng = np.random.default_rng(37)
     Q1, Q2 = (rng.uniform(-np.pi, np.pi, (20, arm.n_joints)) for _ in range(2))
-    frames = BatchFrames(arm, 20)
+    frames = Frames(arm, (20,))
     first = [a.tobytes() for a in frames(Q1)]
     second = [a.tobytes() for a in frames(Q2)]
     again = [a.tobytes() for a in frames(Q1)]
     assert first == again != second
     assert second == [a.tobytes() for a in _batch_frames(arm, Q2)]
-    with pytest.raises(ContractViolation):
-        frames(Q1[:19])
+    for wrong in (Q1[:19], Q1[0]):
+        with pytest.raises(ContractViolation):
+            frames(wrong)
 
 
 def reference_point_jacobians(points: np.ndarray, axes: np.ndarray) -> np.ndarray:

@@ -131,6 +131,41 @@ def test_evaluate_run_in_blocks_matches_whole_trace(arm):
         assert got.completed == want.completed
 
 
+def running_minimum_separations(robot, human):
+    """Each step's separation as the separation count first computed it: a
+    running minimum of squared distances over the human joints, summed
+    over the last axis."""
+    min_sq = np.full(robot.shape[:2], np.inf)
+    for track in human.values():
+        diff = robot - track[:, None, :]
+        np.minimum(min_sq, np.sum(diff**2, axis=2), out=min_sq)
+    return np.sqrt(np.min(min_sq, axis=1))
+
+
+def test_dst_pct_matches_running_minimum_at_exact_threshold(arm):
+    # A trace over two full FK blocks and a partial one; each threshold is
+    # one step's separation exactly, so that step counts as not separated
+    # only if the kernel gives it the reference's bits, and every sixth
+    # step is one, so that a kernel adding x + (y + z) is caught.
+    rng = np.random.default_rng(12)
+    n_steps, rate = 2 * FK_BLOCK + 91, 100.0
+    configs = 0.5 * rng.standard_normal((n_steps, arm.n_joints)).cumsum(axis=0) / np.sqrt(n_steps)
+    tracks = {
+        name: np.array([0.5, -0.1, 0.5]) + 0.3 * rng.standard_normal(3)
+        + 0.02 * rng.standard_normal((n_steps, 3)).cumsum(axis=0)
+        for name in ("head", "right_shoulder", "right_elbow", "right_wrist", "right_palm")
+    }
+    human = HumanTrajectory(tracks, rate)
+    traj = JointTrajectory(configs, dt=1.0 / rate)
+    want = running_minimum_separations(fk_points_batch(arm, configs), human.positions_at(traj.times))
+    for step in [*range(0, n_steps, 6), n_steps - 1, int(np.argmax(want))]:
+        threshold = float(want[step])
+        expected = 100.0 * np.count_nonzero(want > threshold) / n_steps
+        assert 0.0 <= expected < 100.0
+        got = metrics(arm, traj, human, threshold=threshold).dst_pct
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes(), step
+
+
 def test_visibility_fov_boundary(planar2):
     # head at the origin, eef fixed at (2, 0, 0): the gaze target sets the angle
     human = fixed_human([0.0, 0.0, 0.0])
