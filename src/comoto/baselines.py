@@ -12,7 +12,7 @@ import numpy as np
 
 from .costs import CostContext, CostWeights
 from .errors import ContractViolation
-from .human_motion import HumanTrajectory
+from .human_motion import HumanTrajectory, sample_rows, sample_rows_many
 from .kinematics import ChainSpec, Frames, JointTrajectory, fk_points_batch
 from .optimizer import OptimizerOptions, OptResult, optimize, straightline_joint_init
 
@@ -65,8 +65,11 @@ class ExecutionTrace:
         self.configs = np.asarray(self.configs, dtype=float)
         if self.timestamps.ndim != 1 or self.configs.ndim != 2:
             raise ContractViolation("trace needs 1-D timestamps and 2-D configs")
-        if self.timestamps.shape[0] != self.configs.shape[0]:
-            raise ContractViolation("trace timestamps and configs must have equal length")
+        n = self.timestamps.shape[0]
+        if n == 0 or n != self.configs.shape[0]:
+            raise ContractViolation("trace needs one or more ticks, with equal numbers of timestamps and configs")
+        if not (np.isfinite(self.timestamps).all() and np.isfinite(self.configs).all()):
+            raise ContractViolation("trace timestamps and configs must be finite")
         if np.any(np.diff(self.timestamps) <= 0):
             raise ContractViolation("trace timestamps must be strictly increasing")
 
@@ -111,35 +114,6 @@ def nominal_trajectory(
     weights = CostWeights(alpha_smooth=smooth_weight, alpha_obstacle=obstacle_weight)
     result = optimize(ctx, weights, init, NOMINAL_OPTIONS)
     return result.trajectory, result
-
-
-def _human_tracks(human: HumanTrajectory) -> tuple[Array, float]:
-    tracks = np.stack([human.samples[name] for name in human.joints], axis=1)  # (T,J,3)
-    return tracks, human.rate
-
-
-def _human_at(tracks: Array, rate: float, t: float) -> Array:
-    """(J, 3) joint positions at absolute time t, held at the boundaries."""
-    idx = t * rate
-    last = tracks.shape[0] - 1
-    if idx <= 0:
-        return tracks[0]
-    if idx >= last:
-        return tracks[last]
-    i0 = int(idx)
-    frac = idx - i0
-    return (1.0 - frac) * tracks[i0] + frac * tracks[i0 + 1]
-
-
-def _humans_at(tracks: Array, rate: float, ts: Array) -> Array:
-    """(B, J, 3): ``_human_at`` at each of the times ``ts``, with the same arithmetic."""
-    idx = ts * rate
-    last = tracks.shape[0] - 1
-    i0 = np.clip(idx, 0, last - 1).astype(np.intp)
-    frac = (idx - i0)[:, None, None]
-    blend = (1.0 - frac) * tracks[i0] + frac * tracks[i0 + 1]
-    held = np.where((idx <= 0)[:, None, None], tracks[0], tracks[last])
-    return np.where(((idx <= 0) | (idx >= last))[:, None, None], held, blend)
 
 
 def min_separations(robot: Array, humans: Array) -> Array:
@@ -188,33 +162,18 @@ def speed_adjusted_execute(
     step resumes from there.  The block gives every tick the bits the
     tick-by-tick loop gives it: its clock and path position are the
     same sequential adds (``np.add.accumulate``), each configuration
-    and human pose takes the same branch and blend, batched FK builds
-    each row as a single configuration's ``Frames`` does, and the
-    separations are ``min_separations`` over the block.
+    and human pose comes from the shared row sampler (``sample_rows``
+    for a tick, ``sample_rows_many`` for a block, the human's through
+    ``HumanTrajectory.positions_at``), whose two forms give the same
+    bits, batched FK builds each row as a single configuration's
+    ``Frames`` does, and the separations are ``min_separations`` over
+    the block.
     """
     D = nominal.duration
     timeout = p.timeout_factor * D
     dtick = 1.0 / p.control_rate
-    tracks, rate = _human_tracks(human_truth)
-    waypoints = nominal.waypoints
-    last_segment = waypoints.shape[0] - 2
-
-    def config_at(u: float) -> Array:
-        k = u / nominal.dt
-        i0 = min(int(k), last_segment)
-        frac = k - i0
-        if frac <= 0.0:
-            return waypoints[i0]
-        if frac >= 1.0:
-            return waypoints[i0 + 1]
-        return (1.0 - frac) * waypoints[i0] + frac * waypoints[i0 + 1]
-
-    def configs_at(us: Array) -> Array:
-        k = us / nominal.dt
-        i0 = np.minimum(k.astype(np.intp), last_segment)
-        frac = (k - i0)[:, None]
-        blend = (1.0 - frac) * waypoints[i0] + frac * waypoints[i0 + 1]
-        return np.where(frac <= 0.0, waypoints[i0], np.where(frac >= 1.0, waypoints[i0 + 1], blend))
+    waypoints, dt = nominal.waypoints, nominal.dt
+    tracks, rate = human_truth.tracks, human_truth.rate
 
     # Ticks fall at t0 + k * dtick until the timeout, k <= ceil(timeout * rate);
     # one more absorbs the rounding of the accumulated clock.
@@ -230,8 +189,8 @@ def speed_adjusted_execute(
         """Evaluate and record tick k at clock t and path position u; returns its scale."""
         if k == capacity:
             raise ContractViolation(f"Speed-Adj ran past its {capacity} preallocated ticks")
-        qcur = config_at(u)
-        d = float(min_separations(frames(qcur)[0], _human_at(tracks, rate, t)))
+        qcur = sample_rows(waypoints, u / dt)
+        d = float(min_separations(frames(qcur)[0], sample_rows(tracks, t * rate)))
         s = min(max((d - d_stop) / d_span, 0.0), 1.0)
         times[k], seps[k], speeds[k] = t, d, s
         configs[k] = qcur
@@ -249,8 +208,8 @@ def speed_adjusted_execute(
         ts = np.add.accumulate(block)[1:]
         block[0], block[1:] = u, advance
         us = np.add.accumulate(block)[1:]
-        qs = configs_at(us)
-        ds = min_separations(fk_points_batch(chain, qs), _humans_at(tracks, rate, ts))
+        qs = sample_rows_many(waypoints, us / dt)
+        ds = min_separations(fk_points_batch(chain, qs), human_truth.positions_at(ts))
         ss = np.minimum(np.maximum((ds - d_stop) / d_span, 0.0), 1.0)
         ends = (ss != s) | (ts - t0 >= deadline) | (us + advance >= D)
         m = int(ends.argmax()) + 1 if ends.any() else n

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -45,25 +45,65 @@ def minimum_jerk_fraction(tau):
     return 10.0 * tau**3 - 15.0 * tau**4 + 6.0 * tau**5
 
 
+def sample_rows(samples: Array, x: float) -> Array:
+    """Row ``x`` of ``samples``, at a fractional index ``x`` along the first axis.
+
+    The first row for ``x <= 0``, the last for ``x >= T - 1``, row ``x`` at an
+    exact index, and otherwise ``(1 - frac) * samples[i0] + frac * samples[i0 + 1]``
+    with ``i0 = int(x)`` and ``frac = x - i0``.
+    """
+    last = samples.shape[0] - 1
+    if x <= 0.0:
+        return samples[0]
+    if x >= last:
+        return samples[last]
+    i0 = int(x)
+    frac = x - i0
+    if frac == 0.0:
+        return samples[i0]
+    return (1.0 - frac) * samples[i0] + frac * samples[i0 + 1]
+
+
+def sample_rows_many(samples: Array, xs: Array) -> Array:
+    """``sample_rows`` at each of the 1-D indices ``xs``, stacked along a new first axis, bit for bit."""
+    last = samples.shape[0] - 1
+    i0 = np.clip(xs, 0, last).astype(np.intp)
+    rows = (-1, *(1,) * (samples.ndim - 1))
+    frac = (xs - i0).reshape(rows)
+    lo = samples[i0]
+    blend = (1.0 - frac) * lo + frac * samples[np.minimum(i0 + 1, last)]
+    # Rows sample_rows returns as they are: xs <= 0 and exact indices leave
+    # frac <= 0, and xs >= last clips to i0 = last.
+    return np.where((frac <= 0.0) | (xs >= last).reshape(rows), lo, blend)
+
+
 @dataclass
 class HumanTrajectory:
-    """Ground-truth keypoint tracks: one (T, 3) array per named joint."""
+    """Ground-truth keypoint tracks at ``rate`` Hz: one finite (T, 3) array per named joint.
+
+    ``tracks`` stacks them once, (T, J, 3) in ``joints`` order, and ``samples`` holds views of it.
+    """
 
     samples: dict[str, Array]
     rate: float
+    tracks: Array = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ContractViolation("rate must be positive")
-        counts = {name: np.asarray(track).shape for name, track in self.samples.items()}
-        lengths = {shape[0] for shape in counts.values()}
-        if len(lengths) != 1:
-            raise ContractViolation(f"joint tracks have unequal sample counts: {counts}")
-        self.samples = {name: np.asarray(track, dtype=float) for name, track in self.samples.items()}
+        if not (math.isfinite(self.rate) and self.rate > 0):
+            raise ContractViolation(f"rate must be finite and positive, got {self.rate!r}")
+        shapes = {name: np.shape(track) for name, track in self.samples.items()}
+        if not shapes or any(len(s) != 2 or s[0] < 1 or s[1] != 3 for s in shapes.values()):
+            raise ContractViolation(f"need one or more (T, 3) joint tracks with T >= 1, got {shapes}")
+        if len({s[0] for s in shapes.values()}) != 1:
+            raise ContractViolation(f"joint tracks have unequal sample counts: {shapes}")
+        self.tracks = np.stack([np.asarray(track, dtype=float) for track in self.samples.values()], axis=1)
+        if not np.isfinite(self.tracks).all():
+            raise ContractViolation("joint tracks must be finite")
+        self.samples = {name: self.tracks[:, j] for j, name in enumerate(self.samples)}
 
     @property
     def n_samples(self) -> int:
-        return next(iter(self.samples.values())).shape[0]
+        return self.tracks.shape[0]
 
     @property
     def duration(self) -> float:
@@ -73,22 +113,19 @@ class HumanTrajectory:
     def joints(self) -> tuple[str, ...]:
         return tuple(self.samples)
 
-    def positions_at(self, times) -> dict[str, Array]:
-        """Linearly interpolated joint positions, held constant outside the record."""
+    def positions_at(self, times) -> Array:
+        """(B, J, 3) joint positions at finite ``times`` (s), in ``joints`` order, linearly
+        interpolated and held outside the record: ``sample_rows_many`` at ``times * rate``."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        grid = np.arange(self.n_samples) / self.rate
-        out = {}
-        for name, track in self.samples.items():
-            out[name] = np.stack([np.interp(times, grid, track[:, k]) for k in range(3)], axis=1)
-        return out
+        if not np.isfinite(times).all():
+            raise ContractViolation("positions_at needs finite times")
+        return sample_rows_many(self.tracks, times * self.rate)
 
     def prefix(self, duration: float) -> "HumanTrajectory":
         """The first ``duration`` seconds (inclusive of the boundary sample)."""
         count = int(round(duration * self.rate)) + 1
         count = min(count, self.n_samples)
-        return HumanTrajectory(
-            {name: track[:count].copy() for name, track in self.samples.items()}, self.rate
-        )
+        return HumanTrajectory({name: track[:count] for name, track in self.samples.items()}, self.rate)
 
 
 @dataclass(frozen=True)

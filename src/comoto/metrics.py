@@ -135,11 +135,13 @@ def evaluate_run(
 ) -> MetricReport:
     """All four metrics for one planned trajectory or executed trace.
 
-    One FK pass over the evaluated configurations and one interpolation
-    of the human tracks serve every metric, both in blocks of
-    ``FK_BLOCK`` steps, with one ``min_separations`` call a block; an
-    executed trace adds one FK pass over its samples on the nominal
-    clock.  ``threshold`` (meters) and ``fov_deg`` are the run config's
+    One FK pass over the evaluated configurations and one sampling of
+    the human tracks serve every metric, both in blocks of ``FK_BLOCK``
+    steps: ``HumanTrajectory.positions_at`` gives a block's (B, J, 3)
+    joints, which one ``min_separations`` call takes as they are, and
+    the head is read from them by its joint index.  An executed trace
+    adds one FK pass over its samples on the nominal clock.
+    ``threshold`` (meters) and ``fov_deg`` are the run config's
     ``metrics`` section.
     """
     if isinstance(planned, ExecutionTrace):
@@ -148,12 +150,11 @@ def evaluate_run(
         times, configs = planned.times, planned.waypoints
     else:
         raise ContractViolation(f"cannot evaluate object of type {type(planned).__name__}")
-    if times.shape[0] == 0:
-        raise ContractViolation("empty trajectory")
     if "head" not in human_truth.samples:
         raise ContractViolation("ground truth has no head track")
-    # FK, the human interpolation and the separation count run FK_BLOCK steps
-    # at a time, so a long trace never holds every robot point and human track;
+    head_joint = human_truth.joints.index("head")
+    # FK, the human sampling and the separation count run FK_BLOCK steps at a
+    # time, so a long trace never holds every robot point and human track;
     # the other metrics need only the end effector and the head.
     T = times.shape[0]
     eef, head = np.empty((T, 3)), np.empty((T, 3))
@@ -162,9 +163,8 @@ def evaluate_run(
         block = slice(start, start + FK_BLOCK)
         robot = fk_points_batch(chain, configs[block])
         human = human_truth.positions_at(times[block])
-        joints = np.stack(list(human.values()), axis=1)  # (block, J, 3)
-        separated += int(np.count_nonzero(min_separations(robot, joints) > threshold))
-        eef[block], head[block] = robot[:, -1], human["head"]
+        separated += int(np.count_nonzero(min_separations(robot, human) > threshold))
+        eef[block], head[block] = robot[:, -1], human[:, head_joint]
     dst = 100.0 * separated / T
     vis = _visibility_pct(eef, head, gaze_target, fov_deg)
     leg = _legibility_score(eef, goals)

@@ -5,9 +5,11 @@ Each test covers one release criterion and prints a single PASS/FAIL line
 so the full suite stays within a modest wall-clock budget.
 """
 
+import csv
 import dataclasses
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ import pytest
 from comoto.benchmark import (
     METHODS,
     RESULT_COLUMNS,
+    _format_cell,
     _rows_to_csv,
     aggregate_rows,
     iter_runs,
@@ -25,7 +28,7 @@ from comoto.benchmark import (
 from comoto.costs import CostWeights, evaluate_objective, goal_probability, objective
 from comoto.human_motion import HumanTrajectory
 from comoto.kinematics import JointTrajectory, fk_points_batch
-from comoto.metrics import GoalSet, MetricReport, aggregate, evaluate_run
+from comoto.metrics import METRIC_NAMES, GoalSet, MetricReport, aggregate, evaluate_run
 from comoto.optimizer import OptimizerOptions, optimize
 
 from conftest import CFG, cost_context, planar_chain
@@ -231,6 +234,35 @@ def test_criterion_8_deterministic_benchmark(benchmark_run):
         and elapsed_second < 300.0
     )
     check(8, ok, f"byte-identical CSV, runs {elapsed_first:.1f}s / {elapsed_second:.1f}s")
+
+
+#: The ``results.csv`` of a default ``comoto run``: 75 rows, floats at full
+#: ``repr`` precision.  A change that moves the table on purpose rewrites it.
+GRID_REFERENCE = Path(__file__).with_name("grid_reference.csv")
+
+#: Bound on each metric's distance from the reference table.  Forcing NumPy off
+#: its AVX-512 kernels or OpenBLAS onto its Haswell or Sandybridge kernels moved
+#: no metric by more than 8.3e-14 on one machine, so 1e-9 leaves room for other
+#: x86 CPUs and BLAS builds; a percentage that counts one more or one fewer
+#: step moves by 100 / steps, at least 0.1 on this grid, and is still caught.
+GRID_ATOL = 1e-9
+
+
+def test_grid_rows_match_reference_table(benchmark_run):
+    _, rows, _ = benchmark_run
+    with GRID_REFERENCE.open(newline="") as f:
+        reader = csv.DictReader(f)
+        assert tuple(reader.fieldnames) == RESULT_COLUMNS
+        reference = list(reader)
+    assert len(rows) == len(reference)
+    for row, want in zip(rows, reference):
+        where = (row["scenario_family"], row["seed"], row["method"])
+        for column in RESULT_COLUMNS:
+            if column in METRIC_NAMES:
+                got, ref = row[column], float(want[column])
+                assert abs(got - ref) <= GRID_ATOL, (where, column, got, ref)
+            else:
+                assert _format_cell(row[column]) == want[column], (where, column)
 
 
 def test_criterion_9_metric_reference_values():

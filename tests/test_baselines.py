@@ -17,8 +17,6 @@ from comoto import baselines
 from comoto.baselines import (
     ExecutionTrace,
     SpeedAdjustParams,
-    _human_at,
-    _human_tracks,
     distvis_optimize,
     legible_optimize,
     min_separations,
@@ -187,12 +185,26 @@ def test_separations_bit_identical_to_reference(arm, B):
 
 def reference_speed_adjusted_execute(chain, nominal, human_truth, p):
     """The per-tick loop as first written: four lists grown a tick at a time,
-    copied into arrays at the end, and the speed scale clamped by ``np.clip``."""
+    copied into arrays at the end, and the speed scale clamped by ``np.clip``;
+    the configuration and the human pose are its own blends, not the library's."""
     D = nominal.duration
     timeout = p.timeout_factor * D
     dtick = 1.0 / p.control_rate
-    tracks, rate = _human_tracks(human_truth)
+    tracks = np.stack([human_truth.samples[name] for name in human_truth.joints], axis=1)  # (T,J,3)
     waypoints = nominal.waypoints
+
+    def human_at(t):
+        # At an exact sample index this is row + 0 * next row; the library gives
+        # the row itself.  They differ only in a zero's sign, which the squares drop.
+        idx = t * human_truth.rate
+        last = tracks.shape[0] - 1
+        if idx <= 0:
+            return tracks[0]
+        if idx >= last:
+            return tracks[last]
+        i0 = int(idx)
+        frac = idx - i0
+        return (1.0 - frac) * tracks[i0] + frac * tracks[i0 + 1]
 
     def config_at(u):
         k = u / nominal.dt
@@ -209,7 +221,7 @@ def reference_speed_adjusted_execute(chain, nominal, human_truth, p):
     completed = False
     while True:
         qcur = config_at(u)
-        d = reference_min_separation(chain, qcur, _human_at(tracks, rate, t))
+        d = reference_min_separation(chain, qcur, human_at(t))
         s = float(np.clip((d - p.d_stop) / (p.d_slow - p.d_stop), 0.0, 1.0))
         times.append(t)
         configs.append(qcur)
@@ -348,6 +360,20 @@ def test_execution_trace_validation_and_interpolation():
     assert np.allclose(mid, [[0.5, 1.0]], atol=1e-12)
     held = trace.configs_at(np.array([-1.0, 10.0]))
     assert np.allclose(held, [[0.0, 0.0], [2.0, 4.0]], atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "timestamps, configs, message",
+    [
+        ([0.0, math.nan, 2.0], np.zeros((3, 2)), "finite"),  # NaN passes np.diff(...) <= 0
+        ([0.0, 1.0, math.inf], np.zeros((3, 2)), "finite"),
+        ([0.0, 1.0, 2.0], [[0.0, 0.0], [math.nan, 0.0], [1.0, 1.0]], "finite"),
+        (np.empty(0), np.empty((0, 2)), "one or more ticks"),  # .duration would raise IndexError
+    ],
+)
+def test_execution_trace_rejects_non_finite_and_empty(timestamps, configs, message):
+    with pytest.raises(ContractViolation, match=message):
+        ExecutionTrace(timestamps=np.asarray(timestamps), configs=np.asarray(configs), completed=False)
 
 
 def test_legible_optimize_improves_legibility(arm):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from comoto.human_motion import (
     load_skeleton_offsets,
     minimum_jerk_fraction,
     predict,
+    sample_rows,
+    sample_rows_many,
 )
 
 
@@ -113,14 +116,17 @@ def test_reach_script_validation():
 
 def test_trajectory_prefix_and_interpolation():
     track = np.stack([np.arange(5.0), np.zeros(5), np.zeros(5)], axis=1)
-    traj = HumanTrajectory({"right_palm": track}, rate=2.0)
+    traj = HumanTrajectory({"right_palm": track, "head": -track}, rate=2.0)
     assert traj.duration == pytest.approx(2.0)
+    assert traj.tracks.shape == (5, 2, 3)
+    assert all(np.shares_memory(traj.samples[name], traj.tracks) for name in traj.joints)
     pre = traj.prefix(1.0)
     assert pre.n_samples == 3
     assert np.array_equal(pre.samples["right_palm"], track[:3])
-    mid = traj.positions_at(np.array([0.25]))["right_palm"]
-    assert np.allclose(mid, [[0.5, 0.0, 0.0]], atol=1e-15)
-    held = traj.positions_at(np.array([-1.0, 99.0]))["right_palm"]
+    mid = traj.positions_at(np.array([0.25]))  # (B, J, 3) in joints order
+    assert mid.shape == (1, 2, 3)
+    assert np.allclose(mid, [[[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]]], atol=1e-15)
+    held = traj.positions_at(np.array([-1.0, 99.0]))[:, traj.joints.index("right_palm")]
     assert np.allclose(held, [[0.0, 0, 0], [4.0, 0, 0]], atol=1e-15)
 
 
@@ -129,6 +135,63 @@ def test_trajectory_validation():
         HumanTrajectory({"a": np.zeros((4, 3)), "b": np.zeros((5, 3))}, rate=10.0)
     with pytest.raises(ContractViolation):
         HumanTrajectory({"a": np.zeros((4, 3))}, rate=0.0)
+
+
+@pytest.mark.parametrize(
+    "samples, rate, message",
+    [
+        ({"head": np.zeros((5, 3))}, math.nan, "rate"),
+        ({"head": np.zeros((5, 3))}, math.inf, "rate"),
+        ({"head": np.zeros((5, 3))}, -1.0, "rate"),
+        ({"head": np.zeros((5, 2))}, 100.0, r"\(T, 3\)"),
+        ({"head": np.zeros(5)}, 100.0, r"\(T, 3\)"),
+        ({"head": np.zeros((0, 3))}, 100.0, r"\(T, 3\)"),
+        ({}, 100.0, r"\(T, 3\)"),
+        ({"head": np.full((5, 3), math.nan)}, 100.0, "finite"),
+        ({"head": np.zeros((5, 3)), "right_palm": np.array([[0.0, 0.0, 0.0]] * 4 + [[0.0, math.inf, 0.0]])}, 100.0, "finite"),
+    ],
+)
+def test_trajectory_rejects_bad_rate_shape_and_samples(samples, rate, message):
+    with pytest.raises(ContractViolation, match=message):
+        HumanTrajectory(samples, rate)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_positions_at_rejects_non_finite_times(t):
+    # A NaN index would become an arbitrary integer row index in sample_rows_many.
+    traj = HumanTrajectory({"head": np.zeros((5, 3))}, rate=10.0)
+    with pytest.raises(ContractViolation, match="finite times"):
+        traj.positions_at(np.array([0.1, t]))
+
+
+#: |sample_rows - np.interp| on samples in [-1, 1]: each form rounds a few
+#: products and sums of magnitude at most 1, so they differ by a few ulp of
+#: 1.0 (2.2e-16); 1.5e5 such draws differed by one ulp at most.
+INTERP_ATOL = 1e-15
+
+
+@pytest.mark.parametrize("shape", [(9, 3), (9, 4, 3), (1, 3)])
+def test_sample_rows_forms_agree_hold_rows_and_match_interp(shape):
+    rng = np.random.default_rng(21)
+    samples = rng.uniform(-1.0, 1.0, shape)
+    T = shape[0]
+    last = T - 1
+    samples[min(2, last)] = -0.0  # a held row must come back as it is, zero signs and all
+    xs = np.concatenate([
+        [0.0, -0.0, float(last), -0.5, -3.0, last + 0.25, last + 7.0],
+        np.arange(T, dtype=float),
+        rng.uniform(-2.0, T + 1.0, 300),
+    ])
+    batched = sample_rows_many(samples, xs)
+    assert batched.shape == (xs.size, *shape[1:])
+    for x, row in zip(xs, batched):
+        assert sample_rows(samples, x).tobytes() == row.tobytes(), x
+        exact = 0 if x <= 0 else last if x >= last else int(x) if x == int(x) else None
+        if exact is not None:
+            assert row.tobytes() == samples[exact].tobytes(), x
+    flat = samples.reshape(T, -1)
+    want = np.stack([np.interp(xs, np.arange(T), flat[:, c]) for c in range(flat.shape[1])], axis=1)
+    assert np.max(np.abs(batched.reshape(xs.size, -1) - want)) <= INTERP_ATOL
 
 
 def constant_velocity_truth(v, rate=100.0, duration=1.2):

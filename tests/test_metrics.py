@@ -68,7 +68,7 @@ def test_separation_matches_all_pairs_reference(arm):
     }
     human = HumanTrajectory(tracks, rate)
     robot = fk_points_batch(arm, configs)
-    stacked = np.stack(list(human.positions_at(traj.times).values()), axis=1)  # (T,J,3)
+    stacked = human.positions_at(traj.times)  # (T,J,3)
     diff = robot[:, None, :, :] - stacked[:, :, None, :]
     min_dist = np.sqrt(np.min(np.sum(diff**2, axis=3), axis=(1, 2)))
     for threshold in np.quantile(min_dist, [0.1, 0.5, 0.9]):
@@ -86,12 +86,12 @@ def whole_trace_evaluate_run(chain, planned, human_truth, nominal, goals, gaze_t
     robot = fk_points_batch(chain, configs)
     human = human_truth.positions_at(times)
     min_sq = np.full(robot.shape[:2], np.inf)
-    for track in human.values():
-        np.minimum(min_sq, np.sum((robot - track[:, None, :]) ** 2, axis=2), out=min_sq)
+    for j in range(human.shape[1]):
+        np.minimum(min_sq, np.sum((robot - human[:, j, None, :]) ** 2, axis=2), out=min_sq)
     min_dist = np.sqrt(np.min(min_sq, axis=1))
     dst = float(100.0 * np.count_nonzero(min_dist > threshold) / robot.shape[0])
     eef = robot[:, -1]
-    vis = _visibility_pct(eef, human["head"], gaze_target, fov_deg)
+    vis = _visibility_pct(eef, human[:, human_truth.joints.index("head")], gaze_target, fov_deg)
     leg = _legibility_score(eef, goals)
     if isinstance(planned, ExecutionTrace):
         aligned = planned.configs_at(nominal.times)
@@ -136,8 +136,8 @@ def running_minimum_separations(robot, human):
     running minimum of squared distances over the human joints, summed
     over the last axis."""
     min_sq = np.full(robot.shape[:2], np.inf)
-    for track in human.values():
-        diff = robot - track[:, None, :]
+    for j in range(human.shape[1]):
+        diff = robot - human[:, j, None, :]
         np.minimum(min_sq, np.sum(diff**2, axis=2), out=min_sq)
     return np.sqrt(np.min(min_sq, axis=1))
 
