@@ -143,16 +143,14 @@ class CostContext:
             else fk_points_batch(self.chain, self.nominal.waypoints)[:, -1].copy()
         )
         self._sigma_head = self._gaze = None
-        if self.prediction is not None:
-            # Checked here, kept by no context: each solve builds its own copy.
-            _distance_inputs(self.prediction)
-            if "head" in self.prediction.joints:
-                head_cov = self.prediction.covariances["head"]
-                spread = np.sqrt(np.trace(head_cov, axis1=1, axis2=2) / 3.0)
-                self._sigma_head = np.maximum(spread, self.sigma_floor)
+        if self.prediction is not None and "head" in self.prediction.joints:
+            head = self.prediction.joints.index("head")
+            head_cov = self.prediction.cov_tracks[head]
+            spread = np.sqrt(np.trace(head_cov, axis1=1, axis2=2) / 3.0)
+            self._sigma_head = np.maximum(spread, self.sigma_floor)
         if self._sigma_head is not None and self.object_pos is not None:
             # The visibility term's gaze ray from the head to the object, per step.
-            self._head = self.prediction.means["head"]
+            self._head = self.prediction.mean_tracks[head]
             self._gaze = self.object_pos - self._head
             self._gaze_norm = nu = _row_norms(self._gaze)
             self._gaze_unit = self._gaze / np.where(nu > 1e-9, nu, 1.0)[:, None]
@@ -204,16 +202,13 @@ def goal_probability(
 
 
 def _distance_inputs(prediction: PredictedHumanTrajectory) -> tuple[Array, Array]:
-    """The (J,N,3) stacked means and (J,N,3,3) transposed inverse covariances."""
-    names = list(prediction.joints)
-    means = np.stack([prediction.means[j] for j in names])
-    covs = np.stack([prediction.covariances[j] for j in names])
+    """The prediction's (J,N,3) ``mean_tracks`` and its (J,N,3,3) transposed inverse covariances."""
     try:
-        inv_covs = np.linalg.inv(covs)
+        inv_covs = np.linalg.inv(prediction.cov_tracks)
     except np.linalg.LinAlgError as exc:
         raise ContractViolation(f"prediction covariance not invertible: {exc}")
     # Transposed and C-contiguous, the layout `_distance_term`'s matmul takes.
-    return means, np.ascontiguousarray(np.swapaxes(inv_covs, -1, -2))
+    return prediction.mean_tracks, np.ascontiguousarray(np.swapaxes(inv_covs, -1, -2))
 
 
 def _repeat_means(means: Array, n_points: int) -> Array:

@@ -122,9 +122,10 @@ class HumanTrajectory:
         return sample_rows_many(self.tracks, times * self.rate)
 
     def prefix(self, duration: float) -> "HumanTrajectory":
-        """The first ``duration`` seconds (inclusive of the boundary sample)."""
-        count = int(round(duration * self.rate)) + 1
-        count = min(count, self.n_samples)
+        """The first ``duration`` seconds (inclusive of the boundary sample), at most the whole record."""
+        if not (math.isfinite(duration) and duration >= 0):
+            raise ContractViolation(f"prefix duration must be finite and non-negative, got {duration!r}")
+        count = int(round(min(duration, self.duration) * self.rate)) + 1
         return HumanTrajectory({name: track[:count] for name, track in self.samples.items()}, self.rate)
 
 
@@ -155,41 +156,47 @@ class ReachScript:
 
 @dataclass
 class PredictedHumanTrajectory:
-    """Gaussian tube: per joint, (H, 3) means and (H, 3, 3) covariances."""
+    """Gaussian tube: per joint, (H, 3) means and (H, 3, 3) covariances.
+
+    ``mean_tracks`` (J, H, 3) and ``cov_tracks`` (J, H, 3, 3) stack them once,
+    read-only and in ``joints`` order, and ``means`` and ``covariances`` hold views of them.
+    """
 
     means: dict[str, Array]
     covariances: dict[str, Array]
     step: float
     t0: float = 0.0
+    mean_tracks: Array = field(init=False, repr=False)
+    cov_tracks: Array = field(init=False, repr=False)
 
     def __post_init__(self):
         if set(self.means) != set(self.covariances):
             raise ContractViolation("means and covariances must cover the same joints")
-        if self.step <= 0:
-            raise ContractViolation("step must be positive")
-        self.means = {k: np.asarray(v, dtype=float) for k, v in self.means.items()}
-        self.covariances = {k: np.asarray(v, dtype=float) for k, v in self.covariances.items()}
-        for name, mean in self.means.items():
-            cov = self.covariances[name]
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ContractViolation(f"step must be finite and positive, got {self.step!r}")
+        if not math.isfinite(self.t0):
+            raise ContractViolation(f"t0 must be finite, got {self.t0!r}")
+        names = tuple(self.means)
+        means = [np.asarray(self.means[name], dtype=float) for name in names]
+        covs = [np.asarray(self.covariances[name], dtype=float) for name in names]
+        for name, mean, cov in zip(names, means, covs):
             if mean.ndim != 2 or mean.shape[1] != 3 or cov.shape != (len(mean), 3, 3):
                 raise ContractViolation(
                     f"{name} needs (H, 3) means and (H, 3, 3) covariances, "
                     f"got {mean.shape} and {cov.shape}"
                 )
-        if len({len(m) for m in self.means.values()}) != 1 or self.horizon < 1:
+        if len({len(m) for m in means}) != 1 or len(means[0]) < 1:
             raise ContractViolation("all joints must share one horizon of at least 1 step")
-        # Every joint in one stacked pass; on a failure, the loop below names the first bad one.
-        covs = np.stack(list(self.covariances.values()))  # (J, H, 3, 3)
-        if np.isfinite(covs).all() and np.allclose(covs, np.swapaxes(covs, -1, -2), atol=1e-12):
-            try:
-                np.linalg.cholesky(covs)
-                return
-            except np.linalg.LinAlgError:
-                pass
-        for name, cov in self.covariances.items():
-            if not np.all(np.isfinite(cov)):
+        means, covs = np.stack(means), np.stack(covs)
+        if not np.isfinite(means).all():
+            raise ContractViolation("prediction means must be finite")
+        # Each check over the stack at once; the message names the first bad joint.
+        finite = np.isfinite(covs).all(axis=(1, 2, 3))
+        symmetric = np.isclose(covs, np.swapaxes(covs, -1, -2), atol=1e-12).all(axis=(1, 2, 3))
+        for name, cov, is_finite, is_symmetric in zip(names, covs, finite, symmetric):
+            if not is_finite:
                 raise ContractViolation(f"covariance of {name} is not finite")
-            if not np.allclose(cov, np.swapaxes(cov, -1, -2), atol=1e-12):
+            if not is_symmetric:
                 raise ContractViolation(f"covariance of {name} is not symmetric within 1e-12")
             # An indefinite covariance gives negative Mahalanobis distances,
             # which the distance cost's clamp would silently turn into 1/eps_m.
@@ -197,10 +204,13 @@ class PredictedHumanTrajectory:
                 np.linalg.cholesky(cov)  # one batched factorization over the horizon
             except np.linalg.LinAlgError:
                 raise ContractViolation(f"covariance of {name} is not positive definite") from None
+        means.flags.writeable = covs.flags.writeable = False
+        self.mean_tracks, self.cov_tracks = means, covs
+        self.means, self.covariances = dict(zip(names, means)), dict(zip(names, covs))
 
     @property
     def horizon(self) -> int:
-        return next(iter(self.means.values())).shape[0]
+        return self.mean_tracks.shape[1]
 
     @property
     def joints(self) -> tuple[str, ...]:
@@ -212,21 +222,12 @@ class PredictedHumanTrajectory:
 
     def with_isotropic_covariance(self, scale: float = 1.0) -> "PredictedHumanTrajectory":
         """Copy with every covariance replaced by ``scale * I`` (no uncertainty model)."""
-        eye = np.broadcast_to(scale * np.eye(3), (self.horizon, 3, 3)).copy()
-        return PredictedHumanTrajectory(
-            means={k: v.copy() for k, v in self.means.items()},
-            covariances={k: eye.copy() for k in self.covariances},
-            step=self.step,
-            t0=self.t0,
-        )
+        eye = np.broadcast_to(scale * np.eye(3), self.cov_tracks.shape)
+        return PredictedHumanTrajectory(self.means, dict(zip(self.joints, eye)), self.step, self.t0)
 
     def scaled_covariance(self, factor: float) -> "PredictedHumanTrajectory":
-        return PredictedHumanTrajectory(
-            means={k: v.copy() for k, v in self.means.items()},
-            covariances={k: factor * v for k, v in self.covariances.items()},
-            step=self.step,
-            t0=self.t0,
-        )
+        covs = factor * self.cov_tracks
+        return PredictedHumanTrajectory(self.means, dict(zip(self.joints, covs)), self.step, self.t0)
 
 
 @dataclass(frozen=True)
@@ -273,8 +274,8 @@ def generate_reach(script: ReachScript, rate: float) -> HumanTrajectory:
     remaining skeleton rides the configured fixed offsets from the
     right shoulder.
     """
-    if rate <= 0:
-        raise ContractViolation("rate must be positive")
+    if not (math.isfinite(rate) and rate > 0):
+        raise ContractViolation(f"rate must be finite and positive, got {rate!r}")
     n = int(round(script.total_duration * rate)) + 1
     t = np.arange(n) / rate
     move_mask = t <= script.move_duration
@@ -319,12 +320,11 @@ def predict(
 
     Step ``k`` of the output is ``k * step`` seconds past the last
     observed sample, so step 0 coincides with the end of observation.
-    The right-arm joints share one read-only covariance array.
     """
     if horizon < 1:
         raise ContractViolation("horizon must be at least 1 step")
-    if step <= 0:
-        raise ContractViolation("step must be positive")
+    if not (math.isfinite(step) and step > 0):
+        raise ContractViolation(f"step must be finite and positive, got {step!r}")
     if observed.duration + 1e-9 < OBSERVATION_WINDOW:
         raise ContractViolation(
             f"observation prefix covers {observed.duration:.3f}s, "
@@ -365,21 +365,13 @@ def predict(
             means[name] = (1.0 - w)[:, None] * cv + w[:, None] * approach
 
     scale = np.maximum(options.sigma0**2 + (options.kappa * t_ahead) ** 2, options.sigma_floor**2)
-    cov = _read_only(scale[:, None, None] * np.eye(3))
+    cov = scale[:, None, None] * np.eye(3)
     return PredictedHumanTrajectory(
-        means={name: _read_only(mean) for name, mean in means.items()},
-        covariances={name: cov for name in RIGHT_ARM_JOINTS},
+        means=means,
+        covariances=dict.fromkeys(RIGHT_ARM_JOINTS, cov),
         step=step,
         t0=observed.duration,
     )
-
-
-def _read_only(x: Array) -> Array:
-    """``x`` if it is read-only, else a read-only view: predictions share arrays, not copies."""
-    if x.flags.writeable:
-        x = x.view()
-        x.flags.writeable = False
-    return x
 
 
 def _estimate_arrival(palm: Array, vel: Array, goal: Array, horizon_span: float, step: float) -> float:
@@ -399,17 +391,16 @@ def extrapolate_skeleton(arm_pred: PredictedHumanTrajectory) -> PredictedHumanTr
 
     Each extrapolated joint's mean is the right-shoulder mean plus its
     packaged fixed offset; its covariance is the right-shoulder covariance.
-    The result shares the input's arrays, all read-only.
+    The joints keep the input's order, followed by the ``EXTRAPOLATED_JOINTS`` it lacks.
     """
     if "right_shoulder" not in arm_pred.means:
         raise ContractViolation("arm prediction is missing the right_shoulder track")
     offsets = load_skeleton_offsets()
-    means = {k: _read_only(v) for k, v in arm_pred.means.items()}
-    covs = {k: _read_only(v) for k, v in arm_pred.covariances.items()}
+    means, covs = dict(arm_pred.means), dict(arm_pred.covariances)
     shoulder_mean = arm_pred.means["right_shoulder"]
     shoulder_cov = arm_pred.covariances["right_shoulder"]
     for name in EXTRAPOLATED_JOINTS:
-        means[name] = _read_only(shoulder_mean + offsets[name])
+        means[name] = shoulder_mean + offsets[name]
         covs[name] = shoulder_cov
     return PredictedHumanTrajectory(means=means, covariances=covs, step=arm_pred.step, t0=arm_pred.t0)
 

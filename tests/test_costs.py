@@ -34,7 +34,15 @@ from comoto.costs import (
     _visibility_term,
 )
 from comoto.errors import ContractViolation
-from comoto.human_motion import PredictedHumanTrajectory
+from comoto.human_motion import (
+    EXTRAPOLATED_JOINTS,
+    RIGHT_ARM_JOINTS,
+    HumanTrajectory,
+    PredictedHumanTrajectory,
+    extrapolate_skeleton,
+    load_skeleton_offsets,
+    predict,
+)
 from comoto.kinematics import (
     ChainSpec,
     JointTrajectory,
@@ -545,10 +553,14 @@ def test_context_validation(arm, planar2):
         cost_context(planar2, np.ones(2), prediction=pred, nominal=nominal)
     with pytest.raises(ContractViolation, match="not positive definite"):
         pred.with_isotropic_covariance(0.0)
+    # The stacks the costs read are read-only: no singular covariance gets past that check.
+    with pytest.raises(ValueError, match="read-only"):
+        pred.cov_tracks[-1] = 0.0
+    # The distance inputs still reject a stack swapped in past the prediction's own check.
     singular = pred.with_isotropic_covariance()
-    singular.covariances["head"] = np.zeros((6, 3, 3))  # past the prediction's own check
-    with pytest.raises(ContractViolation):
-        cost_context(planar2, np.ones(2), prediction=singular)
+    singular.cov_tracks = np.zeros_like(pred.cov_tracks)
+    with pytest.raises(ContractViolation, match="not invertible"):
+        _distance_inputs(singular)
 
 
 def test_time_weights_default_and_custom(planar2):
@@ -670,3 +682,65 @@ def test_gradients_match_finite_differences_on_random_dh_chains(problem):
     assume(kink_distance(traj, ctx) > 1e-3)
     _, grad, _, _ = evaluate_objective(traj.waypoints, traj.dt, ctx, w)
     assert rel_error(grad, fd_gradient(traj.waypoints, traj.dt, ctx, w)) <= 1e-4
+
+
+def reference_distance_inputs(means: dict, covs: dict, joints) -> tuple[np.ndarray, np.ndarray]:
+    """The distance inputs stacked joint by joint from per-joint dicts, in ``joints`` order."""
+    stacked_means = np.stack([np.asarray(means[j], dtype=float) for j in joints])
+    inv_covs = np.linalg.inv(np.stack([np.asarray(covs[j], dtype=float) for j in joints]))
+    return stacked_means, np.ascontiguousarray(np.swapaxes(inv_covs, -1, -2))
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
+)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    horizon=st.integers(1, 12),
+    step=st.floats(0.02, 0.3),
+    with_goal=st.booleans(),
+    factor=st.floats(0.1, 10.0),
+)
+def test_distance_inputs_match_per_joint_reference_along_the_prediction_pipeline(
+    seed, horizon, step, with_goal, factor
+):
+    # predict -> extrapolate_skeleton -> with_isotropic_covariance / scaled_covariance,
+    # each checked against per-joint dicts built here, in the joint order the
+    # distance term sums over: the right arm, then the extrapolated joints.
+    # The pipeline gives every joint the same covariances, so a last case gives
+    # each joint its own, listed in the reverse order.
+    rng = np.random.default_rng(seed)
+    rate = 100.0
+    t = np.arange(int(round(1.2 * rate)) + 1)[:, None] / rate
+    samples = {name: rng.uniform(-1, 1, 3) + t * rng.uniform(-0.3, 0.3, 3) for name in RIGHT_ARM_JOINTS}
+    goal = rng.uniform(-1, 1, 3) if with_goal else None
+    arm = predict(HumanTrajectory(samples, rate), horizon, step, goal, options=CFG.prediction)
+    full = extrapolate_skeleton(arm)
+    order = RIGHT_ARM_JOINTS + EXTRAPOLATED_JOINTS
+    assert arm.joints == RIGHT_ARM_JOINTS and full.joints == order
+
+    offsets = load_skeleton_offsets()
+    means = {name: np.array(arm.means[name]) for name in RIGHT_ARM_JOINTS}
+    covs = {name: np.array(arm.covariances[name]) for name in RIGHT_ARM_JOINTS}
+    for name in EXTRAPOLATED_JOINTS:
+        means[name] = means["right_shoulder"] + offsets[name]
+        covs[name] = covs["right_shoulder"]
+    eye = np.broadcast_to(factor * np.eye(3), (horizon, 3, 3))
+    cases = [
+        (arm, means, covs, RIGHT_ARM_JOINTS),
+        (full, means, covs, order),
+        (full.with_isotropic_covariance(factor), means, dict.fromkeys(order, eye), order),
+        (full.scaled_covariance(factor), means, {k: factor * v for k, v in covs.items()}, order),
+    ]
+    distinct = {name: (1.0 + j) * covs[name] for j, name in enumerate(reversed(order))}
+    cases.append((PredictedHumanTrajectory(means, distinct, step), means, distinct, order))
+    for pred, want_means, want_covs, joints in cases:
+        got = _distance_inputs(pred)
+        want = reference_distance_inputs(want_means, want_covs, joints)
+        for got_array, want_array in zip(got, want):
+            assert got_array.shape == want_array.shape
+            assert got_array.tobytes() == want_array.tobytes()

@@ -103,6 +103,12 @@ def test_generate_reach_deterministic():
         assert np.array_equal(a.samples[name], b.samples[name])
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -100.0])
+def test_generate_reach_rejects_bad_rate(rate):
+    with pytest.raises(ContractViolation, match="rate must be finite and positive"):
+        generate_reach(make_script([0.1, 0.2, 0.0]), rate)
+
+
 def test_reach_script_validation():
     start = make_pose(np.array([0.7, 0.2, 0.1]))
     with pytest.raises(ContractViolation):
@@ -123,11 +129,21 @@ def test_trajectory_prefix_and_interpolation():
     pre = traj.prefix(1.0)
     assert pre.n_samples == 3
     assert np.array_equal(pre.samples["right_palm"], track[:3])
+    assert traj.prefix(0.0).n_samples == traj.prefix(-0.0).n_samples == 1
+    for duration in (2.0, 2.4, 1e300):  # at most the whole record
+        assert np.array_equal(traj.prefix(duration).tracks, traj.tracks)
     mid = traj.positions_at(np.array([0.25]))  # (B, J, 3) in joints order
     assert mid.shape == (1, 2, 3)
     assert np.allclose(mid, [[[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]]], atol=1e-15)
     held = traj.positions_at(np.array([-1.0, 99.0]))[:, traj.joints.index("right_palm")]
     assert np.allclose(held, [[0.0, 0, 0], [4.0, 0, 0]], atol=1e-15)
+
+
+@pytest.mark.parametrize("duration", [-1.0, -1e-9, math.nan, math.inf, -math.inf])
+def test_trajectory_prefix_rejects_negative_or_non_finite_duration(duration):
+    traj = HumanTrajectory({"head": np.zeros((301, 3))}, rate=100.0)
+    with pytest.raises(ContractViolation, match="prefix duration"):
+        traj.prefix(duration)
 
 
 def test_trajectory_validation():
@@ -261,8 +277,9 @@ def test_predict_validation():
     observed = constant_velocity_truth([0.1, 0.0, 0.0])
     with pytest.raises(ContractViolation):
         predict(observed, horizon=0, step=0.1, options=CFG.prediction)
-    with pytest.raises(ContractViolation):
-        predict(observed, horizon=5, step=0.0, options=CFG.prediction)
+    for step in (0.0, math.nan, math.inf):
+        with pytest.raises(ContractViolation, match="step must be finite and positive"):
+            predict(observed, horizon=5, step=step, options=CFG.prediction)
     short = constant_velocity_truth([0.1, 0.0, 0.0], duration=0.5 * OBSERVATION_WINDOW)
     with pytest.raises(ContractViolation):
         predict(short, horizon=5, step=0.1, options=CFG.prediction)
@@ -282,8 +299,16 @@ def test_predicted_trajectory_validation():
     skew[0, 0, 1] = 0.5
     with pytest.raises(ContractViolation):
         PredictedHumanTrajectory(means=means, covariances={"right_palm": skew}, step=0.1)
-    with pytest.raises(ContractViolation):
-        PredictedHumanTrajectory(means=means, covariances={"right_palm": eye}, step=0.0)
+    for step in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ContractViolation, match="step must be finite and positive"):
+            PredictedHumanTrajectory(means=means, covariances={"right_palm": eye}, step=step)
+    for t0 in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ContractViolation, match="t0 must be finite"):
+            PredictedHumanTrajectory(means=means, covariances={"right_palm": eye}, step=0.1, t0=t0)
+    nan_mean = {"right_palm": np.zeros((4, 3))}
+    nan_mean["right_palm"][2, 1] = math.nan
+    with pytest.raises(ContractViolation, match="means must be finite"):
+        PredictedHumanTrajectory(means=nan_mean, covariances={"right_palm": eye}, step=0.1)
     indefinite, infinite = eye * 0.01, eye.copy()
     indefinite[2] = np.diag([0.01, 0.01, -0.01])
     infinite[1, 0, 0] = np.inf
@@ -352,17 +377,32 @@ def test_extrapolate_skeleton_offsets():
         )
 
 
-def test_predictions_share_read_only_arrays():
+def test_predictions_stack_read_only_tracks():
     observed = constant_velocity_truth([0.0, 0.1, 0.0])
     pred = predict(observed, horizon=8, step=0.1, options=CFG.prediction)
     full = extrapolate_skeleton(pred)
+    assert pred.joints == RIGHT_ARM_JOINTS
+    assert full.joints == RIGHT_ARM_JOINTS + EXTRAPOLATED_JOINTS
     for p in (pred, full):
-        for arr in (*p.means.values(), *p.covariances.values()):
-            assert not arr.flags.writeable
-    assert all(full.means[name] is pred.means[name] for name in pred.joints)
-    assert all(cov is pred.covariances["right_shoulder"] for cov in full.covariances.values())
+        assert p.mean_tracks.shape == (len(p.joints), 8, 3)
+        assert p.cov_tracks.shape == (len(p.joints), 8, 3, 3)
+        for tracks, views in ((p.mean_tracks, p.means), (p.cov_tracks, p.covariances)):
+            assert not tracks.flags.writeable
+            for j, name in enumerate(p.joints):
+                assert not views[name].flags.writeable
+                assert np.shares_memory(views[name], tracks)
+                assert views[name].tobytes() == tracks[j].tobytes()
+    offsets = load_skeleton_offsets()
+    shoulder_mean = pred.means["right_shoulder"]
+    for name in full.joints:
+        want = pred.means[name] if name in pred.joints else shoulder_mean + offsets[name]
+        assert full.means[name].tobytes() == want.tobytes(), name
+        want_cov = pred.covariances[name if name in pred.joints else "right_shoulder"]
+        assert full.covariances[name].tobytes() == want_cov.tobytes(), name
     with pytest.raises(ValueError, match="read-only"):
         full.covariances["head"][0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        full.mean_tracks[0, 0, 0] = 1.0
 
 
 def test_skeleton_offsets_cover_extrapolated_joints():
