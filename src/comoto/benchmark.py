@@ -94,6 +94,8 @@ class RunConfig:
         for fam in self.families:
             if fam not in FAMILIES:
                 raise ContractViolation(f"unknown family {fam!r}")
+        if min(self.seeds) < 0:
+            raise ContractViolation(f"seeds must be non-negative, got {self.seeds!r}")
         # Checked at load: a bad value would otherwise surface only once a
         # run has started, or turn every row of one method into a failed row.
         for name in _POSITIVE_FIELDS:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
+from types import MappingProxyType
 
 import numpy as np
 
@@ -79,27 +80,30 @@ def sample_rows_many(samples: Array, xs: Array) -> Array:
 
 @dataclass
 class HumanTrajectory:
-    """Ground-truth keypoint tracks at ``rate`` Hz: one finite (T, 3) array per named joint.
-
-    ``tracks`` stacks them once, (T, J, 3) in ``joints`` order, and ``samples`` holds views of it.
+    """Ground-truth keypoint tracks at ``rate`` Hz: finite (T, J, 3) ``tracks`` with T >= 1, joint
+    ``j`` named ``joints[j]``, which the constructor copies and marks read-only.
     """
 
-    samples: dict[str, Array]
+    joints: tuple[str, ...]
+    tracks: Array
     rate: float
-    tracks: Array = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.rate) and self.rate > 0):
             raise ContractViolation(f"rate must be finite and positive, got {self.rate!r}")
-        shapes = {name: np.shape(track) for name, track in self.samples.items()}
-        if not shapes or any(len(s) != 2 or s[0] < 1 or s[1] != 3 for s in shapes.values()):
-            raise ContractViolation(f"need one or more (T, 3) joint tracks with T >= 1, got {shapes}")
-        if len({s[0] for s in shapes.values()}) != 1:
-            raise ContractViolation(f"joint tracks have unequal sample counts: {shapes}")
-        self.tracks = np.stack([np.asarray(track, dtype=float) for track in self.samples.values()], axis=1)
+        self.tracks = np.array(self.tracks, dtype=float)
+        shape = self.tracks.shape
+        if len(shape) != 3 or min(shape[:2]) < 1 or shape[1:] != (len(self.joints), 3):
+            raise ContractViolation(f"need (T, J, 3) tracks, one (T, 3) track per joint with T >= 1, got {shape}")
+        self.joints = _joint_names(self.joints)
         if not np.isfinite(self.tracks).all():
             raise ContractViolation("joint tracks must be finite")
-        self.samples = {name: self.tracks[:, j] for j, name in enumerate(self.samples)}
+        self.tracks.flags.writeable = False
+
+    @property
+    def samples(self) -> MappingProxyType:
+        """Read-only joint name -> (T, 3) view of ``tracks``."""
+        return MappingProxyType({name: self.tracks[:, j] for j, name in enumerate(self.joints)})
 
     @property
     def n_samples(self) -> int:
@@ -108,10 +112,6 @@ class HumanTrajectory:
     @property
     def duration(self) -> float:
         return (self.n_samples - 1) / self.rate
-
-    @property
-    def joints(self) -> tuple[str, ...]:
-        return tuple(self.samples)
 
     def positions_at(self, times) -> Array:
         """(B, J, 3) joint positions at finite ``times`` (s), in ``joints`` order, linearly
@@ -126,7 +126,13 @@ class HumanTrajectory:
         if not (math.isfinite(duration) and duration >= 0):
             raise ContractViolation(f"prefix duration must be finite and non-negative, got {duration!r}")
         count = int(round(min(duration, self.duration) * self.rate)) + 1
-        return HumanTrajectory({name: track[:count] for name, track in self.samples.items()}, self.rate)
+        return HumanTrajectory(self.joints, self.tracks[:count], self.rate)
+
+
+def _joint_names(joints) -> tuple[str, ...]:
+    if len(joints) == 0 or len(set(joints)) != len(joints):
+        raise ContractViolation(f"need one or more distinct joint names, got {joints!r}")
+    return tuple(joints)
 
 
 @dataclass(frozen=True)
@@ -148,6 +154,8 @@ class ReachScript:
             raise ContractViolation("move_duration must not exceed total_duration")
         if self.noise_scale < 0:
             raise ContractViolation("noise_scale must be nonnegative")
+        if self.seed < 0:
+            raise ContractViolation(f"seed must be non-negative, got {self.seed!r}")
         for src in (self.arm_start, self.arm_goal):
             missing = set(RIGHT_ARM_JOINTS) - set(src)
             if missing:
@@ -156,38 +164,37 @@ class ReachScript:
 
 @dataclass
 class PredictedHumanTrajectory:
-    """Gaussian tube: per joint, (H, 3) means and (H, 3, 3) covariances.
-
-    ``mean_tracks`` (J, H, 3) and ``cov_tracks`` (J, H, 3, 3) stack them once,
-    read-only and in ``joints`` order, and ``means`` and ``covariances`` hold views of them.
+    """Gaussian tube, step ``k`` at ``t0 + k * step`` s: (J, H, 3) ``mean_tracks`` and (J, H, 3, 3)
+    positive-definite ``cov_tracks`` with H >= 1, joint ``j`` named ``joints[j]``, which the
+    constructor copies and marks read-only.
     """
 
-    means: dict[str, Array]
-    covariances: dict[str, Array]
+    joints: tuple[str, ...]
+    mean_tracks: Array
+    cov_tracks: Array
     step: float
     t0: float = 0.0
-    mean_tracks: Array = field(init=False, repr=False)
-    cov_tracks: Array = field(init=False, repr=False)
 
     def __post_init__(self):
-        if set(self.means) != set(self.covariances):
-            raise ContractViolation("means and covariances must cover the same joints")
         if not (math.isfinite(self.step) and self.step > 0):
             raise ContractViolation(f"step must be finite and positive, got {self.step!r}")
         if not math.isfinite(self.t0):
             raise ContractViolation(f"t0 must be finite, got {self.t0!r}")
-        names = tuple(self.means)
-        means = [np.asarray(self.means[name], dtype=float) for name in names]
-        covs = [np.asarray(self.covariances[name], dtype=float) for name in names]
-        for name, mean, cov in zip(names, means, covs):
-            if mean.ndim != 2 or mean.shape[1] != 3 or cov.shape != (len(mean), 3, 3):
-                raise ContractViolation(
-                    f"{name} needs (H, 3) means and (H, 3, 3) covariances, "
-                    f"got {mean.shape} and {cov.shape}"
-                )
-        if len({len(m) for m in means}) != 1 or len(means[0]) < 1:
+        names = self.joints = _joint_names(self.joints)
+        means = self.mean_tracks = np.array(self.mean_tracks, dtype=float)
+        covs = self.cov_tracks = np.array(self.cov_tracks, dtype=float)
+        if means.shape[:1] != (len(names),) or covs.shape[:1] != (len(names),):
+            raise ContractViolation(
+                f"means and covariances must cover the same joints: {len(names)} joints, "
+                f"got {means.shape} and {covs.shape}"
+            )
+        if means.ndim != 3 or means.shape[2] != 3 or covs.shape != (*means.shape, 3):
+            raise ContractViolation(
+                f"{names[0]} needs (H, 3) means and (H, 3, 3) covariances, "
+                f"got {means.shape[1:]} and {covs.shape[1:]}"
+            )
+        if means.shape[1] < 1:
             raise ContractViolation("all joints must share one horizon of at least 1 step")
-        means, covs = np.stack(means), np.stack(covs)
         if not np.isfinite(means).all():
             raise ContractViolation("prediction means must be finite")
         # Each check over the stack at once; the message names the first bad joint.
@@ -205,16 +212,10 @@ class PredictedHumanTrajectory:
             except np.linalg.LinAlgError:
                 raise ContractViolation(f"covariance of {name} is not positive definite") from None
         means.flags.writeable = covs.flags.writeable = False
-        self.mean_tracks, self.cov_tracks = means, covs
-        self.means, self.covariances = dict(zip(names, means)), dict(zip(names, covs))
 
     @property
     def horizon(self) -> int:
         return self.mean_tracks.shape[1]
-
-    @property
-    def joints(self) -> tuple[str, ...]:
-        return tuple(self.means)
 
     @property
     def times(self) -> Array:
@@ -223,11 +224,11 @@ class PredictedHumanTrajectory:
     def with_isotropic_covariance(self, scale: float = 1.0) -> "PredictedHumanTrajectory":
         """Copy with every covariance replaced by ``scale * I`` (no uncertainty model)."""
         eye = np.broadcast_to(scale * np.eye(3), self.cov_tracks.shape)
-        return PredictedHumanTrajectory(self.means, dict(zip(self.joints, eye)), self.step, self.t0)
+        return PredictedHumanTrajectory(self.joints, self.mean_tracks, eye, self.step, self.t0)
 
     def scaled_covariance(self, factor: float) -> "PredictedHumanTrajectory":
         covs = factor * self.cov_tracks
-        return PredictedHumanTrajectory(self.means, dict(zip(self.joints, covs)), self.step, self.t0)
+        return PredictedHumanTrajectory(self.joints, self.mean_tracks, covs, self.step, self.t0)
 
 
 @dataclass(frozen=True)
@@ -283,22 +284,21 @@ def generate_reach(script: ReachScript, rate: float) -> HumanTrajectory:
     frac = minimum_jerk_fraction(tau)
 
     rng = np.random.default_rng(script.seed)
-    tracks: dict[str, Array] = {}
-    for name in RIGHT_ARM_JOINTS:
+    joints = RIGHT_ARM_JOINTS + EXTRAPOLATED_JOINTS
+    tracks = np.empty((n, len(joints), 3))
+    for j, name in enumerate(RIGHT_ARM_JOINTS):
         x0 = np.asarray(script.arm_start[name], dtype=float)
         xg = np.asarray(script.arm_goal[name], dtype=float)
-        pos = x0 + frac[:, None] * (xg - x0)
-        pos = pos + _smooth_noise(rng, n, rate, script.noise_scale)
+        tracks[:, j] = x0 + frac[:, None] * (xg - x0) + _smooth_noise(rng, n, rate, script.noise_scale)
         # stationary after the reach: freeze at the pose reached at move_duration
         if np.any(move_mask):
             last_moving = int(np.nonzero(move_mask)[0][-1])
-            pos[last_moving + 1 :] = pos[last_moving]
-        tracks[name] = pos
+            tracks[last_moving + 1 :, j] = tracks[last_moving, j]
 
     offsets = load_skeleton_offsets()
-    for name in EXTRAPOLATED_JOINTS:
-        tracks[name] = tracks["right_shoulder"] + offsets[name]
-    return HumanTrajectory(tracks, rate)
+    shoulder = tracks[:, RIGHT_ARM_JOINTS.index("right_shoulder"), None]
+    tracks[:, len(RIGHT_ARM_JOINTS) :] = shoulder + [offsets[name] for name in EXTRAPOLATED_JOINTS]
+    return HumanTrajectory(joints, tracks, rate)
 
 
 def predict(
@@ -330,7 +330,7 @@ def predict(
             f"observation prefix covers {observed.duration:.3f}s, "
             f"needs {OBSERVATION_WINDOW:.1f}s"
         )
-    missing = set(RIGHT_ARM_JOINTS) - set(observed.samples)
+    missing = set(RIGHT_ARM_JOINTS) - set(observed.joints)
     if missing:
         raise ContractViolation(f"observation missing right-arm joints: {sorted(missing)}")
 
@@ -341,37 +341,27 @@ def predict(
     # goal blend: w ramps 0 -> 1 across the horizon
     w = t_ahead / horizon_span if horizon > 1 else np.ones(1)
 
-    last = {name: observed.samples[name][-1] for name in RIGHT_ARM_JOINTS}
-    velocities = {}
-    for name in RIGHT_ARM_JOINTS:
-        track = observed.samples[name][-window:]
-        ts = np.arange(track.shape[0]) / observed.rate
-        velocities[name] = np.array([np.polyfit(ts, track[:, k], 1)[0] for k in range(3)])
+    # (T, 4, 3) right-arm tracks: the rows below are in RIGHT_ARM_JOINTS order
+    arm = observed.tracks[:, [observed.joints.index(name) for name in RIGHT_ARM_JOINTS]]
+    last, recent = arm[-1], arm[-window:]
+    ts = np.arange(recent.shape[0]) / observed.rate
+    velocities = np.array(
+        [[np.polyfit(ts, track[:, k], 1)[0] for k in range(3)] for track in recent.swapaxes(0, 1)]
+    )
+    means = last[:, None] + t_ahead[:, None] * velocities[:, None]  # (4, H, 3), constant velocity
     if goal is not None:
-        arrival = _estimate_arrival(
-            last["right_palm"], velocities["right_palm"], goal, horizon_span, step
-        )
-
-    means: dict[str, Array] = {}
-    for name in RIGHT_ARM_JOINTS:
-        cv = last[name] + t_ahead[:, None] * velocities[name]
-        if goal is None:
-            means[name] = cv
-        else:
-            joint_goal = last[name] + (np.asarray(goal, dtype=float) - last["right_palm"])
-            approach = last[name] + minimum_jerk_fraction(t_ahead / arrival)[:, None] * (
-                joint_goal - last[name]
-            )
-            means[name] = (1.0 - w)[:, None] * cv + w[:, None] * approach
+        palm = RIGHT_ARM_JOINTS.index("right_palm")
+        arrival = _estimate_arrival(last[palm], velocities[palm], goal, horizon_span, step)
+        joint_goals = last + (np.asarray(goal, dtype=float) - last[palm])
+        approach = last[:, None] + minimum_jerk_fraction(t_ahead / arrival)[:, None] * (
+            joint_goals - last
+        )[:, None]
+        means = (1.0 - w)[:, None] * means + w[:, None] * approach
 
     scale = np.maximum(options.sigma0**2 + (options.kappa * t_ahead) ** 2, options.sigma_floor**2)
     cov = scale[:, None, None] * np.eye(3)
-    return PredictedHumanTrajectory(
-        means=means,
-        covariances=dict.fromkeys(RIGHT_ARM_JOINTS, cov),
-        step=step,
-        t0=observed.duration,
-    )
+    covs = np.broadcast_to(cov, (len(RIGHT_ARM_JOINTS), *cov.shape))
+    return PredictedHumanTrajectory(RIGHT_ARM_JOINTS, means, covs, step, t0=observed.duration)
 
 
 def _estimate_arrival(palm: Array, vel: Array, goal: Array, horizon_span: float, step: float) -> float:
@@ -391,18 +381,21 @@ def extrapolate_skeleton(arm_pred: PredictedHumanTrajectory) -> PredictedHumanTr
 
     Each extrapolated joint's mean is the right-shoulder mean plus its
     packaged fixed offset; its covariance is the right-shoulder covariance.
-    The joints keep the input's order, followed by the ``EXTRAPOLATED_JOINTS`` it lacks.
+    The joints keep the input's order, followed by the ``EXTRAPOLATED_JOINTS``
+    it lacks; an extrapolated joint the input has is replaced where it stands.
     """
-    if "right_shoulder" not in arm_pred.means:
+    if "right_shoulder" not in arm_pred.joints:
         raise ContractViolation("arm prediction is missing the right_shoulder track")
     offsets = load_skeleton_offsets()
-    means, covs = dict(arm_pred.means), dict(arm_pred.covariances)
-    shoulder_mean = arm_pred.means["right_shoulder"]
-    shoulder_cov = arm_pred.covariances["right_shoulder"]
-    for name in EXTRAPOLATED_JOINTS:
-        means[name] = shoulder_mean + offsets[name]
-        covs[name] = shoulder_cov
-    return PredictedHumanTrajectory(means=means, covariances=covs, step=arm_pred.step, t0=arm_pred.t0)
+    joints = arm_pred.joints + tuple(name for name in EXTRAPOLATED_JOINTS if name not in arm_pred.joints)
+    shoulder = arm_pred.joints.index("right_shoulder")
+    # Each output row is gathered from its input row, or the shoulder's for an extrapolated joint.
+    moved = [j for j, name in enumerate(joints) if name in EXTRAPOLATED_JOINTS]
+    rows = np.arange(len(joints))
+    rows[moved] = shoulder
+    means = arm_pred.mean_tracks[rows]
+    means[moved] += np.array([offsets[joints[j]] for j in moved])[:, None]
+    return PredictedHumanTrajectory(joints, means, arm_pred.cov_tracks[rows], arm_pred.step, arm_pred.t0)
 
 
 # ---------------------------------------------------------------------------

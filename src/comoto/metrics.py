@@ -139,8 +139,8 @@ def evaluate_run(
     the human tracks serve every metric, both in blocks of ``FK_BLOCK``
     steps: ``HumanTrajectory.positions_at`` gives a block's (B, J, 3)
     joints, which one ``min_separations`` call takes as they are, and
-    the head is read from them by its joint index.  An executed trace
-    adds one FK pass over its samples on the nominal clock.
+    the head (which ``joints`` must name) is read by its index.  An
+    executed trace adds one FK pass over its samples on the nominal clock.
     ``threshold`` (meters) and ``fov_deg`` are the run config's
     ``metrics`` section.
     """
@@ -150,7 +150,7 @@ def evaluate_run(
         times, configs = planned.times, planned.waypoints
     else:
         raise ContractViolation(f"cannot evaluate object of type {type(planned).__name__}")
-    if "head" not in human_truth.samples:
+    if "head" not in human_truth.joints:
         raise ContractViolation("ground truth has no head track")
     head_joint = human_truth.joints.index("head")
     # FK, the human sampling and the separation count run FK_BLOCK steps at a

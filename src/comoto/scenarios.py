@@ -138,6 +138,8 @@ def make_scenario(family: str, seed: int, chain: ChainSpec | None = None) -> Sce
     """Build one deterministic scenario; the seed controls all jitter."""
     if family not in FAMILIES:
         raise ContractViolation(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if seed < 0:
+        raise ContractViolation(f"seed must be non-negative, got {seed!r}")
     if chain is None:
         chain = default_chain()
     rng = np.random.default_rng([FAMILY_IDS[family], seed])

@@ -202,12 +202,12 @@ def test_criterion_7_covariance_monotonicity(planned_capture):
         # preconditions: far from the proximity clamp and the spread floor
         points = fk_points_batch(sc.chain, traj.waypoints)
         m_min = np.inf
-        for name in ctx.prediction.joints:
+        for mean, cov in zip(ctx.prediction.mean_tracks, ctx.prediction.cov_tracks):
             for t in range(traj.n_waypoints):
-                inv = np.linalg.inv(ctx.prediction.covariances[name][t])
-                d = ctx.prediction.means[name][t] - points[t]
+                inv = np.linalg.inv(cov[t])
+                d = mean[t] - points[t]
                 m_min = min(m_min, float(np.min(np.einsum("pa,ab,pb->p", d, inv, d))))
-        head_cov = ctx.prediction.covariances["head"]
+        head_cov = ctx.prediction.cov_tracks[ctx.prediction.joints.index("head")]
         spread_min = float(np.min(np.sqrt(np.trace(head_cov, axis1=1, axis2=2) / 3.0)))
         ok = ok and m_min > 100.0 * ctx.eps_m and spread_min > ctx.sigma_floor
         before = objective(traj, ctx, CFG.comoto_weights).per_cost
@@ -273,7 +273,7 @@ def test_criterion_9_metric_reference_values():
     goals = GoalSet(true_goal=np.array([1.0, 1.0, 0.0]), distractors=(np.array([1.0, -1.0, 0.0]),))
 
     def metrics(planned, head, target=(0.0, 1.0, 0.0)):
-        human = HumanTrajectory({"head": np.tile(head, (600, 1))}, 100.0)
+        human = HumanTrajectory(("head",), np.tile(head, (600, 1, 1)), 100.0)
         return evaluate_run(
             chain, planned, human, planned, goals, gaze_target=np.asarray(target),
             threshold=CFG.separation_threshold, fov_deg=CFG.fov_deg,

@@ -36,8 +36,8 @@ SPEED = SpeedAdjustParams(d_stop=0.06, d_slow=0.20, control_rate=100.0, timeout_
 
 def constant_human(position, duration=10.0, rate=100.0) -> HumanTrajectory:
     n = int(round(duration * rate)) + 1
-    track = np.tile(np.asarray(position, dtype=float), (n, 1))
-    return HumanTrajectory({"right_palm": track}, rate)
+    track = np.tile(np.asarray(position, dtype=float), (n, 1, 1))
+    return HumanTrajectory(("right_palm",), track, rate)
 
 
 def stationary_nominal(config, n=4, dt=0.1) -> JointTrajectory:
@@ -274,7 +274,8 @@ def approach_and_retreat_human() -> HumanTrajectory:
     y = np.concatenate([
         np.full(8, 0.5), np.linspace(0.5, 0.03, 6), np.full(6, 0.03), np.linspace(0.03, 0.5, 6), np.full(40, 0.5),
     ])
-    return HumanTrajectory({"right_palm": np.stack([np.ones_like(y), y, np.zeros_like(y)], axis=1)}, 100.0)
+    palm = np.stack([np.ones_like(y), y, np.zeros_like(y)], axis=1)
+    return HumanTrajectory(("right_palm",), palm[:, None], 100.0)
 
 
 def plateau_runs(speed_scale):

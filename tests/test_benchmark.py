@@ -178,6 +178,8 @@ def test_run_config_validation():
         dataclasses.replace(cfg, seeds=(1, 1))
     with pytest.raises(ContractViolation):
         dataclasses.replace(cfg, seeds=())
+    with pytest.raises(ContractViolation, match="seeds must be non-negative"):
+        dataclasses.replace(cfg, seeds=(2, -3))
     with pytest.raises(ContractViolation):
         dataclasses.replace(cfg, families=("no_such_family",))
 

@@ -160,6 +160,27 @@ def test_bad_config_value_exits_one(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["run", "--family", "stationary", "--seeds", "-1"], None),
+        (["gen", "--family", "stationary", "--seeds", "-2"], None),
+        (["run"], "benchmark: {seeds: [-3]}\n"),
+    ],
+    ids=["run-seeds-flag", "gen-seeds-flag", "config-seeds"],
+)
+def test_negative_seed_exits_one(tmp_path, capsys, argv, config):
+    # np.random.default_rng would raise a bare ValueError on these seeds.
+    if config is not None:
+        path = tmp_path / "seeds.yaml"
+        path.write_text(config)
+        argv = [*argv, "--config", str(path)]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert "non-negative" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_invalid_yaml_config_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("optimizer: {max_iters: [1\n")
@@ -184,10 +205,12 @@ def _edited(change):
         ("eval", _edited(lambda data: {**data, "human_object": [0.5, float("nan"), 0.1]}), "human_object"),
         ("solve", _edited(lambda data: {**data, "human_rate": float("inf")}), "human_rate"),
         ("solve", _edited(lambda data: {**data, "observation": 5.0}), "outlasts the human script"),
+        ("solve", _edited(lambda data: {**data, "script": {**data["script"], "seed": -1}}), "must be non-negative"),
     ],
     ids=[
         "no-script", "short-goal", "string", "family-only", "invalid-yaml",
         "negative-observation", "nan-human-object", "infinite-human-rate", "observation-outlasts-script",
+        "negative-script-seed",
     ],
 )
 def test_malformed_scenario_exits_one(tmp_path, scenario_path, capsys, command, corrupt, expected):

@@ -120,7 +120,7 @@ def assert_kernels_match(q, ctx, goal):
     assert same_bits(got, want)
     assert same_bits(pullback(jacs), want_pullback(jacs))
 
-    head = ctx.prediction.means["head"]
+    head = ctx.prediction.mean_tracks[ctx.prediction.joints.index("head")]
     got, pullback, flagged = _visibility_term(eef, ctx)
     want, want_pullback, want_flagged = reference_visibility_term(
         eef, head, ctx._sigma_head, ctx.object_pos
@@ -144,9 +144,9 @@ def assert_kernels_match(q, ctx, goal):
 def with_head_step(ctx, k, point):
     """``ctx`` with the head's mean at step ``k`` moved to ``point``."""
     pred = ctx.prediction
-    means = {name: mean.copy() for name, mean in pred.means.items()}
-    means["head"][k] = point
-    moved = PredictedHumanTrajectory(means=means, covariances=pred.covariances, step=pred.step)
+    means = pred.mean_tracks.copy()
+    means[pred.joints.index("head"), k] = point
+    moved = PredictedHumanTrajectory(pred.joints, means, pred.cov_tracks, pred.step)
     return dataclasses.replace(ctx, prediction=moved)
 
 
@@ -168,7 +168,8 @@ def test_kernels_equal_references_at_the_kinks(arm):
     assert np.all(grad[3] == 0.0)
 
     # The attended object on the head at step 5.
-    at_head = dataclasses.replace(ctx, object_pos=ctx.prediction.means["head"][5].copy())
+    head = ctx.prediction.joints.index("head")
+    at_head = dataclasses.replace(ctx, object_pos=ctx.prediction.mean_tracks[head, 5].copy())
     flagged, _ = assert_kernels_match(q, at_head, ctx.goal_point)
     assert flagged == [5]
 

@@ -57,17 +57,15 @@ HUMAN_JOINTS = ("right_shoulder", "right_elbow", "right_wrist", "right_palm", "h
 
 def make_prediction(rng: np.random.Generator, n_steps: int, step: float) -> PredictedHumanTrajectory:
     """Random but well-conditioned tracks: means drift, covariances are PD."""
-    means, covs = {}, {}
-    for name in HUMAN_JOINTS:
+    means, covs = np.empty((len(HUMAN_JOINTS), n_steps, 3)), np.empty((len(HUMAN_JOINTS), n_steps, 3, 3))
+    for j in range(len(HUMAN_JOINTS)):
         base = np.array([0.7, 0.25, 0.35]) + 0.15 * rng.uniform(-1, 1, 3)
         drift = 0.03 * rng.standard_normal((n_steps, 3)).cumsum(axis=0)
-        means[name] = base + drift
-        cov = np.empty((n_steps, 3, 3))
+        means[j] = base + drift
         for k in range(n_steps):
             A = 0.05 * rng.standard_normal((3, 3))
-            cov[k] = A @ A.T + (0.02 + 0.02 * rng.random()) * np.eye(3)
-        covs[name] = cov
-    return PredictedHumanTrajectory(means=means, covariances=covs, step=step)
+            covs[j, k] = A @ A.T + (0.02 + 0.02 * rng.random()) * np.eye(3)
+    return PredictedHumanTrajectory(HUMAN_JOINTS, means, covs, step)
 
 
 def build_problem(chain, seed: int, n_waypoints: int):
@@ -216,11 +214,10 @@ def test_cost_distance_matches_loop_oracle(arm):
     got = term("distance", traj, ctx)
     points = fk_points_batch(arm, traj.waypoints)
     want = 0.0
-    for name in ctx.prediction.joints:
+    for mean, cov in zip(ctx.prediction.mean_tracks, ctx.prediction.cov_tracks):
         for t in range(traj.n_waypoints):
             for p in range(points.shape[1]):
-                d = ctx.prediction.means[name][t] - points[t, p]
-                want += mahalanobis_proximity(d, ctx.prediction.covariances[name][t], ctx.eps_m)
+                want += mahalanobis_proximity(mean[t] - points[t, p], cov[t], ctx.eps_m)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -246,15 +243,15 @@ def test_distance_term_matches_einsum_reference(arm):
         points, jacs = all_point_jacobians_batch(arm, traj.waypoints)
         sigma2 = np.maximum(0.02**2 + (0.08 * pred.times) ** 2, 0.01**2)
         tube = PredictedHumanTrajectory(
-            means=pred.means,
-            covariances={name: sigma2[:, None, None] * np.eye(3) for name in pred.joints},
-            step=pred.step,
+            pred.joints,
+            pred.mean_tracks,
+            np.broadcast_to(sigma2[:, None, None] * np.eye(3), pred.cov_tracks.shape),
+            pred.step,
         )
         cases = [(tube, True), (pred.with_isotropic_covariance(), True), (pred, False)]
         for (prediction, exact), eps_m in itertools.product(cases, (1e-4, 20.0)):
             c = dataclasses.replace(ctx, prediction=prediction, eps_m=eps_m)
-            covs = np.stack([prediction.covariances[j] for j in prediction.joints])
-            inv_covs = np.linalg.inv(covs)
+            inv_covs = np.linalg.inv(prediction.cov_tracks)
             means, inv_covs_t = _distance_inputs(c.prediction)
             want, want_pullback = einsum_distance_term(points, means, inv_covs, eps_m)
             got, pullback = _distance_term(
@@ -273,9 +270,10 @@ def test_cost_visibility_matches_loop_oracle(arm):
     got = term("visibility", traj, ctx)
     eef = fk_points_batch(arm, traj.waypoints)[:, -1]
     want = 0.0
+    j = ctx.prediction.joints.index("head")
     for t in range(traj.n_waypoints):
-        head = ctx.prediction.means["head"][t]
-        cov = ctx.prediction.covariances["head"][t]
+        head = ctx.prediction.mean_tracks[j, t]
+        cov = ctx.prediction.cov_tracks[j, t]
         sigma = max(math.sqrt(np.trace(cov) / 3.0), ctx.sigma_floor)
         want += gaze_angle(ctx.object_pos, head, eef[t]) / sigma
     assert got == pytest.approx(want, rel=1e-12)
@@ -503,13 +501,13 @@ def test_covariance_doubling_moves_costs(arm):
         # preconditions: far from the proximity clamp and the spread floor
         points = fk_points_batch(arm, traj.waypoints)
         m_min = np.inf
-        for name in ctx.prediction.joints:
+        for mean, cov in zip(ctx.prediction.mean_tracks, ctx.prediction.cov_tracks):
             for t in range(traj.n_waypoints):
-                inv = np.linalg.inv(ctx.prediction.covariances[name][t])
-                d = ctx.prediction.means[name][t] - points[t]
+                inv = np.linalg.inv(cov[t])
+                d = mean[t] - points[t]
                 m_min = min(m_min, float(np.min(np.einsum("pa,ab,pb->p", d, inv, d))))
         assert m_min > 100.0 * ctx.eps_m
-        head_cov = ctx.prediction.covariances["head"]
+        head_cov = ctx.prediction.cov_tracks[ctx.prediction.joints.index("head")]
         assert np.min(np.sqrt(np.trace(head_cov, axis1=1, axis2=2) / 3.0)) > ctx.sigma_floor
         before = objective(traj, ctx, COMBINED_WEIGHTS).per_cost
         after = objective(traj, doubled, COMBINED_WEIGHTS).per_cost
@@ -646,10 +644,10 @@ def kink_distance(traj, ctx) -> float:
     points = fk_points_batch(ctx.chain, traj.waypoints)
     eef = points[:, -1]
     pred = ctx.prediction
-    d = np.stack([pred.means[j] for j in pred.joints])[:, :, None, :] - points[None]
-    inv = np.linalg.inv(np.stack([pred.covariances[j] for j in pred.joints]))
+    d = pred.mean_tracks[:, :, None, :] - points[None]
+    inv = np.linalg.inv(pred.cov_tracks)
     m = np.einsum("jtpa,jtab,jtpb->jtp", d, inv, d)
-    head = pred.means["head"]
+    head = pred.mean_tracks[pred.joints.index("head")]
     to_eef = np.linalg.norm(eef - head, axis=1)
     angles = [gaze_angle(ctx.object_pos, h, e) for h, e in zip(head, eef)]
     eef_nominal = fk_points_batch(ctx.chain, ctx.nominal.waypoints)[:, -1]
@@ -716,16 +714,16 @@ def test_distance_inputs_match_per_joint_reference_along_the_prediction_pipeline
     rng = np.random.default_rng(seed)
     rate = 100.0
     t = np.arange(int(round(1.2 * rate)) + 1)[:, None] / rate
-    samples = {name: rng.uniform(-1, 1, 3) + t * rng.uniform(-0.3, 0.3, 3) for name in RIGHT_ARM_JOINTS}
+    tracks = np.stack([rng.uniform(-1, 1, 3) + t * rng.uniform(-0.3, 0.3, 3) for _ in RIGHT_ARM_JOINTS], axis=1)
     goal = rng.uniform(-1, 1, 3) if with_goal else None
-    arm = predict(HumanTrajectory(samples, rate), horizon, step, goal, options=CFG.prediction)
+    arm = predict(HumanTrajectory(RIGHT_ARM_JOINTS, tracks, rate), horizon, step, goal, options=CFG.prediction)
     full = extrapolate_skeleton(arm)
     order = RIGHT_ARM_JOINTS + EXTRAPOLATED_JOINTS
     assert arm.joints == RIGHT_ARM_JOINTS and full.joints == order
 
     offsets = load_skeleton_offsets()
-    means = {name: np.array(arm.means[name]) for name in RIGHT_ARM_JOINTS}
-    covs = {name: np.array(arm.covariances[name]) for name in RIGHT_ARM_JOINTS}
+    means = {name: np.array(arm.mean_tracks[j]) for j, name in enumerate(arm.joints)}
+    covs = {name: np.array(arm.cov_tracks[j]) for j, name in enumerate(arm.joints)}
     for name in EXTRAPOLATED_JOINTS:
         means[name] = means["right_shoulder"] + offsets[name]
         covs[name] = covs["right_shoulder"]
@@ -737,7 +735,8 @@ def test_distance_inputs_match_per_joint_reference_along_the_prediction_pipeline
         (full.scaled_covariance(factor), means, {k: factor * v for k, v in covs.items()}, order),
     ]
     distinct = {name: (1.0 + j) * covs[name] for j, name in enumerate(reversed(order))}
-    cases.append((PredictedHumanTrajectory(means, distinct, step), means, distinct, order))
+    stacked = (np.stack([means[name] for name in order]), np.stack([distinct[name] for name in order]))
+    cases.append((PredictedHumanTrajectory(order, *stacked, step), means, distinct, order))
     for pred, want_means, want_covs, joints in cases:
         got = _distance_inputs(pred)
         want = reference_distance_inputs(want_means, want_covs, joints)

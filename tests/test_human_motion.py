@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from conftest import CFG
 
@@ -115,6 +117,8 @@ def test_reach_script_validation():
         ReachScript(start, start, move_duration=3.0, total_duration=2.0)
     with pytest.raises(ContractViolation):
         ReachScript(start, start, move_duration=1.0, total_duration=2.0, noise_scale=-0.1)
+    with pytest.raises(ContractViolation, match="seed must be non-negative"):
+        ReachScript(start, start, move_duration=1.0, total_duration=2.0, seed=-1)
     incomplete = {k: v for k, v in start.items() if k != "right_palm"}
     with pytest.raises(ContractViolation):
         ReachScript(incomplete, start, move_duration=1.0, total_duration=2.0)
@@ -122,12 +126,15 @@ def test_reach_script_validation():
 
 def test_trajectory_prefix_and_interpolation():
     track = np.stack([np.arange(5.0), np.zeros(5), np.zeros(5)], axis=1)
-    traj = HumanTrajectory({"right_palm": track, "head": -track}, rate=2.0)
+    traj = HumanTrajectory(("right_palm", "head"), np.stack([track, -track], axis=1), rate=2.0)
     assert traj.duration == pytest.approx(2.0)
     assert traj.tracks.shape == (5, 2, 3)
-    assert all(np.shares_memory(traj.samples[name], traj.tracks) for name in traj.joints)
+    assert list(traj.samples) == list(traj.joints)
+    for j, name in enumerate(traj.joints):
+        assert np.shares_memory(traj.samples[name], traj.tracks)
+        assert traj.samples[name].tobytes() == traj.tracks[:, j].tobytes()
     pre = traj.prefix(1.0)
-    assert pre.n_samples == 3
+    assert pre.n_samples == 3 and pre.joints == traj.joints
     assert np.array_equal(pre.samples["right_palm"], track[:3])
     assert traj.prefix(0.0).n_samples == traj.prefix(-0.0).n_samples == 1
     for duration in (2.0, 2.4, 1e300):  # at most the whole record
@@ -141,41 +148,76 @@ def test_trajectory_prefix_and_interpolation():
 
 @pytest.mark.parametrize("duration", [-1.0, -1e-9, math.nan, math.inf, -math.inf])
 def test_trajectory_prefix_rejects_negative_or_non_finite_duration(duration):
-    traj = HumanTrajectory({"head": np.zeros((301, 3))}, rate=100.0)
+    traj = HumanTrajectory(("head",), np.zeros((301, 1, 3)), rate=100.0)
     with pytest.raises(ContractViolation, match="prefix duration"):
         traj.prefix(duration)
 
 
 def test_trajectory_validation():
+    # One track per named joint, and one name per joint.
+    for joints in (("a", "b"), ("a", "b", "c")):
+        with pytest.raises(ContractViolation, match=r"\(T, J, 3\)"):
+            HumanTrajectory(joints, np.zeros((4, 1, 3)), rate=10.0)
+    with pytest.raises(ContractViolation, match="distinct joint names"):
+        HumanTrajectory(("a", "a"), np.zeros((4, 2, 3)), rate=10.0)
     with pytest.raises(ContractViolation):
-        HumanTrajectory({"a": np.zeros((4, 3)), "b": np.zeros((5, 3))}, rate=10.0)
-    with pytest.raises(ContractViolation):
-        HumanTrajectory({"a": np.zeros((4, 3))}, rate=0.0)
+        HumanTrajectory(("a",), np.zeros((4, 1, 3)), rate=0.0)
 
 
+# Each case's ``samples`` is its (joints, tracks) pair.
 @pytest.mark.parametrize(
     "samples, rate, message",
     [
-        ({"head": np.zeros((5, 3))}, math.nan, "rate"),
-        ({"head": np.zeros((5, 3))}, math.inf, "rate"),
-        ({"head": np.zeros((5, 3))}, -1.0, "rate"),
-        ({"head": np.zeros((5, 2))}, 100.0, r"\(T, 3\)"),
-        ({"head": np.zeros(5)}, 100.0, r"\(T, 3\)"),
-        ({"head": np.zeros((0, 3))}, 100.0, r"\(T, 3\)"),
-        ({}, 100.0, r"\(T, 3\)"),
-        ({"head": np.full((5, 3), math.nan)}, 100.0, "finite"),
-        ({"head": np.zeros((5, 3)), "right_palm": np.array([[0.0, 0.0, 0.0]] * 4 + [[0.0, math.inf, 0.0]])}, 100.0, "finite"),
+        ((("head",), np.zeros((5, 1, 3))), math.nan, "rate"),
+        ((("head",), np.zeros((5, 1, 3))), math.inf, "rate"),
+        ((("head",), np.zeros((5, 1, 3))), -1.0, "rate"),
+        ((("head",), np.zeros((5, 1, 2))), 100.0, r"\(T, 3\)"),
+        ((("head",), np.zeros((5, 3))), 100.0, r"\(T, 3\)"),
+        ((("head",), np.zeros((0, 1, 3))), 100.0, r"\(T, 3\)"),
+        (((), np.zeros((5, 0, 3))), 100.0, r"\(T, 3\)"),
+        ((("head",), np.full((5, 1, 3), math.nan)), 100.0, "finite"),
+        ((("head", "right_palm"), np.array([[[0.0] * 3] * 2] * 4 + [[[0.0] * 3, [0.0, math.inf, 0.0]]])), 100.0, "finite"),
     ],
 )
 def test_trajectory_rejects_bad_rate_shape_and_samples(samples, rate, message):
     with pytest.raises(ContractViolation, match=message):
-        HumanTrajectory(samples, rate)
+        HumanTrajectory(*samples, rate)
+
+
+def test_trajectory_state_is_read_only_and_copied():
+    # The stacked arrays are a trajectory's only state: nothing can be
+    # assigned beside them, and the caller's arrays are copied, not shared.
+    tracks = np.zeros((5, 2, 3))
+    truth = HumanTrajectory(("head", "right_palm"), tracks, rate=10.0)
+    tracks[:] = 1.0
+    assert not truth.tracks.any()
+    with pytest.raises(TypeError):
+        truth.samples["head"] = np.ones((5, 3))
+    for array in (truth.samples["head"], truth.tracks):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    assert not truth.tracks.any()
+
+    observed = constant_velocity_truth([0.0, 0.1, 0.0])
+    pred = predict(observed, horizon=5, step=0.1, options=CFG.prediction)
+    full = extrapolate_skeleton(pred)
+    for p in (pred, full, full.with_isotropic_covariance(), full.scaled_covariance(2.0)):
+        assert not hasattr(p, "means") and not hasattr(p, "covariances")
+        for stack in (p.mean_tracks, p.cov_tracks):
+            with pytest.raises(ValueError, match="read-only"):
+                stack[0, 0] = 1.0
+    means = np.zeros((1, 3, 3))
+    covs = np.broadcast_to(np.eye(3), (1, 3, 3, 3)).copy()
+    p = PredictedHumanTrajectory(("head",), means, covs, step=0.1)
+    means[:] = 1.0
+    covs[:] = 2.0 * np.eye(3)
+    assert not p.mean_tracks.any() and np.array_equal(p.cov_tracks[0, 0], np.eye(3))
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_positions_at_rejects_non_finite_times(t):
     # A NaN index would become an arbitrary integer row index in sample_rows_many.
-    traj = HumanTrajectory({"head": np.zeros((5, 3))}, rate=10.0)
+    traj = HumanTrajectory(("head",), np.zeros((5, 1, 3)), rate=10.0)
     with pytest.raises(ContractViolation, match="finite times"):
         traj.positions_at(np.array([0.1, t]))
 
@@ -214,19 +256,20 @@ def constant_velocity_truth(v, rate=100.0, duration=1.2):
     n = int(round(duration * rate)) + 1
     t = np.arange(n)[:, None] / rate
     pose = make_pose(np.array([0.7, 0.2, 0.1]))
-    samples = {name: pose[name] + t * np.asarray(v, dtype=float) for name in RIGHT_ARM_JOINTS}
-    return HumanTrajectory(samples, rate)
+    tracks = np.stack([pose[name] + t * np.asarray(v, dtype=float) for name in RIGHT_ARM_JOINTS], axis=1)
+    return HumanTrajectory(RIGHT_ARM_JOINTS, tracks, rate)
 
 
 def test_predict_constant_velocity_mean():
     v = np.array([0.1, -0.05, 0.02])
     observed = constant_velocity_truth(v)
     pred = predict(observed, horizon=12, step=0.1, goal=None, options=CFG.prediction)
-    for name in RIGHT_ARM_JOINTS:
+    assert pred.joints == RIGHT_ARM_JOINTS
+    for j, name in enumerate(RIGHT_ARM_JOINTS):
         last = observed.samples[name][-1]
         for k in range(12):
             want = last + 0.1 * k * v
-            assert np.max(np.abs(pred.means[name][k] - want)) <= 1e-9
+            assert np.max(np.abs(pred.mean_tracks[j, k] - want)) <= 1e-9
 
 
 def test_predict_covariance_tube():
@@ -235,8 +278,7 @@ def test_predict_covariance_tube():
     pred = predict(observed, horizon=10, step=0.1, goal=None, options=opts)
     t_ahead = 0.1 * np.arange(10)
     var = np.maximum(opts.sigma0**2 + (opts.kappa * t_ahead) ** 2, opts.sigma_floor**2)
-    for name in RIGHT_ARM_JOINTS:
-        cov = pred.covariances[name]
+    for cov in pred.cov_tracks:
         for k in range(10):
             assert np.allclose(cov[k], var[k] * np.eye(3), atol=1e-15)
             vals = np.linalg.eigvalsh(cov[k])
@@ -249,10 +291,11 @@ def test_predict_goal_blend_hits_goal():
     goal = observed.samples["right_palm"][-1] + np.array([0.3, 0.0, 0.0])
     pred = predict(observed, horizon=15, step=0.1, goal=goal, options=CFG.prediction)
     # step 0 coincides with the end of observation
-    for name in RIGHT_ARM_JOINTS:
-        assert np.allclose(pred.means[name][0], observed.samples[name][-1], atol=1e-12)
+    for j, name in enumerate(pred.joints):
+        assert np.allclose(pred.mean_tracks[j, 0], observed.samples[name][-1], atol=1e-12)
     # the final blended step puts the palm on the goal
-    assert np.max(np.abs(pred.means["right_palm"][-1] - goal)) <= 1e-9
+    palm = pred.joints.index("right_palm")
+    assert np.max(np.abs(pred.mean_tracks[palm, -1] - goal)) <= 1e-9
     assert pred.t0 == pytest.approx(observed.duration)
     assert np.allclose(pred.times, observed.duration + 0.1 * np.arange(15), atol=1e-12)
 
@@ -283,44 +326,49 @@ def test_predict_validation():
     short = constant_velocity_truth([0.1, 0.0, 0.0], duration=0.5 * OBSERVATION_WINDOW)
     with pytest.raises(ContractViolation):
         predict(short, horizon=5, step=0.1, options=CFG.prediction)
-    missing = HumanTrajectory(
-        {"right_palm": observed.samples["right_palm"]}, rate=observed.rate
-    )
+    missing = HumanTrajectory(("right_palm",), observed.samples["right_palm"][:, None], rate=observed.rate)
     with pytest.raises(ContractViolation):
         predict(missing, horizon=5, step=0.1, options=CFG.prediction)
 
 
 def test_predicted_trajectory_validation():
-    eye = np.broadcast_to(np.eye(3), (4, 3, 3)).copy()
-    means = {"right_palm": np.zeros((4, 3))}
-    with pytest.raises(ContractViolation):
-        PredictedHumanTrajectory(means=means, covariances={}, step=0.1)
+    palm = ("right_palm",)
+    eye = np.broadcast_to(np.eye(3), (1, 4, 3, 3)).copy()
+    means = np.zeros((1, 4, 3))
+    with pytest.raises(ContractViolation, match="cover the same joints"):
+        PredictedHumanTrajectory(palm, means, np.zeros((0, 4, 3, 3)), step=0.1)
+    with pytest.raises(ContractViolation, match="cover the same joints"):
+        PredictedHumanTrajectory(palm + ("head",), means, eye, step=0.1)
+    with pytest.raises(ContractViolation, match="distinct joint names"):
+        PredictedHumanTrajectory(palm * 2, np.zeros((2, 4, 3)), np.concatenate([eye, eye]), step=0.1)
     skew = eye.copy()
-    skew[0, 0, 1] = 0.5
+    skew[0, 0, 0, 1] = 0.5
     with pytest.raises(ContractViolation):
-        PredictedHumanTrajectory(means=means, covariances={"right_palm": skew}, step=0.1)
+        PredictedHumanTrajectory(palm, means, skew, step=0.1)
     for step in (0.0, -0.1, math.nan, math.inf):
         with pytest.raises(ContractViolation, match="step must be finite and positive"):
-            PredictedHumanTrajectory(means=means, covariances={"right_palm": eye}, step=step)
+            PredictedHumanTrajectory(palm, means, eye, step=step)
     for t0 in (math.nan, math.inf, -math.inf):
         with pytest.raises(ContractViolation, match="t0 must be finite"):
-            PredictedHumanTrajectory(means=means, covariances={"right_palm": eye}, step=0.1, t0=t0)
-    nan_mean = {"right_palm": np.zeros((4, 3))}
-    nan_mean["right_palm"][2, 1] = math.nan
+            PredictedHumanTrajectory(palm, means, eye, step=0.1, t0=t0)
+    nan_mean = np.zeros((1, 4, 3))
+    nan_mean[0, 2, 1] = math.nan
     with pytest.raises(ContractViolation, match="means must be finite"):
-        PredictedHumanTrajectory(means=nan_mean, covariances={"right_palm": eye}, step=0.1)
+        PredictedHumanTrajectory(palm, nan_mean, eye, step=0.1)
     indefinite, infinite = eye * 0.01, eye.copy()
-    indefinite[2] = np.diag([0.01, 0.01, -0.01])
-    infinite[1, 0, 0] = np.inf
+    indefinite[0, 2] = np.diag([0.01, 0.01, -0.01])
+    infinite[0, 1, 0, 0] = np.inf
     for bad, message in ((indefinite, "positive definite"), (infinite, "finite")):
         with pytest.raises(ContractViolation, match=f"right_palm is not {message}"):
-            PredictedHumanTrajectory(means=means, covariances={"right_palm": bad}, step=0.1)
-    flat_cov = {"right_palm": np.full((4, 3), 0.01)}
+            PredictedHumanTrajectory(palm, means, bad, step=0.1)
+    flat_cov = np.full((1, 4, 3), 0.01)
     with pytest.raises(ContractViolation, match=r"right_palm needs \(H, 3\) means"):
-        PredictedHumanTrajectory(means=means, covariances=flat_cov, step=0.1)
-    planar_means = {"right_palm": np.zeros((4, 2))}
+        PredictedHumanTrajectory(palm, means, flat_cov, step=0.1)
+    planar_means = np.zeros((1, 4, 2))
     with pytest.raises(ContractViolation, match=r"right_palm needs \(H, 3\) means"):
-        PredictedHumanTrajectory(means=planar_means, covariances={"right_palm": eye}, step=0.1)
+        PredictedHumanTrajectory(palm, planar_means, eye, step=0.1)
+    with pytest.raises(ContractViolation, match="horizon of at least 1 step"):
+        PredictedHumanTrajectory(palm, np.zeros((1, 0, 3)), np.zeros((1, 0, 3, 3)), step=0.1)
 
 
 def test_predicted_trajectory_names_the_first_bad_joint():
@@ -338,9 +386,9 @@ def test_predicted_trajectory_names_the_first_bad_joint():
         ({"a": eye, "b": eye, "c": indefinite}, "c is not positive definite"),
     ]
     for covs, message in cases:
-        means = {name: np.zeros((4, 3)) for name in covs}
+        means = np.zeros((len(covs), 4, 3))
         with pytest.raises(ContractViolation, match=message):
-            PredictedHumanTrajectory(means=means, covariances=covs, step=0.1)
+            PredictedHumanTrajectory(tuple(covs), means, np.stack(list(covs.values())), step=0.1)
 
 
 def test_covariance_scaling_helpers():
@@ -348,10 +396,11 @@ def test_covariance_scaling_helpers():
     pred = predict(observed, horizon=6, step=0.1, options=CFG.prediction)
     doubled = pred.scaled_covariance(2.0)
     flat = pred.with_isotropic_covariance()
-    for name in pred.joints:
-        assert np.array_equal(doubled.means[name], pred.means[name])
-        assert np.allclose(doubled.covariances[name], 2.0 * pred.covariances[name], atol=1e-15)
-        assert np.allclose(flat.covariances[name], np.broadcast_to(np.eye(3), (6, 3, 3)), atol=1e-15)
+    for p in (doubled, flat):
+        assert p.joints == pred.joints and (p.step, p.t0) == (pred.step, pred.t0)
+        assert p.mean_tracks.tobytes() == pred.mean_tracks.tobytes()
+    assert np.allclose(doubled.cov_tracks, 2.0 * pred.cov_tracks, atol=1e-15)
+    assert np.allclose(flat.cov_tracks, np.broadcast_to(np.eye(3), (4, 6, 3, 3)), atol=1e-15)
     for make_indefinite in (pred.scaled_covariance, pred.with_isotropic_covariance):
         with pytest.raises(ContractViolation, match="not positive definite"):
             make_indefinite(-1.0)
@@ -362,17 +411,30 @@ def test_extrapolate_skeleton_offsets():
     pred = predict(observed, horizon=8, step=0.1, options=CFG.prediction)
     full = extrapolate_skeleton(pred)
     offsets = load_skeleton_offsets()
+    assert full.joints == RIGHT_ARM_JOINTS + EXTRAPOLATED_JOINTS
+    shoulder = full.joints.index("right_shoulder")
     for name in EXTRAPOLATED_JOINTS:
-        assert np.allclose(
-            full.means[name], full.means["right_shoulder"] + offsets[name], atol=1e-15
-        )
-        assert np.array_equal(full.covariances[name], full.covariances["right_shoulder"])
+        j = full.joints.index(name)
+        want = full.mean_tracks[shoulder] + offsets[name]
+        assert full.mean_tracks[j].tobytes() == want.tobytes(), name
+        assert full.cov_tracks[j].tobytes() == full.cov_tracks[shoulder].tobytes(), name
+    # An extrapolated joint the input has is replaced where it stands; the
+    # joints it lacks follow in EXTRAPOLATED_JOINTS order.
+    rows = [RIGHT_ARM_JOINTS.index("right_palm"), 0, RIGHT_ARM_JOINTS.index("right_shoulder")]
+    mixed = PredictedHumanTrajectory(
+        ("right_palm", "head", "right_shoulder"), pred.mean_tracks[rows], pred.cov_tracks[rows], step=0.1
+    )
+    got = extrapolate_skeleton(mixed)
+    rest = tuple(name for name in EXTRAPOLATED_JOINTS if name != "head")
+    assert got.joints == ("right_palm", "head", "right_shoulder") + rest
+    assert got.mean_tracks[0].tobytes() == pred.mean_tracks[rows[0]].tobytes()
+    assert got.mean_tracks[1].tobytes() == (mixed.mean_tracks[2] + offsets["head"]).tobytes()
+    for j, name in enumerate(rest, start=3):
+        assert got.mean_tracks[j].tobytes() == full.mean_tracks[full.joints.index(name)].tobytes(), name
     with pytest.raises(ContractViolation):
         extrapolate_skeleton(
             PredictedHumanTrajectory(
-                means={"right_palm": np.zeros((3, 3))},
-                covariances={"right_palm": np.broadcast_to(np.eye(3), (3, 3, 3)).copy()},
-                step=0.1,
+                ("right_palm",), np.zeros((1, 3, 3)), np.broadcast_to(np.eye(3), (1, 3, 3, 3)), step=0.1
             )
         )
 
@@ -386,23 +448,58 @@ def test_predictions_stack_read_only_tracks():
     for p in (pred, full):
         assert p.mean_tracks.shape == (len(p.joints), 8, 3)
         assert p.cov_tracks.shape == (len(p.joints), 8, 3, 3)
-        for tracks, views in ((p.mean_tracks, p.means), (p.cov_tracks, p.covariances)):
-            assert not tracks.flags.writeable
-            for j, name in enumerate(p.joints):
-                assert not views[name].flags.writeable
-                assert np.shares_memory(views[name], tracks)
-                assert views[name].tobytes() == tracks[j].tobytes()
+        assert not p.mean_tracks.flags.writeable and not p.cov_tracks.flags.writeable
     offsets = load_skeleton_offsets()
-    shoulder_mean = pred.means["right_shoulder"]
-    for name in full.joints:
-        want = pred.means[name] if name in pred.joints else shoulder_mean + offsets[name]
-        assert full.means[name].tobytes() == want.tobytes(), name
-        want_cov = pred.covariances[name if name in pred.joints else "right_shoulder"]
-        assert full.covariances[name].tobytes() == want_cov.tobytes(), name
+    shoulder = pred.joints.index("right_shoulder")
+    for j, name in enumerate(full.joints):
+        arm = pred.joints.index(name) if name in pred.joints else None
+        want = pred.mean_tracks[shoulder] + offsets[name] if arm is None else pred.mean_tracks[arm]
+        assert full.mean_tracks[j].tobytes() == want.tobytes(), name
+        want_cov = pred.cov_tracks[shoulder if arm is None else arm]
+        assert full.cov_tracks[j].tobytes() == want_cov.tobytes(), name
     with pytest.raises(ValueError, match="read-only"):
-        full.covariances["head"][0, 0, 0] = 1.0
+        full.cov_tracks[full.joints.index("head"), 0, 0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         full.mean_tracks[0, 0, 0] = 1.0
+
+
+@settings(
+    max_examples=20,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
+)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rate=st.sampled_from((32.0, 64.0, 128.0)),
+    observation=st.floats(1.0, 3.0),
+    with_goal=st.booleans(),
+)
+def test_prefix_and_predict_read_the_rows_positions_at_samples(seed, rate, observation, with_goal):
+    # Joints in a shuffled order with two the predictor does not read; at a
+    # power-of-two rate, k / rate * rate is k exactly, so positions_at returns
+    # sample rows as they are.
+    rng = np.random.default_rng(seed)
+    joints = tuple(rng.permutation(RIGHT_ARM_JOINTS + ("head", "torso")).tolist())
+    n = int(2.5 * rate) + 1
+    start = rng.uniform(-1, 1, (1, len(joints), 3))
+    tracks = start + 0.01 * rng.standard_normal((n, len(joints), 3)).cumsum(axis=0)
+    truth = HumanTrajectory(joints, tracks, rate)
+    observed = truth.prefix(observation)
+    count = int(round(min(observation, truth.duration) * rate)) + 1
+    assert observed.joints == joints
+    assert observed.tracks.tobytes() == tracks[:count].tobytes()
+    rows = truth.positions_at(np.arange(count) / rate)
+    assert rows.tobytes() == observed.tracks.tobytes()
+    arm_rows = rows[:, [joints.index(name) for name in RIGHT_ARM_JOINTS]]
+    goal = rng.uniform(-1, 1, 3) if with_goal else None
+    got = predict(observed, 6, 0.1, goal, options=CFG.prediction)
+    want = predict(HumanTrajectory(RIGHT_ARM_JOINTS, arm_rows, rate), 6, 0.1, goal, options=CFG.prediction)
+    assert got.joints == want.joints == RIGHT_ARM_JOINTS
+    assert got.mean_tracks.tobytes() == want.mean_tracks.tobytes()
+    assert got.cov_tracks.tobytes() == want.cov_tracks.tobytes()
+    assert got.t0 == want.t0 == observed.duration
 
 
 def test_skeleton_offsets_cover_extrapolated_joints():

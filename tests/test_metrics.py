@@ -31,8 +31,13 @@ GOALS = GoalSet(true_goal=np.array([2.0, 0.0, 0.0]), distractors=(np.array([0.5,
 
 
 def fixed_human(position, n=600, rate=100.0) -> HumanTrajectory:
-    track = np.tile(np.asarray(position, dtype=float), (n, 1))
-    return HumanTrajectory({"head": track}, rate)
+    track = np.tile(np.asarray(position, dtype=float), (n, 1, 1))
+    return HumanTrajectory(("head",), track, rate)
+
+
+def human_from(tracks: dict, rate) -> HumanTrajectory:
+    """Ground truth from per-joint (T, 3) tracks, in the dict's order."""
+    return HumanTrajectory(tuple(tracks), np.stack(list(tracks.values()), axis=1), rate)
 
 
 def metrics(chain, planned, human, target=(0.5, 2.0, 0.0), goals=GOALS, nominal=None, **settings):
@@ -66,7 +71,7 @@ def test_separation_matches_all_pairs_reference(arm):
         + 0.02 * rng.standard_normal((n_steps, 3)).cumsum(axis=0)
         for name in ("head", "joint1", "joint2", "joint3", "joint4")
     }
-    human = HumanTrajectory(tracks, rate)
+    human = human_from(tracks, rate)
     robot = fk_points_batch(arm, configs)
     stacked = human.positions_at(traj.times)  # (T,J,3)
     diff = robot[:, None, :, :] - stacked[:, :, None, :]
@@ -112,7 +117,7 @@ def test_evaluate_run_in_blocks_matches_whole_trace(arm):
         + 0.02 * rng.standard_normal((n_steps, 3)).cumsum(axis=0)
         for name in ("head", "joint1", "joint2", "joint3")
     }
-    human = HumanTrajectory(tracks, rate)
+    human = human_from(tracks, rate)
     traj = JointTrajectory(configs, dt=1.0 / rate)
     own_nominal = JointTrajectory(configs[::-1], dt=1.0 / rate)
     nominal = JointTrajectory(configs[::40], dt=40.0 / rate)
@@ -155,7 +160,7 @@ def test_dst_pct_matches_running_minimum_at_exact_threshold(arm):
         + 0.02 * rng.standard_normal((n_steps, 3)).cumsum(axis=0)
         for name in ("head", "right_shoulder", "right_elbow", "right_wrist", "right_palm")
     }
-    human = HumanTrajectory(tracks, rate)
+    human = human_from(tracks, rate)
     traj = JointTrajectory(configs, dt=1.0 / rate)
     want = running_minimum_separations(fk_points_batch(arm, configs), human.positions_at(traj.times))
     for step in [*range(0, n_steps, 6), n_steps - 1, int(np.argmax(want))]:
@@ -284,6 +289,6 @@ def test_unknown_planned_type_rejected(planar2):
 
 def test_visibility_needs_head_track(planar2):
     traj = JointTrajectory(np.tile(Q_NEAR, (4, 1)), dt=0.1)
-    headless = HumanTrajectory({"right_palm": np.zeros((10, 3))}, rate=100.0)
+    headless = HumanTrajectory(("right_palm",), np.zeros((10, 1, 3)), rate=100.0)
     with pytest.raises(ContractViolation):
         metrics(planar2, traj, headless)

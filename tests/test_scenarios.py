@@ -99,6 +99,9 @@ def test_generate_scenarios_order_and_count(arm):
     assert all(sc.family == "reaching_near" for sc in scs)
     with pytest.raises(ContractViolation):
         make_scenario("unheard_of", 1, arm)
+    for family in FAMILIES:
+        with pytest.raises(ContractViolation, match="seed must be non-negative"):
+            make_scenario(family, -1, arm)
 
 
 def test_family_contract_validation(arm):
