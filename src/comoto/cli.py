@@ -94,10 +94,11 @@ def build_parser() -> _Parser:
 
 
 def _cmd_gen(args) -> int:
+    seeds = load_config().seeds if args.seeds is None else args.seeds
+    scenarios = generate_scenarios(args.family, seeds)  # checked before anything is written
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
-    seeds = load_config().seeds if args.seeds is None else args.seeds
-    for sc in generate_scenarios(args.family, seeds):
+    for sc in scenarios:
         path = out / f"{sc.family}_{sc.seed}.yaml"
         save_scenario(sc, path)
         print(path)

@@ -38,7 +38,6 @@ from .kinematics import (
     _eef_jacobians,
     _point_jacobians,
     fk_eef,
-    fk_points_batch,
 )
 
 Array = np.ndarray
@@ -86,9 +85,9 @@ class CostWeights:
         return {name: getattr(self, alpha) for name, alpha in _ALPHA.items()}
 
 
-@dataclass
+@dataclass(frozen=True)
 class CostContext:
-    """Fixed inputs for evaluating one planning problem.
+    """The validated inputs of one planning problem.
 
     The prediction must already live on the trajectory's waypoint grid
     (equal horizon).  ``object_pos`` is the point the human attends to
@@ -99,7 +98,8 @@ class CostContext:
     separation goes to 0, and ``sigma_floor`` bounds the head-position
     spread the visibility cost divides by.  ``obstacles`` holds
     ``(center, clearance radius)`` pairs of spheres the robot points keep
-    out of.  Immutable after construction.
+    out of.  Frozen (``dataclasses.replace`` makes a checked copy), and
+    holds no derived array: each solve's ``WeightedObjective`` derives them.
     """
 
     chain: ChainSpec
@@ -112,11 +112,12 @@ class CostContext:
     obstacles: tuple = ()
 
     def __post_init__(self):
-        self.goal_config = np.asarray(self.goal_config, dtype=float)
-        if self.goal_config.shape != (self.chain.n_joints,):
+        goal_config = np.asarray(self.goal_config, dtype=float)
+        if goal_config.shape != (self.chain.n_joints,):
             raise ContractViolation("goal_config dimension does not match the chain")
+        object.__setattr__(self, "goal_config", goal_config)
         if self.object_pos is not None:
-            self.object_pos = np.asarray(self.object_pos, dtype=float).reshape(3)
+            object.__setattr__(self, "object_pos", np.asarray(self.object_pos, dtype=float).reshape(3))
         for name in ("eps_m", "sigma_floor"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -133,32 +134,7 @@ class CostContext:
                 raise ContractViolation(f"obstacle center must be 3 finite coordinates, got {center}")
             if not (math.isfinite(radius) and radius > 0):
                 raise ContractViolation(f"obstacle clearance must be finite and positive, got {radius}")
-        self._centers = np.reshape(centers, (-1, 3))
-        self._clearance = clearance
-        self._goal_point = fk_eef(self.chain, self.goal_config)
-        # A copy, so that the context does not keep every FK point of the nominal.
-        self._nominal_eef = (
-            None
-            if self.nominal is None
-            else fk_points_batch(self.chain, self.nominal.waypoints)[:, -1].copy()
-        )
-        self._sigma_head = self._gaze = None
-        if self.prediction is not None and "head" in self.prediction.joints:
-            head = self.prediction.joints.index("head")
-            head_cov = self.prediction.cov_tracks[head]
-            spread = np.sqrt(np.trace(head_cov, axis1=1, axis2=2) / 3.0)
-            self._sigma_head = np.maximum(spread, self.sigma_floor)
-        if self._sigma_head is not None and self.object_pos is not None:
-            # The visibility term's gaze ray from the head to the object, per step.
-            self._head = self.prediction.mean_tracks[head]
-            self._gaze = self.object_pos - self._head
-            self._gaze_norm = nu = _row_norms(self._gaze)
-            self._gaze_unit = self._gaze / np.where(nu > 1e-9, nu, 1.0)[:, None]
-
-    @property
-    def goal_point(self) -> Array:
-        """End-effector position of the goal configuration."""
-        return self._goal_point
+        object.__setattr__(self, "obstacles", tuple(zip(centers, clearance)))
 
 
 @dataclass
@@ -241,10 +217,11 @@ def _distance_term(points: Array, point_means: Array, inv_covs_t: Array, eps_m: 
     return value, pullback
 
 
-def _visibility_term(eef: Array, ctx: CostContext):
-    """Returns ``(value, pullback, flagged)``; ``flagged`` lists degenerate steps."""
-    u, nu, sigma_head = ctx._gaze, ctx._gaze_norm, ctx._sigma_head
-    w = eef - ctx._head
+def _visibility_term(eef: Array, problem: WeightedObjective):
+    """``(value, pullback, flagged)`` from ``problem``'s gaze ray and head spread;
+    ``flagged`` lists degenerate steps."""
+    u, nu, sigma_head = problem.gaze, problem.gaze_norm, problem.sigma_head
+    w = eef - problem.head
     nw = _row_norms(w)
     ok = (nu > 1e-9) & (nw > 1e-9)
     flagged = [] if ok.all() else [int(t) for t in np.nonzero(~ok)[0]]
@@ -259,7 +236,7 @@ def _visibility_term(eef: Array, ctx: CostContext):
         diffbl = ok & (sin2 > _TINY)
         safe_sin = np.sqrt(np.where(diffbl, sin2, 1.0))
         w_hat = w / safe_nw[:, None]
-        dtheta_dw = -(ctx._gaze_unit - c[:, None] * w_hat) / (safe_nw * safe_sin)[:, None]
+        dtheta_dw = -(problem.gaze_unit - c[:, None] * w_hat) / (safe_nw * safe_sin)[:, None]
         dtheta_dw = np.where(diffbl[:, None], dtheta_dw, 0.0)
         return np.einsum("tan,ta->tn", eef_jac, dtheta_dw / sigma_head[:, None])
 
@@ -322,14 +299,14 @@ def _smoothness_term(q: Array, dt: float):
     return value, pullback
 
 
-def _obstacle_term(points: Array, ctx: CostContext, weight: float):
-    # points (N,P,3); diff, dist and pen are (N,P,S[,3]) over the S spheres.
-    # The pullback comes weighted: the weight enters its coefficient ahead of
-    # the einsums, and every nominal plan, so every benchmark row, depends on
-    # that rounding.
-    diff = points[:, :, None, :] - ctx._centers
+def _obstacle_term(points: Array, centers: Array, clearance: Array, weight: float):
+    # points (N,P,3), centers (S,3) and clearance (S,) of the S spheres; diff,
+    # dist and pen are (N,P,S[,3]).  The pullback comes weighted: the weight
+    # enters its coefficient ahead of the einsums, and every nominal plan, so
+    # every benchmark row, depends on that rounding.
+    diff = points[:, :, None, :] - centers
     dist = _row_norms(diff)
-    pen = np.maximum(0.0, ctx._clearance - dist)
+    pen = np.maximum(0.0, clearance - dist)
     value = float((pen**2).sum())
 
     def pullback(frames: tuple[Array, Array]) -> tuple[Array, Array]:
@@ -367,15 +344,22 @@ class WeightedObjective:
     (``supported``), the weighted end-effector terms (``eef_terms``),
     the legibility time weights and the FK buffers (``frames``) every
     pass runs its forward kinematics in, so the passes of one problem
-    must not run concurrently.
+    must not run concurrently.  It derives every array a term reads from
+    the context, once per solve: the spheres' ``centers`` and ``clearance``
+    and the visibility term's ``sigma_head``, ``head``, ``gaze``,
+    ``gaze_norm`` and ``gaze_unit`` (``None`` without a head or an object)
+    here, and ``goal_point``, ``nominal_eef`` and ``distance_inputs`` on the
+    first pass that needs them.
     """
 
     def __init__(self, ctx: CostContext, w: CostWeights, dt: float, n_waypoints: int):
         self.ctx, self.dt = ctx, dt
         self.weights = weights = w.as_dict()
+        prediction = ctx.prediction
+        sees_head = prediction is not None and "head" in prediction.joints
         has_inputs = {
-            "distance": ctx.prediction is not None,
-            "visibility": ctx._gaze is not None,
+            "distance": prediction is not None,
+            "visibility": sees_head and ctx.object_pos is not None,
             "nominal": ctx.nominal is not None,
             "obstacle": len(ctx.obstacles) > 0,
         }
@@ -383,7 +367,7 @@ class WeightedObjective:
             _require(ok or weights[name] == 0, f"{name} weight set but the context lacks its inputs")
         if has_inputs["distance"]:
             _require(
-                ctx.prediction.horizon == n_waypoints,
+                prediction.horizon == n_waypoints,
                 "prediction horizon must equal the trajectory waypoint count",
             )
         if has_inputs["nominal"]:
@@ -400,6 +384,27 @@ class WeightedObjective:
         self.time_weights = np.arange(n_waypoints, 0, -1, dtype=float)
         self.time_weight_sum = float(self.time_weights.sum())
         self.frames = Frames(ctx.chain, (n_waypoints,))
+        self.centers = np.reshape([c for c, _ in ctx.obstacles], (-1, 3))
+        self.clearance = np.array([r for _, r in ctx.obstacles], dtype=float)
+        self.sigma_head = self.head = self.gaze = self.gaze_norm = self.gaze_unit = None
+        if has_inputs["visibility"]:
+            head = prediction.joints.index("head")
+            spread = np.sqrt(np.trace(prediction.cov_tracks[head], axis1=1, axis2=2) / 3.0)
+            self.sigma_head = np.maximum(spread, ctx.sigma_floor)
+            self.head = prediction.mean_tracks[head]
+            self.gaze = ctx.object_pos - self.head
+            self.gaze_norm = nu = _row_norms(self.gaze)
+            self.gaze_unit = self.gaze / np.where(nu > 1e-9, nu, 1.0)[:, None]
+
+    @functools.cached_property
+    def goal_point(self) -> Array:
+        """The goal configuration's end-effector point."""
+        return fk_eef(self.ctx.chain, self.ctx.goal_config)
+
+    @functools.cached_property
+    def nominal_eef(self) -> Array:
+        """The nominal's end-effector path, run in ``frames``: each pass copies its FK out first."""
+        return self.frames(self.ctx.nominal.waypoints)[0][:, -1].copy()
 
     @functools.cached_property
     def distance_inputs(self) -> tuple[Array, Array]:
@@ -450,26 +455,28 @@ class ObjectivePass:
         return self._frames
 
     def _add_terms(self, names) -> None:
-        problem, ctx = self.problem, self.problem.ctx
+        problem = self.problem
         names = [name for name in names if name not in self._values]
         if names and names != ["smoothness"]:
             points = self._fk()[0]
             eef = points[:, -1]
         for name in names:
             if name == "distance":
-                value, pullback = _distance_term(points, *problem.distance_inputs, ctx.eps_m)
+                value, pullback = _distance_term(points, *problem.distance_inputs, problem.ctx.eps_m)
             elif name == "visibility":
-                value, pullback, flagged = _visibility_term(eef, ctx)
+                value, pullback, flagged = _visibility_term(eef, problem)
                 if flagged:
                     self.diagnostics["visibility_degenerate_steps"] = flagged
             elif name == "legibility":
                 value, pullback = _legibility_term(
-                    eef, ctx.goal_point, problem.time_weights, problem.time_weight_sum
+                    eef, problem.goal_point, problem.time_weights, problem.time_weight_sum
                 )
             elif name == "nominal":
-                value, pullback = _nominal_term(eef, ctx._nominal_eef)
+                value, pullback = _nominal_term(eef, problem.nominal_eef)
             elif name == "obstacle":
-                value, pullback = _obstacle_term(points, ctx, problem.weights[name])
+                value, pullback = _obstacle_term(
+                    points, problem.centers, problem.clearance, problem.weights[name]
+                )
             else:
                 value, pullback = _smoothness_term(self.q, problem.dt)
             self._values[name] = value
@@ -552,9 +559,3 @@ def evaluate_objective(
         return p.total, None, p.per_cost, p.diagnostics
     r = p.report()
     return r.total, p.gradient(), r.per_cost, r.diagnostics
-
-
-def objective(traj: JointTrajectory, ctx: CostContext, w: CostWeights) -> CostReport:
-    """Weighted total, per-cost breakdown, and interior-waypoint gradient."""
-    problem = WeightedObjective(ctx, w, traj.dt, traj.n_waypoints)
-    return ObjectivePass(traj.waypoints, problem).report()

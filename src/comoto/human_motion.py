@@ -78,10 +78,10 @@ def sample_rows_many(samples: Array, xs: Array) -> Array:
     return np.where((frac <= 0.0) | (xs >= last).reshape(rows), lo, blend)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HumanTrajectory:
     """Ground-truth keypoint tracks at ``rate`` Hz: finite (T, J, 3) ``tracks`` with T >= 1, joint
-    ``j`` named ``joints[j]``, which the constructor copies and marks read-only.
+    ``j`` named ``joints[j]``, which the constructor copies and marks read-only.  Frozen.
     """
 
     joints: tuple[str, ...]
@@ -91,11 +91,11 @@ class HumanTrajectory:
     def __post_init__(self):
         if not (math.isfinite(self.rate) and self.rate > 0):
             raise ContractViolation(f"rate must be finite and positive, got {self.rate!r}")
-        self.tracks = np.array(self.tracks, dtype=float)
+        object.__setattr__(self, "tracks", _float_array(self.tracks, "joint tracks"))
         shape = self.tracks.shape
         if len(shape) != 3 or min(shape[:2]) < 1 or shape[1:] != (len(self.joints), 3):
             raise ContractViolation(f"need (T, J, 3) tracks, one (T, 3) track per joint with T >= 1, got {shape}")
-        self.joints = _joint_names(self.joints)
+        object.__setattr__(self, "joints", _joint_names(self.joints))
         if not np.isfinite(self.tracks).all():
             raise ContractViolation("joint tracks must be finite")
         self.tracks.flags.writeable = False
@@ -127,6 +127,14 @@ class HumanTrajectory:
             raise ContractViolation(f"prefix duration must be finite and non-negative, got {duration!r}")
         count = int(round(min(duration, self.duration) * self.rate)) + 1
         return HumanTrajectory(self.joints, self.tracks[:count], self.rate)
+
+
+def _float_array(value, what: str) -> Array:
+    """A new float array of ``value``; ragged or non-numeric input is a ``ContractViolation``."""
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ContractViolation(f"{what} must be a rectangular array of numbers: {exc}") from None
 
 
 def _joint_names(joints) -> tuple[str, ...]:
@@ -162,11 +170,11 @@ class ReachScript:
                 raise ContractViolation(f"script missing right-arm joints: {sorted(missing)}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PredictedHumanTrajectory:
     """Gaussian tube, step ``k`` at ``t0 + k * step`` s: (J, H, 3) ``mean_tracks`` and (J, H, 3, 3)
     positive-definite ``cov_tracks`` with H >= 1, joint ``j`` named ``joints[j]``, which the
-    constructor copies and marks read-only.
+    constructor copies and marks read-only.  Frozen.
     """
 
     joints: tuple[str, ...]
@@ -180,9 +188,9 @@ class PredictedHumanTrajectory:
             raise ContractViolation(f"step must be finite and positive, got {self.step!r}")
         if not math.isfinite(self.t0):
             raise ContractViolation(f"t0 must be finite, got {self.t0!r}")
-        names = self.joints = _joint_names(self.joints)
-        means = self.mean_tracks = np.array(self.mean_tracks, dtype=float)
-        covs = self.cov_tracks = np.array(self.cov_tracks, dtype=float)
+        names = _joint_names(self.joints)
+        means = _float_array(self.mean_tracks, "prediction means")
+        covs = _float_array(self.cov_tracks, "prediction covariances")
         if means.shape[:1] != (len(names),) or covs.shape[:1] != (len(names),):
             raise ContractViolation(
                 f"means and covariances must cover the same joints: {len(names)} joints, "
@@ -212,6 +220,8 @@ class PredictedHumanTrajectory:
             except np.linalg.LinAlgError:
                 raise ContractViolation(f"covariance of {name} is not positive definite") from None
         means.flags.writeable = covs.flags.writeable = False
+        for name, value in (("joints", names), ("mean_tracks", means), ("cov_tracks", covs)):
+            object.__setattr__(self, name, value)
 
     @property
     def horizon(self) -> int:

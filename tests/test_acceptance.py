@@ -25,7 +25,7 @@ from comoto.benchmark import (
     run_benchmark,
     sort_rows,
 )
-from comoto.costs import CostWeights, evaluate_objective, goal_probability, objective
+from comoto.costs import CostWeights, evaluate_objective, goal_probability
 from comoto.human_motion import HumanTrajectory
 from comoto.kinematics import JointTrajectory, fk_points_batch
 from comoto.metrics import METRIC_NAMES, GoalSet, MetricReport, aggregate, evaluate_run
@@ -210,8 +210,8 @@ def test_criterion_7_covariance_monotonicity(planned_capture):
         head_cov = ctx.prediction.cov_tracks[ctx.prediction.joints.index("head")]
         spread_min = float(np.min(np.sqrt(np.trace(head_cov, axis1=1, axis2=2) / 3.0)))
         ok = ok and m_min > 100.0 * ctx.eps_m and spread_min > ctx.sigma_floor
-        before = objective(traj, ctx, CFG.comoto_weights).per_cost
-        after = objective(traj, doubled, CFG.comoto_weights).per_cost
+        before = evaluate_objective(traj.waypoints, traj.dt, ctx, CFG.comoto_weights)[2]
+        after = evaluate_objective(traj.waypoints, traj.dt, doubled, CFG.comoto_weights)[2]
         d0, d1 = before["distance"], after["distance"]
         v0, v1 = before["visibility"], after["visibility"]
         ok = ok and d1 > d0 and v1 < v0

@@ -77,7 +77,7 @@ def test_obstacle_penalty_hand_value(planar2):
     q = np.tile([0.0, 0.0], (3, 1))  # points (0,0,0), (1,0,0), (2,0,0) at each waypoint
     # a sphere of radius 0.05 with a 0.05 margin: clearance radius 0.1
     ctx = cost_context(planar2, q[-1], obstacles=(((1.0, 0.02, 0.0), 0.05 + 0.05),))
-    value, _ = _obstacle_term(fk_points_batch(planar2, q), ctx, 2.0)
+    value, _ = _obstacle_term(fk_points_batch(planar2, q), np.array([[1.0, 0.02, 0.0]]), np.array([0.1]), 2.0)
     # only the middle point penetrates: hinge = 0.05 + 0.05 - 0.02 = 0.08
     assert value == pytest.approx(3 * 0.08**2, rel=1e-12)
     total, _, per_cost, _ = evaluate_objective(q, 0.1, ctx, CostWeights(alpha_obstacle=2.0), False)

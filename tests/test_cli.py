@@ -178,7 +178,7 @@ def test_negative_seed_exits_one(tmp_path, capsys, argv, config):
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 1
     assert "non-negative" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_invalid_yaml_config_exits_one(tmp_path, capsys):

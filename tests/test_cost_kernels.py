@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from test_costs import build_problem
+from test_costs import build_problem, reference_derived
 
 from comoto.costs import (
     CostWeights,
@@ -24,7 +24,7 @@ from comoto.costs import (
     _visibility_term,
 )
 from comoto.human_motion import PredictedHumanTrajectory
-from comoto.kinematics import all_point_jacobians_batch
+from comoto.kinematics import all_point_jacobians_batch, fk_eef
 
 _TINY = 1e-12
 
@@ -121,16 +121,16 @@ def assert_kernels_match(q, ctx, goal):
     assert same_bits(pullback(jacs), want_pullback(jacs))
 
     head = ctx.prediction.mean_tracks[ctx.prediction.joints.index("head")]
-    got, pullback, flagged = _visibility_term(eef, ctx)
+    problem = WeightedObjective(ctx, CostWeights(alpha_vis=1.0), 0.1, len(q))
+    got, pullback, flagged = _visibility_term(eef, problem)
     want, want_pullback, want_flagged = reference_visibility_term(
-        eef, head, ctx._sigma_head, ctx.object_pos
+        eef, head, reference_derived(ctx).sigma_head, ctx.object_pos
     )
     vis_grad = want_pullback(eef_jac)
     assert same_bits(got, want)
     assert same_bits(pullback(eef_jac), vis_grad)
     assert flagged == want_flagged
-    w = CostWeights(alpha_vis=1.0)
-    diagnostics = ObjectivePass(q, WeightedObjective(ctx, w, 0.1, len(q))).diagnostics
+    diagnostics = ObjectivePass(q, problem).diagnostics
     assert diagnostics == ({"visibility_degenerate_steps": want_flagged} if want_flagged else {})
 
     f = np.arange(len(q), 0, -1, dtype=float)
@@ -153,24 +153,24 @@ def with_head_step(ctx, k, point):
 @pytest.mark.parametrize("seed", range(6))
 def test_kernels_equal_references_on_random_problems(arm, seed):
     traj, ctx = build_problem(arm, seed=seed, n_waypoints=4 + 3 * seed)
-    flagged, _ = assert_kernels_match(traj.waypoints, ctx, ctx.goal_point)
+    flagged, _ = assert_kernels_match(traj.waypoints, ctx, fk_eef(arm, ctx.goal_config))
     assert flagged == []
 
 
 def test_kernels_equal_references_at_the_kinks(arm):
     traj, ctx = build_problem(arm, seed=11, n_waypoints=9)
-    q = traj.waypoints
+    q, goal = traj.waypoints, fk_eef(arm, ctx.goal_config)
     eef = all_point_jacobians_batch(arm, q)[0][:, -1]
 
     # The end effector exactly on the head at step 3: flagged, no gradient there.
-    flagged, grad = assert_kernels_match(q, with_head_step(ctx, 3, eef[3]), ctx.goal_point)
+    flagged, grad = assert_kernels_match(q, with_head_step(ctx, 3, eef[3]), goal)
     assert flagged == [3]
     assert np.all(grad[3] == 0.0)
 
     # The attended object on the head at step 5.
     head = ctx.prediction.joints.index("head")
     at_head = dataclasses.replace(ctx, object_pos=ctx.prediction.mean_tracks[head, 5].copy())
-    flagged, _ = assert_kernels_match(q, at_head, ctx.goal_point)
+    flagged, _ = assert_kernels_match(q, at_head, goal)
     assert flagged == [5]
 
     # A zero-length end-effector segment between steps 4 and 5.
@@ -178,7 +178,7 @@ def test_kernels_equal_references_at_the_kinks(arm):
     still[5] = still[4]
     still_eef = all_point_jacobians_batch(arm, still)[0][:, -1]
     assert np.array_equal(still_eef[4], still_eef[5])
-    assert_kernels_match(still, ctx, ctx.goal_point)
+    assert_kernels_match(still, ctx, goal)
 
     # The end effector on the goal point, at the first, a middle and the last step.
     for k in (0, 4, -1):
@@ -191,4 +191,4 @@ def test_kernels_equal_references_at_the_kinks(arm):
     d = means[:, :, None, :] - points[None]
     m = np.einsum("jtpa,jtpa->jtp", d, np.matmul(d, inv_covs_t))
     assert 0 < np.count_nonzero(m < 20.0) < m.size
-    assert_kernels_match(q, clamped, ctx.goal_point)
+    assert_kernels_match(q, clamped, goal)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from comoto.costs import (
     WeightedObjective,
     evaluate_objective,
     goal_probability,
-    objective,
     _distance_inputs,
     _distance_term,
     _legibility_term,
@@ -48,6 +48,7 @@ from comoto.kinematics import (
     JointTrajectory,
     _batch_frames,
     all_point_jacobians_batch,
+    fk_eef,
     fk_points_batch,
 )
 from comoto.optimizer import straightline_joint_init
@@ -124,7 +125,7 @@ COMBINED_WEIGHTS = CostWeights(
 
 def term(name, traj, ctx):
     """One cost term at ``traj``, read from the objective's report."""
-    return objective(traj, ctx, SINGLE_TERM_WEIGHTS[name]).per_cost[name]
+    return evaluate_objective(traj.waypoints, traj.dt, ctx, SINGLE_TERM_WEIGHTS[name])[2][name]
 
 
 def mahalanobis_proximity(d, cov, eps_m: float) -> float:
@@ -353,6 +354,32 @@ def test_value_only_reports_exactly_the_weighted_terms(arm):
         assert list(full) == list(COST_NAMES), name
 
 
+#: The visibility term's arrays a ``WeightedObjective`` derives, ``None`` without their inputs.
+VISIBILITY_ARRAYS = ("sigma_head", "head", "gaze", "gaze_norm", "gaze_unit")
+
+
+def reference_derived(ctx):
+    """The arrays a ``WeightedObjective`` derives from ``ctx``, built here from
+    ``fk_eef``, ``fk_points_batch`` and the prediction's stacks."""
+    pred, obj = ctx.prediction, ctx.object_pos
+    ref = types.SimpleNamespace(
+        goal_point=fk_eef(ctx.chain, ctx.goal_config),
+        nominal_eef=None if ctx.nominal is None else fk_points_batch(ctx.chain, ctx.nominal.waypoints)[:, -1],
+        centers=np.array([c for c, _ in ctx.obstacles], dtype=float).reshape(-1, 3),
+        clearance=np.array([r for _, r in ctx.obstacles], dtype=float),
+        **dict.fromkeys(VISIBILITY_ARRAYS),
+    )
+    if pred is not None and "head" in pred.joints and obj is not None:
+        cov = pred.cov_tracks[pred.joints.index("head")]
+        spread = np.sqrt(cov.diagonal(axis1=1, axis2=2).sum(axis=1) / 3.0)
+        ref.sigma_head = np.maximum(spread, ctx.sigma_floor)
+        ref.head = pred.mean_tracks[pred.joints.index("head")]
+        ref.gaze = obj[None, :] - ref.head
+        ref.gaze_norm = np.linalg.norm(ref.gaze, axis=1)
+        ref.gaze_unit = ref.gaze / np.where(ref.gaze_norm > 1e-9, ref.gaze_norm, 1.0)[:, None]
+    return ref
+
+
 def reference_gradient(q, dt, ctx, w):
     """The gradient assembled term by term from freshly computed Jacobians,
     weighted terms in ``COST_NAMES`` order; the obstacle pullback is
@@ -362,6 +389,7 @@ def reference_gradient(q, dt, ctx, w):
     points, jacs = all_point_jacobians_batch(ctx.chain, q)
     eef, eef_jac = points[:, -1], jacs[:, -1]
     f = np.arange(len(q), 0, -1, dtype=float)
+    ref = reference_derived(ctx)
 
     def distance():
         means, inv_covs_t = _distance_inputs(ctx.prediction)
@@ -370,16 +398,16 @@ def reference_gradient(q, dt, ctx, w):
 
     def obstacle():
         # Its pullback returns the rows of the penetrating waypoints only.
-        rows, term = _obstacle_term(points, ctx, weights["obstacle"])[1](frames)
+        rows, term = _obstacle_term(points, ref.centers, ref.clearance, weights["obstacle"])[1](frames)
         full = np.zeros_like(q)
         full[rows] = term
         return full
 
     pullbacks = {
         "distance": distance,
-        "visibility": lambda: _visibility_term(eef, ctx)[1](eef_jac),
-        "legibility": lambda: _legibility_term(eef, ctx.goal_point, f, float(f.sum()))[1](eef_jac),
-        "nominal": lambda: _nominal_term(eef, ctx._nominal_eef)[1](eef_jac),
+        "visibility": lambda: _visibility_term(eef, ref)[1](eef_jac),
+        "legibility": lambda: _legibility_term(eef, ref.goal_point, f, float(f.sum()))[1](eef_jac),
+        "nominal": lambda: _nominal_term(eef, ref.nominal_eef)[1](eef_jac),
         "smoothness": lambda: _smoothness_term(q, dt)[1](),
         "obstacle": obstacle,
     }
@@ -433,9 +461,10 @@ def dense_obstacle_term(q, ctx, weight):
     pullback went row-sparse: every waypoint's point Jacobians through
     both einsums."""
     points, jacs = all_point_jacobians_batch(ctx.chain, q)
-    diff = points[:, :, None, :] - ctx._centers
+    ref = reference_derived(ctx)
+    diff = points[:, :, None, :] - ref.centers
     dist = np.linalg.norm(diff, axis=3)
-    pen = np.maximum(0.0, ctx._clearance - dist)
+    pen = np.maximum(0.0, ref.clearance - dist)
     coeff = np.where(pen > 0, -2.0 * weight * pen / np.maximum(dist, 1e-12), 0.0)
     dval_dp = np.einsum("tps,tpsa->tpa", coeff, diff)
     return float((pen**2).sum()), np.einsum("tpan,tpa->tn", jacs, dval_dp)
@@ -481,10 +510,11 @@ def test_obstacle_gradient_row_sparse_bit_identical_to_dense(arm, case):
     }[case]
     c = dataclasses.replace(ctx, obstacles=tuple(spheres))
     combined = {name: v for name, v in dataclasses.asdict(COMBINED_WEIGHTS).items() if v > 0}
+    ref = reference_derived(c)
     for obstacle_weight, others in ((3.0, {}), (200.0, {"alpha_smooth": 1e-3}), (50.0, combined)):
         w = CostWeights(**others, alpha_obstacle=obstacle_weight)
         want_value, dense = dense_obstacle_term(q, c, obstacle_weight)
-        value, pullback = _obstacle_term(points, c, obstacle_weight)
+        value, pullback = _obstacle_term(points, ref.centers, ref.clearance, obstacle_weight)
         rows, _ = pullback(_batch_frames(arm, q))
         assert list(rows) == want_rows
         assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
@@ -509,8 +539,8 @@ def test_covariance_doubling_moves_costs(arm):
         assert m_min > 100.0 * ctx.eps_m
         head_cov = ctx.prediction.cov_tracks[ctx.prediction.joints.index("head")]
         assert np.min(np.sqrt(np.trace(head_cov, axis1=1, axis2=2) / 3.0)) > ctx.sigma_floor
-        before = objective(traj, ctx, COMBINED_WEIGHTS).per_cost
-        after = objective(traj, doubled, COMBINED_WEIGHTS).per_cost
+        before = evaluate_objective(traj.waypoints, traj.dt, ctx, COMBINED_WEIGHTS)[2]
+        after = evaluate_objective(traj.waypoints, traj.dt, doubled, COMBINED_WEIGHTS)[2]
         assert after["distance"] > before["distance"]
         assert after["visibility"] < before["visibility"]
 
@@ -556,7 +586,7 @@ def test_context_validation(arm, planar2):
         pred.cov_tracks[-1] = 0.0
     # The distance inputs still reject a stack swapped in past the prediction's own check.
     singular = pred.with_isotropic_covariance()
-    singular.cov_tracks = np.zeros_like(pred.cov_tracks)
+    object.__setattr__(singular, "cov_tracks", np.zeros_like(pred.cov_tracks))
     with pytest.raises(ContractViolation, match="not invertible"):
         _distance_inputs(singular)
 
@@ -596,7 +626,61 @@ def test_context_rejects_malformed_obstacles(planar2):
         with pytest.raises(ContractViolation):
             cost_context(planar2, np.zeros(2), obstacles=((np.array(center), radius),))
     ctx = cost_context(planar2, np.zeros(2), obstacles=((np.array([0.5, 0.0, 0.0]), 0.1),))
-    assert ctx._centers.shape == (1, 3) and ctx._clearance.shape == (1,)
+    problem = WeightedObjective(ctx, CostWeights(alpha_obstacle=1.0), 0.1, 4)
+    assert problem.centers.shape == (1, 3) and problem.clearance.shape == (1,)
+
+
+@pytest.mark.parametrize("case", ["full", "spheres", "long", "no_head", "bare", "object_on_head"])
+def test_problem_derives_every_array_bit_for_bit(arm, case):
+    # "long" runs the nominal's FK past one FK_BLOCK, where fk_points_batch splits it.
+    traj, ctx = build_problem(arm, seed=3, n_waypoints=300 if case == "long" else 9)
+    pred = ctx.prediction
+    head = pred.joints.index("head")
+    if case == "spheres":
+        ctx = dataclasses.replace(ctx, obstacles=(([0.5, 0.1, 0.3], 0.2), (np.array([0.6, -0.1, 0.4]), 1)))
+    elif case == "no_head":
+        keep = [j for j in range(len(pred.joints)) if j != head]
+        headless = PredictedHumanTrajectory(
+            tuple(pred.joints[j] for j in keep), pred.mean_tracks[keep], pred.cov_tracks[keep], pred.step
+        )
+        ctx = dataclasses.replace(ctx, prediction=headless)
+    elif case == "bare":
+        ctx = cost_context(arm, ctx.goal_config)
+    elif case == "object_on_head":
+        ctx = dataclasses.replace(ctx, object_pos=pred.mean_tracks[head, 4].copy())
+    problem = WeightedObjective(ctx, CostWeights(alpha_smooth=1.0), traj.dt, traj.n_waypoints)
+    ref = reference_derived(ctx)
+    assert ("nominal" in problem.supported) == (ref.nominal_eef is not None) == (case != "bare")
+    assert ("visibility" in problem.supported) == (ref.gaze is not None) == (case not in ("no_head", "bare"))
+    names = ["goal_point", "centers", "clearance", *VISIBILITY_ARRAYS]
+    # nominal_eef is derived on first use, and only a problem with a nominal uses it.
+    for name in names + (["nominal_eef"] if ref.nominal_eef is not None else []):
+        got, want = getattr(problem, name), getattr(ref, name)
+        if want is None:
+            assert got is None, name
+        else:
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+    assert problem.centers.shape == ((2, 3) if case == "spheres" else (0, 3))
+    if case == "object_on_head":
+        assert problem.gaze_norm[4] == 0.0 and np.all(problem.gaze_unit[4] == 0.0)
+
+
+def test_context_fields_cannot_be_assigned(arm):
+    traj, ctx = build_problem(arm, seed=0, n_waypoints=5)
+    ctx = dataclasses.replace(ctx, obstacles=((np.array([0.5, 0.0, 0.3]), 0.1),))
+    assert set(vars(ctx)) == {f.name for f in dataclasses.fields(CostContext)}
+    for f in dataclasses.fields(CostContext):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ctx, f.name, getattr(ctx, f.name))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctx.goal_config = np.zeros(7)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctx.eps_m = -1.0
+    # A changed goal is a new context, and each problem derives the goal point from it.
+    moved = dataclasses.replace(ctx, goal_config=np.zeros(7))
+    problem = WeightedObjective(moved, CostWeights(alpha_legibility=1.0), traj.dt, traj.n_waypoints)
+    assert problem.goal_point.tobytes() == fk_eef(arm, np.zeros(7)).tobytes()
 
 
 def test_sixth_argument_of_evaluate_objective_must_be_none(planar2):
@@ -650,18 +734,18 @@ def kink_distance(traj, ctx) -> float:
     head = pred.mean_tracks[pred.joints.index("head")]
     to_eef = np.linalg.norm(eef - head, axis=1)
     angles = [gaze_angle(ctx.object_pos, h, e) for h, e in zip(head, eef)]
-    eef_nominal = fk_points_batch(ctx.chain, ctx.nominal.waypoints)[:, -1]
-    to_centers = np.linalg.norm(points[:, :, None, :] - ctx._centers, axis=3)
+    ref = reference_derived(ctx)
+    to_centers = np.linalg.norm(points[:, :, None, :] - ref.centers, axis=3)
     return min(
         float(np.min(m)) - ctx.eps_m,
         float(np.min(to_eef)),
         min(angles),
         math.pi - max(angles),
         float(np.min(np.linalg.norm(np.diff(eef, axis=0), axis=1))),
-        float(np.min(np.linalg.norm(eef[:-1] - ctx.goal_point, axis=1))),
-        float(np.min(np.linalg.norm(eef[1:-1] - eef_nominal[1:-1], axis=1))),
+        float(np.min(np.linalg.norm(eef[:-1] - ref.goal_point, axis=1))),
+        float(np.min(np.linalg.norm(eef[1:-1] - ref.nominal_eef[1:-1], axis=1))),
         float(np.min(to_centers)),
-        float(np.min(np.abs(to_centers - ctx._clearance))),
+        float(np.min(np.abs(to_centers - ref.clearance))),
     )
 
 

@@ -177,6 +177,7 @@ def test_trajectory_validation():
         (((), np.zeros((5, 0, 3))), 100.0, r"\(T, 3\)"),
         ((("head",), np.full((5, 1, 3), math.nan)), 100.0, "finite"),
         ((("head", "right_palm"), np.array([[[0.0] * 3] * 2] * 4 + [[[0.0] * 3, [0.0, math.inf, 0.0]]])), 100.0, "finite"),
+        ((("a",), [[[0, 0, 0]], [[0, 0]]]), 10.0, "rectangular array of numbers"),
     ],
 )
 def test_trajectory_rejects_bad_rate_shape_and_samples(samples, rate, message):
@@ -197,12 +198,20 @@ def test_trajectory_state_is_read_only_and_copied():
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
     assert not truth.tracks.any()
+    # Frozen: no field can be swapped past the constructor's checks.
+    for name, value in (("joints", ("head",)), ("tracks", np.zeros((5, 1, 3))), ("rate", 20.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(truth, name, value)
+    assert truth.joints == ("head", "right_palm") and truth.positions_at([0.0]).shape == (1, 2, 3)
 
     observed = constant_velocity_truth([0.0, 0.1, 0.0])
     pred = predict(observed, horizon=5, step=0.1, options=CFG.prediction)
     full = extrapolate_skeleton(pred)
     for p in (pred, full, full.with_isotropic_covariance(), full.scaled_covariance(2.0)):
         assert not hasattr(p, "means") and not hasattr(p, "covariances")
+        for field in dataclasses.fields(p):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, field.name, getattr(p, field.name))
         for stack in (p.mean_tracks, p.cov_tracks):
             with pytest.raises(ValueError, match="read-only"):
                 stack[0, 0] = 1.0
@@ -369,6 +378,18 @@ def test_predicted_trajectory_validation():
         PredictedHumanTrajectory(palm, planar_means, eye, step=0.1)
     with pytest.raises(ContractViolation, match="horizon of at least 1 step"):
         PredictedHumanTrajectory(palm, np.zeros((1, 0, 3)), np.zeros((1, 0, 3, 3)), step=0.1)
+
+
+@pytest.mark.parametrize("field", ["mean_tracks", "cov_tracks"])
+def test_predicted_trajectory_rejects_ragged_stacks(field):
+    stacks = {"mean_tracks": np.zeros((1, 2, 3)), "cov_tracks": np.broadcast_to(np.eye(3), (1, 2, 3, 3))}
+    ragged = {
+        "mean_tracks": [[[0.0, 0.0, 0.0], [0.0, 0.0]]],
+        "cov_tracks": [[np.eye(3).tolist(), np.eye(2).tolist()]],
+    }
+    stacks[field] = ragged[field]
+    with pytest.raises(ContractViolation, match="rectangular array of numbers"):
+        PredictedHumanTrajectory(("head",), **stacks, step=0.1)
 
 
 def test_predicted_trajectory_names_the_first_bad_joint():
