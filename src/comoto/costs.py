@@ -149,7 +149,6 @@ class CostReport:
     total: float
     per_cost: dict[str, float]
     gradient: Array | None
-    weights: dict[str, float] = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -524,7 +523,6 @@ class ObjectivePass:
             total=self.total,
             per_cost={name: self._values.get(name, 0.0) for name in COST_NAMES},
             gradient=self.gradient()[1:-1].ravel().copy(),
-            weights=dict(self.problem.weights),
             diagnostics=dict(self.diagnostics),
         )
 
@@ -537,25 +535,13 @@ def evaluate_objective(
     with_grad: bool = True,
     unused=None,
 ) -> tuple[float, Array | None, dict[str, float], dict]:
-    """Weighted objective over raw waypoints; gradient spans all waypoints.
+    """``(total, gradient over all waypoints or None, per_cost, diagnostics)``
+    of one ``ObjectivePass`` on a new ``WeightedObjective``.
 
-    One ``ObjectivePass`` as a tuple ``(total, grad, per_cost,
-    diagnostics)``.  A gradient call takes ``per_cost`` from the pass's
-    ``report()``: all six terms, 0.0 for one whose inputs the context
-    lacks.  A value-only call (``with_grad=False``) computes only the
-    positively weighted terms, so its ``per_cost`` holds exactly those;
-    its total is the same bit for bit.  The optimizer sets up one
-    ``WeightedObjective`` per solve and builds its passes directly, so
-    that an accepted line-search trial yields its own gradient without a
-    second FK pass.
-
-    ``unused`` stays only for the solve checks in ``perfbench/checks.py``,
-    which pass a sixth positional argument; it must be ``None``.
+    Exists only for ``perfbench/checks.py``, which calls it with six
+    positional arguments (the sixth is ignored), and for the benchmark's
+    tracer, which probes it.  The optimizer and the tests build their
+    problem and passes directly.  ``per_cost`` holds the weighted terms.
     """
-    if unused is not None:
-        raise ContractViolation("evaluate_objective's sixth argument must be None")
     p = ObjectivePass(q, WeightedObjective(ctx, w, dt, q.shape[0]))
-    if not with_grad:
-        return p.total, None, p.per_cost, p.diagnostics
-    r = p.report()
-    return r.total, p.gradient(), r.per_cost, r.diagnostics
+    return p.total, p.gradient() if with_grad else None, p.per_cost, p.diagnostics

@@ -26,14 +26,16 @@ def read_yaml(path):
         raise ContractViolation(f"{path} is not valid YAML: {exc}") from None
 
 
-def float_rows(path: str | Path) -> np.ndarray:
-    """A CSV file's non-blank lines after its header as floats, one column per header field."""
+def float_rows(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """A CSV file's leading ``#`` comment lines, without the ``#``, and its
+    non-blank lines after its header as floats, one column per header field."""
     lines = Path(path).read_text().splitlines()
-    if not lines:
+    first = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
+    if first == len(lines):
         raise ContractViolation(f"{path} has no header line")
-    width = len(lines[0].split(","))
+    width = len(lines[first].split(","))
     rows = []
-    for number, line in enumerate(lines[1:], start=2):
+    for number, line in enumerate(lines[first + 1 :], start=first + 2):
         if not line.strip():
             continue
         cells = line.split(",")
@@ -43,4 +45,4 @@ def float_rows(path: str | Path) -> np.ndarray:
             rows.append([float(v) for v in cells])
         except ValueError as exc:
             raise ContractViolation(f"{path}, line {number}: {exc}") from None
-    return np.array(rows, dtype=float).reshape(len(rows), width)
+    return [line[1:].strip() for line in lines[:first]], np.array(rows, dtype=float).reshape(len(rows), width)

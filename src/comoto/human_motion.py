@@ -236,10 +236,6 @@ class PredictedHumanTrajectory:
         eye = np.broadcast_to(scale * np.eye(3), self.cov_tracks.shape)
         return PredictedHumanTrajectory(self.joints, self.mean_tracks, eye, self.step, self.t0)
 
-    def scaled_covariance(self, factor: float) -> "PredictedHumanTrajectory":
-        covs = factor * self.cov_tracks
-        return PredictedHumanTrajectory(self.joints, self.mean_tracks, covs, self.step, self.t0)
-
 
 @dataclass(frozen=True)
 class PredictorOptions:

@@ -94,12 +94,13 @@ class ChainSpec:
         return np.clip(q, self.joint_limits[:, 0], self.joint_limits[:, 1])
 
 
-@dataclass
+@dataclass(frozen=True)
 class JointTrajectory:
     """Uniformly timed joint-space waypoint sequence.
 
-    ``waypoints`` is an (N, n) array; waypoint ``k`` occurs at
-    ``t0 + k * dt`` seconds.
+    ``waypoints`` is an (N, n) array, which the constructor copies and
+    marks read-only; waypoint ``k`` occurs at ``t0 + k * dt`` seconds.
+    Frozen.
     """
 
     waypoints: Array
@@ -107,14 +108,15 @@ class JointTrajectory:
     t0: float = 0.0
 
     def __post_init__(self):
-        wp = np.asarray(self.waypoints, dtype=float)
+        wp = np.array(self.waypoints, dtype=float)
         if wp.ndim != 2 or wp.shape[0] < 3:
             raise ContractViolation("trajectory needs at least 3 waypoints of equal dimension")
         if not (np.isfinite(wp).all() and math.isfinite(self.t0)):
             raise ContractViolation("trajectory waypoints and t0 must be finite")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ContractViolation(f"dt must be finite and positive, got {self.dt!r}")
-        self.waypoints = wp
+        wp.flags.writeable = False
+        object.__setattr__(self, "waypoints", wp)
 
     @property
     def n_waypoints(self) -> int:
@@ -131,9 +133,6 @@ class JointTrajectory:
     @property
     def duration(self) -> float:
         return self.dt * (self.n_waypoints - 1)
-
-    def copy(self) -> "JointTrajectory":
-        return JointTrajectory(self.waypoints.copy(), self.dt, self.t0)
 
 
 def _check_config(chain: ChainSpec, q: Array) -> Array:
@@ -381,23 +380,36 @@ def default_chain() -> ChainSpec:
 
 
 def save_trajectory(traj: JointTrajectory, path: str | Path) -> None:
-    """Write a trajectory as CSV: header ``time,q0..q{n-1}``, one row per waypoint."""
-    n = traj.n_joints
-    lines = ["time," + ",".join(f"q{i}" for i in range(n))]
+    """Write a trajectory as CSV: a comment line ``# dt=<dt> t0=<t0>``, the
+    header ``time,q0..q{n-1}`` and one row per waypoint.
+
+    ``load_trajectory`` takes dt and t0 from the comment line, so they come
+    back bit for bit; the time column is for readers of the file.
+    """
+    header = "time," + ",".join(f"q{i}" for i in range(traj.n_joints))
+    lines = [f"# dt={float(traj.dt)!r} t0={float(traj.t0)!r}", header]
     for t, row in zip(traj.times, traj.waypoints):
         lines.append(",".join(repr(float(v)) for v in (t, *row)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_trajectory(path: str | Path) -> JointTrajectory:
-    rows = float_rows(path)
+    """Read a ``save_trajectory`` file; one without the comment line takes
+    dt and t0 from its first two times."""
+    comments, rows = float_rows(path)
     if rows.shape[0] < 3:
         raise ContractViolation(f"trajectory file {path} has fewer than 3 waypoints")
     times, waypoints = rows[:, 0], rows[:, 1:]
-    dt = float(times[1] - times[0])
-    if not np.allclose(np.diff(times), dt, atol=1e-9):
-        raise ContractViolation(f"trajectory file {path} is not uniformly timed")
+    timing = {"dt": times[1] - times[0], "t0": times[0]}
+    if comments:
+        timing = dict(item.split("=", 1) for item in comments[0].split() if "=" in item)
     try:
-        return JointTrajectory(waypoints, dt=dt, t0=float(times[0]))
+        dt, t0 = float(timing["dt"]), float(timing["t0"])
+    except (KeyError, ValueError):
+        raise ContractViolation(f"trajectory file {path}: first line must read '# dt=<s> t0=<s>'") from None
+    if not (np.isclose(times[0], t0, atol=1e-9) and np.allclose(np.diff(times), dt, atol=1e-9)):
+        raise ContractViolation(f"trajectory file {path} is not uniformly timed from t0 by dt")
+    try:
+        return JointTrajectory(waypoints, dt=dt, t0=t0)
     except ContractViolation as exc:
         raise ContractViolation(f"trajectory file {path}: {exc}") from None

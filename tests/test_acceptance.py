@@ -25,7 +25,7 @@ from comoto.benchmark import (
     run_benchmark,
     sort_rows,
 )
-from comoto.costs import CostWeights, evaluate_objective, goal_probability
+from comoto.costs import CostWeights, ObjectivePass, WeightedObjective, _legibility_term, goal_probability
 from comoto.human_motion import HumanTrajectory
 from comoto.kinematics import JointTrajectory, fk_points_batch
 from comoto.metrics import METRIC_NAMES, GoalSet, MetricReport, aggregate, evaluate_run
@@ -81,12 +81,22 @@ def test_criterion_1_gradient_correctness(arm):
         n_waypoints = int(rng.integers(3, 21))
         traj, ctx = build_problem(arm, seed=seed, n_waypoints=n_waypoints)
         for weights in weight_sets:
-            _, grad, _, _ = evaluate_objective(traj.waypoints, traj.dt, ctx, weights)
-            numeric = fd_gradient(traj.waypoints, traj.dt, ctx, weights)
+            problem = WeightedObjective(ctx, weights, traj.dt, n_waypoints)
+            grad = ObjectivePass(traj.waypoints, problem).gradient()
+            numeric = fd_gradient(traj.waypoints, problem)
             worst = max(worst, rel_error(grad, numeric))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-4 and elapsed <= 30.0
     check(1, ok, f"100 problems x 6 objectives: max rel err {worst:.3e}, {elapsed:.1f}s")
+
+
+def kernel_goal_probability(via):
+    """The goal probability the legibility kernel computes at the middle of
+    the end-effector path origin -> ``via`` -> (1, 0, 0): one-hot time
+    weights on that step, their sum 1."""
+    eef = np.array([[0.0, 0.0, 0.0], via, [1.0, 0.0, 0.0]])
+    value, _ = _legibility_term(eef, eef[-1], np.array([0.0, 1.0, 0.0]), 1.0)
+    return -value
 
 
 def test_criterion_2_goal_probability_values():
@@ -95,8 +105,17 @@ def test_criterion_2_goal_probability_values():
     expected = math.exp(1.0 - math.sqrt(2.0))
     err_straight = abs(p_straight - 1.0)
     err_detour = abs(p_detour - expected)
-    ok = err_straight <= 1e-12 and err_detour <= 1e-6
-    check(2, ok, f"straight err {err_straight:.2e}, detour err {err_detour:.2e}")
+    # The optimizer's kernel on the same two paths: 0.4 then 0.6 along the
+    # straight line, and sqrt(2)/2 twice through the corner (0.5, 0.5, 0).
+    kernel_straight = abs(kernel_goal_probability([0.4, 0.0, 0.0]) - p_straight)
+    kernel_detour = abs(kernel_goal_probability([0.5, 0.5, 0.0]) - p_detour)
+    ok = err_straight <= 1e-12 and err_detour <= 1e-6 and kernel_straight <= 1e-12 and kernel_detour <= 1e-6
+    check(
+        2,
+        ok,
+        f"straight err {err_straight:.2e}, detour err {err_detour:.2e}; "
+        f"kernel off by {kernel_straight:.2e} and {kernel_detour:.2e}",
+    )
 
 
 def test_criterion_3_smoothness_recovers_linear(arm):
@@ -198,7 +217,9 @@ def test_criterion_7_covariance_monotonicity(planned_capture):
         sc, bundle, _ = planned_capture[("reaching_far", seed)]
         traj = bundle.nominal
         ctx = bundle.ctx
-        doubled = dataclasses.replace(ctx, prediction=ctx.prediction.scaled_covariance(2.0))
+        doubled = dataclasses.replace(
+            ctx, prediction=dataclasses.replace(ctx.prediction, cov_tracks=2.0 * ctx.prediction.cov_tracks)
+        )
         # preconditions: far from the proximity clamp and the spread floor
         points = fk_points_batch(sc.chain, traj.waypoints)
         m_min = np.inf
@@ -210,8 +231,8 @@ def test_criterion_7_covariance_monotonicity(planned_capture):
         head_cov = ctx.prediction.cov_tracks[ctx.prediction.joints.index("head")]
         spread_min = float(np.min(np.sqrt(np.trace(head_cov, axis1=1, axis2=2) / 3.0)))
         ok = ok and m_min > 100.0 * ctx.eps_m and spread_min > ctx.sigma_floor
-        before = evaluate_objective(traj.waypoints, traj.dt, ctx, CFG.comoto_weights)[2]
-        after = evaluate_objective(traj.waypoints, traj.dt, doubled, CFG.comoto_weights)[2]
+        problems = [WeightedObjective(c, CFG.comoto_weights, traj.dt, traj.n_waypoints) for c in (ctx, doubled)]
+        before, after = (ObjectivePass(traj.waypoints, problem).per_cost for problem in problems)
         d0, d1 = before["distance"], after["distance"]
         v0, v1 = before["visibility"], after["visibility"]
         ok = ok and d1 > d0 and v1 < v0

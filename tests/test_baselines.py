@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import CFG, cost_context
-from test_costs import build_problem
+from test_costs import build_problem, fd_gradient
 
 from comoto import baselines
 from comoto.baselines import (
@@ -24,7 +24,7 @@ from comoto.baselines import (
     speed_adjusted_execute,
 )
 from comoto.benchmark import prepare_scenario
-from comoto.costs import CostWeights, _obstacle_term, evaluate_objective
+from comoto.costs import CostWeights, ObjectivePass, WeightedObjective, _obstacle_term
 from comoto.errors import ContractViolation
 from comoto.human_motion import HumanTrajectory
 from comoto.kinematics import JointTrajectory, fk_points_batch, frame_origins_and_axes
@@ -80,29 +80,20 @@ def test_obstacle_penalty_hand_value(planar2):
     value, _ = _obstacle_term(fk_points_batch(planar2, q), np.array([[1.0, 0.02, 0.0]]), np.array([0.1]), 2.0)
     # only the middle point penetrates: hinge = 0.05 + 0.05 - 0.02 = 0.08
     assert value == pytest.approx(3 * 0.08**2, rel=1e-12)
-    total, _, per_cost, _ = evaluate_objective(q, 0.1, ctx, CostWeights(alpha_obstacle=2.0), False)
-    assert per_cost == {"obstacle": value}
-    assert total == 2.0 * value
+    objective_pass = ObjectivePass(q, WeightedObjective(ctx, CostWeights(alpha_obstacle=2.0), 0.1, len(q)))
+    assert objective_pass.per_cost == {"obstacle": value}
+    assert objective_pass.total == 2.0 * value
 
 
 def test_obstacle_penalty_gradient_matches_fd(planar2):
     rng = np.random.default_rng(8)
     q = 0.3 * rng.standard_normal((4, 2))
     ctx = cost_context(planar2, q[-1], obstacles=(((1.0, 0.3, 0.0), 0.6 + 0.2),))
-    w = CostWeights(alpha_obstacle=3.0)
-    total, grad, per_cost, _ = evaluate_objective(q, 0.1, ctx, w)
-    assert total == 3.0 * per_cost["obstacle"] and per_cost["obstacle"] > 0
-    h = 1e-6
-    fd = np.zeros_like(q)
-    for t in range(q.shape[0]):
-        for j in range(q.shape[1]):
-            vals = []
-            for sign in (1.0, -1.0):
-                qp = q.copy()
-                qp[t, j] += sign * h
-                vals.append(evaluate_objective(qp, 0.1, ctx, w, False)[0])
-            fd[t, j] = (vals[0] - vals[1]) / (2 * h)
-    assert np.max(np.abs(grad - fd)) <= 1e-6
+    problem = WeightedObjective(ctx, CostWeights(alpha_obstacle=3.0), 0.1, len(q))
+    objective_pass = ObjectivePass(q, problem)
+    obstacle = objective_pass.per_cost["obstacle"]
+    assert objective_pass.total == 3.0 * obstacle and obstacle > 0
+    assert np.max(np.abs(objective_pass.gradient() - fd_gradient(q, problem))) <= 1e-6
 
 
 def test_min_separation_hand_value(planar2):
@@ -378,26 +369,24 @@ def test_execution_trace_rejects_non_finite_and_empty(timestamps, configs, messa
 
 
 def test_legible_optimize_improves_legibility(arm):
-    traj, ctx = build_problem(arm, seed=31, n_waypoints=10)
-    init = JointTrajectory(traj.waypoints.copy(), traj.dt)
+    init, ctx = build_problem(arm, seed=31, n_waypoints=10)
     opts = OptimizerOptions(max_iters=150, grad_tol=1e-8, step_init=0.02)
     result = legible_optimize(ctx, init, opts, alpha=10.0)
     assert result.final_report.total <= result.initial_report.total
     assert result.final_report.per_cost["legibility"] < result.initial_report.per_cost["legibility"]
     assert np.array_equal(result.trajectory.waypoints[-1], ctx.goal_config)
     # the objective is exactly linear in the shared weight scale
-    double = legible_optimize(ctx, JointTrajectory(traj.waypoints.copy(), traj.dt), opts, alpha=20.0)
+    double = legible_optimize(ctx, init, opts, alpha=20.0)
     assert double.initial_report.total == pytest.approx(2.0 * result.initial_report.total, rel=1e-12)
 
 
 def test_distvis_ignores_the_uncertainty_model(arm):
-    traj, ctx = build_problem(arm, seed=32, n_waypoints=8)
-    init = JointTrajectory(traj.waypoints.copy(), traj.dt)
+    init, ctx = build_problem(arm, seed=32, n_waypoints=8)
     opts = OptimizerOptions(max_iters=60, grad_tol=1e-8, step_init=0.02)
     a = distvis_optimize(ctx, init, opts, alpha_dist=0.05, alpha_vis=0.2, tau_n=0.002)
-    scaled = dataclasses.replace(ctx, prediction=ctx.prediction.scaled_covariance(7.0))
-    b = distvis_optimize(scaled, JointTrajectory(traj.waypoints.copy(), traj.dt), opts,
-                         alpha_dist=0.05, alpha_vis=0.2, tau_n=0.002)
+    pred = ctx.prediction
+    scaled = dataclasses.replace(ctx, prediction=dataclasses.replace(pred, cov_tracks=7.0 * pred.cov_tracks))
+    b = distvis_optimize(scaled, init, opts, alpha_dist=0.05, alpha_vis=0.2, tau_n=0.002)
     assert np.array_equal(a.trajectory.waypoints, b.trajectory.waypoints)
     assert a.final_report.total == b.final_report.total
 

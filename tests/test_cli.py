@@ -241,7 +241,7 @@ def test_malformed_csv_exits_one(tmp_path, scenario_path, capsys, edit):
     bad = tmp_path / "bad.csv"
     save_trajectory(traj, bad)
     lines = bad.read_text().splitlines()
-    lines[2] = edit(lines[2])  # the trajectory's second data row
+    lines[2] = edit(lines[2])  # the trajectory's first data row
     bad.write_text("\n".join(lines) + "\n")
     assert main(["eval", "--scenario", str(scenario_path), "--trajectory", str(bad)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {bad}, line 3:")
@@ -254,7 +254,7 @@ def test_non_finite_trajectory_exits_one(tmp_path, scenario_path, capsys, value)
     bad = tmp_path / "bad.csv"
     save_trajectory(traj, bad)
     lines = bad.read_text().splitlines()
-    lines[2] = lines[2].rsplit(",", 1)[0] + "," + value  # the second waypoint's last joint
+    lines[2] = lines[2].rsplit(",", 1)[0] + "," + value  # the first waypoint's last joint
     bad.write_text("\n".join(lines) + "\n")
     assert main(["eval", "--scenario", str(scenario_path), "--trajectory", str(bad)]) == 1
     err = capsys.readouterr().err

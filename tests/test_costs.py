@@ -22,7 +22,6 @@ from comoto.costs import (
     CostWeights,
     ObjectivePass,
     WeightedObjective,
-    evaluate_objective,
     goal_probability,
     _distance_inputs,
     _distance_term,
@@ -91,17 +90,15 @@ def build_problem(chain, seed: int, n_waypoints: int):
     return traj, ctx
 
 
-def fd_gradient(q, dt, ctx, w, h=1e-6):
-    """Central finite differences of the weighted objective, full grid."""
+def fd_gradient(q, problem, h=1e-6):
+    """Central finite differences of ``problem``'s weighted objective, full grid."""
     grad = np.zeros_like(q)
     for t in range(q.shape[0]):
         for j in range(q.shape[1]):
             qp, qm = q.copy(), q.copy()
             qp[t, j] += h
             qm[t, j] -= h
-            fp, _, _, _ = evaluate_objective(qp, dt, ctx, w, with_grad=False)
-            fm, _, _, _ = evaluate_objective(qm, dt, ctx, w, with_grad=False)
-            grad[t, j] = (fp - fm) / (2.0 * h)
+            grad[t, j] = (ObjectivePass(qp, problem).total - ObjectivePass(qm, problem).total) / (2.0 * h)
     return grad
 
 
@@ -124,8 +121,9 @@ COMBINED_WEIGHTS = CostWeights(
 
 
 def term(name, traj, ctx):
-    """One cost term at ``traj``, read from the objective's report."""
-    return evaluate_objective(traj.waypoints, traj.dt, ctx, SINGLE_TERM_WEIGHTS[name])[2][name]
+    """One cost term at ``traj``, read from the objective's pass."""
+    problem = WeightedObjective(ctx, SINGLE_TERM_WEIGHTS[name], traj.dt, traj.n_waypoints)
+    return ObjectivePass(traj.waypoints, problem).per_cost[name]
 
 
 def mahalanobis_proximity(d, cov, eps_m: float) -> float:
@@ -192,8 +190,9 @@ def test_legibility_at_goal_trajectory(planar2):
 def test_legibility_detour_costs_more(planar2):
     goal = np.array([0.0, 0.0])
     straight = straightline_joint_init(np.array([np.pi / 2, 0.0]), goal, 7, 0.1)
-    bent = straight.copy()
-    bent.waypoints[1:-1, 1] += 0.8
+    q = straight.waypoints.copy()
+    q[1:-1, 1] += 0.8
+    bent = JointTrajectory(q, straight.dt)
     ctx = cost_context(planar2, goal)
     assert term("legibility", straight, ctx) < term("legibility", bent, ctx)
     assert -1.0 <= term("legibility", straight, ctx) < 0.0
@@ -287,8 +286,7 @@ def test_cost_nominal_matches_loop_oracle(arm):
     eef_nom = fk_points_batch(arm, ctx.nominal.waypoints)[:, -1]
     want = float(np.sum(np.linalg.norm(eef - eef_nom, axis=1)))
     assert got == pytest.approx(want, rel=1e-12)
-    same = JointTrajectory(ctx.nominal.waypoints.copy(), ctx.nominal.dt)
-    assert term("nominal", same, ctx) == 0.0
+    assert term("nominal", ctx.nominal, ctx) == 0.0
 
 
 def test_gradients_match_finite_differences(arm):
@@ -298,8 +296,9 @@ def test_gradients_match_finite_differences(arm):
         n = int(rng.integers(3, 21))
         traj, ctx = build_problem(arm, seed=seed, n_waypoints=n)
         for w in (*SINGLE_TERM_WEIGHTS.values(), COMBINED_WEIGHTS):
-            _, grad, _, _ = evaluate_objective(traj.waypoints, traj.dt, ctx, w)
-            numeric = fd_gradient(traj.waypoints, traj.dt, ctx, w)
+            problem = WeightedObjective(ctx, w, traj.dt, n)
+            grad = ObjectivePass(traj.waypoints, problem).gradient()
+            numeric = fd_gradient(traj.waypoints, problem)
             worst = max(worst, rel_error(grad, numeric))
     assert worst <= 1e-4
 
@@ -307,11 +306,12 @@ def test_gradients_match_finite_differences(arm):
 def test_total_is_weighted_sum_of_terms(arm):
     for seed in range(5):
         traj, ctx = build_problem(arm, seed=seed, n_waypoints=8)
-        total, _, per_cost, _ = evaluate_objective(traj.waypoints, traj.dt, ctx, COMBINED_WEIGHTS)
+        problem = WeightedObjective(ctx, COMBINED_WEIGHTS, traj.dt, traj.n_waypoints)
+        report = ObjectivePass(traj.waypoints, problem).report()
         weights = COMBINED_WEIGHTS.as_dict()
-        want = sum(weights[name] * per_cost[name] for name in COST_NAMES)
-        assert abs(total - want) <= 1e-10
-        assert set(COST_NAMES) <= set(per_cost)
+        want = sum(weights[name] * report.per_cost[name] for name in COST_NAMES)
+        assert abs(report.total - want) <= 1e-10
+        assert set(COST_NAMES) <= set(report.per_cost)
 
 
 def method_weightings(arm, traj, ctx):
@@ -331,27 +331,27 @@ def method_weightings(arm, traj, ctx):
 
 
 def test_value_only_total_bit_identical_to_gradient_total(arm):
+    # A pass that computes only the weighted terms, against another pass's
+    # report of all six at the same waypoints.
     for seed in range(4):
         traj, ctx = build_problem(arm, seed=seed, n_waypoints=12)
         for name, (c, w) in method_weightings(arm, traj, ctx).items():
-            q, dt = traj.waypoints, traj.dt
-            total, _, full, _ = evaluate_objective(q, dt, c, w, True)
-            value, grad, per_cost, _ = evaluate_objective(q, dt, c, w, False)
-            assert np.float64(value).tobytes() == np.float64(total).tobytes(), name
-            assert grad is None
-            assert all(per_cost[term] == full[term] for term in per_cost), name
+            problem = WeightedObjective(c, w, traj.dt, traj.n_waypoints)
+            value_only = ObjectivePass(traj.waypoints, problem)
+            full = ObjectivePass(traj.waypoints, problem).report()
+            assert np.float64(value_only.total).tobytes() == np.float64(full.total).tobytes(), name
+            assert all(v == full.per_cost[term] for term, v in value_only.per_cost.items()), name
             if name == "nominal":
-                assert full["obstacle"] > 0, "the obstacle must touch the path"
+                assert full.per_cost["obstacle"] > 0, "the obstacle must touch the path"
 
 
 def test_value_only_reports_exactly_the_weighted_terms(arm):
     traj, ctx = build_problem(arm, seed=1, n_waypoints=8)
     for name, (c, w) in method_weightings(arm, traj, ctx).items():
-        _, _, per_cost, _ = evaluate_objective(traj.waypoints, traj.dt, c, w, False)
+        objective_pass = ObjectivePass(traj.waypoints, WeightedObjective(c, w, traj.dt, traj.n_waypoints))
         want = [term for term, weight in w.as_dict().items() if weight > 0]
-        assert list(per_cost) == want, name
-        _, _, full, _ = evaluate_objective(traj.waypoints, traj.dt, c, w, True)
-        assert list(full) == list(COST_NAMES), name
+        assert list(objective_pass.per_cost) == want, name
+        assert list(objective_pass.report().per_cost) == list(COST_NAMES), name
 
 
 #: The visibility term's arrays a ``WeightedObjective`` derives, ``None`` without their inputs.
@@ -419,23 +419,26 @@ def reference_gradient(q, dt, ctx, w):
 
 
 def test_trial_gradient_and_report_bit_identical_to_gradient_call(arm):
-    # An accepted line-search trial yields the next gradient and, at the
-    # end, the report; both must equal a fresh gradient call bit for bit.
+    # An accepted line-search trial, run on the solve's problem after an
+    # earlier iterate, yields the next gradient and, at the end, the report;
+    # both must equal a pass on a fresh problem bit for bit.
     for seed in range(3):
         traj, ctx = build_problem(arm, seed=seed, n_waypoints=12)
         for name, (c, w) in method_weightings(arm, traj, ctx).items():
             q, dt = traj.waypoints, traj.dt
-            total, grad, full, diag = evaluate_objective(q, dt, c, w, True)
-            trial = ObjectivePass(q, WeightedObjective(c, w, dt, len(q)))
+            fresh = ObjectivePass(q, WeightedObjective(c, w, dt, len(q)))
+            grad, full = fresh.gradient(), fresh.report()
+            problem = WeightedObjective(c, w, dt, len(q))
+            ObjectivePass(q + 0.01, problem).report()
+            trial = ObjectivePass(q, problem)
             assert np.array_equal(trial.gradient(), grad), name
             assert np.array_equal(grad, reference_gradient(q, dt, c, w)), name
             assert trial.gradient() is trial.gradient(), name
             report = trial.report()
-            assert np.float64(report.total).tobytes() == np.float64(total).tobytes(), name
-            assert list(report.per_cost.items()) == list(full.items()), name
+            assert np.float64(report.total).tobytes() == np.float64(full.total).tobytes(), name
+            assert list(report.per_cost.items()) == list(full.per_cost.items()), name
             assert np.array_equal(report.gradient, grad[1:-1].ravel()), name
-            assert report.diagnostics == diag, name
-            assert report.weights == w.as_dict(), name
+            assert report.diagnostics == full.diagnostics, name
 
 
 def test_eef_only_gradient_bit_identical_to_all_point_slice(arm):
@@ -527,7 +530,9 @@ def test_obstacle_gradient_row_sparse_bit_identical_to_dense(arm, case):
 def test_covariance_doubling_moves_costs(arm):
     for seed in range(5):
         traj, ctx = build_problem(arm, seed=seed, n_waypoints=10)
-        doubled = dataclasses.replace(ctx, prediction=ctx.prediction.scaled_covariance(2.0))
+        doubled = dataclasses.replace(
+            ctx, prediction=dataclasses.replace(ctx.prediction, cov_tracks=2.0 * ctx.prediction.cov_tracks)
+        )
         # preconditions: far from the proximity clamp and the spread floor
         points = fk_points_batch(arm, traj.waypoints)
         m_min = np.inf
@@ -539,8 +544,8 @@ def test_covariance_doubling_moves_costs(arm):
         assert m_min > 100.0 * ctx.eps_m
         head_cov = ctx.prediction.cov_tracks[ctx.prediction.joints.index("head")]
         assert np.min(np.sqrt(np.trace(head_cov, axis1=1, axis2=2) / 3.0)) > ctx.sigma_floor
-        before = evaluate_objective(traj.waypoints, traj.dt, ctx, COMBINED_WEIGHTS)[2]
-        after = evaluate_objective(traj.waypoints, traj.dt, doubled, COMBINED_WEIGHTS)[2]
+        problems = [WeightedObjective(c, COMBINED_WEIGHTS, traj.dt, traj.n_waypoints) for c in (ctx, doubled)]
+        before, after = (ObjectivePass(traj.waypoints, problem).per_cost for problem in problems)
         assert after["distance"] > before["distance"]
         assert after["visibility"] < before["visibility"]
 
@@ -601,12 +606,9 @@ def test_time_weights_default_and_custom(planar2):
 def test_weight_without_inputs_rejected(planar2):
     traj = straightline_joint_init(np.zeros(2), np.ones(2), 4, 0.1)
     ctx = cost_context(planar2, np.ones(2))
-    with pytest.raises(ContractViolation):
-        evaluate_objective(traj.waypoints, traj.dt, ctx, CostWeights(alpha_dist=1.0))
-    with pytest.raises(ContractViolation):
-        evaluate_objective(traj.waypoints, traj.dt, ctx, CostWeights(alpha_vis=1.0))
-    with pytest.raises(ContractViolation):
-        evaluate_objective(traj.waypoints, traj.dt, ctx, CostWeights(alpha_nominal=1.0))
+    for w in (CostWeights(alpha_dist=1.0), CostWeights(alpha_vis=1.0), CostWeights(alpha_nominal=1.0)):
+        with pytest.raises(ContractViolation):
+            WeightedObjective(ctx, w, traj.dt, traj.n_waypoints)
 
 
 def test_obstacle_weight_without_obstacles_rejected(planar2):
@@ -614,7 +616,7 @@ def test_obstacle_weight_without_obstacles_rejected(planar2):
     ctx = cost_context(planar2, np.ones(2))
     w = CostWeights(alpha_smooth=1.0, alpha_obstacle=1.0)
     with pytest.raises(ContractViolation, match="obstacle weight set but the context lacks its inputs"):
-        evaluate_objective(traj.waypoints, traj.dt, ctx, w)
+        WeightedObjective(ctx, w, traj.dt, traj.n_waypoints)
 
 
 def test_context_rejects_malformed_obstacles(planar2):
@@ -681,15 +683,6 @@ def test_context_fields_cannot_be_assigned(arm):
     moved = dataclasses.replace(ctx, goal_config=np.zeros(7))
     problem = WeightedObjective(moved, CostWeights(alpha_legibility=1.0), traj.dt, traj.n_waypoints)
     assert problem.goal_point.tobytes() == fk_eef(arm, np.zeros(7)).tobytes()
-
-
-def test_sixth_argument_of_evaluate_objective_must_be_none(planar2):
-    traj = straightline_joint_init(np.zeros(2), np.ones(2), 4, 0.1)
-    ctx, w = cost_context(planar2, np.ones(2)), CostWeights(alpha_smooth=1.0)
-    value = evaluate_objective(traj.waypoints, traj.dt, ctx, w, False, None)[0]
-    assert value == evaluate_objective(traj.waypoints, traj.dt, ctx, w, False)[0]
-    with pytest.raises(ContractViolation, match="sixth argument"):
-        evaluate_objective(traj.waypoints, traj.dt, ctx, w, False, lambda *args: (0.0, None))
 
 
 @st.composite
@@ -762,8 +755,9 @@ def kink_distance(traj, ctx) -> float:
 def test_gradients_match_finite_differences_on_random_dh_chains(problem):
     traj, ctx, w = problem
     assume(kink_distance(traj, ctx) > 1e-3)
-    _, grad, _, _ = evaluate_objective(traj.waypoints, traj.dt, ctx, w)
-    assert rel_error(grad, fd_gradient(traj.waypoints, traj.dt, ctx, w)) <= 1e-4
+    problem = WeightedObjective(ctx, w, traj.dt, traj.n_waypoints)
+    grad = ObjectivePass(traj.waypoints, problem).gradient()
+    assert rel_error(grad, fd_gradient(traj.waypoints, problem)) <= 1e-4
 
 
 def reference_distance_inputs(means: dict, covs: dict, joints) -> tuple[np.ndarray, np.ndarray]:
@@ -790,7 +784,7 @@ def reference_distance_inputs(means: dict, covs: dict, joints) -> tuple[np.ndarr
 def test_distance_inputs_match_per_joint_reference_along_the_prediction_pipeline(
     seed, horizon, step, with_goal, factor
 ):
-    # predict -> extrapolate_skeleton -> with_isotropic_covariance / scaled_covariance,
+    # predict -> extrapolate_skeleton -> with_isotropic_covariance / scaled covariances,
     # each checked against per-joint dicts built here, in the joint order the
     # distance term sums over: the right arm, then the extrapolated joints.
     # The pipeline gives every joint the same covariances, so a last case gives
@@ -816,7 +810,12 @@ def test_distance_inputs_match_per_joint_reference_along_the_prediction_pipeline
         (arm, means, covs, RIGHT_ARM_JOINTS),
         (full, means, covs, order),
         (full.with_isotropic_covariance(factor), means, dict.fromkeys(order, eye), order),
-        (full.scaled_covariance(factor), means, {k: factor * v for k, v in covs.items()}, order),
+        (
+            dataclasses.replace(full, cov_tracks=factor * full.cov_tracks),
+            means,
+            {k: factor * v for k, v in covs.items()},
+            order,
+        ),
     ]
     distinct = {name: (1.0 + j) * covs[name] for j, name in enumerate(reversed(order))}
     stacked = (np.stack([means[name] for name in order]), np.stack([distinct[name] for name in order]))

@@ -207,7 +207,8 @@ def test_trajectory_state_is_read_only_and_copied():
     observed = constant_velocity_truth([0.0, 0.1, 0.0])
     pred = predict(observed, horizon=5, step=0.1, options=CFG.prediction)
     full = extrapolate_skeleton(pred)
-    for p in (pred, full, full.with_isotropic_covariance(), full.scaled_covariance(2.0)):
+    doubled = dataclasses.replace(full, cov_tracks=2.0 * full.cov_tracks)
+    for p in (pred, full, full.with_isotropic_covariance(), doubled):
         assert not hasattr(p, "means") and not hasattr(p, "covariances")
         for field in dataclasses.fields(p):
             with pytest.raises(dataclasses.FrozenInstanceError):
@@ -415,16 +416,17 @@ def test_predicted_trajectory_names_the_first_bad_joint():
 def test_covariance_scaling_helpers():
     observed = constant_velocity_truth([0.1, 0.0, 0.0])
     pred = predict(observed, horizon=6, step=0.1, options=CFG.prediction)
-    doubled = pred.scaled_covariance(2.0)
+    doubled = dataclasses.replace(pred, cov_tracks=2.0 * pred.cov_tracks)
     flat = pred.with_isotropic_covariance()
     for p in (doubled, flat):
         assert p.joints == pred.joints and (p.step, p.t0) == (pred.step, pred.t0)
         assert p.mean_tracks.tobytes() == pred.mean_tracks.tobytes()
     assert np.allclose(doubled.cov_tracks, 2.0 * pred.cov_tracks, atol=1e-15)
     assert np.allclose(flat.cov_tracks, np.broadcast_to(np.eye(3), (4, 6, 3, 3)), atol=1e-15)
-    for make_indefinite in (pred.scaled_covariance, pred.with_isotropic_covariance):
-        with pytest.raises(ContractViolation, match="not positive definite"):
-            make_indefinite(-1.0)
+    with pytest.raises(ContractViolation, match="not positive definite"):
+        dataclasses.replace(pred, cov_tracks=-1.0 * pred.cov_tracks)
+    with pytest.raises(ContractViolation, match="not positive definite"):
+        pred.with_isotropic_covariance(-1.0)
 
 
 def test_extrapolate_skeleton_offsets():

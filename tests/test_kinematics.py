@@ -7,6 +7,7 @@ differences of the FK positions.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -396,14 +397,20 @@ def test_joint_trajectory_validation():
     for dt, t0 in ((np.nan, 0.0), (np.inf, 0.0), (0.1, np.nan), (0.1, -np.inf)):
         with pytest.raises(ContractViolation, match="finite"):
             JointTrajectory(np.zeros((4, 3)), dt=dt, t0=t0)
-    traj = JointTrajectory(np.zeros((4, 3)), dt=0.5, t0=1.0)
+    source = np.zeros((4, 3))
+    traj = JointTrajectory(source, dt=0.5, t0=1.0)
     assert traj.n_waypoints == 4
     assert traj.n_joints == 3
     assert np.allclose(traj.times, [1.0, 1.5, 2.0, 2.5])
     assert traj.duration == pytest.approx(1.5)
-    dup = traj.copy()
-    dup.waypoints[0, 0] = 9.0
+    # Frozen, and the waypoints are a read-only copy: nothing changes past the checks.
+    source[0, 0] = 9.0
     assert traj.waypoints[0, 0] == 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        traj.waypoints[1, 0] = np.nan
+    for name, value in (("waypoints", np.ones((4, 3))), ("dt", -1.0), ("t0", np.nan)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(traj, name, value)
 
 
 def test_ik_reaches_forward_kinematics_targets(arm):
@@ -448,6 +455,34 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert np.array_equal(back.waypoints, traj.waypoints)
     assert back.dt == traj.dt
     assert back.t0 == traj.t0
+    # A file without the leading timing line takes dt and t0 from its time column.
+    path.write_text(path.read_text().split("\n", 1)[1])
+    old = load_trajectory(path)
+    assert np.array_equal(old.waypoints, traj.waypoints) and (old.dt, old.t0) == (traj.dt, traj.t0)
+
+
+FINITE = {"allow_nan": False, "allow_infinity": False}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(3, 12),
+    n_joints=st.integers(1, 7),
+    dt=st.floats(1e-6, 10.0, **FINITE),
+    t0=st.floats(-1e4, 1e4, **FINITE),
+    data=st.data(),
+)
+def test_trajectory_file_round_trips_bit_for_bit(tmp_path_factory, n, n_joints, dt, t0, data):
+    # The file's times are t0 + k * dt rounded; dt and t0 must come back as written.
+    values = st.lists(st.floats(-10.0, 10.0, **FINITE), min_size=n * n_joints, max_size=n * n_joints)
+    traj = JointTrajectory(np.reshape(data.draw(values), (n, n_joints)), dt=dt, t0=t0)
+    path = tmp_path_factory.mktemp("round_trip") / "traj.csv"
+    save_trajectory(traj, path)
+    back = load_trajectory(path)
+    assert back.waypoints.tobytes() == traj.waypoints.tobytes()
+    assert np.float64(back.dt).tobytes() == np.float64(dt).tobytes()
+    assert np.float64(back.t0).tobytes() == np.float64(t0).tobytes()
+    assert back.times.tobytes() == traj.times.tobytes()
 
 
 def test_load_trajectory_rejects_bad_files(tmp_path):
@@ -459,3 +494,8 @@ def test_load_trajectory_rejects_bad_files(tmp_path):
     uneven.write_text("time,q0\n0.0,0.0\n0.1,0.1\n0.3,0.2\n")
     with pytest.raises(ContractViolation):
         load_trajectory(uneven)
+    for timing in ("# dt=0.1", "# dt=abc t0=0.0", "# dt=0.2 t0=0.0", "# dt=0.1 t0=1.0"):
+        mismatched = tmp_path / "mismatched.csv"
+        mismatched.write_text(timing + "\ntime,q0\n0.0,0.0\n0.1,0.1\n0.2,0.2\n")
+        with pytest.raises(ContractViolation):
+            load_trajectory(mismatched)

@@ -16,7 +16,7 @@ from test_costs import COMBINED_WEIGHTS, build_problem, method_weightings
 
 from comoto import optimizer as optimizer_module
 from comoto.baselines import TAU_S_RATIO
-from comoto.costs import COST_NAMES, CostWeights, ObjectivePass, evaluate_objective
+from comoto.costs import COST_NAMES, CostWeights, ObjectivePass, WeightedObjective
 from comoto.errors import ContractViolation
 from comoto.kinematics import JointTrajectory, fk_points_batch
 from comoto.optimizer import OptimizerOptions, optimize, straightline_joint_init
@@ -26,12 +26,12 @@ VALID_OPTIONS = OptimizerOptions(max_iters=500, grad_tol=1e-4, step_init=0.05)
 
 
 def perturbed_line(chain, start, goal, n, dt, seed, scale=0.3):
-    init = straightline_joint_init(start, goal, n, dt)
+    q = straightline_joint_init(start, goal, n, dt).waypoints.copy()
     rng = np.random.default_rng(seed)
-    init.waypoints[1:-1] += scale * rng.standard_normal(init.waypoints[1:-1].shape)
+    q[1:-1] += scale * rng.standard_normal(q[1:-1].shape)
     lo, hi = chain.joint_limits[:, 0], chain.joint_limits[:, 1]
-    init.waypoints[1:-1] = np.clip(init.waypoints[1:-1], lo, hi)
-    return init
+    q[1:-1] = np.clip(q[1:-1], lo, hi)
+    return JointTrajectory(q, dt)
 
 
 def test_straightline_init_hand_values():
@@ -68,7 +68,7 @@ def test_zero_gradient_start_returns_immediately(arm):
     nominal = straightline_joint_init(start, goal, 8, 0.1)
     ctx = cost_context(arm, goal, nominal=nominal)
     opts = OptimizerOptions(max_iters=500, grad_tol=1e-4, step_init=0.05)
-    result = optimize(ctx, CostWeights(alpha_nominal=1.0), nominal.copy(), opts)
+    result = optimize(ctx, CostWeights(alpha_nominal=1.0), nominal, opts)
     assert result.converged
     assert result.iterations == 0
     assert np.array_equal(result.trajectory.waypoints, nominal.waypoints)
@@ -76,8 +76,7 @@ def test_zero_gradient_start_returns_immediately(arm):
 
 def test_endpoints_bit_identical_across_problems(arm):
     for seed in range(6):
-        traj, ctx = build_problem(arm, seed=seed, n_waypoints=9)
-        init = JointTrajectory(traj.waypoints.copy(), traj.dt)
+        init, ctx = build_problem(arm, seed=seed, n_waypoints=9)
         opts = OptimizerOptions(max_iters=40, grad_tol=1e-10, step_init=0.02)
         result = optimize(ctx, COMBINED_WEIGHTS, init, opts)
         assert np.array_equal(result.trajectory.waypoints[0], init.waypoints[0])
@@ -85,8 +84,7 @@ def test_endpoints_bit_identical_across_problems(arm):
 
 
 def test_descent_never_increases_total(arm):
-    traj, ctx = build_problem(arm, seed=11, n_waypoints=10)
-    init = JointTrajectory(traj.waypoints.copy(), traj.dt)
+    init, ctx = build_problem(arm, seed=11, n_waypoints=10)
     opts = OptimizerOptions(max_iters=80, grad_tol=1e-10, step_init=0.02, verbose=True)
     result = optimize(ctx, COMBINED_WEIGHTS, init, opts)
     totals = [result.initial_report.total] + [entry["total"] for entry in result.trace]
@@ -154,9 +152,10 @@ def test_endpoints_bit_identical_for_any_weights_and_options(
     goal[2] = 0.0
     obstacle = fk_points_batch(arm, traj.waypoints)[4, -1]
     ctx = dataclasses.replace(ctx, goal_config=goal, obstacles=((obstacle, 0.15),))
-    init = perturbed_line(arm, traj.waypoints[0], goal, 8, traj.dt, seed)
-    init.waypoints[0, 1] = -0.0
-    init.waypoints[-1, 2] = -0.0
+    q = perturbed_line(arm, traj.waypoints[0], goal, 8, traj.dt, seed).waypoints.copy()
+    q[0, 1] = -0.0
+    q[-1, 2] = -0.0
+    init = JointTrajectory(q, traj.dt)
     start, end = init.waypoints[0].tobytes(), init.waypoints[-1].tobytes()
     w = CostWeights(**{_WEIGHT_FIELDS[name]: value for name, value in weights.items()})
     opts = OptimizerOptions(max_iters=max_iters, grad_tol=grad_tol, step_init=step_init)
@@ -168,8 +167,8 @@ def test_endpoints_bit_identical_for_any_weights_and_options(
 def test_optimizer_is_deterministic(arm):
     traj, ctx = build_problem(arm, seed=13, n_waypoints=8)
     opts = OptimizerOptions(max_iters=60, grad_tol=1e-10, step_init=0.02)
-    a = optimize(ctx, COMBINED_WEIGHTS, JointTrajectory(traj.waypoints.copy(), traj.dt), opts)
-    b = optimize(ctx, COMBINED_WEIGHTS, JointTrajectory(traj.waypoints.copy(), traj.dt), opts)
+    a = optimize(ctx, COMBINED_WEIGHTS, traj, opts)
+    b = optimize(ctx, COMBINED_WEIGHTS, traj, opts)
     assert np.array_equal(a.trajectory.waypoints, b.trajectory.waypoints)
     assert a.iterations == b.iterations
     assert a.converged == b.converged
@@ -178,15 +177,15 @@ def test_optimizer_is_deterministic(arm):
 
 def test_init_must_end_at_goal(arm):
     traj, ctx = build_problem(arm, seed=1, n_waypoints=5)
-    bad = JointTrajectory(traj.waypoints.copy(), traj.dt)
-    bad.waypoints[-1] += 1e-9
+    q = traj.waypoints.copy()
+    q[-1] += 1e-9
+    bad = JointTrajectory(q, traj.dt)
     with pytest.raises(ContractViolation):
         optimize(ctx, COMBINED_WEIGHTS, bad, VALID_OPTIONS)
 
 
 def test_result_reports_and_gradient_shape(arm):
-    traj, ctx = build_problem(arm, seed=2, n_waypoints=7)
-    init = JointTrajectory(traj.waypoints.copy(), traj.dt)
+    init, ctx = build_problem(arm, seed=2, n_waypoints=7)
     opts = OptimizerOptions(max_iters=10, grad_tol=1e-10, step_init=0.02)
     result = optimize(ctx, COMBINED_WEIGHTS, init, opts)
     n_free = (init.n_waypoints - 2) * init.n_joints
@@ -204,8 +203,7 @@ def test_result_reports_and_gradient_shape(arm):
 
 
 def test_joint_limits_respected(arm):
-    traj, ctx = build_problem(arm, seed=9, n_waypoints=8)
-    init = JointTrajectory(traj.waypoints.copy(), traj.dt)
+    init, ctx = build_problem(arm, seed=9, n_waypoints=8)
     opts = OptimizerOptions(max_iters=50, grad_tol=1e-10, step_init=0.5)
     result = optimize(ctx, COMBINED_WEIGHTS, init, opts)
     lo, hi = arm.joint_limits[:, 0], arm.joint_limits[:, 1]
@@ -268,8 +266,7 @@ def counted_optimize(monkeypatch, *args, pass_class=ObjectivePass):
 
 
 def test_stop_reason_and_evaluation_counts(arm, monkeypatch):
-    traj, ctx = build_problem(arm, seed=4, n_waypoints=6)
-    init = JointTrajectory(traj.waypoints.copy(), traj.dt)
+    init, ctx = build_problem(arm, seed=4, n_waypoints=6)
 
     capped = counted_optimize(
         monkeypatch, ctx, COMBINED_WEIGHTS, init, OptimizerOptions(max_iters=5, grad_tol=1e-10, step_init=0.05)
@@ -292,17 +289,18 @@ def test_stop_reason_and_evaluation_counts(arm, monkeypatch):
 
 
 def reference_optimize(ctx, w, init, opts):
-    """The descent loop with every accepted iterate re-evaluated from scratch.
+    """The descent loop with every point evaluated from scratch, each on a
+    problem of its own.
 
     Returns (waypoints, iterations, stop_reason, initial, final), where
-    initial and final are ``evaluate_objective`` gradient calls.
+    initial and final are the reports at the first and last iterates.
     """
     q, dt = init.waypoints.copy(), init.dt
     lo, hi = ctx.chain.joint_limits[:, 0], ctx.chain.joint_limits[:, 1]
-    initial = current = evaluate_objective(q, dt, ctx, w, True)
+    initial = current = ObjectivePass(q, WeightedObjective(ctx, w, dt, len(q)))
     step, iterations, stop_reason = opts.step_init, 0, "max_iters"
     for iteration in range(opts.max_iters):
-        total, grad = current[0], current[1]
+        total, grad = current.total, current.gradient()
         g = grad[1:-1]
         if float(np.max(np.abs(g))) < opts.grad_tol:
             break
@@ -310,7 +308,7 @@ def reference_optimize(ctx, w, init, opts):
         while step >= optimizer_module.MIN_STEP:
             q_new = q.copy()
             q_new[1:-1] = np.clip(q[1:-1] - step * g, lo, hi)
-            trial = evaluate_objective(q_new, dt, ctx, w, False)[0]
+            trial = ObjectivePass(q_new, WeightedObjective(ctx, w, dt, len(q))).total
             if trial <= total + optimizer_module.ARMIJO_C * float(np.sum(g * (q_new[1:-1] - q[1:-1]))):
                 break
             step *= optimizer_module.STEP_SHRINK
@@ -318,19 +316,18 @@ def reference_optimize(ctx, w, init, opts):
             stop_reason = "line_search"
             break
         q = q_new
-        current = evaluate_objective(q, dt, ctx, w, True)
+        current = ObjectivePass(q, WeightedObjective(ctx, w, dt, len(q)))
         step *= optimizer_module.STEP_GROW
-    if float(np.max(np.abs(current[1][1:-1]))) < opts.grad_tol:
+    if float(np.max(np.abs(current.gradient()[1:-1]))) < opts.grad_tol:
         stop_reason = "grad_tol"
-    return q, iterations, stop_reason, initial, current
+    return q, iterations, stop_reason, initial.report(), current.report()
 
 
-def assert_report_equals(report, evaluation, name):
-    total, grad, per_cost, diagnostics = evaluation
-    assert np.float64(report.total).tobytes() == np.float64(total).tobytes(), name
-    assert list(report.per_cost.items()) == list(per_cost.items()), name
-    assert np.array_equal(report.gradient, grad[1:-1].ravel()), name
-    assert report.diagnostics == diagnostics, name
+def assert_report_equals(report, want, name):
+    assert np.float64(report.total).tobytes() == np.float64(want.total).tobytes(), name
+    assert list(report.per_cost.items()) == list(want.per_cost.items()), name
+    assert np.array_equal(report.gradient, want.gradient), name
+    assert report.diagnostics == want.diagnostics, name
 
 
 @pytest.mark.parametrize("max_iters, grad_tol", [(25, 1e-10), (400, 0.5)])
@@ -338,9 +335,8 @@ def test_optimize_matches_loop_that_recomputes_every_iterate(arm, max_iters, gra
     traj, ctx = build_problem(arm, seed=7, n_waypoints=10)
     opts = OptimizerOptions(max_iters=max_iters, grad_tol=grad_tol, step_init=0.02)
     for name, (c, w) in method_weightings(arm, traj, ctx).items():
-        init = JointTrajectory(traj.waypoints.copy(), traj.dt)
-        result = optimize(c, w, init, opts)
-        q, iterations, stop_reason, initial, final = reference_optimize(c, w, init, opts)
+        result = optimize(c, w, traj, opts)
+        q, iterations, stop_reason, initial, final = reference_optimize(c, w, traj, opts)
         assert np.array_equal(result.trajectory.waypoints, q), name
         assert (result.iterations, result.stop_reason) == (iterations, stop_reason), name
         assert_report_equals(result.initial_report, initial, name)
@@ -351,7 +347,8 @@ def test_nominal_solve_reports_its_obstacle_term_by_name(arm):
     traj, ctx = build_problem(arm, seed=2, n_waypoints=10)
     c, w = method_weightings(arm, traj, ctx)["nominal"]
     opts = OptimizerOptions(max_iters=5, grad_tol=1e-10, step_init=0.05, verbose=True)
-    result = optimize(c, w, JointTrajectory(traj.waypoints.copy(), traj.dt), opts)
+    result = optimize(c, w, traj, opts)
     assert result.initial_report.per_cost["obstacle"] > 0 and result.trace
-    assert result.final_report.weights["obstacle"] == w.alpha_obstacle
+    smooth, obstacle = (result.final_report.per_cost[name] for name in ("smoothness", "obstacle"))
+    assert result.final_report.total == w.alpha_smooth * smooth + w.alpha_obstacle * obstacle
     assert all(set(e) == {"iteration", "total", "step", "smoothness", "obstacle"} for e in result.trace)
