@@ -50,9 +50,13 @@ class SpeedAdjustParams:
                 raise ContractViolation(f"{name} must be finite and positive, got {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExecutionTrace:
-    """Timestamped realized execution of a planned path."""
+    """Timestamped realized execution of a planned path.  Frozen.
+
+    The arrays stay writeable: perfbench's self-test writes one config
+    of a built trace in place, to check that its trace check notices.
+    """
 
     timestamps: Array
     configs: Array
@@ -61,8 +65,8 @@ class ExecutionTrace:
     speed_scale: Array | None = None
 
     def __post_init__(self):
-        self.timestamps = np.asarray(self.timestamps, dtype=float)
-        self.configs = np.asarray(self.configs, dtype=float)
+        for name in ("timestamps", "configs"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.timestamps.ndim != 1 or self.configs.ndim != 2:
             raise ContractViolation("trace needs 1-D timestamps and 2-D configs")
         n = self.timestamps.shape[0]

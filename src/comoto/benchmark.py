@@ -30,7 +30,8 @@ from .baselines import (
 from .costs import CostContext, CostWeights
 from .errors import ContractViolation
 from .fileio import read_yaml
-from .human_motion import PredictorOptions, extrapolate_skeleton, generate_reach, predict
+from .human_motion import HumanTrajectory, PredictorOptions, extrapolate_skeleton, generate_reach, predict
+from .kinematics import JointTrajectory
 from .metrics import METRIC_NAMES, GoalSet, MetricReport, aggregate, evaluate_run
 from .optimizer import OptimizerOptions, OptResult, optimize
 from .scenarios import FAMILIES, Scenario, generate_scenarios
@@ -181,14 +182,14 @@ def load_config(path: str | Path | None = None) -> RunConfig:
     return config_from_dict(read_yaml(Path(path)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioBundle:
-    """Everything derived from one scenario, shared across methods."""
+    """Everything derived from one scenario, shared across methods.  Frozen."""
 
     scenario: Scenario
-    truth: object
+    truth: HumanTrajectory
     ctx: CostContext
-    nominal: object
+    nominal: JointTrajectory
     goals: GoalSet
     #: The solve that made ``nominal``; ``None`` when there are no obstacles.
     nominal_solve: OptResult | None

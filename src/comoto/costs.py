@@ -17,7 +17,9 @@ Terms (all summed over waypoints):
   a workspace potential pulled back through the point Jacobians as in
   CHOMP (Ratliff et al., ICRA 2009).
 
-Every gradient is analytic, chained through the position Jacobians, and
+A planning problem (``WeightedObjective``) computes and reports only the
+terms it weights positively; the others are never evaluated.  Every
+gradient is analytic, chained through the position Jacobians, and
 checkable against central finite differences.
 """
 
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,15 +143,14 @@ class CostContext:
 class CostReport:
     """Objective breakdown at one trajectory.
 
-    ``total`` equals the weight-scaled sum of ``per_cost`` entries.
-    ``gradient`` covers the free decision variables: the interior
-    waypoints, flattened row-major.
+    ``per_cost`` holds the positively weighted terms in ``COST_NAMES``
+    order, and ``total`` is their weight-scaled sum.  ``diagnostics``
+    holds the weighted terms' findings (``visibility_degenerate_steps``).
     """
 
     total: float
     per_cost: dict[str, float]
-    gradient: Array | None
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
 
 def goal_probability(
@@ -339,16 +340,16 @@ class WeightedObjective:
 
     Construction checks once that the context supplies each weighted
     term's inputs for ``n_waypoints`` waypoints, and fixes the weights,
-    the terms a pass computes (``weighted``) or can report
-    (``supported``), the weighted end-effector terms (``eef_terms``),
-    the legibility time weights and the FK buffers (``frames``) every
-    pass runs its forward kinematics in, so the passes of one problem
-    must not run concurrently.  It derives every array a term reads from
-    the context, once per solve: the spheres' ``centers`` and ``clearance``
-    and the visibility term's ``sigma_head``, ``head``, ``gaze``,
-    ``gaze_norm`` and ``gaze_unit`` (``None`` without a head or an object)
-    here, and ``goal_point``, ``nominal_eef`` and ``distance_inputs`` on the
-    first pass that needs them.
+    the terms a pass computes and reports (``weighted``), the weighted
+    end-effector terms (``eef_terms``), the legibility time weights and
+    the FK buffers (``frames``) every pass runs its forward kinematics
+    in, so the passes of one problem must not run concurrently.  It
+    derives every array a term reads from the context, once per solve:
+    the spheres' ``centers`` and ``clearance`` and the visibility term's
+    ``sigma_head``, ``head``, ``gaze``, ``gaze_norm`` and ``gaze_unit``
+    (``None`` without a head or an object) here, and ``goal_point``,
+    ``nominal_eef`` and ``distance_inputs`` on the first pass that needs
+    them.
     """
 
     def __init__(self, ctx: CostContext, w: CostWeights, dt: float, n_waypoints: int):
@@ -374,9 +375,6 @@ class WeightedObjective:
                 ctx.nominal.n_waypoints == n_waypoints,
                 "nominal and trajectory must share waypoint count",
             )
-        # Legibility needs only the chain and the goal, which every context has.
-        has_inputs.update(legibility=True, smoothness=True)
-        self.supported = [name for name in COST_NAMES if has_inputs[name]]
         self.weighted = [name for name in COST_NAMES if weights[name] > 0]
         self.eef_terms = tuple(name for name in self.weighted if name in _EEF_TERMS)
         # Legibility's per-step weights f = N - k, front-loaded.
@@ -421,17 +419,13 @@ class ObjectivePass:
     """The weighted objective of ``problem`` at waypoints ``q``, kept for its gradient.
 
     Construction runs forward kinematics once (when any term needs it)
-    and computes the positively weighted terms.  ``gradient()`` then
-    builds, from the stored frames, every point's Jacobian when the
-    distance term is weighted and the end effector's alone otherwise
-    (the obstacle pullback builds the rows of the waypoints it touches),
-    and adds the weighted terms' pullbacks in ``COST_NAMES`` order; it
-    computes once and returns the same array on later calls.
-    ``report()`` adds every other term the context supports, from the
-    same frames, and returns the full six-term breakdown.
-
-    ``total`` sums the weighted terms only; an unweighted term would add
-    exactly 0.0 to it, so the report's total is the same.  The pass
+    and computes the positively weighted terms; no other term is ever
+    evaluated.  ``gradient()`` then builds, from the stored frames, every
+    point's Jacobian when the distance term is weighted and the end
+    effector's alone otherwise (the obstacle pullback builds the rows of
+    the waypoints it touches), and adds the weighted terms' pullbacks in
+    ``COST_NAMES`` order; it computes once and returns the same array on
+    later calls.  ``report()`` packs what the pass holds.  The pass
     keeps a reference to ``q``: do not modify it while the pass is used.
     """
 
@@ -442,24 +436,10 @@ class ObjectivePass:
         self._pullbacks: dict = {}
         self._grad = None
         self.diagnostics: dict = {}
-        self._add_terms(problem.weighted)
-        self.total = sum(problem.weights[name] * value for name, value in self._values.items())
-        if not math.isfinite(self.total):
-            raise ContractViolation("objective evaluated to a non-finite value")
-
-    def _fk(self) -> tuple[Array, Array]:
-        if self._frames is None:
-            # Copies: the problem's FK buffers belong to the next pass.
-            self._frames = tuple(f.copy() for f in self.problem.frames(self.q))
-        return self._frames
-
-    def _add_terms(self, names) -> None:
-        problem = self.problem
-        names = [name for name in names if name not in self._values]
-        if names and names != ["smoothness"]:
+        if problem.weighted != ["smoothness"]:
             points = self._fk()[0]
             eef = points[:, -1]
-        for name in names:
+        for name in problem.weighted:
             if name == "distance":
                 value, pullback = _distance_term(points, *problem.distance_inputs, problem.ctx.eps_m)
             elif name == "visibility":
@@ -480,11 +460,20 @@ class ObjectivePass:
                 value, pullback = _smoothness_term(self.q, problem.dt)
             self._values[name] = value
             self._pullbacks[name] = pullback
+        self.total = sum(problem.weights[name] * value for name, value in self._values.items())
+        if not math.isfinite(self.total):
+            raise ContractViolation("objective evaluated to a non-finite value")
+
+    def _fk(self) -> tuple[Array, Array]:
+        if self._frames is None:
+            # Copies: the problem's FK buffers belong to the next pass.
+            self._frames = tuple(f.copy() for f in self.problem.frames(self.q))
+        return self._frames
 
     @property
     def per_cost(self) -> dict[str, float]:
-        """The weighted terms in ``COST_NAMES`` order."""
-        return {name: self._values[name] for name in self.problem.weighted}
+        """The weighted terms in ``COST_NAMES`` order, the order they were computed in."""
+        return dict(self._values)
 
     def gradient(self) -> Array:
         """Gradient of ``total`` over all waypoints."""
@@ -513,18 +502,8 @@ class ObjectivePass:
         return self._grad
 
     def report(self) -> CostReport:
-        """Every term, the total and the interior-waypoint gradient.
-
-        ``per_cost`` lists all six terms, 0.0 for one whose inputs the
-        context lacks.
-        """
-        self._add_terms(self.problem.supported)
-        return CostReport(
-            total=self.total,
-            per_cost={name: self._values.get(name, 0.0) for name in COST_NAMES},
-            gradient=self.gradient()[1:-1].ravel().copy(),
-            diagnostics=dict(self.diagnostics),
-        )
+        """The total, the weighted terms and their diagnostics, as computed."""
+        return CostReport(self.total, self.per_cost, dict(self.diagnostics))
 
 
 def evaluate_objective(

@@ -17,7 +17,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, finite_real, float_array
 from .fileio import read_yaml
 
 Array = np.ndarray
@@ -89,9 +89,9 @@ class HumanTrajectory:
     rate: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.rate) and self.rate > 0):
+        if not (finite_real(self.rate) and self.rate > 0):
             raise ContractViolation(f"rate must be finite and positive, got {self.rate!r}")
-        object.__setattr__(self, "tracks", _float_array(self.tracks, "joint tracks"))
+        object.__setattr__(self, "tracks", float_array(self.tracks, "joint tracks"))
         shape = self.tracks.shape
         if len(shape) != 3 or min(shape[:2]) < 1 or shape[1:] != (len(self.joints), 3):
             raise ContractViolation(f"need (T, J, 3) tracks, one (T, 3) track per joint with T >= 1, got {shape}")
@@ -127,14 +127,6 @@ class HumanTrajectory:
             raise ContractViolation(f"prefix duration must be finite and non-negative, got {duration!r}")
         count = int(round(min(duration, self.duration) * self.rate)) + 1
         return HumanTrajectory(self.joints, self.tracks[:count], self.rate)
-
-
-def _float_array(value, what: str) -> Array:
-    """A new float array of ``value``; ragged or non-numeric input is a ``ContractViolation``."""
-    try:
-        return np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ContractViolation(f"{what} must be a rectangular array of numbers: {exc}") from None
 
 
 def _joint_names(joints) -> tuple[str, ...]:
@@ -184,13 +176,13 @@ class PredictedHumanTrajectory:
     t0: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.step) and self.step > 0):
+        if not (finite_real(self.step) and self.step > 0):
             raise ContractViolation(f"step must be finite and positive, got {self.step!r}")
-        if not math.isfinite(self.t0):
+        if not finite_real(self.t0):
             raise ContractViolation(f"t0 must be finite, got {self.t0!r}")
         names = _joint_names(self.joints)
-        means = _float_array(self.mean_tracks, "prediction means")
-        covs = _float_array(self.cov_tracks, "prediction covariances")
+        means = float_array(self.mean_tracks, "prediction means")
+        covs = float_array(self.cov_tracks, "prediction covariances")
         if means.shape[:1] != (len(names),) or covs.shape[:1] != (len(names),):
             raise ContractViolation(
                 f"means and covariances must cover the same joints: {len(names)} joints, "
@@ -281,7 +273,7 @@ def generate_reach(script: ReachScript, rate: float) -> HumanTrajectory:
     remaining skeleton rides the configured fixed offsets from the
     right shoulder.
     """
-    if not (math.isfinite(rate) and rate > 0):
+    if not (finite_real(rate) and rate > 0):
         raise ContractViolation(f"rate must be finite and positive, got {rate!r}")
     n = int(round(script.total_duration * rate)) + 1
     t = np.arange(n) / rate
@@ -329,7 +321,7 @@ def predict(
     """
     if horizon < 1:
         raise ContractViolation("horizon must be at least 1 step")
-    if not (math.isfinite(step) and step > 0):
+    if not (finite_real(step) and step > 0):
         raise ContractViolation(f"step must be finite and positive, got {step!r}")
     if observed.duration + 1e-9 < OBSERVATION_WINDOW:
         raise ContractViolation(

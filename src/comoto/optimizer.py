@@ -12,8 +12,7 @@ Each iterate is evaluated once.  A solve sets up one
 ``WeightedObjective``; each line-search trial is an ``ObjectivePass`` of
 it over the positively weighted terms, and the accepted trial's
 ``gradient()`` reuses its forward kinematics and term intermediates, so
-no iterate is evaluated twice.  The unweighted terms enter the reports
-only: at the initial point and once at the final iterate.
+no iterate is evaluated twice.
 """
 
 from __future__ import annotations
@@ -65,8 +64,8 @@ class OptResult:
     ``stop_reason`` is ``"grad_tol"`` (converged), ``"max_iters"`` (the
     iteration cap) or ``"line_search"`` (no step down to ``MIN_STEP``
     satisfied the Armijo condition).  ``value_evals`` counts the value
-    passes (the line-search trials); ``grad_evals`` counts the gradients,
-    one at the initial point and one per accepted iterate.  With
+    passes (the line-search trials).  The reports, at the initial and the
+    final iterate, hold the positively weighted terms.  With
     ``OptimizerOptions.verbose``, ``trace`` holds one dict per accepted
     iterate: ``iteration``, ``total``, ``step``, and the positively
     weighted terms by name.
@@ -74,14 +73,21 @@ class OptResult:
 
     trajectory: JointTrajectory
     iterations: int
-    converged: bool
     stop_reason: str
     value_evals: int
-    grad_evals: int
     initial_report: CostReport
     final_report: CostReport
     wall_time: float
     trace: list = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "grad_tol"
+
+    @property
+    def grad_evals(self) -> int:
+        """Gradients computed: one at the initial point and one per accepted iterate."""
+        return self.iterations if self.stop_reason == "line_search" else self.iterations + 1
 
 
 def straightline_joint_init(start: Array, goal: Array, N: int, dt: float, t0: float = 0.0) -> JointTrajectory:
@@ -121,20 +127,14 @@ def optimize(
     lo = ctx.chain.joint_limits[:, 0]
     hi = ctx.chain.joint_limits[:, 1]
 
-    evals = {"value": 0, "grad": 0}
-
-    def gradient(p: ObjectivePass) -> Array:
-        evals["grad"] += 1
-        return p.gradient()
-
     problem = WeightedObjective(ctx, w, dt, q.shape[0])
     current = ObjectivePass(q, problem)
     initial_report = current.report()
-    total, grad = current.total, gradient(current)
+    total, grad = current.total, current.gradient()
 
     step = opts.step_init
     stop_reason = "max_iters"
-    iterations = 0
+    iterations = value_evals = 0
     trace = []
     while True:
         g = grad[1:-1]
@@ -150,7 +150,7 @@ def optimize(
             # np.clip's elementwise operation without its Python wrapper.
             q_new[1:-1] = np.minimum(np.maximum(q[1:-1] - step * g, lo), hi)
             delta = q_new[1:-1] - q[1:-1]
-            evals["value"] += 1
+            value_evals += 1
             trial = ObjectivePass(q_new, problem)
             if trial.total <= total + ARMIJO_C * float((g * delta).sum()):
                 accepted = True
@@ -160,7 +160,7 @@ def optimize(
             stop_reason = "line_search"  # keep the best-so-far iterate
             break
         q, current = q_new, trial
-        total, grad = current.total, gradient(current)
+        total, grad = current.total, current.gradient()
         if opts.verbose:
             entry = {"iteration": iterations, "total": total, "step": step}
             trace.append({**entry, **current.per_cost})
@@ -171,10 +171,8 @@ def optimize(
     return OptResult(
         trajectory=trajectory,
         iterations=iterations,
-        converged=stop_reason == "grad_tol",
         stop_reason=stop_reason,
-        value_evals=evals["value"],
-        grad_evals=evals["grad"],
+        value_evals=value_evals,
         initial_report=initial_report,
         final_report=final_report,
         wall_time=time.perf_counter() - t_start,

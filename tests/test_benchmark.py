@@ -32,6 +32,8 @@ from comoto.benchmark import (
     write_benchmark_outputs,
 )
 from comoto.errors import ContractViolation
+from comoto.human_motion import HumanTrajectory
+from comoto.kinematics import JointTrajectory
 from comoto.metrics import METRIC_NAMES
 from comoto.scenarios import make_scenario
 
@@ -209,6 +211,19 @@ def test_prepare_scenario_keeps_the_nominal_solve(arm):
     assert bundle.nominal_solve.stop_reason in ("grad_tol", "max_iters", "line_search")
     clear = prepare_scenario(dataclasses.replace(sc, obstacles=()), cfg)
     assert clear.nominal_solve is None
+
+
+def test_bundle_and_trace_fields_are_frozen(arm):
+    # Every method of a scenario shares its bundle, and the metrics read the
+    # trace: neither can have a field swapped past its constructor's checks.
+    cfg = tiny_config()
+    bundle = prepare_scenario(make_scenario("stationary", 1, arm), cfg)
+    trace, _ = run_method("Speed-Adj", bundle, cfg)
+    assert isinstance(bundle.truth, HumanTrajectory) and isinstance(bundle.nominal, JointTrajectory)
+    for record in (bundle, trace):
+        for field in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field.name, None)
 
 
 def test_tiny_benchmark_rows(arm):

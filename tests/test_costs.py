@@ -309,9 +309,9 @@ def test_total_is_weighted_sum_of_terms(arm):
         problem = WeightedObjective(ctx, COMBINED_WEIGHTS, traj.dt, traj.n_waypoints)
         report = ObjectivePass(traj.waypoints, problem).report()
         weights = COMBINED_WEIGHTS.as_dict()
-        want = sum(weights[name] * report.per_cost[name] for name in COST_NAMES)
+        want = sum(weights[name] * report.per_cost[name] for name in report.per_cost)
         assert abs(report.total - want) <= 1e-10
-        assert set(COST_NAMES) <= set(report.per_cost)
+        assert list(report.per_cost) == [name for name in COST_NAMES if weights[name] > 0]
 
 
 def method_weightings(arm, traj, ctx):
@@ -331,8 +331,7 @@ def method_weightings(arm, traj, ctx):
 
 
 def test_value_only_total_bit_identical_to_gradient_total(arm):
-    # A pass that computes only the weighted terms, against another pass's
-    # report of all six at the same waypoints.
+    # A pass's own values against another pass's report at the same waypoints.
     for seed in range(4):
         traj, ctx = build_problem(arm, seed=seed, n_waypoints=12)
         for name, (c, w) in method_weightings(arm, traj, ctx).items():
@@ -351,7 +350,7 @@ def test_value_only_reports_exactly_the_weighted_terms(arm):
         objective_pass = ObjectivePass(traj.waypoints, WeightedObjective(c, w, traj.dt, traj.n_waypoints))
         want = [term for term, weight in w.as_dict().items() if weight > 0]
         assert list(objective_pass.per_cost) == want, name
-        assert list(objective_pass.report().per_cost) == list(COST_NAMES), name
+        assert list(objective_pass.report().per_cost) == want, name
 
 
 #: The visibility term's arrays a ``WeightedObjective`` derives, ``None`` without their inputs.
@@ -437,7 +436,6 @@ def test_trial_gradient_and_report_bit_identical_to_gradient_call(arm):
             report = trial.report()
             assert np.float64(report.total).tobytes() == np.float64(full.total).tobytes(), name
             assert list(report.per_cost.items()) == list(full.per_cost.items()), name
-            assert np.array_equal(report.gradient, grad[1:-1].ravel()), name
             assert report.diagnostics == full.diagnostics, name
 
 
@@ -652,8 +650,6 @@ def test_problem_derives_every_array_bit_for_bit(arm, case):
         ctx = dataclasses.replace(ctx, object_pos=pred.mean_tracks[head, 4].copy())
     problem = WeightedObjective(ctx, CostWeights(alpha_smooth=1.0), traj.dt, traj.n_waypoints)
     ref = reference_derived(ctx)
-    assert ("nominal" in problem.supported) == (ref.nominal_eef is not None) == (case != "bare")
-    assert ("visibility" in problem.supported) == (ref.gaze is not None) == (case not in ("no_head", "bare"))
     names = ["goal_point", "centers", "clearance", *VISIBILITY_ARRAYS]
     # nominal_eef is derived on first use, and only a problem with a nominal uses it.
     for name in names + (["nominal_eef"] if ref.nominal_eef is not None else []):

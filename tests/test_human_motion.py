@@ -105,7 +105,7 @@ def test_generate_reach_deterministic():
         assert np.array_equal(a.samples[name], b.samples[name])
 
 
-@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -100.0])
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -100.0, "100"])
 def test_generate_reach_rejects_bad_rate(rate):
     with pytest.raises(ContractViolation, match="rate must be finite and positive"):
         generate_reach(make_script([0.1, 0.2, 0.0]), rate)
@@ -178,6 +178,8 @@ def test_trajectory_validation():
         ((("head",), np.full((5, 1, 3), math.nan)), 100.0, "finite"),
         ((("head", "right_palm"), np.array([[[0.0] * 3] * 2] * 4 + [[[0.0] * 3, [0.0, math.inf, 0.0]]])), 100.0, "finite"),
         ((("a",), [[[0, 0, 0]], [[0, 0]]]), 10.0, "rectangular array of numbers"),
+        ((("a",), np.zeros((2, 1, 3))), "100", "rate"),
+        ((("a",), np.zeros((2, 1, 3))), None, "rate"),
     ],
 )
 def test_trajectory_rejects_bad_rate_shape_and_samples(samples, rate, message):
@@ -330,7 +332,7 @@ def test_predict_validation():
     observed = constant_velocity_truth([0.1, 0.0, 0.0])
     with pytest.raises(ContractViolation):
         predict(observed, horizon=0, step=0.1, options=CFG.prediction)
-    for step in (0.0, math.nan, math.inf):
+    for step in (0.0, math.nan, math.inf, "0.1"):
         with pytest.raises(ContractViolation, match="step must be finite and positive"):
             predict(observed, horizon=5, step=step, options=CFG.prediction)
     short = constant_velocity_truth([0.1, 0.0, 0.0], duration=0.5 * OBSERVATION_WINDOW)
@@ -355,10 +357,10 @@ def test_predicted_trajectory_validation():
     skew[0, 0, 0, 1] = 0.5
     with pytest.raises(ContractViolation):
         PredictedHumanTrajectory(palm, means, skew, step=0.1)
-    for step in (0.0, -0.1, math.nan, math.inf):
+    for step in (0.0, -0.1, math.nan, math.inf, "0.1"):
         with pytest.raises(ContractViolation, match="step must be finite and positive"):
             PredictedHumanTrajectory(palm, means, eye, step=step)
-    for t0 in (math.nan, math.inf, -math.inf):
+    for t0 in (math.nan, math.inf, -math.inf, "0"):
         with pytest.raises(ContractViolation, match="t0 must be finite"):
             PredictedHumanTrajectory(palm, means, eye, step=0.1, t0=t0)
     nan_mean = np.zeros((1, 4, 3))

@@ -394,9 +394,13 @@ def test_joint_trajectory_validation():
     bad[2, 1] = np.inf
     with pytest.raises(ContractViolation, match="finite"):
         JointTrajectory(bad, dt=0.1)
-    for dt, t0 in ((np.nan, 0.0), (np.inf, 0.0), (0.1, np.nan), (0.1, -np.inf)):
+    for dt, t0 in ((np.nan, 0.0), (np.inf, 0.0), (0.1, np.nan), (0.1, -np.inf), ("0.1", 0.0), (0.1, None)):
         with pytest.raises(ContractViolation, match="finite"):
             JointTrajectory(np.zeros((4, 3)), dt=dt, t0=t0)
+    with pytest.raises(ContractViolation, match="rectangular array of numbers"):
+        JointTrajectory([[0.0, 0.0], [0.0], [0.0, 0.0]], 0.1)
+    with pytest.raises(ContractViolation, match="rectangular array of numbers"):
+        JointTrajectory([["a", 0.0]] * 3, 0.1)
     source = np.zeros((4, 3))
     traj = JointTrajectory(source, dt=0.5, t0=1.0)
     assert traj.n_waypoints == 4
