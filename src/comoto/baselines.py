@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .costs import CostContext, CostWeights
-from .errors import ContractViolation
+from .errors import ContractViolation, check_real, float_array
 from .human_motion import HumanTrajectory, sample_rows, sample_rows_many
 from .kinematics import ChainSpec, Frames, JointTrajectory, fk_points_batch
 from .optimizer import OptimizerOptions, OptResult, optimize, straightline_joint_init
@@ -40,22 +40,19 @@ class SpeedAdjustParams:
     timeout_factor: float
 
     def __post_init__(self):
-        if not 0 < self.d_stop < self.d_slow < math.inf:
-            raise ContractViolation(
-                f"need 0 < d_stop < d_slow < inf, got {self.d_stop!r} and {self.d_slow!r}"
-            )
-        for name in ("control_rate", "timeout_factor"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ContractViolation(f"{name} must be finite and positive, got {value!r}")
+        for name in ("d_stop", "d_slow", "control_rate", "timeout_factor"):
+            check_real(getattr(self, name), name, "positive")
+        if self.d_stop >= self.d_slow:
+            raise ContractViolation(f"need d_stop < d_slow, got {self.d_stop!r} and {self.d_slow!r}")
 
 
 @dataclass(frozen=True)
 class ExecutionTrace:
     """Timestamped realized execution of a planned path.  Frozen.
 
-    The arrays stay writeable: perfbench's self-test writes one config
-    of a built trace in place, to check that its trace check notices.
+    The constructor copies ``timestamps`` and ``configs``.  The arrays
+    stay writeable: perfbench's self-test writes one config of a built
+    trace in place, to check that its trace check notices.
     """
 
     timestamps: Array
@@ -66,7 +63,7 @@ class ExecutionTrace:
 
     def __post_init__(self):
         for name in ("timestamps", "configs"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, float_array(getattr(self, name), f"trace {name}"))
         if self.timestamps.ndim != 1 or self.configs.ndim != 2:
             raise ContractViolation("trace needs 1-D timestamps and 2-D configs")
         n = self.timestamps.shape[0]
@@ -245,8 +242,8 @@ def speed_adjusted_execute(
         k += 1
 
     return ExecutionTrace(
-        timestamps=times[:k].copy(),
-        configs=configs[:k].copy(),
+        timestamps=times[:k],
+        configs=configs[:k],
         completed=completed,
         min_separation=seps[:k].copy(),
         speed_scale=speeds[:k].copy(),

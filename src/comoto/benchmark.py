@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
@@ -28,7 +27,7 @@ from .baselines import (
     speed_adjusted_execute,
 )
 from .costs import CostContext, CostWeights
-from .errors import ContractViolation
+from .errors import ContractViolation, check_real
 from .fileio import read_yaml
 from .human_motion import HumanTrajectory, PredictorOptions, extrapolate_skeleton, generate_reach, predict
 from .kinematics import JointTrajectory
@@ -100,13 +99,10 @@ class RunConfig:
         # Checked at load: a bad value would otherwise surface only once a
         # run has started, or turn every row of one method into a failed row.
         for name in _POSITIVE_FIELDS:
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ContractViolation(f"{name} must be finite and positive, got {value!r}")
+            check_real(getattr(self, name), name, "positive")
         for name in _NON_NEGATIVE_FIELDS:
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ContractViolation(f"{name} must be finite and non-negative, got {value!r}")
+            check_real(getattr(self, name), name, "non-negative")
+        check_real(self.fov_deg, "fov_deg")
         if not 0 < self.fov_deg <= 360:
             raise ContractViolation(f"fov_deg must be in (0, 360], got {self.fov_deg!r}")
 

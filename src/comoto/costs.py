@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, check_real
 from .human_motion import PredictedHumanTrajectory
 from .kinematics import (
     ChainSpec,
@@ -77,10 +77,9 @@ class CostWeights:
     alpha_obstacle: float = 0.0
 
     def __post_init__(self):
-        vals = self.as_dict()
-        if not all(math.isfinite(v) and v >= 0 for v in vals.values()):
-            raise ContractViolation(f"cost weights must be finite and non-negative, got {vals}")
-        if all(v == 0 for v in vals.values()):
+        for alpha in _ALPHA.values():
+            check_real(getattr(self, alpha), alpha, "non-negative")
+        if not any(self.as_dict().values()):
             raise ContractViolation("at least one cost weight must be positive")
 
     def as_dict(self) -> dict[str, float]:
@@ -121,21 +120,18 @@ class CostContext:
         if self.object_pos is not None:
             object.__setattr__(self, "object_pos", np.asarray(self.object_pos, dtype=float).reshape(3))
         for name in ("eps_m", "sigma_floor"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ContractViolation(f"{name} must be finite and positive, got {value!r}")
+            check_real(getattr(self, name), name, "positive")
         if self.prediction is not None and self.nominal is not None:
             if self.prediction.horizon != self.nominal.n_waypoints:
                 raise ContractViolation(
                     "prediction horizon must equal the nominal waypoint count"
                 )
         centers = [np.asarray(c, dtype=float) for c, _ in self.obstacles]
-        clearance = np.asarray([r for _, r in self.obstacles], dtype=float)
-        for center, radius in zip(centers, clearance):
+        for center, (_, radius) in zip(centers, self.obstacles):
             if center.shape != (3,) or not np.isfinite(center).all():
                 raise ContractViolation(f"obstacle center must be 3 finite coordinates, got {center}")
-            if not (math.isfinite(radius) and radius > 0):
-                raise ContractViolation(f"obstacle clearance must be finite and positive, got {radius}")
+            check_real(radius, "obstacle clearance", "positive")
+        clearance = np.asarray([r for _, r in self.obstacles], dtype=float)
         object.__setattr__(self, "obstacles", tuple(zip(centers, clearance)))
 
 

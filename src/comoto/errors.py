@@ -17,9 +17,16 @@ def float_array(value, what: str) -> np.ndarray:
         raise ContractViolation(f"{what} must be a rectangular array of numbers: {exc}") from None
 
 
-def finite_real(value) -> bool:
-    """``math.isfinite(value)``, and False for a value that is not a real number."""
+def check_real(value, name: str, bound: str = "", integer: bool = False) -> None:
+    """Raise a ``ContractViolation`` naming ``name`` unless ``value`` is a finite real
+    number (an ``int``, if ``integer``) that is ``bound``: ``""`` (any sign),
+    ``"positive"`` or ``"non-negative"``.  A non-number fails too."""
     try:
-        return math.isfinite(value)
+        ok = isinstance(value, (int, np.integer)) if integer else math.isfinite(value)
+        if ok and bound:
+            ok = value > 0 if bound == "positive" else value >= 0
     except TypeError:
-        return False
+        ok = False
+    if not ok:
+        kind = "an integer" if integer else "finite"
+        raise ContractViolation(f"{name} must be {kind}{' and ' + bound if bound else ''}, got {value!r}")

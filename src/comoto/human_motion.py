@@ -17,7 +17,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ContractViolation, finite_real, float_array
+from .errors import ContractViolation, check_real, float_array
 from .fileio import read_yaml
 
 Array = np.ndarray
@@ -89,8 +89,7 @@ class HumanTrajectory:
     rate: float
 
     def __post_init__(self):
-        if not (finite_real(self.rate) and self.rate > 0):
-            raise ContractViolation(f"rate must be finite and positive, got {self.rate!r}")
+        check_real(self.rate, "rate", "positive")
         object.__setattr__(self, "tracks", float_array(self.tracks, "joint tracks"))
         shape = self.tracks.shape
         if len(shape) != 3 or min(shape[:2]) < 1 or shape[1:] != (len(self.joints), 3):
@@ -123,8 +122,7 @@ class HumanTrajectory:
 
     def prefix(self, duration: float) -> "HumanTrajectory":
         """The first ``duration`` seconds (inclusive of the boundary sample), at most the whole record."""
-        if not (math.isfinite(duration) and duration >= 0):
-            raise ContractViolation(f"prefix duration must be finite and non-negative, got {duration!r}")
+        check_real(duration, "prefix duration", "non-negative")
         count = int(round(min(duration, self.duration) * self.rate)) + 1
         return HumanTrajectory(self.joints, self.tracks[:count], self.rate)
 
@@ -147,13 +145,12 @@ class ReachScript:
     seed: int = 0
 
     def __post_init__(self):
-        values = (self.move_duration, self.total_duration, self.noise_scale)
-        if not all(math.isfinite(v) for v in values):
-            raise ContractViolation(f"script durations and noise_scale must be finite, got {values}")
+        check_real(self.move_duration, "move_duration")
+        check_real(self.total_duration, "total_duration")
+        check_real(self.noise_scale, "noise_scale", "non-negative")
+        check_real(self.seed, "seed", integer=True)
         if self.move_duration > self.total_duration:
             raise ContractViolation("move_duration must not exceed total_duration")
-        if self.noise_scale < 0:
-            raise ContractViolation("noise_scale must be nonnegative")
         if self.seed < 0:
             raise ContractViolation(f"seed must be non-negative, got {self.seed!r}")
         for src in (self.arm_start, self.arm_goal):
@@ -176,10 +173,8 @@ class PredictedHumanTrajectory:
     t0: float = 0.0
 
     def __post_init__(self):
-        if not (finite_real(self.step) and self.step > 0):
-            raise ContractViolation(f"step must be finite and positive, got {self.step!r}")
-        if not finite_real(self.t0):
-            raise ContractViolation(f"t0 must be finite, got {self.t0!r}")
+        check_real(self.step, "step", "positive")
+        check_real(self.t0, "t0")
         names = _joint_names(self.joints)
         means = float_array(self.mean_tracks, "prediction means")
         covs = float_array(self.cov_tracks, "prediction covariances")
@@ -241,12 +236,9 @@ class PredictorOptions:
     sigma_floor: float
 
     def __post_init__(self):
-        for name in ("sigma0", "kappa", "sigma_floor"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ContractViolation(f"{name} must be finite and non-negative, got {value!r}")
-        if self.sigma_floor == 0:
-            raise ContractViolation("sigma_floor must be positive")
+        check_real(self.sigma0, "sigma0", "non-negative")
+        check_real(self.kappa, "kappa", "non-negative")
+        check_real(self.sigma_floor, "sigma_floor", "positive")
 
 
 def _smooth_noise(rng: np.random.Generator, n: int, rate: float, scale: float) -> Array:
@@ -273,8 +265,7 @@ def generate_reach(script: ReachScript, rate: float) -> HumanTrajectory:
     remaining skeleton rides the configured fixed offsets from the
     right shoulder.
     """
-    if not (finite_real(rate) and rate > 0):
-        raise ContractViolation(f"rate must be finite and positive, got {rate!r}")
+    check_real(rate, "rate", "positive")
     n = int(round(script.total_duration * rate)) + 1
     t = np.arange(n) / rate
     move_mask = t <= script.move_duration
@@ -321,8 +312,7 @@ def predict(
     """
     if horizon < 1:
         raise ContractViolation("horizon must be at least 1 step")
-    if not (finite_real(step) and step > 0):
-        raise ContractViolation(f"step must be finite and positive, got {step!r}")
+    check_real(step, "step", "positive")
     if observed.duration + 1e-9 < OBSERVATION_WINDOW:
         raise ContractViolation(
             f"observation prefix covers {observed.duration:.3f}s, "

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractViolation, finite_real, float_array
+from .errors import ContractViolation, check_real, float_array
 from .fileio import float_rows, read_yaml
 
 Array = np.ndarray
@@ -111,10 +111,10 @@ class JointTrajectory:
         wp = float_array(self.waypoints, "trajectory waypoints")
         if wp.ndim != 2 or wp.shape[0] < 3:
             raise ContractViolation("trajectory needs at least 3 waypoints of equal dimension")
-        if not (np.isfinite(wp).all() and finite_real(self.t0)):
-            raise ContractViolation("trajectory waypoints and t0 must be finite")
-        if not (finite_real(self.dt) and self.dt > 0):
-            raise ContractViolation(f"dt must be finite and positive, got {self.dt!r}")
+        if not np.isfinite(wp).all():
+            raise ContractViolation("trajectory waypoints must be finite")
+        check_real(self.dt, "dt", "positive")
+        check_real(self.t0, "t0")
         wp.flags.writeable = False
         object.__setattr__(self, "waypoints", wp)
 

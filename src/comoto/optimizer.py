@@ -17,14 +17,13 @@ no iterate is evaluated twice.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .costs import CostContext, CostReport, CostWeights, ObjectivePass, WeightedObjective
-from .errors import ContractViolation
+from .errors import ContractViolation, check_real
 from .kinematics import JointTrajectory
 
 Array = np.ndarray
@@ -49,12 +48,9 @@ class OptimizerOptions:
     verbose: bool = False
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ContractViolation("max_iters must be at least 1")
+        check_real(self.max_iters, "max_iters", "positive", integer=True)
         for name in ("grad_tol", "step_init"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ContractViolation(f"{name} must be finite and positive, got {value!r}")
+            check_real(getattr(self, name), name, "positive")
 
 
 @dataclass
@@ -117,8 +113,6 @@ def optimize(
     max-norm of the interior gradient or on ``max_iters``.
     """
     t_start = time.perf_counter()
-    if init.n_waypoints < 3:
-        raise ContractViolation("init needs at least 3 waypoints")
     if not np.array_equal(init.waypoints[-1], ctx.goal_config):
         raise ContractViolation("init must end exactly at the goal configuration")
 

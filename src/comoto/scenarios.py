@@ -10,14 +10,13 @@ determines the scenario.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .errors import ContractViolation
+from .errors import ContractViolation, check_real
 from .fileio import read_yaml
 from .human_motion import RIGHT_ARM_JOINTS, ReachScript
 from .kinematics import ChainSpec, default_chain, fk_eef, load_chain, solve_position_ik
@@ -66,22 +65,21 @@ class Scenario:
                 raise ContractViolation(f"{name} must have shape {shape}, got {np.shape(value)}")
             if not np.isfinite(value).all():
                 raise ContractViolation(f"{name} must be finite, got {value}")
+        check_real(self.seed, "seed", "non-negative", integer=True)
+        check_real(self.n_waypoints, "n_waypoints", integer=True)
+        if self.n_waypoints < 3:
+            raise ContractViolation(f"n_waypoints must be at least 3, got {self.n_waypoints}")
         for name in ("observation", "horizon", "human_rate"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ContractViolation(f"{name} must be finite and positive, got {value!r}")
+            check_real(getattr(self, name), name, "positive")
         end, track = self.observation + self.horizon, self.human_script.total_duration
         if end > track:
             raise ContractViolation(
                 f"observation + horizon ({end!r} s) outlasts the human script's total_duration ({track!r} s)"
             )
-        if self.n_waypoints < 3:
-            raise ContractViolation(f"n_waypoints must be at least 3, got {self.n_waypoints}")
         for center, radius in self.obstacles:
             if np.shape(center) != (3,) or not np.all(np.isfinite(center)):
                 raise ContractViolation(f"obstacle center must be 3 finite coordinates, got {center!r}")
-            if not (np.isfinite(radius) and radius > 0):
-                raise ContractViolation(f"obstacle radius must be finite and positive, got {radius!r}")
+            check_real(radius, "obstacle radius", "positive")
         gap = float(np.linalg.norm(np.asarray(self.human_object) - np.asarray(self.robot_object)))
         if self.family == "reaching_far" and gap < FAR_GAP_MIN:
             raise ContractViolation(f"reaching_far needs an object gap >= {FAR_GAP_MIN}, got {gap:.3f}")
@@ -259,6 +257,12 @@ def scenario_to_dict(sc: Scenario) -> dict:
     }
 
 
+def _whole(value):
+    """A whole float as an int, as the run config reads one (20.0 reads as 20); any
+    other value as it is, for the records to check (20.5 is a ``ContractViolation``)."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     """Scenario from a ``scenario_to_dict`` mapping; missing timing keys take the field defaults.
 
@@ -272,7 +276,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         default = {f.name: f.default for f in fields(Scenario)}
         return Scenario(
             family=data["family"],
-            seed=int(data["seed"]),
+            seed=_whole(data["seed"]),
             chain=chain,
             robot_start=np.asarray(data["robot_start"], dtype=float),
             robot_goal=np.asarray(data["robot_goal"], dtype=float),
@@ -284,7 +288,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                 move_duration=float(script["move_duration"]),
                 total_duration=float(script["total_duration"]),
                 noise_scale=float(script["noise_scale"]),
-                seed=int(script["seed"]),
+                seed=_whole(script["seed"]),
             ),
             obstacles=tuple(
                 (np.asarray(o["center"], dtype=float), float(o["radius"]))
@@ -292,7 +296,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             ),
             observation=float(data.get("observation", default["observation"])),
             horizon=float(data.get("horizon", default["horizon"])),
-            n_waypoints=int(data.get("n_waypoints", default["n_waypoints"])),
+            n_waypoints=_whole(data.get("n_waypoints", default["n_waypoints"])),
             human_rate=float(data.get("human_rate", default["human_rate"])),
         )
     except ContractViolation:

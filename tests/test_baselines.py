@@ -361,11 +361,23 @@ def test_execution_trace_validation_and_interpolation():
         ([0.0, 1.0, math.inf], np.zeros((3, 2)), "finite"),
         ([0.0, 1.0, 2.0], [[0.0, 0.0], [math.nan, 0.0], [1.0, 1.0]], "finite"),
         (np.empty(0), np.empty((0, 2)), "one or more ticks"),  # .duration would raise IndexError
+        ([0.0, 1.0], [[0.0, 0.0], [0.0]], "rectangular array of numbers"),
+        ([0.0, 1.0], [[0.0, "a"], [0.0, 0.0]], "rectangular array of numbers"),
+        ([0.0, "later"], np.zeros((2, 2)), "rectangular array of numbers"),
     ],
 )
 def test_execution_trace_rejects_non_finite_and_empty(timestamps, configs, message):
     with pytest.raises(ContractViolation, match=message):
-        ExecutionTrace(timestamps=np.asarray(timestamps), configs=np.asarray(configs), completed=False)
+        ExecutionTrace(timestamps=timestamps, configs=configs, completed=False)
+
+
+def test_execution_trace_copies_its_arrays_and_keeps_them_writeable():
+    times, configs = np.array([0.0, 1.0]), np.zeros((2, 2))
+    trace = ExecutionTrace(times, configs, True)
+    assert not np.shares_memory(trace.timestamps, times)
+    assert not np.shares_memory(trace.configs, configs)
+    trace.configs[1] += 1.0  # perfbench's self-test corrupts a built trace in place
+    assert configs[1].tolist() == [0.0, 0.0]
 
 
 def test_legible_optimize_improves_legibility(arm):

@@ -231,6 +231,10 @@ def test_options_validation():
         OptimizerOptions()  # no defaults: the run config's optimizer section sets them
     with pytest.raises(ContractViolation):
         dataclasses.replace(VALID_OPTIONS, max_iters=0)
+    # A fractional or non-finite cap is never reached: the solve would run to grad_tol.
+    for max_iters in (2.5, math.nan, math.inf):
+        with pytest.raises(ContractViolation, match="max_iters must be an integer"):
+            dataclasses.replace(VALID_OPTIONS, max_iters=max_iters)
     with pytest.raises(ContractViolation):
         dataclasses.replace(VALID_OPTIONS, grad_tol=0.0)
 

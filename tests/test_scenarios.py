@@ -154,9 +154,13 @@ BAD_SCENARIO_VALUES = [
     (("human_rate",), INF, "human_rate must be finite and positive"),
     (("human_rate",), -100.0, "human_rate must be finite and positive"),
     (("n_waypoints",), 2, "n_waypoints must be at least 3"),
-    (("script", "move_duration"), NAN, "durations and noise_scale must be finite"),
-    (("script", "total_duration"), INF, "durations and noise_scale must be finite"),
-    (("script", "noise_scale"), NAN, "durations and noise_scale must be finite"),
+    (("script", "move_duration"), NAN, "move_duration must be finite"),
+    (("script", "total_duration"), INF, "total_duration must be finite"),
+    (("script", "noise_scale"), NAN, "noise_scale must be finite and non-negative"),
+    # Integer keys are whole numbers, not truncated.
+    (("n_waypoints",), 20.5, "n_waypoints must be an integer"),
+    (("seed",), 1.9, "seed must be an integer and non-negative"),
+    (("script", "seed"), 1.9, "seed must be an integer"),
 ]
 
 
@@ -179,6 +183,17 @@ def test_missing_optional_scenario_keys_take_the_field_defaults(arm):
     for field in fields(Scenario):
         if field.name in ("observation", "horizon", "n_waypoints", "human_rate"):
             assert getattr(sc, field.name) == field.default
+
+
+def test_whole_float_integer_keys_load_as_int(arm):
+    # As the run config reads them: 20.0 is the integer 20.
+    data = scenario_to_dict(make_scenario("stationary", 1, arm))
+    data.update(seed=1.0, n_waypoints=20.0)
+    data["script"]["seed"] = float(data["script"]["seed"])
+    sc = scenario_from_dict(data)
+    for value in (sc.seed, sc.n_waypoints, sc.human_script.seed):
+        assert type(value) is int
+    assert (sc.seed, sc.n_waypoints) == (1, 20)
 
 
 def test_scenario_yaml_round_trip(tmp_path, arm):
