@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .costs import CostContext, CostWeights
-from .errors import ContractViolation, check_real, float_array
+from .errors import ContractViolation, check_array, check_real
 from .human_motion import HumanTrajectory, sample_rows, sample_rows_many
 from .kinematics import ChainSpec, Frames, JointTrajectory, fk_points_batch
 from .optimizer import OptimizerOptions, OptResult, optimize, straightline_joint_init
@@ -50,7 +50,8 @@ class SpeedAdjustParams:
 class ExecutionTrace:
     """Timestamped realized execution of a planned path.  Frozen.
 
-    The constructor copies ``timestamps`` and ``configs``.  The arrays
+    The constructor copies ``timestamps``, ``configs`` and the per-tick
+    ``min_separation`` and ``speed_scale``, when given.  The arrays
     stay writeable: perfbench's self-test writes one config of a built
     trace in place, to check that its trace check notices.
     """
@@ -62,17 +63,17 @@ class ExecutionTrace:
     speed_scale: Array | None = None
 
     def __post_init__(self):
-        for name in ("timestamps", "configs"):
-            object.__setattr__(self, name, float_array(getattr(self, name), f"trace {name}"))
-        if self.timestamps.ndim != 1 or self.configs.ndim != 2:
-            raise ContractViolation("trace needs 1-D timestamps and 2-D configs")
-        n = self.timestamps.shape[0]
-        if n == 0 or n != self.configs.shape[0]:
-            raise ContractViolation("trace needs one or more ticks, with equal numbers of timestamps and configs")
-        if not (np.isfinite(self.timestamps).all() and np.isfinite(self.configs).all()):
-            raise ContractViolation("trace timestamps and configs must be finite")
-        if np.any(np.diff(self.timestamps) <= 0):
-            raise ContractViolation("trace timestamps must be strictly increasing")
+        timestamps = check_array(self.timestamps, "timestamps", (None,))
+        n = timestamps.shape[0]
+        if n == 0:
+            raise ContractViolation("timestamps must hold one or more ticks")
+        object.__setattr__(self, "timestamps", timestamps)
+        object.__setattr__(self, "configs", check_array(self.configs, "configs", (n, None)))
+        for name in ("min_separation", "speed_scale"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, check_array(getattr(self, name), name, (n,)))
+        if np.any(np.diff(timestamps) <= 0):
+            raise ContractViolation("timestamps must be strictly increasing")
 
     @property
     def duration(self) -> float:
@@ -245,8 +246,8 @@ def speed_adjusted_execute(
         timestamps=times[:k],
         configs=configs[:k],
         completed=completed,
-        min_separation=seps[:k].copy(),
-        speed_scale=speeds[:k].copy(),
+        min_separation=seps[:k],
+        speed_scale=speeds[:k],
     )
 
 

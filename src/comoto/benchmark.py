@@ -31,7 +31,7 @@ from .errors import ContractViolation, check_real
 from .fileio import read_yaml
 from .human_motion import HumanTrajectory, PredictorOptions, extrapolate_skeleton, generate_reach, predict
 from .kinematics import JointTrajectory
-from .metrics import METRIC_NAMES, GoalSet, MetricReport, aggregate, evaluate_run
+from .metrics import METRIC_NAMES, GoalSet, MetricReport, aggregate, check_fov_deg, evaluate_run
 from .optimizer import OptimizerOptions, OptResult, optimize
 from .scenarios import FAMILIES, Scenario, generate_scenarios
 
@@ -94,17 +94,15 @@ class RunConfig:
         for fam in self.families:
             if fam not in FAMILIES:
                 raise ContractViolation(f"unknown family {fam!r}")
-        if min(self.seeds) < 0:
-            raise ContractViolation(f"seeds must be non-negative, got {self.seeds!r}")
+        for seed in self.seeds:
+            check_real(seed, "seeds", "non-negative", integer=True)
         # Checked at load: a bad value would otherwise surface only once a
         # run has started, or turn every row of one method into a failed row.
         for name in _POSITIVE_FIELDS:
             check_real(getattr(self, name), name, "positive")
         for name in _NON_NEGATIVE_FIELDS:
             check_real(getattr(self, name), name, "non-negative")
-        check_real(self.fov_deg, "fov_deg")
-        if not 0 < self.fov_deg <= 360:
-            raise ContractViolation(f"fov_deg must be in (0, 360], got {self.fov_deg!r}")
+        check_fov_deg(self.fov_deg)
 
 
 # Zero legible_alpha or nominal_smooth_weight would leave their method no cost term.

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, check_real
+from .errors import ContractViolation, check_array, check_real
 from .human_motion import PredictedHumanTrajectory
 from .kinematics import (
     ChainSpec,
@@ -113,12 +113,10 @@ class CostContext:
     obstacles: tuple = ()
 
     def __post_init__(self):
-        goal_config = np.asarray(self.goal_config, dtype=float)
-        if goal_config.shape != (self.chain.n_joints,):
-            raise ContractViolation("goal_config dimension does not match the chain")
+        goal_config = check_array(self.goal_config, "goal_config", (self.chain.n_joints,))
         object.__setattr__(self, "goal_config", goal_config)
         if self.object_pos is not None:
-            object.__setattr__(self, "object_pos", np.asarray(self.object_pos, dtype=float).reshape(3))
+            object.__setattr__(self, "object_pos", check_array(self.object_pos, "object_pos", (3,)))
         for name in ("eps_m", "sigma_floor"):
             check_real(getattr(self, name), name, "positive")
         if self.prediction is not None and self.nominal is not None:
@@ -126,10 +124,8 @@ class CostContext:
                 raise ContractViolation(
                     "prediction horizon must equal the nominal waypoint count"
                 )
-        centers = [np.asarray(c, dtype=float) for c, _ in self.obstacles]
-        for center, (_, radius) in zip(centers, self.obstacles):
-            if center.shape != (3,) or not np.isfinite(center).all():
-                raise ContractViolation(f"obstacle center must be 3 finite coordinates, got {center}")
+        centers = [check_array(c, "obstacle center", (3,)) for c, _ in self.obstacles]
+        for _, radius in self.obstacles:
             check_real(radius, "obstacle clearance", "positive")
         clearance = np.asarray([r for _, r in self.obstacles], dtype=float)
         object.__setattr__(self, "obstacles", tuple(zip(centers, clearance)))

@@ -9,12 +9,26 @@ class ContractViolation(ValueError):
     """An argument broke a documented precondition or invariant."""
 
 
-def float_array(value, what: str) -> np.ndarray:
-    """A new float array of ``value``; ragged or non-numeric input is a ``ContractViolation``."""
+def check_array(value, name: str, shape: tuple, finite: bool = True) -> np.ndarray:
+    """A new float64 array of ``value``.  Raise a ``ContractViolation`` naming ``name``
+    unless ``value`` is a rectangular array of numbers of ``shape`` (a ``None``
+    entry allows any length) whose entries are all finite; with ``finite=False``
+    the caller tests finiteness itself."""
     try:
-        return np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ContractViolation(f"{what} must be a rectangular array of numbers: {exc}") from None
+        array = np.asarray(value)
+        ok = array.dtype.kind in "iuf"
+    except (TypeError, ValueError):  # ragged
+        ok = False
+    if not ok:
+        raise ContractViolation(f"{name} must be a rectangular array of numbers")
+    if len(array.shape) != len(shape) or any(n not in (None, m) for n, m in zip(shape, array.shape)):
+        want = ", ".join("*" if n is None else str(n) for n in shape) + ("," if len(shape) == 1 else "")
+        raise ContractViolation(f"{name} must have shape ({want}), got {array.shape}")
+    array = np.array(array, dtype=np.float64)
+    if finite and not np.isfinite(array).all():
+        index = tuple(int(i) for i in np.argwhere(~np.isfinite(array))[0])
+        raise ContractViolation(f"{name} must be finite, got {array[index]} at index {index}")
+    return array
 
 
 def check_real(value, name: str, bound: str = "", integer: bool = False) -> None:

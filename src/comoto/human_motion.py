@@ -17,7 +17,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ContractViolation, check_real, float_array
+from .errors import ContractViolation, check_array, check_real
 from .fileio import read_yaml
 
 Array = np.ndarray
@@ -90,14 +90,12 @@ class HumanTrajectory:
 
     def __post_init__(self):
         check_real(self.rate, "rate", "positive")
-        object.__setattr__(self, "tracks", float_array(self.tracks, "joint tracks"))
-        shape = self.tracks.shape
-        if len(shape) != 3 or min(shape[:2]) < 1 or shape[1:] != (len(self.joints), 3):
-            raise ContractViolation(f"need (T, J, 3) tracks, one (T, 3) track per joint with T >= 1, got {shape}")
+        tracks = check_array(self.tracks, "tracks (a (T, 3) track per joint)", (None, len(self.joints), 3))
+        if min(tracks.shape[:2]) < 1:
+            raise ContractViolation(f"tracks must hold a (T, 3) track per joint, T >= 1, got {tracks.shape}")
         object.__setattr__(self, "joints", _joint_names(self.joints))
-        if not np.isfinite(self.tracks).all():
-            raise ContractViolation("joint tracks must be finite")
-        self.tracks.flags.writeable = False
+        tracks.flags.writeable = False
+        object.__setattr__(self, "tracks", tracks)
 
     @property
     def samples(self) -> MappingProxyType:
@@ -153,10 +151,13 @@ class ReachScript:
             raise ContractViolation("move_duration must not exceed total_duration")
         if self.seed < 0:
             raise ContractViolation(f"seed must be non-negative, got {self.seed!r}")
-        for src in (self.arm_start, self.arm_goal):
-            missing = set(RIGHT_ARM_JOINTS) - set(src)
+        for name in ("arm_start", "arm_goal"):
+            points = getattr(self, name)
+            missing = set(RIGHT_ARM_JOINTS) - set(points)
             if missing:
                 raise ContractViolation(f"script missing right-arm joints: {sorted(missing)}")
+            points = {joint: check_array(p, f"{name}.{joint}", (3,)) for joint, p in points.items()}
+            object.__setattr__(self, name, points)
 
 
 @dataclass(frozen=True)
@@ -176,36 +177,25 @@ class PredictedHumanTrajectory:
         check_real(self.step, "step", "positive")
         check_real(self.t0, "t0")
         names = _joint_names(self.joints)
-        means = float_array(self.mean_tracks, "prediction means")
-        covs = float_array(self.cov_tracks, "prediction covariances")
-        if means.shape[:1] != (len(names),) or covs.shape[:1] != (len(names),):
-            raise ContractViolation(
-                f"means and covariances must cover the same joints: {len(names)} joints, "
-                f"got {means.shape} and {covs.shape}"
-            )
-        if means.ndim != 3 or means.shape[2] != 3 or covs.shape != (*means.shape, 3):
-            raise ContractViolation(
-                f"{names[0]} needs (H, 3) means and (H, 3, 3) covariances, "
-                f"got {means.shape[1:]} and {covs.shape[1:]}"
-            )
+        means = check_array(self.mean_tracks, "mean_tracks", (len(names), None, 3))
         if means.shape[1] < 1:
-            raise ContractViolation("all joints must share one horizon of at least 1 step")
-        if not np.isfinite(means).all():
-            raise ContractViolation("prediction means must be finite")
-        # Each check over the stack at once; the message names the first bad joint.
+            raise ContractViolation("mean_tracks must cover a horizon of at least 1 step")
+        # The covariances' finite test runs with the others, each over the stack
+        # at once; the message names the first bad joint.
+        covs = check_array(self.cov_tracks, "cov_tracks", (*means.shape, 3), finite=False)
         finite = np.isfinite(covs).all(axis=(1, 2, 3))
         symmetric = np.isclose(covs, np.swapaxes(covs, -1, -2), atol=1e-12).all(axis=(1, 2, 3))
         for name, cov, is_finite, is_symmetric in zip(names, covs, finite, symmetric):
             if not is_finite:
-                raise ContractViolation(f"covariance of {name} is not finite")
+                raise ContractViolation(f"cov_tracks of {name} is not finite")
             if not is_symmetric:
-                raise ContractViolation(f"covariance of {name} is not symmetric within 1e-12")
+                raise ContractViolation(f"cov_tracks of {name} is not symmetric within 1e-12")
             # An indefinite covariance gives negative Mahalanobis distances,
             # which the distance cost's clamp would silently turn into 1/eps_m.
             try:
                 np.linalg.cholesky(cov)  # one batched factorization over the horizon
             except np.linalg.LinAlgError:
-                raise ContractViolation(f"covariance of {name} is not positive definite") from None
+                raise ContractViolation(f"cov_tracks of {name} is not positive definite") from None
         means.flags.writeable = covs.flags.writeable = False
         for name, value in (("joints", names), ("mean_tracks", means), ("cov_tracks", covs)):
             object.__setattr__(self, name, value)
@@ -276,8 +266,7 @@ def generate_reach(script: ReachScript, rate: float) -> HumanTrajectory:
     joints = RIGHT_ARM_JOINTS + EXTRAPOLATED_JOINTS
     tracks = np.empty((n, len(joints), 3))
     for j, name in enumerate(RIGHT_ARM_JOINTS):
-        x0 = np.asarray(script.arm_start[name], dtype=float)
-        xg = np.asarray(script.arm_goal[name], dtype=float)
+        x0, xg = script.arm_start[name], script.arm_goal[name]
         tracks[:, j] = x0 + frac[:, None] * (xg - x0) + _smooth_noise(rng, n, rate, script.noise_scale)
         # stationary after the reach: freeze at the pose reached at move_duration
         if np.any(move_mask):
@@ -310,9 +299,10 @@ def predict(
     Step ``k`` of the output is ``k * step`` seconds past the last
     observed sample, so step 0 coincides with the end of observation.
     """
-    if horizon < 1:
-        raise ContractViolation("horizon must be at least 1 step")
+    check_real(horizon, "horizon", "positive", integer=True)
     check_real(step, "step", "positive")
+    if goal is not None:
+        goal = check_array(goal, "goal", (3,))
     if observed.duration + 1e-9 < OBSERVATION_WINDOW:
         raise ContractViolation(
             f"observation prefix covers {observed.duration:.3f}s, "
@@ -340,7 +330,7 @@ def predict(
     if goal is not None:
         palm = RIGHT_ARM_JOINTS.index("right_palm")
         arrival = _estimate_arrival(last[palm], velocities[palm], goal, horizon_span, step)
-        joint_goals = last + (np.asarray(goal, dtype=float) - last[palm])
+        joint_goals = last + (goal - last[palm])
         approach = last[:, None] + minimum_jerk_fraction(t_ahead / arrival)[:, None] * (
             joint_goals - last
         )[:, None]
@@ -354,7 +344,7 @@ def predict(
 
 def _estimate_arrival(palm: Array, vel: Array, goal: Array, horizon_span: float, step: float) -> float:
     """Constant-velocity time-to-goal estimate, clamped into the horizon."""
-    to_goal = np.asarray(goal, dtype=float) - palm
+    to_goal = goal - palm
     dist = float(np.linalg.norm(to_goal))
     if dist < 1e-9:
         return step

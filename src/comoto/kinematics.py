@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractViolation, check_real, float_array
+from .errors import ContractViolation, check_array, check_real
 from .fileio import float_rows, read_yaml
 
 Array = np.ndarray
@@ -49,18 +49,16 @@ class ChainSpec:
     name: str = "chain"
 
     def __post_init__(self):
-        dh = np.asarray(self.dh, dtype=float)
-        base = np.asarray(self.base_pose, dtype=float)
-        lims = np.asarray(self.joint_limits, dtype=float)
-        if dh.ndim != 2 or dh.shape[1] != 4 or dh.shape[0] < 2:
-            raise ContractViolation("chain needs at least 2 DH rows of (a, alpha, d, theta_offset)")
-        if base.shape != (4, 4):
-            raise ContractViolation("base_pose must be a 4x4 rigid transform")
+        dh = check_array(self.dh, "dh", (None, 4))
+        if dh.shape[0] < 2:
+            raise ContractViolation(f"dh must have 2 or more rows, got {dh.shape[0]}")
+        base = check_array(self.base_pose, "base_pose", (4, 4))
         rot = base[:3, :3]
         if not np.allclose(rot @ rot.T, np.eye(3), atol=1e-9):
             raise ContractViolation("base_pose rotation is not orthonormal within 1e-9")
-        if lims.shape != (dh.shape[0], 2) or np.any(lims[:, 0] >= lims[:, 1]):
-            raise ContractViolation("joint_limits must be (n, 2) with lo < hi")
+        lims = check_array(self.joint_limits, "joint_limits", (dh.shape[0], 2))
+        if np.any(lims[:, 0] >= lims[:, 1]):
+            raise ContractViolation("joint_limits must have lo < hi in every row")
         object.__setattr__(self, "dh", dh)
         object.__setattr__(self, "base_pose", base)
         object.__setattr__(self, "joint_limits", lims)
@@ -108,11 +106,9 @@ class JointTrajectory:
     t0: float = 0.0
 
     def __post_init__(self):
-        wp = float_array(self.waypoints, "trajectory waypoints")
-        if wp.ndim != 2 or wp.shape[0] < 3:
-            raise ContractViolation("trajectory needs at least 3 waypoints of equal dimension")
-        if not np.isfinite(wp).all():
-            raise ContractViolation("trajectory waypoints must be finite")
+        wp = check_array(self.waypoints, "waypoints", (None, None))
+        if wp.shape[0] < 3:
+            raise ContractViolation(f"waypoints must have 3 or more rows, got {wp.shape[0]}")
         check_real(self.dt, "dt", "positive")
         check_real(self.t0, "t0")
         wp.flags.writeable = False
@@ -133,15 +129,6 @@ class JointTrajectory:
     @property
     def duration(self) -> float:
         return self.dt * (self.n_waypoints - 1)
-
-
-def _check_config(chain: ChainSpec, q: Array) -> Array:
-    q = np.asarray(q, dtype=float)
-    if q.shape != (chain.n_joints,):
-        raise ContractViolation(
-            f"configuration has {q.shape} entries, chain expects ({chain.n_joints},)"
-        )
-    return q
 
 
 class Frames:
@@ -194,7 +181,7 @@ def frame_origins_and_axes(chain: ChainSpec, q: Array) -> tuple[Array, Array]:
     origins with the end-effector last — and ``axes`` is (n, 3), the
     world z-axis of the frame each joint rotates about.
     """
-    return Frames(chain)(_check_config(chain, q))
+    return Frames(chain)(check_array(q, "q", (chain.n_joints,)))
 
 
 def fk_eef(chain: ChainSpec, q: Array) -> Array:
@@ -317,8 +304,8 @@ def solve_position_ik(chain: ChainSpec, target: Array, q0: Array) -> Array:
     Deterministic: fixed iteration count and no randomization.  Returns
     the best configuration found, clamped to the joint limits.
     """
-    target = np.asarray(target, dtype=float)
-    q = _check_config(chain, q0).copy()
+    target = check_array(target, "target", (3,))
+    q = check_array(q0, "q0", (chain.n_joints,))
     best_q, best_err = q.copy(), np.inf
     frames = Frames(chain)
     for _ in range(IK_ITERS):
@@ -359,9 +346,9 @@ def _pose_from_xyz_rpy(xyz, rpy) -> Array:
 def chain_from_dict(cfg: dict) -> ChainSpec:
     base = cfg.get("base_pose", {})
     return ChainSpec(
-        dh=np.asarray(cfg["dh"], dtype=float),
+        dh=cfg["dh"],
         base_pose=_pose_from_xyz_rpy(base.get("xyz", [0, 0, 0]), base.get("rpy", [0, 0, 0])),
-        joint_limits=np.asarray(cfg["joint_limits"], dtype=float),
+        joint_limits=cfg["joint_limits"],
         name=cfg.get("name", "chain"),
     )
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .baselines import ExecutionTrace, min_separations
-from .errors import ContractViolation
+from .errors import ContractViolation, check_array, check_real
 from .human_motion import HumanTrajectory
 from .kinematics import FK_BLOCK, ChainSpec, JointTrajectory, fk_points_batch
 
@@ -31,8 +31,8 @@ class GoalSet:
     distractors: tuple
 
     def __post_init__(self):
-        true_goal = np.asarray(self.true_goal, dtype=float).reshape(3)
-        distractors = tuple(np.asarray(d, dtype=float).reshape(3) for d in self.distractors)
+        true_goal = check_array(self.true_goal, "true_goal", (3,))
+        distractors = tuple(check_array(d, f"distractors[{i}]", (3,)) for i, d in enumerate(self.distractors))
         if len(distractors) < 1:
             raise ContractViolation("goal set needs at least one distractor")
         pts = [true_goal, *distractors]
@@ -84,8 +84,14 @@ METRIC_NAMES = tuple(f.name for f in fields(MetricReport) if f.name != "complete
 # one FK pass and one human interpolation for all of them.
 
 
+def check_fov_deg(fov_deg: float) -> None:
+    """Raise a ``ContractViolation`` unless ``fov_deg`` is finite and in (0, 360]."""
+    check_real(fov_deg, "fov_deg")
+    if not 0 < fov_deg <= 360:
+        raise ContractViolation(f"fov_deg must be in (0, 360], got {fov_deg!r}")
+
+
 def _visibility_pct(eef: Array, head: Array, target: Array, fov_deg: float) -> float:
-    target = np.asarray(target, dtype=float).reshape(3)
     gaze = target[None, :] - head
     to_eef = eef - head
     n_gaze = np.linalg.norm(gaze, axis=1)
@@ -141,9 +147,12 @@ def evaluate_run(
     joints, which one ``min_separations`` call takes as they are, and
     the head (which ``joints`` must name) is read by its index.  An
     executed trace adds one FK pass over its samples on the nominal clock.
-    ``threshold`` (meters) and ``fov_deg`` are the run config's
-    ``metrics`` section.
+    ``threshold`` (meters, positive) and ``fov_deg`` (in (0, 360]) are
+    the run config's ``metrics`` section.
     """
+    gaze_target = check_array(gaze_target, "gaze_target", (3,))
+    check_real(threshold, "threshold", "positive")
+    check_fov_deg(fov_deg)
     if isinstance(planned, ExecutionTrace):
         times, configs = planned.timestamps, planned.configs
     elif isinstance(planned, JointTrajectory):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costs import CostContext, CostReport, CostWeights, ObjectivePass, WeightedObjective
-from .errors import ContractViolation, check_real
+from .errors import ContractViolation, check_array, check_real
 from .kinematics import JointTrajectory
 
 Array = np.ndarray
@@ -88,10 +88,11 @@ class OptResult:
 
 def straightline_joint_init(start: Array, goal: Array, N: int, dt: float, t0: float = 0.0) -> JointTrajectory:
     """Joint-space linear interpolation with bit-exact endpoints."""
+    check_real(N, "N", integer=True)
     if N < 3:
-        raise ContractViolation("need at least 3 waypoints")
-    start = np.asarray(start, dtype=float)
-    goal = np.asarray(goal, dtype=float)
+        raise ContractViolation(f"N must be at least 3, got {N}")
+    start = check_array(start, "start", (None,))
+    goal = check_array(goal, "goal", start.shape)
     s = np.linspace(0.0, 1.0, N)[:, None]
     waypoints = start[None, :] + s * (goal - start)[None, :]
     waypoints[0] = start

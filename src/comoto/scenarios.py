@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import ContractViolation, check_real
+from .errors import ContractViolation, check_array, check_real
 from .fileio import read_yaml
 from .human_motion import RIGHT_ARM_JOINTS, ReachScript
 from .kinematics import ChainSpec, default_chain, fk_eef, load_chain, solve_position_ik
@@ -60,11 +60,7 @@ class Scenario:
         n = self.chain.n_joints
         shapes = {"robot_start": (n,), "robot_goal": (n,), "robot_object": (3,), "human_object": (3,)}
         for name, shape in shapes.items():
-            value = getattr(self, name)
-            if np.shape(value) != shape:
-                raise ContractViolation(f"{name} must have shape {shape}, got {np.shape(value)}")
-            if not np.isfinite(value).all():
-                raise ContractViolation(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, check_array(getattr(self, name), name, shape))
         check_real(self.seed, "seed", "non-negative", integer=True)
         check_real(self.n_waypoints, "n_waypoints", integer=True)
         if self.n_waypoints < 3:
@@ -76,11 +72,11 @@ class Scenario:
             raise ContractViolation(
                 f"observation + horizon ({end!r} s) outlasts the human script's total_duration ({track!r} s)"
             )
-        for center, radius in self.obstacles:
-            if np.shape(center) != (3,) or not np.all(np.isfinite(center)):
-                raise ContractViolation(f"obstacle center must be 3 finite coordinates, got {center!r}")
+        obstacles = tuple((check_array(c, "obstacle center", (3,)), r) for c, r in self.obstacles)
+        for _, radius in obstacles:
             check_real(radius, "obstacle radius", "positive")
-        gap = float(np.linalg.norm(np.asarray(self.human_object) - np.asarray(self.robot_object)))
+        object.__setattr__(self, "obstacles", obstacles)
+        gap = float(np.linalg.norm(self.human_object - self.robot_object))
         if self.family == "reaching_far" and gap < FAR_GAP_MIN:
             raise ContractViolation(f"reaching_far needs an object gap >= {FAR_GAP_MIN}, got {gap:.3f}")
         if self.family == "reaching_near" and gap > NEAR_GAP_MAX:
@@ -108,7 +104,7 @@ class Scenario:
         """Palm goal handed to the predictor; None when the human holds still."""
         if self.family == "stationary":
             return None
-        return np.asarray(self.human_script.arm_goal["right_palm"], dtype=float)
+        return self.human_script.arm_goal["right_palm"]
 
 
 def _arm_pose(rng: np.random.Generator) -> dict[str, Array]:
@@ -136,8 +132,7 @@ def make_scenario(family: str, seed: int, chain: ChainSpec | None = None) -> Sce
     """Build one deterministic scenario; the seed controls all jitter."""
     if family not in FAMILIES:
         raise ContractViolation(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if seed < 0:
-        raise ContractViolation(f"seed must be non-negative, got {seed!r}")
+    check_real(seed, "seed", "non-negative", integer=True)
     if chain is None:
         chain = default_chain()
     rng = np.random.default_rng([FAMILY_IDS[family], seed])
@@ -278,22 +273,19 @@ def scenario_from_dict(data: dict) -> Scenario:
             family=data["family"],
             seed=_whole(data["seed"]),
             chain=chain,
-            robot_start=np.asarray(data["robot_start"], dtype=float),
-            robot_goal=np.asarray(data["robot_goal"], dtype=float),
-            robot_object=np.asarray(data["robot_object"], dtype=float),
-            human_object=np.asarray(data["human_object"], dtype=float),
+            robot_start=data["robot_start"],
+            robot_goal=data["robot_goal"],
+            robot_object=data["robot_object"],
+            human_object=data["human_object"],
             human_script=ReachScript(
-                arm_start={k: np.asarray(v, dtype=float) for k, v in script["arm_start"].items()},
-                arm_goal={k: np.asarray(v, dtype=float) for k, v in script["arm_goal"].items()},
+                arm_start=script["arm_start"],
+                arm_goal=script["arm_goal"],
                 move_duration=float(script["move_duration"]),
                 total_duration=float(script["total_duration"]),
                 noise_scale=float(script["noise_scale"]),
                 seed=_whole(script["seed"]),
             ),
-            obstacles=tuple(
-                (np.asarray(o["center"], dtype=float), float(o["radius"]))
-                for o in data.get("obstacles", [])
-            ),
+            obstacles=tuple((o["center"], float(o["radius"])) for o in data.get("obstacles", [])),
             observation=float(data.get("observation", default["observation"])),
             horizon=float(data.get("horizon", default["horizon"])),
             n_waypoints=_whole(data.get("n_waypoints", default["n_waypoints"])),

@@ -180,8 +180,11 @@ def test_run_config_validation():
         dataclasses.replace(cfg, seeds=(1, 1))
     with pytest.raises(ContractViolation):
         dataclasses.replace(cfg, seeds=())
-    with pytest.raises(ContractViolation, match="seeds must be non-negative"):
+    with pytest.raises(ContractViolation, match=r"^seeds must be an integer and non-negative, got -3$"):
         dataclasses.replace(cfg, seeds=(2, -3))
+    for seed in ("a", 1.5, None):
+        with pytest.raises(ContractViolation, match=f"^seeds must be an integer and non-negative, got {seed!r}$"):
+            dataclasses.replace(cfg, seeds=(1, seed))
     with pytest.raises(ContractViolation):
         dataclasses.replace(cfg, families=("no_such_family",))
 

@@ -226,6 +226,18 @@ def test_malformed_scenario_exits_one(tmp_path, scenario_path, capsys, command, 
     assert expected in err
 
 
+def test_solve_rejects_a_two_coordinate_palm(tmp_path, capsys):
+    # A reaching arm moves, so a short point would reach the reach synthesis.
+    assert main(["gen", "--family", "reaching_far", "--seeds", "1", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "reaching_far_1.yaml"
+    data = yaml.safe_load(path.read_text())
+    data["script"]["arm_start"]["right_palm"] = [0.5, 0.0]
+    path.write_text(yaml.safe_dump(data))
+    assert main(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: arm_start.right_palm must have shape (3,), got (2,)")
+
+
 def _not_a_number(line):
     return "abc" + line[line.index(","):]
 

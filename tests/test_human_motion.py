@@ -156,7 +156,8 @@ def test_trajectory_prefix_rejects_negative_or_non_finite_duration(duration):
 def test_trajectory_validation():
     # One track per named joint, and one name per joint.
     for joints in (("a", "b"), ("a", "b", "c")):
-        with pytest.raises(ContractViolation, match=r"\(T, J, 3\)"):
+        shape = rf"\(\*, {len(joints)}, 3\), got \(4, 1, 3\)$"
+        with pytest.raises(ContractViolation, match=rf"^tracks \(a \(T, 3\) track per joint\) must have shape {shape}"):
             HumanTrajectory(joints, np.zeros((4, 1, 3)), rate=10.0)
     with pytest.raises(ContractViolation, match="distinct joint names"):
         HumanTrajectory(("a", "a"), np.zeros((4, 2, 3)), rate=10.0)
@@ -332,6 +333,9 @@ def test_predict_validation():
     observed = constant_velocity_truth([0.1, 0.0, 0.0])
     with pytest.raises(ContractViolation):
         predict(observed, horizon=0, step=0.1, options=CFG.prediction)
+    for horizon in (2.5, "3", 3.0, None):
+        with pytest.raises(ContractViolation, match=f"^horizon must be an integer and positive, got {horizon!r}$"):
+            predict(observed, horizon=horizon, step=0.1, options=CFG.prediction)
     for step in (0.0, math.nan, math.inf, "0.1"):
         with pytest.raises(ContractViolation, match="step must be finite and positive"):
             predict(observed, horizon=5, step=step, options=CFG.prediction)
@@ -347,9 +351,9 @@ def test_predicted_trajectory_validation():
     palm = ("right_palm",)
     eye = np.broadcast_to(np.eye(3), (1, 4, 3, 3)).copy()
     means = np.zeros((1, 4, 3))
-    with pytest.raises(ContractViolation, match="cover the same joints"):
+    with pytest.raises(ContractViolation, match=r"^cov_tracks must have shape \(1, 4, 3, 3\), got \(0, 4, 3, 3\)$"):
         PredictedHumanTrajectory(palm, means, np.zeros((0, 4, 3, 3)), step=0.1)
-    with pytest.raises(ContractViolation, match="cover the same joints"):
+    with pytest.raises(ContractViolation, match=r"^mean_tracks must have shape \(2, \*, 3\), got \(1, 4, 3\)$"):
         PredictedHumanTrajectory(palm + ("head",), means, eye, step=0.1)
     with pytest.raises(ContractViolation, match="distinct joint names"):
         PredictedHumanTrajectory(palm * 2, np.zeros((2, 4, 3)), np.concatenate([eye, eye]), step=0.1)
@@ -365,7 +369,7 @@ def test_predicted_trajectory_validation():
             PredictedHumanTrajectory(palm, means, eye, step=0.1, t0=t0)
     nan_mean = np.zeros((1, 4, 3))
     nan_mean[0, 2, 1] = math.nan
-    with pytest.raises(ContractViolation, match="means must be finite"):
+    with pytest.raises(ContractViolation, match=r"^mean_tracks must be finite, got nan at index \(0, 2, 1\)$"):
         PredictedHumanTrajectory(palm, nan_mean, eye, step=0.1)
     indefinite, infinite = eye * 0.01, eye.copy()
     indefinite[0, 2] = np.diag([0.01, 0.01, -0.01])
@@ -374,10 +378,10 @@ def test_predicted_trajectory_validation():
         with pytest.raises(ContractViolation, match=f"right_palm is not {message}"):
             PredictedHumanTrajectory(palm, means, bad, step=0.1)
     flat_cov = np.full((1, 4, 3), 0.01)
-    with pytest.raises(ContractViolation, match=r"right_palm needs \(H, 3\) means"):
+    with pytest.raises(ContractViolation, match=r"^cov_tracks must have shape \(1, 4, 3, 3\), got \(1, 4, 3\)$"):
         PredictedHumanTrajectory(palm, means, flat_cov, step=0.1)
     planar_means = np.zeros((1, 4, 2))
-    with pytest.raises(ContractViolation, match=r"right_palm needs \(H, 3\) means"):
+    with pytest.raises(ContractViolation, match=r"^mean_tracks must have shape \(1, \*, 3\), got \(1, 4, 2\)$"):
         PredictedHumanTrajectory(palm, planar_means, eye, step=0.1)
     with pytest.raises(ContractViolation, match="horizon of at least 1 step"):
         PredictedHumanTrajectory(palm, np.zeros((1, 0, 3)), np.zeros((1, 0, 3, 3)), step=0.1)

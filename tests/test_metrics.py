@@ -287,6 +287,24 @@ def test_unknown_planned_type_rejected(planar2):
         metrics(planar2, "not a trajectory", human, nominal=nominal)
 
 
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"threshold": float("nan")}, "threshold must be finite and positive, got nan"),
+        ({"threshold": 0.0}, "threshold must be finite and positive, got 0.0"),
+        ({"threshold": "0.3"}, "threshold must be finite and positive, got '0.3'"),
+        ({"fov_deg": -5.0}, r"fov_deg must be in \(0, 360\], got -5.0"),
+        ({"fov_deg": 0.0}, r"fov_deg must be in \(0, 360\], got 0.0"),
+        ({"fov_deg": 361.0}, r"fov_deg must be in \(0, 360\], got 361.0"),
+        ({"fov_deg": float("nan")}, "fov_deg must be finite, got nan"),
+    ],
+)
+def test_evaluate_run_checks_threshold_and_fov_as_the_run_config_does(planar2, settings, message):
+    traj = JointTrajectory(np.tile(Q_NEAR, (4, 1)), dt=0.1)
+    with pytest.raises(ContractViolation, match=f"^{message}$"):
+        metrics(planar2, traj, fixed_human([0.0, 3.0, 0.0]), **settings)
+
+
 def test_visibility_needs_head_track(planar2):
     traj = JointTrajectory(np.tile(Q_NEAR, (4, 1)), dt=0.1)
     headless = HumanTrajectory(("right_palm",), np.zeros((10, 1, 3)), rate=100.0)

@@ -41,8 +41,14 @@ def test_straightline_init_hand_values():
     assert line.dt == 0.5
     assert line.t0 == 1.0
     assert np.array_equal(line.waypoints[-1], [1.0, 2.0])
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ContractViolation, match="^N must be at least 3, got 2$"):
         straightline_joint_init(np.zeros(2), np.ones(2), 2, 0.5)
+
+
+@pytest.mark.parametrize("N", [20.5, 3.0, "3", None])
+def test_straightline_init_takes_an_integer_waypoint_count(N):
+    with pytest.raises(ContractViolation, match=f"^N must be an integer, got {N!r}$"):
+        straightline_joint_init(np.zeros(2), np.ones(2), N, 0.5)
 
 
 def test_smoothness_only_recovers_straight_line(arm):

@@ -100,8 +100,14 @@ def test_generate_scenarios_order_and_count(arm):
     with pytest.raises(ContractViolation):
         make_scenario("unheard_of", 1, arm)
     for family in FAMILIES:
-        with pytest.raises(ContractViolation, match="seed must be non-negative"):
+        with pytest.raises(ContractViolation, match="^seed must be an integer and non-negative, got -1$"):
             make_scenario(family, -1, arm)
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, "1", None])
+def test_make_scenario_takes_an_integer_seed(arm, seed):
+    with pytest.raises(ContractViolation, match=f"^seed must be an integer and non-negative, got {seed!r}$"):
+        make_scenario("stationary", seed, arm)
 
 
 def test_family_contract_validation(arm):
@@ -116,7 +122,7 @@ def test_malformed_obstacles_raise_contract_violation(arm):
     data = scenario_to_dict(make_scenario("reaching_far", 1, arm))
     center, radius = data["obstacles"][0]["center"], data["obstacles"][0]["radius"]
     cases = [
-        ({"center": center[:2], "radius": radius}, "obstacle center must be 3 finite coordinates"),
+        ({"center": center[:2], "radius": radius}, r"obstacle center must have shape \(3,\), got \(2,\)"),
         ({"center": center, "radius": -0.1}, "obstacle radius must be finite and positive"),
         ({"center": center, "radius": float("nan")}, "obstacle radius must be finite and positive"),
     ]
