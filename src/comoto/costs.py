@@ -124,11 +124,17 @@ class CostContext:
                 raise ContractViolation(
                     "prediction horizon must equal the nominal waypoint count"
                 )
-        centers = [check_array(c, "obstacle center", (3,)) for c, _ in self.obstacles]
-        for _, radius in self.obstacles:
-            check_real(radius, "obstacle clearance", "positive")
-        clearance = np.asarray([r for _, r in self.obstacles], dtype=float)
-        object.__setattr__(self, "obstacles", tuple(zip(centers, clearance)))
+        object.__setattr__(self, "obstacles", check_spheres(self.obstacles, "clearance"))
+
+
+def check_spheres(obstacles, radius_name: str) -> tuple:
+    """``obstacles``, a sequence of ``(center, radius)`` pairs, with each center a new (3,) float64 array and
+    each radius a float; a ``ContractViolation`` unless each center is finite and each radius finite and positive."""
+    for sphere in obstacles:
+        if not isinstance(sphere, (tuple, list)) or len(sphere) != 2:
+            raise ContractViolation(f"each obstacle must be a (center, {radius_name}) pair, got {sphere!r}")
+        check_real(sphere[1], f"obstacle {radius_name}", "positive")
+    return tuple((check_array(center, "obstacle center", (3,)), float(radius)) for center, radius in obstacles)
 
 
 @dataclass

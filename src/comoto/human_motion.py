@@ -133,10 +133,11 @@ def _joint_names(joints) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class ReachScript:
-    """Recipe for one synthetic right-arm reach."""
+    """Recipe for one synthetic right-arm reach.  ``arm_start`` and ``arm_goal`` are (4, 3) poses in
+    ``RIGHT_ARM_JOINTS`` order, which the constructor copies and marks read-only."""
 
-    arm_start: dict[str, Array]
-    arm_goal: dict[str, Array]
+    arm_start: Array
+    arm_goal: Array
     move_duration: float
     total_duration: float
     noise_scale: float = 0.0
@@ -152,11 +153,8 @@ class ReachScript:
         if self.seed < 0:
             raise ContractViolation(f"seed must be non-negative, got {self.seed!r}")
         for name in ("arm_start", "arm_goal"):
-            points = getattr(self, name)
-            missing = set(RIGHT_ARM_JOINTS) - set(points)
-            if missing:
-                raise ContractViolation(f"script missing right-arm joints: {sorted(missing)}")
-            points = {joint: check_array(p, f"{name}.{joint}", (3,)) for joint, p in points.items()}
+            points = check_array(getattr(self, name), name, (len(RIGHT_ARM_JOINTS), 3))
+            points.flags.writeable = False
             object.__setattr__(self, name, points)
 
 
@@ -263,20 +261,17 @@ def generate_reach(script: ReachScript, rate: float) -> HumanTrajectory:
     frac = minimum_jerk_fraction(tau)
 
     rng = np.random.default_rng(script.seed)
-    joints = RIGHT_ARM_JOINTS + EXTRAPOLATED_JOINTS
-    tracks = np.empty((n, len(joints), 3))
-    for j, name in enumerate(RIGHT_ARM_JOINTS):
-        x0, xg = script.arm_start[name], script.arm_goal[name]
-        tracks[:, j] = x0 + frac[:, None] * (xg - x0) + _smooth_noise(rng, n, rate, script.noise_scale)
-        # stationary after the reach: freeze at the pose reached at move_duration
-        if np.any(move_mask):
-            last_moving = int(np.nonzero(move_mask)[0][-1])
-            tracks[last_moving + 1 :, j] = tracks[last_moving, j]
+    noise = np.stack([_smooth_noise(rng, n, rate, script.noise_scale) for _ in RIGHT_ARM_JOINTS], axis=1)
+    start, goal = script.arm_start, script.arm_goal
+    arm = start + frac[:, None, None] * (goal - start) + noise
+    # stationary after the reach: freeze at the pose reached at move_duration
+    if np.any(move_mask):
+        last_moving = int(np.nonzero(move_mask)[0][-1])
+        arm[last_moving + 1 :] = arm[last_moving]
 
-    offsets = load_skeleton_offsets()
-    shoulder = tracks[:, RIGHT_ARM_JOINTS.index("right_shoulder"), None]
-    tracks[:, len(RIGHT_ARM_JOINTS) :] = shoulder + [offsets[name] for name in EXTRAPOLATED_JOINTS]
-    return HumanTrajectory(joints, tracks, rate)
+    shoulder = arm[:, RIGHT_ARM_JOINTS.index("right_shoulder"), None]
+    tracks = np.concatenate([arm, shoulder + load_skeleton_offsets()], axis=1)
+    return HumanTrajectory(RIGHT_ARM_JOINTS + EXTRAPOLATED_JOINTS, tracks, rate)
 
 
 def predict(
@@ -364,7 +359,6 @@ def extrapolate_skeleton(arm_pred: PredictedHumanTrajectory) -> PredictedHumanTr
     """
     if "right_shoulder" not in arm_pred.joints:
         raise ContractViolation("arm prediction is missing the right_shoulder track")
-    offsets = load_skeleton_offsets()
     joints = arm_pred.joints + tuple(name for name in EXTRAPOLATED_JOINTS if name not in arm_pred.joints)
     shoulder = arm_pred.joints.index("right_shoulder")
     # Each output row is gathered from its input row, or the shoulder's for an extrapolated joint.
@@ -372,7 +366,7 @@ def extrapolate_skeleton(arm_pred: PredictedHumanTrajectory) -> PredictedHumanTr
     rows = np.arange(len(joints))
     rows[moved] = shoulder
     means = arm_pred.mean_tracks[rows]
-    means[moved] += np.array([offsets[joints[j]] for j in moved])[:, None]
+    means[moved] += load_skeleton_offsets()[[EXTRAPOLATED_JOINTS.index(joints[j]) for j in moved]][:, None]
     return PredictedHumanTrajectory(joints, means, arm_pred.cov_tracks[rows], arm_pred.step, arm_pred.t0)
 
 
@@ -381,18 +375,14 @@ def extrapolate_skeleton(arm_pred: PredictedHumanTrajectory) -> PredictedHumanTr
 # ---------------------------------------------------------------------------
 
 
-def load_skeleton_offsets() -> dict[str, Array]:
-    """Joint-name -> read-only 3D offset map from the packaged file, parsed once."""
-    return dict(_packaged_skeleton_offsets())
-
-
 @functools.cache
-def _packaged_skeleton_offsets() -> dict[str, Array]:
-    path = resources.files("comoto.data").joinpath("skeleton_offsets.yaml")
-    offsets = {name: np.asarray(vec, dtype=float) for name, vec in read_yaml(path).items()}
+def load_skeleton_offsets() -> Array:
+    """Read-only (7, 3) offsets from the right shoulder, row ``j`` for ``EXTRAPOLATED_JOINTS[j]``,
+    from the packaged file, parsed once."""
+    offsets = read_yaml(resources.files("comoto.data").joinpath("skeleton_offsets.yaml"))
     missing = set(EXTRAPOLATED_JOINTS) - set(offsets)
     if missing:
         raise ContractViolation(f"offset config missing joints: {sorted(missing)}")
-    for vec in offsets.values():
-        vec.flags.writeable = False
-    return offsets
+    rows = check_array([offsets[name] for name in EXTRAPOLATED_JOINTS], "skeleton offsets", (7, 3))
+    rows.flags.writeable = False
+    return rows

@@ -330,7 +330,7 @@ def solve_position_ik(chain: ChainSpec, target: Array, q0: Array) -> Array:
 
 
 def _pose_from_xyz_rpy(xyz, rpy) -> Array:
-    roll, pitch, yaw = rpy
+    roll, pitch, yaw = check_array(rpy, "base_pose.rpy", (3,))
     cr, sr = math.cos(roll), math.sin(roll)
     cp, sp = math.cos(pitch), math.sin(pitch)
     cy, sy = math.cos(yaw), math.sin(yaw)
@@ -339,7 +339,7 @@ def _pose_from_xyz_rpy(xyz, rpy) -> Array:
     Rx = np.array([[1, 0, 0], [0, cr, -sr], [0, sr, cr]])
     T = np.eye(4)
     T[:3, :3] = Rz @ Ry @ Rx
-    T[:3, 3] = xyz
+    T[:3, 3] = check_array(xyz, "base_pose.xyz", (3,))
     return T
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .costs import check_spheres
 from .errors import ContractViolation, check_array, check_real
 from .fileio import read_yaml
 from .human_motion import RIGHT_ARM_JOINTS, ReachScript
@@ -72,19 +73,15 @@ class Scenario:
             raise ContractViolation(
                 f"observation + horizon ({end!r} s) outlasts the human script's total_duration ({track!r} s)"
             )
-        obstacles = tuple((check_array(c, "obstacle center", (3,)), r) for c, r in self.obstacles)
-        for _, radius in obstacles:
-            check_real(radius, "obstacle radius", "positive")
-        object.__setattr__(self, "obstacles", obstacles)
+        object.__setattr__(self, "obstacles", check_spheres(self.obstacles, "radius"))
         gap = float(np.linalg.norm(self.human_object - self.robot_object))
         if self.family == "reaching_far" and gap < FAR_GAP_MIN:
             raise ContractViolation(f"reaching_far needs an object gap >= {FAR_GAP_MIN}, got {gap:.3f}")
         if self.family == "reaching_near" and gap > NEAR_GAP_MAX:
             raise ContractViolation(f"reaching_near needs an object gap <= {NEAR_GAP_MAX}, got {gap:.3f}")
-        if self.family == "stationary":
-            for name in RIGHT_ARM_JOINTS:
-                if not np.array_equal(self.human_script.arm_start[name], self.human_script.arm_goal[name]):
-                    raise ContractViolation("stationary scenarios must have arm_goal == arm_start")
+        script = self.human_script
+        if self.family == "stationary" and not np.array_equal(script.arm_start, script.arm_goal):
+            raise ContractViolation("stationary scenarios must have arm_goal == arm_start")
 
     @property
     def dt(self) -> float:
@@ -104,20 +101,16 @@ class Scenario:
         """Palm goal handed to the predictor; None when the human holds still."""
         if self.family == "stationary":
             return None
-        return self.human_script.arm_goal["right_palm"]
+        return self.human_script.arm_goal[RIGHT_ARM_JOINTS.index("right_palm")]
 
 
-def _arm_pose(rng: np.random.Generator) -> dict[str, Array]:
+def _arm_pose(rng: np.random.Generator) -> Array:
+    """A seated right-arm pose, in ``RIGHT_ARM_JOINTS`` order."""
     shoulder = np.array([1.00, -0.08, 0.42]) + rng.uniform(-1, 1, 3) * [0.02, 0.06, 0.02]
     palm = shoulder + np.array([-0.20, -0.10, -0.30]) + rng.uniform(-1, 1, 3) * [0.02, 0.04, 0.02]
     elbow = shoulder + 0.5 * (palm - shoulder) + np.array([0.0, -0.05, 0.04])
     wrist = shoulder + 0.85 * (palm - shoulder) + np.array([0.0, 0.0, 0.01])
-    return {
-        "right_shoulder": shoulder,
-        "right_elbow": elbow,
-        "right_wrist": wrist,
-        "right_palm": palm,
-    }
+    return np.stack([shoulder, elbow, wrist, palm])
 
 
 def _solve_config(chain: ChainSpec, target: Array, q0: Array, what: str) -> Array:
@@ -143,7 +136,7 @@ def make_scenario(family: str, seed: int, chain: ChainSpec | None = None) -> Sce
 
     if family == "stationary":
         human_object = np.array([0.78, 0.10, 0.12]) + rng.uniform(-1, 1, 3) * [0.03, 0.03, 0.02]
-        arm_goal = {k: v.copy() for k, v in arm_start.items()}
+        arm_goal = arm_start
         noise_scale = 0.0
     elif family == "reaching_far":
         human_object = np.array([0.50, 0.38, 0.12]) + rng.uniform(-1, 1, 3) * [0.03, 0.03, 0.02]
@@ -163,8 +156,7 @@ def make_scenario(family: str, seed: int, chain: ChainSpec | None = None) -> Sce
 
     if family != "stationary":
         palm_goal = human_object + GRASP_OFFSET
-        shift = palm_goal - arm_start["right_palm"]
-        arm_goal = {k: v + shift for k, v in arm_start.items()}
+        arm_goal = arm_start + (palm_goal - arm_start[RIGHT_ARM_JOINTS.index("right_palm")])
         noise_scale = 0.008
 
     move_duration = 1.1 + 0.2 * float(rng.random())
@@ -242,8 +234,8 @@ def scenario_to_dict(sc: Scenario) -> dict:
             {"center": [float(v) for v in c], "radius": float(r)} for c, r in sc.obstacles
         ],
         "script": {
-            "arm_start": {k: [float(v) for v in p] for k, p in sc.human_script.arm_start.items()},
-            "arm_goal": {k: [float(v) for v in p] for k, p in sc.human_script.arm_goal.items()},
+            "arm_start": dict(zip(RIGHT_ARM_JOINTS, sc.human_script.arm_start.tolist())),
+            "arm_goal": dict(zip(RIGHT_ARM_JOINTS, sc.human_script.arm_goal.tolist())),
             "move_duration": sc.human_script.move_duration,
             "total_duration": sc.human_script.total_duration,
             "noise_scale": sc.human_script.noise_scale,
@@ -256,6 +248,11 @@ def _whole(value):
     """A whole float as an int, as the run config reads one (20.0 reads as 20); any
     other value as it is, for the records to check (20.5 is a ``ContractViolation``)."""
     return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
+def _arm_rows(script: dict, name: str) -> Array:
+    """The (4, 3) rows, in ``RIGHT_ARM_JOINTS`` order, of the mapping of joint name to point at ``script[name]``."""
+    return np.stack([check_array(script[name][joint], f"{name}.{joint}", (3,)) for joint in RIGHT_ARM_JOINTS])
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -278,8 +275,8 @@ def scenario_from_dict(data: dict) -> Scenario:
             robot_object=data["robot_object"],
             human_object=data["human_object"],
             human_script=ReachScript(
-                arm_start=script["arm_start"],
-                arm_goal=script["arm_goal"],
+                arm_start=_arm_rows(script, "arm_start"),
+                arm_goal=_arm_rows(script, "arm_goal"),
                 move_duration=float(script["move_duration"]),
                 total_duration=float(script["total_duration"]),
                 noise_scale=float(script["noise_scale"]),

@@ -99,7 +99,7 @@ def test_eval_trajectory(tmp_path, scenario_path, capsys):
     code = main(["eval", "--scenario", str(scenario_path), "--trajectory", str(traj_path)])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
-    assert set(report) == {"dst_pct", "vis_pct", "legibility", "nom_dev", "completed"}
+    assert list(report) == ["dst_pct", "vis_pct", "legibility", "nom_dev", "completed"]
     assert report["completed"] is True
     assert 0.0 <= report["dst_pct"] <= 100.0
 
@@ -141,9 +141,12 @@ def test_solve_verbose_prints_one_json_object_per_iteration(
     assert len(entries) == summary["iterations"] > 0
     assert [e["iteration"] for e in entries] == list(range(1, len(entries) + 1))
     # the CoMOTO weighting sets the five human-aware terms and no obstacle weight
-    names = ("distance", "visibility", "legibility", "nominal", "smoothness")
-    assert all(set(e) == {"iteration", "total", "step", *names} for e in entries)
+    keys = ["iteration", "total", "step", "distance", "visibility", "legibility", "nominal", "smoothness"]
+    assert all(list(e) == keys for e in entries)
     assert entries[-1]["total"] == summary["final_cost"]
+    # A grad_tol stop computes one gradient per accepted iterate plus the initial one.
+    assert summary["stop_reason"] == "grad_tol"
+    assert summary["grad_evals"] == summary["iterations"] + 1
 
 
 def test_missing_files_exit_one(tmp_path, capsys):

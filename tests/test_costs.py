@@ -625,6 +625,9 @@ def test_context_rejects_malformed_obstacles(planar2):
     for center, radius in (([0.5, math.nan, 0.0], 0.1), ([0.5, 0.0, 0.0], math.inf)):
         with pytest.raises(ContractViolation):
             cost_context(planar2, np.zeros(2), obstacles=((np.array(center), radius),))
+    for entry in ((np.zeros(3),), np.zeros(3), 0.1, (np.zeros(3), 0.1, 1.0)):
+        with pytest.raises(ContractViolation, match=r"^each obstacle must be a \(center, clearance\) pair, got "):
+            cost_context(planar2, np.zeros(2), obstacles=(entry,))
     ctx = cost_context(planar2, np.zeros(2), obstacles=((np.array([0.5, 0.0, 0.0]), 0.1),))
     problem = WeightedObjective(ctx, CostWeights(alpha_obstacle=1.0), 0.1, 4)
     assert problem.centers.shape == (1, 3) and problem.clearance.shape == (1,)
@@ -798,8 +801,8 @@ def test_distance_inputs_match_per_joint_reference_along_the_prediction_pipeline
     offsets = load_skeleton_offsets()
     means = {name: np.array(arm.mean_tracks[j]) for j, name in enumerate(arm.joints)}
     covs = {name: np.array(arm.cov_tracks[j]) for j, name in enumerate(arm.joints)}
-    for name in EXTRAPOLATED_JOINTS:
-        means[name] = means["right_shoulder"] + offsets[name]
+    for k, name in enumerate(EXTRAPOLATED_JOINTS):
+        means[name] = means["right_shoulder"] + offsets[k]
         covs[name] = covs["right_shoulder"]
     eye = np.broadcast_to(factor * np.eye(3), (horizon, 3, 3))
     cases = [

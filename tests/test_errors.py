@@ -15,7 +15,14 @@ from conftest import CFG, cost_context
 from comoto.baselines import ExecutionTrace
 from comoto.errors import ContractViolation, check_array, check_real
 from comoto.human_motion import HumanTrajectory, PredictedHumanTrajectory, generate_reach, predict
-from comoto.kinematics import ChainSpec, JointTrajectory, default_chain, frame_origins_and_axes, solve_position_ik
+from comoto.kinematics import (
+    ChainSpec,
+    JointTrajectory,
+    chain_from_dict,
+    default_chain,
+    frame_origins_and_axes,
+    solve_position_ik,
+)
 from comoto.metrics import GoalSet, evaluate_run
 from comoto.optimizer import straightline_joint_init
 from comoto.scenarios import make_scenario
@@ -146,10 +153,6 @@ def test_check_array_can_leave_the_finite_test_to_its_caller():
         check_array([math.nan], "x", (2,), finite=False)
 
 
-def _with_point(script, side, value):
-    return dataclasses.replace(script, **{side: {**getattr(script, side), "right_palm": value}})
-
-
 _CHAIN = default_chain()
 _EYE4, _LIMITS = np.eye(4), np.array([[-1.0, 1.0], [-1.0, 1.0]])
 _COVS = np.broadcast_to(np.eye(3), (1, 2, 3, 3))
@@ -158,6 +161,11 @@ _TRAJ = JointTrajectory(np.zeros((3, 7)), 0.1)
 _GOALS = GoalSet(np.array([1.0, 0.0, 0.0]), (np.array([0.0, 1.0, 0.0]),))
 _HEAD = HumanTrajectory(("head",), np.ones((2, 1, 3)), 10.0)
 _OBSERVED = generate_reach(_SCENARIO.human_script, 100.0).prefix(1.0)
+
+
+def _chain_with_base(xyz=(0, 0, 0), rpy=(0, 0, 0)):
+    return chain_from_dict({"dh": np.zeros((2, 4)), "joint_limits": _LIMITS, "base_pose": {"xyz": xyz, "rpy": rpy}})
+
 
 #: (owner, name, a build of the owner from a value, a valid value): every array
 #: input, named as its messages start.
@@ -171,10 +179,14 @@ ARRAY_INPUTS = [
     ("solve_position_ik", "target", lambda v: solve_position_ik(_CHAIN, v, np.zeros(7)), np.zeros(3)),
     ("straightline_joint_init", "start", lambda v: straightline_joint_init(v, np.ones(2), 3, 0.1), np.zeros(2)),
     ("straightline_joint_init", "goal", lambda v: straightline_joint_init(np.zeros(2), v, 3, 0.1), np.ones(2)),
+    *[
+        ("chain_from_dict", f"base_pose.{key}", lambda v, key=key: _chain_with_base(**{key: v}), np.zeros(3))
+        for key in ("xyz", "rpy")
+    ],
     ("HumanTrajectory", "tracks", lambda v: HumanTrajectory(("head",), v, 10.0), np.zeros((2, 1, 3))),
     *[
-        ("ReachScript", f"{side}.right_palm", lambda v, side=side: _with_point(_SCENARIO.human_script, side, v),
-         np.zeros(3))
+        ("ReachScript", side, lambda v, side=side: dataclasses.replace(_SCENARIO.human_script, **{side: v}),
+         getattr(_SCENARIO.human_script, side))
         for side in ("arm_start", "arm_goal")
     ],
     ("predict", "goal", lambda v: predict(_OBSERVED, 3, 0.1, v, options=CFG.prediction), np.ones(3)),

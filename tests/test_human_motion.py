@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from conftest import CFG
 
 from comoto import human_motion
 from comoto.errors import ContractViolation
+from comoto.fileio import read_yaml
 from comoto.human_motion import (
     EXTRAPOLATED_JOINTS,
     MAX_STEP_AT_100HZ,
@@ -33,20 +35,16 @@ from comoto.human_motion import (
 )
 
 
-def make_pose(palm: np.ndarray) -> dict[str, np.ndarray]:
+def make_pose(palm: np.ndarray) -> np.ndarray:
+    """A (4, 3) right-arm pose in ``RIGHT_ARM_JOINTS`` order."""
     palm = np.asarray(palm, dtype=float)
     shoulder = palm + np.array([0.2, 0.1, 0.3])
-    return {
-        "right_shoulder": shoulder,
-        "right_elbow": shoulder + 0.5 * (palm - shoulder),
-        "right_wrist": shoulder + 0.85 * (palm - shoulder),
-        "right_palm": palm,
-    }
+    return np.stack([shoulder, shoulder + 0.5 * (palm - shoulder), shoulder + 0.85 * (palm - shoulder), palm])
 
 
 def make_script(goal_shift, move_duration=1.0, total_duration=2.5, noise_scale=0.0, seed=0):
     start = make_pose(np.array([0.7, 0.2, 0.1]))
-    goal = {name: pos + np.asarray(goal_shift, dtype=float) for name, pos in start.items()}
+    goal = start + np.asarray(goal_shift, dtype=float)
     return ReachScript(start, goal, move_duration, total_duration, noise_scale, seed)
 
 
@@ -68,12 +66,12 @@ def test_generate_reach_endpoints_and_hold():
     truth = generate_reach(script, rate=100.0)
     assert truth.n_samples == 251
     assert truth.duration == pytest.approx(2.5)
-    for name in RIGHT_ARM_JOINTS:
+    for j, name in enumerate(RIGHT_ARM_JOINTS):
         track = truth.samples[name]
-        assert np.allclose(track[0], script.arm_start[name], atol=1e-15)
+        assert np.allclose(track[0], script.arm_start[j], atol=1e-15)
         # on goal at move_duration and frozen afterwards
         k_move = int(round(script.move_duration * 100.0))
-        assert np.allclose(track[k_move], script.arm_goal[name], atol=1e-12)
+        assert np.allclose(track[k_move], script.arm_goal[j], atol=1e-12)
         assert np.max(np.abs(track[k_move:] - track[k_move])) == 0.0
 
 
@@ -81,11 +79,11 @@ def test_generate_reach_stationary_is_constant():
     start = make_pose(np.array([0.7, 0.2, 0.1]))
     script = ReachScript(start, start, move_duration=0.0, total_duration=2.0)
     truth = generate_reach(script, rate=100.0)
-    for name in RIGHT_ARM_JOINTS:
-        assert np.max(np.abs(truth.samples[name] - start[name])) == 0.0
-    offsets = load_skeleton_offsets()
-    for name in EXTRAPOLATED_JOINTS:
-        assert np.allclose(truth.samples[name], start["right_shoulder"] + offsets[name], atol=1e-15)
+    for j, name in enumerate(RIGHT_ARM_JOINTS):
+        assert np.max(np.abs(truth.samples[name] - start[j])) == 0.0
+    shoulder = start[RIGHT_ARM_JOINTS.index("right_shoulder")]
+    for offset, name in zip(load_skeleton_offsets(), EXTRAPOLATED_JOINTS):
+        assert np.allclose(truth.samples[name], shoulder + offset, atol=1e-15)
 
 
 def test_generate_reach_step_bound_with_noise():
@@ -119,9 +117,18 @@ def test_reach_script_validation():
         ReachScript(start, start, move_duration=1.0, total_duration=2.0, noise_scale=-0.1)
     with pytest.raises(ContractViolation, match="seed must be non-negative"):
         ReachScript(start, start, move_duration=1.0, total_duration=2.0, seed=-1)
-    incomplete = {k: v for k, v in start.items() if k != "right_palm"}
-    with pytest.raises(ContractViolation):
-        ReachScript(incomplete, start, move_duration=1.0, total_duration=2.0)
+    with pytest.raises(ContractViolation, match=r"^arm_start must have shape \(4, 3\), got \(3, 3\)$"):
+        ReachScript(start[:3], start, move_duration=1.0, total_duration=2.0)
+
+
+def test_reach_script_poses_are_read_only_float_copies():
+    start = make_pose(np.array([0.7, 0.2, 0.1]))
+    script = ReachScript(start, start.tolist(), move_duration=1.0, total_duration=2.0)
+    start[:] = 0.0
+    for pose in (script.arm_start, script.arm_goal):
+        assert pose.shape == (len(RIGHT_ARM_JOINTS), 3) and pose.dtype == np.float64 and pose.all()
+        with pytest.raises(ValueError, match="read-only"):
+            pose[0, 0] = 1.0
 
 
 def test_trajectory_prefix_and_interpolation():
@@ -268,8 +275,7 @@ def test_sample_rows_forms_agree_hold_rows_and_match_interp(shape):
 def constant_velocity_truth(v, rate=100.0, duration=1.2):
     n = int(round(duration * rate)) + 1
     t = np.arange(n)[:, None] / rate
-    pose = make_pose(np.array([0.7, 0.2, 0.1]))
-    tracks = np.stack([pose[name] + t * np.asarray(v, dtype=float) for name in RIGHT_ARM_JOINTS], axis=1)
+    tracks = make_pose(np.array([0.7, 0.2, 0.1])) + t[:, None] * np.asarray(v, dtype=float)
     return HumanTrajectory(RIGHT_ARM_JOINTS, tracks, rate)
 
 
@@ -442,9 +448,9 @@ def test_extrapolate_skeleton_offsets():
     offsets = load_skeleton_offsets()
     assert full.joints == RIGHT_ARM_JOINTS + EXTRAPOLATED_JOINTS
     shoulder = full.joints.index("right_shoulder")
-    for name in EXTRAPOLATED_JOINTS:
+    for offset, name in zip(offsets, EXTRAPOLATED_JOINTS):
         j = full.joints.index(name)
-        want = full.mean_tracks[shoulder] + offsets[name]
+        want = full.mean_tracks[shoulder] + offset
         assert full.mean_tracks[j].tobytes() == want.tobytes(), name
         assert full.cov_tracks[j].tobytes() == full.cov_tracks[shoulder].tobytes(), name
     # An extrapolated joint the input has is replaced where it stands; the
@@ -457,7 +463,8 @@ def test_extrapolate_skeleton_offsets():
     rest = tuple(name for name in EXTRAPOLATED_JOINTS if name != "head")
     assert got.joints == ("right_palm", "head", "right_shoulder") + rest
     assert got.mean_tracks[0].tobytes() == pred.mean_tracks[rows[0]].tobytes()
-    assert got.mean_tracks[1].tobytes() == (mixed.mean_tracks[2] + offsets["head"]).tobytes()
+    head = offsets[EXTRAPOLATED_JOINTS.index("head")]
+    assert got.mean_tracks[1].tobytes() == (mixed.mean_tracks[2] + head).tobytes()
     for j, name in enumerate(rest, start=3):
         assert got.mean_tracks[j].tobytes() == full.mean_tracks[full.joints.index(name)].tobytes(), name
     with pytest.raises(ContractViolation):
@@ -482,7 +489,10 @@ def test_predictions_stack_read_only_tracks():
     shoulder = pred.joints.index("right_shoulder")
     for j, name in enumerate(full.joints):
         arm = pred.joints.index(name) if name in pred.joints else None
-        want = pred.mean_tracks[shoulder] + offsets[name] if arm is None else pred.mean_tracks[arm]
+        if arm is None:
+            want = pred.mean_tracks[shoulder] + offsets[EXTRAPOLATED_JOINTS.index(name)]
+        else:
+            want = pred.mean_tracks[arm]
         assert full.mean_tracks[j].tobytes() == want.tobytes(), name
         want_cov = pred.cov_tracks[shoulder if arm is None else arm]
         assert full.cov_tracks[j].tobytes() == want_cov.tobytes(), name
@@ -532,18 +542,17 @@ def test_prefix_and_predict_read_the_rows_positions_at_samples(seed, rate, obser
 
 
 def test_skeleton_offsets_cover_extrapolated_joints():
+    # One row per extrapolated joint, in EXTRAPOLATED_JOINTS order, as the file gives it.
     offsets = load_skeleton_offsets()
-    for name in EXTRAPOLATED_JOINTS:
-        assert name in offsets
-        assert offsets[name].shape == (3,)
+    assert offsets.shape == (len(EXTRAPOLATED_JOINTS), 3) and offsets.dtype == np.float64
+    by_name = read_yaml(resources.files("comoto.data").joinpath("skeleton_offsets.yaml"))
+    for offset, name in zip(offsets, EXTRAPOLATED_JOINTS):
+        assert offset.tolist() == by_name[name], name
 
 
 def test_packaged_skeleton_offsets_are_parsed_once_and_read_only(monkeypatch):
     first = load_skeleton_offsets()
     monkeypatch.setattr(human_motion, "read_yaml", lambda path: pytest.fail(f"re-read {path}"))
-    again = load_skeleton_offsets()
-    assert again is not first and list(again) == list(first)
-    for name, offset in first.items():
-        assert again[name] is offset
-        with pytest.raises(ValueError, match="read-only"):
-            offset[0] = 1.0
+    assert load_skeleton_offsets() is first
+    with pytest.raises(ValueError, match="read-only"):
+        first[0, 0] = 1.0

@@ -4,6 +4,7 @@ contracts, and file round-trips."""
 from __future__ import annotations
 
 import copy
+import dataclasses
 from dataclasses import fields
 
 import numpy as np
@@ -38,9 +39,8 @@ def test_generation_is_deterministic(arm):
         assert np.array_equal(a.robot_goal, b.robot_goal)
         assert np.array_equal(a.robot_object, b.robot_object)
         assert np.array_equal(a.human_object, b.human_object)
-        for name in RIGHT_ARM_JOINTS:
-            assert np.array_equal(a.human_script.arm_start[name], b.human_script.arm_start[name])
-            assert np.array_equal(a.human_script.arm_goal[name], b.human_script.arm_goal[name])
+        assert np.array_equal(a.human_script.arm_start, b.human_script.arm_start)
+        assert np.array_equal(a.human_script.arm_goal, b.human_script.arm_goal)
         assert a.human_script.move_duration == b.human_script.move_duration
         assert len(a.obstacles) == len(b.obstacles)
         for (ca, ra), (cb, rb) in zip(a.obstacles, b.obstacles):
@@ -131,6 +131,36 @@ def test_malformed_obstacles_raise_contract_violation(arm):
             prepare_scenario(scenario_from_dict({**data, "obstacles": [obstacle]}), load_config())
 
 
+@pytest.mark.parametrize("entry", [(np.zeros(3),), np.zeros(3), 0.06, (np.zeros(3), 0.06, 1.0)])
+def test_obstacle_entries_that_are_not_pairs_raise_contract_violation(arm, entry):
+    sc = make_scenario("stationary", 1, arm)
+    with pytest.raises(ContractViolation, match=r"^each obstacle must be a \(center, radius\) pair, got "):
+        dataclasses.replace(sc, obstacles=(entry,))
+
+
+@pytest.mark.parametrize("side", ["arm_start", "arm_goal"])
+def test_scenario_file_missing_a_right_arm_joint_names_it(arm, side):
+    data = scenario_to_dict(make_scenario("reaching_far", 1, arm))
+    del data["script"][side]["right_elbow"]
+    with pytest.raises(ContractViolation, match="^scenario is missing key 'right_elbow'$"):
+        scenario_from_dict(data)
+
+
+def test_scenario_file_reads_the_arm_poses_in_joint_order(arm):
+    # The file names each joint; the script holds (4, 3) rows in RIGHT_ARM_JOINTS
+    # order whatever the file's order, and joint names beyond those are ignored
+    # on load and not written back.
+    sc = make_scenario("reaching_far", 1, arm)
+    data = scenario_to_dict(sc)
+    assert list(data["script"]["arm_start"]) == list(data["script"]["arm_goal"]) == list(RIGHT_ARM_JOINTS)
+    for side in ("arm_start", "arm_goal"):
+        data["script"][side] = {"head": [0.0, 0.0, 1.0], **dict(reversed(data["script"][side].items()))}
+    back = scenario_from_dict(data)
+    for side in ("arm_start", "arm_goal"):
+        assert getattr(back.human_script, side).tobytes() == getattr(sc.human_script, side).tobytes()
+    assert scenario_to_dict(back) == scenario_to_dict(sc)
+
+
 def _with_value(data, path, value):
     """A deep copy of ``data`` with the entry at the key ``path`` set to ``value``."""
     data = copy.deepcopy(data)
@@ -163,6 +193,7 @@ BAD_SCENARIO_VALUES = [
     (("script", "move_duration"), NAN, "move_duration must be finite"),
     (("script", "total_duration"), INF, "total_duration must be finite"),
     (("script", "noise_scale"), NAN, "noise_scale must be finite and non-negative"),
+    (("script", "arm_goal", "right_wrist", 1), NAN, r"^arm_goal\.right_wrist must be finite"),
     # Integer keys are whole numbers, not truncated.
     (("n_waypoints",), 20.5, "n_waypoints must be an integer"),
     (("seed",), 1.9, "seed must be an integer and non-negative"),
@@ -217,8 +248,8 @@ def test_scenario_yaml_round_trip(tmp_path, arm):
         assert back.human_script.move_duration == sc.human_script.move_duration
         assert back.human_script.noise_scale == sc.human_script.noise_scale
         assert back.human_script.seed == sc.human_script.seed
-        for name in RIGHT_ARM_JOINTS:
-            assert np.array_equal(back.human_script.arm_goal[name], sc.human_script.arm_goal[name])
+        assert np.array_equal(back.human_script.arm_start, sc.human_script.arm_start)
+        assert np.array_equal(back.human_script.arm_goal, sc.human_script.arm_goal)
         assert len(back.obstacles) == len(sc.obstacles)
         for (ca, ra), (cb, rb) in zip(back.obstacles, sc.obstacles):
             assert np.array_equal(ca, cb) and ra == rb
