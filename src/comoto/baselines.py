@@ -72,6 +72,9 @@ class ExecutionTrace:
         for name in ("min_separation", "speed_scale"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, check_array(getattr(self, name), name, (n,)))
+        for array in (self.timestamps, self.configs, self.min_separation, self.speed_scale):
+            if array is not None:
+                array.flags.writeable = True  # perfbench's self-test writes trace.configs[k] (ROADMAP item 7)
         if np.any(np.diff(timestamps) <= 0):
             raise ContractViolation("timestamps must be strictly increasing")
 

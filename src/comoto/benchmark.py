@@ -14,7 +14,6 @@ import io
 import json
 import time
 from dataclasses import asdict, dataclass, fields, replace
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,7 @@ from .baselines import (
 )
 from .costs import CostContext, CostWeights
 from .errors import ContractViolation, check_real
-from .fileio import read_yaml
+from .fileio import data_file, read_yaml
 from .human_motion import HumanTrajectory, PredictorOptions, extrapolate_skeleton, generate_reach, predict
 from .kinematics import JointTrajectory
 from .metrics import METRIC_NAMES, GoalSet, MetricReport, aggregate, check_fov_deg, evaluate_run
@@ -116,7 +115,7 @@ _NON_NEGATIVE_FIELDS = (
 
 
 def default_config_dict() -> dict:
-    return read_yaml(resources.files("comoto.data").joinpath("default_config.yaml"))
+    return read_yaml(data_file("default_config.yaml"))
 
 
 def _resolve(default, override, path: tuple = ()):

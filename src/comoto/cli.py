@@ -94,8 +94,10 @@ def build_parser() -> _Parser:
 
 
 def _cmd_gen(args) -> int:
-    seeds = load_config().seeds if args.seeds is None else args.seeds
-    scenarios = generate_scenarios(args.family, seeds)  # checked before anything is written
+    cfg = load_config()
+    if args.seeds is not None:
+        cfg = dataclasses.replace(cfg, seeds=tuple(args.seeds))
+    scenarios = generate_scenarios(args.family, cfg.seeds)  # checked before anything is written
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     for sc in scenarios:

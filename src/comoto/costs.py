@@ -90,8 +90,9 @@ class CostWeights:
 class CostContext:
     """The validated inputs of one planning problem.
 
-    The prediction must already live on the trajectory's waypoint grid
-    (equal horizon).  ``object_pos`` is the point the human attends to
+    The prediction must already live on the nominal's waypoint grid:
+    equal horizon, ``step`` equal to its ``dt``, and ``t0`` within half a
+    step of its ``t0``.  ``object_pos`` is the point the human attends to
     (anchor of the gaze ray); ``goal_config`` is the configuration the
     trajectory must end at.  ``eps_m`` and ``sigma_floor`` are the run
     config's ``costs`` section: ``eps_m`` clamps the squared Mahalanobis
@@ -119,10 +120,16 @@ class CostContext:
             object.__setattr__(self, "object_pos", check_array(self.object_pos, "object_pos", (3,)))
         for name in ("eps_m", "sigma_floor"):
             check_real(getattr(self, name), name, "positive")
-        if self.prediction is not None and self.nominal is not None:
-            if self.prediction.horizon != self.nominal.n_waypoints:
+        pred, nominal = self.prediction, self.nominal
+        if pred is not None and nominal is not None:
+            if pred.horizon != nominal.n_waypoints:
                 raise ContractViolation(
                     "prediction horizon must equal the nominal waypoint count"
+                )
+            if not math.isclose(pred.step, nominal.dt, rel_tol=1e-9) or abs(pred.t0 - nominal.t0) >= pred.step / 2:
+                raise ContractViolation(
+                    f"prediction must run on the nominal's clock: step {pred.step!r} and t0 {pred.t0!r}, "
+                    f"nominal dt {nominal.dt!r} and t0 {nominal.t0!r}"
                 )
         object.__setattr__(self, "obstacles", check_spheres(self.obstacles, "clearance"))
 
@@ -137,7 +144,7 @@ def check_spheres(obstacles, radius_name: str) -> tuple:
     return tuple((check_array(center, "obstacle center", (3,)), float(radius)) for center, radius in obstacles)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CostReport:
     """Objective breakdown at one trajectory.
 

@@ -10,7 +10,7 @@ class ContractViolation(ValueError):
 
 
 def check_array(value, name: str, shape: tuple, finite: bool = True) -> np.ndarray:
-    """A new float64 array of ``value``.  Raise a ``ContractViolation`` naming ``name``
+    """A new read-only float64 array of ``value``.  Raise a ``ContractViolation`` naming ``name``
     unless ``value`` is a rectangular array of numbers of ``shape`` (a ``None``
     entry allows any length) whose entries are all finite; with ``finite=False``
     the caller tests finiteness itself."""
@@ -28,6 +28,7 @@ def check_array(value, name: str, shape: tuple, finite: bool = True) -> np.ndarr
     if finite and not np.isfinite(array).all():
         index = tuple(int(i) for i in np.argwhere(~np.isfinite(array))[0])
         raise ContractViolation(f"{name} must be finite, got {array[index]} at index {index}")
+    array.flags.writeable = False
     return array
 
 

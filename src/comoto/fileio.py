@@ -6,6 +6,7 @@ the CLI reports a malformed input instead of a parser's exception.
 
 from __future__ import annotations
 
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,11 @@ from .errors import ContractViolation
 
 # libyaml's parser, where installed, reads the commented config 8x faster.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def data_file(name: str):
+    """The packaged file ``data/<name>`` of the package this module belongs to."""
+    return resources.files(__package__).joinpath("data").joinpath(name)
 
 
 def read_yaml(path):

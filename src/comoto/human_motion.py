@@ -12,13 +12,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from importlib import resources
 from types import MappingProxyType
 
 import numpy as np
 
 from .errors import ContractViolation, check_array, check_real
-from .fileio import read_yaml
+from .fileio import data_file, read_yaml
 
 Array = np.ndarray
 
@@ -94,7 +93,6 @@ class HumanTrajectory:
         if min(tracks.shape[:2]) < 1:
             raise ContractViolation(f"tracks must hold a (T, 3) track per joint, T >= 1, got {tracks.shape}")
         object.__setattr__(self, "joints", _joint_names(self.joints))
-        tracks.flags.writeable = False
         object.__setattr__(self, "tracks", tracks)
 
     @property
@@ -144,8 +142,8 @@ class ReachScript:
     seed: int = 0
 
     def __post_init__(self):
-        check_real(self.move_duration, "move_duration")
-        check_real(self.total_duration, "total_duration")
+        check_real(self.move_duration, "move_duration", "non-negative")
+        check_real(self.total_duration, "total_duration", "positive")
         check_real(self.noise_scale, "noise_scale", "non-negative")
         check_real(self.seed, "seed", integer=True)
         if self.move_duration > self.total_duration:
@@ -153,9 +151,7 @@ class ReachScript:
         if self.seed < 0:
             raise ContractViolation(f"seed must be non-negative, got {self.seed!r}")
         for name in ("arm_start", "arm_goal"):
-            points = check_array(getattr(self, name), name, (len(RIGHT_ARM_JOINTS), 3))
-            points.flags.writeable = False
-            object.__setattr__(self, name, points)
+            object.__setattr__(self, name, check_array(getattr(self, name), name, (len(RIGHT_ARM_JOINTS), 3)))
 
 
 @dataclass(frozen=True)
@@ -194,7 +190,6 @@ class PredictedHumanTrajectory:
                 np.linalg.cholesky(cov)  # one batched factorization over the horizon
             except np.linalg.LinAlgError:
                 raise ContractViolation(f"cov_tracks of {name} is not positive definite") from None
-        means.flags.writeable = covs.flags.writeable = False
         for name, value in (("joints", names), ("mean_tracks", means), ("cov_tracks", covs)):
             object.__setattr__(self, name, value)
 
@@ -379,10 +374,8 @@ def extrapolate_skeleton(arm_pred: PredictedHumanTrajectory) -> PredictedHumanTr
 def load_skeleton_offsets() -> Array:
     """Read-only (7, 3) offsets from the right shoulder, row ``j`` for ``EXTRAPOLATED_JOINTS[j]``,
     from the packaged file, parsed once."""
-    offsets = read_yaml(resources.files("comoto.data").joinpath("skeleton_offsets.yaml"))
+    offsets = read_yaml(data_file("skeleton_offsets.yaml"))
     missing = set(EXTRAPOLATED_JOINTS) - set(offsets)
     if missing:
         raise ContractViolation(f"offset config missing joints: {sorted(missing)}")
-    rows = check_array([offsets[name] for name in EXTRAPOLATED_JOINTS], "skeleton offsets", (7, 3))
-    rows.flags.writeable = False
-    return rows
+    return check_array([offsets[name] for name in EXTRAPOLATED_JOINTS], "skeleton offsets", (7, 3))

@@ -16,13 +16,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractViolation, check_array, check_real
-from .fileio import float_rows, read_yaml
+from .fileio import data_file, float_rows, read_yaml
 
 Array = np.ndarray
 
@@ -111,7 +110,6 @@ class JointTrajectory:
             raise ContractViolation(f"waypoints must have 3 or more rows, got {wp.shape[0]}")
         check_real(self.dt, "dt", "positive")
         check_real(self.t0, "t0")
-        wp.flags.writeable = False
         object.__setattr__(self, "waypoints", wp)
 
     @property
@@ -355,7 +353,7 @@ def chain_from_dict(cfg: dict) -> ChainSpec:
 
 def load_chain(name: str) -> ChainSpec:
     """The packaged chain ``name`` (``comoto/data/<name>.yaml``)."""
-    path = resources.files("comoto.data").joinpath(f"{name}.yaml")
+    path = data_file(f"{name}.yaml")
     if not path.is_file():
         raise ContractViolation(f"unknown chain config: {name!r}")
     return chain_from_dict(read_yaml(path))

@@ -48,7 +48,7 @@ class GoalSet:
         return [self.true_goal, *self.distractors]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetricReport:
     """One run's metric values.
 

@@ -53,7 +53,7 @@ class OptimizerOptions:
             check_real(getattr(self, name), name, "positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptResult:
     """Outcome of one solve.
 

@@ -8,6 +8,11 @@ import dataclasses
 import io
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,6 +175,27 @@ def test_default_config_dict_is_complete():
     assert set(data) == {
         "benchmark", "weights", "optimizer", "speed_adjust", "metrics", "costs", "prediction",
     }
+
+
+def test_a_renamed_copy_of_the_package_reads_its_own_data_files(tmp_path):
+    copy = tmp_path / "comoto_b"
+    shutil.copytree(Path(benchmark.__file__).parent, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    config = copy / "data" / "default_config.yaml"
+    text = config.read_text()
+    assert "seeds: [1, 2, 3, 4, 5]" in text
+    config.write_text(text.replace("seeds: [1, 2, 3, 4, 5]", "seeds: [7, 8]"))
+    # With comoto itself unimportable, a read by the package's absolute name fails.
+    code = (
+        "import sys; sys.modules['comoto'] = None\n"
+        "from comoto_b.benchmark import load_config\n"
+        "from comoto_b.human_motion import load_skeleton_offsets\n"
+        "from comoto_b.kinematics import default_chain\n"
+        "print(load_config().seeds, load_skeleton_offsets().shape, default_chain().n_joints)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "(7, 8) (7, 3) 7\n"
 
 
 def test_run_config_validation():

@@ -184,6 +184,14 @@ def test_negative_seed_exits_one(tmp_path, capsys, argv, config):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gen", "run"])
+def test_repeated_seeds_exit_one(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([command, "--family", "stationary", "--seeds", "1", "1", "--out", str(out)]) == 1
+    assert "seeds must be non-empty and distinct" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invalid_yaml_config_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("optimizer: {max_iters: [1\n")
@@ -209,11 +217,16 @@ def _edited(change):
         ("solve", _edited(lambda data: {**data, "human_rate": float("inf")}), "human_rate"),
         ("solve", _edited(lambda data: {**data, "observation": 5.0}), "outlasts the human script"),
         ("solve", _edited(lambda data: {**data, "script": {**data["script"], "seed": -1}}), "must be non-negative"),
+        (
+            "solve",
+            _edited(lambda data: {**data, "script": {**data["script"], "move_duration": -1.0}}),
+            "move_duration must be finite and non-negative",
+        ),
     ],
     ids=[
         "no-script", "short-goal", "string", "family-only", "invalid-yaml",
         "negative-observation", "nan-human-object", "infinite-human-rate", "observation-outlasts-script",
-        "negative-script-seed",
+        "negative-script-seed", "negative-move-duration",
     ],
 )
 def test_malformed_scenario_exits_one(tmp_path, scenario_path, capsys, command, corrupt, expected):

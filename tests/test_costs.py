@@ -594,6 +594,21 @@ def test_context_validation(arm, planar2):
         _distance_inputs(singular)
 
 
+def test_context_prediction_runs_on_the_nominal_clock(arm):
+    _, ctx = build_problem(arm, seed=0, n_waypoints=20)  # dt = 2/19 s
+    pred = ctx.prediction
+    # An observation between two 100 Hz human samples shifts the prediction by up to 5 ms.
+    dataclasses.replace(ctx, prediction=dataclasses.replace(pred, t0=pred.t0 + 0.005))
+    for bad in (
+        dataclasses.replace(pred, step=0.5),  # waypoint k would meet the human 0.5 k s ahead
+        dataclasses.replace(pred, step=pred.step * (1 + 1e-6)),
+        dataclasses.replace(pred, t0=pred.t0 + pred.step / 2),
+        dataclasses.replace(pred, t0=pred.t0 - pred.step),
+    ):
+        with pytest.raises(ContractViolation, match="^prediction must run on the nominal's clock: step "):
+            dataclasses.replace(ctx, prediction=bad)
+
+
 def test_time_weights_default_and_custom(planar2):
     ctx = cost_context(planar2, np.zeros(2))
     problem = WeightedObjective(ctx, CostWeights(alpha_legibility=1.0), 0.1, 4)

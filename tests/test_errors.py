@@ -1,5 +1,6 @@
 """The one scalar check and the one array check, and every record's scalar
-settings and every array input run through them."""
+settings and every array input run through them; the read-only arrays that
+check returns, and the frozen result records."""
 
 from __future__ import annotations
 
@@ -13,18 +14,27 @@ import pytest
 from conftest import CFG, cost_context
 
 from comoto.baselines import ExecutionTrace
+from comoto.costs import CostReport
 from comoto.errors import ContractViolation, check_array, check_real
-from comoto.human_motion import HumanTrajectory, PredictedHumanTrajectory, generate_reach, predict
+from comoto.human_motion import (
+    HumanTrajectory,
+    PredictedHumanTrajectory,
+    ReachScript,
+    generate_reach,
+    load_skeleton_offsets,
+    predict,
+)
 from comoto.kinematics import (
     ChainSpec,
     JointTrajectory,
     chain_from_dict,
     default_chain,
+    fk_eef,
     frame_origins_and_axes,
     solve_position_ik,
 )
-from comoto.metrics import GoalSet, evaluate_run
-from comoto.optimizer import straightline_joint_init
+from comoto.metrics import METRIC_NAMES, GoalSet, MetricReport, evaluate_run
+from comoto.optimizer import OptResult, straightline_joint_init
 from comoto.scenarios import make_scenario
 
 
@@ -108,6 +118,19 @@ def test_every_scalar_setting_rejects_a_non_number(record, name, value):
 
 
 @pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("move_duration", -1.0, "move_duration must be finite and non-negative, got -1.0"),
+        ("total_duration", 0.0, "total_duration must be finite and positive, got 0.0"),
+    ],
+)
+def test_reach_script_durations_have_a_sign(name, value, message):
+    # A negative move_duration would put the synthesized arm at its goal from t = 0.
+    with pytest.raises(ContractViolation, match=f"^{message}$"):
+        dataclasses.replace(_SCENARIO.human_script, **{name: value})
+
+
+@pytest.mark.parametrize(
     "value, shape, expected",
     [
         ([1, 2, 3], (3,), [1.0, 2.0, 3.0]),
@@ -119,7 +142,7 @@ def test_every_scalar_setting_rejects_a_non_number(record, name, value):
 )
 def test_check_array_returns_a_new_float64_array(value, shape, expected):
     array = check_array(value, "x", shape)
-    assert array.dtype == np.float64 and array.flags.writeable
+    assert array.dtype == np.float64 and not array.flags.writeable
     assert array.shape == np.shape(expected) and np.array_equal(array, expected)
     assert not (isinstance(value, np.ndarray) and np.shares_memory(array, value))
 
@@ -250,3 +273,62 @@ def test_every_array_input_rejects_bad_shape_and_non_finite(owner, name, build, 
     bad = valid[None] if kind == "wrong-length" and name in SELF_SIZED else make_bad(valid)
     with pytest.raises(ContractViolation, match=f"^{re.escape(name)}.*({fragment})"):
         build(bad)
+
+
+_SCRIPT = ReachScript(np.zeros((4, 3)), np.ones((4, 3)), 1.0, 3.0)
+_PREDICTION = PredictedHumanTrajectory(("head",), np.zeros((1, 2, 3)), _COVS, 0.1)
+_CONTEXT = cost_context(_CHAIN, np.zeros(7), object_pos=np.zeros(3), obstacles=((np.zeros(3), 0.1),))
+
+#: Every array field of every record but ``ExecutionTrace``, and the packaged offsets.
+READ_ONLY_ARRAYS = {
+    "ChainSpec.dh": _CHAIN.dh,
+    "ChainSpec.base_pose": _CHAIN.base_pose,
+    "ChainSpec.joint_limits": _CHAIN.joint_limits,
+    "JointTrajectory.waypoints": _TRAJ.waypoints,
+    "HumanTrajectory.tracks": _HEAD.tracks,
+    "ReachScript.arm_start": _SCRIPT.arm_start,
+    "ReachScript.arm_goal": _SCRIPT.arm_goal,
+    "PredictedHumanTrajectory.mean_tracks": _PREDICTION.mean_tracks,
+    "PredictedHumanTrajectory.cov_tracks": _PREDICTION.cov_tracks,
+    "CostContext.goal_config": _CONTEXT.goal_config,
+    "CostContext.object_pos": _CONTEXT.object_pos,
+    "CostContext.obstacle center": _CONTEXT.obstacles[0][0],
+    **{
+        f"Scenario.{name}": getattr(_SCENARIO, name)
+        for name in ("robot_start", "robot_goal", "robot_object", "human_object")
+    },
+    "Scenario.obstacle center": _SCENARIO.obstacles[0][0],
+    "GoalSet.true_goal": _GOALS.true_goal,
+    "GoalSet.distractors[0]": _GOALS.distractors[0],
+    "load_skeleton_offsets()": load_skeleton_offsets(),
+}
+
+
+@pytest.mark.parametrize("array", READ_ONLY_ARRAYS.values(), ids=READ_ONLY_ARRAYS)
+def test_every_record_array_refuses_writes(array):
+    before = array.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        array[(0,) * array.ndim] = 1.0
+    assert np.array_equal(array, before)
+
+
+def test_a_chain_refuses_a_dh_write_that_its_fk_constants_would_not_see():
+    chain = default_chain()
+    eef = fk_eef(chain, np.zeros(7))
+    with pytest.raises(ValueError, match="read-only"):
+        chain.dh[1, 0] = 0.5
+    assert np.array_equal(fk_eef(chain, np.zeros(7)), eef)
+
+
+_COST_REPORT = CostReport(total=0.0, per_cost={}, diagnostics={})
+_RESULTS = [
+    (MetricReport(**dict.fromkeys(METRIC_NAMES, 0.0)), "dst_pct"),
+    (_COST_REPORT, "total"),
+    (OptResult(_TRAJ, 0, "grad_tol", 0, _COST_REPORT, _COST_REPORT, 0.0), "iterations"),
+]
+
+
+@pytest.mark.parametrize("record, name", _RESULTS, ids=[type(r).__name__ for r, _ in _RESULTS])
+def test_result_records_are_frozen(record, name):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, name, 1)
