@@ -27,7 +27,7 @@ from .baselines import (
 )
 from .costs import CostContext, CostWeights
 from .errors import ContractViolation, check_real
-from .fileio import data_file, read_yaml
+from .fileio import check_keys, data_file, read_yaml
 from .human_motion import HumanTrajectory, PredictorOptions, extrapolate_skeleton, generate_reach, predict
 from .kinematics import JointTrajectory
 from .metrics import METRIC_NAMES, GoalSet, MetricReport, aggregate, check_fov_deg, evaluate_run
@@ -81,7 +81,6 @@ class RunConfig:
     separation_threshold: float
     fov_deg: float
     eps_m: float
-    sigma_floor: float
     prediction: PredictorOptions
 
     def __post_init__(self):
@@ -105,9 +104,7 @@ class RunConfig:
 
 
 # Zero legible_alpha or nominal_smooth_weight would leave their method no cost term.
-_POSITIVE_FIELDS = (
-    "legible_alpha", "nominal_smooth_weight", "separation_threshold", "eps_m", "sigma_floor",
-)
+_POSITIVE_FIELDS = ("legible_alpha", "nominal_smooth_weight", "separation_threshold", "eps_m")
 _NON_NEGATIVE_FIELDS = (
     "distvis_alpha_dist", "distvis_alpha_vis", "distvis_tau_n", "nominal_obstacle_weight",
     "nominal_margin",
@@ -122,12 +119,7 @@ def _resolve(default, override, path: tuple = ()):
     """``override`` merged into ``default``, each leaf read as its default's type."""
     where = ".".join(map(str, path))
     if isinstance(default, dict):
-        if not isinstance(override, dict):
-            raise ContractViolation(f"config {where or 'file'} must be a mapping, got {override!r}")
-        for key in override:
-            if key not in default:
-                # A misspelled key would otherwise fall back to the default silently.
-                raise ContractViolation(f"unknown config key {'.'.join(map(str, (*path, key)))!r}")
+        check_keys(override, default, "config", path)
         return {
             key: _resolve(value, override.get(key, value), (*path, key))
             for key, value in default.items()
@@ -195,9 +187,7 @@ def prepare_scenario(sc: Scenario, cfg: RunConfig) -> ScenarioBundle:
     arm_pred = predict(
         observed, sc.n_waypoints, sc.dt, goal=sc.predictor_goal, options=cfg.prediction
     )
-    base = CostContext(
-        chain=sc.chain, goal_config=sc.robot_goal, eps_m=cfg.eps_m, sigma_floor=cfg.sigma_floor
-    )
+    base = CostContext(chain=sc.chain, goal_config=sc.robot_goal, eps_m=cfg.eps_m)
     nominal, nominal_solve = nominal_trajectory(
         base,
         sc.robot_start,

@@ -24,6 +24,8 @@ from pathlib import Path
 
 from .benchmark import (
     METHODS,
+    RunConfig,
+    ScenarioBundle,
     evaluate_planned,
     load_config,
     prepare_scenario,
@@ -131,19 +133,27 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
+def _prepared(args) -> tuple[RunConfig, ScenarioBundle]:
+    """The ``--config`` run config and the prepared ``--scenario``; an error from
+    preparing the scenario names its file, as an error from reading it does."""
     cfg = load_config(args.config)
     sc = load_scenario(args.scenario)
+    try:
+        return cfg, prepare_scenario(sc, cfg)
+    except ContractViolation as exc:
+        raise ContractViolation(f"{args.scenario}: {exc}") from None
+
+
+def _cmd_eval(args) -> int:
     planned = load_trajectory(args.trajectory)
-    report = evaluate_planned(prepare_scenario(sc, cfg), planned, cfg)
-    print(json.dumps(dataclasses.asdict(report), indent=2))
+    cfg, bundle = _prepared(args)
+    print(json.dumps(dataclasses.asdict(evaluate_planned(bundle, planned, cfg)), indent=2))
     return 0
 
 
 def _cmd_solve(args) -> int:
-    cfg = load_config(args.config)
-    sc = load_scenario(args.scenario)
-    bundle = prepare_scenario(sc, cfg)
+    cfg, bundle = _prepared(args)
+    sc = bundle.scenario
     opts = dataclasses.replace(cfg.optimizer, verbose=args.verbose)
     result = optimize(bundle.ctx, cfg.comoto_weights, bundle.nominal, opts)
     if args.verbose:

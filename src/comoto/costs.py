@@ -94,20 +94,19 @@ class CostContext:
     equal horizon, ``step`` equal to its ``dt``, and ``t0`` within half a
     step of its ``t0``.  ``object_pos`` is the point the human attends to
     (anchor of the gaze ray); ``goal_config`` is the configuration the
-    trajectory must end at.  ``eps_m`` and ``sigma_floor`` are the run
-    config's ``costs`` section: ``eps_m`` clamps the squared Mahalanobis
-    distance from below, so the distance cost stays bounded as the
-    separation goes to 0, and ``sigma_floor`` bounds the head-position
-    spread the visibility cost divides by.  ``obstacles`` holds
-    ``(center, clearance radius)`` pairs of spheres the robot points keep
-    out of.  Frozen (``dataclasses.replace`` makes a checked copy), and
+    trajectory must end at.  ``eps_m``, the run config's ``costs`` section,
+    clamps the squared Mahalanobis distance from below, so the distance
+    cost stays bounded as the separation goes to 0.  The visibility cost
+    divides by the predicted head-position spread as it is; the one floor
+    on it is the predictor's ``PredictorOptions.sigma_floor``.  ``obstacles``
+    holds ``(center, clearance radius)`` pairs of spheres the robot points
+    keep out of.  Frozen (``dataclasses.replace`` makes a checked copy), and
     holds no derived array: each solve's ``WeightedObjective`` derives them.
     """
 
     chain: ChainSpec
     goal_config: Array
     eps_m: float
-    sigma_floor: float
     prediction: PredictedHumanTrajectory | None = None
     nominal: JointTrajectory | None = None
     object_pos: Array | None = None
@@ -118,8 +117,7 @@ class CostContext:
         object.__setattr__(self, "goal_config", goal_config)
         if self.object_pos is not None:
             object.__setattr__(self, "object_pos", check_array(self.object_pos, "object_pos", (3,)))
-        for name in ("eps_m", "sigma_floor"):
-            check_real(getattr(self, name), name, "positive")
+        check_real(self.eps_m, "eps_m", "positive")
         pred, nominal = self.prediction, self.nominal
         if pred is not None and nominal is not None:
             if pred.horizon != nominal.n_waypoints:
@@ -391,8 +389,7 @@ class WeightedObjective:
         self.sigma_head = self.head = self.gaze = self.gaze_norm = self.gaze_unit = None
         if has_inputs["visibility"]:
             head = prediction.joints.index("head")
-            spread = np.sqrt(np.trace(prediction.cov_tracks[head], axis1=1, axis2=2) / 3.0)
-            self.sigma_head = np.maximum(spread, ctx.sigma_floor)
+            self.sigma_head = np.sqrt(np.trace(prediction.cov_tracks[head], axis1=1, axis2=2) / 3.0)
             self.head = prediction.mean_tracks[head]
             self.gaze = ctx.object_pos - self.head
             self.gaze_norm = nu = _row_norms(self.gaze)

@@ -1,7 +1,8 @@
 """Reading the package's YAML and CSV files.
 
 A file that does not parse raises ``ContractViolation`` naming it, so
-the CLI reports a malformed input instead of a parser's exception.
+the CLI reports a malformed input instead of a parser's exception; so
+does a mapping with a key its reader does not know (``check_keys``).
 """
 
 from __future__ import annotations
@@ -21,6 +22,17 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 def data_file(name: str):
     """The packaged file ``data/<name>`` of the package this module belongs to."""
     return resources.files(__package__).joinpath("data").joinpath(name)
+
+
+def check_keys(data, known, kind: str, path: tuple = ()) -> None:
+    """Raise a ``ContractViolation`` unless ``data`` is a mapping whose keys are all in
+    ``known``; the message names the ``kind`` of file and the dotted key ``path``."""
+    if not isinstance(data, dict):
+        raise ContractViolation(f"{kind} {'.'.join(map(str, path)) or 'file'} must be a mapping, got {data!r}")
+    for key in data:
+        if key not in known:
+            # A misspelled key would otherwise fall back to its default silently.
+            raise ContractViolation(f"unknown {kind} key {'.'.join(map(str, (*path, key)))!r}")
 
 
 def read_yaml(path):

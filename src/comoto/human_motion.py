@@ -209,9 +209,11 @@ class PredictedHumanTrajectory:
 
 @dataclass(frozen=True)
 class PredictorOptions:
-    """Gaussian-tube parameters: sigma(t)^2 = sigma0^2 + (kappa t)^2, floored.
+    """Gaussian-tube parameters: sigma(t)^2 = sigma0^2 + (kappa t)^2, floored at ``sigma_floor``.
 
-    The ``prediction`` section of the run config.
+    The ``prediction`` section of the run config.  ``sigma_floor`` is the one
+    floor on the predicted SD, the visibility cost's included; it keeps the
+    tube positive definite when ``sigma0`` is 0.
     """
 
     sigma0: float

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolation, check_array, check_real
-from .fileio import data_file, float_rows, read_yaml
+from .fileio import check_keys, data_file, float_rows, read_yaml
 
 Array = np.ndarray
 
@@ -342,7 +342,13 @@ def _pose_from_xyz_rpy(xyz, rpy) -> Array:
 
 
 def chain_from_dict(cfg: dict) -> ChainSpec:
+    """The chain of a chain file's mapping; a missing ``base_pose`` or entry of it is the identity's."""
+    check_keys(cfg, ("name", "dh", "base_pose", "joint_limits"), "chain")
     base = cfg.get("base_pose", {})
+    check_keys(base, ("xyz", "rpy"), "chain", ("base_pose",))
+    for key in ("dh", "joint_limits"):
+        if key not in cfg:
+            raise ContractViolation(f"chain {cfg.get('name', 'chain')!r} is missing key {key!r}")
     return ChainSpec(
         dh=cfg["dh"],
         base_pose=_pose_from_xyz_rpy(base.get("xyz", [0, 0, 0]), base.get("rpy", [0, 0, 0])),
@@ -356,7 +362,11 @@ def load_chain(name: str) -> ChainSpec:
     path = data_file(f"{name}.yaml")
     if not path.is_file():
         raise ContractViolation(f"unknown chain config: {name!r}")
-    return chain_from_dict(read_yaml(path))
+    data = read_yaml(path)
+    try:
+        return chain_from_dict(data)
+    except ContractViolation as exc:
+        raise ContractViolation(f"{path}: {exc}") from None
 
 
 def default_chain() -> ChainSpec:

@@ -18,7 +18,7 @@ import yaml
 
 from .costs import check_spheres
 from .errors import ContractViolation, check_array, check_real
-from .fileio import read_yaml
+from .fileio import check_keys, read_yaml
 from .human_motion import RIGHT_ARM_JOINTS, ReachScript
 from .kinematics import ChainSpec, default_chain, fk_eef, load_chain, solve_position_ik
 
@@ -255,16 +255,24 @@ def _arm_rows(script: dict, name: str) -> Array:
     return np.stack([check_array(script[name][joint], f"{name}.{joint}", (3,)) for joint in RIGHT_ARM_JOINTS])
 
 
+#: The keys ``scenario_to_dict`` writes: the ``Scenario`` fields, with the reach script under ``script``.
+_FILE_KEYS = tuple("script" if f.name == "human_script" else f.name for f in fields(Scenario))
+_SCRIPT_KEYS = tuple(f.name for f in fields(ReachScript))
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     """Scenario from a ``scenario_to_dict`` mapping; missing timing keys take the field defaults.
 
     The chain is the packaged one named by the ``chain`` key (default ``iiwa7``).
     """
-    if not isinstance(data, dict):
-        raise ContractViolation(f"a scenario must be a mapping, got {type(data).__name__}")
+    check_keys(data, _FILE_KEYS, "scenario")
     try:
         chain = load_chain(data.get("chain", "iiwa7"))
         script = data["script"]
+        check_keys(script, _SCRIPT_KEYS, "scenario", ("script",))
+        obstacles = data.get("obstacles", [])
+        for i, obstacle in enumerate(obstacles):
+            check_keys(obstacle, ("center", "radius"), "scenario", ("obstacles", i))
         default = {f.name: f.default for f in fields(Scenario)}
         return Scenario(
             family=data["family"],
@@ -282,7 +290,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                 noise_scale=float(script["noise_scale"]),
                 seed=_whole(script["seed"]),
             ),
-            obstacles=tuple((o["center"], float(o["radius"])) for o in data.get("obstacles", [])),
+            obstacles=tuple((o["center"], float(o["radius"])) for o in obstacles),
             observation=float(data.get("observation", default["observation"])),
             horizon=float(data.get("horizon", default["horizon"])),
             n_waypoints=_whole(data.get("n_waypoints", default["n_waypoints"])),

@@ -14,10 +14,8 @@ CFG = load_config()
 
 
 def cost_context(chain: ChainSpec, goal_config, **fields) -> CostContext:
-    """A ``CostContext`` with the packaged config's ``eps_m`` and ``sigma_floor``."""
-    return CostContext(
-        chain=chain, goal_config=goal_config, eps_m=CFG.eps_m, sigma_floor=CFG.sigma_floor, **fields
-    )
+    """A ``CostContext`` with the packaged config's ``eps_m``."""
+    return CostContext(chain=chain, goal_config=goal_config, eps_m=CFG.eps_m, **fields)
 
 
 def planar_chain(lengths=(1.0, 1.0), limit=2.0 * np.pi) -> ChainSpec:

@@ -220,7 +220,7 @@ def test_criterion_7_covariance_monotonicity(planned_capture):
         doubled = dataclasses.replace(
             ctx, prediction=dataclasses.replace(ctx.prediction, cov_tracks=2.0 * ctx.prediction.cov_tracks)
         )
-        # preconditions: far from the proximity clamp and the spread floor
+        # preconditions: far from the proximity clamp and the predictor's spread floor
         points = fk_points_batch(sc.chain, traj.waypoints)
         m_min = np.inf
         for mean, cov in zip(ctx.prediction.mean_tracks, ctx.prediction.cov_tracks):
@@ -230,7 +230,7 @@ def test_criterion_7_covariance_monotonicity(planned_capture):
                 m_min = min(m_min, float(np.min(np.einsum("pa,ab,pb->p", d, inv, d))))
         head_cov = ctx.prediction.cov_tracks[ctx.prediction.joints.index("head")]
         spread_min = float(np.min(np.sqrt(np.trace(head_cov, axis1=1, axis2=2) / 3.0)))
-        ok = ok and m_min > 100.0 * ctx.eps_m and spread_min > ctx.sigma_floor
+        ok = ok and m_min > 100.0 * ctx.eps_m and spread_min > CFG.prediction.sigma_floor
         problems = [WeightedObjective(c, CFG.comoto_weights, traj.dt, traj.n_waypoints) for c in (ctx, doubled)]
         before, after = (ObjectivePass(traj.waypoints, problem).per_cost for problem in problems)
         d0, d1 = before["distance"], after["distance"]

@@ -158,6 +158,10 @@ def test_unknown_config_keys_rejected():
         config_from_dict({"optimizer": {"step_grow": 2.0}})
     with pytest.raises(ContractViolation):
         config_from_dict({"weights": {"comoto": {"alpha_dst": 1.0}}})
+    # The visibility cost's own spread floor is gone: the predictor's is the only one.
+    with pytest.raises(ContractViolation, match="^unknown config key 'costs.sigma_floor'$"):
+        config_from_dict({"costs": {"sigma_floor": 0.01}})
+    assert len(CONFIG_LEAVES) == 27
 
 
 def test_config_file_round_trip(tmp_path):

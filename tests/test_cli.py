@@ -222,11 +222,19 @@ def _edited(change):
             _edited(lambda data: {**data, "script": {**data["script"], "move_duration": -1.0}}),
             "move_duration must be finite and non-negative",
         ),
+        ("solve", _edited(lambda data: {**data, "observaton": 1.5}), "unknown scenario key 'observaton'"),
+        (
+            "eval",
+            _edited(lambda data: {**data, "script": {**data["script"], "noise_scal": 0.5}}),
+            "unknown scenario key 'script.noise_scal'",
+        ),
+        ("solve", _edited(lambda data: {**data, "chain": "default_config"}), "unknown chain key 'benchmark'"),
     ],
     ids=[
         "no-script", "short-goal", "string", "family-only", "invalid-yaml",
         "negative-observation", "nan-human-object", "infinite-human-rate", "observation-outlasts-script",
-        "negative-script-seed", "negative-move-duration",
+        "negative-script-seed", "negative-move-duration", "misspelled-observation", "misspelled-script-key",
+        "chain-not-a-chain-file",
     ],
 )
 def test_malformed_scenario_exits_one(tmp_path, scenario_path, capsys, command, corrupt, expected):
@@ -252,6 +260,30 @@ def test_solve_rejects_a_two_coordinate_palm(tmp_path, capsys):
     assert main(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: arm_start.right_palm must have shape (3,), got (2,)")
+
+
+@pytest.mark.parametrize("command", ["solve", "eval"])
+@pytest.mark.parametrize(
+    "timing, expected",
+    [
+        ({"observation": 0.5}, "observation prefix covers 0.500s, needs 1.0s"),
+        ({"human_rate": 0.5}, "observation prefix covers 0.000s"),
+        # 5 Hz human samples put the prediction's t0 at 1.2 s, the robot's at 1.1 s.
+        ({"human_rate": 5.0, "observation": 1.1, "horizon": 1.9}, "prediction must run on the nominal's clock"),
+    ],
+    ids=["short-observation", "slow-human-rate", "off-the-nominal-clock"],
+)
+def test_errors_from_preparing_a_scenario_name_its_file(tmp_path, capsys, command, timing, expected):
+    assert main(["gen", "--family", "reaching_far", "--seeds", "1", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "reaching_far_1.yaml"
+    path.write_text(yaml.safe_dump({**yaml.safe_load(path.read_text()), **timing}))
+    traj_path = tmp_path / "t.csv"
+    save_trajectory(straightline_joint_init(np.zeros(7), np.zeros(7), 3, 0.1), traj_path)
+    extra = ["--trajectory", str(traj_path)] if command == "eval" else ["--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main([command, "--scenario", str(path), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and expected in err
 
 
 def _not_a_number(line):

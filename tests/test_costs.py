@@ -265,18 +265,58 @@ def test_distance_term_matches_einsum_reference(arm):
                 assert rel_error(pullback(jacs), want_pullback(jacs)) <= 1e-12
 
 
+def visibility_oracle(traj, ctx) -> tuple[float, list[float]]:
+    """The visibility term summed step by step, each gaze angle divided by the
+    predicted head spread as it is, and the gaze angles."""
+    eef = fk_points_batch(ctx.chain, traj.waypoints)[:, -1]
+    j = ctx.prediction.joints.index("head")
+    heads, covs = ctx.prediction.mean_tracks[j], ctx.prediction.cov_tracks[j]
+    angles = [gaze_angle(ctx.object_pos, heads[t], eef[t]) for t in range(traj.n_waypoints)]
+    return sum(a / math.sqrt(np.trace(cov) / 3.0) for a, cov in zip(angles, covs)), angles
+
+
+def with_head_spread(ctx, spread):
+    """``ctx`` with the head's covariance at step ``k`` replaced by ``spread[k]**2 I``."""
+    pred = ctx.prediction
+    covs = np.array(pred.cov_tracks)
+    covs[pred.joints.index("head")] = np.asarray(spread, dtype=float)[:, None, None] ** 2 * np.eye(3)
+    return dataclasses.replace(ctx, prediction=dataclasses.replace(pred, cov_tracks=covs))
+
+
 def test_cost_visibility_matches_loop_oracle(arm):
     traj, ctx = build_problem(arm, seed=22, n_waypoints=5)
-    got = term("visibility", traj, ctx)
-    eef = fk_points_batch(arm, traj.waypoints)[:, -1]
-    want = 0.0
-    j = ctx.prediction.joints.index("head")
-    for t in range(traj.n_waypoints):
-        head = ctx.prediction.mean_tracks[j, t]
-        cov = ctx.prediction.cov_tracks[j, t]
-        sigma = max(math.sqrt(np.trace(cov) / 3.0), ctx.sigma_floor)
-        want += gaze_angle(ctx.object_pos, head, eef[t]) / sigma
-    assert got == pytest.approx(want, rel=1e-12)
+    assert term("visibility", traj, ctx) == pytest.approx(visibility_oracle(traj, ctx)[0], rel=1e-12)
+
+
+def test_visibility_divides_by_a_head_spread_below_the_predictor_floor(arm):
+    # Only the predictor floors the spread; a hand-built prediction's 5 mm spread is used as it is.
+    traj, ctx = build_problem(arm, seed=22, n_waypoints=5)
+    ctx = with_head_spread(ctx, np.full(5, 0.005))
+    assert 0.005 < CFG.prediction.sigma_floor
+    problem = WeightedObjective(ctx, SINGLE_TERM_WEIGHTS["visibility"], traj.dt, traj.n_waypoints)
+    assert problem.sigma_head == pytest.approx(np.full(5, 0.005), rel=1e-15)
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
+)
+@given(
+    seed=st.integers(0, 2**16),
+    spread=st.lists(st.floats(1e-3, 1e-2), min_size=6, max_size=6),
+)
+def test_visibility_under_small_head_spreads_matches_the_oracle_and_finite_differences(arm, seed, spread):
+    traj, ctx = build_problem(arm, seed=seed, n_waypoints=6)
+    ctx = with_head_spread(ctx, spread)
+    want, angles = visibility_oracle(traj, ctx)
+    assume(min(angles) > 1e-3 and math.pi - max(angles) > 1e-3)  # away from arccos's kinks
+    problem = WeightedObjective(ctx, SINGLE_TERM_WEIGHTS["visibility"], traj.dt, traj.n_waypoints)
+    assert ObjectivePass(traj.waypoints, problem).per_cost["visibility"] == pytest.approx(want, rel=1e-12)
+    grad = ObjectivePass(traj.waypoints, problem).gradient()
+    assert rel_error(grad, fd_gradient(traj.waypoints, problem)) <= 1e-4
 
 
 def test_cost_nominal_matches_loop_oracle(arm):
@@ -370,8 +410,7 @@ def reference_derived(ctx):
     )
     if pred is not None and "head" in pred.joints and obj is not None:
         cov = pred.cov_tracks[pred.joints.index("head")]
-        spread = np.sqrt(cov.diagonal(axis1=1, axis2=2).sum(axis=1) / 3.0)
-        ref.sigma_head = np.maximum(spread, ctx.sigma_floor)
+        ref.sigma_head = np.sqrt(cov.diagonal(axis1=1, axis2=2).sum(axis=1) / 3.0)
         ref.head = pred.mean_tracks[pred.joints.index("head")]
         ref.gaze = obj[None, :] - ref.head
         ref.gaze_norm = np.linalg.norm(ref.gaze, axis=1)
@@ -531,7 +570,7 @@ def test_covariance_doubling_moves_costs(arm):
         doubled = dataclasses.replace(
             ctx, prediction=dataclasses.replace(ctx.prediction, cov_tracks=2.0 * ctx.prediction.cov_tracks)
         )
-        # preconditions: far from the proximity clamp and the spread floor
+        # preconditions: far from the proximity clamp and the predictor's spread floor
         points = fk_points_batch(arm, traj.waypoints)
         m_min = np.inf
         for mean, cov in zip(ctx.prediction.mean_tracks, ctx.prediction.cov_tracks):
@@ -541,7 +580,7 @@ def test_covariance_doubling_moves_costs(arm):
                 m_min = min(m_min, float(np.min(np.einsum("pa,ab,pb->p", d, inv, d))))
         assert m_min > 100.0 * ctx.eps_m
         head_cov = ctx.prediction.cov_tracks[ctx.prediction.joints.index("head")]
-        assert np.min(np.sqrt(np.trace(head_cov, axis1=1, axis2=2) / 3.0)) > ctx.sigma_floor
+        assert np.min(np.sqrt(np.trace(head_cov, axis1=1, axis2=2) / 3.0)) > CFG.prediction.sigma_floor
         problems = [WeightedObjective(c, COMBINED_WEIGHTS, traj.dt, traj.n_waypoints) for c in (ctx, doubled)]
         before, after = (ObjectivePass(traj.waypoints, problem).per_cost for problem in problems)
         assert after["distance"] > before["distance"]
@@ -573,10 +612,11 @@ def test_context_validation(arm, planar2):
     with pytest.raises(ContractViolation):
         cost_context(arm, np.zeros(3))
     valid = cost_context(planar2, np.zeros(2))
-    for field in ("eps_m", "sigma_floor"):
-        for bad in (0.0, math.nan, math.inf, -1.0):
-            with pytest.raises(ContractViolation):
-                dataclasses.replace(valid, **{field: bad})
+    for bad in (0.0, math.nan, math.inf, -1.0):
+        with pytest.raises(ContractViolation):
+            dataclasses.replace(valid, eps_m=bad)
+    with pytest.raises(TypeError):
+        dataclasses.replace(valid, sigma_floor=0.01)  # the predictor's floor is the only one
     rng = np.random.default_rng(1)
     pred = make_prediction(rng, 6, 0.1)
     nominal = straightline_joint_init(np.zeros(2), np.ones(2), 5, 0.1)

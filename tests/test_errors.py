@@ -102,8 +102,8 @@ SCALAR_FIELDS = [
 def test_every_record_has_scalar_settings():
     counts = {type(r).__name__: sum(r is record for record, _ in SCALAR_FIELDS) for r in RECORDS}
     assert counts == {
-        "CostWeights": 6, "CostContext": 2, "OptimizerOptions": 3, "SpeedAdjustParams": 4,
-        "PredictorOptions": 3, "RunConfig": 11, "Scenario": 5, "ReachScript": 4,
+        "CostWeights": 6, "CostContext": 1, "OptimizerOptions": 3, "SpeedAdjustParams": 4,
+        "PredictorOptions": 3, "RunConfig": 10, "Scenario": 5, "ReachScript": 4,
         "JointTrajectory": 2, "HumanTrajectory": 1, "PredictedHumanTrajectory": 2,
     }
 

@@ -444,6 +444,24 @@ def test_chain_from_dict_xyz_rpy_base_pose():
     assert np.allclose(robot_points(chain, q), oracle_fk(chain, q), atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({}, "^chain 'chain' is missing key 'dh'$"),
+        ({"name": "arm", "dh": np.zeros((2, 4))}, "^chain 'arm' is missing key 'joint_limits'$"),
+        ({"dh": np.zeros((2, 4)), "limits": []}, "^unknown chain key 'limits'$"),
+        ({"base_pose": {"xyz": [0, 0, 0], "rpx": [0, 0, 1]}}, "^unknown chain key 'base_pose.rpx'$"),
+        ({"base_pose": [0, 0, 0]}, r"^chain base_pose must be a mapping, got \[0, 0, 0\]$"),
+        ([], r"^chain file must be a mapping, got \[\]$"),
+    ],
+    ids=["empty", "no-limits", "unknown-key", "misspelled-rpy", "listed-base-pose", "not-a-mapping"],
+)
+def test_chain_from_dict_rejects_missing_and_unknown_keys(data, message):
+    # These used to raise a bare KeyError or AttributeError, or read a misspelled rpy as no rotation.
+    with pytest.raises(ContractViolation, match=message):
+        chain_from_dict(data)
+
+
 def test_default_chain_loads_seven_joints():
     chain = default_chain()
     assert chain.n_joints == 7

@@ -20,6 +20,8 @@ from comoto.scenarios import (
     GRASP_OFFSET,
     NEAR_GAP_MAX,
     Scenario,
+    _FILE_KEYS,
+    _SCRIPT_KEYS,
     generate_scenarios,
     load_scenario,
     make_scenario,
@@ -170,6 +172,31 @@ def _with_value(data, path, value):
         target = target[parent]
     target[key] = value
     return data
+
+
+@pytest.mark.parametrize(
+    "path",
+    [("observaton",), ("script", "noise_scal"), ("obstacles", 0, "radiu")],
+    ids=["top-level", "script", "obstacle"],
+)
+def test_scenario_file_rejects_keys_it_does_not_know(arm, path):
+    # A misspelled key used to be dropped, and its setting silently took its default.
+    data = _with_value(scenario_to_dict(make_scenario("reaching_far", 1, arm)), path, 0.5)
+    dotted = ".".join(map(str, path))
+    with pytest.raises(ContractViolation, match=f"^unknown scenario key '{dotted}'$"):
+        scenario_from_dict(data)
+
+
+def test_scenario_reader_knows_the_keys_the_writer_writes(arm):
+    data = scenario_to_dict(make_scenario("reaching_far", 1, arm))
+    assert set(_FILE_KEYS) == set(data)
+    assert set(_SCRIPT_KEYS) == set(data["script"])
+
+
+def test_scenario_whose_chain_is_not_a_chain_file_says_so(arm):
+    data = {**scenario_to_dict(make_scenario("stationary", 1, arm)), "chain": "default_config"}
+    with pytest.raises(ContractViolation, match=r"default_config\.yaml: unknown chain key 'benchmark'$"):
+        scenario_from_dict(data)
 
 
 NAN, INF = float("nan"), float("inf")
