@@ -1,10 +1,10 @@
 """Summarize the benchmark on held-out seeds: row counts and criterion 5's orderings.
 
-    PYTHONPATH=src python3 scripts/heldout_report.py [--config CONFIG] > heldout_summary.json
+    PYTHONPATH=src python3 scripts/heldout_report.py > heldout_summary.json
 
-Runs ``run_benchmark`` on CONFIG (default: ``heldout_seeds.yaml`` beside
-this script, the three families on seeds 6-45, which no test, bound or
-default was tuned on) and prints a JSON summary:
+Runs ``run_benchmark`` on ``heldout_seeds.yaml`` beside this script (the
+three families on seeds 6-45, which no test, bound or default was tuned
+on) and prints a JSON summary:
 
 - ``rows``: per family and method, the counts of rows, failed rows and
   converged rows.  Nominal and Speed-Adj run no solve of their own, so
@@ -25,7 +25,6 @@ clauses read.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import operator
@@ -35,7 +34,7 @@ from pathlib import Path
 
 from comoto.benchmark import METHODS, RunConfig, aggregate_rows, load_config, run_benchmark
 
-DEFAULT_CONFIG = Path(__file__).with_name("heldout_seeds.yaml")
+HELDOUT_CONFIG = Path(__file__).with_name("heldout_seeds.yaml")
 
 _RELATIONS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
 
@@ -53,6 +52,25 @@ STOP_REASONS = (
     "not recorded: a benchmark row carries no stop reason until a run record "
     "sits beside each row (ROADMAP item 5)"
 )
+
+
+def mean_clauses(mean, families) -> dict[str, bool]:
+    """Criterion 5's clauses on the family means ``mean(family, method, metric)``:
+    the per-family ``CLAUSES`` and, when both reaching families ran, each
+    method's ``dst_pct`` lower on ``reaching_near`` than on ``reaching_far``."""
+    clauses = {
+        f"{family}: {' '.join(clause)}": bool(
+            _RELATIONS[clause[2]](mean(family, clause[0], clause[1]), mean(family, clause[3], clause[1]))
+        )
+        for family in families
+        for clause in CLAUSES
+    }
+    if {"reaching_near", "reaching_far"} <= set(families):
+        for method in METHODS:
+            clauses[f"{method} dst_pct: reaching_near < reaching_far"] = bool(
+                mean("reaching_near", method, "dst_pct") < mean("reaching_far", method, "dst_pct")
+            )
+    return clauses
 
 
 def summarize(rows: list[dict], cfg: RunConfig) -> dict:
@@ -91,33 +109,18 @@ def summarize(rows: list[dict], cfg: RunConfig) -> dict:
         }
         for family in cfg.families
     }
-    mean_clauses = {
-        f"{family}: {' '.join(clause)}": bool(
-            _RELATIONS[clause[2]](mean(family, clause[0], clause[1]), mean(family, clause[3], clause[1]))
-        )
-        for family in cfg.families
-        for clause in CLAUSES
-    }
-    if {"reaching_near", "reaching_far"} <= set(cfg.families):
-        for method in METHODS:
-            mean_clauses[f"{method} dst_pct: reaching_near < reaching_far"] = bool(
-                mean("reaching_near", method, "dst_pct") < mean("reaching_far", method, "dst_pct")
-            )
     return {
         "families": list(cfg.families),
         "seeds": list(cfg.seeds),
         "rows": counts,
         "per_seed": per_seed,
-        "mean_clauses": mean_clauses,
+        "mean_clauses": mean_clauses(mean, cfg.families),
         "stop_reasons": STOP_REASONS,
     }
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--config", default=str(DEFAULT_CONFIG), help="a comoto run config file")
-    args = parser.parse_args(argv)
-    cfg = load_config(args.config)
+def main() -> int:
+    cfg = load_config(HELDOUT_CONFIG)
     start = time.perf_counter()
     rows = run_benchmark(cfg)
     print(f"{len(rows)} rows in {time.perf_counter() - start:.1f} s", file=sys.stderr)
@@ -127,4 +130,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

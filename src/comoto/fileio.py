@@ -28,7 +28,7 @@ def check_keys(data, known, kind: str, path: tuple = ()) -> None:
     """Raise a ``ContractViolation`` unless ``data`` is a mapping whose keys are all in
     ``known``; the message names the ``kind`` of file and the dotted key ``path``."""
     if not isinstance(data, dict):
-        raise ContractViolation(f"{kind} {'.'.join(map(str, path)) or 'file'} must be a mapping, got {data!r}")
+        raise ContractViolation(f"{kind} {'.'.join(map(str, path)) or 'file'} must be a mapping, got {type(data).__name__}")
     for key in data:
         if key not in known:
             # A misspelled key would otherwise fall back to its default silently.

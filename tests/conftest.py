@@ -1,7 +1,11 @@
 """Shared fixtures: the packaged 7-DOF arm, a hand-checkable planar chain,
-and the packaged run config, which sets every value the library takes."""
+the packaged run config, which sets every value the library takes, and the
+held-out report script, whose criterion-5 clauses the acceptance test uses."""
 
 from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,16 @@ from comoto.costs import CostContext
 from comoto.kinematics import ChainSpec, default_chain
 
 CFG = load_config()
+
+HELDOUT_REPORT = Path(__file__).resolve().parents[1] / "scripts" / "heldout_report.py"
+
+
+def load_heldout_report():
+    """``scripts/heldout_report.py`` as a module."""
+    spec = importlib.util.spec_from_file_location("heldout_report", HELDOUT_REPORT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def cost_context(chain: ChainSpec, goal_config, **fields) -> CostContext:

@@ -31,7 +31,7 @@ from comoto.kinematics import JointTrajectory, fk_points_batch
 from comoto.metrics import METRIC_NAMES, GoalSet, MetricReport, aggregate, evaluate_run
 from comoto.optimizer import OptimizerOptions, optimize
 
-from conftest import CFG, cost_context, planar_chain
+from conftest import CFG, cost_context, load_heldout_report, planar_chain
 from test_costs import (
     COMBINED_WEIGHTS,
     SINGLE_TERM_WEIGHTS,
@@ -170,23 +170,11 @@ def test_criterion_5_benchmark_orderings(benchmark_run):
     def mean(family, method, metric):
         return agg[family][method][metric][0]
 
-    clauses = []
-    for family in families:
-        clauses.append(mean(family, "CoMOTO", "dst_pct") >= mean(family, "Nominal", "dst_pct"))
-        clauses.append(
-            mean(family, "CoMOTO", "legibility") > mean(family, "Nominal", "legibility")
-        )
-        clauses.append(
-            mean(family, "Legible", "legibility") > mean(family, "Nominal", "legibility")
-        )
-        for method in ("Legible", "Dist+Vis", "CoMOTO"):
-            clauses.append(
-                mean(family, "Speed-Adj", "nom_dev") <= mean(family, method, "nom_dev")
-            )
-    for method in METHODS:
-        clauses.append(
-            mean("reaching_near", method, "dst_pct") < mean("reaching_far", method, "dst_pct")
-        )
+    # The held-out report states the clauses; every one must be there, the
+    # reaching_near < reaching_far clause for each method included.
+    report = load_heldout_report()
+    clauses = list(report.mean_clauses(mean, families).values())
+    ok = ok and len(clauses) == len(families) * len(report.CLAUSES) + len(METHODS)
     ok = ok and all(clauses)
     check(5, ok, f"{sum(clauses)}/{len(clauses)} ordering clauses hold across {len(rows)} rows")
 

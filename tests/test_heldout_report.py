@@ -4,19 +4,9 @@ per-seed clause of acceptance criterion 5 holds on, and the mean clauses."""
 
 from __future__ import annotations
 
-import importlib.util
-from pathlib import Path
-
 from comoto.benchmark import METHODS, config_from_dict
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "heldout_report.py"
-
-
-def _load_script():
-    spec = importlib.util.spec_from_file_location("heldout_report", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_heldout_report
 
 
 def _rows(families, seeds):
@@ -43,7 +33,7 @@ def _rows(families, seeds):
 
 
 def test_counts_per_seed_clauses_and_mean_clauses():
-    report = _load_script()
+    report = load_heldout_report()
     families, seeds = ("reaching_far", "reaching_near"), (6, 7, 8)
     cfg = config_from_dict({"benchmark": {"families": list(families), "seeds": list(seeds)}})
     rows = _rows(families, seeds)

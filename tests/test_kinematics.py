@@ -451,8 +451,8 @@ def test_chain_from_dict_xyz_rpy_base_pose():
         ({"name": "arm", "dh": np.zeros((2, 4))}, "^chain 'arm' is missing key 'joint_limits'$"),
         ({"dh": np.zeros((2, 4)), "limits": []}, "^unknown chain key 'limits'$"),
         ({"base_pose": {"xyz": [0, 0, 0], "rpx": [0, 0, 1]}}, "^unknown chain key 'base_pose.rpx'$"),
-        ({"base_pose": [0, 0, 0]}, r"^chain base_pose must be a mapping, got \[0, 0, 0\]$"),
-        ([], r"^chain file must be a mapping, got \[\]$"),
+        ({"base_pose": [0, 0, 0]}, r"^chain base_pose must be a mapping, got list$"),
+        ([], r"^chain file must be a mapping, got list$"),
     ],
     ids=["empty", "no-limits", "unknown-key", "misspelled-rpy", "listed-base-pose", "not-a-mapping"],
 )
