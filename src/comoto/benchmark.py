@@ -161,10 +161,15 @@ def config_from_dict(data: dict | None) -> RunConfig:
 
 
 def load_config(path: str | Path | None = None) -> RunConfig:
-    """Default configuration, optionally overridden by a YAML file."""
+    """Default configuration, optionally overridden by a YAML file; an error in
+    the file starts with its path."""
     if path is None:
         return config_from_dict({})
-    return config_from_dict(read_yaml(Path(path)))
+    data = read_yaml(Path(path))
+    try:
+        return config_from_dict(data)
+    except ContractViolation as exc:
+        raise ContractViolation(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -79,7 +79,6 @@ def build_parser() -> _Parser:
         choices=["csv", "json", "markdown"],
         default=["csv", "json", "markdown"],
     )
-    run.add_argument("--verbose", action="store_true")
 
     ev = sub.add_parser("eval", help="metrics for an existing trajectory")
     ev.add_argument("--scenario", required=True, help="scenario YAML written by gen")
@@ -116,12 +115,10 @@ def _cmd_run(args) -> int:
     if args.seeds is not None:
         cfg = dataclasses.replace(cfg, seeds=tuple(args.seeds))
     out = _out_dir(args)
-    if args.verbose:
-        print(
-            f"running {len(cfg.families)} families x {len(cfg.seeds)} seeds "
-            f"x {len(METHODS)} methods",
-            file=sys.stderr,
-        )
+    print(
+        f"running {len(cfg.families)} families x {len(cfg.seeds)} seeds x {len(METHODS)} methods",
+        file=sys.stderr,
+    )
     start = time.perf_counter()
     rows = run_benchmark(cfg)
     paths = write_benchmark_outputs(rows, out, formats=tuple(args.format))

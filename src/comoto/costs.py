@@ -98,7 +98,7 @@ class CostContext:
     clamps the squared Mahalanobis distance from below, so the distance
     cost stays bounded as the separation goes to 0.  The visibility cost
     divides by the predicted head-position spread as it is; the one floor
-    on it is the predictor's ``PredictorOptions.sigma_floor``.  ``obstacles``
+    on it is the predictor's ``PredictorOptions.sigma0``.  ``obstacles``
     holds ``(center, clearance radius)`` pairs of spheres the robot points
     keep out of.  Frozen (``dataclasses.replace`` makes a checked copy), and
     holds no derived array: each solve's ``WeightedObjective`` derives them.

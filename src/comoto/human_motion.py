@@ -145,11 +145,9 @@ class ReachScript:
         check_real(self.move_duration, "move_duration", "non-negative")
         check_real(self.total_duration, "total_duration", "positive")
         check_real(self.noise_scale, "noise_scale", "non-negative")
-        check_real(self.seed, "seed", integer=True)
+        check_real(self.seed, "seed", "non-negative", integer=True)
         if self.move_duration > self.total_duration:
             raise ContractViolation("move_duration must not exceed total_duration")
-        if self.seed < 0:
-            raise ContractViolation(f"seed must be non-negative, got {self.seed!r}")
         for name in ("arm_start", "arm_goal"):
             object.__setattr__(self, name, check_array(getattr(self, name), name, (len(RIGHT_ARM_JOINTS), 3)))
 
@@ -201,29 +199,27 @@ class PredictedHumanTrajectory:
     def times(self) -> Array:
         return self.t0 + self.step * np.arange(self.horizon)
 
-    def with_isotropic_covariance(self, scale: float = 1.0) -> "PredictedHumanTrajectory":
-        """Copy with every covariance replaced by ``scale * I`` (no uncertainty model)."""
-        eye = np.broadcast_to(scale * np.eye(3), self.cov_tracks.shape)
+    def with_isotropic_covariance(self) -> "PredictedHumanTrajectory":
+        """Copy with every covariance replaced by ``I`` (no uncertainty model)."""
+        eye = np.broadcast_to(np.eye(3), self.cov_tracks.shape)
         return PredictedHumanTrajectory(self.joints, self.mean_tracks, eye, self.step, self.t0)
 
 
 @dataclass(frozen=True)
 class PredictorOptions:
-    """Gaussian-tube parameters: sigma(t)^2 = sigma0^2 + (kappa t)^2, floored at ``sigma_floor``.
+    """Gaussian-tube parameters: sigma(t)^2 = sigma0^2 + (kappa t)^2.
 
-    The ``prediction`` section of the run config.  ``sigma_floor`` is the one
-    floor on the predicted SD, the visibility cost's included; it keeps the
-    tube positive definite when ``sigma0`` is 0.
+    The ``prediction`` section of the run config.  ``sigma0`` is the tube's
+    smallest SD and so the one floor on every predicted SD, the visibility
+    cost's included; being positive, it keeps the tube positive definite.
     """
 
     sigma0: float
     kappa: float
-    sigma_floor: float
 
     def __post_init__(self):
-        check_real(self.sigma0, "sigma0", "non-negative")
+        check_real(self.sigma0, "sigma0", "positive")
         check_real(self.kappa, "kappa", "non-negative")
-        check_real(self.sigma_floor, "sigma_floor", "positive")
 
 
 def _smooth_noise(rng: np.random.Generator, n: int, rate: float, scale: float) -> Array:
@@ -328,7 +324,7 @@ def predict(
         )[:, None]
         means = (1.0 - w)[:, None] * means + w[:, None] * approach
 
-    scale = np.maximum(options.sigma0**2 + (options.kappa * t_ahead) ** 2, options.sigma_floor**2)
+    scale = options.sigma0**2 + (options.kappa * t_ahead) ** 2
     cov = scale[:, None, None] * np.eye(3)
     covs = np.broadcast_to(cov, (len(RIGHT_ARM_JOINTS), *cov.shape))
     return PredictedHumanTrajectory(RIGHT_ARM_JOINTS, means, covs, step, t0=observed.duration)

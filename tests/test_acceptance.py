@@ -208,7 +208,8 @@ def test_criterion_7_covariance_monotonicity(planned_capture):
         doubled = dataclasses.replace(
             ctx, prediction=dataclasses.replace(ctx.prediction, cov_tracks=2.0 * ctx.prediction.cov_tracks)
         )
-        # preconditions: far from the proximity clamp and the predictor's spread floor
+        # preconditions: far from the proximity clamp, and no head spread below sigma0,
+        # the tube's smallest SD (step 0's spread is sigma0 itself)
         points = fk_points_batch(sc.chain, traj.waypoints)
         m_min = np.inf
         for mean, cov in zip(ctx.prediction.mean_tracks, ctx.prediction.cov_tracks):
@@ -218,7 +219,7 @@ def test_criterion_7_covariance_monotonicity(planned_capture):
                 m_min = min(m_min, float(np.min(np.einsum("pa,ab,pb->p", d, inv, d))))
         head_cov = ctx.prediction.cov_tracks[ctx.prediction.joints.index("head")]
         spread_min = float(np.min(np.sqrt(np.trace(head_cov, axis1=1, axis2=2) / 3.0)))
-        ok = ok and m_min > 100.0 * ctx.eps_m and spread_min > CFG.prediction.sigma_floor
+        ok = ok and m_min > 100.0 * ctx.eps_m and spread_min >= CFG.prediction.sigma0
         problems = [WeightedObjective(c, CFG.comoto_weights, traj.dt, traj.n_waypoints) for c in (ctx, doubled)]
         before, after = (ObjectivePass(traj.waypoints, problem).per_cost for problem in problems)
         d0, d1 = before["distance"], after["distance"]

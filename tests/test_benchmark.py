@@ -123,6 +123,7 @@ def test_numeric_keys_accept_what_float_accepts(tmp_path):
         ("costs", "eps_m", ".inf"),
         ("costs", "sigma_floor", "0"),
         ("prediction", "sigma0", "-1"),
+        ("prediction", "sigma0", "0"),
         ("weights", "legible", "{alpha: -1}"),
         ("weights", "legible", "{alpha: .inf}"),
         ("weights", "distvis", "{alpha_vis: -0.2}"),
@@ -158,10 +159,12 @@ def test_unknown_config_keys_rejected():
         config_from_dict({"optimizer": {"step_grow": 2.0}})
     with pytest.raises(ContractViolation):
         config_from_dict({"weights": {"comoto": {"alpha_dst": 1.0}}})
-    # The visibility cost's own spread floor is gone: the predictor's is the only one.
+    # Both spread floors are gone: sigma0, the tube's smallest SD, is the only one.
     with pytest.raises(ContractViolation, match="^unknown config key 'costs.sigma_floor'$"):
         config_from_dict({"costs": {"sigma_floor": 0.01}})
-    assert len(CONFIG_LEAVES) == 27
+    with pytest.raises(ContractViolation, match="^unknown config key 'prediction.sigma_floor'$"):
+        config_from_dict({"prediction": {"sigma_floor": 0.01}})
+    assert len(CONFIG_LEAVES) == 26
 
 
 def test_config_file_round_trip(tmp_path):

@@ -70,8 +70,10 @@ def test_run_tiny_benchmark(tmp_path, tiny_config_path, capsys):
         ["run", "--config", str(tiny_config_path), "--out", str(out), "--format", "csv"]
     )
     assert code == 0
-    stdout = capsys.readouterr().out
-    assert "5 rows (0 failed)" in stdout
+    captured = capsys.readouterr()
+    assert "5 rows (0 failed)" in captured.out
+    # With no flag, the run's size line comes first, on stderr.
+    assert captured.err == "running 1 families x 1 seeds x 5 methods\n"
     assert (out / "results.csv").exists()
     assert (out / "runs.csv").exists()
     assert not (out / "table.md").exists()  # markdown not requested
@@ -192,6 +194,25 @@ def test_repeated_seeds_exit_one(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, config, expected",
+    [
+        (["run"], "optimizer: {max_iter: 5}\n", "unknown config key 'optimizer.max_iter'"),
+        (["solve"], "optimizer: {max_iters: 0}\n", "max_iters must be an integer and positive, got 0"),
+    ],
+    ids=["run-unknown-key", "solve-bad-value"],
+)
+def test_config_file_errors_name_the_file(tmp_path, scenario_path, capsys, argv, config, expected):
+    path = tmp_path / "c.yaml"
+    path.write_text(config)
+    if argv == ["solve"]:
+        argv = [*argv, "--scenario", str(scenario_path)]
+    capsys.readouterr()
+    assert main([*argv, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {expected}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_invalid_yaml_config_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("optimizer: {max_iters: [1\n")
@@ -216,7 +237,11 @@ def _edited(change):
         ("eval", _edited(lambda data: {**data, "human_object": [0.5, float("nan"), 0.1]}), "human_object"),
         ("solve", _edited(lambda data: {**data, "human_rate": float("inf")}), "human_rate"),
         ("solve", _edited(lambda data: {**data, "observation": 5.0}), "outlasts the human script"),
-        ("solve", _edited(lambda data: {**data, "script": {**data["script"], "seed": -1}}), "must be non-negative"),
+        (
+            "solve",
+            _edited(lambda data: {**data, "script": {**data["script"], "seed": -1}}),
+            "seed must be an integer and non-negative",
+        ),
         (
             "solve",
             _edited(lambda data: {**data, "script": {**data["script"], "move_duration": -1.0}}),
@@ -325,6 +350,7 @@ def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["gen", "--family", "unknown"]) == 1
     assert main(["gen", "--family", "stationary", "--verbose"]) == 1
+    assert main(["run", "--verbose"]) == 1  # run always prints its size line
     assert main(["run", "--format", "xml"]) == 1
     capsys.readouterr()
 

@@ -241,7 +241,7 @@ def test_distance_term_matches_einsum_reference(arm):
         traj, ctx = build_problem(arm, seed=seed, n_waypoints=12)
         pred = ctx.prediction
         points, jacs = all_point_jacobians_batch(arm, traj.waypoints)
-        sigma2 = np.maximum(0.02**2 + (0.08 * pred.times) ** 2, 0.01**2)
+        sigma2 = 0.02**2 + (0.08 * pred.times) ** 2
         tube = PredictedHumanTrajectory(
             pred.joints,
             pred.mean_tracks,
@@ -289,10 +289,10 @@ def test_cost_visibility_matches_loop_oracle(arm):
 
 
 def test_visibility_divides_by_a_head_spread_below_the_predictor_floor(arm):
-    # Only the predictor floors the spread; a hand-built prediction's 5 mm spread is used as it is.
+    # Only the predictor's sigma0 floors the spread; a hand-built prediction's 5 mm spread is used as it is.
     traj, ctx = build_problem(arm, seed=22, n_waypoints=5)
     ctx = with_head_spread(ctx, np.full(5, 0.005))
-    assert 0.005 < CFG.prediction.sigma_floor
+    assert 0.005 < CFG.prediction.sigma0
     problem = WeightedObjective(ctx, SINGLE_TERM_WEIGHTS["visibility"], traj.dt, traj.n_waypoints)
     assert problem.sigma_head == pytest.approx(np.full(5, 0.005), rel=1e-15)
 
@@ -311,6 +311,84 @@ def test_visibility_divides_by_a_head_spread_below_the_predictor_floor(arm):
 def test_visibility_under_small_head_spreads_matches_the_oracle_and_finite_differences(arm, seed, spread):
     traj, ctx = build_problem(arm, seed=seed, n_waypoints=6)
     ctx = with_head_spread(ctx, spread)
+    want, angles = visibility_oracle(traj, ctx)
+    assume(min(angles) > 1e-3 and math.pi - max(angles) > 1e-3)  # away from arccos's kinks
+    problem = WeightedObjective(ctx, SINGLE_TERM_WEIGHTS["visibility"], traj.dt, traj.n_waypoints)
+    assert ObjectivePass(traj.waypoints, problem).per_cost["visibility"] == pytest.approx(want, rel=1e-12)
+    grad = ObjectivePass(traj.waypoints, problem).gradient()
+    assert rel_error(grad, fd_gradient(traj.waypoints, problem)) <= 1e-4
+
+
+def squared_mahalanobis(pred, points):
+    """(J, T, K, P) squared Mahalanobis distances from each predicted joint at step t
+    to ``points[t]`` (K, P, 3), for isotropic covariances."""
+    d = pred.mean_tracks[:, :, None, None] - points
+    return np.sum(d * d, axis=-1) / pred.cov_tracks[:, :, None, None, 0, 0]
+
+
+@settings(
+    max_examples=20,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
+)
+@given(
+    seed=st.integers(0, 2**16),
+    distance=st.floats(4.0, 8.0),
+    nearest=st.floats(2.5, 12.0),
+)
+def test_distance_gradient_just_above_the_eps_m_clamp(arm, seed, distance, nearest):
+    # Two joints sit `distance` m from each step's robot points, with isotropic
+    # spreads wide enough that the nearest point's m is `nearest` * eps_m and
+    # every point's m lies in [2, 50] * eps_m, where 1/m is steepest but unclamped.
+    traj, ctx = build_problem(arm, seed=seed, n_waypoints=6)
+    points = fk_points_batch(arm, traj.waypoints)  # (T, P, 3)
+    directions = np.random.default_rng(seed).standard_normal((2, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    means = points.mean(axis=1) + distance * directions[:, None, :]  # (2, T, 3)
+    d2 = np.sum((means[:, :, None] - points) ** 2, axis=-1)  # (2, T, P)
+    var = d2.min(axis=2) / (nearest * ctx.eps_m)
+    pred = ctx.prediction
+    tube = PredictedHumanTrajectory(
+        ("head", "right_palm"), means, var[..., None, None] * np.eye(3), pred.step, pred.t0
+    )
+    ctx = dataclasses.replace(ctx, prediction=tube)
+    m = squared_mahalanobis(tube, points[:, None])
+    assert 2.0 * ctx.eps_m <= m.min() and m.max() <= 50.0 * ctx.eps_m
+    # No central-difference step crosses the clamp: q[t, j] +- h moves only step t's points.
+    h = 1e-6
+    shifts = np.concatenate([h * np.eye(arm.n_joints), -h * np.eye(arm.n_joints)])
+    shifted = fk_points_batch(arm, (traj.waypoints[:, None, :] + shifts).reshape(-1, arm.n_joints))
+    shifted = shifted.reshape(traj.n_waypoints, len(shifts), *points.shape[1:])
+    assert squared_mahalanobis(tube, shifted).min() > ctx.eps_m
+    problem = WeightedObjective(ctx, SINGLE_TERM_WEIGHTS["distance"], traj.dt, traj.n_waypoints)
+    grad = ObjectivePass(traj.waypoints, problem).gradient()
+    assert rel_error(grad, fd_gradient(traj.waypoints, problem, h)) <= 1e-4
+
+
+@settings(
+    max_examples=20,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
+)
+@given(
+    seed=st.integers(0, 2**16),
+    gap=st.lists(st.floats(1e-3, 1e-2), min_size=6, max_size=6),
+)
+def test_visibility_gradient_with_the_end_effector_beside_the_head(arm, seed, gap):
+    # The predicted head sits gap[t] m from the end effector at step t, in a random
+    # direction, where the gaze angle turns fastest with the end effector.
+    traj, ctx = build_problem(arm, seed=seed, n_waypoints=6)
+    eef = fk_points_batch(arm, traj.waypoints)[:, -1]
+    directions = np.random.default_rng(seed).standard_normal((6, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    pred = ctx.prediction
+    means = np.array(pred.mean_tracks)
+    means[pred.joints.index("head")] = eef + np.asarray(gap)[:, None] * directions
+    ctx = dataclasses.replace(ctx, prediction=dataclasses.replace(pred, mean_tracks=means))
     want, angles = visibility_oracle(traj, ctx)
     assume(min(angles) > 1e-3 and math.pi - max(angles) > 1e-3)  # away from arccos's kinks
     problem = WeightedObjective(ctx, SINGLE_TERM_WEIGHTS["visibility"], traj.dt, traj.n_waypoints)
@@ -570,7 +648,7 @@ def test_covariance_doubling_moves_costs(arm):
         doubled = dataclasses.replace(
             ctx, prediction=dataclasses.replace(ctx.prediction, cov_tracks=2.0 * ctx.prediction.cov_tracks)
         )
-        # preconditions: far from the proximity clamp and the predictor's spread floor
+        # preconditions: far from the proximity clamp, and no head spread below sigma0
         points = fk_points_batch(arm, traj.waypoints)
         m_min = np.inf
         for mean, cov in zip(ctx.prediction.mean_tracks, ctx.prediction.cov_tracks):
@@ -580,7 +658,7 @@ def test_covariance_doubling_moves_costs(arm):
                 m_min = min(m_min, float(np.min(np.einsum("pa,ab,pb->p", d, inv, d))))
         assert m_min > 100.0 * ctx.eps_m
         head_cov = ctx.prediction.cov_tracks[ctx.prediction.joints.index("head")]
-        assert np.min(np.sqrt(np.trace(head_cov, axis1=1, axis2=2) / 3.0)) > CFG.prediction.sigma_floor
+        assert np.min(np.sqrt(np.trace(head_cov, axis1=1, axis2=2) / 3.0)) >= CFG.prediction.sigma0
         problems = [WeightedObjective(c, COMBINED_WEIGHTS, traj.dt, traj.n_waypoints) for c in (ctx, doubled)]
         before, after = (ObjectivePass(traj.waypoints, problem).per_cost for problem in problems)
         assert after["distance"] > before["distance"]
@@ -616,14 +694,14 @@ def test_context_validation(arm, planar2):
         with pytest.raises(ContractViolation):
             dataclasses.replace(valid, eps_m=bad)
     with pytest.raises(TypeError):
-        dataclasses.replace(valid, sigma_floor=0.01)  # the predictor's floor is the only one
+        dataclasses.replace(valid, sigma_floor=0.01)  # the predictor's sigma0 is the only floor
     rng = np.random.default_rng(1)
     pred = make_prediction(rng, 6, 0.1)
     nominal = straightline_joint_init(np.zeros(2), np.ones(2), 5, 0.1)
     with pytest.raises(ContractViolation):
         cost_context(planar2, np.ones(2), prediction=pred, nominal=nominal)
     with pytest.raises(ContractViolation, match="not positive definite"):
-        pred.with_isotropic_covariance(0.0)
+        dataclasses.replace(pred, cov_tracks=0.0 * pred.cov_tracks)
     # The stacks the costs read are read-only: no singular covariance gets past that check.
     with pytest.raises(ValueError, match="read-only"):
         pred.cov_tracks[-1] = 0.0
@@ -859,11 +937,17 @@ def test_distance_inputs_match_per_joint_reference_along_the_prediction_pipeline
     for k, name in enumerate(EXTRAPOLATED_JOINTS):
         means[name] = means["right_shoulder"] + offsets[k]
         covs[name] = covs["right_shoulder"]
-    eye = np.broadcast_to(factor * np.eye(3), (horizon, 3, 3))
+    eye = np.broadcast_to(np.eye(3), (horizon, 3, 3))
     cases = [
         (arm, means, covs, RIGHT_ARM_JOINTS),
         (full, means, covs, order),
-        (full.with_isotropic_covariance(factor), means, dict.fromkeys(order, eye), order),
+        (full.with_isotropic_covariance(), means, dict.fromkeys(order, eye), order),
+        (
+            dataclasses.replace(full, cov_tracks=np.broadcast_to(factor * np.eye(3), full.cov_tracks.shape)),
+            means,
+            dict.fromkeys(order, factor * eye),
+            order,
+        ),
         (
             dataclasses.replace(full, cov_tracks=factor * full.cov_tracks),
             means,

@@ -115,7 +115,7 @@ def test_reach_script_validation():
         ReachScript(start, start, move_duration=3.0, total_duration=2.0)
     with pytest.raises(ContractViolation):
         ReachScript(start, start, move_duration=1.0, total_duration=2.0, noise_scale=-0.1)
-    with pytest.raises(ContractViolation, match="seed must be non-negative"):
+    with pytest.raises(ContractViolation, match=r"^seed must be an integer and non-negative, got -1$"):
         ReachScript(start, start, move_duration=1.0, total_duration=2.0, seed=-1)
     with pytest.raises(ContractViolation, match=r"^arm_start must have shape \(4, 3\), got \(3, 3\)$"):
         ReachScript(start[:3], start, move_duration=1.0, total_duration=2.0)
@@ -293,15 +293,25 @@ def test_predict_constant_velocity_mean():
 
 def test_predict_covariance_tube():
     observed = constant_velocity_truth([0.1, 0.0, 0.0])
-    opts = PredictorOptions(sigma0=0.03, kappa=0.05, sigma_floor=0.01)
+    opts = PredictorOptions(sigma0=0.03, kappa=0.05)
     pred = predict(observed, horizon=10, step=0.1, goal=None, options=opts)
     t_ahead = 0.1 * np.arange(10)
-    var = np.maximum(opts.sigma0**2 + (opts.kappa * t_ahead) ** 2, opts.sigma_floor**2)
+    var = opts.sigma0**2 + (opts.kappa * t_ahead) ** 2
     for cov in pred.cov_tracks:
         for k in range(10):
             assert np.allclose(cov[k], var[k] * np.eye(3), atol=1e-15)
             vals = np.linalg.eigvalsh(cov[k])
             assert np.all(vals > 0)
+
+
+def test_predict_tube_has_no_floor_but_sigma0():
+    # sigma0 is the tube's only floor: at 5 mm the first steps' SDs stay below 0.01 m.
+    observed = constant_velocity_truth([0.1, 0.0, 0.0])
+    opts = dataclasses.replace(CFG.prediction, sigma0=0.005)
+    pred = predict(observed, horizon=10, step=0.1, goal=None, options=opts)
+    var = opts.sigma0**2 + (opts.kappa * (0.1 * np.arange(10))) ** 2
+    want = np.broadcast_to(var[:, None, None] * np.eye(3), pred.cov_tracks.shape)
+    assert pred.cov_tracks.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_predict_goal_blend_hits_goal():
@@ -326,8 +336,8 @@ def test_predict_goal_blend_hits_goal():
         ("sigma0", float("nan")),
         ("kappa", -0.1),
         ("kappa", float("inf")),
-        ("sigma_floor", 0.0),
-        ("sigma_floor", float("nan")),
+        ("sigma0", 0.0),
+        ("sigma0", float("inf")),
     ],
 )
 def test_predictor_options_reject_bad_values(field, value):
@@ -438,7 +448,7 @@ def test_covariance_scaling_helpers():
     with pytest.raises(ContractViolation, match="not positive definite"):
         dataclasses.replace(pred, cov_tracks=-1.0 * pred.cov_tracks)
     with pytest.raises(ContractViolation, match="not positive definite"):
-        pred.with_isotropic_covariance(-1.0)
+        dataclasses.replace(pred, cov_tracks=np.broadcast_to(-np.eye(3), pred.cov_tracks.shape))
 
 
 def test_extrapolate_skeleton_offsets():
