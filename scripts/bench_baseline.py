@@ -1,6 +1,6 @@
-"""Assemble BENCH_baseline.json from perfbench run records.
+"""Assemble a BENCH_<tag>.json from perfbench run records.
 
-    python3 scripts/bench_baseline.py [--label TEXT] RECORD [RECORD ...] > BENCH_baseline.json
+    python3 scripts/bench_baseline.py [--label TEXT] RECORD [RECORD ...] > BENCH_<tag>.json
 
 Each RECORD is the file one ``perfbench/run.py`` run writes,
 ``perfbench/out/<workload>-s<seed>-t<trace>.json``, copied aside before the
