@@ -27,7 +27,7 @@ from .baselines import (
 )
 from .costs import CostContext, CostWeights
 from .errors import ContractViolation, check_real
-from .fileio import check_keys, data_file, read_yaml
+from .fileio import check_keys, data_file, load_yaml, read_yaml
 from .human_motion import HumanTrajectory, PredictorOptions, extrapolate_skeleton, generate_reach, predict
 from .kinematics import JointTrajectory
 from .metrics import METRIC_NAMES, GoalSet, MetricReport, aggregate, check_fov_deg, evaluate_run
@@ -100,10 +100,13 @@ class RunConfig:
             check_real(getattr(self, name), name, "positive")
         for name in _NON_NEGATIVE_FIELDS:
             check_real(getattr(self, name), name, "non-negative")
+        if not (self.distvis_alpha_dist or self.distvis_alpha_vis or self.distvis_tau_n):
+            raise ContractViolation("weights.distvis needs a positive alpha_dist, alpha_vis or tau_n, got all 0")
         check_fov_deg(self.fov_deg)
 
 
-# Zero legible_alpha or nominal_smooth_weight would leave their method no cost term.
+# Zero legible_alpha or nominal_smooth_weight, like all-zero distvis weights,
+# would leave their method no cost term.
 _POSITIVE_FIELDS = ("legible_alpha", "nominal_smooth_weight", "separation_threshold", "eps_m")
 _NON_NEGATIVE_FIELDS = (
     "distvis_alpha_dist", "distvis_alpha_vis", "distvis_tau_n", "nominal_obstacle_weight",
@@ -165,11 +168,7 @@ def load_config(path: str | Path | None = None) -> RunConfig:
     the file starts with its path."""
     if path is None:
         return config_from_dict({})
-    data = read_yaml(Path(path))
-    try:
-        return config_from_dict(data)
-    except ContractViolation as exc:
-        raise ContractViolation(f"{path}: {exc}") from None
+    return load_yaml(Path(path), config_from_dict)
 
 
 @dataclass(frozen=True)
@@ -400,21 +399,18 @@ def render_markdown(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def write_benchmark_outputs(rows: list[dict], out_dir: str | Path, formats=("csv", "json", "markdown")) -> dict:
+def write_benchmark_outputs(rows: list[dict], out_dir: str | Path) -> dict:
     """Standard artifact set: results.csv, runs.csv, aggregate.json, table.md."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {}
-    if "csv" in formats:
-        paths["results"] = out_dir / "results.csv"
-        paths["results"].write_text(_rows_to_csv(rows, RESULT_COLUMNS))
-        paths["runs"] = out_dir / "runs.csv"
-        paths["runs"].write_text(_rows_to_csv(rows, RUNS_COLUMNS))
-    if "json" in formats:
-        agg = aggregate_rows(rows)
-        paths["aggregate"] = out_dir / "aggregate.json"
-        paths["aggregate"].write_text(json.dumps(agg, indent=2, default=list) + "\n")
-    if "markdown" in formats:
-        paths["table"] = out_dir / "table.md"
-        paths["table"].write_text(render_markdown(rows))
+    paths = {
+        "results": out_dir / "results.csv",
+        "runs": out_dir / "runs.csv",
+        "aggregate": out_dir / "aggregate.json",
+        "table": out_dir / "table.md",
+    }
+    paths["results"].write_text(_rows_to_csv(rows, RESULT_COLUMNS))
+    paths["runs"].write_text(_rows_to_csv(rows, RUNS_COLUMNS))
+    paths["aggregate"].write_text(json.dumps(aggregate_rows(rows), indent=2, default=list) + "\n")
+    paths["table"].write_text(render_markdown(rows))
     return paths

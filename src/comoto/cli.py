@@ -3,7 +3,7 @@
 Subcommands
 -----------
 gen    write scenario YAML files for a family and seed list
-run    full benchmark (all families, seeds, methods) with report emission
+run    full benchmark (all families, seeds, methods) and its four reports
 eval   compute metrics for an existing joint-trajectory file
 solve  single CoMOTO solve for one scenario, optionally with iteration trace
 
@@ -73,12 +73,6 @@ def build_parser() -> _Parser:
     run.add_argument("--family", choices=FAMILIES, default=None, help="restrict to one family")
     run.add_argument("--seeds", type=int, nargs="+", default=None)
     run.add_argument("--out", default=None)
-    run.add_argument(
-        "--format",
-        nargs="+",
-        choices=["csv", "json", "markdown"],
-        default=["csv", "json", "markdown"],
-    )
 
     ev = sub.add_parser("eval", help="metrics for an existing trajectory")
     ev.add_argument("--scenario", required=True, help="scenario YAML written by gen")
@@ -121,7 +115,7 @@ def _cmd_run(args) -> int:
     )
     start = time.perf_counter()
     rows = run_benchmark(cfg)
-    paths = write_benchmark_outputs(rows, out, formats=tuple(args.format))
+    paths = write_benchmark_outputs(rows, out)
     elapsed = time.perf_counter() - start
     failed = sum(1 for r in rows if r["failed"])
     print(f"{len(rows)} rows ({failed} failed) in {elapsed:.1f} s")

@@ -2,7 +2,8 @@
 
 A file that does not parse raises ``ContractViolation`` naming it, so
 the CLI reports a malformed input instead of a parser's exception; so
-does a mapping with a key its reader does not know (``check_keys``).
+does a mapping with a key its reader does not know, or without one its
+reader needs (``check_keys``).
 """
 
 from __future__ import annotations
@@ -24,15 +25,24 @@ def data_file(name: str):
     return resources.files(__package__).joinpath("data").joinpath(name)
 
 
-def check_keys(data, known, kind: str, path: tuple = ()) -> None:
+def _dotted(path: tuple) -> str:
+    return ".".join(map(str, path))
+
+
+def check_keys(data, known, kind: str, path: tuple = (), required: bool = False) -> None:
     """Raise a ``ContractViolation`` unless ``data`` is a mapping whose keys are all in
-    ``known``; the message names the ``kind`` of file and the dotted key ``path``."""
+    ``known`` and, if ``required``, hold all of ``known``; the message names the
+    ``kind`` of file and the dotted key ``path``."""
     if not isinstance(data, dict):
-        raise ContractViolation(f"{kind} {'.'.join(map(str, path)) or 'file'} must be a mapping, got {type(data).__name__}")
+        raise ContractViolation(f"{kind} {_dotted(path) or 'file'} must be a mapping, got {type(data).__name__}")
     for key in data:
         if key not in known:
             # A misspelled key would otherwise fall back to its default silently.
-            raise ContractViolation(f"unknown {kind} key {'.'.join(map(str, (*path, key)))!r}")
+            raise ContractViolation(f"unknown {kind} key {_dotted((*path, key))!r}")
+    missing = [repr(_dotted((*path, key))) for key in known if required and key not in data]
+    if missing:
+        keys = "key" if len(missing) == 1 else "keys"
+        raise ContractViolation(f"{kind} is missing {keys} {', '.join(missing)}")
 
 
 def read_yaml(path):
@@ -42,6 +52,16 @@ def read_yaml(path):
             return yaml.load(stream, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ContractViolation(f"{path} is not valid YAML: {exc}") from None
+
+
+def load_yaml(path, build):
+    """``build`` of the contents of the YAML file at ``path`` (a ``Path`` or a packaged
+    resource); a ``ContractViolation`` from ``build`` is raised again starting with the path."""
+    data = read_yaml(path)
+    try:
+        return build(data)
+    except ContractViolation as exc:
+        raise ContractViolation(f"{path}: {exc}") from None
 
 
 def float_rows(path: str | Path) -> tuple[list[str], np.ndarray]:

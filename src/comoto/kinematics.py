@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolation, check_array, check_real
-from .fileio import check_keys, data_file, float_rows, read_yaml
+from .fileio import check_keys, data_file, float_rows, load_yaml
 
 Array = np.ndarray
 
@@ -187,29 +187,19 @@ def fk_eef(chain: ChainSpec, q: Array) -> Array:
     return frame_origins_and_axes(chain, q)[0][-1].copy()
 
 
-#: Configurations per FK block.  Bounds the (block, n+1, 4, 4) transform
-#: stack that long execution traces would otherwise allocate in one piece.
-FK_BLOCK = 256
-
-
 def _batch_frames(chain: ChainSpec, Q: Array) -> tuple[Array, Array]:
-    """Vectorized FK over a (N, n) batch of configurations.
+    """Vectorized FK over a (N, n) batch of configurations, through one ``Frames``.
 
     Returns ``(points, axes)`` with shapes (N, n+1, 3) and (N, n, 3).
-    Each block of ``FK_BLOCK`` configurations runs one ``Frames``.
     """
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[1] != chain.n_joints:
         raise ContractViolation(
             f"batch has shape {Q.shape}, chain expects (N, {chain.n_joints})"
         )
-    N, n = Q.shape
-    points = np.empty((N, n + 1, 3))
-    axes = np.empty((N, n, 3))
-    for start in range(0, N, FK_BLOCK):
-        stop = min(start + FK_BLOCK, N)
-        points[start:stop], axes[start:stop] = Frames(chain, (stop - start,))(Q[start:stop])
-    return points, axes
+    points, axes = Frames(chain, Q.shape[:1])(Q)
+    # Contiguous copies: their layout fixes the rounding of the einsums over them.
+    return np.ascontiguousarray(points), np.ascontiguousarray(axes)
 
 
 #: ``z x l = z[1, 2, 0] * l[2, 0, 1] - z[2, 0, 1] * l[1, 2, 0]``, componentwise:
@@ -327,34 +317,11 @@ def solve_position_ik(chain: ChainSpec, target: Array, q0: Array) -> Array:
 # ---------------------------------------------------------------------------
 
 
-def _pose_from_xyz_rpy(xyz, rpy) -> Array:
-    roll, pitch, yaw = check_array(rpy, "base_pose.rpy", (3,))
-    cr, sr = math.cos(roll), math.sin(roll)
-    cp, sp = math.cos(pitch), math.sin(pitch)
-    cy, sy = math.cos(yaw), math.sin(yaw)
-    Rz = np.array([[cy, -sy, 0], [sy, cy, 0], [0, 0, 1]])
-    Ry = np.array([[cp, 0, sp], [0, 1, 0], [-sp, 0, cp]])
-    Rx = np.array([[1, 0, 0], [0, cr, -sr], [0, sr, cr]])
-    T = np.eye(4)
-    T[:3, :3] = Rz @ Ry @ Rx
-    T[:3, 3] = check_array(xyz, "base_pose.xyz", (3,))
-    return T
-
-
 def chain_from_dict(cfg: dict) -> ChainSpec:
-    """The chain of a chain file's mapping; a missing ``base_pose`` or entry of it is the identity's."""
-    check_keys(cfg, ("name", "dh", "base_pose", "joint_limits"), "chain")
-    base = cfg.get("base_pose", {})
-    check_keys(base, ("xyz", "rpy"), "chain", ("base_pose",))
-    for key in ("dh", "joint_limits"):
-        if key not in cfg:
-            raise ContractViolation(f"chain {cfg.get('name', 'chain')!r} is missing key {key!r}")
-    return ChainSpec(
-        dh=cfg["dh"],
-        base_pose=_pose_from_xyz_rpy(base.get("xyz", [0, 0, 0]), base.get("rpy", [0, 0, 0])),
-        joint_limits=cfg["joint_limits"],
-        name=cfg.get("name", "chain"),
-    )
+    """The chain of a chain file's mapping: its ``name``, ``dh`` and ``joint_limits``,
+    with the base at the world origin."""
+    check_keys(cfg, ("name", "dh", "joint_limits"), "chain", required=True)
+    return ChainSpec(dh=cfg["dh"], base_pose=np.eye(4), joint_limits=cfg["joint_limits"], name=cfg["name"])
 
 
 def load_chain(name: str) -> ChainSpec:
@@ -362,11 +329,7 @@ def load_chain(name: str) -> ChainSpec:
     path = data_file(f"{name}.yaml")
     if not path.is_file():
         raise ContractViolation(f"unknown chain config: {name!r}")
-    data = read_yaml(path)
-    try:
-        return chain_from_dict(data)
-    except ContractViolation as exc:
-        raise ContractViolation(f"{path}: {exc}") from None
+    return load_yaml(path, chain_from_dict)
 
 
 def default_chain() -> ChainSpec:
@@ -389,19 +352,16 @@ def save_trajectory(traj: JointTrajectory, path: str | Path) -> None:
 
 
 def load_trajectory(path: str | Path) -> JointTrajectory:
-    """Read a ``save_trajectory`` file; one without the comment line takes
-    dt and t0 from its first two times."""
+    """Read a ``save_trajectory`` file, comment line included."""
     comments, rows = float_rows(path)
-    if rows.shape[0] < 3:
-        raise ContractViolation(f"trajectory file {path} has fewer than 3 waypoints")
-    times, waypoints = rows[:, 0], rows[:, 1:]
-    timing = {"dt": times[1] - times[0], "t0": times[0]}
-    if comments:
-        timing = dict(item.split("=", 1) for item in comments[0].split() if "=" in item)
+    timing = dict(item.split("=", 1) for item in comments[0].split() if "=" in item) if comments else {}
     try:
         dt, t0 = float(timing["dt"]), float(timing["t0"])
     except (KeyError, ValueError):
         raise ContractViolation(f"trajectory file {path}: first line must read '# dt=<s> t0=<s>'") from None
+    if rows.shape[0] < 3:
+        raise ContractViolation(f"trajectory file {path} has fewer than 3 waypoints")
+    times, waypoints = rows[:, 0], rows[:, 1:]
     if not (np.isclose(times[0], t0, atol=1e-9) and np.allclose(np.diff(times), dt, atol=1e-9)):
         raise ContractViolation(f"trajectory file {path} is not uniformly timed from t0 by dt")
     try:

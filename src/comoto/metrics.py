@@ -18,7 +18,7 @@ import numpy as np
 from .baselines import ExecutionTrace, min_separations
 from .errors import ContractViolation, check_array, check_real
 from .human_motion import HumanTrajectory
-from .kinematics import FK_BLOCK, ChainSpec, JointTrajectory, fk_points_batch
+from .kinematics import ChainSpec, JointTrajectory, fk_points_batch
 
 Array = np.ndarray
 
@@ -78,6 +78,11 @@ class MetricReport:
 
 #: The averaged metrics: every field but the ``completed`` status.
 METRIC_NAMES = tuple(f.name for f in fields(MetricReport) if f.name != "completed")
+
+#: Steps per block of ``evaluate_run``'s FK and human sampling.  Bounds the
+#: (block, n+1, 4, 4) transform stack and the (block, J, 3) human joints that
+#: a long execution trace would otherwise allocate in one piece.
+FK_BLOCK = 256
 
 
 # The metrics over precomputed robot points, so that evaluate_run needs
@@ -162,9 +167,7 @@ def evaluate_run(
     if "head" not in human_truth.joints:
         raise ContractViolation("ground truth has no head track")
     head_joint = human_truth.joints.index("head")
-    # FK, the human sampling and the separation count run FK_BLOCK steps at a
-    # time, so a long trace never holds every robot point and human track;
-    # the other metrics need only the end effector and the head.
+    # The metrics after the separation count need only the end effector and the head.
     T = times.shape[0]
     eef, head = np.empty((T, 3)), np.empty((T, 3))
     separated = 0

@@ -18,7 +18,7 @@ import yaml
 
 from .costs import check_spheres
 from .errors import ContractViolation, check_array, check_real
-from .fileio import check_keys, read_yaml
+from .fileio import check_keys, load_yaml
 from .human_motion import RIGHT_ARM_JOINTS, ReachScript
 from .kinematics import ChainSpec, default_chain, fk_eef, load_chain, solve_position_ik
 
@@ -252,6 +252,7 @@ def _whole(value):
 
 def _arm_rows(script: dict, name: str) -> Array:
     """The (4, 3) rows, in ``RIGHT_ARM_JOINTS`` order, of the mapping of joint name to point at ``script[name]``."""
+    check_keys(script[name], RIGHT_ARM_JOINTS, "scenario", ("script", name), required=True)
     return np.stack([check_array(script[name][joint], f"{name}.{joint}", (3,)) for joint in RIGHT_ARM_JOINTS])
 
 
@@ -261,23 +262,20 @@ _SCRIPT_KEYS = tuple(f.name for f in fields(ReachScript))
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """Scenario from a ``scenario_to_dict`` mapping; missing timing keys take the field defaults.
+    """Scenario from a mapping with every key of ``scenario_to_dict``'s and no other.
 
-    The chain is the packaged one named by the ``chain`` key (default ``iiwa7``).
+    The chain is the packaged one named by the ``chain`` key.
     """
-    check_keys(data, _FILE_KEYS, "scenario")
+    check_keys(data, _FILE_KEYS, "scenario", required=True)
+    script = data["script"]
+    check_keys(script, _SCRIPT_KEYS, "scenario", ("script",), required=True)
     try:
-        chain = load_chain(data.get("chain", "iiwa7"))
-        script = data["script"]
-        check_keys(script, _SCRIPT_KEYS, "scenario", ("script",))
-        obstacles = data.get("obstacles", [])
-        for i, obstacle in enumerate(obstacles):
-            check_keys(obstacle, ("center", "radius"), "scenario", ("obstacles", i))
-        default = {f.name: f.default for f in fields(Scenario)}
+        for i, obstacle in enumerate(data["obstacles"]):
+            check_keys(obstacle, ("center", "radius"), "scenario", ("obstacles", i), required=True)
         return Scenario(
             family=data["family"],
             seed=_whole(data["seed"]),
-            chain=chain,
+            chain=load_chain(data["chain"]),
             robot_start=data["robot_start"],
             robot_goal=data["robot_goal"],
             robot_object=data["robot_object"],
@@ -290,17 +288,15 @@ def scenario_from_dict(data: dict) -> Scenario:
                 noise_scale=float(script["noise_scale"]),
                 seed=_whole(script["seed"]),
             ),
-            obstacles=tuple((o["center"], float(o["radius"])) for o in obstacles),
-            observation=float(data.get("observation", default["observation"])),
-            horizon=float(data.get("horizon", default["horizon"])),
-            n_waypoints=_whole(data.get("n_waypoints", default["n_waypoints"])),
-            human_rate=float(data.get("human_rate", default["human_rate"])),
+            obstacles=tuple((o["center"], float(o["radius"])) for o in data["obstacles"]),
+            observation=float(data["observation"]),
+            horizon=float(data["horizon"]),
+            n_waypoints=_whole(data["n_waypoints"]),
+            human_rate=float(data["human_rate"]),
         )
     except ContractViolation:
         raise
-    except KeyError as exc:
-        raise ContractViolation(f"scenario is missing key {exc.args[0]!r}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ContractViolation(f"malformed scenario: {type(exc).__name__}: {exc}") from None
 
 
@@ -309,8 +305,4 @@ def save_scenario(sc: Scenario, path: str | Path) -> None:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    data = read_yaml(Path(path))
-    try:
-        return scenario_from_dict(data)
-    except ContractViolation as exc:
-        raise ContractViolation(f"{path}: {exc}") from None
+    return load_yaml(Path(path), scenario_from_dict)

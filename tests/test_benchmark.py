@@ -222,6 +222,15 @@ def test_run_config_validation():
         dataclasses.replace(cfg, families=("no_such_family",))
 
 
+def test_all_zero_distvis_weights_rejected_at_load():
+    zero = {"alpha_dist": 0, "alpha_vis": 0, "tau_n": 0}
+    with pytest.raises(ContractViolation, match=r"^weights\.distvis needs a positive alpha_dist, alpha_vis or tau_n"):
+        config_from_dict({"weights": {"distvis": zero}})
+    # Any one positive weight gives the method a cost term.
+    for key in zero:
+        config_from_dict({"weights": {"distvis": {**zero, key: 0.5}}})
+
+
 def test_prepare_scenario_shares_consistent_inputs(arm):
     cfg = tiny_config()
     sc = make_scenario("stationary", 1, arm)
@@ -299,7 +308,7 @@ def test_failed_method_is_isolated(arm, monkeypatch, tmp_path):
     assert all(list(r) == [*RESULT_COLUMNS, "wall_time", "error"] for r in rows)
     assert all(math.isnan(broken[name]) for name in METRIC_NAMES)
     assert (broken["completed"], broken["converged"], broken["wall_time"]) == (False, False, 0.0)
-    paths = write_benchmark_outputs(rows, tmp_path, formats=("csv",))
+    paths = write_benchmark_outputs(rows, tmp_path)
     with open(paths["runs"], newline="") as f:
         errors = {r["method"]: r["error"] for r in csv.DictReader(f)}
     assert errors == {m: "RuntimeError: synthetic failure" if m == "CoMOTO" else "" for m in METHODS}

@@ -66,17 +66,14 @@ def test_out_dir_env_fallback(tmp_path, monkeypatch, capsys):
 
 def test_run_tiny_benchmark(tmp_path, tiny_config_path, capsys):
     out = tmp_path / "bench"
-    code = main(
-        ["run", "--config", str(tiny_config_path), "--out", str(out), "--format", "csv"]
-    )
+    code = main(["run", "--config", str(tiny_config_path), "--out", str(out)])
     assert code == 0
     captured = capsys.readouterr()
     assert "5 rows (0 failed)" in captured.out
     # With no flag, the run's size line comes first, on stderr.
     assert captured.err == "running 1 families x 1 seeds x 5 methods\n"
-    assert (out / "results.csv").exists()
-    assert (out / "runs.csv").exists()
-    assert not (out / "table.md").exists()  # markdown not requested
+    # Every run writes the four artifacts.
+    assert sorted(p.name for p in out.iterdir()) == ["aggregate.json", "results.csv", "runs.csv", "table.md"]
 
 
 def test_run_family_and_seed_flags(tmp_path, tiny_config_path, capsys):
@@ -84,7 +81,7 @@ def test_run_family_and_seed_flags(tmp_path, tiny_config_path, capsys):
     code = main(
         [
             "run", "--config", str(tiny_config_path), "--family", "stationary",
-            "--seeds", "2", "--out", str(out), "--format", "csv",
+            "--seeds", "2", "--out", str(out),
         ]
     )
     assert code == 0
@@ -162,6 +159,16 @@ def test_bad_config_value_exits_one(tmp_path, capsys):
     bad.write_text("weights:\n  legible: {alpha: -1}\n")
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
     assert "legible_alpha" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_all_zero_distvis_weights_exit_one(tmp_path, capsys):
+    # These used to load, and then every Dist+Vis row failed.
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("weights:\n  distvis: {alpha_dist: 0, alpha_vis: 0, tau_n: 0}\n")
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: weights.distvis needs a positive")
     assert not (tmp_path / "out").exists()
 
 
@@ -351,7 +358,7 @@ def test_usage_errors_exit_one(capsys):
     assert main(["gen", "--family", "unknown"]) == 1
     assert main(["gen", "--family", "stationary", "--verbose"]) == 1
     assert main(["run", "--verbose"]) == 1  # run always prints its size line
-    assert main(["run", "--format", "xml"]) == 1
+    assert main(["run", "--format", "csv"]) == 1  # every run writes every artifact
     capsys.readouterr()
 
 

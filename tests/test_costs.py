@@ -768,7 +768,7 @@ def test_context_rejects_malformed_obstacles(planar2):
 
 @pytest.mark.parametrize("case", ["full", "spheres", "long", "no_head", "bare", "object_on_head"])
 def test_problem_derives_every_array_bit_for_bit(arm, case):
-    # "long" runs the nominal's FK past one FK_BLOCK, where fk_points_batch splits it.
+    # "long" runs the nominal's FK on one 300-waypoint batch.
     traj, ctx = build_problem(arm, seed=3, n_waypoints=300 if case == "long" else 9)
     pred = ctx.prediction
     head = pred.joints.index("head")

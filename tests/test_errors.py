@@ -27,7 +27,6 @@ from comoto.human_motion import (
 from comoto.kinematics import (
     ChainSpec,
     JointTrajectory,
-    chain_from_dict,
     default_chain,
     fk_eef,
     frame_origins_and_axes,
@@ -186,10 +185,6 @@ _HEAD = HumanTrajectory(("head",), np.ones((2, 1, 3)), 10.0)
 _OBSERVED = generate_reach(_SCENARIO.human_script, 100.0).prefix(1.0)
 
 
-def _chain_with_base(xyz=(0, 0, 0), rpy=(0, 0, 0)):
-    return chain_from_dict({"dh": np.zeros((2, 4)), "joint_limits": _LIMITS, "base_pose": {"xyz": xyz, "rpy": rpy}})
-
-
 #: (owner, name, a build of the owner from a value, a valid value): every array
 #: input, named as its messages start.
 ARRAY_INPUTS = [
@@ -202,10 +197,6 @@ ARRAY_INPUTS = [
     ("solve_position_ik", "target", lambda v: solve_position_ik(_CHAIN, v, np.zeros(7)), np.zeros(3)),
     ("straightline_joint_init", "start", lambda v: straightline_joint_init(v, np.ones(2), 3, 0.1), np.zeros(2)),
     ("straightline_joint_init", "goal", lambda v: straightline_joint_init(np.zeros(2), v, 3, 0.1), np.ones(2)),
-    *[
-        ("chain_from_dict", f"base_pose.{key}", lambda v, key=key: _chain_with_base(**{key: v}), np.zeros(3))
-        for key in ("xyz", "rpy")
-    ],
     ("HumanTrajectory", "tracks", lambda v: HumanTrajectory(("head",), v, 10.0), np.zeros((2, 1, 3))),
     *[
         ("ReachScript", side, lambda v, side=side: dataclasses.replace(_SCENARIO.human_script, **{side: v}),

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from conftest import planar_chain
 import comoto.kinematics as kinematics
 from comoto.errors import ContractViolation
 from comoto.kinematics import (
-    FK_BLOCK,
     ChainSpec,
     Frames,
     JointTrajectory,
@@ -37,6 +37,7 @@ from comoto.kinematics import (
     _eef_jacobians,
     _point_jacobians,
 )
+from comoto.metrics import FK_BLOCK
 
 
 def robot_points(chain: ChainSpec, q: np.ndarray) -> np.ndarray:
@@ -213,7 +214,7 @@ def test_batch_frames_bit_identical_to_per_joint_loop(arm, N):
             want_points, want_axes = loop_frames(chain, Q[k])
             assert points[k].tobytes() == want_points.tobytes()
             assert axes[k].tobytes() == want_axes.tobytes()
-        # _batch_frames runs one Frames per FK_BLOCK rows.
+        # _batch_frames runs one Frames on the whole batch.
         assert [a.tobytes() for a in _batch_frames(chain, Q)] == [points.tobytes(), axes.tobytes()]
         # Rows 0-2 through one single-configuration Frames: a random row,
         # then the theta = 0 and theta = pi/2 rows.
@@ -429,42 +430,29 @@ def test_ik_reaches_forward_kinematics_targets(arm):
         assert np.array_equal(q, solve_position_ik(arm, target, q_seed))
 
 
-def test_chain_from_dict_xyz_rpy_base_pose():
-    dh = [[0.1, 0.0, 0.2, 0.0], [0.3, np.pi / 2, 0.0, 0.1]]
-    lims = [[-1, 1], [-2, 2]]
-    yaw = np.pi / 2
-    chain = chain_from_dict(
-        {"dh": dh, "joint_limits": lims, "base_pose": {"xyz": [1, 2, 3], "rpy": [0, 0, yaw]}}
-    )
-    T = np.eye(4)
-    T[:3, :3] = [[np.cos(yaw), -np.sin(yaw), 0], [np.sin(yaw), np.cos(yaw), 0], [0, 0, 1]]
-    T[:3, 3] = [1, 2, 3]
-    assert np.allclose(chain.base_pose, T, atol=1e-12)
-    q = np.array([0.2, -0.4])
-    assert np.allclose(robot_points(chain, q), oracle_fk(chain, q), atol=1e-12)
-
-
 @pytest.mark.parametrize(
     "data, message",
     [
-        ({}, "^chain 'chain' is missing key 'dh'$"),
-        ({"name": "arm", "dh": np.zeros((2, 4))}, "^chain 'arm' is missing key 'joint_limits'$"),
+        ({}, "^chain is missing keys 'name', 'dh', 'joint_limits'$"),
+        ({"name": "arm", "dh": np.zeros((2, 4))}, "^chain is missing key 'joint_limits'$"),
+        ({"dh": np.zeros((2, 4)), "joint_limits": np.tile([-1, 1], (2, 1))}, "^chain is missing key 'name'$"),
         ({"dh": np.zeros((2, 4)), "limits": []}, "^unknown chain key 'limits'$"),
-        ({"base_pose": {"xyz": [0, 0, 0], "rpx": [0, 0, 1]}}, "^unknown chain key 'base_pose.rpx'$"),
-        ({"base_pose": [0, 0, 0]}, r"^chain base_pose must be a mapping, got list$"),
+        ({"base_pose": {"xyz": [0, 0, 0], "rpy": [0, 0, 0]}}, "^unknown chain key 'base_pose'$"),
         ([], r"^chain file must be a mapping, got list$"),
     ],
-    ids=["empty", "no-limits", "unknown-key", "misspelled-rpy", "listed-base-pose", "not-a-mapping"],
+    ids=["empty", "no-limits", "no-name", "unknown-key", "base-pose", "not-a-mapping"],
 )
 def test_chain_from_dict_rejects_missing_and_unknown_keys(data, message):
-    # These used to raise a bare KeyError or AttributeError, or read a misspelled rpy as no rotation.
+    # These used to raise a bare KeyError or AttributeError.  A chain file has
+    # no base pose: every chain's base sits at the world origin.
     with pytest.raises(ContractViolation, match=message):
         chain_from_dict(data)
 
 
 def test_default_chain_loads_seven_joints():
     chain = default_chain()
-    assert chain.n_joints == 7
+    assert chain.n_joints == 7 and chain.name == "iiwa7"
+    assert np.array_equal(chain.base_pose, np.eye(4))  # every chain's base sits at the origin
     assert np.all(chain.joint_limits[:, 0] < chain.joint_limits[:, 1])
 
 
@@ -477,10 +465,6 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert np.array_equal(back.waypoints, traj.waypoints)
     assert back.dt == traj.dt
     assert back.t0 == traj.t0
-    # A file without the leading timing line takes dt and t0 from its time column.
-    path.write_text(path.read_text().split("\n", 1)[1])
-    old = load_trajectory(path)
-    assert np.array_equal(old.waypoints, traj.waypoints) and (old.dt, old.t0) == (traj.dt, traj.t0)
 
 
 FINITE = {"allow_nan": False, "allow_infinity": False}
@@ -509,11 +493,11 @@ def test_trajectory_file_round_trips_bit_for_bit(tmp_path_factory, n, n_joints, 
 
 def test_load_trajectory_rejects_bad_files(tmp_path):
     short = tmp_path / "short.csv"
-    short.write_text("time,q0\n0.0,0.0\n0.1,0.1\n")
-    with pytest.raises(ContractViolation):
+    short.write_text("# dt=0.1 t0=0.0\ntime,q0\n0.0,0.0\n0.1,0.1\n")
+    with pytest.raises(ContractViolation, match="fewer than 3 waypoints"):
         load_trajectory(short)
     uneven = tmp_path / "uneven.csv"
-    uneven.write_text("time,q0\n0.0,0.0\n0.1,0.1\n0.3,0.2\n")
+    uneven.write_text("# dt=0.1 t0=0.0\ntime,q0\n0.0,0.0\n0.1,0.1\n0.3,0.2\n")
     with pytest.raises(ContractViolation):
         load_trajectory(uneven)
     for timing in ("# dt=0.1", "# dt=abc t0=0.0", "# dt=0.2 t0=0.0", "# dt=0.1 t0=1.0"):
@@ -521,3 +505,12 @@ def test_load_trajectory_rejects_bad_files(tmp_path):
         mismatched.write_text(timing + "\ntime,q0\n0.0,0.0\n0.1,0.1\n0.2,0.2\n")
         with pytest.raises(ContractViolation):
             load_trajectory(mismatched)
+
+
+def test_load_trajectory_rejects_a_file_without_its_timing_line(tmp_path):
+    traj = JointTrajectory(np.zeros((4, 2)), dt=0.125, t0=1.0)
+    path = tmp_path / "headerless.csv"
+    save_trajectory(traj, path)
+    path.write_text(path.read_text().split("\n", 1)[1])  # the timing line is the first
+    with pytest.raises(ContractViolation, match=f"^trajectory file {re.escape(str(path))}: first line must read"):
+        load_trajectory(path)

@@ -10,8 +10,9 @@ import pytest
 from comoto.baselines import ExecutionTrace
 from comoto.errors import ContractViolation
 from comoto.human_motion import HumanTrajectory
-from comoto.kinematics import FK_BLOCK, JointTrajectory, fk_points_batch
+from comoto.kinematics import JointTrajectory, fk_points_batch
 from comoto.metrics import (
+    FK_BLOCK,
     GoalSet,
     MetricReport,
     _legibility_score,

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -140,27 +139,27 @@ def test_obstacle_entries_that_are_not_pairs_raise_contract_violation(arm, entry
         dataclasses.replace(sc, obstacles=(entry,))
 
 
-@pytest.mark.parametrize("side", ["arm_start", "arm_goal"])
-def test_scenario_file_missing_a_right_arm_joint_names_it(arm, side):
-    data = scenario_to_dict(make_scenario("reaching_far", 1, arm))
-    del data["script"][side]["right_elbow"]
-    with pytest.raises(ContractViolation, match="^scenario is missing key 'right_elbow'$"):
-        scenario_from_dict(data)
-
-
 def test_scenario_file_reads_the_arm_poses_in_joint_order(arm):
     # The file names each joint; the script holds (4, 3) rows in RIGHT_ARM_JOINTS
-    # order whatever the file's order, and joint names beyond those are ignored
-    # on load and not written back.
+    # order whatever the file's order.
     sc = make_scenario("reaching_far", 1, arm)
     data = scenario_to_dict(sc)
     assert list(data["script"]["arm_start"]) == list(data["script"]["arm_goal"]) == list(RIGHT_ARM_JOINTS)
     for side in ("arm_start", "arm_goal"):
-        data["script"][side] = {"head": [0.0, 0.0, 1.0], **dict(reversed(data["script"][side].items()))}
+        data["script"][side] = dict(reversed(data["script"][side].items()))
     back = scenario_from_dict(data)
     for side in ("arm_start", "arm_goal"):
         assert getattr(back.human_script, side).tobytes() == getattr(sc.human_script, side).tobytes()
     assert scenario_to_dict(back) == scenario_to_dict(sc)
+
+
+@pytest.mark.parametrize("side", ["arm_start", "arm_goal"])
+def test_scenario_file_arm_pose_with_an_extra_joint_is_rejected(arm, side):
+    # A joint outside RIGHT_ARM_JOINTS used to be dropped on load.
+    data = scenario_to_dict(make_scenario("reaching_far", 1, arm))
+    data["script"][side]["head"] = [0.0, 0.0, 1.0]
+    with pytest.raises(ContractViolation, match=f"^unknown scenario key 'script.{side}.head'$"):
+        scenario_from_dict(data)
 
 
 def _with_value(data, path, value):
@@ -239,14 +238,26 @@ def test_non_finite_or_out_of_range_scenario_values_rejected(path, value, messag
         scenario_from_dict(_with_value(data, path, value))
 
 
-def test_missing_optional_scenario_keys_take_the_field_defaults(arm):
+MISSING_KEYS = [
+    *[(key,) for key in _FILE_KEYS],
+    *[("script", key) for key in _SCRIPT_KEYS],
+    *[("script", side, "right_elbow") for side in ("arm_start", "arm_goal")],
+    ("obstacles", 0, "radius"),
+]
+
+
+@pytest.mark.parametrize("path", MISSING_KEYS, ids=[".".join(map(str, path)) for path in MISSING_KEYS])
+def test_scenario_file_missing_a_key_names_it(arm, path):
+    # Every key the writer writes is required; none falls back to a default.
     data = scenario_to_dict(make_scenario("stationary", 1, arm))
-    for key in ("observation", "horizon", "n_waypoints", "human_rate"):
-        del data[key]
-    sc = scenario_from_dict(data)
-    for field in fields(Scenario):
-        if field.name in ("observation", "horizon", "n_waypoints", "human_rate"):
-            assert getattr(sc, field.name) == field.default
+    *parents, key = path
+    target = data
+    for parent in parents:
+        target = target[parent]
+    del target[key]
+    dotted = ".".join(map(str, path))
+    with pytest.raises(ContractViolation, match=f"^scenario is missing key '{dotted}'$"):
+        scenario_from_dict(data)
 
 
 def test_whole_float_integer_keys_load_as_int(arm):
