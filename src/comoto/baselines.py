@@ -13,7 +13,7 @@ import numpy as np
 from .costs import CostContext, CostWeights
 from .errors import ContractViolation, check_array, check_real
 from .human_motion import HumanTrajectory, sample_rows, sample_rows_many
-from .kinematics import ChainSpec, Frames, JointTrajectory, fk_points_batch
+from .kinematics import ChainSpec, Frames, JointTrajectory
 from .optimizer import OptimizerOptions, OptResult, optimize, straightline_joint_init
 
 Array = np.ndarray
@@ -74,7 +74,7 @@ class ExecutionTrace:
                 object.__setattr__(self, name, check_array(getattr(self, name), name, (n,)))
         for array in (self.timestamps, self.configs, self.min_separation, self.speed_scale):
             if array is not None:
-                array.flags.writeable = True  # perfbench's self-test writes trace.configs[k] (ROADMAP item 7)
+                array.flags.writeable = True  # perfbench's self-test writes trace.configs[k] (ROADMAP item 1)
         if np.any(np.diff(timestamps) <= 0):
             raise ContractViolation("timestamps must be strictly increasing")
 
@@ -121,14 +121,22 @@ def nominal_trajectory(
     return result.trajectory, result
 
 
-def min_separations(robot: Array, humans: Array) -> Array:
+def min_separations(robot: Array, humans: Array) -> Array | float:
     """Smallest robot-point to human-joint distance per configuration.
 
     ``robot`` is (..., P, 3) and ``humans`` (..., J, 3) over one leading
-    batch shape, the result's.  Component-major, each pair's x, y and z
-    squares are added in that order, as a sum over a length-3 last axis
-    adds them.
+    batch shape, the result's; with no batch axis the result is a float.
+    Each pair's x, y and z squares are added in that order in both
+    layouts.  One configuration sums its (J, P, 3) squares over the last
+    axis, which NumPy adds as ``(x + y) + z``, in fewer calls than the
+    component-major form; a batch runs component-major, (3, J, P, B),
+    which is about twice as fast from 64 configurations, because each
+    ufunc loops over the batch instead of a length-3 axis.
     """
+    if robot.ndim == 2:
+        diff = robot - humans[:, None]
+        diff *= diff
+        return math.sqrt(np.add.reduce(diff, axis=2).min())
     diff = robot.T[:, None] - humans.T[:, :, None]
     diff *= diff  # in place: a block then holds one (3, J, P, B) buffer
     total = np.add(diff[0], diff[1], out=diff[0])
@@ -157,22 +165,28 @@ def speed_adjusted_execute(
     ``timeout_factor * nominal.duration`` elapses before the path end;
     the human pose is held at its last sample beyond the recorded horizon.
 
-    A single tick runs one single-configuration ``Frames`` FK, built once
-    per execution and overwritten by each tick, and ``min_separations``.
-    While s is exactly 1 (far from the human) or 0 (stopped), the next
-    ticks' clock and path position are known before they are evaluated,
-    so up to ``FAST_FORWARD_TICKS`` of them are evaluated as one block
-    and kept up to the first tick whose scale changes, which times out,
-    or whose full advance would reach the path end; the tick-by-tick
-    step resumes from there.  The block gives every tick the bits the
-    tick-by-tick loop gives it: its clock and path position are the
-    same sequential adds (``np.add.accumulate``), each configuration
-    and human pose comes from the shared row sampler (``sample_rows``
-    for a tick, ``sample_rows_many`` for a block, the human's through
-    ``HumanTrajectory.positions_at``), whose two forms give the same
-    bits, batched FK builds each row as a single configuration's
-    ``Frames`` does, and the separations are ``min_separations`` over
-    the block.
+    A single tick samples the path and the human pose (``sample_rows``),
+    runs the FK of one configuration in a ``Frames`` built once per
+    execution (one ``np.dot`` per chain link), and takes
+    ``min_separations`` of that one configuration: a last-axis sum of
+    squares, its min and one ``math.sqrt``.  While s is exactly 1 (far
+    from the human) or 0 (stopped), the next ticks' clock and path
+    position are known before they are evaluated, so
+    ``FAST_FORWARD_TICKS`` of them are evaluated as one block and kept
+    up to the first tick whose scale changes, which times out, or whose
+    full advance would reach the path end; the tick-by-tick step resumes
+    from there.  Blocks run in a second ``Frames``, for
+    ``FAST_FORWARD_TICKS`` configurations, also built once per
+    execution.  The block gives every tick the bits the tick-by-tick
+    loop gives it: its clock and path position are the same sequential
+    adds (``np.add.accumulate``), each configuration and human pose
+    comes from the shared row sampler (``sample_rows_many`` for a block,
+    the human's through ``HumanTrajectory.positions_at``), whose two
+    forms give the same bits, batched FK builds each row as a single
+    configuration's ``Frames`` does (``np.matmul`` and ``np.dot`` run
+    the same BLAS product), and the separations are ``min_separations``
+    over the block, whose component-major sums add each pair's squares
+    in the last-axis order.
     """
     D = nominal.duration
     timeout = p.timeout_factor * D
@@ -188,14 +202,16 @@ def speed_adjusted_execute(
     d_stop, d_span = p.d_stop, p.d_slow - p.d_stop
     t0, deadline = nominal.t0, timeout - 1e-12
     frames = Frames(chain)
-    steps = np.empty(FAST_FORWARD_TICKS + 1)  # a block's start, then its increments
+    n_block = FAST_FORWARD_TICKS
+    block_frames = Frames(chain, (n_block,))
+    steps = np.empty(n_block + 1)  # a block's start, then its increments
 
     def tick(k: int, t: float, u: float) -> float:
         """Evaluate and record tick k at clock t and path position u; returns its scale."""
         if k == capacity:
             raise ContractViolation(f"Speed-Adj ran past its {capacity} preallocated ticks")
         qcur = sample_rows(waypoints, u / dt)
-        d = float(min_separations(frames(qcur)[0], sample_rows(tracks, t * rate)))
+        d = min_separations(frames(qcur)[0], sample_rows(tracks, t * rate))
         s = min(max((d - d_stop) / d_span, 0.0), 1.0)
         times[k], seps[k], speeds[k] = t, d, s
         configs[k] = qcur
@@ -206,18 +222,16 @@ def speed_adjusted_execute(
         them up to the first whose scale changes, which times out, or whose
         full advance would reach the path end.  Returns the next k and the
         last recorded tick's clock, path position and scale."""
-        n = min(FAST_FORWARD_TICKS, capacity - k)
         advance = s * dtick
-        block = steps[:n + 1]
-        block[0], block[1:] = t, dtick
-        ts = np.add.accumulate(block)[1:]
-        block[0], block[1:] = u, advance
-        us = np.add.accumulate(block)[1:]
+        steps[0], steps[1:] = t, dtick
+        ts = np.add.accumulate(steps)[1:]
+        steps[0], steps[1:] = u, advance
+        us = np.add.accumulate(steps)[1:]
         qs = sample_rows_many(waypoints, us / dt)
-        ds = min_separations(fk_points_batch(chain, qs), human_truth.positions_at(ts))
+        ds = min_separations(block_frames(qs)[0], human_truth.positions_at(ts))
         ss = np.minimum(np.maximum((ds - d_stop) / d_span, 0.0), 1.0)
         ends = (ss != s) | (ts - t0 >= deadline) | (us + advance >= D)
-        m = int(ends.argmax()) + 1 if ends.any() else n
+        m = min(int(ends.argmax()) + 1 if ends.any() else n_block, capacity - k)
         times[k:k + m], seps[k:k + m], speeds[k:k + m] = ts[:m], ds[:m], ss[:m]
         configs[k:k + m] = qs[:m]
         return k + m, float(ts[m - 1]), float(us[m - 1]), float(ss[m - 1])

@@ -8,6 +8,7 @@ reader needs (``check_keys``).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
@@ -58,8 +59,22 @@ def load_yaml(path, build):
     """``build`` of the contents of the YAML file at ``path`` (a ``Path`` or a packaged
     resource); a ``ContractViolation`` from ``build`` is raised again starting with the path."""
     data = read_yaml(path)
-    try:
+    with _named(path):
         return build(data)
+
+
+def load_csv(path: str | Path, build):
+    """``build(comments, rows)`` of ``float_rows(path)``; a ``ContractViolation`` from
+    either is raised again starting with ``<path>: ``."""
+    with _named(path):
+        return build(*float_rows(path))
+
+
+@contextmanager
+def _named(path):
+    """Raise a ``ContractViolation`` from the block again, starting with ``<path>: ``."""
+    try:
+        yield
     except ContractViolation as exc:
         raise ContractViolation(f"{path}: {exc}") from None
 
@@ -70,7 +85,7 @@ def float_rows(path: str | Path) -> tuple[list[str], np.ndarray]:
     lines = Path(path).read_text().splitlines()
     first = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
     if first == len(lines):
-        raise ContractViolation(f"{path} has no header line")
+        raise ContractViolation("no header line")
     width = len(lines[first].split(","))
     rows = []
     for number, line in enumerate(lines[first + 1 :], start=first + 2):
@@ -78,9 +93,9 @@ def float_rows(path: str | Path) -> tuple[list[str], np.ndarray]:
             continue
         cells = line.split(",")
         if len(cells) != width:
-            raise ContractViolation(f"{path}, line {number}: {len(cells)} fields, header {width}")
+            raise ContractViolation(f"line {number}: {len(cells)} fields, header {width}")
         try:
             rows.append([float(v) for v in cells])
         except ValueError as exc:
-            raise ContractViolation(f"{path}, line {number}: {exc}") from None
+            raise ContractViolation(f"line {number}: {exc}") from None
     return [line[1:].strip() for line in lines[:first]], np.array(rows, dtype=float).reshape(len(rows), width)

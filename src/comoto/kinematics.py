@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolation, check_array, check_real
-from .fileio import check_keys, data_file, float_rows, load_yaml
+from .fileio import check_keys, data_file, load_csv, load_yaml
 
 Array = np.ndarray
 
@@ -138,6 +138,11 @@ class Frames:
     Both are views that the next call overwrites.  Each DH entry is one
     product of a trig factor and a chain constant: the per-joint
     formula's bits, zero signs included, in any batch.
+
+    The chain product takes one 4x4 multiply per link.  A batch runs
+    ``np.matmul`` over its stacks; one configuration runs ``np.dot`` on
+    2-D contiguous matrices, which calls the same ``cblas_dgemm`` with
+    less call overhead, so both give each configuration the same bits.
     """
 
     def __init__(self, chain: ChainSpec, batch: tuple = ()):
@@ -156,6 +161,7 @@ class Frames:
         # Both swaps are identities for one configuration.
         joints = self._dh.swapaxes(-3, 0)
         self._products = [(T[i], joints[i], T[i + 1]) for i in range(n)]
+        self._multiply = np.matmul if batch else np.dot
         self._frames = (T[..., :3, 3].swapaxes(0, -2), T[:n, ..., :3, 2].swapaxes(0, -2))
 
     def __call__(self, q: Array) -> tuple[Array, Array]:
@@ -168,7 +174,7 @@ class Frames:
         # the strided rows is slower on full blocks.
         self._rows01[...] = self._trig[self._trig_key] * self._factors
         for parent, joint, child in self._products:
-            np.matmul(parent, joint, out=child)
+            self._multiply(parent, joint, out=child)
         return self._frames
 
 
@@ -352,19 +358,19 @@ def save_trajectory(traj: JointTrajectory, path: str | Path) -> None:
 
 
 def load_trajectory(path: str | Path) -> JointTrajectory:
-    """Read a ``save_trajectory`` file, comment line included."""
-    comments, rows = float_rows(path)
+    """Read a ``save_trajectory`` file, comment line included; its errors start with ``<path>: ``."""
+    return load_csv(path, _trajectory_from_rows)
+
+
+def _trajectory_from_rows(comments: list[str], rows: Array) -> JointTrajectory:
     timing = dict(item.split("=", 1) for item in comments[0].split() if "=" in item) if comments else {}
     try:
         dt, t0 = float(timing["dt"]), float(timing["t0"])
     except (KeyError, ValueError):
-        raise ContractViolation(f"trajectory file {path}: first line must read '# dt=<s> t0=<s>'") from None
+        raise ContractViolation("first line must read '# dt=<s> t0=<s>'") from None
     if rows.shape[0] < 3:
-        raise ContractViolation(f"trajectory file {path} has fewer than 3 waypoints")
+        raise ContractViolation(f"fewer than 3 waypoints, got {rows.shape[0]}")
     times, waypoints = rows[:, 0], rows[:, 1:]
     if not (np.isclose(times[0], t0, atol=1e-9) and np.allclose(np.diff(times), dt, atol=1e-9)):
-        raise ContractViolation(f"trajectory file {path} is not uniformly timed from t0 by dt")
-    try:
-        return JointTrajectory(waypoints, dt=dt, t0=t0)
-    except ContractViolation as exc:
-        raise ContractViolation(f"trajectory file {path}: {exc}") from None
+        raise ContractViolation("times are not uniform from t0 by dt")
+    return JointTrajectory(waypoints, dt=dt, t0=t0)

@@ -250,10 +250,16 @@ def _whole(value):
     return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
+def _real(value, key: str, bound: str) -> float:
+    """``value`` as a float, after ``check_real`` under the dotted ``key`` and ``bound``."""
+    check_real(value, key, bound)
+    return float(value)
+
+
 def _arm_rows(script: dict, name: str) -> Array:
     """The (4, 3) rows, in ``RIGHT_ARM_JOINTS`` order, of the mapping of joint name to point at ``script[name]``."""
     check_keys(script[name], RIGHT_ARM_JOINTS, "scenario", ("script", name), required=True)
-    return np.stack([check_array(script[name][joint], f"{name}.{joint}", (3,)) for joint in RIGHT_ARM_JOINTS])
+    return np.stack([check_array(script[name][joint], f"script.{name}.{joint}", (3,)) for joint in RIGHT_ARM_JOINTS])
 
 
 #: The keys ``scenario_to_dict`` writes: the ``Scenario`` fields, with the reach script under ``script``.
@@ -264,40 +270,48 @@ _SCRIPT_KEYS = tuple(f.name for f in fields(ReachScript))
 def scenario_from_dict(data: dict) -> Scenario:
     """Scenario from a mapping with every key of ``scenario_to_dict``'s and no other.
 
-    The chain is the packaged one named by the ``chain`` key.
+    The chain is the packaged one named by the ``chain`` key.  A value of
+    the wrong type or range raises a ``ContractViolation`` that names its
+    dotted key.
     """
     check_keys(data, _FILE_KEYS, "scenario", required=True)
     script = data["script"]
     check_keys(script, _SCRIPT_KEYS, "scenario", ("script",), required=True)
-    try:
-        for i, obstacle in enumerate(data["obstacles"]):
-            check_keys(obstacle, ("center", "radius"), "scenario", ("obstacles", i), required=True)
-        return Scenario(
-            family=data["family"],
-            seed=_whole(data["seed"]),
-            chain=load_chain(data["chain"]),
-            robot_start=data["robot_start"],
-            robot_goal=data["robot_goal"],
-            robot_object=data["robot_object"],
-            human_object=data["human_object"],
-            human_script=ReachScript(
-                arm_start=_arm_rows(script, "arm_start"),
-                arm_goal=_arm_rows(script, "arm_goal"),
-                move_duration=float(script["move_duration"]),
-                total_duration=float(script["total_duration"]),
-                noise_scale=float(script["noise_scale"]),
-                seed=_whole(script["seed"]),
-            ),
-            obstacles=tuple((o["center"], float(o["radius"])) for o in data["obstacles"]),
-            observation=float(data["observation"]),
-            horizon=float(data["horizon"]),
-            n_waypoints=_whole(data["n_waypoints"]),
-            human_rate=float(data["human_rate"]),
-        )
-    except ContractViolation:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ContractViolation(f"malformed scenario: {type(exc).__name__}: {exc}") from None
+    obstacles = data["obstacles"]
+    if not isinstance(obstacles, list):
+        raise ContractViolation(f"scenario obstacles must be a list, got {type(obstacles).__name__}")
+    for i, obstacle in enumerate(obstacles):
+        check_keys(obstacle, ("center", "radius"), "scenario", ("obstacles", i), required=True)
+    script_seed = _whole(script["seed"])
+    check_real(script_seed, "script.seed", "non-negative", integer=True)
+    return Scenario(
+        family=data["family"],
+        seed=_whole(data["seed"]),
+        chain=load_chain(data["chain"]),
+        robot_start=data["robot_start"],
+        robot_goal=data["robot_goal"],
+        robot_object=data["robot_object"],
+        human_object=data["human_object"],
+        human_script=ReachScript(
+            arm_start=_arm_rows(script, "arm_start"),
+            arm_goal=_arm_rows(script, "arm_goal"),
+            move_duration=_real(script["move_duration"], "script.move_duration", "non-negative"),
+            total_duration=_real(script["total_duration"], "script.total_duration", "positive"),
+            noise_scale=_real(script["noise_scale"], "script.noise_scale", "non-negative"),
+            seed=script_seed,
+        ),
+        obstacles=tuple(
+            (
+                check_array(o["center"], f"obstacles.{i}.center", (3,)),
+                _real(o["radius"], f"obstacles.{i}.radius", "positive"),
+            )
+            for i, o in enumerate(obstacles)
+        ),
+        observation=_real(data["observation"], "observation", "positive"),
+        horizon=_real(data["horizon"], "horizon", "positive"),
+        n_waypoints=_whole(data["n_waypoints"]),
+        human_rate=_real(data["human_rate"], "human_rate", "positive"),
+    )
 
 
 def save_scenario(sc: Scenario, path: str | Path) -> None:

@@ -261,12 +261,14 @@ def _edited(change):
             "unknown scenario key 'script.noise_scal'",
         ),
         ("solve", _edited(lambda data: {**data, "chain": "default_config"}), "unknown chain key 'benchmark'"),
+        ("eval", _edited(lambda data: {**data, "observation": "abc"}), "observation must be finite and positive"),
+        ("eval", _edited(lambda data: {**data, "obstacles": 5}), "scenario obstacles must be a list, got int"),
     ],
     ids=[
         "no-script", "short-goal", "string", "family-only", "invalid-yaml",
         "negative-observation", "nan-human-object", "infinite-human-rate", "observation-outlasts-script",
         "negative-script-seed", "negative-move-duration", "misspelled-observation", "misspelled-script-key",
-        "chain-not-a-chain-file",
+        "chain-not-a-chain-file", "non-numeric-observation", "obstacles-not-a-list",
     ],
 )
 def test_malformed_scenario_exits_one(tmp_path, scenario_path, capsys, command, corrupt, expected):
@@ -277,8 +279,7 @@ def test_malformed_scenario_exits_one(tmp_path, scenario_path, capsys, command, 
     extra = ["--trajectory", str(traj_path)] if command == "eval" else ["--out", str(tmp_path)]
     assert main([command, "--scenario", str(bad), *extra]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "runtime error" not in err
-    assert str(bad) in err
+    assert err.startswith(f"error: {bad}") and "runtime error" not in err
     assert expected in err
 
 
@@ -291,7 +292,7 @@ def test_solve_rejects_a_two_coordinate_palm(tmp_path, capsys):
     path.write_text(yaml.safe_dump(data))
     assert main(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: arm_start.right_palm must have shape (3,), got (2,)")
+    assert err.startswith(f"error: {path}: script.arm_start.right_palm must have shape (3,), got (2,)")
 
 
 @pytest.mark.parametrize("command", ["solve", "eval"])
@@ -336,7 +337,7 @@ def test_malformed_csv_exits_one(tmp_path, scenario_path, capsys, edit):
     lines[2] = edit(lines[2])  # the trajectory's first data row
     bad.write_text("\n".join(lines) + "\n")
     assert main(["eval", "--scenario", str(scenario_path), "--trajectory", str(bad)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {bad}, line 3:")
+    assert capsys.readouterr().err.startswith(f"error: {bad}: line 3:")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -350,7 +351,7 @@ def test_non_finite_trajectory_exits_one(tmp_path, scenario_path, capsys, value)
     bad.write_text("\n".join(lines) + "\n")
     assert main(["eval", "--scenario", str(scenario_path), "--trajectory", str(bad)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: trajectory file {bad}:") and "must be finite" in err
+    assert err.startswith(f"error: {bad}: waypoints must be finite, got {float(value)} at index (0, 6)")
 
 
 def test_usage_errors_exit_one(capsys):

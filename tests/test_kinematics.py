@@ -216,14 +216,18 @@ def test_batch_frames_bit_identical_to_per_joint_loop(arm, N):
             assert axes[k].tobytes() == want_axes.tobytes()
         # _batch_frames runs one Frames on the whole batch.
         assert [a.tobytes() for a in _batch_frames(chain, Q)] == [points.tobytes(), axes.tobytes()]
-        # Rows 0-2 through one single-configuration Frames: a random row,
-        # then the theta = 0 and theta = pi/2 rows.
+        # Every row through one single-configuration Frames, whose chain
+        # product runs np.dot where the batch runs np.matmul: the random rows,
+        # the theta = 0 rows, whose DH entries -sin(theta) cos(alpha) hold
+        # -0.0, and the theta = pi/2 rows.
         single = Frames(chain)
-        for k in range(min(N, 3)):
+        for k in range(N):
             single_points, single_axes = single(Q[k])
-            assert single._dh.tobytes() == loop_transforms(chain, Q[k]).tobytes()
+            assert single._dh.tobytes() == frames._dh[k].tobytes()
             assert single_points.tobytes() == points[k].tobytes()
             assert single_axes.tobytes() == axes[k].tobytes()
+            if k == 1:
+                assert np.signbit(single._dh[single._dh == 0.0]).any()
 
 
 def test_single_frames_reused_returns_each_configurations_bits(arm):
@@ -512,5 +516,5 @@ def test_load_trajectory_rejects_a_file_without_its_timing_line(tmp_path):
     path = tmp_path / "headerless.csv"
     save_trajectory(traj, path)
     path.write_text(path.read_text().split("\n", 1)[1])  # the timing line is the first
-    with pytest.raises(ContractViolation, match=f"^trajectory file {re.escape(str(path))}: first line must read"):
+    with pytest.raises(ContractViolation, match=f"^{re.escape(str(path))}: first line must read"):
         load_trajectory(path)

@@ -123,9 +123,9 @@ def test_malformed_obstacles_raise_contract_violation(arm):
     data = scenario_to_dict(make_scenario("reaching_far", 1, arm))
     center, radius = data["obstacles"][0]["center"], data["obstacles"][0]["radius"]
     cases = [
-        ({"center": center[:2], "radius": radius}, r"obstacle center must have shape \(3,\), got \(2,\)"),
-        ({"center": center, "radius": -0.1}, "obstacle radius must be finite and positive"),
-        ({"center": center, "radius": float("nan")}, "obstacle radius must be finite and positive"),
+        ({"center": center[:2], "radius": radius}, r"^obstacles\.0\.center must have shape \(3,\), got \(2,\)$"),
+        ({"center": center, "radius": -0.1}, r"^obstacles\.0\.radius must be finite and positive, got -0\.1$"),
+        ({"center": center, "radius": float("nan")}, r"^obstacles\.0\.radius must be finite and positive, got nan$"),
     ]
     for obstacle, message in cases:
         with pytest.raises(ContractViolation, match=message):
@@ -219,7 +219,7 @@ BAD_SCENARIO_VALUES = [
     (("script", "move_duration"), NAN, "move_duration must be finite"),
     (("script", "total_duration"), INF, "total_duration must be finite"),
     (("script", "noise_scale"), NAN, "noise_scale must be finite and non-negative"),
-    (("script", "arm_goal", "right_wrist", 1), NAN, r"^arm_goal\.right_wrist must be finite"),
+    (("script", "arm_goal", "right_wrist", 1), NAN, r"^script\.arm_goal\.right_wrist must be finite"),
     # Integer keys are whole numbers, not truncated.
     (("n_waypoints",), 20.5, "n_waypoints must be an integer"),
     (("seed",), 1.9, "seed must be an integer and non-negative"),
@@ -236,6 +236,30 @@ def test_non_finite_or_out_of_range_scenario_values_rejected(path, value, messag
     data = scenario_to_dict(make_scenario("reaching_far", 1))
     with pytest.raises(ContractViolation, match=message):
         scenario_from_dict(_with_value(data, path, value))
+
+
+#: Every leaf of a scenario file, by its key path.
+SCENARIO_LEAVES = [
+    *[(key,) for key in _FILE_KEYS if key not in ("script", "obstacles")],
+    *[("script", key) for key in _SCRIPT_KEYS if key not in ("arm_start", "arm_goal")],
+    *[("script", side, joint) for side in ("arm_start", "arm_goal") for joint in RIGHT_ARM_JOINTS],
+    ("obstacles", 0, "center"),
+    ("obstacles", 0, "radius"),
+    ("obstacles",),
+]
+
+
+@pytest.mark.parametrize("value", ["abc", {"x": 1.0}, [[1.0], [2.0, 3.0]]], ids=["string", "mapping", "ragged"])
+@pytest.mark.parametrize("path", SCENARIO_LEAVES, ids=[".".join(map(str, path)) for path in SCENARIO_LEAVES])
+def test_scenario_value_of_the_wrong_type_names_its_key(arm, path, value):
+    # Each used to raise "malformed scenario: <TypeError or ValueError>" without its key.
+    data = _with_value(scenario_to_dict(make_scenario("reaching_far", 1, arm)), path, value)
+    with pytest.raises(ContractViolation) as info:
+        scenario_from_dict(data)
+    message = str(info.value)
+    dotted = ".".join(map(str, path))
+    assert message.startswith((dotted, f"unknown {dotted}", f"scenario {dotted}")), message
+    assert "malformed" not in message
 
 
 MISSING_KEYS = [
