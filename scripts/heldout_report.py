@@ -50,7 +50,7 @@ CLAUSES = (
 
 STOP_REASONS = (
     "not recorded: a benchmark row carries no stop reason until a run record "
-    "sits beside each row (ROADMAP item 5)"
+    "sits beside each row (ROADMAP item 3)"
 )
 
 

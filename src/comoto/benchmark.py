@@ -28,11 +28,13 @@ from .baselines import (
 from .costs import CostContext, CostWeights
 from .errors import ContractViolation, check_real
 from .fileio import check_keys, data_file, load_yaml, read_yaml
-from .human_motion import HumanTrajectory, PredictorOptions, extrapolate_skeleton, generate_reach, predict
+from .human_motion import (
+    OBSERVATION_WINDOW, HumanTrajectory, PredictorOptions, extrapolate_skeleton, generate_reach, predict,
+)
 from .kinematics import JointTrajectory
 from .metrics import METRIC_NAMES, GoalSet, MetricReport, aggregate, check_fov_deg, evaluate_run
 from .optimizer import OptimizerOptions, OptResult, optimize
-from .scenarios import FAMILIES, Scenario, generate_scenarios
+from .scenarios import DT, FAMILIES, HUMAN_RATE, N_WAYPOINTS, Scenario, generate_scenarios
 
 Array = np.ndarray
 
@@ -131,9 +133,12 @@ def _resolve(default, override, path: tuple = ()):
         if not isinstance(override, list):
             raise ContractViolation(f"config key {where!r} must be a list, got {override!r}")
         return tuple(_resolve(default[0], item, path) for item in override)
+    number = isinstance(default, (int, float))
     try:
-        # float() also reads the strings PyYAML leaves unparsed, such as 1e-4.
-        value = float(override) if isinstance(default, (int, float)) else str(override)
+        # float() also reads the strings PyYAML leaves unparsed, such as 1e-4; YAML's true is no number.
+        if number and isinstance(override, bool):
+            raise TypeError
+        value = float(override) if number else str(override)
     except (TypeError, ValueError):
         raise ContractViolation(f"config key {where!r} must be a number, got {override!r}") from None
     if isinstance(default, int):
@@ -186,19 +191,17 @@ class ScenarioBundle:
 
 def prepare_scenario(sc: Scenario, cfg: RunConfig) -> ScenarioBundle:
     """Ground truth, prediction, shared nominal, and metric inputs."""
-    truth = generate_reach(sc.human_script, sc.human_rate)
-    observed = truth.prefix(sc.observation)
-    arm_pred = predict(
-        observed, sc.n_waypoints, sc.dt, goal=sc.predictor_goal, options=cfg.prediction
-    )
+    truth = generate_reach(sc.human_script, HUMAN_RATE)
+    observed = truth.prefix(OBSERVATION_WINDOW)
+    arm_pred = predict(observed, N_WAYPOINTS, DT, goal=sc.predictor_goal, options=cfg.prediction)
     base = CostContext(chain=sc.chain, goal_config=sc.robot_goal, eps_m=cfg.eps_m)
     nominal, nominal_solve = nominal_trajectory(
         base,
         sc.robot_start,
         sc.obstacles,
-        n_waypoints=sc.n_waypoints,
-        dt=sc.dt,
-        t0=sc.robot_t0,
+        n_waypoints=N_WAYPOINTS,
+        dt=DT,
+        t0=OBSERVATION_WINDOW,  # the robot starts moving when the observation window ends
         smooth_weight=cfg.nominal_smooth_weight,
         obstacle_weight=cfg.nominal_obstacle_weight,
         margin=cfg.nominal_margin,

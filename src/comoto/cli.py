@@ -76,7 +76,7 @@ def build_parser() -> _Parser:
 
     ev = sub.add_parser("eval", help="metrics for an existing trajectory")
     ev.add_argument("--scenario", required=True, help="scenario YAML written by gen")
-    ev.add_argument("--trajectory", required=True, help="joint-trajectory CSV")
+    ev.add_argument("--trajectory", required=True, help="joint-trajectory CSV on the scenario's clock")
     ev.add_argument("--config", default=None)
 
     solve = sub.add_parser("solve", help="single CoMOTO solve for one scenario")
@@ -138,6 +138,14 @@ def _prepared(args) -> tuple[RunConfig, ScenarioBundle]:
 def _cmd_eval(args) -> int:
     planned = load_trajectory(args.trajectory)
     cfg, bundle = _prepared(args)
+    # The metrics pair waypoint k with the nominal's: both must keep one clock.
+    plan = bundle.nominal
+    off = (abs(planned.dt - plan.dt), abs(planned.t0 - plan.t0))
+    if planned.n_waypoints != plan.n_waypoints or max(off) > 1e-9:
+        raise ContractViolation(
+            f"{args.trajectory}: {planned.n_waypoints} waypoints at dt={planned.dt!r} from t0={planned.t0!r}, "
+            f"but the scenario plans {plan.n_waypoints} at dt={plan.dt!r} from t0={plan.t0!r}"
+        )
     print(json.dumps(dataclasses.asdict(evaluate_planned(bundle, planned, cfg)), indent=2))
     return 0
 

@@ -35,9 +35,11 @@ def check_array(value, name: str, shape: tuple, finite: bool = True) -> np.ndarr
 def check_real(value, name: str, bound: str = "", integer: bool = False) -> None:
     """Raise a ``ContractViolation`` naming ``name`` unless ``value`` is a finite real
     number (an ``int``, if ``integer``) that is ``bound``: ``""`` (any sign),
-    ``"positive"`` or ``"non-negative"``.  A non-number fails too."""
+    ``"positive"`` or ``"non-negative"``.  A non-number fails too, and so does a
+    bool, which YAML's ``true`` reads as."""
     try:
-        ok = isinstance(value, (int, np.integer)) if integer else math.isfinite(value)
+        ok = not isinstance(value, (bool, np.bool_))
+        ok = ok and (isinstance(value, (int, np.integer)) if integer else math.isfinite(value))
         if ok and bound:
             ok = value > 0 if bound == "positive" else value >= 0
     except TypeError:

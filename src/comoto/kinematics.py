@@ -34,8 +34,6 @@ class ChainSpec:
     ----------
     dh : (n, 4) array
         Standard DH rows ``(a, alpha, d, theta_offset)``.
-    base_pose : (4, 4) array
-        Rigid transform of the chain base in the world frame.
     joint_limits : (n, 2) array
         Per-joint ``(lo, hi)`` bounds, radians.
     name : str
@@ -43,23 +41,20 @@ class ChainSpec:
     """
 
     dh: Array
-    base_pose: Array
     joint_limits: Array
     name: str = "chain"
+
+    #: Every chain's base sits at the world origin; read-only, kept for ``perfbench/checks.py``.
+    base_pose = check_array(np.eye(4), "base_pose", (4, 4))
 
     def __post_init__(self):
         dh = check_array(self.dh, "dh", (None, 4))
         if dh.shape[0] < 2:
             raise ContractViolation(f"dh must have 2 or more rows, got {dh.shape[0]}")
-        base = check_array(self.base_pose, "base_pose", (4, 4))
-        rot = base[:3, :3]
-        if not np.allclose(rot @ rot.T, np.eye(3), atol=1e-9):
-            raise ContractViolation("base_pose rotation is not orthonormal within 1e-9")
         lims = check_array(self.joint_limits, "joint_limits", (dh.shape[0], 2))
         if np.any(lims[:, 0] >= lims[:, 1]):
             raise ContractViolation("joint_limits must have lo < hi in every row")
         object.__setattr__(self, "dh", dh)
-        object.__setattr__(self, "base_pose", base)
         object.__setattr__(self, "joint_limits", lims)
         # The FK constants of every DH transform.  Rows 0-1 of joint i are
         # [[ct, -st ca, st sa, a ct], [st, ct ca, -ct sa, a st]]: each entry is
@@ -156,7 +151,7 @@ class Frames:
         self._dh[..., 2:, :] = chain._dh_fixed_rows
         self._rows01 = self._dh[..., :2, :]
         T = np.empty((n + 1, *batch, 4, 4))
-        T[0] = chain.base_pose
+        T[0] = np.eye(4)  # the base: I @ DH_0 may differ from DH_0 in an exact zero's sign
         # Joint-major: each step of the product takes a leading-axis index.
         # Both swaps are identities for one configuration.
         joints = self._dh.swapaxes(-3, 0)
@@ -324,10 +319,9 @@ def solve_position_ik(chain: ChainSpec, target: Array, q0: Array) -> Array:
 
 
 def chain_from_dict(cfg: dict) -> ChainSpec:
-    """The chain of a chain file's mapping: its ``name``, ``dh`` and ``joint_limits``,
-    with the base at the world origin."""
+    """The chain of a chain file's mapping: its ``name``, ``dh`` and ``joint_limits``."""
     check_keys(cfg, ("name", "dh", "joint_limits"), "chain", required=True)
-    return ChainSpec(dh=cfg["dh"], base_pose=np.eye(4), joint_limits=cfg["joint_limits"], name=cfg["name"])
+    return ChainSpec(dh=cfg["dh"], joint_limits=cfg["joint_limits"], name=cfg["name"])
 
 
 def load_chain(name: str) -> ChainSpec:

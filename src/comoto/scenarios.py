@@ -6,6 +6,11 @@ executes one scripted reach; the robot moves from a raised start to a
 grasp point above its own object.  All geometry is jittered per seed
 through a generator keyed on (family, seed), so a seed fully
 determines the scenario.
+
+The planning clock is fixed, as in the paper's protocol: the robot
+watches the human for ``human_motion.OBSERVATION_WINDOW`` (1 s), then
+plans ``HORIZON`` (2 s) over ``N_WAYPOINTS`` (20) waypoints, ``DT``
+apart, against ground truth sampled at ``HUMAN_RATE`` (100 Hz).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import yaml
 from .costs import check_spheres
 from .errors import ContractViolation, check_array, check_real
 from .fileio import check_keys, load_yaml
-from .human_motion import RIGHT_ARM_JOINTS, ReachScript
+from .human_motion import OBSERVATION_WINDOW, RIGHT_ARM_JOINTS, ReachScript
 from .kinematics import ChainSpec, default_chain, fk_eef, load_chain, solve_position_ik
 
 Array = np.ndarray
@@ -33,6 +38,12 @@ GRASP_OFFSET = np.array([0.0, 0.0, 0.02])
 #: Far/near constraints on the object gap, meters.
 FAR_GAP_MIN = 0.6
 NEAR_GAP_MAX = 0.15
+
+#: The planning clock of every scenario, in s and Hz (see the module docstring).
+HORIZON = 2.0
+N_WAYPOINTS = 20
+DT = HORIZON / (N_WAYPOINTS - 1)
+HUMAN_RATE = 100.0
 
 _IK_SEED_CONFIG = np.array([0.0, 0.7, 0.0, -1.2, 0.0, 0.9, 0.0])
 
@@ -50,10 +61,6 @@ class Scenario:
     human_object: Array
     human_script: ReachScript
     obstacles: tuple = ()
-    observation: float = 1.0
-    horizon: float = 2.0
-    n_waypoints: int = 20
-    human_rate: float = 100.0
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -63,12 +70,7 @@ class Scenario:
         for name, shape in shapes.items():
             object.__setattr__(self, name, check_array(getattr(self, name), name, shape))
         check_real(self.seed, "seed", "non-negative", integer=True)
-        check_real(self.n_waypoints, "n_waypoints", integer=True)
-        if self.n_waypoints < 3:
-            raise ContractViolation(f"n_waypoints must be at least 3, got {self.n_waypoints}")
-        for name in ("observation", "horizon", "human_rate"):
-            check_real(getattr(self, name), name, "positive")
-        end, track = self.observation + self.horizon, self.human_script.total_duration
+        end, track = OBSERVATION_WINDOW + HORIZON, self.human_script.total_duration
         if end > track:
             raise ContractViolation(
                 f"observation + horizon ({end!r} s) outlasts the human script's total_duration ({track!r} s)"
@@ -82,15 +84,6 @@ class Scenario:
         script = self.human_script
         if self.family == "stationary" and not np.array_equal(script.arm_start, script.arm_goal):
             raise ContractViolation("stationary scenarios must have arm_goal == arm_start")
-
-    @property
-    def dt(self) -> float:
-        return self.horizon / (self.n_waypoints - 1)
-
-    @property
-    def robot_t0(self) -> float:
-        """The robot starts moving when the observation window ends."""
-        return self.observation
 
     @property
     def goal_point(self) -> Array:
@@ -222,10 +215,6 @@ def scenario_to_dict(sc: Scenario) -> dict:
         "family": sc.family,
         "seed": sc.seed,
         "chain": sc.chain.name,
-        "observation": sc.observation,
-        "horizon": sc.horizon,
-        "n_waypoints": sc.n_waypoints,
-        "human_rate": sc.human_rate,
         "robot_start": [float(v) for v in sc.robot_start],
         "robot_goal": [float(v) for v in sc.robot_goal],
         "robot_object": [float(v) for v in sc.robot_object],
@@ -307,10 +296,6 @@ def scenario_from_dict(data: dict) -> Scenario:
             )
             for i, o in enumerate(obstacles)
         ),
-        observation=_real(data["observation"], "observation", "positive"),
-        horizon=_real(data["horizon"], "horizon", "positive"),
-        n_waypoints=_whole(data["n_waypoints"]),
-        human_rate=_real(data["human_rate"], "human_rate", "positive"),
     )
 
 

@@ -40,7 +40,7 @@ def planar_chain(lengths=(1.0, 1.0), limit=2.0 * np.pi) -> ChainSpec:
     """
     dh = np.array([[L, 0.0, 0.0, 0.0] for L in lengths])
     lims = np.array([[-limit, limit]] * len(lengths))
-    return ChainSpec(dh=dh, base_pose=np.eye(4), joint_limits=lims, name="planar")
+    return ChainSpec(dh=dh, joint_limits=lims, name="planar")
 
 
 @pytest.fixture(scope="session")

@@ -37,10 +37,10 @@ from comoto.benchmark import (
     write_benchmark_outputs,
 )
 from comoto.errors import ContractViolation
-from comoto.human_motion import HumanTrajectory
+from comoto.human_motion import OBSERVATION_WINDOW, HumanTrajectory
 from comoto.kinematics import JointTrajectory
 from comoto.metrics import METRIC_NAMES
-from comoto.scenarios import make_scenario
+from comoto.scenarios import HORIZON, N_WAYPOINTS, make_scenario
 
 TINY_OVERRIDES = {
     "benchmark": {"families": ["stationary"], "seeds": [1]},
@@ -134,6 +134,11 @@ def test_numeric_keys_accept_what_float_accepts(tmp_path):
         ("speed_adjust", "d_stop", "0.10"),
         ("speed_adjust", "d_slow", "0.05"),
         ("optimizer", "max_iters", "2.5"),
+        # YAML's true and false are bools, which float() would read as 1.0 and 0.0.
+        ("optimizer", "max_iters", "true"),
+        ("optimizer", "grad_tol", "true"),
+        ("metrics", "fov_deg", "false"),
+        ("benchmark", "seeds", "[true]"),
         ("benchmark", "families", "stationary"),
         ("benchmark", "families", "[]"),
         ("benchmark", "families", "[stationary, stationary]"),
@@ -143,8 +148,8 @@ def test_numeric_keys_accept_what_float_accepts(tmp_path):
 def test_bad_config_values_rejected(tmp_path, section, key, text):
     # Each of these used to load and run to a silent result (vis_pct 0,
     # dst_pct 0, a zero distance cost, a sign-flipped sigma0, every
-    # Legible row failed, max_iters truncated to 2, family 's', no rows,
-    # a family's rows twice).
+    # Legible row failed, max_iters truncated to 2 or read as 1 from true,
+    # family 's', no rows, a family's rows twice).
     path = tmp_path / "bad.yaml"
     path.write_text(f"{section}:\n  {key}: {text}\n")
     with pytest.raises(ContractViolation) as excinfo:
@@ -237,10 +242,10 @@ def test_prepare_scenario_shares_consistent_inputs(arm):
     bundle = prepare_scenario(sc, cfg)
     assert np.array_equal(bundle.nominal.waypoints[0], sc.robot_start)
     assert np.array_equal(bundle.nominal.waypoints[-1], sc.robot_goal)
-    assert bundle.ctx.prediction.horizon == sc.n_waypoints
+    assert bundle.ctx.prediction.horizon == N_WAYPOINTS
     assert np.array_equal(bundle.goals.true_goal, sc.goal_point)
     assert np.array_equal(bundle.goals.distractors[0], sc.human_object)
-    assert bundle.truth.duration >= sc.observation + sc.horizon
+    assert bundle.truth.duration >= OBSERVATION_WINDOW + HORIZON
     # a robot that may never move runs until timeout_factor x the nominal duration
     frozen = dataclasses.replace(cfg.speed_adjust, d_stop=5.0, d_slow=6.0)
     trace, _ = run_method("Speed-Adj", bundle, dataclasses.replace(cfg, speed_adjust=frozen))

@@ -13,9 +13,10 @@ import yaml
 
 from comoto.benchmark import load_config
 from comoto.cli import main
-from comoto.kinematics import load_trajectory, save_trajectory
+from comoto.human_motion import OBSERVATION_WINDOW
+from comoto.kinematics import JointTrajectory, fk_eef, load_trajectory, save_trajectory
 from comoto.optimizer import straightline_joint_init
-from comoto.scenarios import load_scenario
+from comoto.scenarios import DT, N_WAYPOINTS, load_scenario
 
 TINY_OVERRIDES = {
     "benchmark": {"families": ["stationary"], "seeds": [1]},
@@ -92,7 +93,7 @@ def test_run_family_and_seed_flags(tmp_path, tiny_config_path, capsys):
 
 def test_eval_trajectory(tmp_path, scenario_path, capsys):
     sc = load_scenario(scenario_path)
-    traj = straightline_joint_init(sc.robot_start, sc.robot_goal, sc.n_waypoints, sc.dt, sc.robot_t0)
+    traj = straightline_joint_init(sc.robot_start, sc.robot_goal, N_WAYPOINTS, DT, OBSERVATION_WINDOW)
     traj_path = tmp_path / "traj.csv"
     save_trajectory(traj, traj_path)
     code = main(["eval", "--scenario", str(scenario_path), "--trajectory", str(traj_path)])
@@ -101,6 +102,33 @@ def test_eval_trajectory(tmp_path, scenario_path, capsys):
     assert list(report) == ["dst_pct", "vis_pct", "legibility", "nom_dev", "completed"]
     assert report["completed"] is True
     assert 0.0 <= report["dst_pct"] <= 100.0
+
+
+@pytest.mark.parametrize(
+    "retime",
+    [
+        lambda traj: JointTrajectory(traj.waypoints, traj.dt, 0.0),
+        lambda traj: JointTrajectory(traj.waypoints, 0.2, traj.t0),
+        lambda traj: JointTrajectory(traj.waypoints, traj.dt * (1 + 1e-8), traj.t0),
+        lambda traj: JointTrajectory(traj.waypoints[:-1], traj.dt, traj.t0),
+    ],
+    ids=["t0-zero", "dt-0.2", "dt-off-by-1e-8", "one-waypoint-short"],
+)
+def test_eval_rejects_a_trajectory_off_the_scenarios_clock(
+    tmp_path, tiny_config_path, scenario_path, capsys, retime
+):
+    # The metrics pair each waypoint with the nominal's: a file on another clock
+    # used to score (dst_pct 90 instead of 100 with t0 = 0 on reaching_far seed 3).
+    argv = ["--scenario", str(scenario_path), "--config", str(tiny_config_path)]
+    assert main(["solve", *argv, "--out", str(tmp_path)]) == 0
+    solved = json.loads(capsys.readouterr().out)["trajectory"]
+    assert main(["eval", *argv, "--trajectory", solved]) == 0
+    capsys.readouterr()
+    path = tmp_path / "retimed.csv"
+    save_trajectory(retime(load_trajectory(solved)), path)  # a new timing line and time column
+    assert main(["eval", *argv, "--trajectory", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "but the scenario plans 20 at dt=" in err
 
 
 def test_eval_requires_exactly_one_input(scenario_path, capsys):
@@ -240,10 +268,12 @@ def _edited(change):
         ("eval", _edited(lambda data: "just a string"), "mapping"),
         ("solve", _edited(lambda data: {"family": "stationary"}), "'script'"),
         ("eval", lambda text: text + "obstacles: [{center: [1\n", "bad.yaml is not valid YAML"),
-        ("solve", _edited(lambda data: {**data, "observation": -1.0}), "observation must be finite"),
         ("eval", _edited(lambda data: {**data, "human_object": [0.5, float("nan"), 0.1]}), "human_object"),
-        ("solve", _edited(lambda data: {**data, "human_rate": float("inf")}), "human_rate"),
-        ("solve", _edited(lambda data: {**data, "observation": 5.0}), "outlasts the human script"),
+        (
+            "solve",
+            _edited(lambda data: {**data, "script": {**data["script"], "total_duration": 2.5}}),
+            "outlasts the human script",
+        ),
         (
             "solve",
             _edited(lambda data: {**data, "script": {**data["script"], "seed": -1}}),
@@ -261,14 +291,19 @@ def _edited(change):
             "unknown scenario key 'script.noise_scal'",
         ),
         ("solve", _edited(lambda data: {**data, "chain": "default_config"}), "unknown chain key 'benchmark'"),
-        ("eval", _edited(lambda data: {**data, "observation": "abc"}), "observation must be finite and positive"),
+        (
+            "eval",
+            _edited(lambda data: {**data, "script": {**data["script"], "move_duration": "abc"}}),
+            "script.move_duration must be finite and non-negative",
+        ),
         ("eval", _edited(lambda data: {**data, "obstacles": 5}), "scenario obstacles must be a list, got int"),
+        ("solve", _edited(lambda data: {**data, "observation": 1.0}), "unknown scenario key 'observation'"),
     ],
     ids=[
         "no-script", "short-goal", "string", "family-only", "invalid-yaml",
-        "negative-observation", "nan-human-object", "infinite-human-rate", "observation-outlasts-script",
-        "negative-script-seed", "negative-move-duration", "misspelled-observation", "misspelled-script-key",
-        "chain-not-a-chain-file", "non-numeric-observation", "obstacles-not-a-list",
+        "nan-human-object", "script-outlasted", "negative-script-seed", "negative-move-duration",
+        "misspelled-observation", "misspelled-script-key", "chain-not-a-chain-file", "non-numeric-move-duration",
+        "obstacles-not-a-list", "clock-key",
     ],
 )
 def test_malformed_scenario_exits_one(tmp_path, scenario_path, capsys, command, corrupt, expected):
@@ -296,27 +331,21 @@ def test_solve_rejects_a_two_coordinate_palm(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["solve", "eval"])
-@pytest.mark.parametrize(
-    "timing, expected",
-    [
-        ({"observation": 0.5}, "observation prefix covers 0.500s, needs 1.0s"),
-        ({"human_rate": 0.5}, "observation prefix covers 0.000s"),
-        # 5 Hz human samples put the prediction's t0 at 1.2 s, the robot's at 1.1 s.
-        ({"human_rate": 5.0, "observation": 1.1, "horizon": 1.9}, "prediction must run on the nominal's clock"),
-    ],
-    ids=["short-observation", "slow-human-rate", "off-the-nominal-clock"],
-)
-def test_errors_from_preparing_a_scenario_name_its_file(tmp_path, capsys, command, timing, expected):
-    assert main(["gen", "--family", "reaching_far", "--seeds", "1", "--out", str(tmp_path)]) == 0
-    path = tmp_path / "reaching_far_1.yaml"
-    path.write_text(yaml.safe_dump({**yaml.safe_load(path.read_text()), **timing}))
+def test_errors_from_preparing_a_scenario_name_its_file(tmp_path, scenario_path, capsys, command):
+    # A stationary scenario whose watched object is the robot's own goal point
+    # reads well, but its goal set then holds one point twice.
+    sc = load_scenario(scenario_path)
+    data = yaml.safe_load(scenario_path.read_text())
+    data["human_object"] = fk_eef(sc.chain, sc.robot_goal).tolist()
+    path = tmp_path / "coincident.yaml"
+    path.write_text(yaml.safe_dump(data))
     traj_path = tmp_path / "t.csv"
     save_trajectory(straightline_joint_init(np.zeros(7), np.zeros(7), 3, 0.1), traj_path)
     extra = ["--trajectory", str(traj_path)] if command == "eval" else ["--out", str(tmp_path / "out")]
     capsys.readouterr()
     assert main([command, "--scenario", str(path), *extra]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: ") and expected in err
+    assert err.startswith(f"error: {path}: ") and "goal set contains coincident points" in err
 
 
 def _not_a_number(line):
@@ -330,7 +359,7 @@ def _not_a_number(line):
 )
 def test_malformed_csv_exits_one(tmp_path, scenario_path, capsys, edit):
     sc = load_scenario(scenario_path)
-    traj = straightline_joint_init(sc.robot_start, sc.robot_goal, sc.n_waypoints, sc.dt, sc.robot_t0)
+    traj = straightline_joint_init(sc.robot_start, sc.robot_goal, N_WAYPOINTS, DT, OBSERVATION_WINDOW)
     bad = tmp_path / "bad.csv"
     save_trajectory(traj, bad)
     lines = bad.read_text().splitlines()
@@ -343,7 +372,7 @@ def test_malformed_csv_exits_one(tmp_path, scenario_path, capsys, edit):
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_trajectory_exits_one(tmp_path, scenario_path, capsys, value):
     sc = load_scenario(scenario_path)
-    traj = straightline_joint_init(sc.robot_start, sc.robot_goal, sc.n_waypoints, sc.dt, sc.robot_t0)
+    traj = straightline_joint_init(sc.robot_start, sc.robot_goal, N_WAYPOINTS, DT, OBSERVATION_WINDOW)
     bad = tmp_path / "bad.csv"
     save_trajectory(traj, bad)
     lines = bad.read_text().splitlines()

@@ -829,7 +829,7 @@ def random_problems(draw):
         st.floats(-math.pi, math.pi),  # theta offset
     )
     dh = np.array(draw(st.lists(row, min_size=n, max_size=n)))
-    chain = ChainSpec(dh=dh, base_pose=np.eye(4), joint_limits=np.tile([-math.pi, math.pi], (n, 1)))
+    chain = ChainSpec(dh=dh, joint_limits=np.tile([-math.pi, math.pi], (n, 1)))
     traj, ctx = build_problem(chain, draw(st.integers(0, 2**16)), draw(st.integers(3, 8)))
     eef = fk_points_batch(chain, traj.waypoints)[traj.n_waypoints // 2, -1]
     offset = np.array(draw(st.lists(st.floats(-0.1, 0.1), min_size=3, max_size=3)))

@@ -65,6 +65,11 @@ def test_check_real_accepts_finite_numbers_in_range(value, bound, integer):
         (2.0, "", True, "x must be an integer, got 2.0"),
         (0, "positive", True, "x must be an integer and positive, got 0"),
         (math.inf, "positive", True, "x must be an integer and positive, got inf"),
+        # YAML reads true as a bool, which Python counts as the integer 1.
+        (True, "positive", True, "x must be an integer and positive, got True"),
+        (False, "non-negative", False, "x must be finite and non-negative, got False"),
+        (np.True_, "", False, "x must be finite, got np.True_"),
+        (np.False_, "", True, "x must be an integer, got np.False_"),
     ],
 )
 def test_check_real_rejects_with_a_message_naming_the_value(value, bound, integer, message):
@@ -102,12 +107,12 @@ def test_every_record_has_scalar_settings():
     counts = {type(r).__name__: sum(r is record for record, _ in SCALAR_FIELDS) for r in RECORDS}
     assert counts == {
         "CostWeights": 6, "CostContext": 1, "OptimizerOptions": 3, "SpeedAdjustParams": 4,
-        "PredictorOptions": 2, "RunConfig": 10, "Scenario": 5, "ReachScript": 4,
+        "PredictorOptions": 2, "RunConfig": 10, "Scenario": 1, "ReachScript": 4,
         "JointTrajectory": 2, "HumanTrajectory": 1, "PredictedHumanTrajectory": 2,
     }
 
 
-@pytest.mark.parametrize("value", ["1", None, math.nan])
+@pytest.mark.parametrize("value", ["1", None, math.nan, True])
 @pytest.mark.parametrize(
     "record, name", SCALAR_FIELDS, ids=[f"{type(r).__name__}.{name}" for r, name in SCALAR_FIELDS]
 )
@@ -176,7 +181,7 @@ def test_check_array_can_leave_the_finite_test_to_its_caller():
 
 
 _CHAIN = default_chain()
-_EYE4, _LIMITS = np.eye(4), np.array([[-1.0, 1.0], [-1.0, 1.0]])
+_LIMITS = np.array([[-1.0, 1.0], [-1.0, 1.0]])
 _COVS = np.broadcast_to(np.eye(3), (1, 2, 3, 3))
 _TRACE = {"timestamps": np.arange(3.0), "configs": np.zeros((3, 2)), "completed": True}
 _TRAJ = JointTrajectory(np.zeros((3, 7)), 0.1)
@@ -188,9 +193,8 @@ _OBSERVED = generate_reach(_SCENARIO.human_script, 100.0).prefix(1.0)
 #: (owner, name, a build of the owner from a value, a valid value): every array
 #: input, named as its messages start.
 ARRAY_INPUTS = [
-    ("ChainSpec", "dh", lambda v: ChainSpec(v, _EYE4, _LIMITS), np.zeros((2, 4))),
-    ("ChainSpec", "base_pose", lambda v: ChainSpec(np.zeros((2, 4)), v, _LIMITS), _EYE4),
-    ("ChainSpec", "joint_limits", lambda v: ChainSpec(np.zeros((2, 4)), _EYE4, v), _LIMITS),
+    ("ChainSpec", "dh", lambda v: ChainSpec(v, _LIMITS), np.zeros((2, 4))),
+    ("ChainSpec", "joint_limits", lambda v: ChainSpec(np.zeros((2, 4)), v), _LIMITS),
     ("JointTrajectory", "waypoints", lambda v: JointTrajectory(v, 0.1), np.zeros((3, 2))),
     ("frame_origins_and_axes", "q", lambda v: frame_origins_and_axes(_CHAIN, v), np.zeros(7)),
     ("solve_position_ik", "q0", lambda v: solve_position_ik(_CHAIN, np.zeros(3), v), np.zeros(7)),

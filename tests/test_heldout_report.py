@@ -57,7 +57,7 @@ def test_counts_per_seed_clauses_and_mean_clauses():
     assert summary["per_seed"]["reaching_near"]["CoMOTO dst_pct >= Nominal"] == {"holds": 3, "seeds": 3}
     assert len(summary["mean_clauses"]) == 2 * len(report.CLAUSES) + len(METHODS)
     assert all(summary["mean_clauses"].values())
-    assert "item 5" in summary["stop_reasons"]
+    assert "item 3" in summary["stop_reasons"]
 
     # Every row of a method failed: its mean clauses read false.
     for row in rows:

@@ -53,8 +53,8 @@ def point_jacobians(chain: ChainSpec, q: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def oracle_fk(chain: ChainSpec, q: np.ndarray) -> np.ndarray:
     """Frame origins via explicit matrix products, written from scratch."""
-    points = [chain.base_pose[:3, 3].copy()]
-    T = chain.base_pose.copy()
+    points = [np.zeros(3)]
+    T = np.eye(4)
     for i in range(chain.n_joints):
         a, alpha, d, off = chain.dh[i]
         th = q[i] + off
@@ -170,7 +170,7 @@ def loop_frames(chain: ChainSpec, q: np.ndarray) -> tuple[np.ndarray, np.ndarray
     The same arithmetic as the vectorised FK, one configuration and one
     joint at a time, so the two must agree bit for bit.
     """
-    T = chain.base_pose
+    T = np.eye(4)
     points, axes = [T[:3, 3]], []
     for A in loop_transforms(chain, q):
         axes.append(T[:3, 2])
@@ -183,11 +183,7 @@ def random_dh_chain(rng: np.random.Generator, n: int) -> ChainSpec:
     lengths = rng.uniform(-0.5, 0.5, (n, 2))
     angles = rng.uniform(-np.pi, np.pi, (n, 2))
     dh = np.column_stack([lengths[:, 0], angles[:, 0], lengths[:, 1], angles[:, 1]])
-    rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    base = np.eye(4)
-    base[:3, :3] = rot
-    base[:3, 3] = rng.standard_normal(3)
-    return ChainSpec(dh=dh, base_pose=base, joint_limits=np.array([[-np.pi, np.pi]] * n))
+    return ChainSpec(dh=dh, joint_limits=np.array([[-np.pi, np.pi]] * n))
 
 
 @pytest.mark.parametrize("N", [1, 3, FK_BLOCK - 1, FK_BLOCK, FK_BLOCK + 1, 3000])
@@ -362,18 +358,13 @@ def test_axes_are_world_z_of_parent_frames(planar2):
 
 
 def test_chain_validation():
-    eye = np.eye(4)
     lims = np.array([[-1.0, 1.0], [-1.0, 1.0]])
     with pytest.raises(ContractViolation):
-        ChainSpec(dh=np.zeros((1, 4)), base_pose=eye, joint_limits=lims[:1])
+        ChainSpec(dh=np.zeros((1, 4)), joint_limits=lims[:1])
     with pytest.raises(ContractViolation):
-        ChainSpec(dh=np.zeros((2, 3)), base_pose=eye, joint_limits=lims)
-    bad = np.eye(4)
-    bad[0, 0] = 2.0
+        ChainSpec(dh=np.zeros((2, 3)), joint_limits=lims)
     with pytest.raises(ContractViolation):
-        ChainSpec(dh=np.zeros((2, 4)), base_pose=bad, joint_limits=lims)
-    with pytest.raises(ContractViolation):
-        ChainSpec(dh=np.zeros((2, 4)), base_pose=eye, joint_limits=np.array([[1.0, -1.0], [0.0, 1.0]]))
+        ChainSpec(dh=np.zeros((2, 4)), joint_limits=np.array([[1.0, -1.0], [0.0, 1.0]]))
 
 
 def test_clamp_projects_onto_limits(planar2):
@@ -456,7 +447,9 @@ def test_chain_from_dict_rejects_missing_and_unknown_keys(data, message):
 def test_default_chain_loads_seven_joints():
     chain = default_chain()
     assert chain.n_joints == 7 and chain.name == "iiwa7"
-    assert np.array_equal(chain.base_pose, np.eye(4))  # every chain's base sits at the origin
+    # Every chain's base sits at the origin: base_pose is a read-only identity, not a field.
+    assert np.array_equal(chain.base_pose, np.eye(4)) and not chain.base_pose.flags.writeable
+    assert "base_pose" not in {f.name for f in dataclasses.fields(ChainSpec)}
     assert np.all(chain.joint_limits[:, 0] < chain.joint_limits[:, 1])
 
 

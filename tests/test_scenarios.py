@@ -5,18 +5,24 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+import yaml
 
 from comoto.benchmark import load_config, prepare_scenario
 from comoto.errors import ContractViolation
-from comoto.human_motion import RIGHT_ARM_JOINTS, generate_reach
+from comoto.human_motion import OBSERVATION_WINDOW, RIGHT_ARM_JOINTS, generate_reach
 from comoto.kinematics import fk_eef
 from comoto.scenarios import (
+    DT,
     FAMILIES,
     FAR_GAP_MIN,
     GRASP_OFFSET,
+    HORIZON,
+    HUMAN_RATE,
+    N_WAYPOINTS,
     NEAR_GAP_MAX,
     Scenario,
     _FILE_KEYS,
@@ -68,7 +74,7 @@ def test_stationary_human_never_moves(arm):
     for seed in SEEDS:
         sc = make_scenario("stationary", seed, arm)
         assert sc.human_script.noise_scale == 0.0
-        truth = generate_reach(sc.human_script, sc.human_rate)
+        truth = generate_reach(sc.human_script, HUMAN_RATE)
         for name in RIGHT_ARM_JOINTS:
             track = truth.samples[name]
             assert np.max(np.abs(track - track[0])) == 0.0
@@ -85,10 +91,15 @@ def test_goal_configuration_reaches_the_object(arm):
 
 
 def test_scenario_timing_properties(arm):
+    # The paper's clock: 1 s observed, then 2 s planned over 20 waypoints, on
+    # ground truth sampled at 100 Hz.
+    assert (OBSERVATION_WINDOW, HORIZON, N_WAYPOINTS, HUMAN_RATE) == (1.0, 2.0, 20, 100.0)
+    assert DT == 2.0 / 19
     sc = make_scenario("reaching_far", 1, arm)
-    assert sc.robot_t0 == sc.observation
-    assert sc.dt == pytest.approx(sc.horizon / (sc.n_waypoints - 1))
-    assert sc.human_script.total_duration >= sc.observation + sc.horizon
+    assert sc.human_script.total_duration >= OBSERVATION_WINDOW + HORIZON
+    bundle = prepare_scenario(sc, load_config())
+    assert (bundle.nominal.n_waypoints, bundle.nominal.dt, bundle.nominal.t0) == (N_WAYPOINTS, DT, OBSERVATION_WINDOW)
+    assert bundle.truth.rate == HUMAN_RATE
     assert np.array_equal(sc.goal_point, fk_eef(arm, sc.robot_goal))
     assert sc.predictor_goal is not None
     assert make_scenario("stationary", 1, arm).predictor_goal is None
@@ -175,8 +186,12 @@ def _with_value(data, path, value):
 
 @pytest.mark.parametrize(
     "path",
-    [("observaton",), ("script", "noise_scal"), ("obstacles", 0, "radiu")],
-    ids=["top-level", "script", "obstacle"],
+    [
+        ("observaton",), ("script", "noise_scal"), ("obstacles", 0, "radiu"),
+        # The planning clock is fixed, so the keys that once set it are unknown.
+        ("observation",), ("horizon",), ("n_waypoints",), ("human_rate",),
+    ],
+    ids=["top-level", "script", "obstacle", "observation", "horizon", "n_waypoints", "human_rate"],
 )
 def test_scenario_file_rejects_keys_it_does_not_know(arm, path):
     # A misspelled key used to be dropped, and its setting silently took its default.
@@ -192,6 +207,17 @@ def test_scenario_reader_knows_the_keys_the_writer_writes(arm):
     assert set(_SCRIPT_KEYS) == set(data["script"])
 
 
+def test_a_file_that_sets_the_planning_clock_is_rejected(tmp_path, arm):
+    # The older format wrote the clock after the chain; the clock is now fixed.
+    data = scenario_to_dict(make_scenario("stationary", 1, arm))
+    clock = {"observation": 1.0, "horizon": 2.0, "n_waypoints": 20, "human_rate": 100.0}
+    head = {key: data.pop(key) for key in ("family", "seed", "chain")}
+    path = tmp_path / "older.yaml"
+    path.write_text(yaml.safe_dump({**head, **clock, **data}, sort_keys=False))
+    with pytest.raises(ContractViolation, match=f"^{re.escape(str(path))}: unknown scenario key 'observation'$"):
+        load_scenario(path)
+
+
 def test_scenario_whose_chain_is_not_a_chain_file_says_so(arm):
     data = {**scenario_to_dict(make_scenario("stationary", 1, arm)), "chain": "default_config"}
     with pytest.raises(ContractViolation, match=r"default_config\.yaml: unknown chain key 'benchmark'$"):
@@ -205,25 +231,18 @@ BAD_SCENARIO_VALUES = [
     (("robot_goal", 0), INF, "robot_goal must be finite"),
     (("robot_object", 1), NAN, "robot_object must be finite"),
     (("human_object", 0), NAN, "human_object must be finite"),
-    (("observation",), -1.0, "observation must be finite and positive"),
-    (("observation",), NAN, "observation must be finite and positive"),
-    (("horizon",), 0.0, "horizon must be finite and positive"),
-    (("horizon",), INF, "horizon must be finite and positive"),
-    (("observation",), 5.0, "outlasts the human script"),
-    (("horizon",), 2.5, "outlasts the human script"),
     (("script", "total_duration"), 2.9, "outlasts the human script"),
-    (("human_rate",), NAN, "human_rate must be finite and positive"),
-    (("human_rate",), INF, "human_rate must be finite and positive"),
-    (("human_rate",), -100.0, "human_rate must be finite and positive"),
-    (("n_waypoints",), 2, "n_waypoints must be at least 3"),
     (("script", "move_duration"), NAN, "move_duration must be finite"),
     (("script", "total_duration"), INF, "total_duration must be finite"),
     (("script", "noise_scale"), NAN, "noise_scale must be finite and non-negative"),
     (("script", "arm_goal", "right_wrist", 1), NAN, r"^script\.arm_goal\.right_wrist must be finite"),
     # Integer keys are whole numbers, not truncated.
-    (("n_waypoints",), 20.5, "n_waypoints must be an integer"),
     (("seed",), 1.9, "seed must be an integer and non-negative"),
     (("script", "seed"), 1.9, "seed must be an integer"),
+    # YAML's true is a bool, not the number 1.
+    (("obstacles", 0, "radius"), True, r"^obstacles\.0\.radius must be finite and positive, got True$"),
+    (("seed",), True, "^seed must be an integer and non-negative, got True$"),
+    (("script", "noise_scale"), True, "^script.noise_scale must be finite and non-negative, got True$"),
 ]
 
 
@@ -287,12 +306,12 @@ def test_scenario_file_missing_a_key_names_it(arm, path):
 def test_whole_float_integer_keys_load_as_int(arm):
     # As the run config reads them: 20.0 is the integer 20.
     data = scenario_to_dict(make_scenario("stationary", 1, arm))
-    data.update(seed=1.0, n_waypoints=20.0)
+    data.update(seed=1.0)
     data["script"]["seed"] = float(data["script"]["seed"])
     sc = scenario_from_dict(data)
-    for value in (sc.seed, sc.n_waypoints, sc.human_script.seed):
+    for value in (sc.seed, sc.human_script.seed):
         assert type(value) is int
-    assert (sc.seed, sc.n_waypoints) == (1, 20)
+    assert sc.seed == 1
 
 
 def test_scenario_yaml_round_trip(tmp_path, arm):
@@ -315,8 +334,6 @@ def test_scenario_yaml_round_trip(tmp_path, arm):
         assert len(back.obstacles) == len(sc.obstacles)
         for (ca, ra), (cb, rb) in zip(back.obstacles, sc.obstacles):
             assert np.array_equal(ca, cb) and ra == rb
-        assert back.n_waypoints == sc.n_waypoints
-        assert back.horizon == sc.horizon
 
 
 def test_scenario_uses_default_chain_when_unspecified():
