@@ -161,108 +161,103 @@ def speed_adjusted_execute(
     lies on the nominal polyline.  Progress per control tick is scaled
     by ``s(d) = clamp((d - d_stop) / (d_slow - d_stop), 0, 1)`` with d
     the current minimum human-robot separation (ground truth; this is a
-    sensor-driven method).  Returns ``completed=False`` if
-    ``timeout_factor * nominal.duration`` elapses before the path end;
-    the human pose is held at its last sample beyond the recorded horizon.
+    sensor-driven method); the human pose is held at its last sample
+    beyond the recorded horizon.  Tick 0 is at ``nominal.t0`` and path
+    position 0; each later tick adds ``dtick = 1 / control_rate`` to the
+    clock and ``s * dtick`` to the path position u, s the previous
+    tick's scale, unless that would reach the path end D: a final
+    partial tick then lands on D at the previous clock plus
+    ``(D - u) / s``, and the trace is ``completed``.  The clock is one
+    ``np.add.accumulate`` of t0 and dtick increments, made before the
+    first tick; the first tick whose ``clock - t0`` is at or past
+    ``timeout_factor * D - 1e-12`` is the last a run records.
 
     A single tick samples the path and the human pose (``sample_rows``),
     runs the FK of one configuration in a ``Frames`` built once per
     execution (one ``np.dot`` per chain link), and takes
-    ``min_separations`` of that one configuration: a last-axis sum of
-    squares, its min and one ``math.sqrt``.  While s is exactly 1 (far
-    from the human) or 0 (stopped), the next ticks' clock and path
-    position are known before they are evaluated, so
-    ``FAST_FORWARD_TICKS`` of them are evaluated as one block and kept
-    up to the first tick whose scale changes, which times out, or whose
-    full advance would reach the path end; the tick-by-tick step resumes
-    from there.  Blocks run in a second ``Frames``, for
-    ``FAST_FORWARD_TICKS`` configurations, also built once per
-    execution.  The block gives every tick the bits the tick-by-tick
-    loop gives it: its clock and path position are the same sequential
-    adds (``np.add.accumulate``), each configuration and human pose
-    comes from the shared row sampler (``sample_rows_many`` for a block,
-    the human's through ``HumanTrajectory.positions_at``), whose two
-    forms give the same bits, batched FK builds each row as a single
-    configuration's ``Frames`` does (``np.matmul`` and ``np.dot`` run
-    the same BLAS product), and the separations are ``min_separations``
-    over the block, whose component-major sums add each pair's squares
-    in the last-axis order.
+    ``min_separations`` of that one configuration.  While s is exactly 1
+    (far from the human) or 0 (stopped), the next ticks' path positions
+    are known before they are evaluated, so ``FAST_FORWARD_TICKS`` of
+    them are evaluated as one block, in a second ``Frames`` built once
+    per execution, and kept up to the first tick whose scale changes,
+    whose full advance would reach the path end, or that times out.  A
+    block gives every tick the bits the tick-by-tick loop gives it: the
+    same clock, path positions from the same sequential adds
+    (``np.add.accumulate``), configurations and human poses from
+    ``sample_rows_many`` (the human's through
+    ``HumanTrajectory.positions_at``), batched FK that builds each row
+    as one configuration's ``Frames`` does (``np.matmul`` and ``np.dot``
+    run the same BLAS product), and ``min_separations`` over the block,
+    whose component-major sums add each pair's squares in the last-axis
+    order.
     """
     D = nominal.duration
     timeout = p.timeout_factor * D
     dtick = 1.0 / p.control_rate
     waypoints, dt = nominal.waypoints, nominal.dt
     tracks, rate = human_truth.tracks, human_truth.rate
-
-    # Ticks fall at t0 + k * dtick until the timeout, k <= ceil(timeout * rate);
-    # one more absorbs the rounding of the accumulated clock.
-    capacity = math.ceil(timeout * p.control_rate) + 2
-    times, seps, speeds = np.empty(capacity), np.empty(capacity), np.empty(capacity)
-    configs = np.empty((capacity, waypoints.shape[1]))
     d_stop, d_span = p.d_stop, p.d_slow - p.d_stop
-    t0, deadline = nominal.t0, timeout - 1e-12
     frames = Frames(chain)
     n_block = FAST_FORWARD_TICKS
     block_frames = Frames(chain, (n_block,))
-    steps = np.empty(n_block + 1)  # a block's start, then its increments
 
-    def tick(k: int, t: float, u: float) -> float:
-        """Evaluate and record tick k at clock t and path position u; returns its scale."""
-        if k == capacity:
-            raise ContractViolation(f"Speed-Adj ran past its {capacity} preallocated ticks")
+    # Tick k's clock: t0 plus k sequential adds of dtick, which round by half an ulp
+    # each, far below a tick in all; so tick ceil(timeout * rate) + 1 is past the
+    # timeout, and a block from there reads n_block - 1 more.
+    times = np.full(math.ceil(timeout * p.control_rate) + n_block + 1, dtick)
+    times[0] = nominal.t0
+    np.add.accumulate(times, out=times)
+    n = 1 + int(np.count_nonzero(times - nominal.t0 < timeout - 1e-12))  # ticks to the timeout's, inclusive
+    seps, speeds = np.empty(n), np.empty(n)
+    configs = np.empty((n, waypoints.shape[1]))
+    steps = np.empty(n_block + 1)  # a block's path start, then its advances
+
+    def tick(k: int, u: float) -> float:
+        """Evaluate and record tick k at path position u; returns its scale."""
         qcur = sample_rows(waypoints, u / dt)
-        d = min_separations(frames(qcur)[0], sample_rows(tracks, t * rate))
+        d = min_separations(frames(qcur)[0], sample_rows(tracks, times[k] * rate))
         s = min(max((d - d_stop) / d_span, 0.0), 1.0)
-        times[k], seps[k], speeds[k] = t, d, s
+        seps[k], speeds[k] = d, s
         configs[k] = qcur
         return s
 
-    def fast_forward(k: int, t: float, u: float, s: float) -> tuple[int, float, float, float]:
+    def fast_forward(k: int, u: float, s: float) -> tuple[int, float, float]:
         """Evaluate ticks k.. as one block after a tick at scale s, and record
-        them up to the first whose scale changes, which times out, or whose
-        full advance would reach the path end.  Returns the next k and the
-        last recorded tick's clock, path position and scale."""
+        them up to the first whose scale changes or whose full advance would
+        reach the path end, and at most up to tick n - 1.  Returns the next k
+        and the last recorded tick's path position and scale."""
         advance = s * dtick
-        steps[0], steps[1:] = t, dtick
-        ts = np.add.accumulate(steps)[1:]
         steps[0], steps[1:] = u, advance
         us = np.add.accumulate(steps)[1:]
         qs = sample_rows_many(waypoints, us / dt)
-        ds = min_separations(block_frames(qs)[0], human_truth.positions_at(ts))
+        ds = min_separations(block_frames(qs)[0], human_truth.positions_at(times[k:k + n_block]))
         ss = np.minimum(np.maximum((ds - d_stop) / d_span, 0.0), 1.0)
-        ends = (ss != s) | (ts - t0 >= deadline) | (us + advance >= D)
-        m = min(int(ends.argmax()) + 1 if ends.any() else n_block, capacity - k)
-        times[k:k + m], seps[k:k + m], speeds[k:k + m] = ts[:m], ds[:m], ss[:m]
+        ends = (ss != s) | (us + advance >= D)
+        m = min(int(ends.argmax()) + 1 if ends.any() else n_block, n - k)
+        seps[k:k + m], speeds[k:k + m] = ds[:m], ss[:m]
         configs[k:k + m] = qs[:m]
-        return k + m, float(ts[m - 1]), float(us[m - 1]), float(ss[m - 1])
+        return k + m, float(us[m - 1]), float(ss[m - 1])
 
-    u, t = 0.0, t0
-    s = tick(0, t, u)
+    u = 0.0
+    s = tick(0, u)
     k = 1
-    completed = False
-    while True:
-        if u >= D:
-            completed = True
-            break
-        if t - t0 >= deadline:
-            break
+    while u < D and k < n:
         advance = s * dtick
         if advance > 0 and u + advance >= D:
-            t += (D - u) / s  # partial tick: land exactly on the path end
+            times[k] = times[k - 1] + (D - u) / s  # partial tick: land exactly on the path end
             u = D
-        elif (s == 1.0 or s == 0.0) and k < capacity:  # at capacity, tick() raises
-            k, t, u, s = fast_forward(k, t, u, s)
+        elif s == 1.0 or s == 0.0:
+            k, u, s = fast_forward(k, u, s)
             continue
         else:
             u += advance
-            t += dtick
-        s = tick(k, t, u)
+        s = tick(k, u)
         k += 1
 
     return ExecutionTrace(
         timestamps=times[:k],
         configs=configs[:k],
-        completed=completed,
+        completed=bool(u >= D),
         min_separation=seps[:k],
         speed_scale=speeds[:k],
     )

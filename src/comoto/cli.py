@@ -138,8 +138,12 @@ def _prepared(args) -> tuple[RunConfig, ScenarioBundle]:
 def _cmd_eval(args) -> int:
     planned = load_trajectory(args.trajectory)
     cfg, bundle = _prepared(args)
-    # The metrics pair waypoint k with the nominal's: both must keep one clock.
+    # The metrics pair waypoint k with the nominal's: both must keep one clock and one arm.
     plan = bundle.nominal
+    if planned.n_joints != plan.n_joints:
+        raise ContractViolation(
+            f"{args.trajectory}: {planned.n_joints} joints, but the scenario's arm has {plan.n_joints}"
+        )
     off = (abs(planned.dt - plan.dt), abs(planned.t0 - plan.t0))
     if planned.n_waypoints != plan.n_waypoints or max(off) > 1e-9:
         raise ContractViolation(

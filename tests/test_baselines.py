@@ -9,8 +9,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
 
-from conftest import CFG, cost_context
+from conftest import CFG, cost_context, planar_chain
 from test_costs import build_problem, fd_gradient
 
 from comoto import baselines
@@ -295,6 +297,31 @@ def test_speed_adjust_matches_reference_loop_leaving_and_reentering_plateaus(pla
     assert trace.completed
     assert plateau_runs(trace.speed_scale) == ["one", "ramp", "zero", "ramp", "one"]
     assert_same_trace(trace, reference_speed_adjusted_execute(*args))
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
+)
+@given(
+    control_rate=st.floats(5.0, 1000.0),
+    timeout_factor=st.floats(0.3, 4.0),
+    t0=st.sampled_from((0.0, 1.0)),
+    palm_y=st.one_of(st.none(), st.floats(0.02, 0.5)),
+)
+@example(control_rate=100.0, timeout_factor=0.5, t0=0.0, palm_y=0.03)  # a whole 15 ticks to the timeout
+def test_speed_adjust_matches_reference_loop_at_drawn_rates_and_timeouts(control_rate, timeout_factor, t0, palm_y):
+    # A drawn timeout * rate is rarely whole, so the timeout tick falls anywhere
+    # in a block or a ramp.  A constant palm at height palm_y keeps the scale at 1,
+    # on the ramp or at 0; None is the palm that comes within d_stop and leaves.
+    p = dataclasses.replace(SPEED, control_rate=control_rate, timeout_factor=timeout_factor)
+    nominal = straightline_joint_init(np.array([0.0, 0.0]), np.array([0.1, -0.05]), 4, 0.1, t0)
+    human = approach_and_retreat_human() if palm_y is None else constant_human([1.0, palm_y, 0.0])
+    args = (planar_chain((1.0, 1.0)), nominal, human, p)
+    assert_same_trace(speed_adjusted_execute(*args), reference_speed_adjusted_execute(*args))
 
 
 def test_speed_adjust_matches_reference_loop_at_100hz(arm):

@@ -104,21 +104,33 @@ def test_eval_trajectory(tmp_path, scenario_path, capsys):
     assert 0.0 <= report["dst_pct"] <= 100.0
 
 
+CLOCK_MISMATCH = "but the scenario plans 20 at dt="
+
+
 @pytest.mark.parametrize(
-    "retime",
+    "retime, message",
     [
-        lambda traj: JointTrajectory(traj.waypoints, traj.dt, 0.0),
-        lambda traj: JointTrajectory(traj.waypoints, 0.2, traj.t0),
-        lambda traj: JointTrajectory(traj.waypoints, traj.dt * (1 + 1e-8), traj.t0),
-        lambda traj: JointTrajectory(traj.waypoints[:-1], traj.dt, traj.t0),
+        (lambda traj: JointTrajectory(traj.waypoints, traj.dt, 0.0), CLOCK_MISMATCH),
+        (lambda traj: JointTrajectory(traj.waypoints, 0.2, traj.t0), CLOCK_MISMATCH),
+        (lambda traj: JointTrajectory(traj.waypoints, traj.dt * (1 + 1e-8), traj.t0), CLOCK_MISMATCH),
+        (lambda traj: JointTrajectory(traj.waypoints[:-1], traj.dt, traj.t0), CLOCK_MISMATCH),
+        (
+            lambda traj: JointTrajectory(traj.waypoints[:, :6], traj.dt, traj.t0),
+            "6 joints, but the scenario's arm has 7",
+        ),
+        (
+            lambda traj: JointTrajectory(np.hstack([traj.waypoints, traj.waypoints[:, :1]]), traj.dt, traj.t0),
+            "8 joints, but the scenario's arm has 7",
+        ),
     ],
-    ids=["t0-zero", "dt-0.2", "dt-off-by-1e-8", "one-waypoint-short"],
+    ids=["t0-zero", "dt-0.2", "dt-off-by-1e-8", "one-waypoint-short", "six-joints", "eight-joints"],
 )
-def test_eval_rejects_a_trajectory_off_the_scenarios_clock(
-    tmp_path, tiny_config_path, scenario_path, capsys, retime
+def test_eval_rejects_a_trajectory_off_the_scenarios_clock_or_arm(
+    tmp_path, tiny_config_path, scenario_path, capsys, retime, message
 ):
     # The metrics pair each waypoint with the nominal's: a file on another clock
-    # used to score (dst_pct 90 instead of 100 with t0 = 0 on reaching_far seed 3).
+    # used to score (dst_pct 90 instead of 100 with t0 = 0 on reaching_far seed 3),
+    # and one for another arm failed inside the FK with the batch's shape.
     argv = ["--scenario", str(scenario_path), "--config", str(tiny_config_path)]
     assert main(["solve", *argv, "--out", str(tmp_path)]) == 0
     solved = json.loads(capsys.readouterr().out)["trajectory"]
@@ -128,7 +140,7 @@ def test_eval_rejects_a_trajectory_off_the_scenarios_clock(
     save_trajectory(retime(load_trajectory(solved)), path)  # a new timing line and time column
     assert main(["eval", *argv, "--trajectory", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: ") and "but the scenario plans 20 at dt=" in err
+    assert err.startswith(f"error: {path}: ") and message in err
 
 
 def test_eval_requires_exactly_one_input(scenario_path, capsys):
