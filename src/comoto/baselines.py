@@ -24,6 +24,10 @@ TAU_S_RATIO = 1e-3
 #: The nominal solve's settings.  All 15 paper-grid nominal solves stop
 #: at this iteration cap, short of ``grad_tol``.
 NOMINAL_OPTIONS = OptimizerOptions(max_iters=300, grad_tol=1e-3, step_init=0.05)
+#: The nominal solve's weights: a smooth path, kept clear of the obstacles.
+NOMINAL_WEIGHTS = CostWeights(alpha_smooth=1e-3, alpha_obstacle=200.0)
+#: The clearance the nominal keeps from each obstacle, added to its radius, m.
+NOMINAL_MARGIN = 0.05
 
 
 @dataclass(frozen=True)
@@ -78,10 +82,6 @@ class ExecutionTrace:
         if np.any(np.diff(timestamps) <= 0):
             raise ContractViolation("timestamps must be strictly increasing")
 
-    @property
-    def duration(self) -> float:
-        return float(self.timestamps[-1] - self.timestamps[0])
-
     def configs_at(self, times: Array) -> Array:
         """Linearly interpolated configurations, held at the boundaries."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -98,26 +98,23 @@ def nominal_trajectory(
     n_waypoints: int,
     dt: float,
     t0: float,
-    smooth_weight: float,
-    obstacle_weight: float,
-    margin: float,
 ) -> tuple[JointTrajectory, OptResult | None]:
     """Default trajectory with no human: smooth and obstacle-clearing.
 
     Runs from ``start`` to ``ctx.goal_config`` on ``ctx.chain``; the
-    context's prediction, nominal and object are not used.  The obstacle
-    term keeps the robot points ``margin`` clear of each ``(center,
-    radius)`` sphere.  Returns the trajectory and the solve that made
-    it, whose ``stop_reason`` says why it stopped.  With no obstacles
-    the trajectory is exactly the joint-space straight line, and there
-    is no solve (``None``).
+    context's prediction, nominal and object are not used.  The solve
+    weighs ``NOMINAL_WEIGHTS`` under ``NOMINAL_OPTIONS``, and its
+    obstacle term keeps the robot points ``NOMINAL_MARGIN`` clear of each
+    ``(center, radius)`` sphere.  Returns the trajectory and the solve
+    that made it, whose ``stop_reason`` says why it stopped.  With no
+    obstacles the trajectory is exactly the joint-space straight line,
+    and there is no solve (``None``).
     """
     init = straightline_joint_init(start, ctx.goal_config, n_waypoints, dt, t0)
     if len(obstacles) == 0:
         return init, None
-    ctx = replace(ctx, obstacles=tuple((c, r + margin) for c, r in obstacles))
-    weights = CostWeights(alpha_smooth=smooth_weight, alpha_obstacle=obstacle_weight)
-    result = optimize(ctx, weights, init, NOMINAL_OPTIONS)
+    ctx = replace(ctx, obstacles=tuple((c, r + NOMINAL_MARGIN) for c, r in obstacles))
+    result = optimize(ctx, NOMINAL_WEIGHTS, init, NOMINAL_OPTIONS)
     return result.trajectory, result
 
 
@@ -278,19 +275,17 @@ def distvis_optimize(
     ctx: CostContext,
     init: JointTrajectory,
     opts: OptimizerOptions,
-    alpha_dist: float,
-    alpha_vis: float,
-    tau_n: float,
+    w: CostWeights,
 ) -> OptResult:
     """Optimize separation and visibility with no uncertainty model.
 
     The prediction covariance is replaced by the identity (the source
-    method is deterministic); a small nominal-anchor weight ``tau_n``
-    keeps the problem well-posed.
+    method is deterministic).  ``w`` weighs distance and visibility, and
+    a small nominal-anchor weight ``alpha_nominal`` keeps the problem
+    well-posed.
     """
     if ctx.prediction is None:
         raise ContractViolation("distance+visibility baseline needs a prediction")
     flat_ctx = replace(ctx, prediction=ctx.prediction.with_isotropic_covariance())
-    w = CostWeights(alpha_dist=alpha_dist, alpha_vis=alpha_vis, alpha_nominal=tau_n)
     return optimize(flat_ctx, w, init, opts)
 

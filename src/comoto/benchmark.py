@@ -27,7 +27,7 @@ from .baselines import (
 )
 from .costs import CostContext, CostWeights
 from .errors import ContractViolation, check_real
-from .fileio import check_keys, data_file, load_yaml, read_yaml
+from .fileio import _named, check_keys, data_file, load_yaml, read_yaml
 from .human_motion import (
     OBSERVATION_WINDOW, HumanTrajectory, PredictorOptions, extrapolate_skeleton, generate_reach, predict,
 )
@@ -61,28 +61,22 @@ class RunConfig:
     """Fully resolved benchmark configuration; build it with ``load_config``.
 
     The packaged ``default_config.yaml`` holds every default.  Leaves keep
-    their names as fields, except ``weights.<method>.<key>``, which
-    becomes ``<method>_<key>``; the ``optimizer``, ``speed_adjust``,
-    ``prediction`` and ``weights.comoto`` sections become
-    ``OptimizerOptions``, ``SpeedAdjustParams``, ``PredictorOptions`` and
-    ``comoto_weights``.
+    their names as fields, except ``weights.legible.alpha``, which becomes
+    ``legible_alpha``; the ``weights.comoto``, ``weights.distvis``,
+    ``optimizer``, ``speed_adjust`` and ``prediction`` sections become
+    ``comoto_weights``, ``distvis_weights`` (two ``CostWeights``),
+    ``OptimizerOptions``, ``SpeedAdjustParams`` and ``PredictorOptions``.
     """
 
     families: tuple
     seeds: tuple
     comoto_weights: CostWeights
+    distvis_weights: CostWeights
     legible_alpha: float
-    distvis_alpha_dist: float
-    distvis_alpha_vis: float
-    distvis_tau_n: float
-    nominal_smooth_weight: float
-    nominal_obstacle_weight: float
-    nominal_margin: float
     optimizer: OptimizerOptions
     speed_adjust: SpeedAdjustParams
     separation_threshold: float
     fov_deg: float
-    eps_m: float
     prediction: PredictorOptions
 
     def __post_init__(self):
@@ -100,20 +94,11 @@ class RunConfig:
         # run has started, or turn every row of one method into a failed row.
         for name in _POSITIVE_FIELDS:
             check_real(getattr(self, name), name, "positive")
-        for name in _NON_NEGATIVE_FIELDS:
-            check_real(getattr(self, name), name, "non-negative")
-        if not (self.distvis_alpha_dist or self.distvis_alpha_vis or self.distvis_tau_n):
-            raise ContractViolation("weights.distvis needs a positive alpha_dist, alpha_vis or tau_n, got all 0")
         check_fov_deg(self.fov_deg)
 
 
-# Zero legible_alpha or nominal_smooth_weight, like all-zero distvis weights,
-# would leave their method no cost term.
-_POSITIVE_FIELDS = ("legible_alpha", "nominal_smooth_weight", "separation_threshold", "eps_m")
-_NON_NEGATIVE_FIELDS = (
-    "distvis_alpha_dist", "distvis_alpha_vis", "distvis_tau_n", "nominal_obstacle_weight",
-    "nominal_margin",
-)
+# A zero legible_alpha, like all-zero CostWeights, would leave its method no cost term.
+_POSITIVE_FIELDS = ("legible_alpha", "separation_threshold")
 
 
 def default_config_dict() -> dict:
@@ -149,22 +134,27 @@ def _resolve(default, override, path: tuple = ()):
 
 
 def config_from_dict(data: dict | None) -> RunConfig:
-    """The packaged defaults with ``data`` (a ``--config`` file's contents) merged in."""
+    """The packaged defaults with ``data`` (a ``--config`` file's contents) merged in.
+
+    An error in a section that becomes a record starts with its dotted key."""
     c = _resolve(default_config_dict(), {} if data is None else data)
-    weights = c["weights"]
+
+    def record(build, key: str):
+        section = c
+        for part in key.split("."):
+            section = section[part]
+        with _named(key):
+            return build(**section)
+
     return RunConfig(
         **c["benchmark"],
-        comoto_weights=CostWeights(**weights["comoto"]),
-        **{
-            f"{method}_{key}": value
-            for method in ("legible", "distvis", "nominal")
-            for key, value in weights[method].items()
-        },
-        optimizer=OptimizerOptions(**c["optimizer"]),
-        speed_adjust=SpeedAdjustParams(**c["speed_adjust"]),
+        comoto_weights=record(CostWeights, "weights.comoto"),
+        distvis_weights=record(CostWeights, "weights.distvis"),
+        legible_alpha=c["weights"]["legible"]["alpha"],
+        optimizer=record(OptimizerOptions, "optimizer"),
+        speed_adjust=record(SpeedAdjustParams, "speed_adjust"),
         **c["metrics"],
-        **c["costs"],
-        prediction=PredictorOptions(**c["prediction"]),
+        prediction=record(PredictorOptions, "prediction"),
     )
 
 
@@ -194,7 +184,7 @@ def prepare_scenario(sc: Scenario, cfg: RunConfig) -> ScenarioBundle:
     truth = generate_reach(sc.human_script, HUMAN_RATE)
     observed = truth.prefix(OBSERVATION_WINDOW)
     arm_pred = predict(observed, N_WAYPOINTS, DT, goal=sc.predictor_goal, options=cfg.prediction)
-    base = CostContext(chain=sc.chain, goal_config=sc.robot_goal, eps_m=cfg.eps_m)
+    base = CostContext(chain=sc.chain, goal_config=sc.robot_goal)
     nominal, nominal_solve = nominal_trajectory(
         base,
         sc.robot_start,
@@ -202,9 +192,6 @@ def prepare_scenario(sc: Scenario, cfg: RunConfig) -> ScenarioBundle:
         n_waypoints=N_WAYPOINTS,
         dt=DT,
         t0=OBSERVATION_WINDOW,  # the robot starts moving when the observation window ends
-        smooth_weight=cfg.nominal_smooth_weight,
-        obstacle_weight=cfg.nominal_obstacle_weight,
-        margin=cfg.nominal_margin,
     )
     ctx = replace(
         base, prediction=extrapolate_skeleton(arm_pred), nominal=nominal, object_pos=sc.human_object
@@ -228,14 +215,7 @@ def run_method(name: str, bundle: ScenarioBundle, cfg: RunConfig):
         result = legible_optimize(bundle.ctx, bundle.nominal, cfg.optimizer, cfg.legible_alpha)
         return result.trajectory, result.converged
     if name == "Dist+Vis":
-        result = distvis_optimize(
-            bundle.ctx,
-            bundle.nominal,
-            cfg.optimizer,
-            cfg.distvis_alpha_dist,
-            cfg.distvis_alpha_vis,
-            cfg.distvis_tau_n,
-        )
+        result = distvis_optimize(bundle.ctx, bundle.nominal, cfg.optimizer, cfg.distvis_weights)
         return result.trajectory, result.converged
     if name == "CoMOTO":
         result = optimize(bundle.ctx, cfg.comoto_weights, bundle.nominal, cfg.optimizer)

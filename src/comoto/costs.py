@@ -59,6 +59,10 @@ _EEF_TERMS = ("visibility", "legibility", "nominal")
 
 _TINY = 1e-12
 
+#: Floor of the squared Mahalanobis distance, dimensionless: the distance
+#: cost stays bounded as a separation goes to 0.
+EPS_M = 1e-4
+
 
 def _row_norms(x: Array) -> Array:
     """``np.linalg.norm(x, axis=-1)`` for real ``x``, bit for bit, without the wrapper."""
@@ -94,11 +98,10 @@ class CostContext:
     equal horizon, ``step`` equal to its ``dt``, and ``t0`` within half a
     step of its ``t0``.  ``object_pos`` is the point the human attends to
     (anchor of the gaze ray); ``goal_config`` is the configuration the
-    trajectory must end at.  ``eps_m``, the run config's ``costs`` section,
-    clamps the squared Mahalanobis distance from below, so the distance
-    cost stays bounded as the separation goes to 0.  The visibility cost
-    divides by the predicted head-position spread as it is; the one floor
-    on it is the predictor's ``PredictorOptions.sigma0``.  ``obstacles``
+    trajectory must end at.  The distance cost clamps the squared
+    Mahalanobis distance at ``EPS_M``; the visibility cost divides by the
+    predicted head-position spread as it is, and the one floor on it is
+    the predictor's ``PredictorOptions.sigma0``.  ``obstacles``
     holds ``(center, clearance radius)`` pairs of spheres the robot points
     keep out of.  Frozen (``dataclasses.replace`` makes a checked copy), and
     holds no derived array: each solve's ``WeightedObjective`` derives them.
@@ -106,7 +109,6 @@ class CostContext:
 
     chain: ChainSpec
     goal_config: Array
-    eps_m: float
     prediction: PredictedHumanTrajectory | None = None
     nominal: JointTrajectory | None = None
     object_pos: Array | None = None
@@ -117,7 +119,6 @@ class CostContext:
         object.__setattr__(self, "goal_config", goal_config)
         if self.object_pos is not None:
             object.__setattr__(self, "object_pos", check_array(self.object_pos, "object_pos", (3,)))
-        check_real(self.eps_m, "eps_m", "positive")
         pred, nominal = self.prediction, self.nominal
         if pred is not None and nominal is not None:
             if pred.horizon != nominal.n_waypoints:
@@ -154,19 +155,6 @@ class CostReport:
     total: float
     per_cost: dict[str, float]
     diagnostics: dict
-
-
-def goal_probability(
-    traj_prefix_length: float, remaining_straightline: float, full_straightline: float
-) -> float:
-    """Probability ratio exp(-(prefix + remaining)) / exp(-full).
-
-    All arguments are Cartesian end-effector distances (meters); the
-    result is <= 1 whenever the prefix is no shorter than optimal.
-    """
-    if min(traj_prefix_length, remaining_straightline, full_straightline) < 0:
-        raise ContractViolation("path lengths must be non-negative")
-    return float(np.exp(full_straightline - traj_prefix_length - remaining_straightline))
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +431,7 @@ class ObjectivePass:
             eef = points[:, -1]
         for name in problem.weighted:
             if name == "distance":
-                value, pullback = _distance_term(points, *problem.distance_inputs, problem.ctx.eps_m)
+                value, pullback = _distance_term(points, *problem.distance_inputs, EPS_M)
             elif name == "visibility":
                 value, pullback, flagged = _visibility_term(eef, problem)
                 if flagged:

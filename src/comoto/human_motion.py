@@ -183,7 +183,7 @@ class PredictedHumanTrajectory:
             if not is_symmetric:
                 raise ContractViolation(f"cov_tracks of {name} is not symmetric within 1e-12")
             # An indefinite covariance gives negative Mahalanobis distances,
-            # which the distance cost's clamp would silently turn into 1/eps_m.
+            # which the distance cost's clamp would silently turn into 1/EPS_M.
             try:
                 np.linalg.cholesky(cov)  # one batched factorization over the horizon
             except np.linalg.LinAlgError:
@@ -194,10 +194,6 @@ class PredictedHumanTrajectory:
     @property
     def horizon(self) -> int:
         return self.mean_tracks.shape[1]
-
-    @property
-    def times(self) -> Array:
-        return self.t0 + self.step * np.arange(self.horizon)
 
     def with_isotropic_covariance(self) -> "PredictedHumanTrajectory":
         """Copy with every covariance replaced by ``I`` (no uncertainty model)."""

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from comoto.benchmark import load_config
-from comoto.costs import CostContext
 from comoto.kinematics import ChainSpec, default_chain
 
 CFG = load_config()
@@ -25,11 +24,6 @@ def load_heldout_report():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def cost_context(chain: ChainSpec, goal_config, **fields) -> CostContext:
-    """A ``CostContext`` with the packaged config's ``eps_m``."""
-    return CostContext(chain=chain, goal_config=goal_config, eps_m=CFG.eps_m, **fields)
 
 
 def planar_chain(lengths=(1.0, 1.0), limit=2.0 * np.pi) -> ChainSpec:

@@ -25,13 +25,13 @@ from comoto.benchmark import (
     run_benchmark,
     sort_rows,
 )
-from comoto.costs import CostWeights, ObjectivePass, WeightedObjective, _legibility_term, goal_probability
+from comoto.costs import EPS_M, CostContext, CostWeights, ObjectivePass, WeightedObjective, _legibility_term
 from comoto.human_motion import HumanTrajectory
 from comoto.kinematics import JointTrajectory, fk_points_batch
 from comoto.metrics import METRIC_NAMES, GoalSet, MetricReport, aggregate, evaluate_run
 from comoto.optimizer import OptimizerOptions, optimize
 
-from conftest import CFG, cost_context, load_heldout_report, planar_chain
+from conftest import CFG, load_heldout_report, planar_chain
 from test_costs import (
     COMBINED_WEIGHTS,
     SINGLE_TERM_WEIGHTS,
@@ -90,6 +90,13 @@ def test_criterion_1_gradient_correctness(arm):
     check(1, ok, f"100 problems x 6 objectives: max rel err {worst:.3e}, {elapsed:.1f}s")
 
 
+def goal_probability(prefix: float, remaining: float, full: float) -> float:
+    """Criterion 2's hand formula: exp(-(prefix + remaining)) / exp(-full), the
+    probability of the goal after a path of length ``prefix`` whose end lies
+    ``remaining`` from the goal, ``full`` the start's straight-line distance."""
+    return float(np.exp(full - prefix - remaining))
+
+
 def kernel_goal_probability(via):
     """The goal probability the legibility kernel computes at the middle of
     the end-effector path origin -> ``via`` -> (1, 0, 0): one-hot time
@@ -127,7 +134,7 @@ def test_criterion_3_smoothness_recovers_linear(arm):
     init = line.copy()
     init[1:-1] += 0.3 * rng.standard_normal(init[1:-1].shape)
     traj = JointTrajectory(init, dt=0.2)
-    ctx = cost_context(arm, goal_q)
+    ctx = CostContext(arm, goal_q)
     weights = CostWeights(alpha_smooth=1.0)
     # The second-difference quadratic is ill conditioned: give descent room.
     options = OptimizerOptions(max_iters=30000, grad_tol=1e-10, step_init=0.05)
@@ -219,7 +226,7 @@ def test_criterion_7_covariance_monotonicity(planned_capture):
                 m_min = min(m_min, float(np.min(np.einsum("pa,ab,pb->p", d, inv, d))))
         head_cov = ctx.prediction.cov_tracks[ctx.prediction.joints.index("head")]
         spread_min = float(np.min(np.sqrt(np.trace(head_cov, axis1=1, axis2=2) / 3.0)))
-        ok = ok and m_min > 100.0 * ctx.eps_m and spread_min >= CFG.prediction.sigma0
+        ok = ok and m_min > 100.0 * EPS_M and spread_min >= CFG.prediction.sigma0
         problems = [WeightedObjective(c, CFG.comoto_weights, traj.dt, traj.n_waypoints) for c in (ctx, doubled)]
         before, after = (ObjectivePass(traj.waypoints, problem).per_cost for problem in problems)
         d0, d1 = before["distance"], after["distance"]

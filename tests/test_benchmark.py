@@ -120,16 +120,12 @@ def test_numeric_keys_accept_what_float_accepts(tmp_path):
         ("metrics", "fov_deg", "-5"),
         ("metrics", "fov_deg", "400"),
         ("metrics", "separation_threshold", ".nan"),
-        ("costs", "eps_m", ".inf"),
-        ("costs", "sigma_floor", "0"),
         ("prediction", "sigma0", "-1"),
         ("prediction", "sigma0", "0"),
         ("weights", "legible", "{alpha: -1}"),
         ("weights", "legible", "{alpha: .inf}"),
         ("weights", "distvis", "{alpha_vis: -0.2}"),
-        ("weights", "distvis", "{tau_n: .nan}"),
-        ("weights", "nominal", "{margin: -0.05}"),
-        ("weights", "nominal", "{obstacle_weight: .inf}"),
+        ("weights", "distvis", "{alpha_nominal: .nan}"),
         ("weights", "comoto", "{alpha_dist: abc}"),
         ("speed_adjust", "d_stop", "0.10"),
         ("speed_adjust", "d_slow", "0.05"),
@@ -165,11 +161,42 @@ def test_unknown_config_keys_rejected():
     with pytest.raises(ContractViolation):
         config_from_dict({"weights": {"comoto": {"alpha_dst": 1.0}}})
     # Both spread floors are gone: sigma0, the tube's smallest SD, is the only one.
-    with pytest.raises(ContractViolation, match="^unknown config key 'costs.sigma_floor'$"):
+    with pytest.raises(ContractViolation, match="^unknown config key 'costs'$"):
         config_from_dict({"costs": {"sigma_floor": 0.01}})
     with pytest.raises(ContractViolation, match="^unknown config key 'prediction.sigma_floor'$"):
         config_from_dict({"prediction": {"sigma_floor": 0.01}})
-    assert len(CONFIG_LEAVES) == 26
+    # The distance clamp and the nominal planner's settings are constants
+    # (costs.EPS_M; baselines.NOMINAL_WEIGHTS and NOMINAL_MARGIN), and
+    # Dist+Vis's anchor weight is named for the CostWeights field it fills.
+    with pytest.raises(ContractViolation, match="^unknown config key 'costs'$"):
+        config_from_dict({"costs": {"eps_m": 1e-4}})
+    with pytest.raises(ContractViolation, match=r"^unknown config key 'weights\.nominal'$"):
+        config_from_dict({"weights": {"nominal": {"smooth_weight": 1e-3, "obstacle_weight": 200.0, "margin": 0.05}}})
+    with pytest.raises(ContractViolation, match=r"^unknown config key 'weights\.distvis\.tau_n'$"):
+        config_from_dict({"weights": {"distvis": {"tau_n": 0.5}}})
+    assert len(CONFIG_LEAVES) == 22
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (
+            {"weights": {"comoto": dict.fromkeys(
+                ("alpha_dist", "alpha_vis", "alpha_legibility", "alpha_nominal", "alpha_smooth"), 0
+            )}},
+            r"weights\.comoto: at least one cost weight must be positive",
+        ),
+        ({"optimizer": {"max_iters": 0}}, r"optimizer: max_iters must be an integer and positive, got 0"),
+        (
+            {"weights": {"comoto": {"alpha_dist": -1}}},
+            r"weights\.comoto: alpha_dist must be finite and non-negative, got -1\.0",
+        ),
+    ],
+    ids=["all-zero-comoto", "zero-max-iters", "negative-comoto-weight"],
+)
+def test_config_errors_name_their_section(data, message):
+    with pytest.raises(ContractViolation, match=f"^{message}$"):
+        config_from_dict(data)
 
 
 def test_config_file_round_trip(tmp_path):
@@ -185,7 +212,7 @@ def test_config_file_round_trip(tmp_path):
 def test_default_config_dict_is_complete():
     data = default_config_dict()
     assert set(data) == {
-        "benchmark", "weights", "optimizer", "speed_adjust", "metrics", "costs", "prediction",
+        "benchmark", "weights", "optimizer", "speed_adjust", "metrics", "prediction",
     }
 
 
@@ -213,6 +240,10 @@ def test_a_renamed_copy_of_the_package_reads_its_own_data_files(tmp_path):
 def test_run_config_validation():
     with pytest.raises(TypeError):
         RunConfig()  # no field defaults: the packaged YAML holds them
+    assert [f.name for f in dataclasses.fields(RunConfig)] == [
+        "families", "seeds", "comoto_weights", "distvis_weights", "legible_alpha", "optimizer",
+        "speed_adjust", "separation_threshold", "fov_deg", "prediction",
+    ]
     cfg = load_config()
     with pytest.raises(ContractViolation):
         dataclasses.replace(cfg, seeds=(1, 1))
@@ -228,8 +259,8 @@ def test_run_config_validation():
 
 
 def test_all_zero_distvis_weights_rejected_at_load():
-    zero = {"alpha_dist": 0, "alpha_vis": 0, "tau_n": 0}
-    with pytest.raises(ContractViolation, match=r"^weights\.distvis needs a positive alpha_dist, alpha_vis or tau_n"):
+    zero = {"alpha_dist": 0, "alpha_vis": 0, "alpha_nominal": 0}
+    with pytest.raises(ContractViolation, match=r"^weights\.distvis: at least one cost weight must be positive$"):
         config_from_dict({"weights": {"distvis": zero}})
     # Any one positive weight gives the method a cost term.
     for key in zero:
@@ -250,7 +281,7 @@ def test_prepare_scenario_shares_consistent_inputs(arm):
     frozen = dataclasses.replace(cfg.speed_adjust, d_stop=5.0, d_slow=6.0)
     trace, _ = run_method("Speed-Adj", bundle, dataclasses.replace(cfg, speed_adjust=frozen))
     assert not trace.completed
-    assert trace.duration == pytest.approx(frozen.timeout_factor * bundle.nominal.duration)
+    assert trace.timestamps[-1] - trace.timestamps[0] == pytest.approx(frozen.timeout_factor * bundle.nominal.duration)
 
 
 def test_prepare_scenario_keeps_the_nominal_solve(arm):

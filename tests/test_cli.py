@@ -205,10 +205,10 @@ def test_bad_config_value_exits_one(tmp_path, capsys):
 def test_all_zero_distvis_weights_exit_one(tmp_path, capsys):
     # These used to load, and then every Dist+Vis row failed.
     bad = tmp_path / "bad.yaml"
-    bad.write_text("weights:\n  distvis: {alpha_dist: 0, alpha_vis: 0, tau_n: 0}\n")
+    bad.write_text("weights:\n  distvis: {alpha_dist: 0, alpha_vis: 0, alpha_nominal: 0}\n")
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad}: weights.distvis needs a positive")
+    assert err == f"error: {bad}: weights.distvis: at least one cost weight must be positive\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -245,7 +245,7 @@ def test_repeated_seeds_exit_one(tmp_path, capsys, command):
     "argv, config, expected",
     [
         (["run"], "optimizer: {max_iter: 5}\n", "unknown config key 'optimizer.max_iter'"),
-        (["solve"], "optimizer: {max_iters: 0}\n", "max_iters must be an integer and positive, got 0"),
+        (["solve"], "optimizer: {max_iters: 0}\n", "optimizer: max_iters must be an integer and positive, got 0"),
     ],
     ids=["run-unknown-key", "solve-bad-value"],
 )

@@ -14,6 +14,7 @@ import pytest
 from test_costs import build_problem, reference_derived
 
 from comoto.costs import (
+    EPS_M,
     CostWeights,
     ObjectivePass,
     WeightedObjective,
@@ -106,17 +107,18 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def assert_kernels_match(q, ctx, goal):
+def assert_kernels_match(q, ctx, goal, eps_m=EPS_M):
     """Each kernel against its reference at ``q``, the legibility goal at
-    ``goal``; returns the flagged steps and the visibility gradient."""
+    ``goal`` and the distance clamp at ``eps_m``; returns the flagged steps
+    and the visibility gradient."""
     points, jacs = all_point_jacobians_batch(ctx.chain, q)
     eef, eef_jac = points[:, -1], jacs[:, -1]
 
     means, inv_covs_t = _distance_inputs(ctx.prediction)
     got, pullback = _distance_term(
-        points, _repeat_means(means, points.shape[1]), inv_covs_t, ctx.eps_m
+        points, _repeat_means(means, points.shape[1]), inv_covs_t, eps_m
     )
-    want, want_pullback = reference_distance_term(points, means, inv_covs_t, ctx.eps_m)
+    want, want_pullback = reference_distance_term(points, means, inv_covs_t, eps_m)
     assert same_bits(got, want)
     assert same_bits(pullback(jacs), want_pullback(jacs))
 
@@ -185,10 +187,9 @@ def test_kernels_equal_references_at_the_kinks(arm):
         assert_kernels_match(q, ctx, eef[k].copy())
 
     # An eps_m that clamps part of the (joint, step, point) triples.
-    clamped = dataclasses.replace(ctx, eps_m=20.0)
     points = all_point_jacobians_batch(arm, q)[0]
-    means, inv_covs_t = _distance_inputs(clamped.prediction)
+    means, inv_covs_t = _distance_inputs(ctx.prediction)
     d = means[:, :, None, :] - points[None]
     m = np.einsum("jtpa,jtpa->jtp", d, np.matmul(d, inv_covs_t))
     assert 0 < np.count_nonzero(m < 20.0) < m.size
-    assert_kernels_match(q, clamped, goal)
+    assert_kernels_match(q, ctx, goal, eps_m=20.0)

@@ -13,16 +13,17 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import CFG, cost_context
+from conftest import CFG
 
-from comoto.baselines import TAU_S_RATIO
+from comoto import costs
+from comoto.baselines import NOMINAL_MARGIN, NOMINAL_WEIGHTS, TAU_S_RATIO
 from comoto.costs import (
     COST_NAMES,
+    EPS_M,
     CostContext,
     CostWeights,
     ObjectivePass,
     WeightedObjective,
-    goal_probability,
     _distance_inputs,
     _distance_term,
     _legibility_term,
@@ -80,7 +81,7 @@ def build_problem(chain, seed: int, n_waypoints: int):
     q = nominal.waypoints.copy()
     q[1:-1] += 0.04 * rng.standard_normal(q[1:-1].shape)
     traj = JointTrajectory(q, dt)
-    ctx = cost_context(
+    ctx = CostContext(
         chain,
         goal,
         prediction=make_prediction(rng, n_waypoints, dt),
@@ -146,10 +147,10 @@ def gaze_angle(object_pos, head, eef) -> float:
 
 
 def test_mahalanobis_proximity_hand_values():
-    assert mahalanobis_proximity([1.0, 0, 0], np.eye(3), CFG.eps_m) == pytest.approx(1.0, abs=1e-15)
-    assert mahalanobis_proximity([1.0, 0, 0], 4.0 * np.eye(3), CFG.eps_m) == pytest.approx(4.0, abs=1e-12)
+    assert mahalanobis_proximity([1.0, 0, 0], np.eye(3), EPS_M) == pytest.approx(1.0, abs=1e-15)
+    assert mahalanobis_proximity([1.0, 0, 0], 4.0 * np.eye(3), EPS_M) == pytest.approx(4.0, abs=1e-12)
     # contact is clamped, not infinite
-    assert mahalanobis_proximity([0.0, 0, 0], np.eye(3), CFG.eps_m) == 1.0 / CFG.eps_m
+    assert mahalanobis_proximity([0.0, 0, 0], np.eye(3), EPS_M) == 1.0 / EPS_M
     assert mahalanobis_proximity([0.0, 0, 0], np.eye(3), eps_m=0.01) == pytest.approx(100.0)
 
 
@@ -163,16 +164,6 @@ def test_gaze_angle_hand_values():
         gaze_angle(obj, head, head)
 
 
-def test_goal_probability_values():
-    assert abs(goal_probability(0.3, 0.7, 1.0) - 1.0) <= 1e-12
-    # unit detour through the corner of a right triangle
-    detour = goal_probability(math.sqrt(2.0) / 2.0, math.sqrt(2.0) / 2.0, 1.0)
-    assert abs(detour - math.exp(1.0 - math.sqrt(2.0))) <= 1e-6
-    assert goal_probability(1.5, 0.7, 1.0) < goal_probability(1.0, 0.7, 1.0)
-    with pytest.raises(ContractViolation):
-        goal_probability(-0.1, 0.7, 1.0)
-
-
 def test_legibility_straight_path_is_minus_one():
     eef = np.linspace([0.0, 0, 0], [1.0, 0, 0], 6)
     f = np.arange(6, 0, -1.0)
@@ -183,7 +174,7 @@ def test_legibility_straight_path_is_minus_one():
 def test_legibility_at_goal_trajectory(planar2):
     goal = np.array([0.4, -0.2])
     traj = JointTrajectory(np.tile(goal, (5, 1)), dt=0.25)
-    ctx = cost_context(planar2, goal)
+    ctx = CostContext(planar2, goal)
     assert term("legibility", traj, ctx) == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -193,7 +184,7 @@ def test_legibility_detour_costs_more(planar2):
     q = straight.waypoints.copy()
     q[1:-1, 1] += 0.8
     bent = JointTrajectory(q, straight.dt)
-    ctx = cost_context(planar2, goal)
+    ctx = CostContext(planar2, goal)
     assert term("legibility", straight, ctx) < term("legibility", bent, ctx)
     assert -1.0 <= term("legibility", straight, ctx) < 0.0
 
@@ -206,7 +197,7 @@ def test_smoothness_hand_values(planar2):
     assert value == pytest.approx(1.0 / 16.0, abs=1e-15)
     # a uniformly sampled line has zero acceleration
     line = straightline_joint_init(np.zeros(2), np.ones(2), 9, 0.1)
-    assert term("smoothness", line, cost_context(planar2, np.ones(2))) == pytest.approx(0.0, abs=1e-18)
+    assert term("smoothness", line, CostContext(planar2, np.ones(2))) == pytest.approx(0.0, abs=1e-18)
 
 
 def test_cost_distance_matches_loop_oracle(arm):
@@ -217,7 +208,7 @@ def test_cost_distance_matches_loop_oracle(arm):
     for mean, cov in zip(ctx.prediction.mean_tracks, ctx.prediction.cov_tracks):
         for t in range(traj.n_waypoints):
             for p in range(points.shape[1]):
-                want += mahalanobis_proximity(mean[t] - points[t, p], cov[t], ctx.eps_m)
+                want += mahalanobis_proximity(mean[t] - points[t, p], cov[t], EPS_M)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -233,15 +224,16 @@ def einsum_distance_term(points, means, inv_covs, eps_m):
     return value, lambda jacs: np.einsum("tpan,tpa->tn", jacs, dval_dp)
 
 
-def test_distance_term_matches_einsum_reference(arm):
+def test_distance_term_matches_einsum_reference(arm, monkeypatch):
     # Bit for bit on the isotropic covariances the pipeline builds
     # (sigma^2(t) I from `predict`, I for Dist+Vis); to rounding on general
     # SPD ones.  eps_m = 20 clamps part of the (joint, step, point) triples.
+    # A pass clamps at the module's EPS_M, read at each pass.
     for seed in range(3):
         traj, ctx = build_problem(arm, seed=seed, n_waypoints=12)
         pred = ctx.prediction
         points, jacs = all_point_jacobians_batch(arm, traj.waypoints)
-        sigma2 = 0.02**2 + (0.08 * pred.times) ** 2
+        sigma2 = 0.02**2 + (0.08 * (pred.t0 + pred.step * np.arange(pred.horizon))) ** 2
         tube = PredictedHumanTrajectory(
             pred.joints,
             pred.mean_tracks,
@@ -250,13 +242,20 @@ def test_distance_term_matches_einsum_reference(arm):
         )
         cases = [(tube, True), (pred.with_isotropic_covariance(), True), (pred, False)]
         for (prediction, exact), eps_m in itertools.product(cases, (1e-4, 20.0)):
-            c = dataclasses.replace(ctx, prediction=prediction, eps_m=eps_m)
             inv_covs = np.linalg.inv(prediction.cov_tracks)
-            means, inv_covs_t = _distance_inputs(c.prediction)
+            means, inv_covs_t = _distance_inputs(prediction)
             want, want_pullback = einsum_distance_term(points, means, inv_covs, eps_m)
             got, pullback = _distance_term(
                 points, _repeat_means(means, points.shape[1]), inv_covs_t, eps_m
             )
+            monkeypatch.setattr(costs, "EPS_M", eps_m)
+            problem = WeightedObjective(
+                dataclasses.replace(ctx, prediction=prediction), SINGLE_TERM_WEIGHTS["distance"],
+                traj.dt, traj.n_waypoints,
+            )
+            objective_pass = ObjectivePass(traj.waypoints, problem)
+            assert objective_pass.per_cost["distance"] == pytest.approx(got, rel=1e-12)
+            assert rel_error(objective_pass.gradient(), pullback(jacs)) <= 1e-12
             if exact:
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
                 assert np.array_equal(pullback(jacs), want_pullback(jacs))
@@ -348,20 +347,20 @@ def test_distance_gradient_just_above_the_eps_m_clamp(arm, seed, distance, neare
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     means = points.mean(axis=1) + distance * directions[:, None, :]  # (2, T, 3)
     d2 = np.sum((means[:, :, None] - points) ** 2, axis=-1)  # (2, T, P)
-    var = d2.min(axis=2) / (nearest * ctx.eps_m)
+    var = d2.min(axis=2) / (nearest * EPS_M)
     pred = ctx.prediction
     tube = PredictedHumanTrajectory(
         ("head", "right_palm"), means, var[..., None, None] * np.eye(3), pred.step, pred.t0
     )
     ctx = dataclasses.replace(ctx, prediction=tube)
     m = squared_mahalanobis(tube, points[:, None])
-    assert 2.0 * ctx.eps_m <= m.min() and m.max() <= 50.0 * ctx.eps_m
+    assert 2.0 * EPS_M <= m.min() and m.max() <= 50.0 * EPS_M
     # No central-difference step crosses the clamp: q[t, j] +- h moves only step t's points.
     h = 1e-6
     shifts = np.concatenate([h * np.eye(arm.n_joints), -h * np.eye(arm.n_joints)])
     shifted = fk_points_batch(arm, (traj.waypoints[:, None, :] + shifts).reshape(-1, arm.n_joints))
     shifted = shifted.reshape(traj.n_waypoints, len(shifts), *points.shape[1:])
-    assert squared_mahalanobis(tube, shifted).min() > ctx.eps_m
+    assert squared_mahalanobis(tube, shifted).min() > EPS_M
     problem = WeightedObjective(ctx, SINGLE_TERM_WEIGHTS["distance"], traj.dt, traj.n_waypoints)
     grad = ObjectivePass(traj.waypoints, problem).gradient()
     assert rel_error(grad, fd_gradient(traj.waypoints, problem, h)) <= 1e-4
@@ -435,16 +434,16 @@ def test_total_is_weighted_sum_of_terms(arm):
 def method_weightings(arm, traj, ctx):
     """(ctx, weights) like the Legible, Dist+Vis, CoMOTO and nominal solves.
 
-    The nominal context holds one sphere (radius 0.1 plus the 0.05 margin)
-    centred on the path's middle end-effector point.
+    The nominal context holds one sphere (radius 0.1 plus the nominal's
+    margin) centred on the path's middle end-effector point.
     """
     obstacle = fk_points_batch(arm, traj.waypoints)[traj.n_waypoints // 2, -1]
-    nominal_ctx = cost_context(arm, ctx.goal_config, obstacles=((obstacle, 0.1 + 0.05),))
+    nominal_ctx = CostContext(arm, ctx.goal_config, obstacles=((obstacle, 0.1 + NOMINAL_MARGIN),))
     return {
         "legible": (ctx, CostWeights(alpha_legibility=250.0, alpha_smooth=TAU_S_RATIO * 250.0)),
-        "distvis": (ctx, CostWeights(alpha_dist=0.05, alpha_vis=0.2, alpha_nominal=0.5)),
+        "distvis": (ctx, CFG.distvis_weights),
         "comoto": (ctx, COMBINED_WEIGHTS),
-        "nominal": (nominal_ctx, CostWeights(alpha_smooth=1e-3, alpha_obstacle=200.0)),
+        "nominal": (nominal_ctx, NOMINAL_WEIGHTS),
     }
 
 
@@ -510,7 +509,7 @@ def reference_gradient(q, dt, ctx, w):
     def distance():
         means, inv_covs_t = _distance_inputs(ctx.prediction)
         point_means = _repeat_means(means, points.shape[1])
-        return _distance_term(points, point_means, inv_covs_t, ctx.eps_m)[1](jacs)
+        return _distance_term(points, point_means, inv_covs_t, EPS_M)[1](jacs)
 
     def obstacle():
         # Its pullback returns the rows of the penetrating waypoints only.
@@ -656,7 +655,7 @@ def test_covariance_doubling_moves_costs(arm):
                 inv = np.linalg.inv(cov[t])
                 d = mean[t] - points[t]
                 m_min = min(m_min, float(np.min(np.einsum("pa,ab,pb->p", d, inv, d))))
-        assert m_min > 100.0 * ctx.eps_m
+        assert m_min > 100.0 * EPS_M
         head_cov = ctx.prediction.cov_tracks[ctx.prediction.joints.index("head")]
         assert np.min(np.sqrt(np.trace(head_cov, axis1=1, axis2=2) / 3.0)) >= CFG.prediction.sigma0
         problems = [WeightedObjective(c, COMBINED_WEIGHTS, traj.dt, traj.n_waypoints) for c in (ctx, doubled)]
@@ -685,21 +684,18 @@ def test_cost_weights_reject_non_finite(field):
 
 
 def test_context_validation(arm, planar2):
-    with pytest.raises(TypeError):
-        CostContext(chain=planar2, goal_config=np.zeros(2))  # no defaults: the run config sets them
     with pytest.raises(ContractViolation):
-        cost_context(arm, np.zeros(3))
-    valid = cost_context(planar2, np.zeros(2))
-    for bad in (0.0, math.nan, math.inf, -1.0):
-        with pytest.raises(ContractViolation):
-            dataclasses.replace(valid, eps_m=bad)
+        CostContext(arm, np.zeros(3))
+    valid = CostContext(planar2, np.zeros(2))
+    with pytest.raises(TypeError):
+        dataclasses.replace(valid, eps_m=1e-4)  # the distance clamp is the constant EPS_M
     with pytest.raises(TypeError):
         dataclasses.replace(valid, sigma_floor=0.01)  # the predictor's sigma0 is the only floor
     rng = np.random.default_rng(1)
     pred = make_prediction(rng, 6, 0.1)
     nominal = straightline_joint_init(np.zeros(2), np.ones(2), 5, 0.1)
     with pytest.raises(ContractViolation):
-        cost_context(planar2, np.ones(2), prediction=pred, nominal=nominal)
+        CostContext(planar2, np.ones(2), prediction=pred, nominal=nominal)
     with pytest.raises(ContractViolation, match="not positive definite"):
         dataclasses.replace(pred, cov_tracks=0.0 * pred.cov_tracks)
     # The stacks the costs read are read-only: no singular covariance gets past that check.
@@ -728,7 +724,7 @@ def test_context_prediction_runs_on_the_nominal_clock(arm):
 
 
 def test_time_weights_default_and_custom(planar2):
-    ctx = cost_context(planar2, np.zeros(2))
+    ctx = CostContext(planar2, np.zeros(2))
     problem = WeightedObjective(ctx, CostWeights(alpha_legibility=1.0), 0.1, 4)
     assert np.array_equal(problem.time_weights, [4.0, 3.0, 2.0, 1.0])
     assert problem.time_weight_sum == 10.0
@@ -736,7 +732,7 @@ def test_time_weights_default_and_custom(planar2):
 
 def test_weight_without_inputs_rejected(planar2):
     traj = straightline_joint_init(np.zeros(2), np.ones(2), 4, 0.1)
-    ctx = cost_context(planar2, np.ones(2))
+    ctx = CostContext(planar2, np.ones(2))
     for w in (CostWeights(alpha_dist=1.0), CostWeights(alpha_vis=1.0), CostWeights(alpha_nominal=1.0)):
         with pytest.raises(ContractViolation):
             WeightedObjective(ctx, w, traj.dt, traj.n_waypoints)
@@ -744,7 +740,7 @@ def test_weight_without_inputs_rejected(planar2):
 
 def test_obstacle_weight_without_obstacles_rejected(planar2):
     traj = straightline_joint_init(np.zeros(2), np.ones(2), 4, 0.1)
-    ctx = cost_context(planar2, np.ones(2))
+    ctx = CostContext(planar2, np.ones(2))
     w = CostWeights(alpha_smooth=1.0, alpha_obstacle=1.0)
     with pytest.raises(ContractViolation, match="obstacle weight set but the context lacks its inputs"):
         WeightedObjective(ctx, w, traj.dt, traj.n_waypoints)
@@ -752,16 +748,16 @@ def test_obstacle_weight_without_obstacles_rejected(planar2):
 
 def test_context_rejects_malformed_obstacles(planar2):
     with pytest.raises(ContractViolation, match="obstacle center"):
-        cost_context(planar2, np.zeros(2), obstacles=((np.array([0.5, 0.0]), 0.1),))
+        CostContext(planar2, np.zeros(2), obstacles=((np.array([0.5, 0.0]), 0.1),))
     with pytest.raises(ContractViolation, match="obstacle clearance"):
-        cost_context(planar2, np.zeros(2), obstacles=((np.array([0.5, 0.0, 0.0]), -0.1),))
+        CostContext(planar2, np.zeros(2), obstacles=((np.array([0.5, 0.0, 0.0]), -0.1),))
     for center, radius in (([0.5, math.nan, 0.0], 0.1), ([0.5, 0.0, 0.0], math.inf)):
         with pytest.raises(ContractViolation):
-            cost_context(planar2, np.zeros(2), obstacles=((np.array(center), radius),))
+            CostContext(planar2, np.zeros(2), obstacles=((np.array(center), radius),))
     for entry in ((np.zeros(3),), np.zeros(3), 0.1, (np.zeros(3), 0.1, 1.0)):
         with pytest.raises(ContractViolation, match=r"^each obstacle must be a \(center, clearance\) pair, got "):
-            cost_context(planar2, np.zeros(2), obstacles=(entry,))
-    ctx = cost_context(planar2, np.zeros(2), obstacles=((np.array([0.5, 0.0, 0.0]), 0.1),))
+            CostContext(planar2, np.zeros(2), obstacles=(entry,))
+    ctx = CostContext(planar2, np.zeros(2), obstacles=((np.array([0.5, 0.0, 0.0]), 0.1),))
     problem = WeightedObjective(ctx, CostWeights(alpha_obstacle=1.0), 0.1, 4)
     assert problem.centers.shape == (1, 3) and problem.clearance.shape == (1,)
 
@@ -781,7 +777,7 @@ def test_problem_derives_every_array_bit_for_bit(arm, case):
         )
         ctx = dataclasses.replace(ctx, prediction=headless)
     elif case == "bare":
-        ctx = cost_context(arm, ctx.goal_config)
+        ctx = CostContext(arm, ctx.goal_config)
     elif case == "object_on_head":
         ctx = dataclasses.replace(ctx, object_pos=pred.mean_tracks[head, 4].copy())
     problem = WeightedObjective(ctx, CostWeights(alpha_smooth=1.0), traj.dt, traj.n_waypoints)
@@ -809,8 +805,6 @@ def test_context_fields_cannot_be_assigned(arm):
             setattr(ctx, f.name, getattr(ctx, f.name))
     with pytest.raises(dataclasses.FrozenInstanceError):
         ctx.goal_config = np.zeros(7)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        ctx.eps_m = -1.0
     # A changed goal is a new context, and each problem derives the goal point from it.
     moved = dataclasses.replace(ctx, goal_config=np.zeros(7))
     problem = WeightedObjective(moved, CostWeights(alpha_legibility=1.0), traj.dt, traj.n_waypoints)
@@ -844,7 +838,7 @@ def random_problems(draw):
 def kink_distance(traj, ctx) -> float:
     """How near the problem lies to a point where a term is not differentiable.
 
-    The kinks: the squared Mahalanobis distance at its clamp ``eps_m``; the
+    The kinks: the squared Mahalanobis distance at its clamp ``EPS_M``; the
     end effector on the head or on the gaze ray; a zero-length end-effector
     segment; an end effector on the goal point (but the last, which sits on
     it exactly) or on the nominal's (but the two endpoints); a robot point on
@@ -862,7 +856,7 @@ def kink_distance(traj, ctx) -> float:
     ref = reference_derived(ctx)
     to_centers = np.linalg.norm(points[:, :, None, :] - ref.centers, axis=3)
     return min(
-        float(np.min(m)) - ctx.eps_m,
+        float(np.min(m)) - EPS_M,
         float(np.min(to_eef)),
         min(angles),
         math.pi - max(angles),

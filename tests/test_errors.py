@@ -11,10 +11,10 @@ import re
 import numpy as np
 import pytest
 
-from conftest import CFG, cost_context
+from conftest import CFG
 
 from comoto.baselines import ExecutionTrace
-from comoto.costs import CostReport
+from comoto.costs import CostContext, CostReport
 from comoto.errors import ContractViolation, check_array, check_real
 from comoto.human_motion import (
     HumanTrajectory,
@@ -82,7 +82,6 @@ _SCENARIO = make_scenario("stationary", 1)
 #: One valid instance of every record that holds scalar settings.
 RECORDS = [
     CFG.comoto_weights,
-    cost_context(default_chain(), np.zeros(7)),
     CFG.optimizer,
     CFG.speed_adjust,
     CFG.prediction,
@@ -106,8 +105,8 @@ SCALAR_FIELDS = [
 def test_every_record_has_scalar_settings():
     counts = {type(r).__name__: sum(r is record for record, _ in SCALAR_FIELDS) for r in RECORDS}
     assert counts == {
-        "CostWeights": 6, "CostContext": 1, "OptimizerOptions": 3, "SpeedAdjustParams": 4,
-        "PredictorOptions": 2, "RunConfig": 10, "Scenario": 1, "ReachScript": 4,
+        "CostWeights": 6, "OptimizerOptions": 3, "SpeedAdjustParams": 4,
+        "PredictorOptions": 2, "RunConfig": 3, "Scenario": 1, "ReachScript": 4,
         "JointTrajectory": 2, "HumanTrajectory": 1, "PredictedHumanTrajectory": 2,
     }
 
@@ -223,10 +222,10 @@ ARRAY_INPUTS = [
     ],
     ("Scenario", "obstacle center",
      lambda v: dataclasses.replace(_SCENARIO, obstacles=((v, 0.06),)), _SCENARIO.obstacles[0][0]),
-    ("CostContext", "goal_config", lambda v: cost_context(_CHAIN, v), np.zeros(7)),
-    ("CostContext", "object_pos", lambda v: cost_context(_CHAIN, np.zeros(7), object_pos=v), np.zeros(3)),
+    ("CostContext", "goal_config", lambda v: CostContext(_CHAIN, v), np.zeros(7)),
+    ("CostContext", "object_pos", lambda v: CostContext(_CHAIN, np.zeros(7), object_pos=v), np.zeros(3)),
     ("CostContext", "obstacle center",
-     lambda v: cost_context(_CHAIN, np.zeros(7), obstacles=((v, 0.1),)), np.zeros(3)),
+     lambda v: CostContext(_CHAIN, np.zeros(7), obstacles=((v, 0.1),)), np.zeros(3)),
     ("GoalSet", "true_goal", lambda v: GoalSet(v, _GOALS.distractors), _GOALS.true_goal),
     ("GoalSet", "distractors[0]", lambda v: GoalSet(_GOALS.true_goal, (v,)), _GOALS.distractors[0]),
     ("evaluate_run", "gaze_target",
@@ -272,7 +271,7 @@ def test_every_array_input_rejects_bad_shape_and_non_finite(owner, name, build, 
 
 _SCRIPT = ReachScript(np.zeros((4, 3)), np.ones((4, 3)), 1.0, 3.0)
 _PREDICTION = PredictedHumanTrajectory(("head",), np.zeros((1, 2, 3)), _COVS, 0.1)
-_CONTEXT = cost_context(_CHAIN, np.zeros(7), object_pos=np.zeros(3), obstacles=((np.zeros(3), 0.1),))
+_CONTEXT = CostContext(_CHAIN, np.zeros(7), object_pos=np.zeros(3), obstacles=((np.zeros(3), 0.1),))
 
 #: Every array field of every record but ``ExecutionTrace``, and the packaged offsets.
 READ_ONLY_ARRAYS = {

@@ -326,7 +326,7 @@ def test_predict_goal_blend_hits_goal():
     palm = pred.joints.index("right_palm")
     assert np.max(np.abs(pred.mean_tracks[palm, -1] - goal)) <= 1e-9
     assert pred.t0 == pytest.approx(observed.duration)
-    assert np.allclose(pred.times, observed.duration + 0.1 * np.arange(15), atol=1e-12)
+    assert np.allclose(pred.t0 + pred.step * np.arange(pred.horizon), observed.duration + 0.1 * np.arange(15), atol=1e-12)
 
 
 @pytest.mark.parametrize(

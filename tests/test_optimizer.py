@@ -11,13 +11,12 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import cost_context
 from test_costs import COMBINED_WEIGHTS, build_problem, method_weightings
 
 from comoto import costs as costs_module
 from comoto import optimizer as optimizer_module
 from comoto.baselines import TAU_S_RATIO
-from comoto.costs import COST_NAMES, CostWeights, ObjectivePass, WeightedObjective
+from comoto.costs import COST_NAMES, CostContext, CostWeights, ObjectivePass, WeightedObjective
 from comoto.errors import ContractViolation
 from comoto.kinematics import JointTrajectory, fk_points_batch
 from comoto.optimizer import OptimizerOptions, optimize, straightline_joint_init
@@ -56,7 +55,7 @@ def test_smoothness_only_recovers_straight_line(arm):
     goal = np.array([0.5, 0.9, -0.3, -0.7, 0.2, 1.1, 0.4])
     n, dt = 10, 0.2
     init = perturbed_line(arm, start, goal, n, dt, seed=5)
-    ctx = cost_context(arm, goal)
+    ctx = CostContext(arm, goal)
     # the second-difference quadratic is ill-conditioned: give descent room
     opts = OptimizerOptions(max_iters=30000, grad_tol=1e-10, step_init=0.05)
     result = optimize(ctx, CostWeights(alpha_smooth=1.0), init, opts)
@@ -73,7 +72,7 @@ def test_zero_gradient_start_returns_immediately(arm):
     start = np.array([0.0, 0.6, 0.0, -1.1, 0.0, 0.8, 0.0])
     goal = start + 0.3
     nominal = straightline_joint_init(start, goal, 8, 0.1)
-    ctx = cost_context(arm, goal, nominal=nominal)
+    ctx = CostContext(arm, goal, nominal=nominal)
     opts = OptimizerOptions(max_iters=500, grad_tol=1e-4, step_init=0.05)
     result = optimize(ctx, CostWeights(alpha_nominal=1.0), nominal, opts)
     assert result.converged
