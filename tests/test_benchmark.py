@@ -199,6 +199,32 @@ def test_config_errors_name_their_section(data, message):
         config_from_dict(data)
 
 
+NUMERIC_LEAVES = [path for path, value in CONFIG_LEAVES if not isinstance(value, list)]
+RECORD_SECTIONS = ("weights.comoto", "weights.distvis", "optimizer", "speed_adjust", "prediction")
+
+
+@pytest.mark.parametrize("bad", ["abc", None, True, math.nan], ids=["text", "null", "true", "nan"])
+@pytest.mark.parametrize("path", NUMERIC_LEAVES, ids=[".".join(path) for path in NUMERIC_LEAVES])
+def test_every_numeric_config_leaf_rejects_a_non_number(path, bad):
+    # The loader's counterpart of test_errors' per-field check: every key
+    # rejects each kind of non-number, with a message that says where.
+    override = bad
+    for key in reversed(path):
+        override = {key: override}
+    with pytest.raises(ContractViolation) as excinfo:
+        config_from_dict(override)
+    message = str(excinfo.value)
+    dotted = ".".join(path)
+    section, key = dotted.rpartition(".")[0], path[-1]
+    if bad is not math.nan:
+        assert message == f"config key {dotted!r} must be a number, got {bad!r}"
+    elif message.startswith("config key"):  # an integer key
+        assert message == f"config key {dotted!r} must be an integer, got nan"
+    else:
+        assert key in message and message.endswith(", got nan")
+        assert message.startswith(f"{section}: {key} ") == (section in RECORD_SECTIONS)
+
+
 def test_config_file_round_trip(tmp_path):
     import yaml
 
