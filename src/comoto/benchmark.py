@@ -92,13 +92,21 @@ class RunConfig:
             check_real(seed, "seeds", "non-negative", integer=True)
         # Checked at load: a bad value would otherwise surface only once a
         # run has started, or turn every row of one method into a failed row.
-        for name in _POSITIVE_FIELDS:
-            check_real(getattr(self, name), name, "positive")
-        check_fov_deg(self.fov_deg)
+        for name, kind in _RECORD_FIELDS.items():
+            if not isinstance(getattr(self, name), kind):
+                got = type(getattr(self, name)).__name__
+                raise ContractViolation(f"{name} must be of type {kind.__name__}, got {got}")
+        # The flat fields are named by their config keys; a zero alpha would leave Legible no cost term.
+        check_real(self.legible_alpha, "weights.legible.alpha", "positive")
+        check_real(self.separation_threshold, "metrics.separation_threshold", "positive")
+        check_fov_deg(self.fov_deg, "metrics.fov_deg")
 
 
-# A zero legible_alpha, like all-zero CostWeights, would leave its method no cost term.
-_POSITIVE_FIELDS = ("legible_alpha", "separation_threshold")
+#: The fields that hold a record, and the record's type.
+_RECORD_FIELDS = {
+    "comoto_weights": CostWeights, "distvis_weights": CostWeights, "optimizer": OptimizerOptions,
+    "speed_adjust": SpeedAdjustParams, "prediction": PredictorOptions,
+}
 
 
 def default_config_dict() -> dict:

@@ -33,6 +33,7 @@ from .benchmark import (
     write_benchmark_outputs,
 )
 from .errors import ContractViolation
+from .fileio import _named
 from .kinematics import load_trajectory, save_trajectory
 from .optimizer import optimize
 from .scenarios import FAMILIES, generate_scenarios, load_scenario, save_scenario
@@ -129,28 +130,16 @@ def _prepared(args) -> tuple[RunConfig, ScenarioBundle]:
     preparing the scenario names its file, as an error from reading it does."""
     cfg = load_config(args.config)
     sc = load_scenario(args.scenario)
-    try:
+    with _named(args.scenario):
         return cfg, prepare_scenario(sc, cfg)
-    except ContractViolation as exc:
-        raise ContractViolation(f"{args.scenario}: {exc}") from None
 
 
 def _cmd_eval(args) -> int:
     planned = load_trajectory(args.trajectory)
     cfg, bundle = _prepared(args)
-    # The metrics pair waypoint k with the nominal's: both must keep one clock and one arm.
-    plan = bundle.nominal
-    if planned.n_joints != plan.n_joints:
-        raise ContractViolation(
-            f"{args.trajectory}: {planned.n_joints} joints, but the scenario's arm has {plan.n_joints}"
-        )
-    off = (abs(planned.dt - plan.dt), abs(planned.t0 - plan.t0))
-    if planned.n_waypoints != plan.n_waypoints or max(off) > 1e-9:
-        raise ContractViolation(
-            f"{args.trajectory}: {planned.n_waypoints} waypoints at dt={planned.dt!r} from t0={planned.t0!r}, "
-            f"but the scenario plans {plan.n_waypoints} at dt={plan.dt!r} from t0={plan.t0!r}"
-        )
-    print(json.dumps(dataclasses.asdict(evaluate_planned(bundle, planned, cfg)), indent=2))
+    with _named(args.trajectory):  # e.g. a trajectory off the nominal's clock or arm
+        report = evaluate_planned(bundle, planned, cfg)
+    print(json.dumps(dataclasses.asdict(report), indent=2))
     return 0
 
 

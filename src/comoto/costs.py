@@ -135,12 +135,16 @@ class CostContext:
 
 def check_spheres(obstacles, radius_name: str) -> tuple:
     """``obstacles``, a sequence of ``(center, radius)`` pairs, with each center a new (3,) float64 array and
-    each radius a float; a ``ContractViolation`` unless each center is finite and each radius finite and positive."""
-    for sphere in obstacles:
+    each radius a float; a ``ContractViolation`` unless each center is finite and each radius finite and positive.
+    A message names obstacle ``i``'s inputs ``obstacles.{i}.center`` and ``obstacles.{i}.{radius_name}``."""
+    checked = []
+    for i, sphere in enumerate(obstacles):
         if not isinstance(sphere, (tuple, list)) or len(sphere) != 2:
             raise ContractViolation(f"each obstacle must be a (center, {radius_name}) pair, got {sphere!r}")
-        check_real(sphere[1], f"obstacle {radius_name}", "positive")
-    return tuple((check_array(center, "obstacle center", (3,)), float(radius)) for center, radius in obstacles)
+        center = check_array(sphere[0], f"obstacles.{i}.center", (3,))
+        check_real(sphere[1], f"obstacles.{i}.{radius_name}", "positive")
+        checked.append((center, float(sphere[1])))
+    return tuple(checked)
 
 
 @dataclass(frozen=True)

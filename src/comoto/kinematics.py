@@ -189,15 +189,11 @@ def fk_eef(chain: ChainSpec, q: Array) -> Array:
 
 
 def _batch_frames(chain: ChainSpec, Q: Array) -> tuple[Array, Array]:
-    """Vectorized FK over a (N, n) batch of configurations, through one ``Frames``.
+    """Vectorized FK over a (N, n) batch of configurations; its ``Frames`` rejects any other shape.
 
     Returns ``(points, axes)`` with shapes (N, n+1, 3) and (N, n, 3).
     """
     Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 2 or Q.shape[1] != chain.n_joints:
-        raise ContractViolation(
-            f"batch has shape {Q.shape}, chain expects (N, {chain.n_joints})"
-        )
     points, axes = Frames(chain, Q.shape[:1])(Q)
     # Contiguous copies: their layout fixes the rounding of the einsums over them.
     return np.ascontiguousarray(points), np.ascontiguousarray(axes)

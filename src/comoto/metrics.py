@@ -89,11 +89,11 @@ FK_BLOCK = 256
 # one FK pass and one human interpolation for all of them.
 
 
-def check_fov_deg(fov_deg: float) -> None:
-    """Raise a ``ContractViolation`` unless ``fov_deg`` is finite and in (0, 360]."""
-    check_real(fov_deg, "fov_deg")
+def check_fov_deg(fov_deg: float, name: str = "fov_deg") -> None:
+    """Raise a ``ContractViolation`` naming ``name`` unless ``fov_deg`` is finite and in (0, 360]."""
+    check_real(fov_deg, name)
     if not 0 < fov_deg <= 360:
-        raise ContractViolation(f"fov_deg must be in (0, 360], got {fov_deg!r}")
+        raise ContractViolation(f"{name} must be in (0, 360], got {fov_deg!r}")
 
 
 def _visibility_pct(eef: Array, head: Array, target: Array, fov_deg: float) -> float:
@@ -128,8 +128,6 @@ def _legibility_score(eef: Array, goals: GoalSet) -> float:
 
 
 def _nominal_dev(chain: ChainSpec, eef: Array, nominal: JointTrajectory) -> float:
-    if eef.shape[0] != nominal.n_waypoints:
-        raise ContractViolation("trajectory and nominal must have equal waypoint counts")
     eef_nom = fk_points_batch(chain, nominal.waypoints)[:, -1]
     return float(np.sum(np.linalg.norm(eef - eef_nom, axis=1) ** 2))
 
@@ -153,7 +151,8 @@ def evaluate_run(
     the head (which ``joints`` must name) is read by its index.  An
     executed trace adds one FK pass over its samples on the nominal clock.
     ``threshold`` (meters, positive) and ``fov_deg`` (in (0, 360]) are
-    the run config's ``metrics`` section.
+    the run config's ``metrics`` section.  A planned trajectory must have
+    the nominal's joints, waypoint count, ``dt`` and ``t0`` (within 1e-9).
     """
     gaze_target = check_array(gaze_target, "gaze_target", (3,))
     check_real(threshold, "threshold", "positive")
@@ -161,6 +160,14 @@ def evaluate_run(
     if isinstance(planned, ExecutionTrace):
         times, configs = planned.timestamps, planned.configs
     elif isinstance(planned, JointTrajectory):
+        if planned.n_joints != nominal.n_joints:
+            raise ContractViolation(f"{planned.n_joints} joints, but the nominal has {nominal.n_joints}")
+        off = max(abs(planned.dt - nominal.dt), abs(planned.t0 - nominal.t0))
+        if planned.n_waypoints != nominal.n_waypoints or off > 1e-9:
+            raise ContractViolation(
+                f"{planned.n_waypoints} waypoints at dt={planned.dt!r} from t0={planned.t0!r}, "
+                f"but the nominal has {nominal.n_waypoints} at dt={nominal.dt!r} from t0={nominal.t0!r}"
+            )
         times, configs = planned.times, planned.waypoints
     else:
         raise ContractViolation(f"cannot evaluate object of type {type(planned).__name__}")

@@ -119,6 +119,7 @@ def make_scenario(family: str, seed: int, chain: ChainSpec | None = None) -> Sce
     if family not in FAMILIES:
         raise ContractViolation(f"unknown family {family!r}; expected one of {FAMILIES}")
     check_real(seed, "seed", "non-negative", integer=True)
+    seed = int(seed)  # a NumPy integer too, so that scenario_to_dict can dump it
     if chain is None:
         chain = default_chain()
     rng = np.random.default_rng([FAMILY_IDS[family], seed])
@@ -202,7 +203,7 @@ def make_scenario(family: str, seed: int, chain: ChainSpec | None = None) -> Sce
 def generate_scenarios(family: str, seeds) -> list[Scenario]:
     """Deterministic scenario per seed for one family, on the packaged arm."""
     chain = default_chain()
-    return [make_scenario(family, int(s), chain) for s in seeds]
+    return [make_scenario(family, s, chain) for s in seeds]
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +290,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             noise_scale=_real(script["noise_scale"], "script.noise_scale", "non-negative"),
             seed=script_seed,
         ),
-        obstacles=tuple(
-            (
-                check_array(o["center"], f"obstacles.{i}.center", (3,)),
-                _real(o["radius"], f"obstacles.{i}.radius", "positive"),
-            )
-            for i, o in enumerate(obstacles)
-        ),
+        obstacles=tuple((o["center"], o["radius"]) for o in obstacles),
     )
 
 

@@ -191,10 +191,25 @@ def test_unknown_config_keys_rejected():
             {"weights": {"comoto": {"alpha_dist": -1}}},
             r"weights\.comoto: alpha_dist must be finite and non-negative, got -1\.0",
         ),
+        # The flat keys are named by their dotted key, not their RunConfig field.
+        (
+            {"weights": {"legible": {"alpha": math.nan}}},
+            r"weights\.legible\.alpha must be finite and positive, got nan",
+        ),
+        ({"weights": {"legible": {"alpha": 0}}}, r"weights\.legible\.alpha must be finite and positive, got 0\.0"),
+        ({"metrics": {"fov_deg": math.nan}}, r"metrics\.fov_deg must be finite, got nan"),
+        ({"metrics": {"fov_deg": 400}}, r"metrics\.fov_deg must be in \(0, 360\], got 400\.0"),
+        (
+            {"metrics": {"separation_threshold": -0.2}},
+            r"metrics\.separation_threshold must be finite and positive, got -0\.2",
+        ),
     ],
-    ids=["all-zero-comoto", "zero-max-iters", "negative-comoto-weight"],
+    ids=[
+        "all-zero-comoto", "zero-max-iters", "negative-comoto-weight", "nan-legible-alpha", "zero-legible-alpha",
+        "nan-fov", "wide-fov", "negative-threshold",
+    ],
 )
-def test_config_errors_name_their_section(data, message):
+def test_config_errors_name_their_key(data, message):
     with pytest.raises(ContractViolation, match=f"^{message}$"):
         config_from_dict(data)
 
@@ -221,8 +236,8 @@ def test_every_numeric_config_leaf_rejects_a_non_number(path, bad):
     elif message.startswith("config key"):  # an integer key
         assert message == f"config key {dotted!r} must be an integer, got nan"
     else:
-        assert key in message and message.endswith(", got nan")
-        assert message.startswith(f"{section}: {key} ") == (section in RECORD_SECTIONS)
+        assert message.endswith(", got nan")
+        assert message.startswith(f"{section}: {key} " if section in RECORD_SECTIONS else f"{dotted} ")
 
 
 def test_config_file_round_trip(tmp_path):
@@ -282,6 +297,20 @@ def test_run_config_validation():
             dataclasses.replace(cfg, seeds=(1, seed))
     with pytest.raises(ContractViolation):
         dataclasses.replace(cfg, families=("no_such_family",))
+
+
+RECORD_FIELDS = ("comoto_weights", "distvis_weights", "optimizer", "speed_adjust", "prediction")
+
+
+@pytest.mark.parametrize("name", RECORD_FIELDS)
+def test_run_config_rejects_a_record_field_of_another_type(name):
+    # A dict, such as distvis_weights={"alpha_dist": 0.05}, used to be accepted,
+    # and then every row that read the field failed with an AttributeError.
+    cfg = load_config()
+    kind = type(getattr(cfg, name)).__name__
+    for bad in (dataclasses.asdict(getattr(cfg, name)), None, cfg):
+        with pytest.raises(ContractViolation, match=f"^{name} must be of type {kind}, got {type(bad).__name__}$"):
+            dataclasses.replace(cfg, **{name: bad})
 
 
 def test_all_zero_distvis_weights_rejected_at_load():

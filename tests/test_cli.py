@@ -104,7 +104,7 @@ def test_eval_trajectory(tmp_path, scenario_path, capsys):
     assert 0.0 <= report["dst_pct"] <= 100.0
 
 
-CLOCK_MISMATCH = "but the scenario plans 20 at dt="
+CLOCK_MISMATCH = "but the nominal has 20 at dt="
 
 
 @pytest.mark.parametrize(
@@ -116,11 +116,11 @@ CLOCK_MISMATCH = "but the scenario plans 20 at dt="
         (lambda traj: JointTrajectory(traj.waypoints[:-1], traj.dt, traj.t0), CLOCK_MISMATCH),
         (
             lambda traj: JointTrajectory(traj.waypoints[:, :6], traj.dt, traj.t0),
-            "6 joints, but the scenario's arm has 7",
+            "6 joints, but the nominal has 7",
         ),
         (
             lambda traj: JointTrajectory(np.hstack([traj.waypoints, traj.waypoints[:, :1]]), traj.dt, traj.t0),
-            "8 joints, but the scenario's arm has 7",
+            "8 joints, but the nominal has 7",
         ),
     ],
     ids=["t0-zero", "dt-0.2", "dt-off-by-1e-8", "one-waypoint-short", "six-joints", "eight-joints"],
@@ -198,7 +198,7 @@ def test_bad_config_value_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("weights:\n  legible: {alpha: -1}\n")
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
-    assert "legible_alpha" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {bad}: weights.legible.alpha must be finite and positive, got -1.0\n"
     assert not (tmp_path / "out").exists()
 
 

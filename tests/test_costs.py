@@ -747,9 +747,9 @@ def test_obstacle_weight_without_obstacles_rejected(planar2):
 
 
 def test_context_rejects_malformed_obstacles(planar2):
-    with pytest.raises(ContractViolation, match="obstacle center"):
+    with pytest.raises(ContractViolation, match=r"^obstacles\.0\.center must have shape \(3,\), got \(2,\)$"):
         CostContext(planar2, np.zeros(2), obstacles=((np.array([0.5, 0.0]), 0.1),))
-    with pytest.raises(ContractViolation, match="obstacle clearance"):
+    with pytest.raises(ContractViolation, match=r"^obstacles\.0\.clearance must be finite and positive, got -0\.1$"):
         CostContext(planar2, np.zeros(2), obstacles=((np.array([0.5, 0.0, 0.0]), -0.1),))
     for center, radius in (([0.5, math.nan, 0.0], 0.1), ([0.5, 0.0, 0.0], math.inf)):
         with pytest.raises(ContractViolation):
@@ -760,6 +760,21 @@ def test_context_rejects_malformed_obstacles(planar2):
     ctx = CostContext(planar2, np.zeros(2), obstacles=((np.array([0.5, 0.0, 0.0]), 0.1),))
     problem = WeightedObjective(ctx, CostWeights(alpha_obstacle=1.0), 0.1, 4)
     assert problem.centers.shape == (1, 3) and problem.clearance.shape == (1,)
+
+
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        ((np.ones(3), 0.0), r"^obstacles\.1\.clearance must be finite and positive, got 0\.0$"),
+        ((np.ones(3), "0.1"), r"^obstacles\.1\.clearance must be finite and positive, got '0\.1'$"),
+        (([1.0, math.nan, 1.0], 0.1), r"^obstacles\.1\.center must be finite, got nan at index \(1,\)$"),
+        ((np.ones(2), 0.1), r"^obstacles\.1\.center must have shape \(3,\), got \(2,\)$"),
+    ],
+    ids=["zero-clearance", "text-clearance", "nan-center", "short-center"],
+)
+def test_context_names_a_bad_obstacle_by_its_index(planar2, second, message):
+    with pytest.raises(ContractViolation, match=message):
+        CostContext(planar2, np.zeros(2), obstacles=((np.zeros(3), 0.1), second))
 
 
 @pytest.mark.parametrize("case", ["full", "spheres", "long", "no_head", "bare", "object_on_head"])

@@ -111,12 +111,20 @@ def test_every_record_has_scalar_settings():
     }
 
 
+CONFIG_KEYS = {
+    "legible_alpha": "weights.legible.alpha", "separation_threshold": "metrics.separation_threshold",
+    "fov_deg": "metrics.fov_deg",
+}
+
+
 @pytest.mark.parametrize("value", ["1", None, math.nan, True])
 @pytest.mark.parametrize(
     "record, name", SCALAR_FIELDS, ids=[f"{type(r).__name__}.{name}" for r, name in SCALAR_FIELDS]
 )
 def test_every_scalar_setting_rejects_a_non_number(record, name, value):
-    with pytest.raises(ContractViolation, match=f"^{name} must be "):
+    # The run config's flat fields are named by their config keys.
+    key = CONFIG_KEYS[name] if record is CFG else name
+    with pytest.raises(ContractViolation, match=f"^{re.escape(key)} must be "):
         dataclasses.replace(record, **{name: value})
 
 
@@ -220,11 +228,11 @@ ARRAY_INPUTS = [
          getattr(_SCENARIO, name))
         for name in ("robot_start", "robot_goal", "robot_object", "human_object")
     ],
-    ("Scenario", "obstacle center",
+    ("Scenario", "obstacles.0.center",
      lambda v: dataclasses.replace(_SCENARIO, obstacles=((v, 0.06),)), _SCENARIO.obstacles[0][0]),
     ("CostContext", "goal_config", lambda v: CostContext(_CHAIN, v), np.zeros(7)),
     ("CostContext", "object_pos", lambda v: CostContext(_CHAIN, np.zeros(7), object_pos=v), np.zeros(3)),
-    ("CostContext", "obstacle center",
+    ("CostContext", "obstacles.0.center",
      lambda v: CostContext(_CHAIN, np.zeros(7), obstacles=((v, 0.1),)), np.zeros(3)),
     ("GoalSet", "true_goal", lambda v: GoalSet(v, _GOALS.distractors), _GOALS.true_goal),
     ("GoalSet", "distractors[0]", lambda v: GoalSet(_GOALS.true_goal, (v,)), _GOALS.distractors[0]),
@@ -286,12 +294,12 @@ READ_ONLY_ARRAYS = {
     "PredictedHumanTrajectory.cov_tracks": _PREDICTION.cov_tracks,
     "CostContext.goal_config": _CONTEXT.goal_config,
     "CostContext.object_pos": _CONTEXT.object_pos,
-    "CostContext.obstacle center": _CONTEXT.obstacles[0][0],
+    "CostContext.obstacles.0.center": _CONTEXT.obstacles[0][0],
     **{
         f"Scenario.{name}": getattr(_SCENARIO, name)
         for name in ("robot_start", "robot_goal", "robot_object", "human_object")
     },
-    "Scenario.obstacle center": _SCENARIO.obstacles[0][0],
+    "Scenario.obstacles.0.center": _SCENARIO.obstacles[0][0],
     "GoalSet.true_goal": _GOALS.true_goal,
     "GoalSet.distractors[0]": _GOALS.distractors[0],
     "load_skeleton_offsets()": load_skeleton_offsets(),

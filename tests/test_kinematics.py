@@ -376,6 +376,12 @@ def test_clamp_projects_onto_limits(planar2):
 def test_config_dimension_checked(planar2):
     with pytest.raises(ContractViolation):
         robot_points(planar2, np.zeros(3))
+    # The batch's Frames rejects every shape but (N, n), for FK and Jacobians alike.
+    for shape in ((), (2,), (4, 3), (4, 2, 1)):
+        got = re.escape(str(shape))
+        for batch in (kinematics.fk_points_batch, kinematics.all_point_jacobians_batch):
+            with pytest.raises(ContractViolation, match=rf"^configurations have shape {got}, expected \("):
+                batch(planar2, np.zeros(shape))
 
 
 def test_joint_trajectory_validation():

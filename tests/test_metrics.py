@@ -4,10 +4,13 @@ nominal deviation."""
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from comoto.baselines import ExecutionTrace
+from comoto.benchmark import prepare_scenario
 from comoto.errors import ContractViolation
 from comoto.human_motion import HumanTrajectory
 from comoto.kinematics import JointTrajectory, fk_points_batch
@@ -21,6 +24,7 @@ from comoto.metrics import (
     aggregate,
     evaluate_run,
 )
+from comoto.scenarios import make_scenario
 
 from conftest import CFG
 
@@ -304,6 +308,52 @@ def test_evaluate_run_checks_threshold_and_fov_as_the_run_config_does(planar2, s
     traj = JointTrajectory(np.tile(Q_NEAR, (4, 1)), dt=0.1)
     with pytest.raises(ContractViolation, match=f"^{message}$"):
         metrics(planar2, traj, fixed_human([0.0, 3.0, 0.0]), **settings)
+
+
+@pytest.fixture(scope="module")
+def far3():
+    """reaching_far seed 3, prepared with the packaged config."""
+    return prepare_scenario(make_scenario("reaching_far", 3), CFG)
+
+
+def score(bundle, planned):
+    """``evaluate_run`` of ``planned`` against ``bundle``'s nominal, as the benchmark calls it."""
+    sc = bundle.scenario
+    return evaluate_run(
+        sc.chain, planned, bundle.truth, bundle.nominal, bundle.goals,
+        gaze_target=sc.human_object, threshold=CFG.separation_threshold, fov_deg=CFG.fov_deg,
+    )
+
+
+@pytest.mark.parametrize(
+    "retime, message",
+    [
+        (lambda nom: JointTrajectory(nom.waypoints, nom.dt, 0.0), "20 waypoints at dt={dt!r} from t0=0.0"),
+        (lambda nom: JointTrajectory(nom.waypoints, 0.2, nom.t0), "20 waypoints at dt=0.2 from t0=1.0"),
+        (lambda nom: JointTrajectory(nom.waypoints[:-1], nom.dt, nom.t0), "19 waypoints at dt={dt!r} from t0=1.0"),
+    ],
+    ids=["t0-zero", "dt-0.2", "one-waypoint-short"],
+)
+def test_evaluate_run_rejects_a_trajectory_off_the_nominals_clock(far3, retime, message):
+    # The metrics pair waypoint k with the nominal's; with t0 = 0 this used to
+    # score dst_pct 90 instead of the nominal's 100, and raise nothing.
+    dt = far3.nominal.dt
+    expected = f"{message.format(dt=dt)}, but the nominal has 20 at dt={dt!r} from t0=1.0"
+    with pytest.raises(ContractViolation, match=f"^{re.escape(expected)}$"):
+        score(far3, retime(far3.nominal))
+
+
+def test_evaluate_run_rejects_a_trajectory_for_another_arm(far3):
+    six = JointTrajectory(far3.nominal.waypoints[:, :6], far3.nominal.dt, far3.nominal.t0)
+    with pytest.raises(ContractViolation, match="^6 joints, but the nominal has 7$"):
+        score(far3, six)
+
+
+def test_evaluate_run_accepts_the_nominals_clock_within_1e_9(far3):
+    nom = far3.nominal
+    assert score(far3, nom).dst_pct == 100.0
+    near = JointTrajectory(nom.waypoints, nom.dt + 1e-10, nom.t0 - 1e-10)
+    assert score(far3, near) == score(far3, nom)
 
 
 def test_visibility_needs_head_track(planar2):

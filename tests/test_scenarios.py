@@ -38,6 +38,17 @@ from comoto.scenarios import (
 SEEDS = (1, 2, 3, 4, 5)
 
 
+def test_generate_scenarios_checks_each_seed_before_converting_it():
+    # int() used to run first, so [1.5, True] gave two scenarios with seed 1.
+    for bad in (1.5, True):
+        with pytest.raises(ContractViolation, match=f"^seed must be an integer and non-negative, got {bad!r}$"):
+            generate_scenarios("stationary", [bad])
+    # A NumPy integer is a seed, and its scenario's file holds a plain int.
+    (sc,) = generate_scenarios("stationary", [np.int64(2)])
+    assert type(sc.seed) is int
+    assert yaml.safe_load(yaml.safe_dump(scenario_to_dict(sc))) == scenario_to_dict(make_scenario("stationary", 2))
+
+
 def test_generation_is_deterministic(arm):
     for family in FAMILIES:
         a = make_scenario(family, 3, arm)
