@@ -54,8 +54,6 @@ _ALPHA = {
     "obstacle": "alpha_obstacle",
 }
 COST_NAMES = tuple(_ALPHA)
-#: The terms over the end effector alone.
-_EEF_TERMS = ("visibility", "legibility", "nominal")
 
 _TINY = 1e-12
 
@@ -164,11 +162,11 @@ class CostReport:
 # ---------------------------------------------------------------------------
 # Term evaluators over precomputed forward kinematics
 #
-# Each returns ``(value, pullback)``.  The pullback keeps the value
-# pass's intermediates and maps the point Jacobians (the all-point terms,
-# distance and obstacle) or the end-effector Jacobians (the eef terms) to
-# the term's gradient over all waypoints; the smoothness pullback takes no
-# argument.
+# Each returns ``(value, pullback)`` and takes the term's weight.  The
+# pullback keeps the value pass's intermediates; called with the
+# ``ObjectivePass``, it returns ``(rows, term)``: the term's gradient,
+# scaled by its weight, over the waypoints ``rows`` (``...`` for all of
+# them), read through whichever of the pass's Jacobians it needs.
 # ---------------------------------------------------------------------------
 
 
@@ -191,7 +189,7 @@ def _repeat_means(means: Array, n_points: int) -> Array:
     return np.repeat(means[:, :, None, :], n_points, axis=2)
 
 
-def _distance_term(points: Array, point_means: Array, inv_covs_t: Array, eps_m: float):
+def _distance_term(points: Array, point_means: Array, inv_covs_t: Array, eps_m: float, weight: float):
     # points (N,P,3); point_means (J,N,P,3), from _repeat_means; inv_covs_t
     # (J,N,3,3), each inverse transposed.  sd = Sigma^-1 d as one stacked GEMM
     # of each (P,3) block of d by its transposed inverse.  Every prediction
@@ -204,15 +202,15 @@ def _distance_term(points: Array, point_means: Array, inv_covs_t: Array, eps_m: 
     m_clamped = np.maximum(m, eps_m)
     value = float((1.0 / m_clamped).sum())
 
-    def pullback(jacs: Array) -> Array:
+    def pullback(p: ObjectivePass):
         coeff = np.where(m < eps_m, 0.0, 2.0 / m_clamped**2)
         dval_dp = np.einsum("jtp,jtpa->tpa", coeff, sd)
-        return np.einsum("tpan,tpa->tn", jacs, dval_dp)
+        return ..., weight * np.einsum("tpan,tpa->tn", p.point_jacobians, dval_dp)
 
     return value, pullback
 
 
-def _visibility_term(eef: Array, problem: WeightedObjective):
+def _visibility_term(eef: Array, problem: WeightedObjective, weight: float):
     """``(value, pullback, flagged)`` from ``problem``'s gaze ray and head spread;
     ``flagged`` lists degenerate steps."""
     u, nu, sigma_head = problem.gaze, problem.gaze_norm, problem.sigma_head
@@ -226,19 +224,19 @@ def _visibility_term(eef: Array, problem: WeightedObjective):
     theta = np.where(ok, np.arccos(c), 0.0)
     value = float((theta / sigma_head).sum())
 
-    def pullback(eef_jac: Array) -> Array:
+    def pullback(p: ObjectivePass):
         sin2 = 1.0 - c**2
         diffbl = ok & (sin2 > _TINY)
         safe_sin = np.sqrt(np.where(diffbl, sin2, 1.0))
         w_hat = w / safe_nw[:, None]
         dtheta_dw = -(problem.gaze_unit - c[:, None] * w_hat) / (safe_nw * safe_sin)[:, None]
         dtheta_dw = np.where(diffbl[:, None], dtheta_dw, 0.0)
-        return np.einsum("tan,ta->tn", eef_jac, dtheta_dw / sigma_head[:, None])
+        return ..., weight * np.einsum("tan,ta->tn", p.eef_jacobians, dtheta_dw / sigma_head[:, None])
 
     return value, pullback, flagged
 
 
-def _legibility_term(eef: Array, goal: Array, f: Array, W: float):
+def _legibility_term(eef: Array, goal: Array, f: Array, W: float, weight: float):
     # f: the per-step time weights; W: their sum, positive.
     N = eef.shape[0]
     seg = eef[1:] - eef[:-1]  # (N-1,3)
@@ -250,7 +248,7 @@ def _legibility_term(eef: Array, goal: Array, f: Array, W: float):
     wp = f * np.exp(L_full - s - r)  # f_k P_k, with P <= 1 by the triangle inequality
     value = -float(wp.sum() / W)
 
-    def pullback(eef_jac: Array) -> Array:
+    def pullback(p: ObjectivePass):
         A = wp[::-1].cumsum()[::-1]  # A[n] = sum_{k>=n} f_k P_k
         B = A - wp
         u_hat = np.where(seg_len[:, None] > _TINY, seg / np.maximum(seg_len, _TINY)[:, None], 0.0)
@@ -262,51 +260,51 @@ def _legibility_term(eef: Array, goal: Array, f: Array, W: float):
         if L_full > _TINY:
             dv[0] += A[0] * to_goal[0] / L_full  # the optimal-cost normalizer moves with e_0
         dv /= W
-        return np.einsum("tan,ta->tn", eef_jac, -dv)
+        return ..., weight * np.einsum("tan,ta->tn", p.eef_jacobians, -dv)
 
     return value, pullback
 
 
-def _nominal_term(eef: Array, nominal_eef: Array):
+def _nominal_term(eef: Array, nominal_eef: Array, weight: float):
     diff = eef - nominal_eef
     dist = _row_norms(diff)
     value = float(dist.sum())
 
-    def pullback(eef_jac: Array) -> Array:
+    def pullback(p: ObjectivePass):
         direction = np.where(dist[:, None] > _TINY, diff / np.maximum(dist, _TINY)[:, None], 0.0)
-        return np.einsum("tan,ta->tn", eef_jac, direction)
+        return ..., weight * np.einsum("tan,ta->tn", p.eef_jacobians, direction)
 
     return value, pullback
 
 
-def _smoothness_term(q: Array, dt: float):
+def _smoothness_term(q: Array, dt: float, weight: float):
     acc = (q[2:] - 2.0 * q[1:-1] + q[:-2]) / dt**2
     value = float((acc**2).sum())
 
-    def pullback() -> Array:
+    def pullback(p: ObjectivePass):
         grad = np.zeros(q.shape)
         a2 = 2.0 * acc / dt**2
         grad[:-2] += a2
         grad[1:-1] -= 2.0 * a2
         grad[2:] += a2
-        return grad
+        return ..., weight * grad
 
     return value, pullback
 
 
 def _obstacle_term(points: Array, centers: Array, clearance: Array, weight: float):
     # points (N,P,3), centers (S,3) and clearance (S,) of the S spheres; diff,
-    # dist and pen are (N,P,S[,3]).  The pullback comes weighted: the weight
-    # enters its coefficient ahead of the einsums, and every nominal plan, so
-    # every benchmark row, depends on that rounding.
+    # dist and pen are (N,P,S[,3]).  The weight enters the pullback's
+    # coefficient ahead of the einsums, and every nominal plan, so every
+    # benchmark row, depends on that rounding.
     diff = points[:, :, None, :] - centers
     dist = _row_norms(diff)
     pen = np.maximum(0.0, clearance - dist)
     value = float((pen**2).sum())
 
-    def pullback(frames: tuple[Array, Array]) -> tuple[Array, Array]:
+    def pullback(p: ObjectivePass):
         """``(rows, term)``: the waypoints where some point penetrates, and
-        their gradient rows, from the pass's FK ``(points, axes)``.
+        their gradient rows, from the pass's FK ``frames``.
 
         Every other row of the gradient would be a sum of products with a
         zero coefficient, so ±0.0.  The gradient it is added to holds no
@@ -319,7 +317,7 @@ def _obstacle_term(points: Array, centers: Array, clearance: Array, weight: floa
         sub_pen, sub_dist = pen[rows], dist[rows]
         coeff = np.where(sub_pen > 0, -2.0 * weight * sub_pen / np.maximum(sub_dist, _TINY), 0.0)
         dval_dp = np.einsum("tps,tpsa->tpa", coeff, diff[rows])
-        jacs = _point_jacobians(*(f[rows] for f in frames))
+        jacs = _point_jacobians(*(f[rows] for f in p.frames))
         return rows, np.einsum("tpan,tpa->tn", jacs, dval_dp)
 
     return value, pullback
@@ -335,16 +333,15 @@ class WeightedObjective:
 
     Construction checks once that the context supplies each weighted
     term's inputs for ``n_waypoints`` waypoints, and fixes the weights,
-    the terms a pass computes and reports (``weighted``), the weighted
-    end-effector terms (``eef_terms``), the legibility time weights and
-    the FK buffers (``frames``) every pass runs its forward kinematics
-    in, so the passes of one problem must not run concurrently.  It
-    derives every array a term reads from the context, once per solve:
-    the spheres' ``centers`` and ``clearance`` and the visibility term's
-    ``sigma_head``, ``head``, ``gaze``, ``gaze_norm`` and ``gaze_unit``
-    (``None`` without a head or an object) here, and ``goal_point``,
-    ``nominal_eef`` and ``distance_inputs`` on the first pass that needs
-    them.
+    the terms a pass computes and reports (``weighted``), the legibility
+    time weights and the FK buffers (``frames``) that a pass runs its
+    forward kinematics in on first use, so the passes of one problem
+    must not run concurrently.  It derives every array a term reads from
+    the context, once per solve: the spheres' ``centers`` and
+    ``clearance`` and the visibility term's ``sigma_head``, ``head``,
+    ``gaze``, ``gaze_norm`` and ``gaze_unit`` (``None`` without a head
+    or an object) here, and ``goal_point``, ``nominal_eef`` and
+    ``distance_inputs`` on the first pass that needs them.
     """
 
     def __init__(self, ctx: CostContext, w: CostWeights, dt: float, n_waypoints: int):
@@ -371,7 +368,6 @@ class WeightedObjective:
                 "nominal and trajectory must share waypoint count",
             )
         self.weighted = [name for name in COST_NAMES if weights[name] > 0]
-        self.eef_terms = tuple(name for name in self.weighted if name in _EEF_TERMS)
         # Legibility's per-step weights f = N - k, front-loaded.
         self.time_weights = np.arange(n_waypoints, 0, -1, dtype=float)
         self.time_weight_sum = float(self.time_weights.sum())
@@ -412,86 +408,75 @@ class WeightedObjective:
 class ObjectivePass:
     """The weighted objective of ``problem`` at waypoints ``q``, kept for its gradient.
 
-    Construction runs forward kinematics once (when any term needs it)
-    and computes the positively weighted terms; no other term is ever
-    evaluated.  ``gradient()`` then builds, from the stored frames, every
-    point's Jacobian when the distance term is weighted and the end
-    effector's alone otherwise (the obstacle pullback builds the rows of
-    the waypoints it touches), and adds the weighted terms' pullbacks in
-    ``COST_NAMES`` order; it computes once and returns the same array on
-    later calls.  ``report()`` packs what the pass holds.  The pass
-    keeps a reference to ``q``: do not modify it while the pass is used.
+    Construction computes the positively weighted terms; no other term is
+    ever evaluated.  The forward kinematics ``frames``, every point's
+    Jacobians (``point_jacobians``) and the end effector's
+    (``eef_jacobians``, a slice of ``point_jacobians`` when the distance
+    term is weighted) are each built on first use, so a smoothness-only
+    pass runs no FK and a value-only pass builds no Jacobian.
+    ``gradient()`` adds each weighted term's pullback in ``COST_NAMES``
+    order; it computes once and returns the same array on later calls.
+    ``report()`` packs what the pass holds.  The pass keeps a reference
+    to ``q``: do not modify it while the pass is used.
     """
 
     def __init__(self, q: Array, problem: WeightedObjective):
         self.q, self.problem = q, problem
-        self._frames = None
-        self._values: dict[str, float] = {}
-        self._pullbacks: dict = {}
+        self._terms: dict[str, tuple] = {}  # name: (value, pullback)
         self._grad = None
         self.diagnostics: dict = {}
-        if problem.weighted != ["smoothness"]:
-            points = self._fk()[0]
-            eef = points[:, -1]
         for name in problem.weighted:
+            weight = problem.weights[name]
             if name == "distance":
-                value, pullback = _distance_term(points, *problem.distance_inputs, EPS_M)
+                value, pullback = _distance_term(self.frames[0], *problem.distance_inputs, EPS_M, weight)
             elif name == "visibility":
-                value, pullback, flagged = _visibility_term(eef, problem)
+                value, pullback, flagged = _visibility_term(self.frames[0][:, -1], problem, weight)
                 if flagged:
                     self.diagnostics["visibility_degenerate_steps"] = flagged
             elif name == "legibility":
                 value, pullback = _legibility_term(
-                    eef, problem.goal_point, problem.time_weights, problem.time_weight_sum
+                    self.frames[0][:, -1], problem.goal_point, problem.time_weights, problem.time_weight_sum, weight
                 )
             elif name == "nominal":
-                value, pullback = _nominal_term(eef, problem.nominal_eef)
+                value, pullback = _nominal_term(self.frames[0][:, -1], problem.nominal_eef, weight)
             elif name == "obstacle":
-                value, pullback = _obstacle_term(
-                    points, problem.centers, problem.clearance, problem.weights[name]
-                )
+                value, pullback = _obstacle_term(self.frames[0], problem.centers, problem.clearance, weight)
             else:
-                value, pullback = _smoothness_term(self.q, problem.dt)
-            self._values[name] = value
-            self._pullbacks[name] = pullback
-        self.total = sum(problem.weights[name] * value for name, value in self._values.items())
+                value, pullback = _smoothness_term(self.q, problem.dt, weight)
+            self._terms[name] = value, pullback
+        self.total = sum(problem.weights[name] * value for name, value in self.per_cost.items())
         if not math.isfinite(self.total):
             raise ContractViolation("objective evaluated to a non-finite value")
 
-    def _fk(self) -> tuple[Array, Array]:
-        if self._frames is None:
-            # Copies: the problem's FK buffers belong to the next pass.
-            self._frames = tuple(f.copy() for f in self.problem.frames(self.q))
-        return self._frames
+    @functools.cached_property
+    def frames(self) -> tuple[Array, Array]:
+        """The FK ``(points, axes)`` at ``q``, copied: the problem's buffers belong to the next pass."""
+        return tuple(f.copy() for f in self.problem.frames(self.q))
+
+    @functools.cached_property
+    def point_jacobians(self) -> Array:
+        """(N,P,3,n): every robot point's position Jacobian at each waypoint."""
+        return _point_jacobians(*self.frames)
+
+    @functools.cached_property
+    def eef_jacobians(self) -> Array:
+        """(N,3,n): the end effector's position Jacobian at each waypoint."""
+        if "distance" in self.problem.weighted:
+            return self.point_jacobians[:, -1]
+        return _eef_jacobians(*self.frames)
 
     @property
     def per_cost(self) -> dict[str, float]:
         """The weighted terms in ``COST_NAMES`` order, the order they were computed in."""
-        return dict(self._values)
+        return {name: value for name, (value, _) in self._terms.items()}
 
     def gradient(self) -> Array:
         """Gradient of ``total`` over all waypoints."""
         if self._grad is None:
-            problem = self.problem
-            jacs = eef_jac = None
-            if "distance" in problem.weighted:
-                jacs = _point_jacobians(*self._fk())
-                eef_jac = jacs[:, -1]
-            elif problem.eef_terms:
-                eef_jac = _eef_jacobians(*self._fk())
             grad = np.zeros(self.q.shape)
-            for name in problem.weighted:
-                pullback = self._pullbacks[name]
-                if name == "obstacle":
-                    # Weighted already, and only the rows of penetrating waypoints.
-                    rows, term = pullback(self._fk())
-                    grad[rows] += term
-                    continue
-                if name == "smoothness":
-                    term = pullback()
-                else:
-                    term = pullback(jacs if name == "distance" else eef_jac)
-                grad += problem.weights[name] * term
+            for _, pullback in self._terms.values():
+                rows, term = pullback(self)
+                grad[rows] += term
             self._grad = grad
         return self._grad
 

@@ -35,9 +35,6 @@ EXTRAPOLATED_JOINTS = (
 #: Observation protocol: the portion of the ground truth the predictor sees.
 OBSERVATION_WINDOW = 1.0  # seconds
 
-#: Plausibility bound on per-sample motion at 100 Hz.
-MAX_STEP_AT_100HZ = 0.05  # meters
-
 
 def minimum_jerk_fraction(tau):
     """Quintic displacement fraction 10 tau^3 - 15 tau^4 + 6 tau^5, clamped to [0, 1]."""

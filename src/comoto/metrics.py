@@ -151,8 +151,10 @@ def evaluate_run(
     the head (which ``joints`` must name) is read by its index.  An
     executed trace adds one FK pass over its samples on the nominal clock.
     ``threshold`` (meters, positive) and ``fov_deg`` (in (0, 360]) are
-    the run config's ``metrics`` section.  A planned trajectory must have
-    the nominal's joints, waypoint count, ``dt`` and ``t0`` (within 1e-9).
+    the run config's ``metrics`` section.  Either must have the nominal's
+    joints.  A planned trajectory must also have its waypoint count,
+    ``dt`` and ``t0`` (within 1e-9); an executed trace must start at its
+    ``t0`` (within 1e-9), as Speed-Adj's tick 0 does.
     """
     gaze_target = check_array(gaze_target, "gaze_target", (3,))
     check_real(threshold, "threshold", "positive")
@@ -160,17 +162,23 @@ def evaluate_run(
     if isinstance(planned, ExecutionTrace):
         times, configs = planned.timestamps, planned.configs
     elif isinstance(planned, JointTrajectory):
-        if planned.n_joints != nominal.n_joints:
-            raise ContractViolation(f"{planned.n_joints} joints, but the nominal has {nominal.n_joints}")
+        times, configs = planned.times, planned.waypoints
+    else:
+        raise ContractViolation(f"cannot evaluate object of type {type(planned).__name__}")
+    if configs.shape[1] != nominal.n_joints:
+        raise ContractViolation(f"{configs.shape[1]} joints, but the nominal has {nominal.n_joints}")
+    if isinstance(planned, ExecutionTrace):
+        if abs(times[0] - nominal.t0) > 1e-9:
+            raise ContractViolation(
+                f"the trace starts at t={float(times[0])!r}, but the nominal at t0={nominal.t0!r}"
+            )
+    else:
         off = max(abs(planned.dt - nominal.dt), abs(planned.t0 - nominal.t0))
         if planned.n_waypoints != nominal.n_waypoints or off > 1e-9:
             raise ContractViolation(
                 f"{planned.n_waypoints} waypoints at dt={planned.dt!r} from t0={planned.t0!r}, "
                 f"but the nominal has {nominal.n_waypoints} at dt={nominal.dt!r} from t0={nominal.t0!r}"
             )
-        times, configs = planned.times, planned.waypoints
-    else:
-        raise ContractViolation(f"cannot evaluate object of type {type(planned).__name__}")
     if "head" not in human_truth.joints:
         raise ContractViolation("ground truth has no head track")
     head_joint = human_truth.joints.index("head")

@@ -102,7 +102,7 @@ def kernel_goal_probability(via):
     the end-effector path origin -> ``via`` -> (1, 0, 0): one-hot time
     weights on that step, their sum 1."""
     eef = np.array([[0.0, 0.0, 0.0], via, [1.0, 0.0, 0.0]])
-    value, _ = _legibility_term(eef, eef[-1], np.array([0.0, 1.0, 0.0]), 1.0)
+    value, _ = _legibility_term(eef, eef[-1], np.array([0.0, 1.0, 0.0]), 1.0, 1.0)
     return -value
 
 

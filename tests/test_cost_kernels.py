@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from test_costs import build_problem, reference_derived
+from test_costs import build_problem, pulled, reference_derived, stand_in_pass
 
 from comoto.costs import (
     EPS_M,
@@ -113,33 +113,34 @@ def assert_kernels_match(q, ctx, goal, eps_m=EPS_M):
     and the visibility gradient."""
     points, jacs = all_point_jacobians_batch(ctx.chain, q)
     eef, eef_jac = points[:, -1], jacs[:, -1]
+    p = stand_in_pass(ctx.chain, q)
 
     means, inv_covs_t = _distance_inputs(ctx.prediction)
     got, pullback = _distance_term(
-        points, _repeat_means(means, points.shape[1]), inv_covs_t, eps_m
+        points, _repeat_means(means, points.shape[1]), inv_covs_t, eps_m, 1.0
     )
     want, want_pullback = reference_distance_term(points, means, inv_covs_t, eps_m)
     assert same_bits(got, want)
-    assert same_bits(pullback(jacs), want_pullback(jacs))
+    assert same_bits(pulled(pullback, p), want_pullback(jacs))
 
     head = ctx.prediction.mean_tracks[ctx.prediction.joints.index("head")]
     problem = WeightedObjective(ctx, CostWeights(alpha_vis=1.0), 0.1, len(q))
-    got, pullback, flagged = _visibility_term(eef, problem)
+    got, pullback, flagged = _visibility_term(eef, problem, 1.0)
     want, want_pullback, want_flagged = reference_visibility_term(
         eef, head, reference_derived(ctx).sigma_head, ctx.object_pos
     )
     vis_grad = want_pullback(eef_jac)
     assert same_bits(got, want)
-    assert same_bits(pullback(eef_jac), vis_grad)
+    assert same_bits(pulled(pullback, p), vis_grad)
     assert flagged == want_flagged
     diagnostics = ObjectivePass(q, problem).diagnostics
     assert diagnostics == ({"visibility_degenerate_steps": want_flagged} if want_flagged else {})
 
     f = np.arange(len(q), 0, -1, dtype=float)
-    got, pullback = _legibility_term(eef, goal, f, float(f.sum()))
+    got, pullback = _legibility_term(eef, goal, f, float(f.sum()), 1.0)
     want, want_pullback = reference_legibility_term(eef, goal, f)
     assert same_bits(got, want)
-    assert same_bits(pullback(eef_jac), want_pullback(eef_jac))
+    assert same_bits(pulled(pullback, p), want_pullback(eef_jac))
     return want_flagged, vis_grad
 
 

@@ -167,7 +167,7 @@ def test_gaze_angle_hand_values():
 def test_legibility_straight_path_is_minus_one():
     eef = np.linspace([0.0, 0, 0], [1.0, 0, 0], 6)
     f = np.arange(6, 0, -1.0)
-    value, _ = _legibility_term(eef, np.array([1.0, 0, 0]), f, float(f.sum()))
+    value, _ = _legibility_term(eef, np.array([1.0, 0, 0]), f, float(f.sum()), 1.0)
     assert value == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -191,9 +191,9 @@ def test_legibility_detour_costs_more(planar2):
 
 def test_smoothness_hand_values(planar2):
     q = np.array([[0.0], [0.0], [1.0]])
-    value, _ = _smoothness_term(q, 1.0)
+    value, _ = _smoothness_term(q, 1.0, 1.0)
     assert value == pytest.approx(1.0, abs=1e-15)
-    value, _ = _smoothness_term(q, 2.0)
+    value, _ = _smoothness_term(q, 2.0, 1.0)
     assert value == pytest.approx(1.0 / 16.0, abs=1e-15)
     # a uniformly sampled line has zero acceleration
     line = straightline_joint_init(np.zeros(2), np.ones(2), 9, 0.1)
@@ -233,6 +233,7 @@ def test_distance_term_matches_einsum_reference(arm, monkeypatch):
         traj, ctx = build_problem(arm, seed=seed, n_waypoints=12)
         pred = ctx.prediction
         points, jacs = all_point_jacobians_batch(arm, traj.waypoints)
+        p = stand_in_pass(arm, traj.waypoints)
         sigma2 = 0.02**2 + (0.08 * (pred.t0 + pred.step * np.arange(pred.horizon))) ** 2
         tube = PredictedHumanTrajectory(
             pred.joints,
@@ -246,7 +247,7 @@ def test_distance_term_matches_einsum_reference(arm, monkeypatch):
             means, inv_covs_t = _distance_inputs(prediction)
             want, want_pullback = einsum_distance_term(points, means, inv_covs, eps_m)
             got, pullback = _distance_term(
-                points, _repeat_means(means, points.shape[1]), inv_covs_t, eps_m
+                points, _repeat_means(means, points.shape[1]), inv_covs_t, eps_m, 1.0
             )
             monkeypatch.setattr(costs, "EPS_M", eps_m)
             problem = WeightedObjective(
@@ -255,13 +256,14 @@ def test_distance_term_matches_einsum_reference(arm, monkeypatch):
             )
             objective_pass = ObjectivePass(traj.waypoints, problem)
             assert objective_pass.per_cost["distance"] == pytest.approx(got, rel=1e-12)
-            assert rel_error(objective_pass.gradient(), pullback(jacs)) <= 1e-12
+            grad = pulled(pullback, p)
+            assert rel_error(objective_pass.gradient(), grad) <= 1e-12
             if exact:
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
-                assert np.array_equal(pullback(jacs), want_pullback(jacs))
+                assert np.array_equal(grad, want_pullback(jacs))
             else:
                 assert got == pytest.approx(want, rel=1e-12)
-                assert rel_error(pullback(jacs), want_pullback(jacs)) <= 1e-12
+                assert rel_error(grad, want_pullback(jacs)) <= 1e-12
 
 
 def visibility_oracle(traj, ctx) -> tuple[float, list[float]]:
@@ -495,35 +497,50 @@ def reference_derived(ctx):
     return ref
 
 
+def stand_in_pass(chain, q):
+    """What a kernel's pullback reads of an ``ObjectivePass`` at ``q``, built
+    afresh: the FK ``frames`` and the point and end-effector Jacobians."""
+    jacs = all_point_jacobians_batch(chain, q)[1]
+    return types.SimpleNamespace(frames=_batch_frames(chain, q), point_jacobians=jacs, eef_jacobians=jacs[:, -1])
+
+
+def pulled(pullback, p):
+    """The term ``pullback`` returns from the stand-in pass ``p``, over every waypoint."""
+    rows, term = pullback(p)
+    assert rows is ...
+    return term
+
+
 def reference_gradient(q, dt, ctx, w):
     """The gradient assembled term by term from freshly computed Jacobians,
-    weighted terms in ``COST_NAMES`` order; the obstacle pullback is
-    weighted inside its kernel."""
+    weighted terms in ``COST_NAMES`` order.  The obstacle pullback is
+    weighted inside its kernel; the other kernels run at weight 1.0, which
+    multiplies exactly, and their weights are applied here."""
     weights = w.as_dict()
-    frames = _batch_frames(ctx.chain, q)
-    points, jacs = all_point_jacobians_batch(ctx.chain, q)
-    eef, eef_jac = points[:, -1], jacs[:, -1]
+    p = stand_in_pass(ctx.chain, q)
+    points = p.frames[0]
+    eef = points[:, -1]
     f = np.arange(len(q), 0, -1, dtype=float)
     ref = reference_derived(ctx)
 
     def distance():
         means, inv_covs_t = _distance_inputs(ctx.prediction)
         point_means = _repeat_means(means, points.shape[1])
-        return _distance_term(points, point_means, inv_covs_t, EPS_M)[1](jacs)
+        return pulled(_distance_term(points, point_means, inv_covs_t, EPS_M, 1.0)[1], p)
 
     def obstacle():
         # Its pullback returns the rows of the penetrating waypoints only.
-        rows, term = _obstacle_term(points, ref.centers, ref.clearance, weights["obstacle"])[1](frames)
+        rows, term = _obstacle_term(points, ref.centers, ref.clearance, weights["obstacle"])[1](p)
         full = np.zeros_like(q)
         full[rows] = term
         return full
 
     pullbacks = {
         "distance": distance,
-        "visibility": lambda: _visibility_term(eef, ref)[1](eef_jac),
-        "legibility": lambda: _legibility_term(eef, ref.goal_point, f, float(f.sum()))[1](eef_jac),
-        "nominal": lambda: _nominal_term(eef, ref.nominal_eef)[1](eef_jac),
-        "smoothness": lambda: _smoothness_term(q, dt)[1](),
+        "visibility": lambda: pulled(_visibility_term(eef, ref, 1.0)[1], p),
+        "legibility": lambda: pulled(_legibility_term(eef, ref.goal_point, f, float(f.sum()), 1.0)[1], p),
+        "nominal": lambda: pulled(_nominal_term(eef, ref.nominal_eef, 1.0)[1], p),
+        "smoothness": lambda: pulled(_smoothness_term(q, dt, 1.0)[1], p),
         "obstacle": obstacle,
     }
     grad = np.zeros_like(q)
@@ -571,6 +588,64 @@ def test_eef_only_gradient_bit_identical_to_all_point_slice(arm):
             assert "distance" not in problem.weighted
             got = ObjectivePass(q, problem).gradient()
             assert got.tobytes() == reference_gradient(q, dt, ctx, w).tobytes(), w
+
+
+def count_jacobian_builds(monkeypatch) -> dict[str, int]:
+    """From here on, the calls of ``costs._point_jacobians`` and ``costs._eef_jacobians``, by name."""
+    calls = {"_point_jacobians": 0, "_eef_jacobians": 0}
+    for name in calls:
+
+        def counted(*args, name=name, build=getattr(costs, name)):
+            calls[name] += 1
+            return build(*args)
+
+        monkeypatch.setattr(costs, name, counted)
+    return calls
+
+
+def test_smoothness_only_pass_runs_no_forward_kinematics(arm):
+    traj, ctx = build_problem(arm, seed=2, n_waypoints=8)
+    q, dt, w = traj.waypoints, traj.dt, SINGLE_TERM_WEIGHTS["smoothness"]
+    problem = WeightedObjective(ctx, w, dt, len(q))
+
+    def no_fk(q):
+        raise AssertionError("a smoothness-only pass ran forward kinematics")
+
+    problem.frames = no_fk
+    objective_pass = ObjectivePass(q, problem)
+    assert list(objective_pass.report().per_cost) == ["smoothness"]
+    assert np.array_equal(objective_pass.gradient(), reference_gradient(q, dt, ctx, w))
+
+
+def test_value_only_pass_builds_no_jacobian(arm, monkeypatch):
+    # A rejected line-search trial reads the total and nothing else: no
+    # method's pass may build a Jacobian before its gradient is asked for.
+    traj, ctx = build_problem(arm, seed=2, n_waypoints=12)
+    calls = count_jacobian_builds(monkeypatch)
+    passes = {
+        name: ObjectivePass(traj.waypoints, WeightedObjective(c, w, traj.dt, traj.n_waypoints))
+        for name, (c, w) in method_weightings(arm, traj, ctx).items()
+    }
+    for objective_pass in passes.values():
+        objective_pass.report()
+    assert calls == {"_point_jacobians": 0, "_eef_jacobians": 0}
+    passes["legible"].gradient()
+    assert calls == {"_point_jacobians": 0, "_eef_jacobians": 1}
+
+
+def test_eef_terms_read_the_slice_of_the_point_jacobians(arm, monkeypatch):
+    # With distance weighted, the eef terms' Jacobians are the last point's
+    # rows of the all-point build; without it, the eef build runs alone.
+    traj, ctx = build_problem(arm, seed=2, n_waypoints=12)
+    q, dt = traj.waypoints, traj.dt
+    calls = count_jacobian_builds(monkeypatch)
+    objective_pass = ObjectivePass(q, WeightedObjective(ctx, COMBINED_WEIGHTS, dt, len(q)))
+    objective_pass.gradient()
+    assert calls == {"_point_jacobians": 1, "_eef_jacobians": 0}
+    assert np.shares_memory(objective_pass.eef_jacobians, objective_pass.point_jacobians)
+    no_distance = dataclasses.replace(COMBINED_WEIGHTS, alpha_dist=0.0)
+    ObjectivePass(q, WeightedObjective(ctx, no_distance, dt, len(q))).gradient()
+    assert calls == {"_point_jacobians": 1, "_eef_jacobians": 1}
 
 
 def dense_obstacle_term(q, ctx, weight):
@@ -632,7 +707,7 @@ def test_obstacle_gradient_row_sparse_bit_identical_to_dense(arm, case):
         w = CostWeights(**others, alpha_obstacle=obstacle_weight)
         want_value, dense = dense_obstacle_term(q, c, obstacle_weight)
         value, pullback = _obstacle_term(points, ref.centers, ref.clearance, obstacle_weight)
-        rows, _ = pullback(_batch_frames(arm, q))
+        rows, _ = pullback(stand_in_pass(arm, q))
         assert list(rows) == want_rows
         assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
         want = reference_gradient(q, dt, c, CostWeights(**others)) if others else np.zeros_like(q)

@@ -18,7 +18,6 @@ from comoto.errors import ContractViolation
 from comoto.fileio import read_yaml
 from comoto.human_motion import (
     EXTRAPOLATED_JOINTS,
-    MAX_STEP_AT_100HZ,
     OBSERVATION_WINDOW,
     RIGHT_ARM_JOINTS,
     HumanTrajectory,
@@ -33,6 +32,10 @@ from comoto.human_motion import (
     sample_rows,
     sample_rows_many,
 )
+
+
+#: Plausibility bound on per-sample motion at 100 Hz.
+MAX_STEP_AT_100HZ = 0.05  # meters
 
 
 def make_pose(palm: np.ndarray) -> np.ndarray:

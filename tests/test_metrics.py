@@ -125,8 +125,8 @@ def test_evaluate_run_in_blocks_matches_whole_trace(arm):
     human = human_from(tracks, rate)
     traj = JointTrajectory(configs, dt=1.0 / rate)
     own_nominal = JointTrajectory(configs[::-1], dt=1.0 / rate)
-    nominal = JointTrajectory(configs[::40], dt=40.0 / rate)
-    trace = ExecutionTrace(traj.times + 0.25, configs, completed=False)
+    nominal = JointTrajectory(configs[::40], dt=40.0 / rate, t0=0.25)
+    trace = ExecutionTrace(traj.times + 0.25, configs, completed=False)  # starts at the nominal's t0
     goals = GoalSet(true_goal=np.array([0.6, 0.2, 0.5]), distractors=(np.array([0.3, -0.5, 0.6]),))
     target = np.array([0.4, 0.3, 0.9])
     for planned, nom in ((traj, own_nominal), (trace, nominal)):
@@ -349,11 +349,33 @@ def test_evaluate_run_rejects_a_trajectory_for_another_arm(far3):
         score(far3, six)
 
 
+def trace_of(nominal, shift=0.0, joints=None):
+    """An executed trace through the nominal's waypoints, each at its waypoint's time plus ``shift``."""
+    return ExecutionTrace(nominal.times + shift, nominal.waypoints[:, :joints], completed=True)
+
+
 def test_evaluate_run_accepts_the_nominals_clock_within_1e_9(far3):
     nom = far3.nominal
     assert score(far3, nom).dst_pct == 100.0
     near = JointTrajectory(nom.waypoints, nom.dt + 1e-10, nom.t0 - 1e-10)
     assert score(far3, near) == score(far3, nom)
+    assert score(far3, trace_of(nom)).nom_dev == 0.0
+    for shift in (-1e-10, 1e-10):
+        assert score(far3, trace_of(nom, shift)).nom_dev < 1e-12
+
+
+def test_evaluate_run_rejects_a_trace_that_starts_off_the_nominals_t0(far3):
+    # nom_dev samples the trace at the nominal's waypoint times; 1 s early,
+    # this trace of the nominal itself used to score nom_dev > 0, and raise nothing.
+    early = trace_of(far3.nominal, -1.0)
+    expected = f"the trace starts at t={float(early.timestamps[0])!r}, but the nominal at t0=1.0"
+    with pytest.raises(ContractViolation, match=f"^{re.escape(expected)}$"):
+        score(far3, early)
+
+
+def test_evaluate_run_rejects_a_trace_for_another_arm(far3):
+    with pytest.raises(ContractViolation, match="^6 joints, but the nominal has 7$"):
+        score(far3, trace_of(far3.nominal, joints=6))
 
 
 def test_visibility_needs_head_track(planar2):
